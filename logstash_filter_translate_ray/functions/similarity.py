@@ -232,7 +232,11 @@ def _select_topk_cols(s: np.ndarray, kk: int) -> np.ndarray:
     sel = np.argpartition(s, B - kk, axis=1)[:, B - kk:]
     n_gt = (s > kth[:, None]).sum(axis=1)
     with np.errstate(invalid="ignore"):     # -inf - -inf → nan: not a tie
-        near = np.abs(s - kth[:, None]) <= _TIE_BAND
+        # one B×B temporary, reused in place for the abs
+        d = np.subtract(s, kth[:, None])
+        np.abs(d, out=d)
+        near = d <= _TIE_BAND
+        del d
     n_eq = (near | (s == kth[:, None])).sum(axis=1)
     for r in np.nonzero(n_gt + n_eq > kk)[0]:
         qs = np.round(s[r], 12)

@@ -54,7 +54,7 @@ import pyarrow.compute as pc
 from .config import TranslateConfig
 from .errors import ConfigurationError
 from .fieldref import event_get, event_include, event_set, parse_field_ref
-from .sprintf import sprintf_column, sprintf_row, _cast_to_string
+from .sprintf import is_static, sprintf_column, sprintf_row, _cast_to_string
 
 MATCHED_COL = "translate_matched"
 
@@ -102,6 +102,11 @@ def _roundtrip_exact(orig: Any, back: Any) -> bool:
         if not isinstance(back, dict):
             return False
         if any(not _roundtrip_exact(v, back.get(k)) for k, v in orig.items()):
+            return False
+        # ORDER-strict: struct unification orders fields first-seen, so a
+        # dict whose keys come in another order than an earlier one's
+        # would render (sprintf, string merges) in the wrong order
+        if [k for k in back if k in orig] != list(orig):
             return False
         return all(back[k] is None for k in back.keys() - orig.keys())
     return orig == back
@@ -440,6 +445,10 @@ def _as_array(col: "pa.ChunkedArray | pa.Array") -> pa.Array:
     return col
 
 
+def _is_list(t: pa.DataType) -> bool:
+    return pa.types.is_list(t) or pa.types.is_large_list(t)
+
+
 def lookup_exact(src: pa.Array, snap: DictSnapshot) -> tuple[np.ndarray, Optional[pa.Array], Optional[np.ndarray]]:
     """Exact hash lookup over a string array.
 
@@ -634,8 +643,8 @@ def _lookup(strategy: str, src: pa.Array, snap: DictSnapshot,
     return lookup_regex_union(src, snap, candidates)
 
 
-def _materialize_values(matched: np.ndarray, idx: np.ndarray, snap: DictSnapshot,
-                        fallback_np: Optional[np.ndarray]) -> pa.Array:
+def _materialize_values(matched: np.ndarray, idx: np.ndarray,
+                        snap: DictSnapshot) -> pa.Array:
     """String-unify path for dictionaries whose values DON'T unify to one
     Arrow type (``value_array is None``): matched values stringify
     Logstash-style and the column is string. This is dataset-invariant —
@@ -654,9 +663,6 @@ def _materialize_values(matched: np.ndarray, idx: np.ndarray, snap: DictSnapshot
         # null dict value stays null — parity with the vector unify
         # branch, where cast keeps the slot null instead of ""
         out[i] = None if v is None else _to_s(v)
-    if fallback_np is not None:
-        miss = ~matched
-        out[miss] = fallback_np[miss]
     return pa.array(out.tolist(), type=pa.string())
 
 
@@ -668,7 +674,7 @@ def coerce_source_column(col: "pa.ChunkedArray | pa.Array") -> pa.Array:
     """Ruby to_s of the source column; list columns take their first element
     (single_value_update.rb:9 CoerceArray; empty array → nil.to_s → "")."""
     col = _as_array(col)
-    if pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
+    if _is_list(col.type):
         lens = pc.fill_null(pc.list_value_length(col), 0).to_numpy(zero_copy_only=False)
         flat = _as_array(pc.list_flatten(col))
         flat_str = coerce_source_column(flat)
@@ -687,10 +693,6 @@ def coerce_source_column(col: "pa.ChunkedArray | pa.Array") -> pa.Array:
         # null list row → null (handled by inclusion mask upstream)
         return pc.if_else(pa.array(valid), first, pa.nulls(len(col), pa.string()))
     return _as_array(_cast_to_string(col))
-
-
-def _nulls_like(n: int, type_: Optional[pa.DataType]) -> pa.Array:
-    return pa.nulls(n, type_ if type_ is not None else pa.string())
 
 
 # --------------------------------------------------------------------------
@@ -723,89 +725,58 @@ def _rebuild_struct_with_child(struct_arr: pa.Array, parts: list,
                                write_mask: np.ndarray) -> pa.Array:
     """Return a copy of ``struct_arr`` with the child at ``parts`` replaced
     by ``new_vals`` where ``write_mask`` (nested write, event_set semantics:
-    intermediate structs are materialized for written rows)."""
-    n = len(struct_arr)
+    intermediate structs are materialized for written rows only)."""
     name = parts[0]
     names = [f.name for f in struct_arr.type]
     children = [_as_array(struct_arr.field(i)) for i in range(len(names))]
-    parent_null = pc.is_null(struct_arr).to_numpy(zero_copy_only=False)
+    if name not in names:
+        names.append(name)
+        children.append(None)
+    i = names.index(name)
     if len(parts) == 1:
-        listy = (pa.types.is_list(new_vals.type)
-                 or pa.types.is_large_list(new_vals.type))
-        if name in names:
-            i = names.index(name)
-            old = children[i]
-            if listy or pa.types.is_list(old.type) \
-                    or pa.types.is_large_list(old.type):
-                # pc.if_else can't select list values — python splice
-                # (also type-unifies old to new_vals.type)
-                children[i] = _splice_rows(old, new_vals, write_mask)
-            else:
-                if old.type != new_vals.type \
-                        and not pa.types.is_null(old.type) \
-                        and not pa.types.is_null(new_vals.type):
-                    old = _as_array(_cast_to_string(old))
-                    new_vals = _as_array(_cast_to_string(new_vals))
-                if pa.types.is_null(old.type):
-                    old = pa.nulls(n, new_vals.type)
-                if pa.types.is_null(new_vals.type):
-                    new_vals = pa.nulls(n, old.type)
-                children[i] = pc.if_else(pa.array(write_mask), new_vals, old)
-        else:
-            names.append(name)
-            new_vals = _fresh_null_to_string(new_vals, n)
-            if listy:
-                children.append(_splice_rows(_nulls_like(n, new_vals.type),
-                                             new_vals, write_mask))
-            else:
-                children.append(pc.if_else(pa.array(write_mask), new_vals,
-                                           _nulls_like(n, new_vals.type)))
+        children[i] = _merge_into_target(children[i], new_vals, write_mask)
     else:
-        if name in names and pa.types.is_struct(children[names.index(name)].type):
-            i = names.index(name)
-            children[i] = _rebuild_struct_with_child(
-                children[i], parts[1:], new_vals, write_mask)
-        else:
-            inner = _rebuild_struct_with_child(_empty_struct(n), parts[1:],
-                                               new_vals, write_mask)
-            if name in names:
-                children[names.index(name)] = inner
-            else:
-                names.append(name)
-                children.append(inner)
+        inner = children[i]
+        if inner is None or not pa.types.is_struct(inner.type):
+            inner = pa.nulls(len(struct_arr), pa.struct([]))
+        children[i] = _rebuild_struct_with_child(inner, parts[1:], new_vals,
+                                                 write_mask)
     # written rows materialize the struct (event_set creates intermediates)
-    still_null = parent_null & ~write_mask
+    still_null = pc.is_null(struct_arr).to_numpy(zero_copy_only=False) \
+        & ~write_mask
     return pa.StructArray.from_arrays(children, names,
                                       mask=pa.array(still_null))
 
 
-def _empty_struct(n: int) -> pa.Array:
-    return pa.array([{}] * n, type=pa.struct([]))
-
-
 def write_path_column(tbl: pa.Table, ref: str, new_vals: pa.Array,
                       write_mask: np.ndarray) -> pa.Table:
-    """Write ``new_vals`` at a (possibly nested) field reference, preserving
-    unwritten rows (S2). Nested paths require/extend struct columns."""
+    """Write ``new_vals`` at a (possibly nested) field reference where
+    ``write_mask``, preserving unwritten rows (S2). Nested paths
+    require/extend struct columns. Every shape writes through here,
+    scalar and list results alike."""
     parts = parse_field_ref(ref)
-    if len(parts) == 1:
-        return _merge_into_target(tbl, parts[0], write_mask, new_vals)
     head = parts[0]
-    if head in tbl.column_names:
-        col = _as_array(tbl[head])
-        if pa.types.is_null(col.type):
+    col = _as_array(tbl[head]) if head in tbl.column_names else None
+    if len(parts) == 1:
+        new_col = _merge_into_target(col, new_vals, write_mask)
+    else:
+        if col is None or pa.types.is_null(col.type):
             # an all-null column of NULL type is "every row absent" — the
             # struct materializes exactly as for a missing column
             col = pa.nulls(len(tbl), pa.struct([]))
         elif not pa.types.is_struct(col.type):
             raise ConfigurationError(
                 f"nested target {ref!r}: column {head!r} is {col.type}, not struct")
-    else:
-        col = pa.nulls(len(tbl), pa.struct([]))
-    new_col = _rebuild_struct_with_child(col, parts[1:], new_vals, write_mask)
+        new_col = _rebuild_struct_with_child(col, parts[1:], new_vals,
+                                             write_mask)
     if head in tbl.column_names:
         return tbl.set_column(tbl.column_names.index(head), head, new_col)
     return tbl.append_column(head, new_col)
+
+
+def _null_like(t: pa.DataType) -> bool:
+    """A result type that says nothing about the values: null or list<null>."""
+    return pa.types.is_null(t) or (_is_list(t) and pa.types.is_null(t.value_type))
 
 
 def _fresh_null_to_string(arr: pa.Array, n: int) -> pa.Array:
@@ -813,41 +784,60 @@ def _fresh_null_to_string(arr: pa.Array, n: int) -> pa.Array:
     batch result as STRING — the fast paths' `value_array is None → string`
     choice — so an all-miss/all-excluded block cannot drift from its
     siblings at concat (review r4 fuzz). Existing targets instead keep
-    their old type via the null-signal branches of the merge helpers."""
+    their old type (see _merge_into_target)."""
     t = arr.type
     if pa.types.is_null(t):
         return pa.nulls(n, pa.string())
-    if (pa.types.is_list(t) or pa.types.is_large_list(t)) \
-            and pa.types.is_null(t.value_type):
+    if _null_like(t):
         return arr.cast(pa.list_(pa.string()))
     return arr
 
 
-def _merge_into_target(tbl: pa.Table, target: str, write_mask: np.ndarray,
-                       new_vals: pa.Array) -> pa.Table:
-    """Write ``new_vals`` into column ``target`` where ``write_mask``,
-    preserving existing values elsewhere (S2 skip semantics)."""
-    n = len(tbl)
-    mask_arr = pa.array(write_mask)
-    if target in tbl.column_names:
-        existing = _as_array(tbl[target])
-        if existing.type != new_vals.type:
-            if pa.types.is_null(new_vals.type):
-                new_vals = pa.nulls(n, existing.type)
-            elif pa.types.is_null(existing.type):
-                existing = pa.nulls(n, new_vals.type)
-            else:
-                # BOTH sides go through _cast_to_string: plain pc.cast
-                # rejects invalid-utf8 binary and container types, and
-                # renders floats Arrow-style instead of Ruby-style
-                existing = _as_array(_cast_to_string(existing))
-                new_vals = _as_array(_cast_to_string(new_vals))
-        merged = pc.if_else(mask_arr, new_vals, existing)
-        i = tbl.column_names.index(target)
-        return tbl.set_column(i, target, merged)
+def _list_to_string(arr: pa.Array) -> pa.Array:
+    """list<T> → list<string>: the flattened child goes through
+    _cast_to_string (ruby_to_s for bool/int/float/str), the offsets are
+    rebuilt from the lengths and null rows come from a validity mask."""
+    lens = pc.fill_null(pc.list_value_length(arr), 0).to_numpy(zero_copy_only=False)
+    child = _as_array(_cast_to_string(_as_array(pc.list_flatten(arr))))
+    return pa.ListArray.from_arrays(_list_offsets(lens), child,
+                                    mask=pc.is_null(arr))
+
+
+def _merge_into_target(old: Optional[pa.Array], new_vals: pa.Array,
+                       write_mask: np.ndarray) -> pa.Array:
+    """``new_vals`` where ``write_mask``, else the existing ``old`` values
+    (S2 skip semantics; ``old`` is None for an absent target). One Arrow
+    column holds one type, so the two sides unify first — by their types
+    alone, never by which rows share a block:
+
+    - a null / list<null> result (no element type to go by) takes the
+      existing type, and types a fresh target as string (list<null>
+      anchoring);
+    - a null / list<null> existing column takes the result's type;
+    - any other mismatch renders BOTH sides through _cast_to_string (plain
+      pc.cast rejects invalid-utf8 binary and container types, and renders
+      floats Arrow-style instead of Ruby-style), element-wise when both
+      are lists, so kept list<int64> rows under a list<string> result
+      read as their ruby_to_s strings."""
+    n = len(write_mask)
+    if old is not None and _null_like(new_vals.type) \
+            and _is_list(old.type) == _is_list(new_vals.type):
+        new_vals = new_vals.cast(old.type)
     new_vals = _fresh_null_to_string(new_vals, n)
-    merged = pc.if_else(mask_arr, new_vals, _nulls_like(n, new_vals.type))
-    return tbl.append_column(target, merged)
+    if old is None or pa.types.is_null(old.type):
+        old = pa.nulls(n, new_vals.type)
+    elif old.type != new_vals.type:
+        if _is_list(old.type) and _is_list(new_vals.type):
+            if _null_like(old.type):
+                old = old.cast(new_vals.type)
+            else:
+                old, new_vals = _list_to_string(old), _list_to_string(new_vals)
+        else:
+            old = _as_array(_cast_to_string(old))
+            new_vals = _as_array(_cast_to_string(new_vals))
+    if write_mask.all():   # skips ~10 ms of if_else per 250k-row list block
+        return _as_array(new_vals)
+    return _as_array(pc.if_else(pa.array(write_mask), new_vals, old))
 
 
 # --------------------------------------------------------------------------
@@ -928,27 +918,69 @@ def _inclusion_mask(tbl: pa.Table, cfg: TranslateConfig, source_field: str,
     return incl
 
 
+def _empty_value_type(cfg: TranslateConfig, snap: DictSnapshot) -> pa.DataType:
+    """The value type a block with nothing to write still declares, so it
+    concatenates with blocks that did write (reviews r3 + r4): string when
+    a fallback is configured or the strategy is regex_union (gsub always
+    writes strings, whatever the dictionary's value types), else the
+    dictionary's unified value type."""
+    if cfg.fallback is not None or cfg.strategy == "regex_union":
+        return pa.string()
+    varr = snap.value_array
+    return varr.type if varr is not None else pa.string()
+
+
+def _fallback_values(cfg: TranslateConfig, tbl: pa.Table,
+                     lens: Optional[np.ndarray] = None
+                     ) -> "pa.Scalar | pa.Array | None":
+    """The value a miss writes (S7): None without a fallback, one string
+    scalar for a static template, else the per-event sprintf column —
+    repeated per list element when given the rows' list lengths."""
+    if cfg.fallback is None:
+        return None
+    if is_static(cfg.fallback):
+        return pa.scalar(cfg.fallback, type=pa.string())
+    fb = _as_array(sprintf_column(cfg.fallback, tbl))
+    if lens is not None:
+        fb = fb.take(pa.array(np.repeat(np.arange(len(lens)), lens)))
+    return fb
+
+
+def _resolve_values(matched: np.ndarray, vals: Optional[pa.Array],
+                    idx: Optional[np.ndarray], snap: DictSnapshot,
+                    fallback: "pa.Scalar | pa.Array | None") -> pa.Array:
+    """THE per-event decision, shared by every shape: the looked-up value
+    where ``matched``, else the fallback.
+
+    BLOCK-INVARIANT typing (documented deviation, SURVEY §8): the target
+    type must not depend on which rows share a block — a typed dict
+    ({'a': 100}) with a string fallback would otherwise emit int64 from
+    an all-hit block and string from a block with one miss, and
+    pa.concat_tables of the two raises. So it rests on dataset-invariant
+    facts only: a dictionary whose values don't unify (``vals is None``)
+    writes strings (_materialize_values); a configured fallback always
+    casts the hits to string; otherwise the typed values pass through.
+    translate.rb writes heterogeneous Ruby objects per event; a
+    single-typed Arrow column cannot."""
+    if vals is None:
+        vals = _materialize_values(matched, idx, snap)
+    if fallback is None:
+        return _as_array(vals)
+    return _as_array(pc.if_else(pa.array(matched), _cast_to_string(vals),
+                                fallback))
+
+
 def _table_single(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapshot,
                   matched_col: Optional[str]) -> pa.Table:
     n = len(tbl)
     incl = _inclusion_mask(tbl, cfg, cfg.source)
     if not incl.any():
-        # BLOCK-INVARIANT schema on the fast path too (reviews r3 + r4):
-        # an all-excluded block must come out with the SAME schema as a
-        # block with hits — the null target column typed by the VALUE
-        # type, the nested struct child materialized, and an existing
-        # differently-typed target unified exactly as _merge_into_target
-        # would. Route through write_path_column with the all-false mask:
-        # values are untouched, only types/structure unify.
-        if cfg.fallback is not None or cfg.strategy == "regex_union":
-            # regex_union writes the gsub STRING result regardless of the
-            # dictionary's value types (review r4 fuzz: a bool-valued dict
-            # typed this fast path bool while hit blocks wrote string)
-            empty_t = pa.string()
-        else:
-            varr = snap.value_array
-            empty_t = varr.type if varr is not None else pa.string()
-        out = write_path_column(tbl, cfg.target, pa.nulls(n, empty_t), incl)
+        # BLOCK-INVARIANT schema on the fast path too: an all-excluded
+        # block writes nulls of the type a block with hits would, through
+        # the same write path with an all-false mask — values untouched,
+        # only types/structure unify.
+        out = write_path_column(tbl, cfg.target,
+                                pa.nulls(n, _empty_value_type(cfg, snap)), incl)
         return _with_matched(out, matched_col, incl)
 
     src = coerce_source_column(resolve_path_column(tbl, cfg.source))
@@ -957,48 +989,11 @@ def _table_single(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapshot,
         src = _as_array(pc.fill_null(src, ""))
     matched, vals, idx = _lookup(cfg.strategy, src, snap, candidates=incl)
     matched = matched & incl
-
-    from .sprintf import is_static
-    fb_static = cfg.fallback is not None and is_static(cfg.fallback)
-    fb_np: Optional[np.ndarray] = None
-    if cfg.fallback is not None and not fb_static:
-        fb_arr = sprintf_column(cfg.fallback, tbl)
-        fb_np = np.asarray(fb_arr.to_numpy(zero_copy_only=False), dtype=object)
-
-    # BLOCK-INVARIANT unification (documented deviation, SURVEY §8): when a
-    # fallback is configured, the target column's type must not depend on
-    # which rows happen to share a block — a typed dict ({'a': 100}) with a
-    # string fallback would otherwise emit int64 from an all-hit block and
-    # string from a block with one miss, and pa.concat_tables of the two
-    # raises ArrowInvalid. So the decision uses only dataset-invariant facts
-    # (cfg.fallback + the dictionary's value type): fallback configured ⇒
-    # always take the unify branch (hits cast to string iff values are
-    # non-string). translate.rb writes heterogeneous Ruby objects per event;
-    # a single-typed Arrow column cannot.
-    fb_needed = cfg.fallback is not None
-    if vals is None:
-        if fb_static:
-            fb_np = np.full(n, cfg.fallback, dtype=object)
-        new_vals = _materialize_values(matched, idx, snap, fb_np)
-        write_mask = incl if cfg.fallback is not None else matched
-    elif fb_needed:
-        if not pa.types.is_string(vals.type) and not pa.types.is_null(vals.type):
-            vals = _as_array(_cast_to_string(vals))
-        if pa.types.is_null(vals.type):
-            vals = pa.nulls(n, pa.string())
-        fb_pa = pa.scalar(cfg.fallback, type=pa.string()) if fb_static \
-            else pa.array(fb_np.tolist(), type=pa.string())
-        new_vals = pc.if_else(pa.array(matched), vals, fb_pa)
-        write_mask = incl
-    else:
-        new_vals = vals
-        write_mask = matched
-    if isinstance(new_vals, pa.ChunkedArray):
-        new_vals = new_vals.combine_chunks()
-
+    new_vals = _resolve_values(matched, vals, idx, snap,
+                               _fallback_values(cfg, tbl))
+    write_mask = incl if cfg.fallback is not None else matched
     out = write_path_column(tbl, cfg.target, new_vals, write_mask)
-    final_matched = (incl.copy() if cfg.in_place else write_mask.copy())
-    return _with_matched(out, matched_col, final_matched)
+    return _with_matched(out, matched_col, incl if cfg.in_place else write_mask)
 
 
 def _list_offsets(lens: np.ndarray) -> pa.Array:
@@ -1007,10 +1002,27 @@ def _list_offsets(lens: np.ndarray) -> pa.Array:
     return pa.array(off, type=pa.int32())
 
 
-def _repeat_by(vals: Optional[np.ndarray], lens: np.ndarray) -> Optional[np.ndarray]:
+def _any_per_row(elem_mask: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Per-row OR of an element mask laid out by list lengths."""
+    hits = np.concatenate(([0], np.cumsum(elem_mask, dtype=np.int64)))
+    ends = np.cumsum(lens)
+    return hits[ends] > hits[ends - lens]
+
+
+def _truthy_hits(matched: np.ndarray, vals: Optional[pa.Array],
+                 idx: Optional[np.ndarray], snap: DictSnapshot) -> np.ndarray:
+    """Ruby truthiness (nil and false are falsy) of each matched value,
+    judged on the dictionary's own values: the string-unify paths render
+    false as the truthy string "false"."""
     if vals is None:
-        return None
-    return np.repeat(vals, lens)
+        out = np.zeros(len(matched), dtype=bool)
+        hits = np.nonzero(matched)[0]
+        out[hits] = [snap.values[i] is not None and snap.values[i] is not False
+                     for i in idx[hits]]
+        return out
+    truthy = pc.fill_null(vals, False) if pa.types.is_boolean(vals.type) \
+        else pc.is_valid(vals)
+    return truthy.to_numpy(zero_copy_only=False) & matched
 
 
 def _table_array_of_values(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapshot,
@@ -1021,25 +1033,14 @@ def _table_array_of_values(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapsh
     incl = _inclusion_mask(tbl, cfg, it)
     it_col = resolve_path_column(tbl, it)
     if it_col is None or not incl.any():
-        # fast-path element type must match the write path's (review r3):
-        # string when a fallback is configured or values unify to string,
-        # else the dictionary's value type. Same block-invariance routing
-        # as _table_single's fast path (review r4): the list write helper
-        # with an all-false mask unifies an existing target's type and
-        # materializes nested paths without touching values.
-        if cfg.fallback is not None or cfg.strategy == "regex_union":
-            # regex_union: gsub always writes strings (see _table_single)
-            elem_t = pa.string()
-        else:
-            varr = snap.value_array
-            elem_t = varr.type if varr is not None else pa.string()
-        out = _write_target_list(tbl, cfg.target,
-                                 np.zeros(n, dtype=bool),
-                                 pa.nulls(n, pa.list_(elem_t)))
-        return _with_matched(out, matched_col, np.zeros(n, dtype=bool))
+        # same block-invariance routing as _table_single's fast path
+        # (incl is all-false here)
+        empty = pa.nulls(n, pa.list_(_empty_value_type(cfg, snap)))
+        out = write_path_column(tbl, cfg.target, empty, incl)
+        return _with_matched(out, matched_col, incl)
 
     col = _as_array(it_col)
-    if not (pa.types.is_list(col.type) or pa.types.is_large_list(col.type)):
+    if not _is_list(col.type):
         # CoerceOther: Ruby Array(scalar) — a 1-element list per row,
         # EXCEPT Array(nil) == [] (the row oracle's `[] if val is None`):
         # a null scalar row contributes no element, so under
@@ -1053,146 +1054,27 @@ def _table_array_of_values(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapsh
     lens = pc.fill_null(pc.list_value_length(col), 0).to_numpy(zero_copy_only=False).astype(np.int64)
     # rows outside the inclusion mask contribute no elements to the kernel
     eff_lens = np.where(incl, lens, 0)
-    flat_all = _as_array(pc.list_flatten(col))
-    if incl.all():
-        flat = flat_all
-    else:
+    flat = _as_array(pc.list_flatten(col))
+    if not incl.all():
         # select elements of included rows only
-        row_of = np.repeat(np.arange(n), lens)
-        flat = _as_array(flat_all.filter(pa.array(incl[row_of])))
+        flat = _as_array(flat.filter(pa.array(np.repeat(incl, lens))))
     flat_str = coerce_source_column(flat)
     # a nil ELEMENT is still looked up as "" (array_of_values_update.rb:38
     # `inner.to_s` — unlike a nil scalar source, which is absent per S1)
     flat_str = _as_array(pc.fill_null(flat_str, ""))
 
     f_matched, f_vals, f_idx = _lookup(cfg.strategy, flat_str, snap)
-
-    fb_flat: Optional[np.ndarray] = None
+    # matched per row: Ruby target.any? over the result slots (S8) — a
+    # fallback slot is a string, so truthy
+    truthy = _truthy_hits(f_matched, f_vals, f_idx, snap)
     if cfg.fallback is not None:
-        fb_arr = sprintf_column(cfg.fallback, tbl)
-        fb_row = np.asarray(fb_arr.to_numpy(zero_copy_only=False), dtype=object)
-        fb_flat = _repeat_by(fb_row, eff_lens)
-
-    # Same block-invariant rule as _table_single: fallback configured ⇒
-    # always unify (the element type must not depend on block composition).
-    fb_needed = fb_flat is not None
-    if f_vals is None:
-        elem_vals = _materialize_values(f_matched, f_idx, snap, fb_flat)
-    elif fb_needed:
-        if not pa.types.is_string(f_vals.type) and not pa.types.is_null(f_vals.type):
-            f_vals = _as_array(_cast_to_string(f_vals))
-        if pa.types.is_null(f_vals.type):
-            f_vals = pa.nulls(len(flat), pa.string())
-        elem_vals = pc.if_else(pa.array(f_matched), f_vals,
-                               pa.array(fb_flat.tolist(), type=pa.string()))
-    else:
-        if pa.types.is_null(f_vals.type):
-            f_vals = pa.nulls(len(flat), pa.string())
-        elem_vals = pc.if_else(pa.array(f_matched), f_vals, pa.nulls(len(flat), f_vals.type))
-
+        truthy |= ~f_matched
+    row_any = _any_per_row(truthy, eff_lens)
+    elem_vals = _resolve_values(f_matched, f_vals, f_idx, snap,
+                                _fallback_values(cfg, tbl, eff_lens))
     new_lists = pa.ListArray.from_arrays(_list_offsets(eff_lens), elem_vals)
-
-    # matched per row: Ruby target.any? — truthiness over the result slots (S8)
-    truthy = pc.is_valid(elem_vals).to_numpy(zero_copy_only=False).copy()
-    if pa.types.is_boolean(elem_vals.type):
-        bools = elem_vals.to_numpy(zero_copy_only=False)
-        # dtype=bool: an EMPTY listcomp otherwise infers float64 and the
-        # bool &= float64 bitwise_and raises on zero-element blocks
-        truthy &= np.asarray([bool(b) for b in bools], dtype=bool)
-    row_any = np.zeros(n, dtype=bool)
-    if truthy.any():
-        row_of_eff = np.repeat(np.arange(n), eff_lens)
-        np.logical_or.at(row_any, row_of_eff, truthy)
-
-    out = _write_target_list(tbl, cfg.target, incl, new_lists)
-    return _with_matched(out, matched_col, incl if cfg.in_place else (row_any & incl))
-
-
-def _merge_into_target_list(tbl: pa.Table, target: str, write_mask: np.ndarray,
-                            new_lists: pa.Array) -> pa.Table:
-    """List-typed variant of _merge_into_target (pc.if_else lacks list
-    support). ``target`` is a TOP-LEVEL column name here; nested refs go
-    through :func:`_write_target_list`."""
-    if (pa.types.is_list(new_lists.type)
-            or pa.types.is_large_list(new_lists.type)) \
-            and pa.types.is_null(new_lists.type.value_type):
-        # list<null> result (nothing written this batch): keep an existing
-        # target's element type, else the fast paths' string choice — a
-        # null-element block would drift from its siblings at concat, and
-        # _splice_rows would force kept rows into the null type (review r4
-        # fuzz)
-        if target in tbl.column_names:
-            ex_t = _as_array(tbl[target]).type
-            if (pa.types.is_list(ex_t) or pa.types.is_large_list(ex_t)) \
-                    and not pa.types.is_null(ex_t.value_type):
-                new_lists = new_lists.cast(ex_t)
-            else:
-                new_lists = new_lists.cast(pa.list_(pa.string()))
-        else:
-            new_lists = new_lists.cast(pa.list_(pa.string()))
-    if target in tbl.column_names and not write_mask.all():
-        existing = _as_array(tbl[target])
-        # slow-path splice (rare: list target + partial write)
-        merged = _splice_rows(existing, new_lists, write_mask)
-        return tbl.set_column(tbl.column_names.index(target), target, merged)
-    if not write_mask.all():
-        # null-out non-written rows
-        new_py = new_lists.to_pylist()
-        for i in np.nonzero(~write_mask)[0]:
-            new_py[i] = None
-        new_lists = pa.array(new_py, type=new_lists.type)
-    if target in tbl.column_names:
-        return tbl.set_column(tbl.column_names.index(target), target, new_lists)
-    return tbl.append_column(target, new_lists)
-
-
-def _splice_rows(old: pa.Array, new_vals: pa.Array,
-                 write_mask: np.ndarray) -> pa.Array:
-    """Row splice via Python objects — the if_else fallback for types
-    Arrow's kernel can't select on (lists); also type-unifies ``old`` to
-    ``new_vals.type`` implicitly. When old elements don't fit the new
-    type (e.g. list<int64> kept rows under a list<string> result), leaf
-    scalars stringify ruby_to_s-style — the same direction the scalar
-    unify branches take; an un-stringifiable reverse mismatch raises."""
-    out_py = old.to_pylist()
-    new_py = new_vals.to_pylist()
-    for i in np.nonzero(write_mask)[0]:
-        out_py[i] = new_py[i]
-    try:
-        return pa.array(out_py, type=new_vals.type)
-    except (pa.ArrowInvalid, pa.ArrowTypeError):
-        def conv(v):
-            if isinstance(v, list):
-                return [conv(x) for x in v]
-            if v is None or isinstance(v, str):
-                return v
-            return ruby_to_s(v)
-        return pa.array([conv(v) for v in out_py], type=new_vals.type)
-
-
-def _write_target_list(tbl: pa.Table, ref: str, write_mask: np.ndarray,
-                       new_lists: pa.Array) -> pa.Table:
-    """Write a LIST column at a (possibly nested) field reference —
-    write_path_column's list-typed sibling (review r4: a nested target for
-    the values shape used to create a literal top-level column named
-    '[meta][labels]' while the row oracle wrote event['meta']['labels'])."""
-    parts = parse_field_ref(ref)
-    if len(parts) == 1:
-        return _merge_into_target_list(tbl, parts[0], write_mask, new_lists)
-    head = parts[0]
-    if head in tbl.column_names:
-        col = _as_array(tbl[head])
-        if pa.types.is_null(col.type):
-            col = pa.nulls(len(tbl), pa.struct([]))   # see write_path_column
-        elif not pa.types.is_struct(col.type):
-            raise ConfigurationError(
-                f"nested target {ref!r}: column {head!r} is {col.type}, not struct")
-    else:
-        col = pa.nulls(len(tbl), pa.struct([]))
-    new_col = _rebuild_struct_with_child(col, parts[1:], new_lists, write_mask)
-    if head in tbl.column_names:
-        return tbl.set_column(tbl.column_names.index(head), head, new_col)
-    return tbl.append_column(head, new_col)
+    out = write_path_column(tbl, cfg.target, new_lists, incl)
+    return _with_matched(out, matched_col, incl if cfg.in_place else row_any)
 
 
 def _table_array_of_maps(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapshot,
@@ -1226,7 +1108,7 @@ def _table_array_of_maps(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapshot
         # hand-built tables (a real Dataset keeps the schema's list<struct>
         # and takes the normal path) — nothing to iterate, not a type error
         return _with_matched(tbl, matched_col, np.zeros(n, dtype=bool))
-    if not (pa.types.is_list(col.type) or pa.types.is_large_list(col.type)):
+    if not _is_list(col.type):
         raise ConfigurationError(
             f"iterate_on column {it!r} must be list<struct>, got {col.type}")
     if pa.types.is_null(col.type.value_type):
@@ -1238,9 +1120,8 @@ def _table_array_of_maps(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapshot
 
     lens = pc.fill_null(pc.list_value_length(col), 0).to_numpy(zero_copy_only=False).astype(np.int64)
     flat = _as_array(pc.list_flatten(col))  # StructArray of all elements
-    src_path = parse_field_ref(cfg.source)
     inner = flat
-    for part in src_path:
+    for part in parse_field_ref(cfg.source):
         inner = pc.struct_field(inner, part)
     inner_valid = pc.is_valid(inner).to_numpy(zero_copy_only=False) \
         & pc.is_valid(flat).to_numpy(zero_copy_only=False)
@@ -1249,77 +1130,17 @@ def _table_array_of_maps(tbl: pa.Table, cfg: TranslateConfig, snap: DictSnapshot
     f_matched, f_vals, f_idx = _lookup(cfg.strategy, inner_str, snap,
                                        candidates=inner_valid.copy())
     f_matched = f_matched & inner_valid
+    elem_vals = _resolve_values(f_matched, f_vals, f_idx, snap,
+                                _fallback_values(cfg, tbl, lens))
+    write_elem = inner_valid if cfg.fallback is not None else f_matched
 
-    fb_flat: Optional[np.ndarray] = None
-    if cfg.fallback is not None:
-        fb_arr = sprintf_column(cfg.fallback, tbl)
-        fb_row = np.asarray(fb_arr.to_numpy(zero_copy_only=False), dtype=object)
-        fb_flat = _repeat_by(fb_row, lens)
-
-    write_elem = f_matched | (inner_valid & (fb_flat is not None))
-
-    # Block-invariant rule (see _table_single): fallback ⇒ always unify.
-    fb_needed = fb_flat is not None
-    if f_vals is None:
-        elem_vals = _materialize_values(f_matched, f_idx, snap,
-                                        fb_flat if fb_flat is not None else None)
-    elif fb_needed:
-        if not pa.types.is_string(f_vals.type) and not pa.types.is_null(f_vals.type):
-            f_vals = _as_array(_cast_to_string(f_vals))
-        if pa.types.is_null(f_vals.type):
-            f_vals = pa.nulls(len(flat), pa.string())
-        elem_vals = pc.if_else(pa.array(f_matched), f_vals,
-                               pa.array(fb_flat.tolist(), type=pa.string()))
-    else:
-        if pa.types.is_null(f_vals.type):
-            f_vals = pa.nulls(len(flat), pa.string())
-        elem_vals = f_vals
-    # only write where write_elem
-    elem_vals = pc.if_else(pa.array(write_elem), elem_vals,
-                           pa.nulls(len(flat), elem_vals.type))
-
-    # rebuild struct with target child added/overwritten
-    target_name = parse_field_ref(cfg.target)[-1]
-    names = [f.name for f in flat.type]
-    arrays = [flat.field(i) for i in range(flat.type.num_fields)]
-    if target_name in names:
-        ti = names.index(target_name)
-        old = arrays[ti]
-        if pa.types.is_null(elem_vals.type):
-            # nothing written (or only nulls): keep the old child's type so
-            # unwritten elements KEEP their existing values (review r3: the
-            # string-cast fallback used to wipe them to null)
-            elem_vals = pa.nulls(len(flat), old.type
-                                 if not pa.types.is_null(old.type)
-                                 else pa.string())
-        elif old.type != elem_vals.type and not pa.types.is_null(old.type):
-            old = _as_array(_cast_to_string(old))
-            elem_vals = _as_array(_cast_to_string(elem_vals))
-        merged = pc.if_else(pa.array(write_elem), elem_vals,
-                            old if old.type == elem_vals.type else pa.nulls(len(flat), elem_vals.type))
-        arrays[ti] = merged
-    else:
-        names.append(target_name)
-        arrays.append(_fresh_null_to_string(elem_vals, len(flat)))
-    elem_null_mask = pc.is_null(flat).to_numpy(zero_copy_only=False)
-    new_flat = pa.StructArray.from_arrays(
-        arrays, names, mask=pa.array(elem_null_mask))
-
-    new_col = pa.ListArray.from_arrays(_list_offsets(lens), new_flat)
-    # preserve null rows of the original list column
-    col_null = pc.is_null(col).to_numpy(zero_copy_only=False)
-    if col_null.any():
-        py = new_col.to_pylist()
-        for i in np.nonzero(col_null)[0]:
-            py[i] = None
-        new_col = pa.array(py, type=new_col.type)
-
+    # written elements are never null, so the element null mask carries
+    # over unchanged; null list rows come back through the validity mask
+    new_flat = _rebuild_struct_with_child(flat, parse_field_ref(cfg.target),
+                                          elem_vals, write_elem)
+    new_col = pa.ListArray.from_arrays(_list_offsets(lens), new_flat,
+                                       mask=pc.is_null(col))
     out = tbl.set_column(tbl.column_names.index(it), it, new_col)
-    row_matched = np.zeros(n, dtype=bool)
-    if write_elem.any():
-        row_of = np.repeat(np.arange(n), lens)
-        np.logical_or.at(row_matched, row_of, write_elem)
-    row_matched &= incl
-    if cfg.in_place:  # translate.rb:267 `update(event) || @source == @target`
-        row_matched |= incl
+    # translate.rb:267 `update(event) || @source == @target`
+    row_matched = incl if cfg.in_place else (_any_per_row(write_elem, lens) & incl)
     return _with_matched(out, matched_col, row_matched)

@@ -58,10 +58,11 @@ def fuzz_regex_union(d, rows, fallback):
                st.fixed_dictionaries({"src": cell, "other": cell})),
                max_size=4)),
            min_size=1, max_size=10),
-       fallback=st.one_of(st.none(), st.just("fb"), st.just("%{top}")))
-def fuzz_maps(d, maps, fallback):
+       fallback=st.one_of(st.none(), st.just("fb"), st.just("%{top}")),
+       target=st.sampled_from(["[dst]", "[m][dst]"]))
+def fuzz_maps(d, maps, fallback, target):
     cfg = TranslateConfig(source="[src]", iterate_on="maps",
-                          target="[dst]", dictionary=d, fallback=fallback)
+                          target=target, dictionary=d, fallback=fallback)
     run_both(cfg, [{"maps": m, "top": "T"} for m in maps])
 
 @S

@@ -43,19 +43,29 @@ def run_both(cfg, rows, dictionary=None):
         v is not None and not isinstance(v, str) for v in (d or {}).values())
     for kr, orr in zip(out_rows, oracle_rows):
         for key, val in orr.items():
-            kv = kr.get(key)
-            if unify and isinstance(val, (list, dict)) and isinstance(kv, str):
-                # Single-value stringify path with a CONTAINER dict value
-                # (values that don't unify): the kernel renders the whole
-                # container Logstash-style into the string column, the
-                # oracle writes the raw Ruby object — compare through the
-                # same renderer the kernel uses.
-                from logstash_filter_translate_ray.sprintf import _to_s
-                assert kv == _to_s(val), (key, kr, orr)
-                continue
-            assert _norm(kv, unify) == _norm(val, unify), \
-                (key, kr, orr)
+            assert _agree(kr.get(key), val, unify), (key, kr, orr)
     return out_rows
+
+
+def _agree(kv, val, unify):
+    """Kernel value ``kv`` vs oracle value ``val``. Under ``unify`` a
+    CONTAINER dict value (values that don't unify) is rendered
+    Logstash-style into the string slot — the whole value in the single
+    shape, each element of the values shape's list, the target child of
+    the maps shape — while the oracle writes the raw Ruby object: compare
+    through the same renderer the kernel uses."""
+    if unify and isinstance(val, (list, dict)) and isinstance(kv, str):
+        from logstash_filter_translate_ray.sprintf import _to_s
+        return kv == _to_s(val)
+    if isinstance(val, list) and isinstance(kv, list):
+        return len(kv) == len(val) and all(
+            _agree(k, v, unify) for k, v in zip(kv, val))
+    if isinstance(val, dict) and isinstance(kv, dict):
+        kd = {k: x for k, x in kv.items() if x is not None}
+        vd = {k: x for k, x in val.items() if x is not None}
+        return kd.keys() == vd.keys() and all(
+            _agree(kd[k], vd[k], unify) for k in kd)
+    return _norm(kv, unify) == _norm(val, unify)
 
 
 def _norm(v, stringify=False):
@@ -717,3 +727,160 @@ def test_list_source_null_first_element_coerces_to_empty():
     out = run_both(cfg, [{"s": [None, "x"]}, {"s": ["x"]}, {"s": []}])
     assert out[0]["t"] == "EMPTY" and out[1]["t"] == "X"
     assert out[2]["t"] == "EMPTY"
+
+
+def test_dict_values_inconsistent_key_order_stringify_in_own_order():
+    """Struct unification orders fields first-seen, so a dict value whose
+    keys come in another order must take the stringify path and render in
+    its OWN order, like the row oracle's _to_s."""
+    d = {"a": {"x": 1, "y": 2}, "b": {"y": 3, "x": 4}}
+    snap = DictSnapshot(d)
+    assert snap.value_array is None
+    assert DictSnapshot({"a": {"x": 1}, "b": {"x": 2, "y": 3}}).value_array \
+        is not None                       # order-consistent subsets unify
+    cfg = TranslateConfig(source="s", target="t", dictionary=d, fallback="fb")
+    out = translate_table(pa.table({"s": ["a", "b", "zz"]}), cfg, snap)
+    assert out["t"].to_pylist() == ['{"x":1,"y":2}', '{"y":3,"x":4}', "fb"]
+    run_both(cfg, [{"s": "a"}, {"s": "b"}, {"s": "zz"}])
+
+
+def test_array_of_maps_nested_target():
+    """[iterate_on][i][target] composition (S9): a nested target writes a
+    nested child of each element, not a top-level child named after the
+    last path part."""
+    for fallback in (None, "fb"):
+        cfg = TranslateConfig(iterate_on="items", source="k",
+                              target="[meta][v]", dictionary={"a": "A"},
+                              fallback=fallback)
+        out = run_both(cfg, [{"items": [{"k": "a"}, {"k": "zz"}, {"k": None}]},
+                             {"items": None}, {"items": []}])
+        assert out[0]["items"][0] == {"k": "a", "meta": {"v": "A"}}
+
+
+def _concat_of_slices(tbl, cfg, snap, pts):
+    return pa.concat_tables([translate_table(tbl.slice(lo, hi - lo), cfg, snap)
+                             for lo, hi in zip(pts, pts[1:])])
+
+
+def test_values_partial_write_into_existing_int_list_target():
+    """Kept rows of an existing list<int64> target under a list<string>
+    result read as their ruby_to_s strings; the result does not depend on
+    how the rows are split into blocks."""
+    tbl = pa.table({
+        "foo": pa.array([["a", "x"], ["a"], None, ["x"], ["a"]],
+                        type=pa.list_(pa.string())),
+        "baz": pa.array([None, [1, 2], [3], None, [4, None]],
+                        type=pa.list_(pa.int64()))})
+    for fallback, first in ((None, ["A", None]), ("fb", ["A", "fb"])):
+        cfg = TranslateConfig(source="foo", iterate_on="foo", target="baz",
+                              dictionary={"a": "A"}, fallback=fallback)
+        snap = DictSnapshot(cfg.dictionary)
+        out = translate_table(tbl, cfg, snap)
+        assert out.schema.field("baz").type == pa.list_(pa.string())
+        assert out["baz"].to_pylist()[:3] == [first, ["1", "2"], ["3"]]
+        assert out["baz"].to_pylist()[4] == ["4", None]
+        for pts in ([0, 2, 5], [0, 1, 3, 4, 5], [0, 0, 5]):
+            assert _concat_of_slices(tbl, cfg, snap, pts).equals(out)
+
+
+def test_array_of_maps_every_row_excluded():
+    """A maps block whose every list row is null still declares the target
+    child, typed as a block with hits would, so the blocks concatenate."""
+    st_t = pa.list_(pa.struct([("src", pa.string())]))
+    for d, fallback, target in (({"a": 1}, None, "[dst]"),
+                                ({"a": 1}, "fb", "[dst]"),
+                                ({"a": "A"}, None, "[m][dst]")):
+        cfg = TranslateConfig(source="src", iterate_on="maps", target=target,
+                              dictionary=d, fallback=fallback)
+        snap = DictSnapshot(d)
+        empty = translate_table(pa.table({"maps": pa.array([None, None],
+                                                           type=st_t)}),
+                                cfg, snap)
+        hits = translate_table(pa.table({"maps": pa.array(
+            [[{"src": "a"}], None], type=st_t)}), cfg, snap)
+        assert empty.schema.equals(hits.schema), (empty.schema, hits.schema)
+        assert empty["maps"].to_pylist() == [None, None]
+        assert empty["translate_matched"].to_pylist() == [False, False]
+        run_both(cfg, [{"maps": None}, {"maps": None}])
+
+
+def test_list_shapes_null_rows_match_oracle():
+    """Null list rows in both list shapes, with and without a fallback,
+    against the row oracle."""
+    rows_values = [{"foo": ["a", "x"]}, {"foo": None}, {"foo": []},
+                   {"foo": [None, "a"]}, {"foo": None}]
+    rows_maps = [{"foo": [{"bar": "a"}, {"bar": "x"}]}, {"foo": None},
+                 {"foo": []}, {"foo": [{"bar": None}, {"bar": "a"}]},
+                 {"foo": None}]
+    for fallback in (None, "fb", "fb %{tag}"):
+        for d in ({"a": "A"}, {"a": 1}, {"a": True, "x": False}):
+            cfg = TranslateConfig(source="foo", iterate_on="foo", target="baz",
+                                  dictionary=d, fallback=fallback)
+            out = run_both(cfg, [dict(r, tag="t") for r in rows_values])
+            assert out[1]["baz"] is None and out[4]["baz"] is None
+            cfg = TranslateConfig(source="bar", iterate_on="foo", target="baz",
+                                  dictionary=d, fallback=fallback)
+            out = run_both(cfg, [dict(r, tag="t") for r in rows_maps])
+            assert out[1]["foo"] is None and out[4]["foo"] is None
+
+
+def test_list_shapes_no_per_row_python(monkeypatch):
+    """Both list shapes on a null-bearing block with a unified dictionary
+    stay vectorized: per-row Python round-trips a list column through
+    Python objects and back through pa.array(<python list>), so that call
+    is made to raise. (pyarrow array types are immutable, so their
+    to_pylist cannot be patched.)"""
+    n = 2000
+    rng = np.random.default_rng(3)
+    lens = rng.integers(0, 4, n)
+    offsets = pa.array(np.concatenate(([0], np.cumsum(lens))), type=pa.int32())
+    keys = pa.array([f"k{i}" for i in rng.integers(0, 20, lens.sum())])
+    null_rows = pa.array(rng.random(n) < 0.05)
+    values = pa.ListArray.from_arrays(offsets, keys, mask=null_rows)
+    maps = pa.ListArray.from_arrays(
+        offsets, pa.StructArray.from_arrays([keys], ["k"]), mask=null_rows)
+    existing = pa.array([None if i % 3 else [i] for i in range(n)],
+                        type=pa.list_(pa.int64()))
+    tbl = pa.table({"vals": values, "maps": maps, "old": existing})
+    d = {f"k{i}": f"v{i}" for i in range(10)}
+    snap = DictSnapshot(d)
+    cfgs = [TranslateConfig(source=s, iterate_on=it, target=t, dictionary=d,
+                            fallback=fb)
+            for fb in (None, "fb")
+            for s, it, t in (("vals", "vals", "new"), ("vals", "vals", "old"),
+                             ("vals", "vals", "[m][new]"),
+                             ("k", "maps", "v"), ("k", "maps", "[m][v]"))]
+    want = [translate_table(tbl, cfg, snap) for cfg in cfgs]
+
+    real_array = pa.array
+
+    def no_python_rows(obj, *args, **kwargs):
+        if isinstance(obj, (list, tuple)) or (
+                isinstance(obj, np.ndarray) and obj.dtype == object):
+            raise AssertionError("per-row Python on a list path")
+        return real_array(obj, *args, **kwargs)
+
+    monkeypatch.setattr(pa, "array", no_python_rows)
+    for cfg, w in zip(cfgs, want):
+        assert translate_table(tbl, cfg, snap).equals(w)
+
+
+def test_values_any_judges_dictionary_values_not_their_strings():
+    """Ruby target.any?: a false dictionary value is falsy even where the
+    column unifies to string and holds "false" (fresh-seed fuzz finding)."""
+    for d, fallback in (({"a": False, "b": ""}, None), ({"a": False}, "fb"),
+                        ({"a": False, "b": 1.5}, "fb")):
+        cfg = TranslateConfig(source="foo", iterate_on="foo", target="baz",
+                              dictionary=d, fallback=fallback)
+        out = run_both(cfg, [{"foo": ["a"]}, {"foo": ["a", "z"]}, {"foo": ["b"]}])
+        assert out[0]["baz"] == ["false"]
+
+
+def test_values_container_values_render_per_element():
+    """A non-unifying container dictionary value lands in the values
+    shape's list<string> rendered Logstash-style, element by element
+    (fresh-seed fuzz finding: the harness compared only whole values)."""
+    cfg = TranslateConfig(source="foo", iterate_on="foo", target="baz",
+                          dictionary={"0": [2 ** 70], "1": {"k": 1}})
+    out = run_both(cfg, [{"foo": ["0", "1", "x"]}])
+    assert out[0]["baz"] == [str(2 ** 70), '{"k":1}', None]

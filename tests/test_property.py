@@ -89,16 +89,18 @@ def test_kernel_equals_oracle_values_nested_target(d, rows, fallback,
 @given(
     d=st.dictionaries(keys, str_values, min_size=1, max_size=6),
     rows=st.one_of(
-        st.lists(st.lists(st.fixed_dictionaries({"bar": int_vals}),
-                          max_size=4), min_size=1, max_size=6),
-        st.lists(st.lists(st.fixed_dictionaries({"bar": str_vals}),
-                          max_size=4), min_size=1, max_size=6),
+        st.lists(st.one_of(st.none(), st.lists(st.fixed_dictionaries(
+            {"bar": int_vals}), max_size=4)), min_size=1, max_size=6),
+        st.lists(st.one_of(st.none(), st.lists(st.fixed_dictionaries(
+            {"bar": str_vals}), max_size=4)), min_size=1, max_size=6),
     ),
     fallback=st.one_of(st.none(), st.just("fb")),
     strategy=st.sampled_from(["exact", "exact_regex", "regex_union"]),
+    target=st.sampled_from(["baz", "[meta][baz]"]),
 )
-def test_kernel_equals_oracle_array_of_maps(d, rows, fallback, strategy):
-    cfg = TranslateConfig(source="bar", iterate_on="foo", target="baz",
+def test_kernel_equals_oracle_array_of_maps(d, rows, fallback, strategy,
+                                            target):
+    cfg = TranslateConfig(source="bar", iterate_on="foo", target=target,
                           dictionary=d, fallback=fallback,
                           exact=strategy != "regex_union",
                           regex=strategy == "exact_regex")
@@ -246,7 +248,8 @@ def test_block_composition_invariant(data, d, rows, shape, strategy,
         tbl = pa.table({"foo": pa.array(lists, type=pa.list_(pa.string())),
                         "s": pa.array(rows, type=pa.string())})
         cfg = TranslateConfig(
-            source="foo", iterate_on="foo", target="baz", dictionary=d,
+            source="foo", iterate_on="foo",
+            target="[meta][baz]" if nested else "baz", dictionary=d,
             fallback=fallback, nil_is_present=nilp,
             exact=strategy != "regex_union", regex=strategy == "exact_regex")
     else:
@@ -256,7 +259,8 @@ def test_block_composition_invariant(data, d, rows, shape, strategy,
             maps, type=pa.list_(pa.struct([("src", pa.string())]))),
             "s": pa.array(rows, type=pa.string())})
         cfg = TranslateConfig(
-            source="[src]", iterate_on="maps", target="[dst]", dictionary=d,
+            source="[src]", iterate_on="maps",
+            target="[m][dst]" if nested else "[dst]", dictionary=d,
             fallback=fallback,
             exact=strategy != "regex_union", regex=strategy == "exact_regex")
     snap = DictSnapshot(d)
