@@ -4,6 +4,9 @@
   ``ray.put`` ONCE (broadcast), every batch does one numpy matmul, emits
   only its local top-k, and the driver merges tiny partials (never the
   full score matrix).
+- :func:`knn_join` / :func:`knn_join_ivf` — exact and IVF-partitioned
+  kNN joins, both scored by one running top-k fold
+  (:func:`_running_topk`) over tiles of at most ``_TILE_ROWS`` rows.
 - :class:`LshIndexStage` / :func:`lsh_topk` — the scale path: seeded
   random-hyperplane signatures bucket vectors; queries probe only their
   own bucket (+ optional hamming-1 neighbors). Bucketing is a plain
@@ -12,11 +15,11 @@
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # knn_join_ivf.route() replicates each vector n_probe-fold; it emits the
 # replicas in chunks of at most this many flat float32 list elements
@@ -24,6 +27,21 @@ import pyarrow as pa
 # offsets stay far below 2^31 for ANY input block size. Module-level so
 # tests can shrink it to force multi-chunk routing on small data.
 _ROUTE_CHUNK_ELEMS = 8_000_000
+
+# The exact-scoring tile, in rows: the block width of knn_join (default)
+# and of exact embedding_neardup_pairs, and knn_join_ivf's per-cell tile
+# on both the query and the member side. One task's transient score
+# matrix is at most _TILE_ROWS² × 8 B (128 MB) whatever N, the input
+# block layout or the hottest IVF cell. Module-level so tests can shrink
+# it to force many tiles on small data.
+_TILE_ROWS = 4096
+
+_TIE_BAND = 2e-12   # superset of the 1e-12 quantized-equality rule
+
+_KNN_SCHEMA = pa.schema([("vec_id", pa.int64()), ("nn_rank", pa.int64()),
+                         ("neighbor_id", pa.int64())])
+_PAIR_SCHEMA = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                          ("cosine", pa.float64())])
 
 
 def _batch_matrix(tbl: pa.Table, vec_col: str) -> np.ndarray:
@@ -34,15 +52,93 @@ def _batch_matrix(tbl: pa.Table, vec_col: str) -> np.ndarray:
     col = tbl[vec_col]
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
+    lens = pc.min_max(pc.list_value_length(col))
+    if col.null_count or lens["min"] != lens["max"]:
+        raise ValueError(
+            f"vector column {vec_col!r}: every row must be a non-null "
+            f"vector of one length (found {col.null_count} null rows, "
+            f"lengths {lens['min']}..{lens['max']})")
     flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.float32)
-    dim = len(flat) // len(tbl)
-    return flat.reshape(len(tbl), dim)
+    return flat.reshape(len(tbl), lens["max"].as_py())
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1, keepdims=True)
     n[n == 0] = 1.0
     return m / n
+
+
+def _unit_rows(tbl: pa.Table, vec_col: str) -> np.ndarray:
+    """The stored float32 vectors as float64 unit rows — the exact
+    kernels' math (zero vectors stay zero)."""
+    return _normalize(_batch_matrix(tbl, vec_col).astype(np.float64))
+
+
+def _list_column(m: np.ndarray) -> pa.ListArray:
+    """The rows of a 2-D float32 matrix as one ``list<float32>`` column."""
+    n, dim = m.shape
+    offs = pa.array(np.arange(n + 1, dtype=np.int64) * dim, type=pa.int32())
+    return pa.ListArray.from_arrays(
+        offs, pa.array(np.ascontiguousarray(m).reshape(-1)))
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """1-based positions within consecutive runs of the given lengths."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts) + 1
+
+
+def _result(out, schema: pa.Schema, as_dataset: bool):
+    """The one return path of the joins: ``out`` is a list of refs to
+    per-task result tables, or a Dataset. Returns a Dataset, or a pandas
+    frame of ``schema`` sorted by its first two columns."""
+    import ray
+    import ray.data as rd
+
+    if isinstance(out, list):
+        if as_dataset:
+            return (rd.from_arrow_refs(out) if out
+                    else rd.from_arrow(schema.empty_table()))
+        tables = ray.get(out)         # the task results, no Dataset trip
+    elif as_dataset:
+        return out
+    else:
+        tables = out.iter_batches(batch_format="pyarrow", batch_size=None)
+    # an all-empty Dataset can hand back schema-less zero-row blocks
+    tbl = pa.concat_tables([t for t in tables if len(t)]
+                           or [schema.empty_table()])
+    return tbl.to_pandas().sort_values(schema.names[:2]) \
+        .reset_index(drop=True)
+
+
+def _vector_blocks(ds, id_col: str, vec_col: str, target_rows: int,
+                   max_blocks: int) -> list:
+    """The (id, vector) columns of ``ds`` as refs to materialized blocks
+    of 1..``target_rows`` rows each (no refs for an empty ``ds``), so a
+    block-pair task's transient score matrix stays ≤ target_rows² × 8 B
+    REGARDLESS of N — more rows means more blocks, never bigger matrices.
+
+    The bound is on block SIZE (per-block rows from the materialized
+    metadata, no block fetch): a skewed layout with a plausible block
+    COUNT but one giant block must re-split, and so must an empty block
+    (``_batch_matrix`` cannot infer its dim). A layout already under the
+    cap keeps its (usually better load-balanced) granularity unless it
+    has more than max(ceil(N / target_rows), max_blocks) blocks; a
+    measured forced re-split 64→49 blocks at 200k vectors cost 1.4× wall
+    time on 32 CPUs (uneven last wave)."""
+    sub = ds.select_columns([id_col, vec_col]).materialize()
+    n_total = sub.count()
+    if n_total == 0:
+        return []
+    desired = -(-n_total // target_rows)
+    sizes = [m.num_rows for b in sub.iter_internal_ref_bundles()
+             for m in b.metadata]
+    if (len(sizes) > max(desired, max_blocks)
+            or any(s is None or s == 0 or s > target_rows for s in sizes)):
+        # repartition the MATERIALIZED handle: repartitioning the lazy
+        # dataset would re-execute the whole read/select a second time
+        sub = sub.repartition(desired).materialize()
+    return sub.to_arrow_refs()
 
 
 def brute_force_topk(ds, query: np.ndarray, k: int = 10,
@@ -69,7 +165,7 @@ def brute_force_topk(ds, query: np.ndarray, k: int = 10,
                              id_col: tbl[id_col].slice(0, 0),
                              "score": pa.array([], type=pa.float64())})
         qm = ray.get(q_ref)                       # zero-copy per node
-        m = _normalize(_batch_matrix(tbl, vec_col).astype(np.float64))
+        m = _unit_rows(tbl, vec_col)
         ids = tbl[id_col].to_numpy(zero_copy_only=False)
         scores = qm @ m.T                          # Q × B
         kk = min(k, scores.shape[1])
@@ -102,8 +198,12 @@ def brute_force_topk(ds, query: np.ndarray, k: int = 10,
 def _pairs_from_scores(ids_a: np.ndarray, ids_b: np.ndarray,
                        scores: np.ndarray, threshold: float,
                        upper_only: bool) -> pa.Table:
-    """Vectorized (id_a < id_b, cosine) extraction from a score matrix."""
-    hits = scores >= threshold
+    """Vectorized (id_a < id_b, cosine) extraction from a score matrix.
+    A cosine within ``_TIE_BAND`` below the threshold counts as equal to
+    it: an exact tie (2/5 from dyadic vectors at threshold 0.4) comes out
+    of dgemm 1 ulp either side depending on the matrix shape, so a raw
+    compare made the pair set depend on the block layout (fuzz)."""
+    hits = scores >= threshold - _TIE_BAND
     if upper_only:
         hits &= np.triu(np.ones_like(hits, dtype=bool), 1)
     ri, ci = np.nonzero(hits)
@@ -113,9 +213,8 @@ def _pairs_from_scores(ids_a: np.ndarray, ids_b: np.ndarray,
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     keep = lo != hi
-    return pa.table({"id_a": pa.array(lo[keep].astype(np.int64)),
-                     "id_b": pa.array(hi[keep].astype(np.int64)),
-                     "cosine": pa.array(sc[keep].astype(np.float64))})
+    return pa.Table.from_arrays([lo[keep], hi[keep], sc[keep]],
+                                schema=_PAIR_SCHEMA)
 
 
 def embedding_neardup_pairs(ds, threshold: float = 0.9,
@@ -127,10 +226,12 @@ def embedding_neardup_pairs(ds, threshold: float = 0.9,
     cosine ≥ threshold.
 
     Distributed block cross-product: the (id, vector) blocks stay in the
-    object store (``to_arrow_refs``); every block PAIR is scored by one Ray
-    task (B·(B+1)/2 tasks, each a single float64 matmul). The driver holds
-    only block refs and the resulting PAIRS — never a vector matrix. The
-    O(N²) compute is inherent to exactness; at scale route through
+    object store (:func:`_vector_blocks`: at most ``_TILE_ROWS`` rows per
+    block, so each task's score matrix is bounded whatever the input
+    layout); every block PAIR is scored by one Ray task (B·(B+1)/2 tasks,
+    each a single float64 matmul). The driver holds only block refs and
+    the resulting PAIRS — never a vector matrix. The O(N²) compute is
+    inherent to exactness; at scale route through
     :func:`embedding_neardup_pairs_lsh` (same in-bucket kernel, candidate
     set shrunk by the banded LSH blocking).
 
@@ -141,44 +242,20 @@ def embedding_neardup_pairs(ds, threshold: float = 0.9,
     """
     import ray
 
-    sub = ds.select_columns([id_col, vec_col]).materialize()
-    refs = sub.to_arrow_refs()
-    if len(refs) > max_blocks:           # bound the quadratic task count
-        # repartition the MATERIALIZED handle: repartitioning the lazy
-        # dataset would re-execute the whole read/select a second time
-        refs = sub.repartition(max_blocks).to_arrow_refs()
-    if not refs:
-        import pandas as pd
-        empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64"),
-                              "cosine": pd.Series([], dtype="float64")})
-        if as_dataset:
-            import ray.data as rd
-            return rd.from_pandas(empty)
-        return empty
+    refs = _vector_blocks(ds, id_col, vec_col, _TILE_ROWS, max_blocks)
 
     @ray.remote
     def cross(ta: pa.Table, tb: pa.Table, same: bool) -> pa.Table:
-        if len(ta) == 0 or len(tb) == 0:   # empty block: no pairs (and
-            return pa.table(               # _batch_matrix can't infer dim)
-                {"id_a": pa.array([], type=pa.int64()),
-                 "id_b": pa.array([], type=pa.int64()),
-                 "cosine": pa.array([], type=pa.float64())})
-        ma = _normalize(_batch_matrix(ta, vec_col).astype(np.float64))
-        mb = ma if same else _normalize(
-            _batch_matrix(tb, vec_col).astype(np.float64))
+        ma = _unit_rows(ta, vec_col)
+        mb = ma if same else _unit_rows(tb, vec_col)
         ids_a = ta[id_col].to_numpy(zero_copy_only=False)
         ids_b = ids_a if same else tb[id_col].to_numpy(zero_copy_only=False)
         return _pairs_from_scores(ids_a, ids_b, ma @ mb.T, threshold,
                                   upper_only=same)
 
-    futures = [cross.remote(refs[i], refs[j], i == j)
-               for i in range(len(refs)) for j in range(i, len(refs))]
-    if as_dataset:
-        import ray.data as rd
-        return rd.from_arrow_refs(futures)
-    out = pa.concat_tables(ray.get(futures)).to_pandas()
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return _result([cross.remote(refs[i], refs[j], i == j)
+                    for i in range(len(refs)) for j in range(i, len(refs))],
+                   _PAIR_SCHEMA, as_dataset)
 
 
 def _rowwise_sort_desc_tiebreak(s: np.ndarray, ids: np.ndarray,
@@ -205,9 +282,6 @@ def _rowwise_sort_desc_tiebreak(s: np.ndarray, ids: np.ndarray,
     o2 = np.argsort(-q1, axis=1, kind="stable")[:, :width]
     return (np.take_along_axis(s1, o2, axis=1),
             np.take_along_axis(i1, o2, axis=1))
-
-
-_TIE_BAND = 2e-12   # superset of the 1e-12 quantized-equality rule
 
 
 def _select_topk_cols(s: np.ndarray, kk: int) -> np.ndarray:
@@ -247,24 +321,67 @@ def _select_topk_cols(s: np.ndarray, kk: int) -> np.ndarray:
     return sel
 
 
+def _running_topk(q_ids: np.ndarray, q_m: np.ndarray, chunks, k: int):
+    """Exact (score DESC, id ASC) top-k of every query row (ids ``q_ids``,
+    unit rows ``q_m``) against the member rows streamed in as ``chunks``,
+    an iterable of ``(ids, unit_matrix)``; self-pairs are excluded. Only
+    one chunk's score matrix (len(q_ids) × chunk rows × 8 B) and the
+    ≤5k-wide running state are held at a time — the fold is associative,
+    so how the members are chunked does not change the result.
+
+    Returns (per-query neighbor counts, neighbor ids, raw scores); the
+    last two are flat, query by query, in rank order."""
+    n = len(q_ids)
+    run_s = np.empty((n, 0), dtype=np.float64)
+    run_i = np.empty((n, 0), dtype=np.int64)
+    for ids, m in chunks:
+        if n == 0 or len(ids) == 0:
+            continue
+        # COLUMNS pre-sorted by id (one 1-D sort): boundary score ties
+        # then resolve to the smallest ids by taking the FIRST equal
+        # columns — no O(B log B) per-row argsort anywhere in the
+        # chunk pass (the 200k probe spent 3× the matmul time there)
+        o = np.argsort(ids, kind="stable")
+        ids = ids[o]
+        # raw scores here; _select_topk_cols band-detects quantized
+        # boundary ties (identical columns do NOT score bit-identically
+        # even in ONE gemm call — remainder-lane FMA order), and
+        # cross-chunk noise collapses at the fold/final sort over the
+        # k-wide candidate arrays (see _rowwise_sort_desc_tiebreak)
+        s = q_m @ m[o].T
+        s[q_ids[:, None] == ids[None, :]] = -np.inf     # exclude self
+        sel = _select_topk_cols(s, min(k, s.shape[1]))
+        run_s = np.concatenate(
+            [run_s, np.take_along_axis(s, sel, axis=1)], axis=1)
+        run_i = np.concatenate([run_i, ids[sel]], axis=1)
+        if run_s.shape[1] > 4 * k:              # fold: width stays ≤ 5k
+            run_s, run_i = _rowwise_sort_desc_tiebreak(run_s, run_i, k)
+    # ALWAYS final-sort: per-chunk candidate sets are unordered, and a run
+    # whose total width never exceeded the fold trigger (N ≤ 4k across
+    # several chunks) must still emit ranks in (score DESC, id ASC) order
+    run_s, run_i = _rowwise_sort_desc_tiebreak(
+        run_s, run_i, min(k, run_s.shape[1]))
+    valid = run_s > -np.inf                     # self-only columns drop out
+    return valid.sum(axis=1), run_i[valid], run_s[valid]
+
+
 def knn_join(ds, k: int = 3, vec_col: str = "embedding",
              id_col: str = "vec_id", max_blocks: int = 64,
-             target_block_rows: int = 4096,
+             target_block_rows: int = _TILE_ROWS,
              as_dataset: bool = False):
     """EXACT cosine k-NN join: for every vector, its k nearest OTHER
     vectors (the kNN-graph builder behind near-dup clustering and
     diversity sampling). Deterministic order: cosine DESC, neighbor id ASC.
 
-    Shape: one Ray task per row-block; each task pulls the other blocks
+    Shape: one Ray task per row-block (:func:`_vector_blocks`, at most
+    ``target_block_rows`` rows each); each task pulls the other blocks
     out of the object store ONE AT A TIME (nested refs — neither the
-    driver nor the task ever holds more than one other-block), scores
-    block × other-block with a float64 matmul and folds it into a RUNNING
-    per-row top-k. Peak task memory is O(block_rows × other_block_rows)
-    for the transient score matrix plus O(block_rows × k) for the running
-    state — NOT O(block_rows × N_total) (the r3 full-width concatenation
-    this replaces). O(N²) compute is inherent to exactness — at scale use
-    the LSH bucketing (:func:`embedding_neardup_pairs_lsh`) to build the
-    graph approximately.
+    driver nor the task ever holds more than one other-block) and folds
+    them into a RUNNING per-row top-k (:func:`_running_topk`). Peak task
+    memory is O(target_block_rows²) for the transient score matrix plus
+    O(block_rows × k) for the running state — NOT O(block_rows × N_total)
+    (the r3 full-width concatenation this replaces). O(N²) compute is
+    inherent to exactness — at scale use :func:`knn_join_ivf`.
 
     Returns a pandas frame (vec_id, nn_rank, neighbor_id) by default;
     ``as_dataset=True`` returns a Dataset built from the result-block refs
@@ -272,144 +389,31 @@ def knn_join(ds, k: int = 3, vec_col: str = "embedding",
     """
     import ray
 
-    sub = ds.select_columns([id_col, vec_col]).materialize()
-    n_total = sub.count()
-    import pandas as pd
-    if n_total == 0:
-        empty = pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
-                              "nn_rank": pd.Series([], dtype="int64"),
-                              "neighbor_id": pd.Series([], dtype="int64")})
-        if as_dataset:
-            import ray.data as rd
-            return rd.from_pandas(empty)
-        return empty
-    # block width caps the transient score matrix at target_block_rows² ×
-    # 8 B per task (128 MB at the 4096 default) REGARDLESS of N — more
-    # rows means more blocks/tasks, never bigger matrices. The bound is on
-    # block SIZE (per-block rows from the materialized metadata, no block
-    # fetch): a skewed layout with a plausible block COUNT but one giant
-    # block must re-split — but a layout already under the cap keeps its
-    # (usually better load-balanced) granularity; a measured forced
-    # re-split 64→49 blocks at 200k vectors cost 1.4× wall time on 32
-    # CPUs (uneven last wave). Empty blocks re-split too (a 0-row table
-    # would div-by-zero in _batch_matrix's dim inference).
-    desired = max(1, -(-n_total // target_block_rows))
-    sizes = [m.num_rows for b in sub.iter_internal_ref_bundles()
-             for m in b.metadata]
-    oversize = any(s is None or s > target_block_rows or s == 0
-                   for s in sizes)
-    if oversize or len(sizes) > max(desired, max_blocks):
-        sub = sub.repartition(desired).materialize()
-    refs = sub.to_arrow_refs()
+    refs = _vector_blocks(ds, id_col, vec_col, target_block_rows,
+                          max_blocks)
 
     @ray.remote
     def block_topk(ta: pa.Table, other_refs: list) -> pa.Table:
-        if len(ta) == 0:      # defense: _batch_matrix infers dim by division
-            return pa.table({"vec_id": pa.array([], type=pa.int64()),
-                             "nn_rank": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64())})
-        ma = _normalize(_batch_matrix(ta, vec_col).astype(np.float64))
         ids_a = ta[id_col].to_numpy(zero_copy_only=False)
-        n = len(ma)
-        run_s = np.empty((n, 0), dtype=np.float64)
-        run_i = np.empty((n, 0), dtype=np.int64)
-        for ref in other_refs:
-            tb = ray.get(ref)                 # one other-block at a time
-            if len(tb) == 0:
-                continue
-            mb = _normalize(_batch_matrix(tb, vec_col).astype(np.float64))
-            ids_b = tb[id_col].to_numpy(zero_copy_only=False)
-            # COLUMNS pre-sorted by id (one 1-D sort): boundary score ties
-            # then resolve to the smallest ids by taking the FIRST equal
-            # columns — no O(B log B) per-row argsort anywhere in the
-            # block pass (the 200k probe spent 3× the matmul time there)
-            o = np.argsort(ids_b, kind="stable")
-            ids_b = ids_b[o]
-            # raw scores here; _select_topk_cols band-detects quantized
-            # boundary ties (identical columns do NOT score bit-identically
-            # even in ONE gemm call — remainder-lane FMA order), and
-            # cross-block noise collapses at the fold/final sort over the
-            # k-wide candidate arrays (see _rowwise_sort_desc_tiebreak)
-            s = ma @ mb[o].T
-            s[ids_a[:, None] == ids_b[None, :]] = -np.inf   # exclude self
-            sel = _select_topk_cols(s, min(k, s.shape[1]))
-            run_s = np.concatenate(
-                [run_s, np.take_along_axis(s, sel, axis=1)], axis=1)
-            run_i = np.concatenate([run_i, ids_b[sel]], axis=1)
-            if run_s.shape[1] > 4 * k:        # fold: width stays ≤ 5k
-                run_s, run_i = _rowwise_sort_desc_tiebreak(run_s, run_i, k)
-        # ALWAYS final-sort: per-block candidate sets are unordered, and a
-        # run whose total width never exceeded the fold trigger (N ≤ 4k
-        # across several blocks) must still emit ranks in (score DESC,
-        # id ASC) order
-        run_s, run_i = _rowwise_sort_desc_tiebreak(
-            run_s, run_i, min(k, run_s.shape[1]))
-        valid = run_s > -np.inf               # self-only columns drop out
-        counts = valid.sum(axis=1)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ranks = np.arange(int(counts.sum())) - np.repeat(starts, counts) + 1
-        return pa.table({
-            "vec_id": pa.array(np.repeat(ids_a, counts), type=pa.int64()),
-            "nn_rank": pa.array(ranks, type=pa.int64()),
-            "neighbor_id": pa.array(run_i[valid], type=pa.int64())})
+        others = ((tb[id_col].to_numpy(zero_copy_only=False),
+                   _unit_rows(tb, vec_col))
+                  for tb in map(ray.get, other_refs))  # one at a time
+        counts, nbr, _ = _running_topk(ids_a, _unit_rows(ta, vec_col),
+                                       others, k)
+        return pa.Table.from_arrays(
+            [np.repeat(ids_a, counts), _ranks(counts), nbr],
+            schema=_KNN_SCHEMA)
 
     # nested-list refs are NOT auto-dereferenced by Ray — each task fetches
     # other blocks lazily inside its loop, so the object store can evict
-    others = list(refs)
-    futures = [block_topk.remote(refs[i], others) for i in range(len(refs))]
-    if as_dataset:
-        import ray.data as rd
-        return rd.from_arrow_refs(futures)
-    out = pa.concat_tables(ray.get(futures)).to_pandas()
-    return out.sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
-
-
-def _topk_against(q_ids: np.ndarray, q_m: np.ndarray, m_ids: np.ndarray,
-                  m_m: np.ndarray, k: int, qchunk: int, mchunk: int):
-    """Exact (score DESC, id ASC) top-k of every query row against the
-    member matrix, self-pairs excluded. Memory is bounded at
-    qchunk × mchunk × 8 B for the transient score matrix plus the ≤5k-wide
-    running fold — NEVER len(q) × len(m) — so one hot IVF cell cannot blow
-    a worker's heap. Returns (vec_id, neighbor_id, score) 1-D arrays."""
-    o = np.argsort(m_ids, kind="stable")        # columns id-sorted once:
-    m_ids = m_ids[o]                            # boundary ties resolve to
-    m_m = m_m[o]                                # the smallest ids
-    out_q, out_i, out_s = [], [], []
-    for qs in range(0, len(q_ids), qchunk):
-        qi = q_ids[qs:qs + qchunk]
-        qm = q_m[qs:qs + qchunk]
-        nq = len(qi)
-        run_s = np.empty((nq, 0), dtype=np.float64)
-        run_i = np.empty((nq, 0), dtype=np.int64)
-        for ms in range(0, len(m_ids), mchunk):
-            mi = m_ids[ms:ms + mchunk]
-            s = qm @ m_m[ms:ms + mchunk].T
-            s[qi[:, None] == mi[None, :]] = -np.inf     # exclude self
-            sel = _select_topk_cols(s, min(k, s.shape[1]))
-            run_s = np.concatenate(
-                [run_s, np.take_along_axis(s, sel, axis=1)], axis=1)
-            run_i = np.concatenate([run_i, mi[sel]], axis=1)
-            if run_s.shape[1] > 4 * k:          # fold: width stays ≤ 5k
-                run_s, run_i = _rowwise_sort_desc_tiebreak(run_s, run_i, k)
-        run_s, run_i = _rowwise_sort_desc_tiebreak(
-            run_s, run_i, min(k, run_s.shape[1]))
-        valid = run_s > -np.inf
-        counts = valid.sum(axis=1)
-        out_q.append(np.repeat(qi, counts))
-        out_i.append(run_i[valid])
-        out_s.append(run_s[valid])
-    if not out_q:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy(), np.empty(0, dtype=np.float64)
-    return (np.concatenate(out_q), np.concatenate(out_i),
-            np.concatenate(out_s))
+    return _result([block_topk.remote(r, refs) for r in refs], _KNN_SCHEMA,
+                   as_dataset)
 
 
 def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
                  seed: int = 42, vec_col: str = "embedding",
                  id_col: str = "vec_id", num_groups: "Optional[int]" = None,
                  sample_n: int = 2048, cache_key: Optional[str] = None,
-                 qchunk: int = 4096, mchunk: int = 8192,
                  as_dataset: bool = False):
     """IVF-partitioned APPROXIMATE cosine k-NN join — the 100 TB path the
     exact :func:`knn_join` cannot be (its compute is inherently O(N²)).
@@ -429,13 +433,14 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     3. Hash-bucketed ``groupby(cell)`` (``num_groups`` group calls —
        defaults to a SIZE-BASED value so one map_groups task holds ~200k
        routed rows rather than a fixed 1/64 of the dataset): per cell,
-       exact chunked top-k of the cell's queries against the cell's
-       members (:func:`_topk_against` — the score matrix is bounded at
-       qchunk × mchunk per task). Residual memory risk: a single cell is
-       atomic (its members can't be split without breaking within-cell
-       exactness), so one HOT cell larger than the group target still
-       lands in one task — pick n_cells ≈ √N so expected cell size ≈ √N,
-       and raise n_cells if k-means leaves a mega-cell.
+       the exact running top-k fold (:func:`_running_topk`, the exact
+       join's kernel) of the cell's queries against the cell's members,
+       both in tiles of ``_TILE_ROWS`` rows — the transient score matrix
+       is bounded at ``_TILE_ROWS``² × 8 B per task, the same bound as
+       :func:`knn_join`. Residual memory risk: a single cell's routed
+       rows still land in one task, so one HOT cell larger than the group
+       target is held whole — pick n_cells ≈ √N so expected cell size ≈
+       √N, and raise n_cells if k-means leaves a mega-cell.
     4. Hash-bucketed ``groupby(vec_id)`` merge: each query's ≤ n_probe × k
        candidates fold to the global top-k with the canonical
        (1e-12-quantized score DESC, id ASC) rule, ranks assigned 1..k.
@@ -447,9 +452,6 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     (vec_id, nn_rank, neighbor_id); ``as_dataset=True`` streams.
     """
     import ray
-    import pandas as pd
-    import ray.data as rd
-    import pyarrow.compute as pc
 
     from .dedup import _group_of
     from ..rayutil import anchor_empty_schema
@@ -459,12 +461,8 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     # centroid-sample pass, and the route map_batches
     sub = ds.select_columns([id_col, vec_col]).materialize()
     n_total = sub.count()
-    if n_total == 0:            # Ray's empty to_pandas loses the schema —
-        empty = pd.DataFrame(   # short-circuit before the centroid sample
-            {"vec_id": pd.Series([], dtype="int64"),
-             "nn_rank": pd.Series([], dtype="int64"),
-             "neighbor_id": pd.Series([], dtype="int64")})
-        return rd.from_pandas(empty) if as_dataset else empty
+    if n_total == 0:            # no rows to sample centroids from
+        return _result([], _KNN_SCHEMA, as_dataset)
     cent = build_ivf_centroids(sub, n_cells, sample_n=sample_n, seed=seed,
                                vec_col=vec_col, id_col=id_col,
                                cache_key=cache_key)
@@ -477,17 +475,17 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
         # Result-invariant: per_cell_group/merge_group work per cell /
         # per query WITHIN a bucket, so bucketing only sizes tasks.
         num_groups = max(64, -(-(n_total * np_eff) // 200_000))
-    chunk_elems = _ROUTE_CHUNK_ELEMS   # snapshot into the route closure
+    # snapshot the module knobs into the closures (workers import fresh)
+    chunk_elems, tile = _ROUTE_CHUNK_ELEMS, _TILE_ROWS
+    route_schema = pa.schema([(id_col, pa.int64()), ("_cell", pa.int32()),
+                              ("_member", pa.bool_()),
+                              ("_nvec", pa.list_(pa.float32()))])
+    cand_schema = pa.schema([(id_col, pa.int64()), ("_nid", pa.int64()),
+                             ("_score", pa.float64())])
 
     def route(t: pa.Table) -> pa.Table:
-        empty_vecs = pa.ListArray.from_arrays(
-            pa.array([0], type=pa.int32()),
-            pa.array([], type=pa.float32())).slice(0, 0)
         if len(t) == 0:
-            return pa.table({id_col: pa.array([], type=pa.int64()),
-                             "_cell": pa.array([], type=pa.int32()),
-                             "_member": pa.array([], type=pa.bool_()),
-                             "_nvec": empty_vecs})
+            return route_schema.empty_table()
         c = ray.get(cent_ref)
         raw = _batch_matrix(t, vec_col)              # stored float32, exact
         m = _normalize(raw.astype(np.float64))
@@ -508,21 +506,12 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
         parts = []
         for s0 in range(0, n, rows_per):
             e0 = min(n, s0 + rows_per)
-            nn = e0 - s0
-            member = np.zeros(nn * np_eff, dtype=bool)
+            member = np.zeros((e0 - s0) * np_eff, dtype=bool)
             member[::np_eff] = True
-            rep = np.ascontiguousarray(np.repeat(raw[s0:e0], np_eff,
-                                                 axis=0))
-            offs = pa.array(np.arange(0, (nn * np_eff + 1) * dim, dim,
-                                      dtype=np.int32))
-            vecs = pa.ListArray.from_arrays(offs,
-                                            pa.array(rep.reshape(-1)))
-            parts.append(pa.table(
-                {id_col: pa.array(np.repeat(ids[s0:e0], np_eff),
-                                  type=pa.int64()),
-                 "_cell": pa.array(order[s0:e0].reshape(-1)),
-                 "_member": pa.array(member),
-                 "_nvec": vecs}))
+            parts.append(pa.Table.from_arrays(
+                [np.repeat(ids[s0:e0], np_eff), order[s0:e0].reshape(-1),
+                 member, _list_column(np.repeat(raw[s0:e0], np_eff, axis=0))],
+                schema=route_schema))
         return pa.concat_tables(parts)
 
     def add_gb(t: pa.Table) -> pa.Table:
@@ -530,11 +519,8 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
         return t.append_column("_gb", pa.array(_group_of(cells, num_groups)))
 
     def per_cell_group(t: pa.Table) -> pa.Table:
-        empty = pa.table({id_col: pa.array([], type=pa.int64()),
-                          "_nid": pa.array([], type=pa.int64()),
-                          "_score": pa.array([], type=pa.float64())})
         if len(t) == 0:
-            return empty
+            return cand_schema.empty_table()
         idx = pc.sort_indices(t, sort_keys=[("_cell", "ascending"),
                                             (id_col, "ascending")])
         t = t.take(idx)
@@ -543,24 +529,26 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
         member = t["_member"].to_numpy(zero_copy_only=False)
         # raw float32 → float64 → normalize: the exact kernel's math,
         # bit-for-bit (see the route() shipping comment)
-        m = _normalize(_batch_matrix(t, "_nvec").astype(np.float64))
+        m = _unit_rows(t, "_nvec")
         starts = np.nonzero(np.concatenate(
             ([True], cells[1:] != cells[:-1])))[0]
         ends = np.concatenate((starts[1:], [len(t)]))
-        parts = []
+        out_q, out_i, out_s = [], [], []
         for s, e in zip(starts, ends):
             mem = member[s:e]
-            if not mem.any():
-                continue
-            qs, ni, sc = _topk_against(ids[s:e], m[s:e],
-                                       ids[s:e][mem], m[s:e][mem],
-                                       k, qchunk, mchunk)
-            if len(qs):
-                parts.append(pa.table({id_col: pa.array(qs, type=pa.int64()),
-                                       "_nid": pa.array(ni, type=pa.int64()),
-                                       "_score": pa.array(sc,
-                                                          type=pa.float64())}))
-        return pa.concat_tables(parts) if parts else empty
+            m_ids, m_m = ids[s:e][mem], m[s:e][mem]
+            for q0 in range(s, e, tile):
+                q1 = min(e, q0 + tile)
+                counts, nbr, sc = _running_topk(
+                    ids[q0:q1], m[q0:q1],
+                    ((m_ids[j:j + tile], m_m[j:j + tile])
+                     for j in range(0, len(m_ids), tile)), k)
+                out_q.append(np.repeat(ids[q0:q1], counts))
+                out_i.append(nbr)
+                out_s.append(sc)
+        return pa.Table.from_arrays(
+            [np.concatenate(out_q), np.concatenate(out_i),
+             np.concatenate(out_s)], schema=cand_schema)
 
     def add_qb(t: pa.Table) -> pa.Table:
         q = t[id_col].to_numpy(zero_copy_only=False)
@@ -568,9 +556,7 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
 
     def merge_group(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            return pa.table({"vec_id": pa.array([], type=pa.int64()),
-                             "nn_rank": pa.array([], type=pa.int64()),
-                             "neighbor_id": pa.array([], type=pa.int64())})
+            return _KNN_SCHEMA.empty_table()
         q = t[id_col].to_numpy(zero_copy_only=False)
         nid = t["_nid"].to_numpy(zero_copy_only=False)
         # 1e-12-quantized ORDERING + id tie-break: pairs score in exactly
@@ -579,35 +565,22 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
         sq = np.rint(t["_score"].to_numpy(zero_copy_only=False) * 1e12)
         order = np.lexsort((nid, -sq, q))
         qo = q[order]
-        seg = np.concatenate(([True], qo[1:] != qo[:-1]))
-        seg_start = np.nonzero(seg)[0]
-        pos = np.arange(len(qo)) - np.repeat(
-            seg_start, np.diff(np.concatenate((seg_start, [len(qo)]))))
-        keep = pos < k
-        return pa.table({
-            "vec_id": pa.array(qo[keep], type=pa.int64()),
-            "nn_rank": pa.array(pos[keep] + 1, type=pa.int64()),
-            "neighbor_id": pa.array(nid[order][keep], type=pa.int64())})
+        seg_start = np.nonzero(np.concatenate(([True], qo[1:] != qo[:-1])))[0]
+        rank = _ranks(np.diff(np.append(seg_start, len(qo))))
+        keep = rank <= k
+        return pa.Table.from_arrays(
+            [qo[keep], rank[keep], nid[order][keep]], schema=_KNN_SCHEMA)
 
     routed = sub.map_batches(route, batch_format="pyarrow", batch_size=None)
     cand = anchor_empty_schema(
         routed.map_batches(add_gb, batch_format="pyarrow", batch_size=None)
         .groupby("_gb").map_groups(per_cell_group, batch_format="pyarrow"),
-        pa.schema([(id_col, pa.int64()), ("_nid", pa.int64()),
-                   ("_score", pa.float64())]))
+        cand_schema)
     merged = anchor_empty_schema(
         cand.map_batches(add_qb, batch_format="pyarrow", batch_size=None)
         .groupby("_qb").map_groups(merge_group, batch_format="pyarrow"),
-        pa.schema([("vec_id", pa.int64()), ("nn_rank", pa.int64()),
-                   ("neighbor_id", pa.int64())]))
-    if as_dataset:
-        return merged
-    out = merged.to_pandas()
-    if "vec_id" not in out.columns:     # fully-empty: schema-less to_pandas
-        out = pd.DataFrame({"vec_id": pd.Series([], dtype="int64"),
-                            "nn_rank": pd.Series([], dtype="int64"),
-                            "neighbor_id": pd.Series([], dtype="int64")})
-    return out.sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
+        _KNN_SCHEMA)
+    return _result(merged, _KNN_SCHEMA, as_dataset)
 
 
 class _BandedExplode:
@@ -627,14 +600,10 @@ class _BandedExplode:
         self.planes = None  # dim inferred from the first batch
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         if len(t) == 0:
-            empty_vecs = pa.ListArray.from_arrays(
-                pa.array([0], type=pa.int32()),
-                pa.array([], type=pa.float32())).slice(0, 0)
             return pa.table({self.id_col: t[self.id_col].slice(0, 0),
                              "bucket": pa.array([], type=pa.int64()),
-                             "_nvec": empty_vecs})
+                             "_nvec": pa.array([], pa.list_(pa.float32()))})
         m = _normalize(_batch_matrix(t, self.vec_col).astype(np.float32))
         n, dim = m.shape
         L, r = self.n_tables, self.planes_per_table
@@ -650,13 +619,9 @@ class _BandedExplode:
         ids = t[self.id_col]
         if isinstance(ids, pa.ChunkedArray):
             ids = ids.combine_chunks()
-        rep = np.ascontiguousarray(m[idx])
-        offs = pa.array(np.arange(0, (len(idx) + 1) * dim, dim,
-                                  dtype=np.int32))
-        vecs = pa.ListArray.from_arrays(offs, pa.array(rep.reshape(-1)))
         return pa.table({self.id_col: pc.take(ids, pa.array(idx, type=pa.int64())),
                          "bucket": pa.array(bucket.reshape(-1)),
-                         "_nvec": vecs})
+                         "_nvec": _list_column(m[idx])})
 
 
 def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
@@ -679,9 +644,6 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
     defaults give ≈0.99 at c = 0.9. Precision is exact (scores are real
     cosines; the threshold filter runs in-bucket). ``as_dataset=True``
     returns the distinct-pairs Dataset unsorted (the streaming path)."""
-    import pandas as pd
-    import ray.data  # noqa: F401  (Dataset ops used via ds)
-
     from .dedup import _group_of
 
     def add_gb(t: pa.Table) -> pa.Table:
@@ -689,12 +651,8 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
         return t.append_column("_gb", pa.array(_group_of(b, num_groups)))
 
     def per_group(t: pa.Table) -> pa.Table:
-        empty = pa.table({"id_a": pa.array([], type=pa.int64()),
-                          "id_b": pa.array([], type=pa.int64()),
-                          "cosine": pa.array([], type=pa.float64())})
         if len(t) == 0:
-            return empty
-        import pyarrow.compute as pc
+            return _PAIR_SCHEMA.empty_table()
         idx = pc.sort_indices(t, sort_keys=[("bucket", "ascending"),
                                             (id_col, "ascending")])
         t = t.take(idx)
@@ -721,7 +679,7 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
         from .dedup import _report_skips
         _report_skips("embedding_neardup_pairs_lsh", hot_cap, skipped_b,
                       skipped_r, skip_counter)
-        return pa.concat_tables(parts) if parts else empty
+        return pa.concat_tables(parts) if parts else _PAIR_SCHEMA.empty_table()
 
     # task pool: the lazily-built plane matrix is seeded + deterministic,
     # so per-worker rebuilds are identical and cost ~µs (dim × L·r floats);
@@ -734,22 +692,14 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
         exploded.map_batches(add_gb, batch_format="pyarrow",
                              batch_size=None)
         .groupby("_gb").map_groups(per_group, batch_format="pyarrow"),
-        pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
-                   ("cosine", pa.float64())]))
+        _PAIR_SCHEMA)
     # a pair found by several tables scores IDENTICALLY in each (same
     # normalized vectors) → first-wins bucket dedupe (vectorized; Ray's
     # native multi-key max-agg is ~30× slower per distinct_pairs note)
     from .dedup import distinct_pairs
     deduped = distinct_pairs(pairs, carry=("cosine",),
                              carry_types={"cosine": pa.float64()})
-    if as_dataset:
-        return deduped
-    out = deduped.to_pandas()
-    if "id_a" not in out.columns:      # zero groups → schema-less empty df
-        out = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                            "id_b": pd.Series([], dtype="int64"),
-                            "cosine": pd.Series([], dtype="float64")})
-    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+    return _result(deduped, _PAIR_SCHEMA, as_dataset)
 
 
 class LshIndexStage:
@@ -891,7 +841,7 @@ def ivf_topk(ds, query: np.ndarray, k: int = 10, n_cells: int = 16,
             return tbl
         c = ray.get(cent_ref)
         cells = ray.get(probe_ref)
-        m = _normalize(_batch_matrix(tbl, vec_col).astype(np.float64))
+        m = _unit_rows(tbl, vec_col)
         assign = np.argmax(m @ c.T, axis=1)
         mask = pa.array(np.isin(assign, list(cells)))
         return tbl.filter(mask)
@@ -922,7 +872,6 @@ def lsh_topk(ds, query: np.ndarray, k: int = 10, dim: Optional[int] = None,
     if probe_hamming1:
         probes |= {q_sig ^ (1 << b) for b in range(n_planes)}
 
-    import pyarrow.compute as pc
     probe_arr = pa.array(sorted(probes), type=pa.int64())
     cand = bucketed.map_batches(
         lambda t: t.filter(pc.is_in(t["lsh_bucket"], value_set=probe_arr)),

@@ -4,6 +4,8 @@ ZERO vectors (engine convention: cosine 0 to everything; DuckDB's raw
 list_cosine_similarity says -1 — the oracles carry the CASE mirror),
 duplicate and negated vectors (exact score ties → id tie-break), scaled
 copies (cosine 1), and a query vector (vec_id 0) that may itself be zero.
+On the same tables: exact knn_join at two-row blocks and full-probe
+knn_join_ivf (default and two-row tiles) must equal the default knn_join.
 
 Entries are dyadic rationals so float32 storage and the engine's float64
 math agree bit-for-bit on equality of tied scores. Owns a Ray session.
@@ -81,18 +83,31 @@ def fuzz_emb_queries(vecs, dup_idx, zero_first):
     d = _mk_sfdir(full)
     try:
         _compare(d, QUERIES)
-        # r5: the IVF kNN join at FULL probe must equal the exact kernel
+        # the IVF kNN join at FULL probe must equal the exact kernel
         # bit-for-bit on any input (ties, zeros, negations, duplicates) —
-        # exactness is layout-independent, unlike the recall gate
+        # exactness is layout-independent, unlike the recall gate — and so
+        # must both joins at the smallest tiles (two-row blocks for the
+        # exact join, two-row query/member tiles inside the IVF cells)
         import ray.data as rd
-        from logstash_filter_translate_ray.functions.similarity import (
-            knn_join, knn_join_ivf)
+        from logstash_filter_translate_ray.functions import similarity
         p = os.path.join(d, "embeddings.parquet")
-        exact = knn_join(rd.read_parquet(p, columns=["vec_id", "embedding"]),
-                         k=3)
-        fullp = knn_join_ivf(
-            rd.read_parquet(p, columns=["vec_id", "embedding"]),
-            k=3, n_cells=4, n_probe=4)
+
+        def read():
+            return rd.read_parquet(p, columns=["vec_id", "embedding"])
+
+        exact = similarity.knn_join(read(), k=3)
+        pd.testing.assert_frame_equal(
+            similarity.knn_join(read(), k=3, target_block_rows=2), exact)
+        pd.testing.assert_frame_equal(
+            similarity.knn_join_ivf(read(), k=3, n_cells=4, n_probe=4),
+            exact)
+        tile = similarity._TILE_ROWS
+        similarity._TILE_ROWS = 2
+        try:
+            fullp = similarity.knn_join_ivf(read(), k=3, n_cells=4,
+                                            n_probe=4)
+        finally:
+            similarity._TILE_ROWS = tile
         pd.testing.assert_frame_equal(fullp, exact)
     finally:
         shutil.rmtree(d, ignore_errors=True)

@@ -1,124 +1,15 @@
-"""Round-4 review fixes: knn_join bounded-memory kernel + streaming
-returns, hot-cap skip counters, order-independent IVF centroid samples,
-grouped_quantiles null/distributed guards, sampling fraction-1.0, resize
-metadata NaN guard, %{+timeformat} sprintf reject, DictionaryService
-cross-handle consistency."""
+"""Round-4 review fixes: hot-cap skip counters, grouped_quantiles
+null/distributed guards, sampling fraction-1.0, resize metadata NaN
+guard, %{+timeformat} sprintf reject, DictionaryService cross-handle
+consistency. The knn_join, exact/LSH near-dup and IVF centroid tests live
+in tests/test_similarity.py."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
-from logstash_filter_translate_ray.functions import dedup, similarity
-
-
-def _rand_emb(n: int, dim: int = 16, seed: int = 7, dups: int = 0):
-    rng = np.random.RandomState(seed)
-    m = rng.randn(n, dim)
-    for i in range(dups):          # identical vectors → score ties
-        m[n - 1 - i] = m[i]
-    m /= np.linalg.norm(m, axis=1, keepdims=True)
-    offs = pa.array(np.arange(0, (n + 1) * dim, dim, dtype=np.int32))
-    emb = pa.ListArray.from_arrays(offs, pa.array(m.reshape(-1)))
-    return pa.table({"vec_id": pa.array(np.arange(n, dtype=np.int64)),
-                     "embedding": emb}), m
-
-
-def _knn_reference(m: np.ndarray, k: int) -> pd.DataFrame:
-    """O(N²) numpy oracle with the (cosine DESC, id ASC) tie rule."""
-    s = m @ m.T
-    np.fill_diagonal(s, -np.inf)
-    rows = []
-    for i in range(len(m)):
-        order = [j for j in np.lexsort((np.arange(len(m)), -s[i]))[:k]
-                 if np.isfinite(s[i, j])]       # self never a neighbor
-        for r, j in enumerate(order, 1):
-            rows.append((i, r, int(j)))
-    return pd.DataFrame(rows, columns=["vec_id", "nn_rank", "neighbor_id"])
-
-
-def test_knn_join_multiblock_matches_reference(ray_session):
-    """Tiny target_block_rows forces the running per-block top-k merge
-    (the r4 bounded-memory kernel) through many fold steps; ties from
-    duplicated vectors must break to the smaller neighbor id."""
-    import ray.data as rd
-    tbl, m = _rand_emb(200, dups=5)
-    got = similarity.knn_join(rd.from_arrow(tbl), k=4, target_block_rows=16)
-    want = _knn_reference(m, k=4)
-    pd.testing.assert_frame_equal(
-        got.reset_index(drop=True).astype("int64"),
-        want.astype("int64"))
-
-
-def test_knn_join_small_n_multiblock_rank_order(ray_session):
-    """N ≤ k split across several blocks: the running width never exceeds
-    the fold trigger, so only the unconditional final sort keeps ranks in
-    (score DESC, id ASC) order."""
-    import ray.data as rd
-    tbl, m = _rand_emb(4, dups=1)
-    got = similarity.knn_join(rd.from_arrow(tbl), k=5, target_block_rows=2)
-    want = _knn_reference(m, k=5)
-    pd.testing.assert_frame_equal(
-        got.reset_index(drop=True).astype("int64"), want.astype("int64"))
-
-
-def test_knn_join_as_dataset_streams(ray_session):
-    """as_dataset=True returns a Dataset built from the result refs (no
-    driver concat) with the same rows as the pandas path."""
-    import ray.data as rd
-    tbl, m = _rand_emb(120)
-    ds_out = similarity.knn_join(rd.from_arrow(tbl), k=3,
-                                 target_block_rows=32, as_dataset=True)
-    import ray.data
-    assert isinstance(ds_out, ray.data.Dataset)
-    got = ds_out.to_pandas().sort_values(["vec_id", "nn_rank"]) \
-        .reset_index(drop=True)
-    want = similarity.knn_join(rd.from_arrow(tbl), k=3,
-                               target_block_rows=32)
-    pd.testing.assert_frame_equal(got.astype("int64"),
-                                  want.astype("int64"))
-
-
-def test_embedding_neardup_as_dataset_matches(ray_session):
-    import ray.data as rd
-    tbl, m = _rand_emb(100, dups=3)
-    want = similarity.embedding_neardup_pairs(rd.from_arrow(tbl),
-                                              threshold=0.8)
-    ds_out = similarity.embedding_neardup_pairs(rd.from_arrow(tbl),
-                                                threshold=0.8,
-                                                as_dataset=True)
-    got = ds_out.to_pandas().sort_values(["id_a", "id_b"]) \
-        .reset_index(drop=True)
-    pd.testing.assert_frame_equal(got[["id_a", "id_b"]].astype("int64"),
-                                  want[["id_a", "id_b"]].astype("int64"))
-
-
-def test_knn_join_empty_and_skewed_blocks(ray_session):
-    """Empty input returns the typed empty frame (the r4 block-count
-    rewrite briefly repartitioned an empty dataset into one empty block →
-    ZeroDivisionError in _batch_matrix); a skewed layout (one giant block,
-    right total count) still re-splits to the target_block_rows bound and
-    matches the oracle."""
-    import ray.data as rd
-    dim = 16
-    empty = pa.table({
-        "vec_id": pa.array([], type=pa.int64()),
-        "embedding": pa.ListArray.from_arrays(
-            pa.array([0], type=pa.int32()),
-            pa.array([], type=pa.float64()))})
-    out = similarity.knn_join(rd.from_arrow(empty), k=3)
-    assert len(out) == 0
-    assert list(out.columns) == ["vec_id", "nn_rank", "neighbor_id"]
-    ds_out = similarity.knn_join(rd.from_arrow(empty), k=3, as_dataset=True)
-    assert ds_out.count() == 0
-
-    # skew: 90 rows in one block + 10 in another, target 25 rows/block —
-    # block COUNT alone can look fine while one block dwarfs the bound
-    tbl, m = _rand_emb(100, dim=dim)
-    skewed = rd.from_arrow([tbl.slice(0, 90), tbl.slice(90, 10)])
-    got = similarity.knn_join(skewed, k=3, target_block_rows=25)
-    want = _knn_reference(m, k=3)
-    pd.testing.assert_frame_equal(got.astype("int64"), want.astype("int64"))
+from logstash_filter_translate_ray.functions import dedup
 
 
 def test_grouped_quantiles_fallback_null_key_parity(ray_session):
@@ -158,24 +49,6 @@ def test_spec_resumable_rejects_remote_uri(tmp_path):
         run_spec_resumable(spec, str(tmp_path / "ckpt"))
 
 
-def test_embedding_lsh_as_dataset_matches(ray_session):
-    """as_dataset=True on the LSH path returns the distinct-pairs Dataset
-    (streaming, unsorted) with the same pair set as the pandas path."""
-    import ray.data as rd
-    tbl, m = _rand_emb(150, dups=4)
-    want = similarity.embedding_neardup_pairs_lsh(rd.from_arrow(tbl),
-                                                  threshold=0.8)
-    ds_out = similarity.embedding_neardup_pairs_lsh(rd.from_arrow(tbl),
-                                                    threshold=0.8,
-                                                    as_dataset=True)
-    import ray.data
-    assert isinstance(ds_out, ray.data.Dataset)
-    got = ds_out.to_pandas().sort_values(["id_a", "id_b"]) \
-        .reset_index(drop=True)
-    pd.testing.assert_frame_equal(got[["id_a", "id_b"]].astype("int64"),
-                                  want[["id_a", "id_b"]].astype("int64"))
-
-
 def test_bucket_candidate_pairs_skip_counter(ray_session):
     """hot_cap skips are no longer silent: the counter actor receives the
     skipped bucket/row totals (VERDICT r3 #4)."""
@@ -194,20 +67,6 @@ def test_bucket_candidate_pairs_skip_counter(ray_session):
     out2 = dedup.bucket_candidate_pairs(rd.from_arrow(tbl), "bucket",
                                         "doc_id", hot_cap=None).to_pandas()
     assert len(out2) == 45
-
-
-def test_embedding_lsh_skip_counter(ray_session):
-    import ray
-    import ray.data as rd
-    tbl, _ = _rand_emb(60)
-    ctr = dedup.make_skip_counter()
-    # hot_cap=1 skips every bucket with ≥2 members → zero pairs, counted
-    out = similarity.embedding_neardup_pairs_lsh(
-        rd.from_arrow(tbl), threshold=-1.0, n_tables=1,
-        planes_per_table=1, hot_cap=1, skip_counter=ctr)
-    assert len(out) == 0
-    totals = ray.get(ctr.totals.remote())
-    assert totals["buckets"] >= 1 and totals["rows"] >= 2
 
 
 def test_join_operand_empty_first_block(ray_session):
@@ -242,20 +101,6 @@ def test_join_operand_empty_first_block(ray_session):
     sizes = [b.num_rows for b in jo.iter_batches(batch_format="pyarrow",
                                                  batch_size=None)]
     assert sum(sizes) == 2 and all(s > 0 for s in sizes)
-
-
-def test_ivf_centroids_order_independent(ray_session):
-    """The hash-sample centroid build must not depend on row order
-    (VERDICT r3 #5 — ds.limit() sampled one stratum)."""
-    import ray.data as rd
-    tbl, m = _rand_emb(400)
-    perm = np.random.RandomState(3).permutation(400)
-    shuffled = tbl.take(pa.array(perm))
-    c1 = similarity.build_ivf_centroids(rd.from_arrow(tbl), n_cells=8,
-                                        sample_n=128)
-    c2 = similarity.build_ivf_centroids(rd.from_arrow(shuffled), n_cells=8,
-                                        sample_n=128)
-    assert np.allclose(c1, c2)
 
 
 def test_grouped_quantiles_null_group_kept(ray_session):

@@ -1,6 +1,7 @@
 """Round-5 regression tests: the three r4 ADVICE findings plus the
-round-5 VERDICT tasks (IVF kNN join, missing_file_ok, grouped-partial
-top-k, spill-pressure smoke) as they land."""
+round-5 VERDICT tasks (missing_file_ok, grouped-partial top-k,
+spill-pressure smoke) as they land. The IVF kNN join tests live in
+tests/test_similarity.py."""
 
 import os
 import time
@@ -104,94 +105,6 @@ def test_checkpoint_tmp_ownership(tmp_path):
     assert (tmp_path / "_manifests" / "m.otherhost.99-1.tmp").exists()
     assert not (tmp_path / "_manifests"
                 / f"m.{_local_host()}.999999-1.tmp").exists()
-
-
-# --------------------------------------------------------------------------
-# VERDICT r4 #2: IVF-partitioned distributed kNN join (the 100 TB path)
-# --------------------------------------------------------------------------
-
-def _emb_table(n, dim=16, seed=0, dups=()):
-    rng = np.random.RandomState(seed)
-    m = rng.randn(n, dim).astype(np.float32)
-    for dst, src in dups:
-        m[dst] = m[src]
-    flat = pa.array(m.reshape(-1))
-    return pa.table({
-        "vec_id": pa.array(np.arange(n), type=pa.int64()),
-        "embedding": pa.FixedSizeListArray.from_arrays(flat, dim)
-        .cast(pa.list_(pa.float32()))}), m
-
-
-def test_knn_join_ivf_full_probe_equals_exact(ray_session):
-    """n_probe == n_cells searches every cell — the approximate join must
-    then equal the exact kernel bit-for-bit (ranks, ties, order)."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.similarity import (
-        knn_join, knn_join_ivf)
-    tbl, _ = _emb_table(600, dups=[(100, 200), (300, 400)])
-    ds = rd.from_arrow(tbl)
-    exact = knn_join(ds, k=4)
-    full = knn_join_ivf(rd.from_arrow(tbl), k=4, n_cells=8, n_probe=8)
-    pd.testing.assert_frame_equal(full, exact)
-
-
-def test_knn_join_ivf_recall_and_block_invariance(ray_session):
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.similarity import (
-        knn_join, knn_join_ivf)
-    tbl, _ = _emb_table(1200)
-    exact = knn_join(rd.from_arrow(tbl), k=5)
-    e = set(map(tuple, exact[["vec_id", "neighbor_id"]].to_numpy()))
-    approx = knn_join_ivf(rd.from_arrow(tbl), k=5, n_cells=16, n_probe=4)
-    a = set(map(tuple, approx[["vec_id", "neighbor_id"]].to_numpy()))
-    assert len(a & e) / len(e) >= 0.5          # the gate's asserted bound
-    # block-split invariance: same result from a 3-block layout
-    split = rd.from_arrow([tbl.slice(0, 137), tbl.slice(137, 500),
-                           tbl.slice(637)])
-    approx2 = knn_join_ivf(split, k=5, n_cells=16, n_probe=4)
-    pd.testing.assert_frame_equal(approx, approx2)
-    # raising n_probe can only widen each query's candidate set
-    wider = knn_join_ivf(rd.from_arrow(tbl), k=5, n_cells=16, n_probe=8)
-    w = set(map(tuple, wider[["vec_id", "neighbor_id"]].to_numpy()))
-    assert len(w & e) >= len(a & e)
-
-
-def test_knn_join_ivf_chunked_fold_matches_unchunked(ray_session):
-    """Tiny qchunk/mchunk force the running-fold path through many
-    chunk boundaries — results must not depend on chunking."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.similarity import (
-        knn_join_ivf)
-    tbl, _ = _emb_table(400, dups=[(10, 20), (30, 40), (50, 60)])
-    big = knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=4, n_probe=2)
-    tiny = knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=4, n_probe=2,
-                        qchunk=7, mchunk=11)
-    pd.testing.assert_frame_equal(big, tiny)
-
-
-def test_knn_join_ivf_edges(ray_session):
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.similarity import (
-        knn_join_ivf)
-    empty = pa.table({"vec_id": pa.array([], type=pa.int64()),
-                      "embedding": pa.array([], type=pa.list_(pa.float32()))})
-    out = knn_join_ivf(rd.from_arrow(empty), k=3)
-    assert len(out) == 0
-    assert list(out.columns) == ["vec_id", "nn_rank", "neighbor_id"]
-    assert knn_join_ivf(rd.from_arrow(empty), k=3,
-                        as_dataset=True).count() == 0
-    # single vector: no OTHER vectors -> zero rows, not a crash
-    one = pa.table({"vec_id": pa.array([7], type=pa.int64()),
-                    "embedding": pa.array([[1.0, 0.0]],
-                                          type=pa.list_(pa.float32()))})
-    assert len(knn_join_ivf(rd.from_arrow(one), k=3, n_cells=4)) == 0
-    # as_dataset streaming return matches the pandas return
-    tbl, _ = _emb_table(300)
-    pdf = knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8, n_probe=3)
-    dsr = knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8, n_probe=3,
-                       as_dataset=True).to_pandas() \
-        .sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(pdf, dsr)
 
 
 # --------------------------------------------------------------------------
@@ -495,25 +408,6 @@ def test_spec_resumable_post_filters_only(ray_session, tmp_path):
     assert len(got) == rd.read_parquet(docs).count()
 
 
-def test_knn_join_ivf_route_chunk_invariance(ray_session, monkeypatch):
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions import similarity as sim
-
-    tbl, _ = _emb_table(500, dups=[(10, 20), (30, 40)])
-    whole = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8, n_probe=3)
-    # dim=16, np_eff=3 → rows_per = max(1, 96 // 48) = 2: every block
-    # routes through ~250 replica chunks
-    monkeypatch.setattr(sim, "_ROUTE_CHUNK_ELEMS", 96)
-    chunked = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8,
-                               n_probe=3)
-    pd.testing.assert_frame_equal(chunked, whole)
-    # size-based num_groups default: small N floors at 64 and the
-    # explicit override still works
-    explicit = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8,
-                                n_probe=3, num_groups=7)
-    pd.testing.assert_frame_equal(explicit, whole)
-
-
 def test_value_array_rejects_silent_arrow_coercions():
     """pa.array()'s Python→Arrow coercion is insertion-order-dependent and
     silently value-corrupting for some mixes ([0.0, False] → double
@@ -668,33 +562,3 @@ def test_merge_into_existing_binary_target():
     rows = out.to_pylist()
     assert rows[0]["t"] == "hit"
     assert rows[1]["t"] == "ok"   # unwritten binary decoded, not crashed
-
-
-def test_knn_join_single_gemm_column_position_ties(ray_session):
-    """Found by fresh-seed embedding fuzz: dgemm scores IDENTICAL columns
-    differently depending on column POSITION within one call
-    (remainder-lane FMA order, measured 1-ulp spread on a 6-column
-    matmul), so the per-block top-k selection dropped a quantized-equal
-    candidate with a SMALLER id before the fold could tie-break.
-    _select_topk_cols now band-detects quantized boundary ties."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.similarity import knn_join
-
-    dup = [0.5, -1.0, -0.5, 0.5, 0.5, 2.0, -1.0, -1.0]
-    other = [0.5, 1.0, 2.0, -1.0, 1.0, 0.0, -0.5, 0.0]
-    neg = [-x for x in dup]
-    full = [dup, dup, dup, other, dup, neg]
-    n = len(full)
-    flat = pa.array(np.asarray(full, dtype=np.float32).reshape(-1),
-                    type=pa.float32())
-    offs = pa.array(np.arange(0, (n + 1) * 8, 8, dtype=np.int32))
-    tbl = pa.table({"vec_id": pa.array(np.arange(n, dtype=np.int64)),
-                    "embedding": pa.ListArray.from_arrays(offs, flat)})
-    out = knn_join(rd.from_arrow(tbl), k=3)
-    # query 5 (the negation): rank 1 = vec 3, then the 4-way tie
-    # {0,1,2,4} at cosine -1 must resolve id-ASC → 0, 1 (NOT 4)
-    q5 = out[out.vec_id == 5].sort_values("nn_rank")
-    assert q5.neighbor_id.tolist() == [3, 0, 1]
-    # single-block and multi-block layouts agree
-    split = knn_join(rd.from_arrow([tbl.slice(0, 3), tbl.slice(3)]), k=3)
-    pd.testing.assert_frame_equal(out, split)

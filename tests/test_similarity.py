@@ -1,0 +1,353 @@
+"""knn_join, knn_join_ivf, exact and LSH embedding near-dup pairs and
+the IVF centroid build (functions/similarity.py)."""
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+from logstash_filter_translate_ray.functions import dedup, similarity
+
+
+def _rand_emb(n: int, dim: int = 16, seed: int = 7, dups: int = 0):
+    rng = np.random.RandomState(seed)
+    m = rng.randn(n, dim)
+    for i in range(dups):          # identical vectors → score ties
+        m[n - 1 - i] = m[i]
+    m /= np.linalg.norm(m, axis=1, keepdims=True)
+    offs = pa.array(np.arange(0, (n + 1) * dim, dim, dtype=np.int32))
+    emb = pa.ListArray.from_arrays(offs, pa.array(m.reshape(-1)))
+    return pa.table({"vec_id": pa.array(np.arange(n, dtype=np.int64)),
+                     "embedding": emb}), m
+
+
+def _knn_reference(m: np.ndarray, k: int) -> pd.DataFrame:
+    """O(N²) numpy oracle with the (cosine DESC, id ASC) tie rule."""
+    s = m @ m.T
+    np.fill_diagonal(s, -np.inf)
+    rows = []
+    for i in range(len(m)):
+        order = [j for j in np.lexsort((np.arange(len(m)), -s[i]))[:k]
+                 if np.isfinite(s[i, j])]       # self never a neighbor
+        for r, j in enumerate(order, 1):
+            rows.append((i, r, int(j)))
+    return pd.DataFrame(rows, columns=["vec_id", "nn_rank", "neighbor_id"])
+
+
+def _emb_table(n, dim=16, seed=0, dups=()):
+    rng = np.random.RandomState(seed)
+    m = rng.randn(n, dim).astype(np.float32)
+    for dst, src in dups:
+        m[dst] = m[src]
+    flat = pa.array(m.reshape(-1))
+    return pa.table({
+        "vec_id": pa.array(np.arange(n), type=pa.int64()),
+        "embedding": pa.FixedSizeListArray.from_arrays(flat, dim)
+        .cast(pa.list_(pa.float32()))}), m
+
+
+def test_knn_join_multiblock_matches_reference(ray_session):
+    """Tiny target_block_rows forces the running per-block top-k merge
+    (the r4 bounded-memory kernel) through many fold steps; ties from
+    duplicated vectors must break to the smaller neighbor id."""
+    import ray.data as rd
+    tbl, m = _rand_emb(200, dups=5)
+    got = similarity.knn_join(rd.from_arrow(tbl), k=4, target_block_rows=16)
+    want = _knn_reference(m, k=4)
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True).astype("int64"),
+        want.astype("int64"))
+
+
+def test_knn_join_small_n_multiblock_rank_order(ray_session):
+    """N ≤ k split across several blocks: the running width never exceeds
+    the fold trigger, so only the unconditional final sort keeps ranks in
+    (score DESC, id ASC) order."""
+    import ray.data as rd
+    tbl, m = _rand_emb(4, dups=1)
+    got = similarity.knn_join(rd.from_arrow(tbl), k=5, target_block_rows=2)
+    want = _knn_reference(m, k=5)
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True).astype("int64"), want.astype("int64"))
+
+
+def test_knn_join_as_dataset_streams(ray_session):
+    """as_dataset=True returns a Dataset built from the result refs (no
+    driver concat) with the same rows as the pandas path."""
+    import ray.data as rd
+    tbl, m = _rand_emb(120)
+    ds_out = similarity.knn_join(rd.from_arrow(tbl), k=3,
+                                 target_block_rows=32, as_dataset=True)
+    import ray.data
+    assert isinstance(ds_out, ray.data.Dataset)
+    got = ds_out.to_pandas().sort_values(["vec_id", "nn_rank"]) \
+        .reset_index(drop=True)
+    want = similarity.knn_join(rd.from_arrow(tbl), k=3,
+                               target_block_rows=32)
+    pd.testing.assert_frame_equal(got.astype("int64"),
+                                  want.astype("int64"))
+
+
+def test_knn_join_empty_and_skewed_blocks(ray_session):
+    """Empty input returns the typed empty frame (the r4 block-count
+    rewrite briefly repartitioned an empty dataset into one empty block →
+    ZeroDivisionError in _batch_matrix); a skewed layout (one giant block,
+    right total count) still re-splits to the target_block_rows bound and
+    matches the oracle."""
+    import ray.data as rd
+    dim = 16
+    empty = pa.table({
+        "vec_id": pa.array([], type=pa.int64()),
+        "embedding": pa.ListArray.from_arrays(
+            pa.array([0], type=pa.int32()),
+            pa.array([], type=pa.float64()))})
+    out = similarity.knn_join(rd.from_arrow(empty), k=3)
+    assert len(out) == 0
+    assert list(out.columns) == ["vec_id", "nn_rank", "neighbor_id"]
+    ds_out = similarity.knn_join(rd.from_arrow(empty), k=3, as_dataset=True)
+    assert ds_out.count() == 0
+
+    # skew: 90 rows in one block + 10 in another, target 25 rows/block —
+    # block COUNT alone can look fine while one block dwarfs the bound
+    tbl, m = _rand_emb(100, dim=dim)
+    skewed = rd.from_arrow([tbl.slice(0, 90), tbl.slice(90, 10)])
+    got = similarity.knn_join(skewed, k=3, target_block_rows=25)
+    want = _knn_reference(m, k=3)
+    pd.testing.assert_frame_equal(got.astype("int64"), want.astype("int64"))
+
+
+def test_knn_join_single_gemm_column_position_ties(ray_session):
+    """Found by fresh-seed embedding fuzz: dgemm scores IDENTICAL columns
+    differently depending on column POSITION within one call
+    (remainder-lane FMA order, measured 1-ulp spread on a 6-column
+    matmul), so the per-block top-k selection dropped a quantized-equal
+    candidate with a SMALLER id before the fold could tie-break.
+    _select_topk_cols now band-detects quantized boundary ties."""
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions.similarity import knn_join
+
+    dup = [0.5, -1.0, -0.5, 0.5, 0.5, 2.0, -1.0, -1.0]
+    other = [0.5, 1.0, 2.0, -1.0, 1.0, 0.0, -0.5, 0.0]
+    neg = [-x for x in dup]
+    full = [dup, dup, dup, other, dup, neg]
+    n = len(full)
+    flat = pa.array(np.asarray(full, dtype=np.float32).reshape(-1),
+                    type=pa.float32())
+    offs = pa.array(np.arange(0, (n + 1) * 8, 8, dtype=np.int32))
+    tbl = pa.table({"vec_id": pa.array(np.arange(n, dtype=np.int64)),
+                    "embedding": pa.ListArray.from_arrays(offs, flat)})
+    out = knn_join(rd.from_arrow(tbl), k=3)
+    # query 5 (the negation): rank 1 = vec 3, then the 4-way tie
+    # {0,1,2,4} at cosine -1 must resolve id-ASC → 0, 1 (NOT 4)
+    q5 = out[out.vec_id == 5].sort_values("nn_rank")
+    assert q5.neighbor_id.tolist() == [3, 0, 1]
+    # single-block and multi-block layouts agree
+    split = knn_join(rd.from_arrow([tbl.slice(0, 3), tbl.slice(3)]), k=3)
+    pd.testing.assert_frame_equal(out, split)
+
+
+def test_knn_join_rejects_ragged_and_null_vectors(ray_session):
+    """Every row must be a non-null vector of one length. A ragged column
+    used to reshape silently into a wrong matrix (wrong neighbors), and a
+    null row failed with numpy's bare reshape error."""
+    import ray.data as rd
+    msg = "'embedding': every row must be a non-null vector of one length"
+    for vecs in ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0], [1.0] + [0.0] * 5],
+                 [[1.0, 0.0], None, [0.0, 1.0]]):
+        tbl = pa.table({"vec_id": pa.array([0, 1, 2], type=pa.int64()),
+                        "embedding": pa.array(vecs,
+                                              type=pa.list_(pa.float32()))})
+        with pytest.raises(ValueError, match=msg):
+            similarity.knn_join(rd.from_arrow(tbl), k=2)
+
+
+def test_vector_blocks_bound_block_size(ray_session, monkeypatch):
+    """A skewed layout (one 90-row block, one 10-row block) re-splits into
+    non-empty blocks of at most target_rows rows, and exact near-dup
+    pairs over it equal the single-block result."""
+    import ray
+    import ray.data as rd
+    tbl, _ = _rand_emb(100, dups=3)
+    skewed = rd.from_arrow([tbl.slice(0, 90), tbl.slice(90, 10)])
+    refs = similarity._vector_blocks(skewed, "vec_id", "embedding",
+                                     target_rows=25, max_blocks=64)
+    sizes = [len(ray.get(r)) for r in refs]
+    assert sum(sizes) == 100 and all(0 < s <= 25 for s in sizes)
+    whole = similarity.embedding_neardup_pairs(rd.from_arrow(tbl),
+                                               threshold=0.5)
+    monkeypatch.setattr(similarity, "_TILE_ROWS", 25)
+    split = similarity.embedding_neardup_pairs(skewed, threshold=0.5)
+    assert len(whole) > 3
+    pd.testing.assert_frame_equal(split, whole)
+
+
+def test_embedding_neardup_exact_threshold_tie(ray_session):
+    """Found by fresh-seed embedding fuzz: these two dyadic vectors have
+    cosine exactly 2/5, but dgemm over this 8-row block scores the pair
+    0.39999999999999997 (over a 2-row block, 0.4), so a raw ``>= 0.4``
+    dropped it depending on the block layout. A tie with the threshold
+    now always counts."""
+    import ray.data as rd
+    z = [0.0] * 8
+    v2 = [0.5, 2.0, -0.5, 1.0, 0.5, 0.0, -0.5, 2.0]
+    v7 = [0.5, 0.5, 0.0, 0.5, -1.0, 0.5, 0.5, 0.5]
+    tbl = pa.table({"vec_id": pa.array(range(8), type=pa.int64()),
+                    "embedding": pa.array([z, z, v2, z, z, z, z, v7],
+                                          type=pa.list_(pa.float32()))})
+    for threshold, want in ((0.4, [(2, 7)]), (0.4 + 1e-9, [])):
+        got = similarity.embedding_neardup_pairs(rd.from_arrow(tbl),
+                                                 threshold=threshold)
+        assert list(zip(got["id_a"], got["id_b"])) == want
+
+
+def test_embedding_neardup_as_dataset_matches(ray_session):
+    import ray.data as rd
+    tbl, m = _rand_emb(100, dups=3)
+    want = similarity.embedding_neardup_pairs(rd.from_arrow(tbl),
+                                              threshold=0.8)
+    ds_out = similarity.embedding_neardup_pairs(rd.from_arrow(tbl),
+                                                threshold=0.8,
+                                                as_dataset=True)
+    got = ds_out.to_pandas().sort_values(["id_a", "id_b"]) \
+        .reset_index(drop=True)
+    pd.testing.assert_frame_equal(got[["id_a", "id_b"]].astype("int64"),
+                                  want[["id_a", "id_b"]].astype("int64"))
+
+
+def test_embedding_lsh_as_dataset_matches(ray_session):
+    """as_dataset=True on the LSH path returns the distinct-pairs Dataset
+    (streaming, unsorted) with the same pair set as the pandas path."""
+    import ray.data as rd
+    tbl, m = _rand_emb(150, dups=4)
+    want = similarity.embedding_neardup_pairs_lsh(rd.from_arrow(tbl),
+                                                  threshold=0.8)
+    ds_out = similarity.embedding_neardup_pairs_lsh(rd.from_arrow(tbl),
+                                                    threshold=0.8,
+                                                    as_dataset=True)
+    import ray.data
+    assert isinstance(ds_out, ray.data.Dataset)
+    got = ds_out.to_pandas().sort_values(["id_a", "id_b"]) \
+        .reset_index(drop=True)
+    pd.testing.assert_frame_equal(got[["id_a", "id_b"]].astype("int64"),
+                                  want[["id_a", "id_b"]].astype("int64"))
+
+
+def test_embedding_lsh_skip_counter(ray_session):
+    import ray
+    import ray.data as rd
+    tbl, _ = _rand_emb(60)
+    ctr = dedup.make_skip_counter()
+    # hot_cap=1 skips every bucket with ≥2 members → zero pairs, counted
+    out = similarity.embedding_neardup_pairs_lsh(
+        rd.from_arrow(tbl), threshold=-1.0, n_tables=1,
+        planes_per_table=1, hot_cap=1, skip_counter=ctr)
+    assert len(out) == 0
+    totals = ray.get(ctr.totals.remote())
+    assert totals["buckets"] >= 1 and totals["rows"] >= 2
+
+
+def test_ivf_centroids_order_independent(ray_session):
+    """The hash-sample centroid build must not depend on row order
+    (VERDICT r3 #5 — ds.limit() sampled one stratum)."""
+    import ray.data as rd
+    tbl, m = _rand_emb(400)
+    perm = np.random.RandomState(3).permutation(400)
+    shuffled = tbl.take(pa.array(perm))
+    c1 = similarity.build_ivf_centroids(rd.from_arrow(tbl), n_cells=8,
+                                        sample_n=128)
+    c2 = similarity.build_ivf_centroids(rd.from_arrow(shuffled), n_cells=8,
+                                        sample_n=128)
+    assert np.allclose(c1, c2)
+
+
+def test_knn_join_ivf_full_probe_equals_exact(ray_session):
+    """n_probe == n_cells searches every cell — the approximate join must
+    then equal the exact kernel bit-for-bit (ranks, ties, order)."""
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions.similarity import (
+        knn_join, knn_join_ivf)
+    tbl, _ = _emb_table(600, dups=[(100, 200), (300, 400)])
+    ds = rd.from_arrow(tbl)
+    exact = knn_join(ds, k=4)
+    full = knn_join_ivf(rd.from_arrow(tbl), k=4, n_cells=8, n_probe=8)
+    pd.testing.assert_frame_equal(full, exact)
+
+
+def test_knn_join_ivf_recall_and_block_invariance(ray_session):
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions.similarity import (
+        knn_join, knn_join_ivf)
+    tbl, _ = _emb_table(1200)
+    exact = knn_join(rd.from_arrow(tbl), k=5)
+    e = set(map(tuple, exact[["vec_id", "neighbor_id"]].to_numpy()))
+    approx = knn_join_ivf(rd.from_arrow(tbl), k=5, n_cells=16, n_probe=4)
+    a = set(map(tuple, approx[["vec_id", "neighbor_id"]].to_numpy()))
+    assert len(a & e) / len(e) >= 0.5          # the gate's asserted bound
+    # block-split invariance: same result from a 3-block layout
+    split = rd.from_arrow([tbl.slice(0, 137), tbl.slice(137, 500),
+                           tbl.slice(637)])
+    approx2 = knn_join_ivf(split, k=5, n_cells=16, n_probe=4)
+    pd.testing.assert_frame_equal(approx, approx2)
+    # raising n_probe can only widen each query's candidate set
+    wider = knn_join_ivf(rd.from_arrow(tbl), k=5, n_cells=16, n_probe=8)
+    w = set(map(tuple, wider[["vec_id", "neighbor_id"]].to_numpy()))
+    assert len(w & e) >= len(a & e)
+
+
+def test_knn_join_ivf_chunked_fold_matches_unchunked(ray_session,
+                                                    monkeypatch):
+    """A tiny _TILE_ROWS forces the per-cell running fold through many
+    query and member tile boundaries — results must not depend on the
+    tiling."""
+    import ray.data as rd
+    tbl, _ = _emb_table(400, dups=[(10, 20), (30, 40), (50, 60)])
+    big = similarity.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=4,
+                                  n_probe=2)
+    monkeypatch.setattr(similarity, "_TILE_ROWS", 7)
+    tiny = similarity.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=4,
+                                   n_probe=2)
+    pd.testing.assert_frame_equal(big, tiny)
+
+
+def test_knn_join_ivf_edges(ray_session):
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions.similarity import (
+        knn_join_ivf)
+    empty = pa.table({"vec_id": pa.array([], type=pa.int64()),
+                      "embedding": pa.array([], type=pa.list_(pa.float32()))})
+    out = knn_join_ivf(rd.from_arrow(empty), k=3)
+    assert len(out) == 0
+    assert list(out.columns) == ["vec_id", "nn_rank", "neighbor_id"]
+    assert knn_join_ivf(rd.from_arrow(empty), k=3,
+                        as_dataset=True).count() == 0
+    # single vector: no OTHER vectors -> zero rows, not a crash
+    one = pa.table({"vec_id": pa.array([7], type=pa.int64()),
+                    "embedding": pa.array([[1.0, 0.0]],
+                                          type=pa.list_(pa.float32()))})
+    assert len(knn_join_ivf(rd.from_arrow(one), k=3, n_cells=4)) == 0
+    # as_dataset streaming return matches the pandas return
+    tbl, _ = _emb_table(300)
+    pdf = knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8, n_probe=3)
+    dsr = knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8, n_probe=3,
+                       as_dataset=True).to_pandas() \
+        .sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(pdf, dsr)
+
+
+def test_knn_join_ivf_route_chunk_invariance(ray_session, monkeypatch):
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions import similarity as sim
+
+    tbl, _ = _emb_table(500, dups=[(10, 20), (30, 40)])
+    whole = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8, n_probe=3)
+    # dim=16, np_eff=3 → rows_per = max(1, 96 // 48) = 2: every block
+    # routes through ~250 replica chunks
+    monkeypatch.setattr(sim, "_ROUTE_CHUNK_ELEMS", 96)
+    chunked = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8,
+                               n_probe=3)
+    pd.testing.assert_frame_equal(chunked, whole)
+    # size-based num_groups default: small N floors at 64 and the
+    # explicit override still works
+    explicit = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8,
+                                n_probe=3, num_groups=7)
+    pd.testing.assert_frame_equal(explicit, whole)
