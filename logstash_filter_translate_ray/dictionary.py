@@ -328,6 +328,11 @@ class FileDictionary:
             # file would never reload (r4 review)
             mtime = os.path.getmtime(self.path)
             items = self._loader()
+            new_items = {} if self.refresh_behaviour == "replace" \
+                else dict(self._items)
+            for k, v in items:
+                new_items[k] = v
+            snapshot = DictSnapshot(new_items, version=self._version + 1)
         except FileNotFoundError as e:
             # file.rb:54-55 — warn, continue with old dictionary; the
             # FIRST load (raise_exception=True) fails loudly by DEFAULT: a
@@ -351,18 +356,18 @@ class FileDictionary:
                     f"Translate: {e} when loading dictionary file at "
                     f"{self.path}") from e
             return False
+        except ConfigurationError:
+            # content the snapshot rejects (invalid Unicode text): the
+            # first load fails the build, a refresh keeps the old dictionary
+            if raise_exception:
+                raise
+            return False
         except Exception as e:  # noqa: BLE001 — mirrors file.rb:56-61
             if raise_exception:
                 raise DictionaryFileError(
                     f"Translate: {e} when loading dictionary file at {self.path}"
                 ) from e
             return False
-        if self.refresh_behaviour == "replace":
-            new_items: dict[str, Any] = {}
-        else:
-            new_items = dict(self._items)
-        for k, v in items:
-            new_items[k] = v
         self._items = new_items
         # publish snapshot BEFORE the version bump: the service's reads
         # are unlocked, and the old order let a reader observe version
@@ -370,7 +375,7 @@ class FileDictionary:
         # next poll). Either assignment is atomic under the GIL, so the
         # worst interleaving now is (v, new snapshot) — harmless.
         self._mtime = mtime
-        self._snapshot = DictSnapshot(new_items, version=self._version + 1)
+        self._snapshot = snapshot
         self._version += 1
         return True
 

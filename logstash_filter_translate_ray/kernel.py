@@ -116,6 +116,49 @@ def _roundtrip_exact(orig: Any, back: Any) -> bool:
 # Dictionary snapshot (compiled once, reused across batches / pulled by actors)
 # --------------------------------------------------------------------------
 
+def _text_parts(values: Iterable[Any]) -> Iterable[str]:
+    """Every ``str`` in ``values``, including list elements and the keys
+    and values of dicts, at any depth."""
+    for v in values:
+        if isinstance(v, str):
+            yield v
+        elif isinstance(v, (list, tuple)):
+            yield from _text_parts(v)
+        elif isinstance(v, dict):
+            yield from _text_parts(v.keys())
+            yield from _text_parts(v.values())
+
+
+_NO_TEXT = frozenset({type(None), bool, int, float, bytes})
+
+
+def _require_valid_text(entries: dict[str, Any]) -> None:
+    """Raise a ConfigurationError naming the first entry whose key or value
+    is not valid Unicode text (a lone surrogate, as a JSON ``"\\ud800"``
+    escape loads). Arrow cannot encode such a string, so without this
+    check the dictionary loads and then every translate task fails (S13:
+    a bad dictionary fails when its snapshot is built)."""
+    try:
+        "".join(entries).encode("utf-8")
+        try:
+            values = "".join(entries.values())      # all-str: one C pass
+        except TypeError:                           # skip plain scalars
+            values = "".join(_text_parts([v for v in entries.values()
+                                          if type(v) not in _NO_TEXT]))
+        values.encode("utf-8")
+        return
+    except UnicodeEncodeError:
+        pass
+    for k, v in entries.items():
+        try:
+            "".join(_text_parts((k, v))).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigurationError(
+                f"Translate: dictionary entry {k!r} holds a lone surrogate; "
+                "dictionary keys and values must be valid Unicode text"
+            ) from None
+
+
 class DictSnapshot:
     """Immutable ordered dictionary + lazily compiled lookup structures.
 
@@ -132,6 +175,7 @@ class DictSnapshot:
         self.map: dict[str, Any] = {}
         for k, v in items:
             self.map[ruby_to_s(k)] = v
+        _require_valid_text(self.map)
         self.keys: list[str] = list(self.map.keys())
         self.values: list[Any] = list(self.map.values())
         self.version = version
@@ -166,10 +210,15 @@ class DictSnapshot:
         rather than an Arrow error. The built array is round-tripped back to
         Python and compared with category-exact equality — any drift falls
         back to the stringify (non-unify) path, which ``_materialize_values``
-        already handles for every value shape.
+        already handles for every value shape. An all-``str`` dictionary
+        (category checked per value, not inferred) is a string array
+        outright and skips the round trip.
         """
         if not self._value_arr_tried:
             self._value_arr_tried = True
+            if self.values and all(type(v) is str for v in self.values):
+                self._value_arr = pa.array(self.values, type=pa.string())
+                return self._value_arr
             try:
                 arr = pa.array(self.values)
                 if not pa.types.is_null(arr.type) and _roundtrip_exact(

@@ -40,9 +40,9 @@ def route_dataset(ds: "ray.data.Dataset", routes: dict[str, str], *,
     slim_cfg = TranslateConfig(source=key, target=route_col, dictionary={},
                                fallback=default_route, override=True,
                                regex=regex)
-    # make_translate_batch_fn memoizes the snapshot per worker — the
-    # previous inline fn re-ray.get()'d (and re-deserialized, discarding
-    # compiled regex/lookup caches) the snapshot for EVERY block
+    # make_translate_batch_fn reads the snapshot through the worker-process
+    # cache, so each worker deserializes it and compiles its lookup
+    # structures once, not once per block
     fn = make_translate_batch_fn(slim_cfg, snap_ref, matched_col=None,
                                  error_isolation=False)
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)

@@ -3,9 +3,11 @@
 Two physical flavors, chosen by :func:`translate_dataset`:
 
 1. **Stateless tasks** (inline/static dictionary): the frozen
-   :class:`DictSnapshot` is ``ray.put`` once and captured by reference —
-   every task reads it zero-copy from the object store (broadcast join,
-   never a shuffle; SURVEY §2.3 "Joins / lookups").
+   :class:`DictSnapshot` is ``ray.put`` once and captured by reference
+   (broadcast join, never a shuffle; SURVEY §2.3 "Joins / lookups").
+   Each worker process deserializes it once and keeps it, with its
+   compiled lookup structures, in a bounded LRU shared by every
+   stateless translate and route stage (:func:`_worker_snapshot`).
 2. **Actor pool** (file-backed / refreshing dictionary):
    :class:`TranslateFn` — an actor class whose ``__init__`` pulls the
    snapshot from the named :class:`DictionaryService` ONCE, compiles the
@@ -19,6 +21,8 @@ Both run ``batch_format="pyarrow"`` end to end (zero-copy blocks).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Any, Optional
 
 import pyarrow as pa
@@ -86,6 +90,37 @@ def safe_translate_batch(batch: pa.Table, cfg: TranslateConfig,
                               pa.array(errors, type=pa.string()))
 
 
+# Worker-process snapshot cache, keyed by ObjectRef hex. Only the top-level
+# _worker_snapshot touches it: cloudpickle ships top-level functions by
+# reference, so every task run by one worker process sees this one dict,
+# while a dict captured by a task closure is pickled afresh into each task
+# and starts empty. The cap must cover the snapshots one fused chain reads
+# (the bench flagship chain reads 6: five translates and the route), or a
+# cyclic pass over them misses on every block.
+_SNAPSHOT_CACHE_CAP = 8
+_snapshot_cache: "OrderedDict[str, DictSnapshot]" = OrderedDict()
+_snapshot_lock = threading.Lock()
+
+
+def _worker_snapshot(snap_ref: "ray.ObjectRef | DictSnapshot") -> DictSnapshot:
+    """The snapshot behind ``snap_ref``, deserialized once per worker
+    process: its lazily built lookup structures (key and value arrays,
+    regex groups, the union regex) then survive from block to block.
+    A raw snapshot passes straight through."""
+    if not isinstance(snap_ref, ray.ObjectRef):
+        return snap_ref
+    key = snap_ref.hex()
+    with _snapshot_lock:
+        snap = _snapshot_cache.get(key)
+        if snap is None:
+            snap = _snapshot_cache[key] = ray.get(snap_ref)
+            if len(_snapshot_cache) > _SNAPSHOT_CACHE_CAP:
+                _snapshot_cache.popitem(last=False)
+        else:
+            _snapshot_cache.move_to_end(key)
+        return snap
+
+
 def make_translate_batch_fn(cfg: TranslateConfig, snap_ref: "ray.ObjectRef | DictSnapshot",
                             matched_col: Optional[str] = "translate_matched",
                             error_isolation: bool = False):
@@ -93,22 +128,12 @@ def make_translate_batch_fn(cfg: TranslateConfig, snap_ref: "ray.ObjectRef | Dic
 
     ``snap_ref`` may be a raw snapshot (tests) or an ``ObjectRef`` placed
     once on the driver (``ray.put``) so N thousand tasks share one plasma
-    copy per node instead of re-shipping the dict per task.
+    copy per node instead of re-shipping the dict per task; each worker
+    process reads it through :func:`_worker_snapshot`.
     """
-    memo: dict[str, "DictSnapshot"] = {}
-
     def _fn(batch: pa.Table) -> pa.Table:
-        snap = snap_ref
-        if isinstance(snap, ray.ObjectRef):
-            # memoize per worker: ray.get re-deserializes the snapshot per
-            # call, which would discard its lazily-compiled lookup caches
-            # (key arrays, compiled regex groups) between blocks
-            snap = memo.get("s")
-            if snap is None:
-                snap = ray.get(snap_ref)
-                memo["s"] = snap
-        return safe_translate_batch(batch, cfg, snap, matched_col,
-                                    error_isolation)
+        return safe_translate_batch(batch, cfg, _worker_snapshot(snap_ref),
+                                    matched_col, error_isolation)
     return _fn
 
 

@@ -7,7 +7,8 @@ Three pairs under test:
 - FileDictionary refresh sequences: random (merge|replace) behaviour and a
   random series of file contents vs a dict-comprehension reference model
   (file.rb:103-125 semantics: merge keeps deleted keys, replace drops them,
-  parse errors keep the old snapshot but first load raises).
+  parse errors and lone-surrogate text keep the old snapshot but first
+  load raises).
 """
 import json
 import os
@@ -21,7 +22,8 @@ from hypothesis import given, settings, strategies as st, HealthCheck
 
 from logstash_filter_translate_ray.dictionary import (
     FileDictionary, load_csv_items, load_json_items)
-from logstash_filter_translate_ray.errors import DictionaryFileError
+from logstash_filter_translate_ray.errors import (ConfigurationError,
+                                                  DictionaryFileError)
 from logstash_filter_translate_ray.kernel import ruby_to_s
 
 # Keys/values that stress CSV quoting and unicode handling. \r\n inside a
@@ -73,6 +75,13 @@ content = st.one_of(
     st.dictionaries(txt, jsonable, max_size=6).map(
         lambda m: ("json", m)),        # parseable
     st.just(("bad", None)),            # parse error
+    # a lone surrogate (what a JSON "\ud800" escape loads as) in a key or
+    # inside a list value
+    st.tuples(st.dictionaries(txt, jsonable, max_size=5), txt,
+              st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"]),
+              st.booleans()).map(
+        lambda t: ("surrogate", {**t[0], **({t[1] + t[2]: 1} if t[3]
+                                             else {t[1]: [t[1] + t[2]]})})),
 )
 
 
@@ -98,9 +107,12 @@ def fuzz_refresh(behaviour, first, steps):
         ver = fd.version
         assert fd.snapshot.map == model
         for step in steps:
-            if step[0] == "bad":
+            if step[0] in ("bad", "surrogate"):
                 with open(p, "w", encoding="utf-8") as f:
-                    f.write("{not json")
+                    if step[0] == "bad":
+                        f.write("{not json")
+                    else:
+                        json.dump(step[1], f)     # ASCII: escapes kept
                 changed = fd.reload()
                 assert not changed and fd.version == ver
             else:
@@ -127,6 +139,14 @@ def fuzz_first_load_raises():
             pass
         else:
             raise AssertionError("first-load parse error must raise")
+        with open(p, "w") as f:
+            f.write('{"ok": 1, "k": ["x\\udc00"]}')
+        try:
+            FileDictionary(p)
+        except ConfigurationError as e:
+            assert "'k'" in str(e), e
+        else:
+            raise AssertionError("first-load lone surrogate must raise")
 
 
 if __name__ == "__main__":

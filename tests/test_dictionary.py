@@ -229,3 +229,19 @@ def test_streaming_scalar_typing_matches_one_shot(scalar, tmp_path):
         assert isinstance(got, float) and math.isnan(got)
     else:
         assert got == want and type(got) is type(want), (scalar, got, want)
+
+
+def test_lone_surrogate_fails_first_load_and_refresh_keeps_old(tmp_path):
+    """A JSON "\\ud800" escape loads as a lone surrogate: the first load
+    fails naming the entry, a refresh to such a file keeps the old
+    dictionary (S13)."""
+    from logstash_filter_translate_ray.errors import ConfigurationError
+    p = tmp_path / "dict.json"
+    p.write_text('{"a": "x\\ud800y", "b": "ok"}')
+    with pytest.raises(ConfigurationError, match="'a'.*valid Unicode text"):
+        FileDictionary(str(p), refresh_interval=-1)
+    p.write_text('{"a": "1"}')
+    d = FileDictionary(str(p), refresh_interval=-1)
+    p.write_text('{"a": ["ok", {"k\\udc00": 2}]}')
+    assert d.reload(force=True) is False
+    assert d.snapshot.map == {"a": "1"} and d.version == 1

@@ -884,3 +884,28 @@ def test_values_container_values_render_per_element():
                           dictionary={"0": [2 ** 70], "1": {"k": 1}})
     out = run_both(cfg, [{"foo": ["0", "1", "x"]}])
     assert out[0]["baz"] == [str(2 ** 70), '{"k":1}', None]
+
+
+def test_value_array_all_str_skips_round_trip(monkeypatch):
+    """An all-str dictionary is a string array without the round-trip
+    check; str mixed with bytes, None or int still takes it and types as
+    before (bytes and int do not unify, None is a null)."""
+    import logstash_filter_translate_ray.kernel as K
+    real = K._roundtrip_exact
+    checked = []
+
+    def top_level(orig, back):      # value_array passes the values list
+        if type(orig) is list:
+            checked.append(orig)
+        return real(orig, back)
+
+    monkeypatch.setattr(K, "_roundtrip_exact", top_level)
+    strs = DictSnapshot({"a": "x", "b": "", "c": "é"}).value_array
+    assert strs.type == pa.string() and strs.to_pylist() == ["x", "", "é"]
+    assert checked == []
+    assert DictSnapshot({"a": "x", "b": b"y"}).value_array is None
+    with_null = DictSnapshot({"a": "x", "b": None}).value_array
+    assert with_null.type == pa.string()
+    assert with_null.to_pylist() == ["x", None]
+    assert DictSnapshot({"a": "x", "b": 1}).value_array is None
+    assert checked == [["x", b"y"], ["x", None]]   # int fails in pa.array
