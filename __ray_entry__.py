@@ -16,7 +16,7 @@ cap: their operator coverage is held by quality_scores (the same
 punct/stopword RE2 counts feed quality_score), topk_users (grouped-
 partial top-k since r5) and weighted_mix (Dataset.union) respectively.
   translate:   exact★ exact_nofallback★ regex★ union★ iterate_values★
-               iterate_maps★ file_dict★(actor pool)
+               iterate_maps★ file_dict★(DictionaryService)
   pipeline:    events_pipeline★ transcripts_pipeline★ curation_pipeline★
                route_counts★ matched_counts★ filter_pushdown★
   parse:       parse_extract★ (grok multi-capture inside events_pipeline)
@@ -328,8 +328,9 @@ def q_user_event_counts(sf_dir: str):
 
 
 def q_translate_file_dict(sf_dir: str):
-    """File-backed dictionary through the actor-pool stage (DictionaryService
-    + TranslateFn hot path), exact mode with fallback."""
+    """File-backed dictionary through the DictionaryService (per-block
+    snapshot ref on the stateless translate task), exact mode with
+    fallback."""
     from logstash_filter_translate_ray import TranslateConfig
     from logstash_filter_translate_ray.stages import translate_dataset
     path = "/tmp/lftr_event_dict.csv"

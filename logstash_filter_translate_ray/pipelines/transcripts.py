@@ -92,8 +92,8 @@ def build_enriched_dataset(ds: "rd.Dataset",
     cfg = cfg or TranscriptPipelineConfig()
     ds = parse_dataset(ds, cfg.parse, batch_size=cfg.batch_size)
 
-    # enrich 1: tool → tool_label (exact; file-backed actor pool if a path
-    # is configured, else broadcast stateless tasks)
+    # enrich 1: tool → tool_label (exact; a refreshing DictionaryService if
+    # a path is configured, else an inline broadcast snapshot)
     tool_cfg = TranslateConfig(
         source="tool_norm", target="tool_label",
         dictionary={} if cfg.tool_dict_path else dict(cfg.tool_dict),

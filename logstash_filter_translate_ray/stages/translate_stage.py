@@ -1,32 +1,33 @@
 """Translate as a Ray Data stage.
 
-Two physical flavors, chosen by :func:`translate_dataset`:
+One physical flavor for every dictionary: stateless tasks over a
+broadcast :class:`DictSnapshot` (broadcast join, never a shuffle;
+SURVEY §2.3 "Joins / lookups"). Each worker process deserializes a
+snapshot once and keeps it, with its compiled lookup structures, in a
+bounded LRU shared by every translate and route stage
+(:func:`_worker_snapshot`).
 
-1. **Stateless tasks** (inline/static dictionary): the frozen
-   :class:`DictSnapshot` is ``ray.put`` once and captured by reference
-   (broadcast join, never a shuffle; SURVEY §2.3 "Joins / lookups").
-   Each worker process deserializes it once and keeps it, with its
-   compiled lookup structures, in a bounded LRU shared by every
-   stateless translate and route stage (:func:`_worker_snapshot`).
-2. **Actor pool** (file-backed / refreshing dictionary):
-   :class:`TranslateFn` — an actor class whose ``__init__`` pulls the
-   snapshot from the named :class:`DictionaryService` ONCE, compiles the
-   lookup structures, and whose ``__call__`` re-polls the version at batch
-   boundaries (a tiny RPC) and swaps snapshots atomically. This mirrors the
-   plugin's scheduled_reload without its read-write lock
-   (fetch_strategy/file.rb:13-24 → lock-free snapshot swap).
+- Inline dictionary: the snapshot is ``ray.put`` once, at build time.
+- File-backed dictionary: the named :class:`DictionaryService` owns the
+  snapshot and ``ray.put``s each loaded version once. Every block asks it
+  for the current ref (one small RPC), so each block sees exactly one
+  version and each worker compiles once per version. This mirrors the
+  plugin's scheduled_reload without its read-write lock
+  (fetch_strategy/file.rb:13-24 → lock-free snapshot swap).
 
-Both run ``batch_format="pyarrow"`` end to end (zero-copy blocks).
+Tasks run ``batch_format="pyarrow"`` end to end (zero-copy blocks) and
+fuse with their neighbours into one map operator.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import pyarrow as pa
 import ray
+from ray.actor import ActorHandle
 
 from ..config import TranslateConfig
 from ..kernel import DictSnapshot, translate_table
@@ -102,18 +103,27 @@ _snapshot_cache: "OrderedDict[str, DictSnapshot]" = OrderedDict()
 _snapshot_lock = threading.Lock()
 
 
-def _worker_snapshot(snap_ref: "ray.ObjectRef | DictSnapshot") -> DictSnapshot:
-    """The snapshot behind ``snap_ref``, deserialized once per worker
+# Where a task finds its snapshot: the snapshot itself (tests), an ObjectRef
+# to it, or a DictionaryService handle to ask for the current ref.
+SnapshotSource = Union[DictSnapshot, ray.ObjectRef, ActorHandle]
+
+
+def _worker_snapshot(source: SnapshotSource) -> DictSnapshot:
+    """The snapshot behind ``source``, deserialized once per worker
     process: its lazily built lookup structures (key and value arrays,
     regex groups, the union regex) then survive from block to block.
-    A raw snapshot passes straight through."""
-    if not isinstance(snap_ref, ray.ObjectRef):
-        return snap_ref
-    key = snap_ref.hex()
+    A service handle costs one ``snapshot_ref`` RPC per call, which
+    yields the current version's ref. A raw snapshot passes straight
+    through."""
+    if isinstance(source, ActorHandle):
+        _, (source,) = ray.get(source.snapshot_ref.remote())
+    if not isinstance(source, ray.ObjectRef):
+        return source
+    key = source.hex()
     with _snapshot_lock:
         snap = _snapshot_cache.get(key)
         if snap is None:
-            snap = _snapshot_cache[key] = ray.get(snap_ref)
+            snap = _snapshot_cache[key] = ray.get(source)
             if len(_snapshot_cache) > _SNAPSHOT_CACHE_CAP:
                 _snapshot_cache.popitem(last=False)
         else:
@@ -121,66 +131,37 @@ def _worker_snapshot(snap_ref: "ray.ObjectRef | DictSnapshot") -> DictSnapshot:
         return snap
 
 
-def make_translate_batch_fn(cfg: TranslateConfig, snap_ref: "ray.ObjectRef | DictSnapshot",
+def make_translate_batch_fn(cfg: TranslateConfig, source: SnapshotSource,
                             matched_col: Optional[str] = "translate_matched",
                             error_isolation: bool = False):
     """Stateless map_batches fn over a broadcast snapshot.
 
-    ``snap_ref`` may be a raw snapshot (tests) or an ``ObjectRef`` placed
-    once on the driver (``ray.put``) so N thousand tasks share one plasma
-    copy per node instead of re-shipping the dict per task; each worker
-    process reads it through :func:`_worker_snapshot`.
+    ``source`` is a raw snapshot (tests), an ``ObjectRef`` placed once at
+    build time (``ray.put``) so N thousand tasks share one plasma copy per
+    node instead of re-shipping the dict per task, or a
+    :class:`DictionaryService` handle for a refreshing dictionary. Each
+    block resolves it once through :func:`_worker_snapshot`.
     """
     def _fn(batch: pa.Table) -> pa.Table:
-        return safe_translate_batch(batch, cfg, _worker_snapshot(snap_ref),
+        return safe_translate_batch(batch, cfg, _worker_snapshot(source),
                                     matched_col, error_isolation)
     return _fn
-
-
-class TranslateFn:
-    """Actor-pool translate stage with hot dictionary refresh.
-
-    ``__init__`` runs once per actor (compile/pull cost amortized over the
-    actor's lifetime); ``__call__`` runs per batch. ``poll_every`` batches
-    between version polls bounds the RPC overhead for tiny batches.
-    """
-
-    def __init__(self, cfg: TranslateConfig, service_name: str,
-                 matched_col: Optional[str] = "translate_matched",
-                 poll_every: int = 1, service_kwargs: Optional[dict[str, Any]] = None,
-                 error_isolation: bool = False):
-        self.cfg = cfg
-        self.matched_col = matched_col
-        self.poll_every = max(1, poll_every)
-        self.error_isolation = error_isolation
-        self._svc = get_or_create_dictionary_service(
-            service_name, **(service_kwargs or {}))
-        self.snap: DictSnapshot = ray.get(self._svc.get_snapshot.remote())
-        self._batches = 0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        self._batches += 1
-        if self._batches % self.poll_every == 0:
-            newer = ray.get(self._svc.version_if_newer.remote(self.snap.version))
-            if newer is not None:
-                self.snap = ray.get(self._svc.get_snapshot.remote())
-        return safe_translate_batch(batch, self.cfg, self.snap,
-                                    self.matched_col, self.error_isolation)
 
 
 def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
                       matched_col: Optional[str] = "translate_matched",
                       service_name: Optional[str] = None,
-                      concurrency: "int | tuple[int, int] | None" = None,
+                      concurrency: Optional[int] = None,
                       batch_size: Optional[int] = None,
                       num_cpus: float = 1,
                       error_isolation: bool = False) -> "ray.data.Dataset":
     """Attach the translate stage to a Dataset.
 
     - inline dictionary → stateless tasks over a broadcast snapshot;
-    - ``cfg.dictionary_path`` set → actor pool + DictionaryService named
-      ``service_name`` (default derived from the path) with the plugin's
-      refresh semantics.
+    - ``cfg.dictionary_path`` set → the same tasks, reading the snapshot
+      of the DictionaryService named ``service_name`` (default derived
+      from the path and refresh config) with the plugin's refresh
+      semantics.
     - ``error_isolation=True`` adds the reference's S12 per-row rescue
       (translate.rb:266-270): a failing row passes through untranslated,
       flagged in a ``translate_error`` column (always present for schema
@@ -213,20 +194,10 @@ def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
         name = service_name or f"lftr-dict:{cfg_sig}"
         # eagerly create (and first-load) the service so a bad dictionary
         # fails at pipeline BUILD time, matching register-time behavior (S13)
-        svc = get_or_create_dictionary_service(name, **service_kwargs)
-        ray.get(svc.version.remote())
-        return ds.map_batches(
-            TranslateFn,
-            fn_constructor_kwargs=dict(cfg=cfg, service_name=name,
-                                       matched_col=matched_col,
-                                       service_kwargs=service_kwargs,
-                                       error_isolation=error_isolation),
-            # autoscaling pool: a FIXED pool sized at the cluster's CPU
-            # count can starve the upstream read/enrich stages of slots
-            # (observed as a wedge on a 4-CPU test cluster)
-            concurrency=concurrency or (1, 4),
-            **kwargs)
-    snap_ref = ray.put(DictSnapshot(cfg.dictionary))
+        source = get_or_create_dictionary_service(name, **service_kwargs)
+        ray.get(source.version.remote())
+    else:
+        source = ray.put(DictSnapshot(cfg.dictionary))
     # Strip the dictionary from the captured config: the task closure must
     # stay tiny (a 100k-entry dict pickled into every task submission adds
     # ~0.5 s/task of scheduling overhead); tasks read the snapshot zero-copy
@@ -236,7 +207,7 @@ def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
     # source/target, and replace() re-runs the both-set validation)
     slim_cfg = dataclasses.replace(cfg, dictionary={}, field=None,
                                    destination=None)
-    fn = make_translate_batch_fn(slim_cfg, snap_ref, matched_col,
+    fn = make_translate_batch_fn(slim_cfg, source, matched_col,
                                  error_isolation)
     if concurrency is not None:
         kwargs["concurrency"] = concurrency

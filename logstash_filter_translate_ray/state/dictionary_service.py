@@ -8,12 +8,12 @@ Ray-idiomatic equivalent:
 - ONE named detached-scope actor holds ``(version, snapshot)``; every
   successful (re)load produces a fresh immutable
   :class:`~logstash_filter_translate_ray.kernel.DictSnapshot` and bumps the
-  version — no locks anywhere.
-- Translate workers (actor-pool ``TranslateFn``) poll ``version_if_newer``
-  at batch boundaries: one tiny actor RPC per batch; the full snapshot is
-  shipped only when the version actually changed (the common case is a
-  16-byte "no change" reply, so refresh checking is off the hot path —
-  mirroring "minimise impact on throughput", docs/index.asciidoc:73-80).
+  version.
+- Translate tasks call ``snapshot_ref`` once per block: one small RPC
+  returning the current version and an ``ObjectRef`` to its snapshot,
+  which is ``ray.put`` once per version — so refresh checking stays off
+  the hot path ("minimise impact on throughput",
+  docs/index.asciidoc:73-80).
 - TTL refresh: the actor lazily reloads when ``refresh_interval`` elapsed
   at check time (overlap-free by actor serialization, like
   ``scheduler.interval(..., overlap: false)``), and mtime-gates the file
@@ -22,8 +22,7 @@ Ray-idiomatic equivalent:
   errors keep the old dictionary (S13).
 
 At 100 TB scale the snapshot (≤100k keys, docs/index.asciidoc:76-77) is tiny
-relative to data; each translate actor holds its own copy, pulled once per
-version change, not per batch.
+relative to data; each worker process deserializes it once per version.
 """
 
 from __future__ import annotations
@@ -72,6 +71,9 @@ class DictionaryService:
         self._refresh_interval = refresh_interval
         self._last_check = time.monotonic()
         self._reload_lock = threading.Lock()
+        # the current version's snapshot in the object store, put on the
+        # first snapshot_ref call after each load
+        self._ref: Optional[tuple[int, "ray.ObjectRef"]] = None
         self._timer: Optional[threading.Timer] = None
         if background_refresh and refresh_interval > 0 and path is not None:
             self._schedule_tick()
@@ -111,7 +113,7 @@ class DictionaryService:
     # -- worker API --------------------------------------------------------
 
     def version_if_newer(self, known_version: int) -> Optional[int]:
-        """Cheap per-batch poll: None when the worker is current."""
+        """Cheap version poll: None when the caller is current."""
         self._maybe_refresh()
         v = self._backend.version
         return v if v != known_version else None
@@ -119,6 +121,22 @@ class DictionaryService:
     def get_snapshot(self) -> DictSnapshot:
         self._maybe_refresh()
         return self._backend.snapshot
+
+    def snapshot_ref(self) -> tuple[int, list["ray.ObjectRef"]]:
+        """Per-block poll: the current version and a ref to its snapshot.
+
+        The snapshot is ``ray.put`` at most once per loaded version and only
+        the current version's ref is kept. The ref travels nested in a list,
+        so the caller holds a borrowed ref that keeps the snapshot alive
+        after the service moves on to a newer version."""
+        self._maybe_refresh()
+        # the timer thread reloads concurrently: under the lock, the ref
+        # kept is the snapshot current while it is put
+        with self._reload_lock:
+            snap = self._backend.snapshot
+            if self._ref is None or self._ref[0] != snap.version:
+                self._ref = (snap.version, ray.put(snap))
+            return snap.version, [self._ref[1]]
 
     # -- control API (tests / scheduler) -----------------------------------
 
@@ -136,11 +154,12 @@ class DictionaryService:
 def get_or_create_dictionary_service(name: str, **kwargs) -> "ray.actor.ActorHandle":
     """Named-actor get-or-create so every pipeline stage shares one service.
 
-    ``lifetime="detached"``: the service may be (re)created from inside a
-    pool worker's ``__init__`` (whichever caller wins the get-or-create
-    race); a non-detached actor would die with that worker when its pool
-    scales down, killing the dictionary for every other stage. Detached
-    actors live until the Ray session ends (or an explicit ``ray.kill``).
+    ``lifetime="detached"``: the service outlives the caller that won the
+    get-or-create race (one pipeline build, or one shard of a resumable
+    run), so every other stage and pipeline sharing the name keeps its
+    dictionary, and the snapshot refs it handed out stay owned by a live
+    process. Detached actors live until the Ray session ends (or an
+    explicit ``ray.kill``).
     """
     # explicit namespace: a detached actor in the session's anonymous
     # namespace triggers a per-creation Ray warning and cannot be found by

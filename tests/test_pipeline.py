@@ -226,7 +226,7 @@ def test_conv_turn_counts_skew_safe(ray_session, transcripts_path):
 
 
 def test_actor_pool_iterate_on(ray_session, tmp_path):
-    """iterate_on shape through the file-backed actor-pool stage."""
+    """iterate_on shape through the file-backed translate stage."""
     import ray.data as rd
     dict_path = str(tmp_path / "d.csv")
     with open(dict_path, "w") as f:
@@ -267,7 +267,7 @@ def test_resume_rejects_changed_inputs(ray_session, tmp_path):
 
 
 def test_flagship_with_file_backed_tool_dict(ray_session, transcripts_path, tmp_path):
-    """The flagship DAG with the tool dictionary file-backed (actor pool +
+    """The flagship DAG with the tool dictionary file-backed (served by a
     DictionaryService) instead of inline — same results as inline."""
     dict_path = str(tmp_path / "tools.csv")
     with open(dict_path, "w") as f:

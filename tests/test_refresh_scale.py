@@ -208,47 +208,40 @@ def test_background_timer_refreshes_while_idle(ray_session, tmp_path):
 def test_both_versions_appear_under_streaming_load(ray_session, tmp_path):
     """Reload while a SLOW multi-block pipeline streams: outputs from BOTH
     dictionary versions appear and the total row count is exact (each block
-    is consistently one version — the snapshot swap is atomic per batch)."""
+    is consistently one version — every block reads one snapshot ref)."""
     import threading
     import time as _t
 
     import ray
     import ray.data as rd
-    from logstash_filter_translate_ray.stages.translate_stage import TranslateFn
+    from logstash_filter_translate_ray.stages.translate_stage import translate_dataset
     from logstash_filter_translate_ray.state import get_or_create_dictionary_service
 
     p = str(tmp_path / "load.csv")
     _write_csv(p, [("k", "old")])
     name = "load-reload-test"
-    service_kwargs = dict(path=p, refresh_interval=3600)
     cfg = TranslateConfig(source="s", target="t", dictionary_path=p,
                           refresh_interval=3600, override=True)
-    svc = get_or_create_dictionary_service(name, **service_kwargs)
+    svc = get_or_create_dictionary_service(name, path=p, refresh_interval=3600)
     ray.get(svc.version.remote())
 
     marker = str(tmp_path / "first_batch_done")
 
-    class SlowTranslateFn(TranslateFn):
-        """0.1 s per batch so one serialized actor spreads 30 blocks over
-        ~3 s; drops a marker file after the first batch so the flip thread
-        can wait out actor-startup time and land mid-stream."""
-
-        def __call__(self, batch):
-            _t.sleep(0.1)
-            out = super().__call__(batch)
-            with open(self._marker_path, "w") as f:
-                f.write("x")
-            return out
-
-    SlowTranslateFn._marker_path = marker
+    def slow(batch):
+        """0.1 s per batch so one serialized task slot spreads 30 blocks
+        over ~3 s; drops a marker file after the first batch so the flip
+        thread can wait out worker-startup time and land mid-stream."""
+        _t.sleep(0.1)
+        with open(marker, "w") as f:
+            f.write("x")
+        return batch
 
     n = 3000
     ds = rd.from_arrow(pa.table({"s": ["k"] * n})).repartition(30)
-    out_ds = ds.map_batches(
-        SlowTranslateFn,
-        fn_constructor_kwargs=dict(cfg=cfg, service_name=name,
-                                   service_kwargs=service_kwargs),
-        batch_format="pyarrow", batch_size=None, concurrency=(1, 1))
+    # the same concurrency on both stages, so they fuse into one task
+    ds = ds.map_batches(slow, batch_format="pyarrow", batch_size=None,
+                        concurrency=1)
+    out_ds = translate_dataset(ds, cfg, service_name=name, concurrency=1)
 
     def flip():
         deadline = _t.time() + 30

@@ -1,8 +1,9 @@
 """Round-4 review fixes: hot-cap skip counters, grouped_quantiles
 null/distributed guards, sampling fraction-1.0, resize metadata NaN
-guard, %{+timeformat} sprintf reject, DictionaryService cross-handle
-consistency. The knn_join, exact/LSH near-dup and IVF centroid tests live
-in tests/test_similarity.py."""
+guard, %{+timeformat} sprintf reject. The DictionaryService
+cross-handle consistency test lives in tests/test_dictionary.py; the
+knn_join, exact/LSH near-dup and IVF centroid tests live in
+tests/test_similarity.py."""
 
 import numpy as np
 import pandas as pd
@@ -610,34 +611,6 @@ def test_checkpoint_corrupt_manifest_reruns(tmp_path):
     # output dir flips is_done back to False (shard re-runs)
     out_dir.rmdir()
     assert not store.is_done("s0")
-
-
-def test_dictionary_service_cross_handle_consistency(ray_session, tmp_path):
-    """Two get-or-create handles under the same name resolve to ONE actor
-    (fixed namespace) and see the same version stream — the multi-pipeline
-    sharing contract (VERDICT r3 #8)."""
-    import ray
-    from logstash_filter_translate_ray.state import (
-        get_or_create_dictionary_service)
-    p = tmp_path / "d.csv"
-    p.write_text("a,1\n")
-    name = "r4-shared-service"
-    h1 = get_or_create_dictionary_service(name, path=str(p),
-                                          refresh_interval=-1,
-                                          background_refresh=False)
-    h2 = get_or_create_dictionary_service(name, path=str(p),
-                                          refresh_interval=-1,
-                                          background_refresh=False)
-    v1 = ray.get(h1.version.remote())
-    # bump through handle 1; handle 2 must observe the new version AND the
-    # new snapshot content
-    p.write_text("a,1\nb,2\n")
-    v_new = ray.get(h1.refresh.remote(force=True))
-    assert v_new == v1 + 1
-    assert ray.get(h2.version.remote()) == v_new
-    snap = ray.get(h2.get_snapshot.remote())
-    assert snap.map.get("b") == "2"
-    ray.kill(h1)
 
 
 def test_zscore_outliers_null_key_rows_dropped_like_oracle(ray_session):

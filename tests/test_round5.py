@@ -1,7 +1,8 @@
 """Round-5 regression tests: the three r4 ADVICE findings plus the
 round-5 VERDICT tasks (missing_file_ok, grouped-partial top-k,
 spill-pressure smoke) as they land. The IVF kNN join tests live in
-tests/test_similarity.py."""
+tests/test_similarity.py; the missing_file_ok translate_dataset test
+lives in tests/test_translate_stage.py."""
 
 import os
 import time
@@ -144,35 +145,6 @@ def test_missing_file_ok(tmp_path):
     missing.write_text("a,1\n")
     assert d.reload(force=True) is True and d.version == 2
     assert d.snapshot.map == {"a": "1"}
-
-
-def test_missing_file_ok_translate_dataset(ray_session, tmp_path):
-    """The flag must flow through the PRODUCTION path (translate_dataset →
-    DictionaryService actor), not just direct FileDictionary construction
-    (round-5 review: service_kwargs silently dropped it)."""
-    import ray
-    import ray.data as rd
-    from logstash_filter_translate_ray.config import TranslateConfig
-    from logstash_filter_translate_ray.stages.translate_stage import (
-        translate_dataset)
-
-    missing = tmp_path / "gone.csv"
-    ds = rd.from_arrow(pa.table({"status": ["a", "b"]}))
-
-    # default: loud failure at pipeline BUILD time (actor first-load)
-    cfg_loud = TranslateConfig(source="status", target="translation",
-                               dictionary_path=str(missing),
-                               refresh_interval=-1, fallback="nf")
-    with pytest.raises(Exception, match="when loading dictionary"):
-        translate_dataset(ds, cfg_loud)
-
-    # opt-in: the service registers with an empty dict; fallback applies
-    cfg = TranslateConfig(source="status", target="translation",
-                          dictionary_path=str(missing),
-                          refresh_interval=-1, fallback="nf",
-                          missing_file_ok=True)
-    out = translate_dataset(ds, cfg).to_pandas()
-    assert out["translation"].tolist() == ["nf", "nf"]
 
 
 # --------------------------------------------------------------------------

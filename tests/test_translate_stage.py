@@ -1,15 +1,20 @@
-"""Stateless translate stage: the worker-process snapshot cache and the
-build-time dictionary checks of :func:`translate_dataset`."""
+"""Stateless translate stage: the worker-process snapshot cache, the
+build-time dictionary checks of :func:`translate_dataset`, and the
+file-backed flavor running on the same fused tasks as the inline one."""
 
+import dataclasses
 import json
 import os
+import re
 from collections import Counter, OrderedDict
 
+import pyarrow as pa
 import pytest
 import ray
 
 from logstash_filter_translate_ray import DictSnapshot, TranslateConfig
-from logstash_filter_translate_ray.dictionary import load_json_items
+from logstash_filter_translate_ray.dictionary import (FileDictionary,
+                                                      load_json_items)
 from logstash_filter_translate_ray.errors import ConfigurationError
 from logstash_filter_translate_ray.stages import translate_stage as ts
 
@@ -97,3 +102,103 @@ def test_lone_surrogate_dictionary_fails_at_build(ray_session, tmp_path,
                                 dictionary_path=str(path))
     with pytest.raises(Exception, match="valid Unicode text"):
         ts.translate_dataset(ds, from_file)
+
+
+def test_missing_file_ok_translate_dataset(ray_session, tmp_path):
+    """The flag must flow through the PRODUCTION path (translate_dataset →
+    DictionaryService actor), not just direct FileDictionary construction
+    (round-5 review: service_kwargs silently dropped it)."""
+    import ray
+    import ray.data as rd
+    from logstash_filter_translate_ray.config import TranslateConfig
+    from logstash_filter_translate_ray.stages.translate_stage import (
+        translate_dataset)
+
+    missing = tmp_path / "gone.csv"
+    ds = rd.from_arrow(pa.table({"status": ["a", "b"]}))
+
+    # default: loud failure at pipeline BUILD time (actor first-load)
+    cfg_loud = TranslateConfig(source="status", target="translation",
+                               dictionary_path=str(missing),
+                               refresh_interval=-1, fallback="nf")
+    with pytest.raises(Exception, match="when loading dictionary"):
+        translate_dataset(ds, cfg_loud)
+
+    # opt-in: the service registers with an empty dict; fallback applies
+    cfg = TranslateConfig(source="status", target="translation",
+                          dictionary_path=str(missing),
+                          refresh_interval=-1, fallback="nf",
+                          missing_file_ok=True)
+    out = translate_dataset(ds, cfg).to_pandas()
+    assert out["translation"].tolist() == ["nf", "nf"]
+
+
+def _operators(ds: "ray.data.Dataset") -> list[str]:
+    """The executed physical operators, by name, from ``stats()``."""
+    return re.findall(r"^Operator \d+ (.+?):", ds.materialize().stats(),
+                      re.M)
+
+
+def test_file_backed_chain_fuses_like_inline(ray_session, tmp_path):
+    """A file-backed dictionary runs on the same stateless tasks as an
+    inline one, so the flagship enrich chain stays one map operator after
+    the read."""
+    from logstash_filter_translate_ray.pipelines.transcripts import (
+        TOOL_DICT, TranscriptPipelineConfig, build_enriched_dataset,
+        read_transcripts)
+    from logstash_filter_translate_ray.sources import transcripts_parquet_path
+    src = transcripts_parquet_path(2_000, seed=7, n_files=2,
+                                   cache_dir=str(tmp_path / "src"))
+    path = tmp_path / "tools.csv"
+    path.write_text("".join(f"{k},{v}\n" for k, v in TOOL_DICT.items()))
+    inline = TranscriptPipelineConfig(conv_dict_size=1000,
+                                      refresh_interval=-1)
+    from_file = dataclasses.replace(inline, tool_dict_path=str(path))
+    ops = [_operators(build_enriched_dataset(read_transcripts(src), c))
+           for c in (inline, from_file)]
+    assert ops[0] == ops[1], ops
+    assert len(ops[1]) == 2 and ops[1][0].startswith("ReadParquet"), ops
+    assert "MapBatches" in ops[1][1] and "TranslateFn" not in ops[1][1]
+
+
+_DICT_TEXT = {
+    "csv": "a,Alpha\nb,Beta\nc,Gamma\n",
+    "json": json.dumps({"a": "Alpha", "b": "Beta", "c": "Gamma"}),
+    "yml": "a: Alpha\nb: Beta\nc: Gamma\n",
+}
+_SHAPES = {
+    "single": ({"source": "s"},
+               pa.array(["a", "zz", None, "c", "b", "a"])),
+    "values": ({"iterate_on": "s", "source": "s"},
+               pa.array([["a", "b"], ["zz"], None, [], ["c", "a"], ["b"]],
+                        type=pa.list_(pa.string()))),
+    "maps": ({"iterate_on": "s", "source": "k"},
+             pa.array([[{"k": "a"}, {"k": "zz"}], None, [{"k": "b"}], [],
+                       [{"k": "c"}], [{"k": "a"}, {"k": "b"}]],
+                      type=pa.list_(pa.struct([("k", pa.string())])))),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("ext", sorted(_DICT_TEXT))
+def test_file_backed_equals_inline(ray_session, tmp_path, ext, shape):
+    """Over several blocks, a file-backed dictionary translates exactly as
+    the same items given inline, for every file format and shape."""
+    path = tmp_path / f"dict.{ext}"
+    path.write_text(_DICT_TEXT[ext])
+    items = FileDictionary(str(path), refresh_interval=-1).snapshot.map
+    fields, col = _SHAPES[shape]
+    tbl = pa.table({"id": list(range(len(col))), "s": col})
+    common = dict(target="t", fallback="?", **fields)
+
+    def run(cfg):
+        ds = ray.data.from_arrow([tbl.slice(0, 3), tbl.slice(3)])
+        out = ts.translate_dataset(ds, cfg)
+        return pa.concat_tables(ray.get(out.to_arrow_refs())).sort_by("id")
+
+    from_file = run(TranslateConfig(dictionary_path=str(path),
+                                    refresh_interval=-1, **common))
+    inline = run(TranslateConfig(dictionary=dict(items), **common))
+    assert from_file.equals(inline), (from_file.to_pylist(),
+                                      inline.to_pylist())
+    assert from_file.num_rows == len(col)
