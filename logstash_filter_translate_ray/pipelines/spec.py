@@ -443,11 +443,7 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
     Returns ``{"shards_run", "shards_skipped", "rows_out", "result"}``
     where ``result`` is the post-clause Dataset (or None when the spec has
     no global clause)."""
-    import pyarrow.parquet as _pq
-
-    from ..checkpoint import CheckpointStore, ShardManifest
-
-    from .transcripts import _shard_inputs
+    from ..checkpoint import parquet_files, run_shards
 
     s = load_spec(spec)
     pre_out = (s.get("output", {}) or {}).get("path")
@@ -465,54 +461,18 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
     if inp.get("format", "parquet") != "parquet":
         raise ConfigurationError(
             "run_spec_resumable shards parquet inputs only")
-    shards = _shard_inputs(inp["path"], shard_files)
     row_local = {k: s[k] for k in ("filters", "route") if k in s}
 
-    store = CheckpointStore(out_dir)
-    # fail FAST on a shrunken input (see run_resumable — checking after the
-    # loop would waste the whole run before erroring)
-    want_ids = {f"{i:05d}" for i in range(len(shards))}
-    extra = sorted(m.shard_id for m in store.load_all()
-                   if m.shard_id not in want_ids)
-    if extra:
-        raise RuntimeError(
-            f"out_dir has manifests {extra} beyond this run's "
-            f"{len(shards)} shards — the input shrank since the previous "
-            "run; use a fresh out_dir")
-    ran = skipped = 0
-    for i, files in enumerate(shards):
-        shard_id = f"{i:05d}"
-        if store.is_done(shard_id):
-            done = store.load(shard_id)
-            if done is not None and done.input_files != list(files):
-                raise RuntimeError(
-                    f"checkpoint mismatch for shard {shard_id}: manifest "
-                    f"covers {done.input_files}, run asked for "
-                    f"{list(files)} — use a fresh out_dir")
-            skipped += 1
-            continue
-        tmp = store.begin_shard(shard_id)
-        ds = build_from_spec({"input": {**inp, "path": list(files)},
-                              **row_local})
-        ds.write_parquet(tmp)
-        rows_out = sum(
-            _pq.read_metadata(os.path.join(root, f)).num_rows
-            for root, _, fs in os.walk(tmp)
-            for f in fs if f.endswith(".parquet"))
-        rows_in = sum(_pq.read_metadata(f).num_rows for f in files)
-        final = store.finish_shard(shard_id)
-        store.commit(ShardManifest(
-            shard_id=shard_id, input_files=list(files), output_dir=final,
-            rows_in=rows_in, rows_out=rows_out))
-        ran += 1
+    def write_shard(files: list[str], tmp: str) -> dict:
+        build_from_spec({"input": {**inp, "path": files},
+                         **row_local}).write_parquet(tmp)
+        return {}
 
-    manifests = store.load_all()
+    ran, skipped, manifests = run_shards(inp["path"], out_dir, shard_files,
+                                         write_shard)
     # explicit file list: read_parquet expands a single dir path but not a
     # LIST of dir paths
-    shard_parquet = [os.path.join(root, f)
-                     for m in manifests
-                     for root, _, fs in os.walk(m.output_dir)
-                     for f in sorted(fs) if f.endswith(".parquet")]
+    shard_parquet = [f for m in manifests for f in parquet_files(m.output_dir)]
     result = None
     if any(k in s for k in POST_CLAUSE_KEYS) and shard_parquet:
         result = _apply_post_clauses(rd.read_parquet(shard_parquet), s,

@@ -18,14 +18,16 @@ equality under stable (conv_id, turn_idx) ordering).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..config import TranslateConfig
-from ..checkpoint import CheckpointStore, ShardManifest
+from ..checkpoint import parquet_files, run_shards
 from ..stages.aggregate import (conv_turn_counts, grouped_counts,
                                 matched_counts, sink_counts)
 from ..stages.parse import ParseConfig, parse_dataset
@@ -195,26 +197,25 @@ def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
 # Resumable form: shard = group of input files, manifest per shard
 # ---------------------------------------------------------------------------
 
-def _shard_inputs(input_path: "str | list[str]", shard_files: int) -> list[list[str]]:
-    if isinstance(input_path, str):
-        if os.path.isdir(input_path):
-            # RECURSE: nested/hive-partitioned layouts (e.g. a previous
-            # route=... fan-out output) must shard like the non-resumable
-            # rd.read_parquet would read them — the top-level-only listing
-            # found zero files and returned a silently-successful empty run
-            files = sorted(
-                os.path.join(r, f)
-                for r, _dirs, fnames in os.walk(input_path)
-                for f in fnames if f.endswith(".parquet"))
-            if not files:
-                raise FileNotFoundError(
-                    f"no *.parquet files under {input_path!r} — refusing a "
-                    "0-shard (silently empty) resumable run")
-        else:
-            files = [input_path]
-    else:
-        files = sorted(input_path)
-    return [files[i:i + shard_files] for i in range(0, len(files), shard_files)]
+def _routed_counts(tmp: str) -> dict[str, dict[str, int]]:
+    """Manifest counts of one written fan-out shard, from its files: each
+    file's ``route=<label>`` directory and footer give ``route_counts``
+    (the literal, still percent-encoded label; a null route is
+    ``__HIVE_DEFAULT_PARTITION__``), and one read of the ``status_matched``
+    column gives ``matched_counts``."""
+    files = parquet_files(tmp)
+    routes = Counter()
+    for f in files:
+        label = os.path.basename(os.path.dirname(f)).partition("=")[2]
+        routes[label] += pq.read_metadata(f).num_rows
+    matched = []
+    if files:
+        col = pq.read_table(files, columns=["status_matched"],
+                            partitioning=None)["status_matched"]
+        matched = pc.value_counts(col).to_pylist()
+    return {"route_counts": dict(routes),
+            "matched_counts": {str(vc["values"]): vc["counts"]
+                               for vc in matched}}
 
 
 def run_resumable(input_path: "str | list[str]", out_dir: str,
@@ -225,61 +226,18 @@ def run_resumable(input_path: "str | list[str]", out_dir: str,
     recorded metrics (exactly-once aggregate accounting over at-least-once
     task retries — SURVEY §4 'Retries / faults')."""
     cfg = cfg or TranscriptPipelineConfig()
-    store = CheckpointStore(out_dir)
-    shards = _shard_inputs(input_path, shard_files)
-    # fail FAST if the input shrank since a previous run at this out_dir:
-    # stale manifests would otherwise poison the totals, and checking only
-    # after the loop would waste the whole run before erroring (review r3)
-    want_ids = {f"{i:05d}" for i in range(len(shards))}
-    extra = sorted(m.shard_id for m in store.load_all()
-                   if m.shard_id not in want_ids)
-    if extra:
-        raise RuntimeError(
-            f"out_dir has manifests {extra} beyond this run's "
-            f"{len(shards)} shards — the input shrank since the previous "
-            "run; use a fresh out_dir")
-    ran, skipped = 0, 0
-    for i, files in enumerate(shards):
-        shard_id = f"{i:05d}"
-        if store.is_done(shard_id):
-            done = store.load(shard_id)
-            if done is not None and done.input_files != list(files):
-                raise RuntimeError(
-                    f"checkpoint mismatch for shard {shard_id}: manifest "
-                    f"covers {done.input_files}, run asked for {list(files)} "
-                    "— the input list or shard_files changed; use a fresh "
-                    "out_dir")
-            skipped += 1
-            continue
-        tmp = store.begin_shard(shard_id)
-        ds = build_enriched_dataset(read_transcripts(files), cfg)
-        write_routed(ds, tmp)
-        # ONE read pass over the written shard: the joint (route, matched)
-        # count yields both manifest metrics as marginals
-        from ..stages.aggregate import grouped_counts
-        joint = grouped_counts(rd.read_parquet(tmp),
-                               ["route", "status_matched"], driver_merge=True)
-        routes = joint.groupby("route", as_index=False)["n"].sum()
-        matched = joint.groupby("status_matched", as_index=False)["n"].sum()
-        rows_out = int(joint["n"].sum())
-        rows_in = sum(pq.read_metadata(f).num_rows for f in files)
-        final = store.finish_shard(shard_id)
-        store.commit(ShardManifest(
-            shard_id=shard_id, input_files=list(files), output_dir=final,
-            rows_in=rows_in, rows_out=rows_out,
-            route_counts={str(r): int(n) for r, n in
-                          zip(routes["route"], routes["n"])},
-            matched_counts={str(m): int(n) for m, n in
-                            zip(matched["status_matched"], matched["n"])}))
-        ran += 1
-    manifests = store.load_all()
-    route_totals: dict[str, int] = {}
-    matched_totals: dict[str, int] = {}
+
+    def write_shard(files: list[str], tmp: str) -> dict:
+        write_routed(build_enriched_dataset(read_transcripts(files), cfg), tmp)
+        return _routed_counts(tmp)
+
+    ran, skipped, manifests = run_shards(input_path, out_dir, shard_files,
+                                         write_shard)
+    route_totals, matched_totals = Counter(), Counter()
     for m in manifests:
-        for k, v in m.route_counts.items():
-            route_totals[k] = route_totals.get(k, 0) + v
-        for k, v in m.matched_counts.items():
-            matched_totals[k] = matched_totals.get(k, 0) + v
+        route_totals.update(m.route_counts)
+        matched_totals.update(m.matched_counts)
     return {"shards_run": ran, "shards_skipped": skipped,
             "rows_out": sum(m.rows_out for m in manifests),
-            "route_counts": route_totals, "matched_counts": matched_totals}
+            "route_counts": dict(route_totals),
+            "matched_counts": dict(matched_totals)}

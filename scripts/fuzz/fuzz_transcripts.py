@@ -3,7 +3,10 @@ route → per-sink counts) vs a DuckDB reconstruction, over adversarial
 transcript tables — null / unicode / case-shifted roles, tool strings
 probing the ``^\\s*([a-z_]+)`` extraction (leading blanks, uppercase,
 digits, unicode letters, embedded newlines), texts hitting the
-redaction/word/status enrich stages, and null ts/conv ids.
+redaction/word/status enrich stages, and null ts/conv ids. Each table also
+runs through ``run_resumable``: its summed manifest ``route_counts`` and
+``matched_counts`` must equal the same mirror (a null route is the hive
+default partition label there).
 
 The SQL mirror is the same one test_entry.py validates against the real
 synthetic transcripts; the fuzz stresses its edges. Owns a Ray session.
@@ -31,7 +34,8 @@ DataContext.get_current().enable_progress_bars = False
 
 from fuzz_common import compare_result
 from logstash_filter_translate_ray.pipelines.transcripts import (
-    ROLE_ROUTES, TOOL_DICT, run_pipeline)
+    ROLE_ROUTES, TOOL_DICT, run_pipeline, run_resumable)
+from logstash_filter_translate_ray.stages.route import NULL_ROUTE_DIR
 
 ROLES = ["user", "assistant", "system", "tool", "User", "tool ", "",
          "日本", "assistant\n", None]
@@ -109,6 +113,20 @@ def _convs_sql(path: str) -> str:
             f"COUNT(*) AS turns FROM read_parquet('{path}') GROUP BY 1")
 
 
+def _check_resumable(path: str, con) -> None:
+    res = run_resumable(path, os.path.join(os.path.dirname(path), "ckpt"))
+    routes: dict = {}
+    for route, n in con.execute(
+            f"SELECT route, sum(n) FROM ({_mirror_sql(path)}) "
+            "GROUP BY 1").fetchall():
+        routes[NULL_ROUTE_DIR if route == "(null)" else route] = int(n)
+    matched = {str(m): int(n) for m, n in
+               con.execute(_matched_sql(path)).fetchall()}
+    assert res["route_counts"] == routes, (res["route_counts"], routes)
+    assert res["matched_counts"] == matched, (res["matched_counts"], matched)
+    assert res["rows_out"] == sum(routes.values()), res
+
+
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(rows=st.lists(row, min_size=1, max_size=24))
@@ -124,6 +142,7 @@ def fuzz_transcripts(rows):
                        con.execute(_matched_sql(path)).df())
         compare_result("conv_turn_counts", res["conv_turn_counts"],
                        con.execute(_convs_sql(path)).df())
+        _check_resumable(path, con)
     finally:
         shutil.rmtree(os.path.dirname(path), ignore_errors=True)
 

@@ -6,6 +6,7 @@ the per-turn text-equality invariant, hot dictionary reload mid-pipeline
 import os
 import shutil
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -773,3 +774,60 @@ def test_grouped_counts_keeps_null_nonstring_keys(ray_session):
     assert out["bucket"].isna().any()
     null_n = int(out.loc[out["bucket"].isna(), "n"].iloc[0])
     assert null_n == 2
+
+
+def test_spec_resumable_rejects_remote_uri(tmp_path):
+    from logstash_filter_translate_ray.errors import ConfigurationError
+    from logstash_filter_translate_ray.pipelines.spec import (
+        run_spec_resumable)
+    spec = {"input": {"path": str(tmp_path / "missing.parquet")},
+            "steps": [],
+            "output": {"path": "s3://bucket/out"}}
+    with pytest.raises(ConfigurationError, match="local paths only"):
+        run_spec_resumable(spec, str(tmp_path / "ckpt"))
+
+
+def test_spec_resumable_knn_only_post_clause(ray_session, tmp_path):
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions.similarity import knn_join
+    from logstash_filter_translate_ray.pipelines.spec import (
+        POST_CLAUSE_KEYS, _apply_post_clauses, run_spec_resumable)
+
+    # the trigger tuple and the clause applier can never drift apart again
+    import inspect
+    applier_src = inspect.getsource(_apply_post_clauses)
+    for key in POST_CLAUSE_KEYS:
+        assert f'"{key}" in s' in applier_src
+
+    sf = "/root/testdata/sf0.001"
+    emb = os.path.join(sf, "embeddings.parquet")
+    sink = str(tmp_path / "knn_sink")
+    spec = {"input": {"path": emb},
+            "knn": {"kind": "exact", "k": 3},
+            "output": {"path": sink}}
+    res = run_spec_resumable(spec, str(tmp_path / "ckpt"), shard_files=1)
+    assert res["result"] is not None
+    got = rd.read_parquet(sink).to_pandas() \
+        .sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
+    want = knn_join(rd.read_parquet(emb), k=3)
+    pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
+
+
+def test_spec_resumable_post_filters_only(ray_session, tmp_path):
+    import ray.data as rd
+    from logstash_filter_translate_ray.pipelines.spec import (
+        run_spec_resumable)
+
+    sf = "/root/testdata/sf0.001"
+    docs = os.path.join(sf, "documents.parquet")
+    sink = str(tmp_path / "pf_sink")
+    spec = {"input": {"path": docs, "columns": ["doc_id", "text"]},
+            "post_filters": [{"tokens": {}},
+                             {"select": {"columns": ["doc_id",
+                                                     "n_tokens_ws"]}}],
+            "output": {"path": sink}}
+    run_spec_resumable(spec, str(tmp_path / "ckpt"), shard_files=1)
+    got = rd.read_parquet(sink).to_pandas()
+    # the select post clause must have been applied, not skipped
+    assert sorted(got.columns) == ["doc_id", "n_tokens_ws"]
+    assert len(got) == rd.read_parquet(docs).count()

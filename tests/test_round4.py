@@ -39,17 +39,6 @@ def test_grouped_quantiles_fallback_null_key_parity(ray_session):
     assert pd.isna(fb.loc[1, "event_type"])     # not the "(null)" sentinel
 
 
-def test_spec_resumable_rejects_remote_uri(tmp_path):
-    from logstash_filter_translate_ray.errors import ConfigurationError
-    from logstash_filter_translate_ray.pipelines.spec import (
-        run_spec_resumable)
-    spec = {"input": {"path": str(tmp_path / "missing.parquet")},
-            "steps": [],
-            "output": {"path": "s3://bucket/out"}}
-    with pytest.raises(ConfigurationError, match="local paths only"):
-        run_spec_resumable(spec, str(tmp_path / "ckpt"))
-
-
 def test_bucket_candidate_pairs_skip_counter(ray_session):
     """hot_cap skips are no longer silent: the counter actor receives the
     skipped bucket/row totals (VERDICT r3 #4)."""
@@ -338,21 +327,6 @@ def test_maps_shape_large_string_child_kept():
     assert evs[1]["t"] == "old"            # KEPT, not wiped to null
 
 
-def test_shard_inputs_recurses_and_refuses_empty(tmp_path):
-    import pyarrow.parquet as pq
-    from logstash_filter_translate_ray.pipelines.transcripts import (
-        _shard_inputs)
-    sub = tmp_path / "route=a"
-    sub.mkdir()
-    pq.write_table(pa.table({"x": [1]}), str(sub / "f.parquet"))
-    shards = _shard_inputs(str(tmp_path), 4)
-    assert shards == [[str(sub / "f.parquet")]]
-    empty = tmp_path / "nothing"
-    empty.mkdir()
-    with pytest.raises(FileNotFoundError, match="0-shard"):
-        _shard_inputs(str(empty), 4)
-
-
 def test_run_spec_aggregate_sink_and_json_format(ray_session, tmp_path):
     """route + aggregate: the reduced frame has no route column, so the
     sink writes flat (previously write_parquet(partition_cols=['route'])
@@ -586,31 +560,6 @@ def test_langid_and_winnow_null_text(ray_session):
     assert fps[2] is None                       # null text → null list
     assert fps[3] is not None and len(fps[3]) == 0   # "" → real []
     assert winnow_fingerprints(None) is None    # scalar path parity
-
-
-def test_checkpoint_corrupt_manifest_reruns(tmp_path):
-    """A truncated/corrupt manifest (power loss) counts as NOT done — the
-    shard re-runs instead of being skipped forever or wedging load_all."""
-    from logstash_filter_translate_ray.checkpoint import (CheckpointStore,
-                                                          ShardManifest)
-    store = CheckpointStore(str(tmp_path))
-    out_dir = tmp_path / "shard=s0"             # is_done requires the
-    out_dir.mkdir()                             # certified output to exist
-    store.commit(ShardManifest("s0", ["a.parquet"], str(out_dir), 10, 10))
-    assert store.is_done("s0")
-    # corrupt it the way delayed allocation does: renamed but empty
-    with open(store._path("s0"), "w"):
-        pass
-    assert not store.is_done("s0")
-    assert store.load("s0") is None
-    assert store.load_all() == []               # no crash, no ghost rows
-    # a fresh commit repairs it
-    store.commit(ShardManifest("s0", ["a.parquet"], str(out_dir), 10, 10))
-    assert store.is_done("s0") and len(store.load_all()) == 1
-    # and the output-existence guard itself: deleting the certified
-    # output dir flips is_done back to False (shard re-runs)
-    out_dir.rmdir()
-    assert not store.is_done("s0")
 
 
 def test_zscore_outliers_null_key_rows_dropped_like_oracle(ray_session):

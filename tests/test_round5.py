@@ -5,7 +5,6 @@ tests/test_similarity.py; the missing_file_ok translate_dataset test
 lives in tests/test_translate_stage.py."""
 
 import os
-import time
 
 import numpy as np
 import pandas as pd
@@ -51,61 +50,6 @@ def test_window_segments_null_type_key(ray_session):
     out = prev_event_gap(rd.from_arrow(tbl), num_buckets=1).to_pandas() \
         .set_index("event_id")["gap_us"]
     assert pd.isna(out[1]) and out[2] == 10.0 and out[3] == 20.0
-
-
-# --------------------------------------------------------------------------
-# ADVICE r4 #2: checkpoint tmp ownership — host + pid + start time
-# --------------------------------------------------------------------------
-
-def test_checkpoint_tmp_ownership(tmp_path):
-    from logstash_filter_translate_ray.checkpoint import (
-        CheckpointStore, _local_host, _owner_alive, _proc_start, _tmp_owner,
-        _tmp_suffix)
-
-    sfx = _tmp_suffix()
-    host, pid, start = _tmp_owner("base" + sfx)
-    assert host == _local_host() and pid == os.getpid()
-    assert start == (_proc_start(os.getpid()) or 0)
-    # legacy suffix forms still parse (and are treated as same-host)
-    assert _tmp_owner("base.1234.tmp") == (None, 1234, None)
-    assert _tmp_owner("base.tmp") == (None, None, None)
-
-    store = CheckpointStore(str(tmp_path))
-    # our own live tmp is reclaimed, not a spurious 'live process' error
-    t1 = store.begin_shard("s1")
-    assert store.begin_shard("s1") == t1
-
-    # a FRESH foreign-host tmp is presumed live -> loud failure
-    foreign = tmp_path / "shard=s2.otherhost.99-1.tmp"
-    foreign.mkdir()
-    with pytest.raises(RuntimeError, match="live process"):
-        store.begin_shard("s2")
-    # ... but past the lease it is crash litter and is reclaimed
-    short = CheckpointStore(str(tmp_path), foreign_lease_s=0.0)
-    time.sleep(0.01)
-    short.begin_shard("s2")
-    assert not foreign.exists()
-
-    # dead same-host pid -> stale
-    dead = tmp_path / f"shard=s3.{_local_host()}.999999-1.tmp"
-    dead.mkdir()
-    store.begin_shard("s3")
-    assert not dead.exists()
-
-    # recycled PID: pid 1 is alive but its start time differs -> stale
-    rec = tmp_path / f"shard=s4.{_local_host()}.1-123456789.tmp"
-    rec.mkdir()
-    store.begin_shard("s4")
-    assert not rec.exists()
-
-    # manifest-tmp litter in load_all: foreign-fresh kept, dead removed
-    (tmp_path / "_manifests" / "m.otherhost.99-1.tmp").write_text("x")
-    (tmp_path / "_manifests" / f"m.{_local_host()}.999999-1.tmp") \
-        .write_text("x")
-    assert store.load_all() == []
-    assert (tmp_path / "_manifests" / "m.otherhost.99-1.tmp").exists()
-    assert not (tmp_path / "_manifests"
-                / f"m.{_local_host()}.999999-1.tmp").exists()
 
 
 # --------------------------------------------------------------------------
@@ -324,60 +268,6 @@ def test_scalar_coercion_thread_safety():
     assert _coerce_plain_scalar("1e3") == "1e3"
     # YAML 1.1 floats need a SIGNED exponent — '1.5e3' stays a string
     assert _coerce_plain_scalar("1.5e+3") == 1500.0
-
-
-# --------------------------------------------------------------------------
-# Review r5 sweep-2: (1) run_spec_resumable must apply EVERY post clause
-# (a knn- or post_filters-only spec silently wrote raw shard rows);
-# (2) knn_join_ivf.route() replicates in bounded chunks (int32 offset
-# overflow + n_probe-fold transient on big blocks) — chunking must be
-# result-invariant.
-# --------------------------------------------------------------------------
-
-def test_spec_resumable_knn_only_post_clause(ray_session, tmp_path):
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.similarity import knn_join
-    from logstash_filter_translate_ray.pipelines.spec import (
-        POST_CLAUSE_KEYS, _apply_post_clauses, run_spec_resumable)
-
-    # the trigger tuple and the clause applier can never drift apart again
-    import inspect
-    applier_src = inspect.getsource(_apply_post_clauses)
-    for key in POST_CLAUSE_KEYS:
-        assert f'"{key}" in s' in applier_src
-
-    sf = "/root/testdata/sf0.001"
-    emb = os.path.join(sf, "embeddings.parquet")
-    sink = str(tmp_path / "knn_sink")
-    spec = {"input": {"path": emb},
-            "knn": {"kind": "exact", "k": 3},
-            "output": {"path": sink}}
-    res = run_spec_resumable(spec, str(tmp_path / "ckpt"), shard_files=1)
-    assert res["result"] is not None
-    got = rd.read_parquet(sink).to_pandas() \
-        .sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
-    want = knn_join(rd.read_parquet(emb), k=3)
-    pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
-
-
-def test_spec_resumable_post_filters_only(ray_session, tmp_path):
-    import ray.data as rd
-    from logstash_filter_translate_ray.pipelines.spec import (
-        run_spec_resumable)
-
-    sf = "/root/testdata/sf0.001"
-    docs = os.path.join(sf, "documents.parquet")
-    sink = str(tmp_path / "pf_sink")
-    spec = {"input": {"path": docs, "columns": ["doc_id", "text"]},
-            "post_filters": [{"tokens": {}},
-                             {"select": {"columns": ["doc_id",
-                                                     "n_tokens_ws"]}}],
-            "output": {"path": sink}}
-    run_spec_resumable(spec, str(tmp_path / "ckpt"), shard_files=1)
-    got = rd.read_parquet(sink).to_pandas()
-    # the select post clause must have been applied, not skipped
-    assert sorted(got.columns) == ["doc_id", "n_tokens_ws"]
-    assert len(got) == rd.read_parquet(docs).count()
 
 
 def test_value_array_rejects_silent_arrow_coercions():
