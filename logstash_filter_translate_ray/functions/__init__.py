@@ -1,3 +1,3 @@
-from . import dedup, multimodal, sampling, similarity, sketch, text
+from . import dedup, multimodal, sampling, similarity, text
 
-__all__ = ["dedup", "multimodal", "sampling", "similarity", "sketch", "text"]
+__all__ = ["dedup", "multimodal", "sampling", "similarity", "text"]

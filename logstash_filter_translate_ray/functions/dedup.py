@@ -12,9 +12,10 @@ shingling (one ``pd.util.hash_array`` per batch, one chunked ``(P × S)``
 modmul + ``minimum.reduceat`` per block — no per-doc Python hashing). The
 shuffles are
 
-1. a groupby on a HASH-BUCKETED band key — a bounded number of vectorized
-   group calls (``num_groups``), not one scheduling unit per LSH bucket;
-2. a distinct-pairs native hash aggregate (no per-group callbacks);
+1. a keyed-group shuffle (``rayutil.keyed_groups``) on the band key — a
+   bounded number of vectorized group calls (``num_groups``), not one
+   scheduling unit per LSH bucket;
+2. a second keyed-group shuffle on (id_a, id_b) that dedupes the pairs;
 3. two hash JOINS (``Dataset.join``) that attach each candidate doc's
    shingle-set blob to its pairs, so the exact-Jaccard verify runs inside
    ``map_batches`` over the joined pairs.
@@ -33,6 +34,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..rayutil import anchor_empty_schema, input_arrow_schema, keyed_groups
 
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)   # splitmix64 / golden-ratio odd
 # one odd 64-bit multiplier per k-gram position (order-sensitive combine)
@@ -152,14 +155,6 @@ def shingle_hashes(text: str, k: int = 3) -> np.ndarray:
     return sh
 
 
-def _group_of(bucket: np.ndarray, num_groups: int) -> np.ndarray:
-    """Deterministic bucket→group assignment (avalanched so low-entropy
-    bucket ids still spread)."""
-    b = bucket.astype(np.uint64, copy=False)
-    return (((b * _HASH_MIX) >> np.uint64(33)) %
-            np.uint64(num_groups)).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
@@ -195,38 +190,23 @@ def add_content_hash(tbl: pa.Table, col: str = "text",
 
 def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
                 num_groups: int = 64):
-    """Keep the min-id row per distinct content. Hash-BUCKETED groupby
-    (``num_groups`` vectorized group calls, not one per distinct content):
-    inside a group, sort by (hash128, id) and take each segment's first
-    row — no per-group pandas frames. Keeps FULL rows; for id-only
+    """Keep the min-id row per distinct content. One keyed-group shuffle on
+    the 128-bit content hash (``num_groups`` vectorized group calls, not
+    one per distinct content), ordered by id: each key segment's first row
+    survives — no per-group pandas frames. Keeps FULL rows; for id-only
     consumers :func:`exact_dedup_ids` is a pure native aggregate."""
-    aux = ["content_hash", "content_hash2", "_gb"]
+    aux = ["content_hash", "content_hash2"]
+    hashed = ds.map_batches(lambda t: add_content_hash(t, col)[0],
+                            batch_format="pyarrow", batch_size=None)
 
-    def add_hash_gb(t: pa.Table) -> pa.Table:
-        t, h1 = add_content_hash(t, col)
-        return t.append_column("_gb", pa.array(_group_of(h1, num_groups)))
+    def first_rows(t: pa.Table, starts) -> pa.Table:
+        return t.take(pa.array(starts)).drop_columns(aux)
 
-    def per_group(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return t.drop_columns(aux)
-        idx = pc.sort_indices(t, sort_keys=[("content_hash", "ascending"),
-                                            ("content_hash2", "ascending"),
-                                            (id_col, "ascending")])
-        t = t.take(idx)
-        a = t["content_hash"].to_numpy(zero_copy_only=False)
-        b = t["content_hash2"].to_numpy(zero_copy_only=False)
-        first = np.ones(len(t), dtype=bool)
-        first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        return t.filter(pa.array(first)).drop_columns(aux)
-
-    from ..rayutil import anchor_empty_schema, input_arrow_schema
-    out = ds.map_batches(add_hash_gb, batch_format="pyarrow",
-                         batch_size=None) \
-        .groupby("_gb").map_groups(per_group, batch_format="pyarrow")
-    # per_group preserves the input columns exactly, so the input schema
-    # (≤ 1 upstream block to fetch) anchors the empty case — a fully
+    # first_rows preserves the input columns exactly, so the schema of
+    # ``ds`` (≤ 1 upstream block to fetch) anchors the empty case — a fully
     # filtered corpus must still come back with its column list
-    return anchor_empty_schema(out, input_arrow_schema(ds))
+    return keyed_groups(hashed, aux, first_rows, input_arrow_schema(ds),
+                        num_groups, order_by=[id_col])
 
 
 def exact_dedup_ids(ds, col: str = "text", id_col: str = "doc_id"):
@@ -652,41 +632,24 @@ def bucket_candidate_pairs(bucketed_ds, bucket_col: str, id_col: str,
                            num_groups: int = 64,
                            payload_col: Optional[str] = None,
                            skip_counter=None):
-    """(id_a < id_b) pairs sharing a ``bucket_col`` value. ONE shuffle on a
-    hash-bucketed group key (``num_groups`` vectorized group calls total);
-    inside a group, buckets are segments of a sort and pairs come from
+    """(id_a < id_b) pairs sharing a ``bucket_col`` value. ONE keyed-group
+    shuffle (``num_groups`` vectorized group calls total); inside a group,
+    buckets are key segments and pairs come from
     ``np.triu_indices`` — no per-bucket scheduling, no Python pair loops.
     ``hot_cap`` skips degenerate hot buckets (> cap members): a documented
     recall/scale trade — pass ``None`` to disable when the input is bounded.
     ``payload_col`` (a small fixed-width numeric column, e.g. a simhash)
     is carried onto the pairs as ``pl_a``/``pl_b`` so the verify can run
     right here with no join."""
+    schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())]
+                       + ([("pl_a", pa.uint64()), ("pl_b", pa.uint64())]
+                          if payload_col is not None else []))
 
-    def add_gb(t: pa.Table) -> pa.Table:
-        b = t[bucket_col].to_numpy(zero_copy_only=False)
-        return t.append_column("_gb", pa.array(_group_of(b, num_groups)))
-
-    def _empty() -> pa.Table:
-        cols = {"id_a": pa.array([], type=pa.int64()),
-                "id_b": pa.array([], type=pa.int64())}
-        if payload_col is not None:
-            cols["pl_a"] = pa.array([], type=pa.uint64())
-            cols["pl_b"] = pa.array([], type=pa.uint64())
-        return pa.table(cols)
-
-    def per_group(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return _empty()
-        idx = pc.sort_indices(t, sort_keys=[(bucket_col, "ascending"),
-                                            (id_col, "ascending")])
-        t = t.take(idx)
-        buckets = t[bucket_col].to_numpy(zero_copy_only=False)
+    def per_group(t: pa.Table, starts) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
         payload = (t[payload_col].to_numpy(zero_copy_only=False)
                    .astype(np.uint64) if payload_col is not None else None)
-        starts = np.nonzero(np.concatenate(
-            ([True], buckets[1:] != buckets[:-1])))[0]
-        ends = np.concatenate((starts[1:], [len(t)]))
+        ends = np.append(starts[1:], len(t))
         out_a, out_b, out_pa, out_pb = [], [], [], []
         skipped_b = skipped_r = 0
         for s, e in zip(starts, ends):
@@ -708,7 +671,7 @@ def bucket_candidate_pairs(bucketed_ds, bucket_col: str, id_col: str,
         _report_skips("bucket_candidate_pairs", hot_cap, skipped_b,
                       skipped_r, skip_counter)
         if not out_a:
-            return _empty()
+            return schema.empty_table()
         a = np.concatenate(out_a)
         b = np.concatenate(out_b)
         cols = {}
@@ -731,17 +694,14 @@ def bucket_candidate_pairs(bucketed_ds, bucket_col: str, id_col: str,
         return pa.table({"id_a": pa.array(a, type=pa.int64()),
                          "id_b": pa.array(b, type=pa.int64()), **cols})
 
-    from ..rayutil import anchor_empty_schema
-    out = bucketed_ds.map_batches(add_gb, batch_format="pyarrow",
-                                  batch_size=None) \
-        .groupby("_gb").map_groups(per_group, batch_format="pyarrow")
-    return anchor_empty_schema(out, _empty().schema)
+    return keyed_groups(bucketed_ds, [bucket_col], per_group, schema,
+                        num_groups, order_by=[id_col])
 
 
 def distinct_pairs(pairs_ds, num_groups: int = 64, carry: tuple = (),
                    carry_types: "Optional[dict]" = None):
-    """Distributed pair dedupe: ONE shuffle on a pair-hash bucket, then a
-    vectorized lexsort-unique per group. (Ray's native multi-key count
+    """Distributed pair dedupe: ONE keyed-group shuffle on (id_a, id_b),
+    keeping each pair segment's first row. (Ray's native multi-key count
     aggregate measured ~30× slower on a 2M-row/124k-group pair list than
     this shape — per-group accumulator overhead.) ``carry`` columns keep
     the first surviving row's value (callers use it when the value is
@@ -749,47 +709,20 @@ def distinct_pairs(pairs_ds, num_groups: int = 64, carry: tuple = (),
     ``carry_types`` declares their arrow types so the empty-input schema
     anchor stays exact (a wrong anchor type would silently promote the
     non-empty result at concat)."""
-
-    def add_gb(t: pa.Table) -> pa.Table:
-        a = t["id_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        key = (a * _HASH_MIX) ^ (b * np.uint64(0xC2B2AE3D27D4EB4F))
-        gb = ((key * _HASH_MIX) >> np.uint64(33)) % np.uint64(num_groups)
-        return t.append_column("_gb", pa.array(gb.astype(np.int64)))
-
-    def per_group(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            cols = {"id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64())}
-            for c in carry:
-                cols[c] = pa.array([], type=t.schema.field(c).type
-                                   if c in t.column_names else pa.float64())
-            return pa.table(cols)
-        a = t["id_a"].to_numpy(zero_copy_only=False)
-        b = t["id_b"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        keep = np.ones(len(a), dtype=bool)
-        keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        cols = {"id_a": pa.array(a[keep], type=pa.int64()),
-                "id_b": pa.array(b[keep], type=pa.int64())}
-        if carry:
-            kidx = pa.array(np.asarray(order)[keep], type=pa.int64())
-            for c in carry:
-                col = t[c].combine_chunks() if isinstance(t[c], pa.ChunkedArray) else t[c]
-                cols[c] = pc.take(col, kidx)
-        return pa.table(cols)
-
-    from ..rayutil import anchor_empty_schema
-    out = pairs_ds.map_batches(add_gb, batch_format="pyarrow",
-                               batch_size=None) \
-        .groupby("_gb").map_groups(per_group, batch_format="pyarrow")
+    cols = ["id_a", "id_b", *carry]
     ct = carry_types or {}
+
+    def first_rows(t: pa.Table, starts) -> pa.Table:
+        return t.select(cols).take(pa.array(starts))
+
     if all(c in ct for c in carry):
-        anchor = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())]
+        schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())]
                            + [(c, ct[c]) for c in carry])
-        out = anchor_empty_schema(out, anchor)
-    return out
+    else:
+        def schema(s):      # undeclared carry types: read from the input
+            return pa.schema([s.field(c) for c in cols])
+    return keyed_groups(pairs_ds, ["id_a", "id_b"], first_rows, schema,
+                        num_groups)
 
 
 def minhash_candidate_pairs(ds, col: str = "text", id_col: str = "doc_id",
@@ -1242,19 +1175,21 @@ def simhash_pairs(ds, col: str = "text", id_col: str = "doc_id",
                            carry_types={"pl_a": pa.uint64(),
                                         "pl_b": pa.uint64()})
 
+    out_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                            ("hamming", pa.int64())])
+
     def verify(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"id_a": pa.array([], type=pa.int64()),
-                             "id_b": pa.array([], type=pa.int64()),
-                             "hamming": pa.array([], type=pa.int64())})
         h = hamming64_batch(t["pl_a"].to_numpy(zero_copy_only=False),
                             t["pl_b"].to_numpy(zero_copy_only=False))
         out = pa.table({"id_a": t["id_a"], "id_b": t["id_b"],
                         "hamming": pa.array(h)})
         return out.filter(pa.array(h <= max_hamming))
 
-    return pairs.map_batches(verify, batch_format="pyarrow",
-                             batch_size=None)
+    # Ray skips the verify on empty blocks, so the pairs' anchor does not
+    # reach the output: anchor it again
+    return anchor_empty_schema(
+        pairs.map_batches(verify, batch_format="pyarrow", batch_size=None),
+        out_schema)
 
 
 # ---------------------------------------------------------------------------

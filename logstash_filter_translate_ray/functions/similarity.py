@@ -21,6 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import keyed_groups
+
 # knn_join_ivf.route() replicates each vector n_probe-fold; it emits the
 # replicas in chunks of at most this many flat float32 list elements
 # (8M ≈ 32 MB) so the transient copy is bounded and the int32 list
@@ -430,7 +432,7 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
        in exactly ONE cell (the neighbor's home) and the join emits no
        duplicate pairs by construction. Shuffle volume is
        n_probe × (id + raw float32 vector) per row.
-    3. Hash-bucketed ``groupby(cell)`` (``num_groups`` group calls —
+    3. Keyed-group shuffle on the cell (``num_groups`` group calls —
        defaults to a SIZE-BASED value so one map_groups task holds ~200k
        routed rows rather than a fixed 1/64 of the dataset): per cell,
        the exact running top-k fold (:func:`_running_topk`, the exact
@@ -441,9 +443,9 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
        rows still land in one task, so one HOT cell larger than the group
        target is held whole — pick n_cells ≈ √N so expected cell size ≈
        √N, and raise n_cells if k-means leaves a mega-cell.
-    4. Hash-bucketed ``groupby(vec_id)`` merge: each query's ≤ n_probe × k
-       candidates fold to the global top-k with the canonical
-       (1e-12-quantized score DESC, id ASC) rule, ranks assigned 1..k.
+    4. Keyed-group merge on ``vec_id``, ordered by (1e-12-quantized score
+       DESC, id ASC): each query's ≤ n_probe × k candidates arrive in the
+       canonical order, and the first k get ranks 1..k.
 
     Compute is O(N²/n_cells × n_probe) instead of O(N²): pick
     n_cells ≈ √N at scale. Recall < 1.0 by design (a true neighbor whose
@@ -452,9 +454,6 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     (vec_id, nn_rank, neighbor_id); ``as_dataset=True`` streams.
     """
     import ray
-
-    from .dedup import _group_of
-    from ..rayutil import anchor_empty_schema
 
     # materialize ONCE (mirrors knn_join): the lazy plan would otherwise
     # re-execute the whole upstream chain three times — count(), the
@@ -481,7 +480,7 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
                               ("_member", pa.bool_()),
                               ("_nvec", pa.list_(pa.float32()))])
     cand_schema = pa.schema([(id_col, pa.int64()), ("_nid", pa.int64()),
-                             ("_score", pa.float64())])
+                             ("_negq", pa.float64())])
 
     def route(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -514,27 +513,14 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
                 schema=route_schema))
         return pa.concat_tables(parts)
 
-    def add_gb(t: pa.Table) -> pa.Table:
-        cells = t["_cell"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("_gb", pa.array(_group_of(cells, num_groups)))
-
-    def per_cell_group(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return cand_schema.empty_table()
-        idx = pc.sort_indices(t, sort_keys=[("_cell", "ascending"),
-                                            (id_col, "ascending")])
-        t = t.take(idx)
-        cells = t["_cell"].to_numpy(zero_copy_only=False)
+    def per_cell_group(t: pa.Table, starts) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
         member = t["_member"].to_numpy(zero_copy_only=False)
         # raw float32 → float64 → normalize: the exact kernel's math,
         # bit-for-bit (see the route() shipping comment)
         m = _unit_rows(t, "_nvec")
-        starts = np.nonzero(np.concatenate(
-            ([True], cells[1:] != cells[:-1])))[0]
-        ends = np.concatenate((starts[1:], [len(t)]))
         out_q, out_i, out_s = [], [], []
-        for s, e in zip(starts, ends):
+        for s, e in zip(starts, np.append(starts[1:], len(t))):
             mem = member[s:e]
             m_ids, m_m = ids[s:e][mem], m[s:e][mem]
             for q0 in range(s, e, tile):
@@ -546,40 +532,27 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
                 out_q.append(np.repeat(ids[q0:q1], counts))
                 out_i.append(nbr)
                 out_s.append(sc)
+        # the merge orders by this 1e-12-quantized NEGATED score, then id:
+        # pairs score in exactly one cell, but two DIFFERENT neighbors at
+        # a true cosine tie may have been scored in different gemm shapes
+        # (1-ulp noise). 0.0 - x keeps an exact-zero score at +0.0.
         return pa.Table.from_arrays(
             [np.concatenate(out_q), np.concatenate(out_i),
-             np.concatenate(out_s)], schema=cand_schema)
+             0.0 - np.rint(np.concatenate(out_s) * 1e12)],
+            schema=cand_schema)
 
-    def add_qb(t: pa.Table) -> pa.Table:
-        q = t[id_col].to_numpy(zero_copy_only=False)
-        return t.append_column("_qb", pa.array(_group_of(q, num_groups)))
-
-    def merge_group(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return _KNN_SCHEMA.empty_table()
-        q = t[id_col].to_numpy(zero_copy_only=False)
-        nid = t["_nid"].to_numpy(zero_copy_only=False)
-        # 1e-12-quantized ORDERING + id tie-break: pairs score in exactly
-        # one cell, but two DIFFERENT neighbors at a true cosine tie may
-        # have been scored in different gemm shapes (1-ulp noise)
-        sq = np.rint(t["_score"].to_numpy(zero_copy_only=False) * 1e12)
-        order = np.lexsort((nid, -sq, q))
-        qo = q[order]
-        seg_start = np.nonzero(np.concatenate(([True], qo[1:] != qo[:-1])))[0]
-        rank = _ranks(np.diff(np.append(seg_start, len(qo))))
-        keep = rank <= k
+    def merge_group(t: pa.Table, starts) -> pa.Table:
+        rank = _ranks(np.diff(np.append(starts, len(t))))
+        keep = pa.array(rank <= k)
         return pa.Table.from_arrays(
-            [qo[keep], rank[keep], nid[order][keep]], schema=_KNN_SCHEMA)
+            [t[id_col].filter(keep), pa.array(rank).filter(keep),
+             t["_nid"].filter(keep)], schema=_KNN_SCHEMA)
 
     routed = sub.map_batches(route, batch_format="pyarrow", batch_size=None)
-    cand = anchor_empty_schema(
-        routed.map_batches(add_gb, batch_format="pyarrow", batch_size=None)
-        .groupby("_gb").map_groups(per_cell_group, batch_format="pyarrow"),
-        cand_schema)
-    merged = anchor_empty_schema(
-        cand.map_batches(add_qb, batch_format="pyarrow", batch_size=None)
-        .groupby("_qb").map_groups(merge_group, batch_format="pyarrow"),
-        _KNN_SCHEMA)
+    cand = keyed_groups(routed, ["_cell"], per_cell_group, cand_schema,
+                        num_groups, order_by=[id_col])
+    merged = keyed_groups(cand, [id_col], merge_group, _KNN_SCHEMA,
+                          num_groups, order_by=["_negq", "_nid"])
     return _result(merged, _KNN_SCHEMA, as_dataset)
 
 
@@ -644,24 +617,12 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
     defaults give ≈0.99 at c = 0.9. Precision is exact (scores are real
     cosines; the threshold filter runs in-bucket). ``as_dataset=True``
     returns the distinct-pairs Dataset unsorted (the streaming path)."""
-    from .dedup import _group_of
+    from .dedup import _report_skips, distinct_pairs
 
-    def add_gb(t: pa.Table) -> pa.Table:
-        b = t["bucket"].to_numpy(zero_copy_only=False)
-        return t.append_column("_gb", pa.array(_group_of(b, num_groups)))
-
-    def per_group(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return _PAIR_SCHEMA.empty_table()
-        idx = pc.sort_indices(t, sort_keys=[("bucket", "ascending"),
-                                            (id_col, "ascending")])
-        t = t.take(idx)
-        buckets = t["bucket"].to_numpy(zero_copy_only=False)
+    def per_group(t: pa.Table, starts) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
         m = _batch_matrix(t, "_nvec").astype(np.float64)  # already normalized
-        starts = np.nonzero(np.concatenate(
-            ([True], buckets[1:] != buckets[:-1])))[0]
-        ends = np.concatenate((starts[1:], [len(t)]))
+        ends = np.append(starts[1:], len(t))
         parts = []
         skipped_b = skipped_r = 0
         for s, e in zip(starts, ends):
@@ -676,7 +637,6 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
             parts.append(_pairs_from_scores(seg_ids, seg_ids,
                                             seg_m @ seg_m.T, threshold,
                                             upper_only=True))
-        from .dedup import _report_skips
         _report_skips("embedding_neardup_pairs_lsh", hot_cap, skipped_b,
                       skipped_r, skip_counter)
         return pa.concat_tables(parts) if parts else _PAIR_SCHEMA.empty_table()
@@ -687,16 +647,11 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
     ex = _BandedExplode(vec_col, id_col, n_tables, planes_per_table, seed)
     exploded = ds.map_batches(lambda t, _s=ex: _s(t),
                               batch_format="pyarrow", batch_size=None)
-    from ..rayutil import anchor_empty_schema
-    pairs = anchor_empty_schema(
-        exploded.map_batches(add_gb, batch_format="pyarrow",
-                             batch_size=None)
-        .groupby("_gb").map_groups(per_group, batch_format="pyarrow"),
-        _PAIR_SCHEMA)
+    pairs = keyed_groups(exploded, ["bucket"], per_group, _PAIR_SCHEMA,
+                         num_groups, order_by=[id_col])
     # a pair found by several tables scores IDENTICALLY in each (same
     # normalized vectors) → first-wins bucket dedupe (vectorized; Ray's
     # native multi-key max-agg is ~30× slower per distinct_pairs note)
-    from .dedup import distinct_pairs
     deduped = distinct_pairs(pairs, carry=("cosine",),
                              carry_types={"cosine": pa.float64()})
     return _result(deduped, _PAIR_SCHEMA, as_dataset)

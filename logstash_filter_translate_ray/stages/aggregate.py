@@ -30,25 +30,14 @@ import pyarrow as pa
 import ray
 from ray.data.aggregate import Sum
 
+from ..rayutil import anchor_from_input, keyed_groups, zero_token
+
 NULL_LABEL = "(null)"   # null group keys → label (Ray's sort-shuffle groupby
                         # can't order null keys; oracle SQL uses COALESCE)
 
 
 def _knull(key: str) -> str:
     return f"__knull_{key}"
-
-
-def _zero_like(t: pa.DataType) -> pa.Scalar:
-    """A valid in-domain token of type ``t`` used ONLY as shuffle filler for
-    null keys (a parallel __knull flag column disambiguates, so collision
-    with real zeros is impossible)."""
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return pa.scalar("", type=t)
-    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
-        return pa.scalar(b"", type=t)
-    if pa.types.is_boolean(t):
-        return pa.scalar(False, type=t)
-    return pa.scalar(0, type=t)    # ints / floats / decimals / ts / duration
 
 
 def mask_null_keys(keys: Sequence[str]):
@@ -73,7 +62,7 @@ def mask_null_keys(keys: Sequence[str]):
                 # (int8) so zero-fill is possible; unmask restores nulls
                 col = col.cast(pa.int8())
             flag = pc.cast(pc.is_null(col), pa.int8())
-            filled = pc.fill_null(col, _zero_like(col.type))
+            filled = pc.fill_null(col, zero_token(col.type))
             t = t.set_column(t.column_names.index(k), k, filled)
             t = t.append_column(_knull(k), flag)
         return t
@@ -166,7 +155,6 @@ def grouped_counts(ds: "ray.data.Dataset", keys: Sequence[str],
         partial, list(keys), Sum(count_name, alias_name=count_name))
     # schema anchor: an all-empty input yields zero groupby output blocks
     # and the result loses its column list (Ray 2.49 drops empty blocks)
-    from ..rayutil import anchor_from_input
     return anchor_from_input(
         out, ds, lambda s: pa.schema(
             [(k, s.field(k).type) for k in keys]
@@ -201,7 +189,7 @@ def grouped_topk(ds: "ray.data.Dataset", keys: Sequence[str], k: int = 10,
                                   batch_size=None)
     # driver fold stays in ARROW: to_pandas() promotes a nullable int64
     # key to float64, collapsing distinct keys >= 2^53 (the same cliff
-    # window._sorted_segments guards against) — the selection, tie-break
+    # rayutil._segment_starts guards against) — the selection, tie-break
     # and returned key values must all be exact int64
     import ray as _ray
     tables = [t for t in _ray.get(parts_ds.to_arrow_refs()) if len(t)]
@@ -251,6 +239,9 @@ def _cents(col) -> "pa.Array":
                             round_mode="half_towards_infinity"), pa.int64())
 
 
+_FALLBACK_GROUPS = 64     # group calls of grouped_quantiles' distributed merge
+
+
 def _quantiles_from_hist(cents_sorted, cum, qs: "tuple[float, ...]") -> dict:
     """quantile_disc rule off a cumulative histogram: the sorted multiset's
     element at index ceil(q·n)−1."""
@@ -284,8 +275,8 @@ def grouped_quantiles(ds, key: str = "event_type", val: str = "value",
     (the bounded-cents-domain common case) merge on the driver with one
     pandas groupby and return a small pandas frame; above it — an
     unbounded value domain where the histogram itself is big — the merge
-    is a distributed ``groupby(key).map_groups`` and a Dataset streams
-    back instead (the guard VERDICT r3 #9 asked for)."""
+    is a distributed keyed-group shuffle (``rayutil.keyed_groups``) and a
+    Dataset streams back instead (the guard VERDICT r3 #9 asked for)."""
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc
@@ -311,34 +302,35 @@ def grouped_quantiles(ds, key: str = "event_type", val: str = "value",
         return pd.DataFrame(columns=[key] + [f"p{int(round(q * 100))}"
                                              for q in qs])
     if parts_ds.count() > driver_partial_rows_max:
-        # distributed fallback: one shuffle on the group key; each group's
-        # histogram merge + quantile extraction runs in a worker. A null
-        # group key rides the shuffle as (zero-token, __knull=1) — see
-        # mask_null_keys — and is restored in per_key, so BOTH merge paths
-        # emit a real null group key (= the quantile_disc oracle) for
-        # EVERY key type, with no sentinel-collision trade.
-        parts_ds = parts_ds.map_batches(mask_null_keys([key]),
-                                        batch_format="pyarrow",
-                                        batch_size=None)
+        # distributed fallback: one keyed-group shuffle over the partials;
+        # each key's histogram rows arrive sorted by cents (nulls last), so
+        # the quantiles come straight off the un-merged cumulative counts
+        # (equal cents rows are adjacent). A null group key is a real null
+        # group here, as in the driver merge and the quantile_disc oracle.
+        names = [f"p{int(round(q * 100))}" for q in qs]
 
-        def per_key(t: pa.Table) -> pd.DataFrame:
-            g = t.to_pandas().dropna(subset=["cents"]) \
-                .groupby("cents", as_index=False)["cnt"].sum() \
-                .sort_values("cents")
-            kv = (None if t[_knull(key)][0].as_py()
-                  else t[key][0].as_py())
-            if len(g) == 0:        # all-null values: NULL quantiles, like
-                row = {key: kv,    # quantile_disc over an all-NULL group
-                       **{f"p{int(round(q * 100))}": None for q in qs}}
-            else:
-                row = {key: kv,
-                       **_quantiles_from_hist(g["cents"].to_numpy(),
-                                              g["cnt"].cumsum().to_numpy(),
-                                              qs)}
-            return pd.DataFrame([row])
+        def per_key(t: pa.Table, starts) -> pa.Table:
+            valid = t["cents"].is_valid().to_numpy(zero_copy_only=False)
+            cents = pc.fill_null(t["cents"], 0).to_numpy(zero_copy_only=False)
+            cnt = t["cnt"].to_numpy(zero_copy_only=False)
+            cols = {p: [] for p in names}
+            for s, e in zip(starts, np.append(starts[1:], len(t))):
+                v = valid[s:e]
+                # all-null values: NULL quantiles, like quantile_disc
+                row = (_quantiles_from_hist(cents[s:e][v],
+                                            np.cumsum(cnt[s:e][v]), qs)
+                       if v.any() else {})
+                for p in names:
+                    cols[p].append(row.get(p))
+            return pa.table({key: t[key].take(pa.array(starts)),
+                             **{p: pa.array(cols[p], type=pa.int64())
+                                for p in names}})
 
-        return parts_ds.groupby([key, _knull(key)]) \
-            .map_groups(per_key, batch_format="pyarrow")
+        return keyed_groups(
+            parts_ds, [key], per_key,
+            lambda s: pa.schema([(key, s.field(key).type)]
+                                + [(p, pa.int64()) for p in names]),
+            _FALLBACK_GROUPS, order_by=["cents"])
     parts = parts_ds.to_pandas()
     # dropna=False: a null group KEY must survive the merge like the
     # quantile_disc oracle's NULL group; null CENTS rows keep all-null
@@ -428,7 +420,6 @@ def zscore_outliers(ds, key: str = "event_type", val: str = "value",
     # schema anchor: when EVERY block filters to zero outliers Ray drops
     # the empty blocks and the result loses its column list (r4 fuzz) —
     # union a typed zero-row block so downstream keeps the column list
-    from ..rayutil import anchor_from_input
     out_ds = ds.map_batches(flag, batch_format="pyarrow", batch_size=None)
     return anchor_from_input(
         out_ds, ds,

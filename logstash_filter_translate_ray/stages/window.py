@@ -3,12 +3,13 @@ workloads') — tumbling windows, per-key previous-event gaps (as-of style),
 and inactivity-gap sessionization.
 
 Partitioning contract (documented per north_rule): the per-key operators
-co-locate each key's rows via ``groupby(key)`` — a hash shuffle of the
-full rows — then order by (ts, id) INSIDE the group. At 10^12-row scale the
-shuffle is the dominant cost; mitigate by pre-filtering columns (only key,
-ts, id move) and, for skewed keys, falling back to the combiner pattern
-where the per-key computation allows it (counts do; gaps don't — a gap
-needs its neighbor, so a hot key's rows genuinely must meet).
+co-locate each key's rows via ``rayutil.keyed_groups`` — a hash-bucketed
+shuffle of the full rows — which orders them by (key, ts, id) INSIDE the
+group. At 10^12-row scale the shuffle is the dominant cost; mitigate by
+pre-filtering columns (only key, ts, id move) and, for skewed keys,
+falling back to the combiner pattern where the per-key computation allows
+it (counts do; gaps don't — a gap needs its neighbor, so a hot key's rows
+genuinely must meet).
 
 The tumbling-window count needs NO per-key shuffle at all: the bucket is a
 row-local function of ts, so it composes with the combiner aggregate.
@@ -21,6 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..rayutil import keyed_groups
 from .aggregate import grouped_counts
 
 
@@ -54,78 +56,10 @@ def _ts_to_epoch_us(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     return pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
 
 
-def _bucket_by_key_hash(ds, key: str, num_buckets: int, bucket_col: str):
-    """Add a deterministic hash-bucket column so a later groupby co-locates
-    each key's rows while making only ``num_buckets`` (vectorized) group
-    calls — not one per key. `pd.util.hash_array` is a fixed-key siphash,
-    stable across processes/nodes (dictionary_encode codes are NOT).
-
-    Nulls are zero-token-FILLED before hashing: ``to_numpy`` promotes an
-    int64 block WITH nulls to float64 while a null-free block stays int64,
-    and the two representations hash differently — the same key then
-    scatters across buckets depending on block composition, duplicating
-    its group downstream (r4 fuzz). Null rows ride the zero token's
-    bucket; in-bucket segmentation separates them by the null mask."""
-    from .aggregate import _zero_like
-
-    def _fn(t: pa.Table) -> pa.Table:
-        col = t[key]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_null(col.type):
-            filled = np.zeros(len(t), dtype=np.int64)
-        else:
-            filled = pc.fill_null(col, _zero_like(col.type)) \
-                .to_numpy(zero_copy_only=False)
-        hb = (pd.util.hash_array(np.asarray(filled)) % num_buckets) \
-            .astype(np.int64)
-        return t.append_column(bucket_col, pa.array(hb))
-    return ds.map_batches(_fn, batch_format="pyarrow", batch_size=None)
-
-
-def _sorted_segments(t: pa.Table, key: str, ts_col: str, id_col: str):
-    """Sort a bucket's table by (key, ts, id) and return
-    (sorted_table, epoch_us, key_boundary_mask). One vectorized pass — no
-    per-key pandas frames (the bucket may hold thousands of keys)."""
-    idx = pc.sort_indices(t, sort_keys=[(key, "ascending"),
-                                        (ts_col, "ascending"),
-                                        (id_col, "ascending")])
-    t = t.take(idx)
-    ts_us = _ts_to_epoch_us(t[ts_col])
-    n = len(t)
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    if n > 1:
-        # adjacency computed IN ARROW on the raw values — to_numpy would
-        # promote a nulls-bearing int64 key to float64 and silently merge
-        # distinct keys >= 2^53 into one segment. Null keys form ONE
-        # segment, like SQL GROUP BY's single NULL group: pc.equal yields
-        # null where either side is null, so adjacent nulls are made equal
-        # by the explicit mask while null-vs-value stays a boundary.
-        col = t[key]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        isnull = pc.is_null(col).to_numpy(zero_copy_only=False)
-        if pa.types.is_null(col.type):
-            same = np.ones(n - 1, dtype=bool)
-        else:
-            eq = pc.fill_null(pc.equal(col.slice(1), col.slice(0, n - 1)),
-                              False).to_numpy(zero_copy_only=False)
-            same = np.asarray(eq, dtype=bool) | (isnull[1:] & isnull[:-1])
-        boundary[1:] = ~same
-    return t, ts_us, boundary
-
-
-def _anchored(bucketed, per_bucket, in_ds, schema_of):
-    """groupby(_kb).map_groups with an empty-input schema anchor: Ray 2.49
-    never calls per_bucket on an EMPTY dataset and the result then has no
-    schema (a fully filtered stream would lose its column list at the
-    sink). ``schema_of`` builds the group fn's exact output schema from the
-    PRE-bucket input schema (fetching it runs at most one upstream block)."""
-    from ..rayutil import anchor_from_input
-    out_ds = bucketed.groupby("_kb").map_groups(per_bucket,
-                                                batch_format="pyarrow")
-    return anchor_from_input(out_ds, in_ds, schema_of)
+def _key_boundary(n: int, starts) -> np.ndarray:
+    boundary = np.zeros(n, dtype=bool)
+    boundary[starts] = True
+    return boundary
 
 
 def prev_event_gap(ds, key: str = "user_id", ts_col: str = "ts",
@@ -134,29 +68,25 @@ def prev_event_gap(ds, key: str = "user_id", ts_col: str = "ts",
     """Per-key previous-event gap (as-of/self-lag): for each row, µs since
     the key's previous event ordered by (ts, id); null for the first.
 
-    Scale shape: ONE hash shuffle on a key-hash bucket (num_buckets group
-    calls total), then a segmented np.diff inside each bucket — per-group
-    call cost is O(num_buckets), not O(distinct keys). A hot key's rows
-    still meet in one bucket (inherent: a gap needs its neighbor)."""
-    bucketed = _bucket_by_key_hash(ds, key, num_buckets, "_kb")
+    Scale shape: ONE keyed-group shuffle (``num_buckets`` group calls
+    total), then a segmented np.diff inside each bucket — per-group call
+    cost is O(num_buckets), not O(distinct keys). A hot key's rows still
+    meet in one bucket (inherent: a gap needs its neighbor)."""
 
-    def per_bucket(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({id_col: pa.array([], type=t.schema.field(id_col).type),
-                             out: pa.array([], type=pa.float64())})
-        t, ts_us, boundary = _sorted_segments(t, key, ts_col, id_col)
+    def per_bucket(t: pa.Table, starts) -> pa.Table:
+        ts_us = _ts_to_epoch_us(t[ts_col])
         gap = np.empty(len(t), dtype=np.float64)
-        gap[0] = np.nan
         np.subtract(ts_us[1:], ts_us[:-1], out=gap[1:], casting="unsafe")
-        gap[boundary] = np.nan
+        gap[starts] = np.nan
         # float64 with NaN→null: nullable-BIGINT window results come back as
         # float64 from SQL engines too, so the driver sees identical values
         return pa.table({id_col: t[id_col],
                          out: pa.array(gap, from_pandas=True)})
 
-    return _anchored(bucketed, per_bucket, ds,
-                     lambda s: pa.schema([(id_col, s.field(id_col).type),
-                                          (out, pa.float64())]))
+    return keyed_groups(ds, [key], per_bucket,
+                        lambda s: pa.schema([(id_col, s.field(id_col).type),
+                                             (out, pa.float64())]),
+                        num_buckets, order_by=[ts_col, id_col])
 
 
 def session_counts(ds, key: str = "user_id", ts_col: str = "ts",
@@ -168,11 +98,9 @@ def session_counts(ds, key: str = "user_id", ts_col: str = "ts",
     Same bucketed-segmented shape as prev_event_gap (no per-key frames)."""
     gap_us = int(pd.Timedelta(gap).value // 1000)
 
-    def per_bucket(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({key: pa.array([], type=t.schema.field(key).type),
-                             "n_sessions": pa.array([], type=pa.int64())})
-        t, ts_us, boundary = _sorted_segments(t, key, ts_col, id_col)
+    def per_bucket(t: pa.Table, starts) -> pa.Table:
+        ts_us = _ts_to_epoch_us(t[ts_col])
+        boundary = _key_boundary(len(t), starts)
         # float64 diff: a null ts makes ts_us float64-with-NaN (Arrow's
         # nullable-int64 promotion) and an int64 out buffer raised a
         # casting TypeError (same hazard prev_event_gap guards). A NaN
@@ -186,17 +114,14 @@ def session_counts(ds, key: str = "user_id", ts_col: str = "ts",
         with np.errstate(invalid="ignore"):
             new_session = boundary | (diff > gap_us) | np.isnan(diff)
         seg = np.cumsum(boundary) - 1          # dense key index in sort order
-        counts = np.bincount(seg[new_session], minlength=seg[-1] + 1)
-        kidx = pa.array(np.nonzero(boundary)[0], type=pa.int64())
-        return pa.table({key: pc.take(t[key].combine_chunks()
-                                      if isinstance(t[key], pa.ChunkedArray)
-                                      else t[key], kidx),
+        counts = np.bincount(seg[new_session], minlength=len(starts))
+        return pa.table({key: t[key].take(pa.array(starts)),
                          "n_sessions": pa.array(counts, type=pa.int64())})
 
-    bucketed = _bucket_by_key_hash(ds, key, num_buckets, "_kb")
-    return _anchored(bucketed, per_bucket, ds,
-                     lambda s: pa.schema([(key, s.field(key).type),
-                                          ("n_sessions", pa.int64())]))
+    return keyed_groups(ds, [key], per_bucket,
+                        lambda s: pa.schema([(key, s.field(key).type),
+                                             ("n_sessions", pa.int64())]),
+                        num_buckets, order_by=[ts_col, id_col])
 
 
 def event_paths(ds, key: str = "user_id", ts_col: str = "ts",
@@ -207,27 +132,21 @@ def event_paths(ds, key: str = "user_id", ts_col: str = "ts",
     assembly shape: one row per key with its values joined in (ts, id)
     order). Same bucketed-segmented plan as prev_event_gap; the join is
     ``pc.binary_join`` over a ListArray — no per-key Python string work."""
-    bucketed = _bucket_by_key_hash(ds, key, num_buckets, "_kb")
 
-    def per_bucket(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({key: pa.array([], type=t.schema.field(key).type),
-                             out: pa.array([], type=pa.string())})
-        t, _, boundary = _sorted_segments(t, key, ts_col, id_col)
+    def per_bucket(t: pa.Table, starts) -> pa.Table:
         # null values are SKIPPED, not poisoning: pc.binary_join nulls the
         # whole joined string when any list element is null, but the SQL
         # mirror (string_agg ... ORDER BY) ignores NULL elements and a key
         # whose values are ALL null gets a null path. Segment offsets are
         # rebuilt over the valid-only rows; keys that lose every row stay
-        # in the output via the all-keys boundary list.
+        # in the output via the all-keys start list.
         vals = t[val_col]
         if isinstance(vals, pa.ChunkedArray):
             vals = vals.combine_chunks()
         valid = np.asarray(pc.is_valid(vals))
-        seg = np.cumsum(boundary) - 1          # dense key index, sort order
-        n_keys = seg[-1] + 1
-        kept_per_key = np.bincount(seg[valid], minlength=n_keys)
-        offs = np.zeros(n_keys + 1, dtype=np.int32)
+        seg = np.cumsum(_key_boundary(len(t), starts)) - 1
+        kept_per_key = np.bincount(seg[valid], minlength=len(starts))
+        offs = np.zeros(len(starts) + 1, dtype=np.int32)
         np.cumsum(kept_per_key, out=offs[1:])
         kept_vals = pc.cast(vals.filter(pa.array(valid)), pa.string())
         joined = pc.binary_join(
@@ -235,10 +154,9 @@ def event_paths(ds, key: str = "user_id", ts_col: str = "ts",
         if (kept_per_key == 0).any():          # all-null keys → null path
             joined = pc.if_else(pa.array(kept_per_key > 0), joined,
                                 pa.scalar(None, type=pa.string()))
-        kidx = pa.array(np.nonzero(boundary)[0], type=pa.int64())
-        keys_arr = t[key].combine_chunks() if isinstance(t[key], pa.ChunkedArray) else t[key]
-        return pa.table({key: pc.take(keys_arr, kidx), out: joined})
+        return pa.table({key: t[key].take(pa.array(starts)), out: joined})
 
-    return _anchored(bucketed, per_bucket, ds,
-                     lambda s: pa.schema([(key, s.field(key).type),
-                                          (out, pa.string())]))
+    return keyed_groups(ds, [key], per_bucket,
+                        lambda s: pa.schema([(key, s.field(key).type),
+                                             (out, pa.string())]),
+                        num_buckets, order_by=[ts_col, id_col])

@@ -1,5 +1,6 @@
-"""Differential fuzz: grouped_quantiles + zscore_outliers vs DuckDB on
-adversarial values (negative, .005 ties, nulls, null keys)."""
+"""Differential fuzz: grouped_quantiles (driver merge and distributed
+fallback) vs DuckDB on adversarial values (negative, .005 ties, nulls,
+null keys)."""
 import sys
 sys.path.insert(0, "/root/repo")
 import duckdb
@@ -32,19 +33,23 @@ def fuzz_q(rows):
                                            type=pa.string()),
                     "value": pa.array([r[1] for r in rows],
                                       type=pa.float64())})
-    got = grouped_quantiles(rd.from_arrow(tbl), qs=(0.5, 0.95))
     con = duckdb.connect(); con.register("events", tbl)
     want = con.execute(
         "SELECT event_type, "
         "quantile_disc(CAST(round(value*100) AS BIGINT), 0.5) AS p50, "
         "quantile_disc(CAST(round(value*100) AS BIGINT), 0.95) AS p95 "
         "FROM events GROUP BY event_type").df()
-    got = got.reset_index(drop=True)
-    g = got.fillna({"event_type": "(nul)"}).sort_values("event_type").reset_index(drop=True)
     w = want.fillna({"event_type": "(nul)"}).sort_values("event_type").reset_index(drop=True)
-    pd.testing.assert_frame_equal(g[["event_type", "p50", "p95"]],
-                                  w[["event_type", "p50", "p95"]],
-                                  check_dtype=False)
+    # both merge paths: the driver frame and the distributed fallback
+    for kw in ({}, {"driver_partial_rows_max": 0}):
+        got = grouped_quantiles(rd.from_arrow(tbl), qs=(0.5, 0.95), **kw)
+        if not isinstance(got, pd.DataFrame):
+            got = got.to_pandas()
+        got = got.reset_index(drop=True)
+        g = got.fillna({"event_type": "(nul)"}).sort_values("event_type").reset_index(drop=True)
+        pd.testing.assert_frame_equal(g[["event_type", "p50", "p95"]],
+                                      w[["event_type", "p50", "p95"]],
+                                      check_dtype=False)
 
 if __name__ == "__main__":
     fuzz_q(); print("fuzz_quantiles OK")

@@ -639,37 +639,6 @@ def test_knn_join_matches_numpy(emb_ds):
 
 
 # ---------------------------------------------------------------------------
-# sketches: HyperLogLog distinct counting
-# ---------------------------------------------------------------------------
-
-def test_hll_accuracy_and_merge(ray_session):
-    """Estimate within ~3σ of the true distinct count at several
-    cardinalities; splitting a corpus into partial sketches and merging
-    gives the SAME registers as one pass (associativity)."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.sketch import (
-        HyperLogLog, approx_distinct)
-    import pandas as pd_
-    for true_n in (100, 5_000, 100_000):
-        vals = np.asarray([f"v{i}" for i in range(true_n)] * 2,
-                          dtype=object)                 # dups don't count
-        one = HyperLogLog()
-        one.add_hashes(pd_.util.hash_array(vals))
-        est = one.estimate()
-        sigma = 1.04 / np.sqrt(one.m)
-        assert abs(est - true_n) / true_n < 3 * sigma + 0.01, (true_n, est)
-        # merge of halves == single pass (register-exact)
-        a, b = HyperLogLog(), HyperLogLog()
-        a.add_hashes(pd_.util.hash_array(vals[: len(vals) // 2]))
-        b.add_hashes(pd_.util.hash_array(vals[len(vals) // 2:]))
-        assert np.array_equal(a.merge(b).registers, one.registers)
-    # dataset wrapper over real blocks
-    tbl = pa.table({"k": [f"u{i % 3000}" for i in range(10_000)]})
-    est = approx_distinct(rd.from_arrow(tbl).repartition(8), "k")
-    assert abs(est - 3000) / 3000 < 0.06
-
-
-# ---------------------------------------------------------------------------
 # real pure-numpy codecs (uncompressed formats)
 # ---------------------------------------------------------------------------
 
@@ -758,25 +727,6 @@ def test_repetition_scores():
     out = text.repetition_batch(t)
     assert out["dup_word_frac"].to_pylist() == [0.5, 0.5, 0.0]
     assert out["dup_line_frac"].to_pylist() == [0.0, 0.5, 0.0]
-
-
-def test_hll_rank_exact_at_power_of_two_boundaries():
-    """floor(log2) must be integer-exact: naive float log2 rounds up a few
-    ulps below powers of two (found in round-3 review; fixed with a 32-bit
-    split + frexp)."""
-    from logstash_filter_translate_ray.functions.sketch import HyperLogLog
-    for p in (4, 12, 16):
-        sb = 64 - p
-        for k in (1, 31, 32, 33, sb - 1):
-            if k >= sb:
-                continue
-            for w in ((1 << k), (1 << k) - 1):
-                if w == 0:
-                    continue
-                h = HyperLogLog(p)
-                h.add_hashes(np.array([w], dtype=np.uint64))
-                assert int(h.registers[0]) == sb - (w.bit_length() - 1), \
-                    (p, k, w)
 
 
 def test_incremental_dedup_drop_broadcast_path(ray_session):
@@ -934,3 +884,23 @@ def test_frame_sample_stage(ray_session):
         multimodal.frame_sample_dataset(rd.from_arrow(bad)).to_pandas()
     assert "NotImplementedError" in str(ei.value) or isinstance(
         ei.value, NotImplementedError)
+
+
+def test_bucket_candidate_pairs_skip_counter(ray_session):
+    """hot_cap skips are no longer silent: the counter actor receives the
+    skipped bucket/row totals (VERDICT r3 #4)."""
+    import ray
+    import ray.data as rd
+    tbl = pa.table({"doc_id": pa.array(np.arange(10, dtype=np.int64)),
+                    "bucket": pa.array(np.zeros(10, dtype=np.int64))})
+    ctr = dedup.make_skip_counter()
+    out = dedup.bucket_candidate_pairs(rd.from_arrow(tbl), "bucket",
+                                       "doc_id", hot_cap=4,
+                                       skip_counter=ctr).to_pandas()
+    assert len(out) == 0                     # the one bucket was hot
+    totals = ray.get(ctr.totals.remote())
+    assert totals["buckets"] == 1 and totals["rows"] == 10
+    # and with the cap off, the pairs come back
+    out2 = dedup.bucket_candidate_pairs(rd.from_arrow(tbl), "bucket",
+                                        "doc_id", hot_cap=None).to_pandas()
+    assert len(out2) == 45

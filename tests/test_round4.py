@@ -1,9 +1,10 @@
-"""Round-4 review fixes: hot-cap skip counters, grouped_quantiles
-null/distributed guards, sampling fraction-1.0, resize metadata NaN
+"""Round-4 review fixes: sampling fraction-1.0, resize metadata NaN
 guard, %{+timeformat} sprintf reject. The DictionaryService
 cross-handle consistency test lives in tests/test_dictionary.py; the
 knn_join, exact/LSH near-dup and IVF centroid tests live in
-tests/test_similarity.py."""
+tests/test_similarity.py; the grouped_quantiles null/distributed guards
+and the window null-key tests live in tests/test_null_keys.py; the
+hot-cap skip-counter test lives in tests/test_functions.py."""
 
 import numpy as np
 import pandas as pd
@@ -11,52 +12,6 @@ import pyarrow as pa
 import pytest
 
 from logstash_filter_translate_ray.functions import dedup
-
-
-def test_grouped_quantiles_fallback_null_key_parity(ray_session):
-    """The distributed fallback must emit the SAME null group key as the
-    driver merge (a real null, not the shuffle sentinel) — output must not
-    change shape with data volume."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.aggregate import (
-        grouped_quantiles)
-    tbl = pa.table({
-        "event_type": ["a", "a", None, None],
-        "value": [1.0, 2.0, 5.0, 7.0],
-    })
-    driver = grouped_quantiles(rd.from_arrow(tbl), qs=(0.5,)) \
-        .sort_values("event_type", na_position="last").reset_index(drop=True)
-    fb = grouped_quantiles(rd.from_arrow(tbl), qs=(0.5,),
-                           driver_partial_rows_max=0).to_pandas() \
-        .sort_values("event_type", na_position="last").reset_index(drop=True)
-    # normalize None vs NaN in the object key column — pandas treats the
-    # mismatch as a FutureWarning today and a failure tomorrow
-    for df in (driver, fb):
-        df["event_type"] = df["event_type"].astype(object).where(
-            df["event_type"].notna(), None)
-    pd.testing.assert_frame_equal(fb[driver.columns], driver,
-                                  check_dtype=False)
-    assert pd.isna(fb.loc[1, "event_type"])     # not the "(null)" sentinel
-
-
-def test_bucket_candidate_pairs_skip_counter(ray_session):
-    """hot_cap skips are no longer silent: the counter actor receives the
-    skipped bucket/row totals (VERDICT r3 #4)."""
-    import ray
-    import ray.data as rd
-    tbl = pa.table({"doc_id": pa.array(np.arange(10, dtype=np.int64)),
-                    "bucket": pa.array(np.zeros(10, dtype=np.int64))})
-    ctr = dedup.make_skip_counter()
-    out = dedup.bucket_candidate_pairs(rd.from_arrow(tbl), "bucket",
-                                       "doc_id", hot_cap=4,
-                                       skip_counter=ctr).to_pandas()
-    assert len(out) == 0                     # the one bucket was hot
-    totals = ray.get(ctr.totals.remote())
-    assert totals["buckets"] == 1 and totals["rows"] == 10
-    # and with the cap off, the pairs come back
-    out2 = dedup.bucket_candidate_pairs(rd.from_arrow(tbl), "bucket",
-                                        "doc_id", hot_cap=None).to_pandas()
-    assert len(out2) == 45
 
 
 def test_join_operand_empty_first_block(ray_session):
@@ -91,45 +46,6 @@ def test_join_operand_empty_first_block(ray_session):
     sizes = [b.num_rows for b in jo.iter_batches(batch_format="pyarrow",
                                                  batch_size=None)]
     assert sum(sizes) == 2 and all(s > 0 for s in sizes)
-
-
-def test_grouped_quantiles_null_group_kept(ray_session):
-    """A null group KEY survives (quantile_disc keeps the NULL group);
-    null VALUES are ignored within a group (ADVICE r3)."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.aggregate import (
-        grouped_quantiles)
-    tbl = pa.table({
-        "event_type": ["a", "a", None, None, "a", None],
-        "value": [1.0, 2.0, 5.0, 7.0, None, None],
-    })
-    out = grouped_quantiles(rd.from_arrow(tbl), qs=(0.5,))
-    out = out.sort_values("event_type", na_position="last") \
-        .reset_index(drop=True)
-    assert len(out) == 2
-    # group 'a': values {100, 200} (null value ignored) → p50 = 100
-    assert out.loc[0, "event_type"] == "a" and out.loc[0, "p50"] == 100
-    # null group: values {500, 700} → p50 = 500
-    assert pd.isna(out.loc[1, "event_type"]) and out.loc[1, "p50"] == 500
-
-
-def test_grouped_quantiles_distributed_fallback(ray_session, sf_dir):
-    """Forcing the partial-row threshold to 0 routes the merge through the
-    distributed groupby path; values must equal the driver merge
-    (VERDICT r3 #9)."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.aggregate import (
-        grouped_quantiles)
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
-    driver = grouped_quantiles(ds) \
-        .sort_values("event_type").reset_index(drop=True)
-    fb = grouped_quantiles(ds, driver_partial_rows_max=0)
-    import ray.data
-    assert isinstance(fb, ray.data.Dataset)
-    fb = fb.to_pandas().sort_values("event_type").reset_index(drop=True)
-    pd.testing.assert_frame_equal(fb[driver.columns], driver,
-                                  check_dtype=False)
 
 
 def test_hash_sample_fraction_one_keeps_nulls(ray_session):
@@ -483,64 +399,6 @@ def test_csv_quoted_empty_vs_unquoted_null(ray_session, tmp_path):
     assert tools[1] == ""                  # quoted "" survives
 
 
-def test_session_counts_null_ts_matches_sql_oracle(ray_session):
-    """A null ts promotes the epoch array to float64-with-NaN; the int64
-    diff buffer raised a casting TypeError. A NaN gap STARTS a session —
-    the registered lag-based SQL counts `gap_us IS NULL` as a session
-    start, and the earlier `NaN > gap → False` silently absorbed null-ts
-    rows into the previous session (r4 fuzz find). Null-ts rows sort last
-    on both sides, so the parity holds row-for-row."""
-    import duckdb
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.window import session_counts
-    ts = pa.array([1_000_000, 10_000_000_000_000, None, 500_000, None, None],
-                  type=pa.timestamp("us"))
-    tbl = pa.table({"user_id": ["u1", "u1", "u1", "u2", "u3", "u3"],
-                    "event_id": pa.array([1, 2, 3, 4, 5, 6],
-                                         type=pa.int64()),
-                    "ts": ts})
-    out = session_counts(rd.from_arrow(tbl), gap="30min").to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-    # u1: two real events far apart + a null-ts row → 3; u3: two null-ts
-    # rows → 2 (each unknown-time edge is a new session, like the SQL)
-    assert out["user_id"].tolist() == ["u1", "u2", "u3"]
-    assert out["n_sessions"].tolist() == [3, 1, 2]
-    con = duckdb.connect()
-    con.register("events", tbl)
-    want = con.execute(
-        "WITH g AS (SELECT user_id, epoch_us(ts) - lag(epoch_us(ts)) OVER "
-        "(PARTITION BY user_id ORDER BY ts, event_id) AS gap_us FROM events) "
-        "SELECT user_id, CAST(SUM(CASE WHEN gap_us IS NULL OR "
-        "gap_us > 1800000000 THEN 1 ELSE 0 END) AS BIGINT) AS n_sessions "
-        "FROM g GROUP BY user_id ORDER BY user_id").df()
-    assert out["n_sessions"].tolist() == want["n_sessions"].tolist()
-
-
-def test_event_paths_null_values_skipped(ray_session):
-    """Null path elements are SKIPPED like string_agg (one null event_type
-    must not null the whole path); an all-null key emits a null path."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.window import event_paths
-    tbl = pa.table({
-        "user_id": ["a", "a", "a", "b", "b"],
-        "event_id": pa.array([1, 2, 3, 4, 5], type=pa.int64()),
-        "ts": pa.array([1, 2, 3, 1, 2], type=pa.timestamp("us")),
-        "event_type": ["x", None, "y", None, None],
-    })
-    out = event_paths(rd.from_arrow(tbl)).to_pandas() \
-        .sort_values("user_id").reset_index(drop=True)
-    assert out.loc[0, "path"] == "x>y"          # null element skipped
-    assert pd.isna(out.loc[1, "path"])          # all-null key → null
-
-    # parity with the SQL the oracle uses
-    import duckdb
-    want = duckdb.connect().execute(
-        "SELECT user_id, string_agg(event_type, '>' ORDER BY ts, event_id)"
-        " AS path FROM tbl GROUP BY user_id ORDER BY user_id").df()
-    pd.testing.assert_frame_equal(out[["user_id", "path"]], want,
-                                  check_dtype=False)
-
-
 def test_langid_and_winnow_null_text(ray_session):
     """null ⇔ absent: langid(null) = null (the SQL CASE is guarded the
     same way) and winnow(null) = null list, not []."""
@@ -712,24 +570,3 @@ def test_block_invariance_regressions_r4_fuzz():
                              dictionary={"0": False}, nil_is_present=True))
 
 
-def test_grouped_quantiles_all_null_value_group_kept(ray_session):
-    """A group whose values are ALL null must still appear, with NULL
-    quantiles — SQL GROUP BY keeps the group and quantile_disc returns
-    NULL over all-NULL values; the histogram partials used to filter null
-    cents and such groups vanished entirely (r4 fuzz). Both merge paths."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.aggregate import (
-        grouped_quantiles)
-    tbl = pa.table({"event_type": ["a", "a", "b", None],
-                    "value": pa.array([1.0, 2.0, None, None],
-                                      type=pa.float64())})
-    for kwargs in ({}, {"driver_partial_rows_max": 0}):
-        out = grouped_quantiles(rd.from_arrow(tbl), qs=(0.5,), **kwargs)
-        if hasattr(out, "to_pandas"):
-            out = out.to_pandas()
-        out = out.fillna({"event_type": "(n)"}) \
-            .sort_values("event_type").reset_index(drop=True)
-        assert out["event_type"].tolist() == ["(n)", "a", "b"]
-        assert pd.isna(out.loc[0, "p50"]) and pd.isna(out.loc[2, "p50"])
-        # quantile_disc rule: element at ceil(0.5*2)-1 = index 0 -> 100
-        assert out.loc[1, "p50"] == 100

@@ -2,7 +2,8 @@
 round-5 VERDICT tasks (missing_file_ok, grouped-partial top-k,
 spill-pressure smoke) as they land. The IVF kNN join tests live in
 tests/test_similarity.py; the missing_file_ok translate_dataset test
-lives in tests/test_translate_stage.py."""
+lives in tests/test_translate_stage.py; the window-segment null-key tests
+live in tests/test_null_keys.py."""
 
 import os
 
@@ -10,46 +11,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-
-
-# --------------------------------------------------------------------------
-# ADVICE r4 #1: window segment boundaries must not merge distinct int64
-# keys >= 2^53 when the key column carries nulls (float64 promotion)
-# --------------------------------------------------------------------------
-
-def test_window_segments_large_int_keys_with_nulls(ray_session):
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.window import prev_event_gap
-
-    k1 = 9007199254740992          # 2^53
-    k2 = 9007199254740993          # 2^53 + 1: equal in float64!
-    tbl = pa.table({
-        "user_id": pa.array([k1, k1, k2, k2, None, None], type=pa.int64()),
-        "event_id": pa.array([1, 2, 3, 4, 5, 6], type=pa.int64()),
-        "ts": pa.array([100, 200, 300, 400, 500, 600],
-                       type=pa.timestamp("us")),
-    })
-    out = prev_event_gap(rd.from_arrow(tbl), num_buckets=1).to_pandas() \
-        .set_index("event_id")["gap_us"]
-    # k1 and k2 are DISTINCT keys: each key's first event has a null gap
-    assert pd.isna(out[1]) and out[2] == 100.0
-    assert pd.isna(out[3]) and out[4] == 100.0      # would be 100,100 only
-    # null keys form ONE segment (SQL GROUP BY null-group convention)
-    assert pd.isna(out[5]) and out[6] == 100.0
-
-
-def test_window_segments_null_type_key(ray_session):
-    """An all-null (null-typed) key column is one segment, not a crash."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.window import prev_event_gap
-    tbl = pa.table({
-        "user_id": pa.array([None, None, None], type=pa.null()),
-        "event_id": pa.array([1, 2, 3], type=pa.int64()),
-        "ts": pa.array([10, 20, 40], type=pa.timestamp("us")),
-    })
-    out = prev_event_gap(rd.from_arrow(tbl), num_buckets=1).to_pandas() \
-        .set_index("event_id")["gap_us"]
-    assert pd.isna(out[1]) and out[2] == 10.0 and out[3] == 20.0
 
 
 # --------------------------------------------------------------------------

@@ -351,3 +351,11 @@ def test_knn_join_ivf_route_chunk_invariance(ray_session, monkeypatch):
     explicit = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8,
                                 n_probe=3, num_groups=7)
     pd.testing.assert_frame_equal(explicit, whole)
+    # one group for every cell and query, and a three-block input
+    one = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8, n_probe=3,
+                           num_groups=1)
+    pd.testing.assert_frame_equal(one, whole)
+    split = [tbl.slice(0, 7), tbl.slice(7, 200), tbl.slice(207)]
+    pd.testing.assert_frame_equal(
+        sim.knn_join_ivf(rd.from_arrow(split), k=3, n_cells=8, n_probe=3),
+        whole)
