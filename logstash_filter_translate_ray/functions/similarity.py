@@ -420,7 +420,8 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     """IVF-partitioned APPROXIMATE cosine k-NN join — the 100 TB path the
     exact :func:`knn_join` cannot be (its compute is inherently O(N²)).
 
-    Shape (every step is a Dataset op; nothing materializes on the driver):
+    Shape (steps 1-2 are Dataset ops, steps 3-4 keyed-group task
+    exchanges; no table is collected into the calling process):
 
     1. Coarse centroids via :func:`build_ivf_centroids` (driver k-means on
        a ≤``sample_n`` deterministic hash sample; broadcast via
@@ -432,26 +433,30 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
        in exactly ONE cell (the neighbor's home) and the join emits no
        duplicate pairs by construction. Shuffle volume is
        n_probe × (id + raw float32 vector) per row.
-    3. Keyed-group shuffle on the cell (``num_groups`` group calls —
-       defaults to a SIZE-BASED value so one map_groups task holds ~200k
-       routed rows rather than a fixed 1/64 of the dataset): per cell,
-       the exact running top-k fold (:func:`_running_topk`, the exact
-       join's kernel) of the cell's queries against the cell's members,
-       both in tiles of ``_TILE_ROWS`` rows — the transient score matrix
+    3. Keyed-group exchange on the cell (``rayutil.keyed_groups``: one
+       split task per routed block, one reduce task per non-empty bucket
+       of ``num_groups`` — defaults to a SIZE-BASED value so one reduce
+       task holds ~200k routed rows rather than a fixed 1/64 of the
+       dataset; the exchange runs at call time). Per cell, the exact
+       running top-k fold (:func:`_running_topk`, the exact join's
+       kernel) of the cell's queries against the cell's members, both in
+       tiles of ``_TILE_ROWS`` rows — the transient score matrix
        is bounded at ``_TILE_ROWS``² × 8 B per task, the same bound as
        :func:`knn_join`. Residual memory risk: a single cell's routed
        rows still land in one task, so one HOT cell larger than the group
        target is held whole — pick n_cells ≈ √N so expected cell size ≈
        √N, and raise n_cells if k-means leaves a mega-cell.
-    4. Keyed-group merge on ``vec_id``, ordered by (1e-12-quantized score
-       DESC, id ASC): each query's ≤ n_probe × k candidates arrive in the
-       canonical order, and the first k get ranks 1..k.
+    4. A second exchange, on ``vec_id``, ordered by (1e-12-quantized
+       score DESC, id ASC), reading step 3's reduce outputs directly: each
+       query's ≤ n_probe × k candidates arrive in the canonical order, and
+       the first k get ranks 1..k.
 
     Compute is O(N²/n_cells × n_probe) instead of O(N²): pick
     n_cells ≈ √N at scale. Recall < 1.0 by design (a true neighbor whose
     home cell the query does not probe is missed); raise ``n_probe`` to
     trade compute for recall. Output schema matches :func:`knn_join`
-    (vec_id, nn_rank, neighbor_id); ``as_dataset=True`` streams.
+    (vec_id, nn_rank, neighbor_id); ``as_dataset=True`` returns the
+    merge's reduce outputs as a Dataset without fetching them.
     """
     import ray
 
@@ -468,7 +473,7 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     cent_ref = ray.put(cent)
     np_eff = min(n_probe, len(cent))
     if num_groups is None:
-        # size-based: one cell-bucket map_groups task holds ~200k routed
+        # size-based: one cell-bucket reduce task holds ~200k routed
         # rows (≈ 200k × dim × 12 B after the float64 normalize) instead
         # of a fixed 1/64 of N·n_probe, which grows linearly with N.
         # Result-invariant: per_cell_group/merge_group work per cell /

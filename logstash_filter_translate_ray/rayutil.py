@@ -1,14 +1,14 @@
 """Small shared Ray Data helpers, and the engine's one keyed-group step.
 
-``keyed_groups`` is the only ``groupby(...).map_groups`` call in the
-package. Every operator that needs "all rows of a key in one place"
-(exact dedup, LSH/shingle candidate pairs, pair dedupe, the IVF kNN
-cells and merge, the window operators, the quantile fallback) passes it
-its key columns and a per-group function; this module owns the rest:
+``keyed_groups`` is the only keyed group in the package. Every operator
+that needs "all rows of a key in one place" (exact dedup, LSH/shingle
+candidate pairs, pair dedupe, the IVF kNN cells and merge, the window
+operators, the quantile fallback) passes it its key columns and a
+per-group function; this module owns the rest:
 
 - **Grouping.** Rows whose key tuples are equal reach the same ``fn``
   call, nulls counting as equal (SQL ``GROUP BY``). The key hashes into
-  at most ``num_groups`` buckets, so the shuffle makes a bounded number
+  at most ``num_groups`` buckets, so the exchange makes a bounded number
   of vectorized group calls, not one per key.
 - **Bucket rule.** Nulls are filled with the type's zero token BEFORE
   hashing: ``to_numpy`` promotes an int64 block WITH nulls to float64
@@ -18,40 +18,60 @@ its key columns and a per-group function; this module owns the rest:
   through ``pd.util.hash_array`` (a fixed-key siphash, stable across
   processes), multi-column keys fold into one uint64, and
   :func:`_group_of`'s multiply-shift maps the value to a bucket.
+- **Exchange.** The bucket id is known per row, so there is no sampling,
+  range partitioning or sort shuffle. Split: one task per non-empty
+  input block, submitted as the block streams out of ``ds``, stably
+  sorts it by bucket and returns one zero-copy slice per bucket plus the
+  bucket row counts. Reduce: one task per non-empty bucket concatenates
+  that bucket's slices, sorts them and calls ``fn``. The result wraps the
+  reduce outputs that have rows, known from each reduce's row count, so
+  no table is fetched into the calling process.
+- **Eager.** ``keyed_groups`` runs ``ds`` when called and returns a
+  materialized Dataset, like ``materialize()``, not a lazy plan.
 - **What ``fn`` sees.** ``fn(table, starts)`` gets one bucket's rows
-  sorted by ``(*keys, *order_by)`` with the bucket column dropped, plus
-  the key-segment start offsets. Segments come from null-aware Arrow
-  adjacency on the raw values (never ``to_numpy``, which would merge
-  distinct int64 keys ≥ 2^53 once nulls promote the column to float64).
-  ``fn`` is never called with an empty table.
-- **Schema anchor.** Ray 2.49 never calls the group fn when the input to
-  ``map_groups`` is EMPTY, and the result then has no schema at all
-  (``schema() is None``) — a fully filtered pipeline loses its column
-  list at the sink (``to_pandas()`` returns a 0-column frame,
-  ``write_parquet`` an empty directory with no schema). Unioning a
-  zero-row block of the declared output schema is a data no-op and a
-  schema anchor for the empty case.
+  sorted by ``(*keys, *order_by)`` plus the key-segment start offsets.
+  Segments come from null-aware Arrow adjacency on the raw values (never
+  ``to_numpy``, which would merge distinct int64 keys ≥ 2^53 once nulls
+  promote the column to float64). ``fn`` is never called with an empty
+  table.
+- **Schema anchor.** When every group is empty (a fully filtered input,
+  or ``fn`` emitting no rows) the result is one zero-row block of the
+  declared output schema, so the sink keeps its column list
+  (``to_pandas()`` would otherwise return a 0-column frame and
+  ``write_parquet`` an empty directory). A callable schema is derived
+  from the input schema ``ds.schema()`` resolves, read off the
+  exchange's own stream, so it runs no extra upstream block.
+  ``schema=None`` anchors nothing.
 
-The anchor schema must EXACTLY match the non-empty output's block types:
-Arrow/pandas concatenation would otherwise silently promote (e.g. an int64
-result column unified with a float64 anchor comes back float64, changing
-the driver's value hash). Callers therefore derive the anchor from the
-input dataset's fetched schema or from the same literal types their group
-fn emits — never from a guess.
+The anchor schema must EXACTLY match the non-empty output's types: a
+later concatenation would otherwise silently promote (an int64 column
+unified with a float64 anchor comes back float64, changing the values an
+oracle comparison hashes). Callers derive it from the input schema or
+from the literal types their group fn emits — never from a guess. The
+same holds for :func:`anchor_empty_schema`, which other operators union
+onto a lazy output.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)    # splitmix64 / golden-ratio odd
 _FOLD_MIX = np.uint64(0xC2B2AE3D27D4EB4F)
-_BUCKET = "_gb"
+
+
+def _arrow_schema(sch) -> Optional[pa.Schema]:
+    """``sch`` as a non-empty ``pa.Schema`` (a ``ray.data.Schema`` is
+    unwrapped), else None — a zero-row block from a row-UDF stage can carry
+    no columns at all, and a pandas block schema is not an arrow one."""
+    base = getattr(sch, "base_schema", sch)
+    return base if isinstance(base, pa.Schema) and len(base) else None
 
 
 def input_arrow_schema(ds) -> Optional[pa.Schema]:
@@ -60,11 +80,9 @@ def input_arrow_schema(ds) -> Optional[pa.Schema]:
     on pre-shuffle datasets only — on a groupby/sort output the first block
     costs the whole exchange."""
     try:
-        sch = ds.schema(fetch_if_missing=True)
+        return _arrow_schema(ds.schema(fetch_if_missing=True))
     except Exception:
         return None
-    base = getattr(sch, "base_schema", sch)
-    return base if isinstance(base, pa.Schema) else None
 
 
 def anchor_empty_schema(out_ds, schema: Optional[pa.Schema]):
@@ -157,33 +175,75 @@ def _segment_starts(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
     return np.flatnonzero(boundary)
 
 
+@ray.remote
+def _split_block(block, keys: List[str], num_groups: int):
+    """One input block → its ``num_groups`` bucket slices (zero-copy views
+    of one stably bucket-sorted copy) plus the per-bucket row counts. A
+    zero-row block may carry no key columns, so it is returned as it is."""
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(block).to_arrow()
+    if t.num_rows == 0:
+        return (*[t] * num_groups, np.zeros(num_groups, dtype=np.int64))
+    group = _bucket_of(t, keys, num_groups)
+    counts = np.bincount(group, minlength=num_groups)
+    t = t.take(np.argsort(group, kind="stable"))
+    ends = np.cumsum(counts)
+    return (*[t.slice(e - c, c) for e, c in zip(ends, counts)], counts)
+
+
+@ray.remote(num_returns=2)
+def _reduce_bucket(fn, keys: List[str], sort_keys, *parts):
+    """One bucket: its non-empty slices from every split, concatenated
+    (Ray Data's schema-unifying concat), sorted by ``(*keys, *order_by)``
+    and handed to ``fn``; returns ``fn``'s table and its row count."""
+    from ray.data._internal.arrow_ops.transform_pyarrow import concat
+
+    t = concat(list(parts))
+    t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
+    out = fn(t, _segment_starts(t, keys))
+    return out, out.num_rows
+
+
 def keyed_groups(ds, keys: Sequence[str],
                  fn: Callable[[pa.Table, np.ndarray], pa.Table],
                  schema: Union[Optional[pa.Schema],
                                Callable[[pa.Schema], pa.Schema]],
                  num_groups: int, order_by: Sequence[str] = ()):
     """``fn(table, starts)`` over every key group of ``ds`` (see the module
-    docstring for the contract). ``schema`` is the output schema of ``fn``:
-    a literal ``pa.Schema`` (None when unresolvable: no anchor), or
-    ``schema_of(input_schema)`` derived from ``ds``'s pre-shuffle schema
-    (fetching it runs ≤ 1 upstream block)."""
+    docstring for the contract and the exchange). Runs ``ds`` at call time
+    and returns a materialized Dataset. ``schema`` is the output schema of
+    ``fn``, used only when every group is empty: a literal ``pa.Schema``
+    (None: no anchor), or ``schema_of(input_schema)`` derived from the
+    schema ``ds``'s blocks carry."""
+    import ray.data as rd
+
     keys = list(keys)
     sort_keys = [(c, "ascending") for c in [*keys, *order_by]]
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(_BUCKET,
-                               pa.array(_bucket_of(t, keys, num_groups)))
-
-    # Ray calls the group fn once per non-empty bucket of a sorted block
-    # (an empty block has no group boundaries), so ``t`` is never empty
-    def per_group(t: pa.Table) -> pa.Table:
-        t = t.drop_columns([_BUCKET])
-        t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
-        return fn(t, _segment_starts(t, keys))
-
-    out = ds.map_batches(add_bucket, batch_format="pyarrow",
-                         batch_size=None) \
-        .groupby(_BUCKET).map_groups(per_group, batch_format="pyarrow")
-    if callable(schema):
-        return anchor_from_input(out, ds, schema)
-    return anchor_empty_schema(out, schema)
+    in_schema = _arrow_schema(ds.schema(fetch_if_missing=False))
+    splits = []
+    for bundle in ds.iter_internal_ref_bundles():
+        if in_schema is None:
+            in_schema = _arrow_schema(bundle.schema)
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                splits.append(_split_block.options(
+                    num_returns=num_groups + 1).remote(ref, keys, num_groups))
+    counts = np.array(ray.get([s[-1] for s in splits]),
+                      dtype=np.int64).reshape(len(splits), num_groups)
+    fn_ref = ray.put(fn)
+    outs = [_reduce_bucket.remote(fn_ref, keys, sort_keys,
+                                  *[s[g] for s, c in zip(splits, counts)
+                                    if c[g]])
+            for g in np.flatnonzero(counts.sum(axis=0))]
+    rows = ray.get([n for _, n in outs])
+    tables = [t for (t, _), n in zip(outs, rows) if n]
+    if not tables:
+        if callable(schema):
+            try:
+                schema = schema(in_schema) if in_schema is not None else None
+            except Exception:          # e.g. a keyed column the input lacks
+                schema = None
+        if schema is not None:
+            tables = [ray.put(schema.empty_table())]
+    return rd.from_arrow_refs(tables)

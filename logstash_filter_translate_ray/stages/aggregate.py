@@ -276,7 +276,8 @@ def grouped_quantiles(ds, key: str = "event_type", val: str = "value",
     pandas groupby and return a small pandas frame; above it — an
     unbounded value domain where the histogram itself is big — the merge
     is a distributed keyed-group shuffle (``rayutil.keyed_groups``) and a
-    Dataset streams back instead (the guard VERDICT r3 #9 asked for)."""
+    Dataset of its reduce outputs comes back instead (the guard VERDICT
+    r3 #9 asked for)."""
     import numpy as np
     import pandas as pd
     import pyarrow.compute as pc

@@ -831,3 +831,34 @@ def test_spec_resumable_post_filters_only(ray_session, tmp_path):
     # the select post clause must have been applied, not skipped
     assert sorted(got.columns) == ["doc_id", "n_tokens_ws"]
     assert len(got) == rd.read_parquet(docs).count()
+
+
+def test_spec_knn_clause(ray_session):
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions.similarity import (
+        knn_join, knn_join_ivf)
+    from logstash_filter_translate_ray.pipelines.spec import (
+        build_from_spec, load_spec, run_spec)
+    from logstash_filter_translate_ray.errors import ConfigurationError
+
+    sf = "/root/testdata/sf0.001"
+    emb = os.path.join(sf, "embeddings.parquet")
+
+    def _via_spec(knn_opts):
+        return build_from_spec({"input": {"path": emb}, "knn": knn_opts}) \
+            .to_pandas().sort_values(["vec_id", "nn_rank"]) \
+            .reset_index(drop=True)
+
+    want = knn_join(rd.read_parquet(emb), k=3)
+    pd.testing.assert_frame_equal(_via_spec({"kind": "exact", "k": 3}), want)
+
+    want_ivf = knn_join_ivf(rd.read_parquet(emb), k=3, n_cells=8, n_probe=3)
+    pd.testing.assert_frame_equal(
+        _via_spec({"kind": "ivf", "k": 3, "n_cells": 8, "n_probe": 3}),
+        want_ivf)
+
+    with pytest.raises(ConfigurationError, match="knn.kind"):
+        _via_spec({"kind": "bogus"})
+    with pytest.raises(ConfigurationError, match="select requires"):
+        build_from_spec({"input": {"path": emb},
+                         "filters": [{"select": {}}]})

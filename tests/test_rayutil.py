@@ -5,7 +5,12 @@ adversarial input per consumer pins the whole contract: null keys, int64
 keys 2^53 and 2^53+1 (equal once promoted to float64), and one hot key.
 Each consumer's sorted output must not depend on the group count or on how
 the input is split into blocks, and an input filtered to zero rows must
-keep the output schema."""
+keep the output schema. The exchange itself (split task per block, reduce
+task per bucket) is pinned directly: one group, mostly-empty buckets,
+schema-less empty upstream blocks, all-empty inputs and a reduce worker
+that dies once."""
+
+import os
 
 import numpy as np
 import pandas as pd
@@ -182,3 +187,148 @@ def test_keyed_group_consumers_layout_invariant(ray_session, monkeypatch, op):
     (names, types), (want_names, want_types) = _schema(empty), _schema(base)
     assert names == want_names
     assert types is None or types == want_types
+
+
+# --------------------------------------------------------------------------
+# The exchange's own contract, with one per-key fn: row count and the
+# smallest ``v`` of each key (the first row under ``order_by=["v"]``)
+# --------------------------------------------------------------------------
+
+_KV_SCHEMA = pa.schema([("k", pa.int64()), ("n", pa.int64()),
+                        ("first", pa.int64())])
+SCHEMAS = {
+    "literal": _KV_SCHEMA,
+    "callable": lambda s: pa.schema([s.field("k"), ("n", pa.int64()),
+                                     s.field("v").with_name("first")]),
+    "none": None,
+}
+
+
+def _kv(n: int, seed: int = 0) -> pa.Table:
+    rng = np.random.RandomState(seed)
+    k = [None if i % 9 == 4 else int(x)
+         for i, x in enumerate(rng.randint(0, 7, n))]
+    return pa.table({"k": pa.array(k, type=pa.int64()),
+                     "v": pa.array(rng.permutation(n), type=pa.int64())})
+
+
+def _key_counts_fn():
+    """The per-key fn as a closure: cloudpickle ships it by value, since
+    the workers cannot import this test module by name."""
+    def key_counts(t: pa.Table, starts) -> pa.Table:
+        idx = pa.array(starts)
+        return pa.table({"k": t["k"].take(idx),
+                         "n": pa.array(np.diff(np.append(starts, len(t))),
+                                       type=pa.int64()),
+                         "first": t["v"].take(idx)})
+    return key_counts
+
+
+def _want(t: pa.Table) -> list:
+    agg = {}
+    for k, v in zip(t["k"].to_pylist(), t["v"].to_pylist()):
+        n, first = agg.get(k, (0, v))
+        agg[k] = (n + 1, min(first, v))
+    return sorted(repr(sorted({"k": k, "n": n, "first": f}.items()))
+                  for k, (n, f) in agg.items())
+
+
+def _groups(ds, schema, num_groups, fn=None):
+    return rayutil.keyed_groups(ds, ["k"], fn or _key_counts_fn(), schema,
+                                num_groups, order_by=["v"])
+
+
+def test_keyed_groups_one_group(ray_session):
+    import ray.data as rd
+    t = _kv(60)
+    out = _groups(rd.from_arrow([t.slice(0, 25), t.slice(25)]), _KV_SCHEMA, 1)
+    assert _rows(out) == _want(t)
+    assert out.num_blocks() == 1                  # one reduce task
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_keyed_groups_more_groups_than_rows(ray_session, kind):
+    """5 rows over 64 buckets: most buckets are empty and get no reduce
+    task; the schema argument only matters when every bucket is empty."""
+    import ray.data as rd
+    t = _kv(5)
+    out = _groups(rd.from_arrow([t.slice(0, 2), t.slice(2)]), SCHEMAS[kind],
+                  64)
+    assert _rows(out) == _want(t)
+    assert out.schema().base_schema == _KV_SCHEMA
+    assert out.num_blocks() <= len({*t["k"].to_pylist()})
+
+
+def test_keyed_groups_schemaless_empty_upstream_blocks(ray_session):
+    """A row-UDF stage may emit zero-row blocks with no columns at all;
+    they pass the split without their key columns being read, and the
+    callable anchor still comes from a block that has a schema."""
+    import ray
+    import ray.data as rd
+    t = _kv(40)
+    drop = [i % 3 == 1 for i in range(4)]
+    blocks = [t.slice(10 * i, 10).append_column(
+        "drop", pa.array([d] * 10)) for i, d in enumerate(drop)]
+
+    def drop_some(b: pa.Table) -> pa.Table:
+        return pa.table({}) if b["drop"][0].as_py() \
+            else b.drop_columns(["drop"])
+
+    ds = rd.from_arrow(blocks).map_batches(drop_some, batch_format="pyarrow",
+                                           batch_size=None)
+    kept = pa.concat_tables([b.drop_columns(["drop"])
+                             for b, d in zip(blocks, drop) if not d])
+    assert _rows(_groups(ds, SCHEMAS["callable"], 8)) == _want(kept)
+    # a block whose metadata does not mark it empty reaches the split task
+    *_, counts = ray.get(rayutil._split_block.options(num_returns=3).remote(
+        pa.table({}), ["k"], 2))
+    assert counts.tolist() == [0, 0]
+    # every block schema-less: only a literal schema can anchor
+    none_left = rd.from_arrow(blocks).map_batches(
+        lambda b: pa.table({}), batch_format="pyarrow", batch_size=None)
+    assert _groups(none_left, SCHEMAS["callable"], 8).schema() is None
+    assert _groups(none_left, _KV_SCHEMA, 8).schema().base_schema \
+        == _KV_SCHEMA
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_keyed_groups_all_empty_input_keeps_schema(ray_session, kind):
+    """An expression filter keeps the input schema on its empty blocks, so
+    the literal and the derived anchor both survive; None anchors
+    nothing. A fn that emits no rows for any group anchors the same."""
+    import ray.data as rd
+    t = _kv(30)
+    no_rows = rd.from_arrow(t).filter(expr="v < 0")
+    outs = [_groups(no_rows, SCHEMAS[kind], 8),
+            _groups(rd.from_arrow(t), SCHEMAS[kind], 8,
+                    fn=lambda tb, starts: _KV_SCHEMA.empty_table())]
+    for out in outs:
+        assert out.take_all() == []
+        sch = out.schema()
+        assert (sch is None) if kind == "none" \
+            else sch.base_schema == _KV_SCHEMA
+
+
+def test_keyed_groups_exactly_once_under_task_retry(ray_session, tmp_path):
+    """One reduce task's worker dies on its first attempt; Ray retries the
+    task from the split outputs, and the result equals a no-fault run."""
+    import ray.data as rd
+    t = _kv(200)
+    blocks = [t.slice(i, 50) for i in range(0, 200, 50)]
+    clean = _rows(_groups(rd.from_arrow(blocks), _KV_SCHEMA, 4))
+    assert clean == _want(t)
+
+    marker = str(tmp_path / "died_once")
+    key_counts = _key_counts_fn()
+
+    def die_once(tb: pa.Table, starts) -> pa.Table:
+        try:
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return key_counts(tb, starts)
+        os.close(fd)
+        os._exit(1)
+
+    retried = _groups(rd.from_arrow(blocks), _KV_SCHEMA, 4, fn=die_once)
+    assert os.path.exists(marker)               # the fault did fire
+    assert _rows(retried) == clean

@@ -1,7 +1,8 @@
 """Round-5 regression tests: the three r4 ADVICE findings plus the
 round-5 VERDICT tasks (missing_file_ok, grouped-partial top-k,
 spill-pressure smoke) as they land. The IVF kNN join tests live in
-tests/test_similarity.py; the missing_file_ok translate_dataset test
+tests/test_similarity.py and its spec clause test in
+tests/test_pipeline.py; the missing_file_ok translate_dataset test
 lives in tests/test_translate_stage.py; the window-segment null-key tests
 live in tests/test_null_keys.py."""
 
@@ -167,37 +168,6 @@ def test_spec_curation_flagship(ray_session):
     want = m.queries()["curation_pipeline"](sf).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
-
-
-def test_spec_knn_clause(ray_session):
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.similarity import (
-        knn_join, knn_join_ivf)
-    from logstash_filter_translate_ray.pipelines.spec import (
-        build_from_spec, load_spec, run_spec)
-    from logstash_filter_translate_ray.errors import ConfigurationError
-
-    sf = "/root/testdata/sf0.001"
-    emb = os.path.join(sf, "embeddings.parquet")
-
-    def _via_spec(knn_opts):
-        return build_from_spec({"input": {"path": emb}, "knn": knn_opts}) \
-            .to_pandas().sort_values(["vec_id", "nn_rank"]) \
-            .reset_index(drop=True)
-
-    want = knn_join(rd.read_parquet(emb), k=3)
-    pd.testing.assert_frame_equal(_via_spec({"kind": "exact", "k": 3}), want)
-
-    want_ivf = knn_join_ivf(rd.read_parquet(emb), k=3, n_cells=8, n_probe=3)
-    pd.testing.assert_frame_equal(
-        _via_spec({"kind": "ivf", "k": 3, "n_cells": 8, "n_probe": 3}),
-        want_ivf)
-
-    with pytest.raises(ConfigurationError, match="knn.kind"):
-        _via_spec({"kind": "bogus"})
-    with pytest.raises(ConfigurationError, match="select requires"):
-        build_from_spec({"input": {"path": emb},
-                         "filters": [{"select": {}}]})
 
 
 # --------------------------------------------------------------------------
