@@ -209,14 +209,14 @@ def q_parse_extract(sf_dir: str):
 
 def q_agg_value_by_type(sf_dir: str):
     """Combiner-style grouped SUM + MIN + MAX in ONE pass (pre-aggregated
-    in map_batches, exact via integer cents). Absorbed the former
-    standalone ``agg_minmax`` query (r5: driver's 50-query cap needed a
-    slot for ``knn_join_ivf``) — the same three aggregates, one shuffle."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min, Sum
+    in map_batches, exact via integer cents, merged by one keyed
+    aggregate). Absorbed the former standalone ``agg_minmax`` query (r5:
+    driver's 50-query cap needed a slot for ``knn_join_ivf``) — the same
+    three aggregates, one exchange."""
+    from logstash_filter_translate_ray.rayutil import keyed_aggregate
+    from logstash_filter_translate_ray.stages.aggregate import _cents
 
     def partial(t: pa.Table) -> pa.Table:
-        from logstash_filter_translate_ray.stages.aggregate import _cents
         t2 = pa.table({"event_type": t["event_type"],
                        "cents": _cents(t["value"])})
         return t2.group_by(["event_type"]).aggregate(
@@ -224,21 +224,18 @@ def q_agg_value_by_type(sf_dir: str):
             .rename_columns(["event_type", "sum_cents", "min_cents",
                              "max_cents"])
 
-    from logstash_filter_translate_ray.stages.aggregate import (
-        null_safe_groupby_aggregate)
     ds = _read(sf_dir, "events", ["event_type", "value"])
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=None)
-    return null_safe_groupby_aggregate(
-        partials, ["event_type"],
-        Sum("sum_cents", alias_name="sum_cents"),
-        Min("min_cents", alias_name="min_cents"),
-        Max("max_cents", alias_name="max_cents"))
+    return keyed_aggregate(partials, ["event_type"],
+                           {"sum_cents": ("sum_cents", "sum"),
+                            "min_cents": ("min_cents", "min"),
+                            "max_cents": ("max_cents", "max")})
 
 
 def q_dedup_exact(sf_dir: str):
-    """Exact dedup: content-hash groupby + native min aggregate (no
-    per-group callbacks)."""
+    """Exact dedup: the min doc_id per 128-bit content hash, one Arrow hash
+    aggregate per bucket of the keyed exchange (no per-group callbacks)."""
     from logstash_filter_translate_ray.functions.dedup import exact_dedup_ids
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return exact_dedup_ids(ds)
@@ -321,7 +318,8 @@ def q_minhash_pairs(sf_dir: str):
 
 def q_user_event_counts(sf_dir: str):
     """High-cardinality grouped count through the DISTRIBUTED merge path
-    (combiner partials → groupby shuffle) — the conv_id-style aggregate."""
+    (combiner partials → a sum per bucket of the keyed exchange) — the
+    conv_id-style aggregate."""
     from logstash_filter_translate_ray.stages.aggregate import grouped_counts
     ds = _read(sf_dir, "events", ["user_id"])
     return grouped_counts(ds, ["user_id"], driver_merge=False)
@@ -417,16 +415,15 @@ def q_zscore_outliers(sf_dir: str):
 
 def q_vocab_topk(sf_dir: str):
     """Top-20 vocabulary by occurrence (map-reduce wordcount shape:
-    per-batch np.unique partials → native sum → distributed sort+limit).
-    Returned as a typed arrow Table (bounded by k): Ray's sort/limit wipe
-    an all-empty stream's schema and a schema anchor union under a limit
-    trips 2.49's LimitPushdown planner, so the ≤k-row result is collected
-    with an explicit schema instead (fuzz_docqueries: all-null corpus)."""
+    per-batch partials → a sum per word through the keyed exchange →
+    per-bucket top-k and a driver fold). Returned as a typed arrow Table
+    (bounded by k): ``to_pandas`` of an all-empty Dataset loses its column
+    list (fuzz_docqueries: all-null corpus)."""
+    import ray
+
     from logstash_filter_translate_ray.functions.text import vocab_topk
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    rows = vocab_topk(ds, k=20).take_all()
-    return pa.Table.from_pylist(rows, schema=pa.schema(
-        [("word", pa.string()), ("n", pa.int64())]))
+    return pa.concat_tables(ray.get(vocab_topk(ds, k=20).to_arrow_refs()))
 
 
 def q_quality_scores(sf_dir: str):
@@ -567,24 +564,17 @@ def q_winnow(sf_dir: str):
 
 
 def q_distinct_types(sf_dir: str):
-    """Set op: distinct values of a column — a null-safe distributed
-    groupby-count with the counts dropped (Ray's own ``unique`` rides the
-    same sort-shuffle and crashes on null keys in multi-block inputs).
-    A null value is a distinct value, like SQL DISTINCT; nulls sort last."""
-    from ray.data.aggregate import Count
+    """Set op: distinct values of a column — a DISTINCT through the keyed
+    exchange (an Arrow group-by with no aggregates per bucket), sorted on
+    the driver. A null value is a distinct value, like SQL DISTINCT; nulls
+    sort last."""
+    import ray
 
-    from logstash_filter_translate_ray.stages.aggregate import (
-        null_safe_groupby_aggregate)
+    from logstash_filter_translate_ray.rayutil import keyed_aggregate
     ds = _read(sf_dir, "events", ["event_type"])
-    counts = null_safe_groupby_aggregate(ds, ["event_type"],
-                                         Count(alias_name="n"))
-    vals = [r["event_type"] for r in
-            counts.select_columns(["event_type"]).take_all()]
-    has_null = any(v is None for v in vals)
-    vals = sorted(v for v in vals if v is not None)
-    if has_null:
-        vals.append(None)
-    return pa.table({"event_type": pa.array(vals, type=pa.string())})
+    vals = pa.concat_tables(ray.get(
+        keyed_aggregate(ds, ["event_type"], {}).to_arrow_refs()))
+    return vals.sort_by("event_type")
 
 
 def q_tumbling_counts(sf_dir: str):

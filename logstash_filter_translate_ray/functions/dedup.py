@@ -1,6 +1,6 @@
 """Deduplication operators over the ``documents`` table.
 
-- exact:   content-hash → hash-partitioned groupby → per-group first
+- exact:   content-hash → keyed exchange → per-group first
 - minhash: shingle → minhash signature → banded LSH buckets → candidate
            pairs → DISTRIBUTED Jaccard verify → connected components
 - simhash: 64-bit simhash, banded for hamming-distance blocking
@@ -35,7 +35,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import anchor_empty_schema, input_arrow_schema, keyed_groups
+from .. import rayutil
+from ..rayutil import (anchor_empty_schema, input_arrow_schema,
+                       keyed_aggregate, keyed_groups)
 
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)   # splitmix64 / golden-ratio odd
 # one odd 64-bit multiplier per k-gram position (order-sensitive combine)
@@ -188,39 +190,46 @@ def add_content_hash(tbl: pa.Table, col: str = "text",
     return tbl, h1
 
 
-def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
-                num_groups: int = 64):
-    """Keep the min-id row per distinct content. One keyed-group shuffle on
-    the 128-bit content hash (``num_groups`` vectorized group calls, not
-    one per distinct content), ordered by id: each key segment's first row
-    survives — no per-group pandas frames. Keeps FULL rows; for id-only
-    consumers :func:`exact_dedup_ids` is a pure native aggregate."""
-    aux = ["content_hash", "content_hash2"]
-    hashed = ds.map_batches(lambda t: add_content_hash(t, col)[0],
-                            batch_format="pyarrow", batch_size=None)
+_CONTENT_KEYS = ["content_hash", "content_hash2"]
+
+
+def _min_id_rows(ds, col: str, id_col: str, keep, num_groups: int):
+    """The min-id row per distinct content of ``ds``, with the columns
+    ``keep`` (None: every input column). One keyed group on the 128-bit
+    content hash (``num_groups`` vectorized group calls, not one per
+    distinct content), ordered by id: each key segment's first row
+    survives — no per-group pandas frames or aggregates. Only the hash
+    and the kept columns ride the exchange. The schema of ``ds`` (≤ 1
+    upstream block to fetch) anchors the empty case: a fully filtered
+    corpus must still come back with its column list."""
+    def hashed(t: pa.Table) -> pa.Table:
+        t = add_content_hash(t, col)[0]
+        return t if keep is None else t.select([*_CONTENT_KEYS, *keep])
 
     def first_rows(t: pa.Table, starts) -> pa.Table:
-        return t.take(pa.array(starts)).drop_columns(aux)
+        return t.take(pa.array(starts)).drop_columns(_CONTENT_KEYS)
 
-    # first_rows preserves the input columns exactly, so the schema of
-    # ``ds`` (≤ 1 upstream block to fetch) anchors the empty case — a fully
-    # filtered corpus must still come back with its column list
-    return keyed_groups(hashed, aux, first_rows, input_arrow_schema(ds),
-                        num_groups, order_by=[id_col])
+    schema = input_arrow_schema(ds)
+    if schema is not None and keep is not None:
+        schema = pa.schema([schema.field(c) for c in keep])
+    return keyed_groups(
+        ds.map_batches(hashed, batch_format="pyarrow", batch_size=None),
+        _CONTENT_KEYS, first_rows, schema, num_groups, order_by=[id_col])
+
+
+def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
+                num_groups: int = 64):
+    """Keep the min-id row per distinct content, as FULL rows (see
+    :func:`_min_id_rows`); for id-only consumers see
+    :func:`exact_dedup_ids`. Runs ``ds`` at call time."""
+    return _min_id_rows(ds, col, id_col, None, num_groups)
 
 
 def exact_dedup_ids(ds, col: str = "text", id_col: str = "doc_id"):
-    """Surviving ids only: content-hash128 groupby + NATIVE min aggregate —
-    no per-group callbacks at all (the 10^8-group shape)."""
-    hashed = ds.map_batches(
-        lambda t: add_content_hash(t, col)[0]
-        .select(["content_hash", "content_hash2", id_col]),
-        batch_format="pyarrow", batch_size=None)
-    out = hashed.groupby(["content_hash", "content_hash2"]).min(id_col)
-    # batch-level rename (Dataset.rename_columns logs schema-change noise)
-    return out.map_batches(
-        lambda t: pa.table({id_col: t[f"min({id_col})"]}),
-        batch_format="pyarrow", batch_size=None)
+    """Surviving ids only: the min id per 128-bit content hash, with only
+    the hash and the id riding the keyed exchange (the 10^8-group shape).
+    Runs ``ds`` at call time."""
+    return _min_id_rows(ds, col, id_col, [id_col], rayutil.DEFAULT_GROUPS)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +283,7 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
     keep only the rows of ``ds_new`` whose content does not appear in
     ``ds_seen``. Anti-join on the 128-bit content hash: the shuffle moves
     16 bytes + an id per row, never the text; the seen side is first
-    reduced to DISTINCT hashes by a native aggregate.
+    reduced to DISTINCT hashes by the keyed exchange.
 
     NULL content never matches (SQL equality semantics: ``s.text = d.text``
     is never true when either side is NULL, so the oracle keeps every
@@ -303,21 +312,15 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
     seen = ds_seen.map_batches(
         lambda t: _hash_i64(t.filter(pc.is_valid(t[col])), keep_all=False),
         batch_format="pyarrow", batch_size=None)
-    # materialize the (small, distinct) seen side: the empty case must
-    # short-circuit — an empty operand reaches Acero as zero-COLUMN blocks
-    # the per-partition join rejects
-    flagged = seen.groupby(["content_hash", "content_hash2"]) \
-        .count() \
-        .map_batches(lambda t: pa.table({
-            "content_hash": t["content_hash"],
-            "content_hash2": t["content_hash2"],
-            "_seen": pa.array([True] * len(t))}),
-            batch_format="pyarrow", batch_size=None).materialize()
+    # the distinct seen-hash set, materialized by the keyed exchange into
+    # ≤ num_partitions non-empty blocks (so _join_operand passes it
+    # through); the empty case must short-circuit — an empty operand
+    # reaches Acero as zero-COLUMN blocks the per-partition join rejects
+    flagged = keyed_aggregate(seen, _CONTENT_KEYS, {}, num_partitions)
     n_seen = flagged.count()
-    flagged = _join_operand(flagged, num_partitions, n_seen) \
-        if n_seen else flagged
     if n_seen == 0:
         return ds_new
+    flagged = _join_operand(flagged, num_partitions, n_seen)
     if n_seen <= _BROADCAST_MAX_SEEN:
         # broadcast semi-join: the distinct seen-hash set rides the object
         # store once (16 bytes/hash, sorted by (h1, h2)) and each batch
@@ -895,7 +898,7 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
     """DISTRIBUTED connected components over a candidate-pair Dataset
     (id_a, id_b) by min-label propagation: every node repeatedly adopts the
     minimum label among itself and its neighbors (one hash join + one
-    groupby-min per round; rounds = component diameter, shallow for
+    keyed min aggregate per round; rounds = component diameter, shallow for
     near-dup clusters). Returns a Dataset (node, label) covering every node
     that appears in a pair, label = min node id of its component.
 
@@ -911,7 +914,7 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
                          "dst": pa.concat_arrays([b, a])})
 
     # every join operand goes through _norm = _join_operand: empty blocks
-    # (possible in groupby/filter/join outputs) race the hash-shuffle
+    # (possible in filter/join outputs) race the hash-shuffle
     # schema broadcast (see _join_operand). All operands here are
     # nonempty by construction: pairs_ds is (callers gate on the verified
     # pair count), edges doubles it, labels covers every edge src, and
@@ -925,22 +928,25 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
     def _init(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["src"],
                          "label": _pc.min_element_wise(t["src"],
-                                                       t["min(dst)"])})
+                                                       t["min_dst"])})
 
-    labels = _norm(edges.groupby("src").min("dst")
+    labels = _norm(keyed_aggregate(edges, ["src"],
+                                   {"min_dst": ("dst", "min")},
+                                   num_partitions)
                    .map_batches(_init, batch_format="pyarrow",
                                 batch_size=None))
 
     changed: "int | None" = None       # None ⇒ zero rounds ran
     for _ in range(max_iters):
-        nbr = _norm(edges.join(labels, "inner", num_partitions,
-                               on=("dst",), right_on=("node",))
-                    .groupby("src").min("label"))   # (src, min(label))
+        nbr = _norm(keyed_aggregate(
+            edges.join(labels, "inner", num_partitions,
+                       on=("dst",), right_on=("node",)),
+            ["src"], {"min_label": ("label", "min")}, num_partitions))
         merged = nbr.join(labels, "inner", num_partitions,
                           on=("src",), right_on=("node",))
 
         def _step(t: pa.Table) -> pa.Table:
-            new = _pc.min_element_wise(t["min(label)"], t["label"])
+            new = _pc.min_element_wise(t["min_label"], t["label"])
             changed = _pc.sum(_pc.cast(_pc.less(new, t["label"]),
                                        pa.int64())).as_py() or 0
             return pa.table({"node": t["src"], "label": new,
@@ -949,10 +955,12 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
 
         stepped = merged.map_batches(_step, batch_format="pyarrow",
                                      batch_size=None).materialize()
-        changed = stepped.map_batches(
+        # one row per block, summed here: Dataset.sum runs Ray's
+        # groupby(None) AllToAll aggregate for a handful of integers
+        changed = sum(r["c"] for r in stepped.map_batches(
             lambda t: pa.table({"c": pa.array(
                 [t["_changed"][0].as_py() if len(t) else 0], type=pa.int64())}),
-            batch_format="pyarrow", batch_size=None).sum("c")
+            batch_format="pyarrow", batch_size=None).take_all())
         labels = _norm(stepped.drop_columns(["_changed"]))
         if not changed:
             break

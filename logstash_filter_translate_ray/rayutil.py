@@ -1,10 +1,14 @@
-"""Small shared Ray Data helpers, and the engine's one keyed-group step.
+"""Small shared Ray Data helpers, and the engine's one keyed exchange.
 
-``keyed_groups`` is the only keyed group in the package. Every operator
-that needs "all rows of a key in one place" (exact dedup, LSH/shingle
-candidate pairs, pair dedupe, the IVF kNN cells and merge, the window
-operators, the quantile fallback) passes it its key columns and a
-per-group function; this module owns the rest:
+``keyed_groups`` is the only keyed group in the package, and
+``keyed_aggregate`` (an Arrow hash aggregate per group) the only grouped
+aggregate; no operator calls Ray's own ``Dataset.groupby``/``sort``/
+``unique``. Every operator that needs "all rows of a key in one place"
+(exact dedup, LSH/shingle candidate pairs, pair dedupe, the IVF kNN cells
+and merge, the window operators, the quantile fallback, the distributed
+grouped counts and top-k, the connected-components rounds, the seen-hash
+set, the vocabulary count) passes its key columns and a per-group
+function or aggregate spec; this module owns the rest:
 
 - **Grouping.** Rows whose key tuples are equal reach the same ``fn``
   call, nulls counting as equal (SQL ``GROUP BY``). The key hashes into
@@ -19,15 +23,18 @@ per-group function; this module owns the rest:
   processes), multi-column keys fold into one uint64, and
   :func:`_group_of`'s multiply-shift maps the value to a bucket.
 - **Exchange.** The bucket id is known per row, so there is no sampling,
-  range partitioning or sort shuffle. Split: one task per non-empty
+  range partitioning or sort shuffle, and no null key ever reaches a
+  comparator. Split: one task per non-empty
   input block, submitted as the block streams out of ``ds``, stably
   sorts it by bucket and returns one zero-copy slice per bucket plus the
   bucket row counts. Reduce: one task per non-empty bucket concatenates
   that bucket's slices, sorts them and calls ``fn``. The result wraps the
   reduce outputs that have rows, known from each reduce's row count, so
-  no table is fetched into the calling process.
-- **Eager.** ``keyed_groups`` runs ``ds`` when called and returns a
-  materialized Dataset, like ``materialize()``, not a lazy plan.
+  no table is fetched into the calling process: at most ``num_groups``
+  non-empty blocks.
+- **Eager.** ``keyed_groups`` and ``keyed_aggregate`` run ``ds`` when
+  called and return a materialized Dataset, like ``materialize()``, not a
+  lazy plan.
 - **What ``fn`` sees.** ``fn(table, starts)`` gets one bucket's rows
   sorted by ``(*keys, *order_by)`` plus the key-segment start offsets.
   Segments come from null-aware Arrow adjacency on the raw values (never
@@ -41,7 +48,10 @@ per-group function; this module owns the rest:
   ``write_parquet`` an empty directory). A callable schema is derived
   from the input schema ``ds.schema()`` resolves, read off the
   exchange's own stream, so it runs no extra upstream block.
-  ``schema=None`` anchors nothing.
+  ``schema=None`` anchors nothing. A ``map_batches`` over an all-empty
+  input emits blocks with no schema at all, so a caller whose exchange
+  input is such a map output anchors from the pre-map input instead
+  (:func:`anchor_from_input`).
 
 The anchor schema must EXACTLY match the non-empty output's types: a
 later concatenation would otherwise silently promote (an int64 column
@@ -64,6 +74,9 @@ import ray
 
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)    # splitmix64 / golden-ratio odd
 _FOLD_MIX = np.uint64(0xC2B2AE3D27D4EB4F)
+
+DEFAULT_GROUPS = 64   # group count of every keyed caller that takes none;
+                      # read at call time (tests monkeypatch it)
 
 
 def _arrow_schema(sch) -> Optional[pa.Schema]:
@@ -110,9 +123,9 @@ def anchor_from_input(out_ds, in_ds, schema_of):
 
 
 def zero_token(t: pa.DataType) -> pa.Scalar:
-    """A valid in-domain token of type ``t``, used ONLY as filler for null
-    keys (hash buckets here, and the shuffle keys of
-    ``stages.aggregate.mask_null_keys``, whose flag column disambiguates)."""
+    """A valid in-domain token of type ``t``, used ONLY as the filler for
+    null keys in the bucket hash (the grouping itself keeps nulls apart:
+    segments and Arrow's hash aggregate treat null as its own key)."""
     if pa.types.is_string(t) or pa.types.is_large_string(t):
         return pa.scalar("", type=t)
     if pa.types.is_binary(t) or pa.types.is_large_binary(t):
@@ -247,3 +260,54 @@ def keyed_groups(ds, keys: Sequence[str],
         if schema is not None:
             tables = [ray.put(schema.empty_table())]
     return rd.from_arrow_refs(tables)
+
+
+def _hash_aggregate(t: pa.Table, keys: List[str], aggs: dict) -> pa.Table:
+    """Arrow's hash aggregate, columns renamed to ``(*keys, *aggs)``."""
+    return t.group_by(keys).aggregate(list(aggs.values())) \
+        .rename_columns([*keys, *aggs])
+
+
+def keyed_aggregate(ds, keys: Sequence[str], aggs: dict,
+                    num_groups: Optional[int] = None):
+    """``GROUP BY keys`` over ``ds``: :func:`keyed_groups` with an Arrow
+    ``Table.group_by().aggregate`` per bucket. ``aggs`` maps each output
+    column to an Arrow aggregate spec, e.g. ``{"n": ("n", "sum")}``,
+    ``{"n": ([], "count_all")}``, or ``{}`` for DISTINCT keys. Output
+    columns are the keys, then ``aggs``' keys in order; a null key is one
+    group, as in SQL. Eager, like ``keyed_groups``. ``num_groups`` defaults
+    to :data:`DEFAULT_GROUPS`. The empty-result anchor is the same
+    aggregate over the input schema's empty table, so its types match the
+    non-empty output by construction."""
+    keys = list(keys)
+
+    def fn(t: pa.Table, starts) -> pa.Table:
+        return _hash_aggregate(t, keys, aggs)
+
+    return keyed_groups(
+        ds, keys, fn,
+        lambda s: _hash_aggregate(s.empty_table(), keys, aggs).schema,
+        num_groups or DEFAULT_GROUPS)
+
+
+def _sorted_head(t: pa.Table, sort_keys, k: int) -> pa.Table:
+    return t.take(pc.sort_indices(t, sort_keys=sort_keys,
+                                  null_placement="at_end")[:k])
+
+
+_head_task = ray.remote(_sorted_head)
+
+
+def topk_rows(ds, sort_keys, k: int) -> Optional[pa.Table]:
+    """The first ``k`` rows of ``ds`` under ``sort_keys`` (Arrow
+    ``(column, order)`` pairs, nulls last), with no global sort: one task
+    per block keeps the block's top-``k`` and the calling process folds
+    the ≤ blocks × ``k`` survivors. Meant for the ≤ ``num_groups`` blocks
+    of a keyed exchange's output. The fold stays in Arrow: ``to_pandas``
+    would promote a nullable int64 key to float64 and collapse distinct
+    keys ≥ 2^53. None when ``ds`` has no rows."""
+    tables = [t for t in ray.get([_head_task.remote(ref, sort_keys, k)
+                                  for ref in ds.to_arrow_refs()]) if len(t)]
+    if not tables:
+        return None
+    return _sorted_head(pa.concat_tables(tables), sort_keys, k)

@@ -12,13 +12,14 @@ Two merge paths for the partials, chosen by key cardinality:
   the partial blocks are streamed to the driver and merged with one pandas
   groupby. At 10^12 rows the partials are still only (#blocks × #keys)
   rows — a per-sink counter never needs a cluster-wide shuffle, and
-  skipping Ray's all-to-all barrier keeps the whole pipeline streaming.
+  skipping the exchange's barrier keeps the whole pipeline streaming.
 - **distributed merge** (conv_id and other high-cardinality keys): the
-  partials go through ``groupby().aggregate(Sum)``. The per-batch partials
-  ARE the skew salt: a hot conversation appearing in B blocks contributes
-  B one-row partials regardless of its row count, so no reducer sees more
-  than B rows per key (the north_rule's salted repartitioning realized
-  combiner-style).
+  partials go through the engine's one keyed exchange
+  (``rayutil.keyed_aggregate``: a hash split, then an Arrow sum per
+  bucket). The per-batch partials ARE the skew salt: a hot conversation
+  appearing in B blocks contributes B one-row partials regardless of its
+  row count, so no reducer sees more than B rows per key (the
+  north_rule's salted repartitioning realized combiner-style).
 """
 
 from __future__ import annotations
@@ -28,92 +29,13 @@ from typing import Optional, Sequence
 import pandas as pd
 import pyarrow as pa
 import ray
-from ray.data.aggregate import Sum
 
-from ..rayutil import anchor_from_input, keyed_groups, zero_token
+from .. import rayutil
+from ..rayutil import (anchor_from_input, keyed_aggregate, keyed_groups,
+                       topk_rows)
 
-NULL_LABEL = "(null)"   # null group keys → label (Ray's sort-shuffle groupby
-                        # can't order null keys; oracle SQL uses COALESCE)
-
-
-def _knull(key: str) -> str:
-    return f"__knull_{key}"
-
-
-def mask_null_keys(keys: Sequence[str]):
-    """map_batches fn: for each key column add an int8 ``__knull_<k>`` flag
-    and fill the key's nulls with the type's zero token.
-
-    Why: Ray 2.49's sort-based shuffle (``Dataset.sort`` / ``groupby`` /
-    ``unique``) range-partitions by comparing RAW key values across block
-    boundaries (np.searchsorted over object arrays once nulls force an
-    object dtype), so a null key in a multi-block dataset raises
-    ``TypeError: '<' not supported`` depending on which boundary values get
-    sampled — an input-dependent, scheduling-dependent crash (r4 fuzz).
-    Grouping/sorting by ``(filled, flag)`` is bijective with the original
-    key and never ships a None through the comparator."""
-    import pyarrow.compute as pc
-
-    def _fn(t: pa.Table) -> pa.Table:
-        for k in keys:
-            col = t[k]
-            if pa.types.is_null(col.type):
-                # untyped all-null column: give it a concrete carrier type
-                # (int8) so zero-fill is possible; unmask restores nulls
-                col = col.cast(pa.int8())
-            flag = pc.cast(pc.is_null(col), pa.int8())
-            filled = pc.fill_null(col, zero_token(col.type))
-            t = t.set_column(t.column_names.index(k), k, filled)
-            t = t.append_column(_knull(k), flag)
-        return t
-    return _fn
-
-
-def unmask_null_keys(keys: Sequence[str]):
-    """Inverse of :func:`mask_null_keys`: restore nulls where the flag is
-    set and drop the flag columns."""
-    import pyarrow.compute as pc
-
-    def _fn(t: pa.Table) -> pa.Table:
-        for k in keys:
-            f = _knull(k)
-            isnull = pc.cast(t[f], pa.bool_())
-            col = pc.if_else(isnull, pa.scalar(None, type=t[k].type), t[k])
-            t = t.set_column(t.column_names.index(k), k, col)
-            t = t.drop_columns([f])
-        return t
-    return _fn
-
-
-def null_safe_groupby_aggregate(ds: "ray.data.Dataset",
-                                keys: Sequence[str], *aggs):
-    """``ds.groupby(keys).aggregate(*aggs)`` that tolerates null group keys
-    (see :func:`mask_null_keys` for why bare Ray groupby cannot). The flag
-    columns ride the shuffle as secondary group keys and are stripped on
-    the way out, so output rows carry REAL null keys — same convention as
-    the driver-merge paths (and SQL GROUP BY)."""
-    masked = ds.map_batches(mask_null_keys(keys), batch_format="pyarrow",
-                            batch_size=None)
-    out = masked.groupby(list(keys) + [_knull(k) for k in keys]) \
-        .aggregate(*aggs)
-    return out.map_batches(unmask_null_keys(keys), batch_format="pyarrow",
-                           batch_size=None)
-
-
-def null_safe_sort(ds: "ray.data.Dataset", cols: Sequence[str],
-                   descending: Sequence[bool]):
-    """``ds.sort`` that tolerates nulls in the sort keys. Nulls order LAST
-    within each key regardless of direction (DuckDB's default NULLS LAST),
-    via the flag column sorting ascending immediately before its key."""
-    masked = ds.map_batches(mask_null_keys(cols), batch_format="pyarrow",
-                            batch_size=None)
-    sort_cols, sort_desc = [], []
-    for c, d in zip(cols, descending):
-        sort_cols += [_knull(c), c]
-        sort_desc += [False, d]
-    out = masked.sort(sort_cols, descending=sort_desc)
-    return out.map_batches(unmask_null_keys(cols), batch_format="pyarrow",
-                           batch_size=None)
+NULL_LABEL = "(null)"   # null STRING group keys → label, mirroring the
+                        # oracle SQL's COALESCE(key, '(null)')
 
 
 def _partial_counts(keys: Sequence[str], count_name: str):
@@ -134,7 +56,9 @@ def grouped_counts(ds: "ray.data.Dataset", keys: Sequence[str],
                    count_name: str = "n",
                    driver_merge: bool = True):
     """Two-phase grouped row count (see module docstring for the merge-path
-    trade-off). Returns pandas (driver merge) or a Dataset (distributed)."""
+    trade-off). Returns pandas (driver merge) or a Dataset (distributed).
+    The distributed merge runs ``ds`` at call time (the keyed exchange is
+    eager) and returns a materialized Dataset."""
     partial = ds.map_batches(_partial_counts(keys, count_name),
                              batch_format="pyarrow", batch_size=None)
     if driver_merge:
@@ -148,13 +72,12 @@ def grouped_counts(ds: "ray.data.Dataset", keys: Sequence[str],
         # default would silently drop the whole null-keyed group (r3 review)
         return merged.groupby(list(keys), as_index=False, sort=True,
                               dropna=False)[count_name].sum()
-    # null-safe: non-string keys (ints, timestamps) can still be null here
-    # (only string keys get the NULL_LABEL fill above) and bare Ray groupby
-    # crashes on null keys in multi-block inputs (see mask_null_keys)
-    out = null_safe_groupby_aggregate(
-        partial, list(keys), Sum(count_name, alias_name=count_name))
-    # schema anchor: an all-empty input yields zero groupby output blocks
-    # and the result loses its column list (Ray 2.49 drops empty blocks)
+    out = keyed_aggregate(partial, keys,
+                          {count_name: (count_name, "sum")})
+    if out.count():                   # materialized: block metadata only
+        return out
+    # schema anchor from the PRE-map input: the partials of an all-empty
+    # input are schema-less blocks, so the exchange cannot derive one
     return anchor_from_input(
         out, ds, lambda s: pa.schema(
             [(k, s.field(k).type) for k in keys]
@@ -165,44 +88,21 @@ def grouped_topk(ds: "ray.data.Dataset", keys: Sequence[str], k: int = 10,
                  count_name: str = "n") -> pd.DataFrame:
     """Top-``k`` groups by row count WITHOUT a full distributed sort
     (VERDICT r4 #5): exact distributed grouped counts (combiner partials +
-    null-safe groupby), then every counts BLOCK emits its local
+    the keyed exchange), then every counts BLOCK keeps its local
     (count DESC, keys ASC, NULLS LAST) top-k and the driver folds the
-    ≤ num_blocks × k partial rows. Replaces sort+limit's all-to-all range
-    partition with one map_batches + a tiny driver merge — the global
+    ≤ num_groups × k partial rows (``rayutil.topk_rows``). The global
     answer is exact because a group's total count lives in exactly one
-    block after the groupby."""
-    import pyarrow.compute as pc
-
+    block after the exchange. Runs ``ds`` at call time."""
     counts = grouped_counts(ds, keys, count_name=count_name,
                             driver_merge=False)
-    sort_keys = [(count_name, "descending")] \
-        + [(kk, "ascending") for kk in keys]
-
-    def block_topk(t: pa.Table) -> pa.Table:
-        if len(t) <= k:
-            return t
-        idx = pc.sort_indices(t, sort_keys=sort_keys,
-                              null_placement="at_end")
-        return t.take(idx.slice(0, k))
-
-    parts_ds = counts.map_batches(block_topk, batch_format="pyarrow",
-                                  batch_size=None)
-    # driver fold stays in ARROW: to_pandas() promotes a nullable int64
-    # key to float64, collapsing distinct keys >= 2^53 (the same cliff
-    # rayutil._segment_starts guards against) — the selection, tie-break
-    # and returned key values must all be exact int64
-    import ray as _ray
-    tables = [t for t in _ray.get(parts_ds.to_arrow_refs()) if len(t)]
-    if not tables:                        # fully-empty input
+    top = topk_rows(counts, [(count_name, "descending")]
+                    + [(kk, "ascending") for kk in keys], k)
+    if top is None:                       # fully-empty input
         return pd.DataFrame(columns=[*keys, count_name])
-    merged = pa.concat_tables(tables)
-    idx = pc.sort_indices(merged, sort_keys=sort_keys,
-                          null_placement="at_end")
-    top = merged.take(idx.slice(0, k))
     # plain to_pandas on the final k rows: if a null key made the top-k,
     # the int64 key renders float64 — EXACTLY like the DuckDB oracle's
     # .df(), which the driver value-hashes against (representation-
-    # sensitive); the fold above already made selection/tie-break exact
+    # sensitive); the Arrow fold already made selection/tie-break exact
     return top.to_pandas().reset_index(drop=True)
 
 
@@ -223,7 +123,8 @@ def matched_counts(ds: "ray.data.Dataset",
 def conv_turn_counts(ds: "ray.data.Dataset", conv_col: str = "conv_id",
                      driver_merge: bool = False):
     """Turns per conversation — high-cardinality key ⇒ distributed merge of
-    the per-batch partials (skew-safe, see module docstring)."""
+    the per-batch partials (skew-safe, see module docstring). The default
+    distributed merge runs ``ds`` at call time, like ``grouped_counts``."""
     return grouped_counts(ds, [conv_col], count_name="turns",
                           driver_merge=driver_merge)
 
@@ -237,9 +138,6 @@ def _cents(col) -> "pa.Array":
     import pyarrow.compute as pc
     return pc.cast(pc.round(pc.multiply(col, 100.0),
                             round_mode="half_towards_infinity"), pa.int64())
-
-
-_FALLBACK_GROUPS = 64     # group calls of grouped_quantiles' distributed merge
 
 
 def _quantiles_from_hist(cents_sorted, cum, qs: "tuple[float, ...]") -> dict:
@@ -331,7 +229,7 @@ def grouped_quantiles(ds, key: str = "event_type", val: str = "value",
             parts_ds, [key], per_key,
             lambda s: pa.schema([(key, s.field(key).type)]
                                 + [(p, pa.int64()) for p in names]),
-            _FALLBACK_GROUPS, order_by=["cents"])
+            rayutil.DEFAULT_GROUPS, order_by=["cents"])
     parts = parts_ds.to_pandas()
     # dropna=False: a null group KEY must survive the merge like the
     # quantile_disc oracle's NULL group; null CENTS rows keep all-null

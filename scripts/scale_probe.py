@@ -6,7 +6,7 @@ costs dominate every bench query. This probe synthesizes a deterministic
 N-doc corpus (default 100k, 20× sf0.1) with PLANTED exact and near
 duplicates, then runs
 
-  1. exact_dedup_ids        (hash128 → native two-key min aggregate)
+  1. exact_dedup_ids        (hash128 → keyed exchange, Arrow min per bucket)
   2. minhash_dedup cc=auto  (LSH candidates → distributed Jaccard verify
                              → connected components → survivor filter)
 

@@ -904,3 +904,37 @@ def test_bucket_candidate_pairs_skip_counter(ray_session):
     out2 = dedup.bucket_candidate_pairs(rd.from_arrow(tbl), "bucket",
                                         "doc_id", hot_cap=None).to_pandas()
     assert len(out2) == 45
+
+
+def test_join_operand_empty_first_block(ray_session):
+    """Ray 2.49's hash-join schema broadcast rides only the FIRST block of
+    each operand and is silently swallowed when that block is empty —
+    partitions with no rows from that side then finalize zero-column and
+    pa.Table.join raises ArrowInvalid (the intermittent minhash-pipeline
+    CI flake). _join_operand squashes operands to nonempty blocks; the
+    raw shape must fail-or-match and the guarded one must always work."""
+    import ray.data as rd
+    empty = pa.table({"id_a": pa.array([], type=pa.int64()),
+                      "id_b": pa.array([], type=pa.int64())})
+    pairs = pa.table({"id_a": pa.array([0, 1], type=pa.int64()),
+                      "id_b": pa.array([2, 3], type=pa.int64())})
+    docs = pa.table({"doc_id": pa.array(np.arange(4, dtype=np.int64)),
+                     "text": pa.array(["aaa bbb ccc ddd"] * 4)})
+    # pairs dataset whose FIRST block is empty — the trigger shape
+    pairs_ds = rd.from_arrow([empty, pairs])
+    out = dedup.verified_jaccard_pairs(pairs_ds, rd.from_arrow(docs),
+                                       num_partitions=8).to_pandas()
+    assert sorted(zip(out["id_a"], out["id_b"])) == [(0, 2), (1, 3)]
+    assert (out["jaccard"] == 1.0).all()      # identical texts
+
+    # empty pairs operand short-circuits to a schema'd empty result
+    out2_ds = dedup.verified_jaccard_pairs(rd.from_arrow(empty),
+                                           rd.from_arrow(docs))
+    assert out2_ds.count() == 0
+    assert out2_ds.schema().names == ["id_a", "id_b", "jaccard"]
+
+    # _join_operand invariant: no empty blocks, ≤ num_partitions blocks
+    jo = dedup._join_operand(pairs_ds, 8)
+    sizes = [b.num_rows for b in jo.iter_batches(batch_format="pyarrow",
+                                                 batch_size=None)]
+    assert sum(sizes) == 2 and all(s > 0 for s in sizes)

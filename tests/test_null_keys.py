@@ -1,14 +1,14 @@
-"""Null group/sort keys through Ray's sort-based shuffle (r4 fuzz class).
+"""Null group/sort keys through the engine's keyed exchange.
 
-Ray 2.49's range partitioner compares raw key values across block
-boundaries, so a null key in a multi-block dataset raises
-``TypeError: '<' not supported`` depending on which boundaries get
-sampled. The engine wraps every wide op that can see a null key in
-mask_null_keys/unmask_null_keys (fill + __knull flag); these tests pin
-both the no-crash property and SQL-parity of the results on inputs with
-null keys spread across several blocks. The keyed-group operators
-(windows, the grouped_quantiles fallback) bucket on a null-filled hash
-instead (rayutil.keyed_groups); their null-key regressions are here too.
+Every grouped aggregate, keyed group and top-k in the engine runs on
+``rayutil.keyed_groups``/``keyed_aggregate``: the bucket hash fills null
+keys with a zero token, and the grouping itself (null-aware segments,
+Arrow's hash aggregate, null-last top-k folds) keeps a null key as ONE
+group, distinct from that token — SQL ``GROUP BY`` semantics. These tests
+pin SQL parity on inputs with null keys spread across several blocks
+(Ray's own sort-based shuffle once crashed on exactly this input), for
+the aggregates, the windows, the grouped_quantiles fallback and the
+grouped top-k.
 """
 
 import os
@@ -101,15 +101,13 @@ def test_null_key_queries_match_oracle(ray_session, null_sf_dir, name):
 
 def test_null_safe_groupby_aggregate_multiblock(ray_session):
     import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    from logstash_filter_translate_ray.stages.aggregate import (
-        null_safe_groupby_aggregate)
+    from logstash_filter_translate_ray.rayutil import keyed_aggregate
     tbl = pa.table({"k": ["a", None, "b", None, "a", ""] * 4,
                     "v": list(range(24))})
-    out = null_safe_groupby_aggregate(
+    out = keyed_aggregate(
         rd.from_arrow(tbl).repartition(5), ["k"],
-        Sum("v", alias_name="s")).to_pandas()
+        {"s": ("v", "sum")}).to_pandas()
     want = tbl.to_pandas().groupby("k", dropna=False, as_index=False)["v"] \
         .sum().rename(columns={"v": "s"})
     got = out.sort_values("k", na_position="last").reset_index(drop=True)
@@ -117,21 +115,6 @@ def test_null_safe_groupby_aggregate_multiblock(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
     # the "" zero-token group stays distinct from the null group
     assert set(out["s"][out["k"] == ""].tolist()) != set()
-
-
-def test_null_safe_sort_nulls_last_both_directions(ray_session):
-    import ray.data as rd
-
-    from logstash_filter_translate_ray.stages.aggregate import (
-        null_safe_sort)
-    tbl = pa.table({"a": [3, None, 1, 2, None, 1],
-                    "b": ["x", "y", None, "z", None, "q"]})
-    out = null_safe_sort(rd.from_arrow(tbl).repartition(3), ["a", "b"],
-                         descending=[True, False]).to_pandas()
-    want = tbl.to_pandas().sort_values(
-        ["a", "b"], ascending=[False, True],
-        na_position="last").reset_index(drop=True)
-    pd.testing.assert_frame_equal(out, want, check_dtype=False)
 
 
 def test_grouped_quantiles_distributed_null_timestamp_key(ray_session):
@@ -467,3 +450,63 @@ def test_event_paths_null_values_skipped(ray_session):
         " AS path FROM tbl GROUP BY user_id ORDER BY user_id").df()
     pd.testing.assert_frame_equal(out[["user_id", "path"]], want,
                                   check_dtype=False)
+
+
+# --------------------------------------------------------------------------
+# VERDICT r4 #5: grouped-partial top-k (no full range-partition sort)
+# --------------------------------------------------------------------------
+
+def test_grouped_topk(ray_session):
+    import duckdb
+    import ray.data as rd
+    from logstash_filter_translate_ray.stages.aggregate import grouped_topk
+
+    # ties at the k boundary + null keys + multi-block spread of one key
+    tbl = pa.table({"user_id": pa.array(
+        [1] * 5 + [2] * 5 + [None] * 5 + [3] * 3 + [4] * 3 + [5] * 1,
+        type=pa.int64())})
+    split = rd.from_arrow([tbl.slice(0, 7), tbl.slice(7, 8), tbl.slice(15)])
+    out = grouped_topk(split, ["user_id"], k=4)
+    want = duckdb.connect().execute(
+        "SELECT user_id, COUNT(*) AS n FROM tbl GROUP BY user_id "
+        "ORDER BY n DESC, user_id LIMIT 4").df()
+    assert out["n"].tolist() == want["n"].tolist()
+    # same groups in the same order; null sorts LAST within its n-tie
+    got_ids = [None if pd.isna(v) else int(v) for v in out["user_id"]]
+    want_ids = [None if pd.isna(v) else int(v) for v in want["user_id"]]
+    assert got_ids == want_ids == [1, 2, None, 3]
+
+    # k larger than the group count: all groups, still exact
+    allg = grouped_topk(rd.from_arrow(tbl), ["user_id"], k=100)
+    assert len(allg) == 6 and allg["n"].sum() == len(tbl)
+
+    # empty input: typed empty frame, no crash
+    empty = grouped_topk(rd.from_arrow(tbl.slice(0, 0)), ["user_id"], k=3)
+    assert len(empty) == 0 and list(empty.columns) == ["user_id", "n"]
+
+
+def test_grouped_topk_large_int_keys_with_nulls(ray_session):
+    """Driver fold must stay in Arrow: a pandas fold promotes a nullable
+    int64 key to float64, collapsing distinct keys >= 2^53 and corrupting
+    the returned key values (round-5 review finding)."""
+    import ray.data as rd
+    from logstash_filter_translate_ray.stages.aggregate import grouped_topk
+
+    k1 = 9007199254740992          # 2^53
+    k2 = 9007199254740993          # 2^53 + 1: equal in float64
+    tbl = pa.table({"user_id": pa.array(
+        [k1, k1, k2, k2, None, 7], type=pa.int64())})
+    split = rd.from_arrow([tbl.slice(0, 3), tbl.slice(3)])
+    out = grouped_topk(split, ["user_id"], k=3)
+    # count-tied at n=2: exact int64 ascending tie-break, k1 before k2,
+    # and BOTH survive as distinct groups with exact values; at the n=1
+    # tie, 7 beats the null group (NULLS LAST). No null in the top-3 ⇒
+    # the returned column stays int64 with exact values.
+    assert out["user_id"].dtype == np.int64
+    assert out["user_id"].tolist() == [k1, k2, 7]
+    assert out["n"].tolist() == [2, 2, 1]
+    # k=4 pulls the null group in: selection order stays exact (the fold
+    # is Arrow-side); rendering goes float64, matching DuckDB's .df()
+    out4 = grouped_topk(split, ["user_id"], k=4)
+    assert out4["n"].tolist() == [2, 2, 1, 1]
+    assert pd.isna(out4["user_id"].iloc[3])

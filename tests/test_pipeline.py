@@ -862,3 +862,38 @@ def test_spec_knn_clause(ray_session):
     with pytest.raises(ConfigurationError, match="select requires"):
         build_from_spec({"input": {"path": emb},
                          "filters": [{"select": {}}]})
+
+
+def test_spec_post_filters_keep_schema_on_empty(ray_session, tmp_path):
+    """A keep/select post_filter over an all-empty dataset must re-anchor
+    the statically-derived schema (found by the spec fuzz: dedup +
+    post_filters + distributed counts returned schema() None)."""
+    import pyarrow.parquet as pq
+
+    from logstash_filter_translate_ray.pipelines.spec import build_from_spec
+
+    tbl = pa.table({
+        "event_id": pa.array([2], type=pa.int64()),
+        "user_id": pa.array([None], type=pa.int64()),
+        "event_type": pa.array(["view"], type=pa.string()),
+        "props": pa.array([None], type=pa.string()),
+    })
+    path = str(tmp_path / "events.parquet")
+    pq.write_table(tbl, path)
+    spec = {"input": {"path": path},
+            "filters": [{"keep": {"column": "event_type", "op": "in",
+                                  "value": ["click"]}}],
+            "dedup": {"kind": "exact", "col": "props",
+                      "id_col": "event_id"},
+            "post_filters": [
+                {"keep": {"column": "event_id", "op": "<", "value": 12}},
+                {"select": {"columns": ["event_id", "user_id"]}},
+            ]}
+    ds = build_from_spec(spec)
+    sch = ds.schema()
+    assert sch is not None and sch.names == ["event_id", "user_id"]
+    spec["aggregate"] = {"kind": "counts", "group_by": ["user_id"],
+                         "driver_merge": False}
+    agg = build_from_spec(spec)
+    sch2 = agg.schema()
+    assert sch2 is not None and sch2.names == ["user_id", "n"]

@@ -1,4 +1,5 @@
-"""The keyed-group step (``rayutil.keyed_groups``) and its consumers.
+"""The keyed exchange (``rayutil.keyed_groups``/``keyed_aggregate``) and
+its consumers.
 
 Every operator that groups by key goes through one helper, so one
 adversarial input per consumer pins the whole contract: null keys, int64
@@ -21,6 +22,7 @@ from logstash_filter_translate_ray import rayutil
 
 K1, K2 = 2**53, 2**53 + 1          # distinct int64, equal as float64
 HOT = 30
+_DEFAULT_GROUPS = rayutil.DEFAULT_GROUPS
 
 
 def test_single_int_key_keeps_group_assignment():
@@ -107,9 +109,12 @@ def _groups_kw(name: str, groups):
 
 
 def _run(op: str, ds, groups, monkeypatch):
-    from logstash_filter_translate_ray.functions import dedup, similarity
+    from logstash_filter_translate_ray.functions import (dedup, similarity,
+                                                         text)
     from logstash_filter_translate_ray.stages import aggregate, window
     g = _groups_kw("num_groups", groups)
+    # the group count of every consumer that takes none
+    monkeypatch.setattr(rayutil, "DEFAULT_GROUPS", groups or _DEFAULT_GROUPS)
     if op == "exact_dedup":
         return dedup.exact_dedup(ds, **g)
     if op == "bucket_candidate_pairs":
@@ -128,9 +133,15 @@ def _run(op: str, ds, groups, monkeypatch):
     if op == "knn_join_ivf":
         return similarity.knn_join_ivf(ds, k=3, n_cells=4, n_probe=2,
                                        as_dataset=True, **g)
+    if op == "exact_dedup_ids":
+        return dedup.exact_dedup_ids(ds)
+    if op == "vocab_topk":
+        return text.vocab_topk(ds, k=5)
+    if op == "grouped_counts":
+        return aggregate.grouped_counts(ds, ["user_id"], driver_merge=False)
+    if op == "grouped_topk":
+        return aggregate.grouped_topk(ds, ["user_id"], k=3)
     if op == "grouped_quantiles":
-        if groups is not None:
-            monkeypatch.setattr(aggregate, "_FALLBACK_GROUPS", groups)
         return aggregate.grouped_quantiles(ds, key="user_id", qs=(0.5, 0.9),
                                            driver_partial_rows_max=0)
     fn = getattr(window, op)
@@ -144,6 +155,8 @@ CASES = {
     "embedding_neardup_pairs_lsh": _vectors, "knn_join_ivf": _vectors,
     "prev_event_gap": _events, "session_counts": _events,
     "event_paths": _events, "grouped_quantiles": _events,
+    "exact_dedup_ids": _docs, "vocab_topk": _docs,
+    "grouped_counts": _events, "grouped_topk": _events,
 }
 
 

@@ -1,14 +1,13 @@
 """Round-5 regression tests: the three r4 ADVICE findings plus the
-round-5 VERDICT tasks (missing_file_ok, grouped-partial top-k,
-spill-pressure smoke) as they land. The IVF kNN join tests live in
-tests/test_similarity.py and its spec clause test in
-tests/test_pipeline.py; the missing_file_ok translate_dataset test
-lives in tests/test_translate_stage.py; the window-segment null-key tests
-live in tests/test_null_keys.py."""
+round-5 VERDICT tasks (missing_file_ok, spill-pressure smoke) as they
+land. The IVF kNN join tests live in tests/test_similarity.py and its
+spec clause and post-filter schema tests in tests/test_pipeline.py; the
+missing_file_ok translate_dataset test lives in
+tests/test_translate_stage.py; the window-segment null-key and
+grouped-partial top-k tests live in tests/test_null_keys.py."""
 
 import os
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
@@ -51,66 +50,6 @@ def test_missing_file_ok(tmp_path):
     missing.write_text("a,1\n")
     assert d.reload(force=True) is True and d.version == 2
     assert d.snapshot.map == {"a": "1"}
-
-
-# --------------------------------------------------------------------------
-# VERDICT r4 #5: grouped-partial top-k (no full range-partition sort)
-# --------------------------------------------------------------------------
-
-def test_grouped_topk(ray_session):
-    import duckdb
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.aggregate import grouped_topk
-
-    # ties at the k boundary + null keys + multi-block spread of one key
-    tbl = pa.table({"user_id": pa.array(
-        [1] * 5 + [2] * 5 + [None] * 5 + [3] * 3 + [4] * 3 + [5] * 1,
-        type=pa.int64())})
-    split = rd.from_arrow([tbl.slice(0, 7), tbl.slice(7, 8), tbl.slice(15)])
-    out = grouped_topk(split, ["user_id"], k=4)
-    want = duckdb.connect().execute(
-        "SELECT user_id, COUNT(*) AS n FROM tbl GROUP BY user_id "
-        "ORDER BY n DESC, user_id LIMIT 4").df()
-    assert out["n"].tolist() == want["n"].tolist()
-    # same groups in the same order; null sorts LAST within its n-tie
-    got_ids = [None if pd.isna(v) else int(v) for v in out["user_id"]]
-    want_ids = [None if pd.isna(v) else int(v) for v in want["user_id"]]
-    assert got_ids == want_ids == [1, 2, None, 3]
-
-    # k larger than the group count: all groups, still exact
-    allg = grouped_topk(rd.from_arrow(tbl), ["user_id"], k=100)
-    assert len(allg) == 6 and allg["n"].sum() == len(tbl)
-
-    # empty input: typed empty frame, no crash
-    empty = grouped_topk(rd.from_arrow(tbl.slice(0, 0)), ["user_id"], k=3)
-    assert len(empty) == 0 and list(empty.columns) == ["user_id", "n"]
-
-
-def test_grouped_topk_large_int_keys_with_nulls(ray_session):
-    """Driver fold must stay in Arrow: a pandas fold promotes a nullable
-    int64 key to float64, collapsing distinct keys >= 2^53 and corrupting
-    the returned key values (round-5 review finding)."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.aggregate import grouped_topk
-
-    k1 = 9007199254740992          # 2^53
-    k2 = 9007199254740993          # 2^53 + 1: equal in float64
-    tbl = pa.table({"user_id": pa.array(
-        [k1, k1, k2, k2, None, 7], type=pa.int64())})
-    split = rd.from_arrow([tbl.slice(0, 3), tbl.slice(3)])
-    out = grouped_topk(split, ["user_id"], k=3)
-    # count-tied at n=2: exact int64 ascending tie-break, k1 before k2,
-    # and BOTH survive as distinct groups with exact values; at the n=1
-    # tie, 7 beats the null group (NULLS LAST). No null in the top-3 ⇒
-    # the returned column stays int64 with exact values.
-    assert out["user_id"].dtype == np.int64
-    assert out["user_id"].tolist() == [k1, k2, 7]
-    assert out["n"].tolist() == [2, 2, 1]
-    # k=4 pulls the null group in: selection order stays exact (the fold
-    # is Arrow-side); rendering goes float64, matching DuckDB's .df()
-    out4 = grouped_topk(split, ["user_id"], k=4)
-    assert out4["n"].tolist() == [2, 2, 1, 1]
-    assert pd.isna(out4["user_id"].iloc[3])
 
 
 # --------------------------------------------------------------------------
@@ -249,41 +188,6 @@ def test_translate_bool_float_dict_values_exact():
                            dictionary={"a": 2 ** 70, "b": 1})
     out2 = run_both(cfg2, [{"s": "a"}, {"s": "b"}])
     assert [r["t"] for r in out2] == [str(2 ** 70), "1"]
-
-
-def test_spec_post_filters_keep_schema_on_empty(ray_session, tmp_path):
-    """A keep/select post_filter over an all-empty dataset must re-anchor
-    the statically-derived schema (found by the spec fuzz: dedup +
-    post_filters + distributed counts returned schema() None)."""
-    import pyarrow.parquet as pq
-
-    from logstash_filter_translate_ray.pipelines.spec import build_from_spec
-
-    tbl = pa.table({
-        "event_id": pa.array([2], type=pa.int64()),
-        "user_id": pa.array([None], type=pa.int64()),
-        "event_type": pa.array(["view"], type=pa.string()),
-        "props": pa.array([None], type=pa.string()),
-    })
-    path = str(tmp_path / "events.parquet")
-    pq.write_table(tbl, path)
-    spec = {"input": {"path": path},
-            "filters": [{"keep": {"column": "event_type", "op": "in",
-                                  "value": ["click"]}}],
-            "dedup": {"kind": "exact", "col": "props",
-                      "id_col": "event_id"},
-            "post_filters": [
-                {"keep": {"column": "event_id", "op": "<", "value": 12}},
-                {"select": {"columns": ["event_id", "user_id"]}},
-            ]}
-    ds = build_from_spec(spec)
-    sch = ds.schema()
-    assert sch is not None and sch.names == ["event_id", "user_id"]
-    spec["aggregate"] = {"kind": "counts", "group_by": ["user_id"],
-                         "driver_merge": False}
-    agg = build_from_spec(spec)
-    sch2 = agg.schema()
-    assert sch2 is not None and sch2.names == ["user_id", "n"]
 
 
 def test_translate_bytes_dict_values():
