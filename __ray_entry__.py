@@ -782,12 +782,14 @@ def q_incremental_dedup(sf_dir: str):
     16-byte content-hash anti-join — the text itself never shuffles."""
     from logstash_filter_translate_ray.functions.dedup import (
         incremental_dedup)
-    import pyarrow.compute as pc
+    from logstash_filter_translate_ray.rayutil import anchor_empty_schema
     seen = _read(sf_dir, "documents", ["doc_id", "text"]) \
         .filter(expr="doc_id < 250")
     new = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = incremental_dedup(new, seen)
-    return out.select_columns(["doc_id"])
+    out = incremental_dedup(new, seen).select_columns(["doc_id"])
+    # a corpus deduped to nothing must keep its projected column list
+    # (without the anchor, schema() walks back up to the pre-project read)
+    return anchor_empty_schema(out, pa.schema([("doc_id", pa.int64())]))
 
 
 def q_embedding_neardup(sf_dir: str):

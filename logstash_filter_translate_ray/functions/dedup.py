@@ -16,9 +16,9 @@ shuffles are
    bounded number of vectorized group calls (``num_groups``), not one
    scheduling unit per LSH bucket;
 2. a second keyed-group shuffle on (id_a, id_b) that dedupes the pairs;
-3. two hash JOINS (``Dataset.join``) that attach each candidate doc's
-   shingle-set blob to its pairs, so the exact-Jaccard verify runs inside
-   ``map_batches`` over the joined pairs.
+3. two inner joins on the same exchange (``rayutil.keyed_join``) that
+   attach each candidate doc's shingle-set blob to its pairs, so the
+   exact-Jaccard verify runs inside ``map_batches`` over the joined pairs.
 
 No whole-dataset ``to_pandas()`` / driver text dict anywhere. Connected
 components pick their path automatically (``cc='auto'``): driver union-find
@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 
 from .. import rayutil
 from ..rayutil import (anchor_empty_schema, input_arrow_schema,
-                       keyed_aggregate, keyed_groups)
+                       keyed_aggregate, keyed_groups, keyed_join)
 
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)   # splitmix64 / golden-ratio odd
 # one odd 64-bit multiplier per k-gram position (order-sensitive combine)
@@ -238,115 +238,54 @@ def exact_dedup_ids(ds, col: str = "text", id_col: str = "doc_id"):
 # ---------------------------------------------------------------------------
 
 _BROADCAST_MAX_SEEN = 2_000_000   # distinct seen hashes (~32 MB) below
-# which the semi-join broadcasts instead of shuffle-joining
-
-
-def _join_operand(ds, num_partitions: int, n_rows: "Optional[int]" = None):
-    """Materialized, EMPTY-BLOCK-FREE operand for ``Dataset.join``.
-
-    Ray 2.49's hash-shuffle join broadcasts an operand's schema to the
-    aggregator pool only with the FIRST block of that side
-    (``hash_shuffle.py`` ``should_broadcast_schemas``), and
-    ``_shuffle_block`` returns early on a 0-row block WITHOUT sending the
-    schema shards. If block arrival order puts an empty block first, every
-    join partition that receives no rows from that side finalizes a
-    zero-COLUMN table and ``pa.Table.join`` raises ArrowInvalid ("No match
-    for FieldRef") — an intermittent, scheduling-dependent failure
-    (reproduced deterministically by joining an operand whose first block
-    is empty; seen as rare CI flakes in the minhash pipeline). Join
-    OUTPUTS can legitimately contain empty partitions, so CHAINED joins
-    (verify's j1→j2, min-label CC's per-round joins) are exposed even when
-    the original inputs are dense, as are tiny pair lists repartitioned
-    above their row count.
-
-    Squashing the operand into ``min(num_partitions, count)`` even row
-    splits guarantees every block is nonempty. Callers must still
-    short-circuit ``count == 0`` — a fully-empty operand cannot deliver a
-    schema at all. A layout that is ALREADY ≤ num_partitions nonempty
-    blocks passes through untouched (per-block rows come from the
-    materialized metadata — no second materialize/repartition pass for
-    the common clean case)."""
-    m = ds.materialize()
-    sizes = [md.num_rows for b in m.iter_internal_ref_bundles()
-             for md in b.metadata]
-    if 0 < len(sizes) <= num_partitions \
-            and all(s is not None and s > 0 for s in sizes):
-        return m
-    n = sum(sizes) if all(s is not None for s in sizes) else (
-        m.count() if n_rows is None else n_rows)
-    return m.repartition(max(1, min(num_partitions, n))).materialize()
+# which the semi-join broadcasts instead of running through the exchange
 
 
 def incremental_dedup(ds_new, ds_seen, col: str = "text",
                       id_col: str = "doc_id", num_partitions: int = 4):
     """EXACT cross-dataset dedup — the shape of incremental corpus ingest:
     keep only the rows of ``ds_new`` whose content does not appear in
-    ``ds_seen``. Anti-join on the 128-bit content hash: the shuffle moves
-    16 bytes + an id per row, never the text; the seen side is first
-    reduced to DISTINCT hashes by the keyed exchange.
+    ``ds_seen``, by 128-bit content hash. The seen side is reduced to
+    DISTINCT hashes at call time; the new side is then a lazy broadcast
+    probe, or past ``_BROADCAST_MAX_SEEN`` an eager semi join of slim
+    (id, hash) rows — the text rides an exchange only in the worst case.
 
     NULL content never matches (SQL equality semantics: ``s.text = d.text``
     is never true when either side is NULL, so the oracle keeps every
     null-text new row) — null rows are excluded from the seen hash set and
     from the droppable new side."""
-    def _hash_i64(t: pa.Table, keep_all: bool) -> pa.Table:
-        # int64 VIEW of the uint64 hashes: Dataset.join's hash shuffle
-        # handles uint64 keys as pickled objects (Acero then rejects the
-        # mixed types); the bit-pattern view is join-equivalent
-        t2, _ = add_content_hash(t, col)
-        h1 = t2["content_hash"].combine_chunks() \
-            if isinstance(t2["content_hash"], pa.ChunkedArray) \
-            else t2["content_hash"]
-        h2 = t2["content_hash2"].combine_chunks() \
-            if isinstance(t2["content_hash2"], pa.ChunkedArray) \
-            else t2["content_hash2"]
-        h1 = pa.array(h1.to_numpy(zero_copy_only=False).view(np.int64))
-        h2 = pa.array(h2.to_numpy(zero_copy_only=False).view(np.int64))
-        base = t if keep_all else t.select([])
-        out = base.drop_columns(
-            [c for c in ("content_hash", "content_hash2")
-             if c in base.column_names])
-        out = out.append_column("content_hash", h1)
-        return out.append_column("content_hash2", h2)
+    import ray
 
-    seen = ds_seen.map_batches(
-        lambda t: _hash_i64(t.filter(pc.is_valid(t[col])), keep_all=False),
-        batch_format="pyarrow", batch_size=None)
-    # the distinct seen-hash set, materialized by the keyed exchange into
-    # ≤ num_partitions non-empty blocks (so _join_operand passes it
-    # through); the empty case must short-circuit — an empty operand
-    # reaches Acero as zero-COLUMN blocks the per-partition join rejects
-    flagged = keyed_aggregate(seen, _CONTENT_KEYS, {}, num_partitions)
+    def hashes(t: pa.Table, keep) -> pa.Table:
+        t = t.filter(pc.is_valid(t[col]))
+        return add_content_hash(t, col)[0].select([*keep, *_CONTENT_KEYS])
+
+    flagged = keyed_aggregate(
+        ds_seen.map_batches(lambda t: hashes(t, []), batch_format="pyarrow",
+                            batch_size=None),
+        _CONTENT_KEYS, {}, num_partitions)
     n_seen = flagged.count()
     if n_seen == 0:
         return ds_new
-    flagged = _join_operand(flagged, num_partitions, n_seen)
     if n_seen <= _BROADCAST_MAX_SEEN:
         # broadcast semi-join: the distinct seen-hash set rides the object
         # store once (16 bytes/hash, sorted by (h1, h2)) and each batch
         # probes EXACT 128-bit membership with two searchsorted passes —
-        # no shuffle join, no per-query join-actor startup. Measured at
-        # sf0.1: 3.7 s (join) → sub-second.
-        import ray as _ray
-
-        def _pair_cols(t: pa.Table) -> "tuple[np.ndarray, np.ndarray]":
-            return (t["content_hash"].to_numpy(zero_copy_only=False),
-                    t["content_hash2"].to_numpy(zero_copy_only=False))
-
-        parts = [_pair_cols(b) for b in
-                 flagged.iter_batches(batch_format="pyarrow")]
-        s1 = np.concatenate([p[0] for p in parts] or
-                            [np.empty(0, np.int64)])
-        s2 = np.concatenate([p[1] for p in parts] or
-                            [np.empty(0, np.int64)])
+        # no exchange for the new side. Measured at sf0.1: 3.7 s (a
+        # shuffle join) → sub-second.
+        parts = [(b["content_hash"].to_numpy(zero_copy_only=False),
+                  b["content_hash2"].to_numpy(zero_copy_only=False))
+                 for b in flagged.iter_batches(batch_format="pyarrow")]
+        s1 = np.concatenate([p[0] for p in parts])
+        s2 = np.concatenate([p[1] for p in parts])
         order = np.lexsort((s2, s1))
-        ref = _ray.put((s1[order], s2[order]))
+        ref = ray.put((s1[order], s2[order]))
 
         def keep(t: pa.Table) -> pa.Table:
-            s1s, s2s = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) \
+            s1s, s2s = ray.get(ref) if isinstance(ref, ray.ObjectRef) \
                 else ref
-            t2 = _hash_i64(t, keep_all=True)
-            a, b = _pair_cols(t2)
+            t2, a = add_content_hash(t, col)
+            b = t2["content_hash2"].to_numpy(zero_copy_only=False)
             lo = np.searchsorted(s1s, a, side="left")
             hi = np.searchsorted(s1s, a, side="right")
             hit = np.zeros(len(a), dtype=bool)
@@ -359,53 +298,35 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
 
         return ds_new.map_batches(keep, batch_format="pyarrow",
                                   batch_size=None)
-    # big-seen path: the join shuffles SLIM (hash128, id) rows only — the
-    # text never rides an exchange (the module's core movement claim).
-    # Dropped ids (new rows whose content is seen) come from an INNER join;
-    # in incremental ingest they are the minority, so they broadcast back
-    # as an is_in filter over the untouched ds_new. If a degenerate corpus
-    # ever makes the dropped set outgrow the broadcast bound, fall back to
-    # dropping via the (still slim) id anti-join below.
-    slim = ds_new.map_batches(
-        lambda t: _hash_i64(t.filter(pc.is_valid(t[col])), keep_all=True)
-        .select([id_col, "content_hash", "content_hash2"]),
-        batch_format="pyarrow", batch_size=None).materialize()
-    n_new = slim.count()
-    if n_new == 0:
-        return ds_new
-    slim = _join_operand(slim, num_partitions, n_new)
-    dropped = slim.join(flagged, "inner", num_partitions,
-                        on=("content_hash", "content_hash2")) \
-        .select_columns([id_col]).materialize()
+    # big-seen path: a semi join of SLIM (id, hash128) rows — the text
+    # never rides an exchange (the module's core movement claim). The
+    # dropped ids (new rows whose content is seen) are the minority in
+    # incremental ingest, so they broadcast back as an is_in filter over
+    # the untouched ds_new; if a degenerate corpus makes them outgrow the
+    # broadcast bound, an id anti join drops them instead.
+    dropped = keyed_join(
+        ds_new.map_batches(lambda t: hashes(t, [id_col]),
+                           batch_format="pyarrow", batch_size=None),
+        flagged, _CONTENT_KEYS, how="left semi", num_groups=num_partitions)
     n_drop = dropped.count()
     if n_drop == 0:
         return ds_new
     if n_drop <= _BROADCAST_MAX_SEEN:
-        import ray as _ray
-        drop_ref = _ray.put(pa.array(np.concatenate(
+        drop_ref = ray.put(pa.array(np.concatenate(
             [b[id_col].to_numpy(zero_copy_only=False)
              for b in dropped.iter_batches(batch_format="pyarrow")])))
 
         def keep_ids(t: pa.Table) -> pa.Table:
-            d = _ray.get(drop_ref) if isinstance(drop_ref, _ray.ObjectRef) \
+            d = ray.get(drop_ref) if isinstance(drop_ref, ray.ObjectRef) \
                 else drop_ref
             return t.filter(pc.invert(pc.is_in(t[id_col], value_set=d)))
 
         return ds_new.map_batches(keep_ids, batch_format="pyarrow",
                                   batch_size=None)
-    # worst case (most of the new corpus is already seen): anti-join the
-    # full rows against the dropped-id list — one text-bearing exchange,
-    # unavoidable once neither side fits a broadcast
-    flagged_ids = _join_operand(dropped.map_batches(
-        lambda t: t.append_column("_drop", pa.array([True] * len(t))),
-        batch_format="pyarrow", batch_size=None), num_partitions, n_drop)
-    # left side: n_new ≥ n_drop > 0 rows split into ≤ min(n_new,
-    # num_partitions) blocks — no empty block can arrive first
-    joined = ds_new.repartition(max(1, min(num_partitions, n_new))).join(
-        flagged_ids, "left_outer", num_partitions, on=(id_col,))
-    return joined.map_batches(
-        lambda t: t.filter(pc.is_null(t["_drop"])).drop_columns(["_drop"]),
-        batch_format="pyarrow", batch_size=None)
+    # worst case (most of the new corpus is already seen): the full rows
+    # ride one exchange, unavoidable once neither side fits a broadcast
+    return keyed_join(ds_new, dropped.select_columns([id_col]), [id_col],
+                      how="left anti", num_groups=num_partitions)
 
 
 class Bloom:
@@ -815,46 +736,26 @@ def _batch_jaccard_from_blobs(a_blobs: list, b_blobs: list) -> np.ndarray:
 def verified_jaccard_pairs(pairs_ds, docs_ds, col: str = "text",
                            id_col: str = "doc_id", k: int = 3,
                            num_partitions: int = 4):
-    """Attach both docs' shingle sets to every candidate pair via two hash
-    joins, then compute EXACT Jaccard inside map_batches — the verify is
-    distributed; the driver never sees a text. Returns a Dataset
+    """Attach both docs' shingle sets to every candidate pair via two
+    inner joins (run at call time), then compute EXACT Jaccard in a lazy
+    map_batches — the driver never sees a text. Returns a Dataset
     (id_a, id_b, jaccard)."""
-    sig = shingle_set_dataset(docs_ds, col, id_col, k)
-    # _join_operand both operands AND the first join's output: empty
-    # blocks in any join side race the hash-shuffle schema broadcast
-    # (see _join_operand), and stacking repartitions + two joins in ONE
-    # streaming DAG can starve a small CPU budget into a wedge. The sig
-    # materialization is bounded by the per-doc shingle blobs (the join
-    # shuffles that payload regardless).
-    def _empty_result():
-        import ray.data as _rd
-        return _rd.from_arrow(pa.table({
+    # materialized once: both joins read it
+    sig = shingle_set_dataset(docs_ds, col, id_col, k).materialize()
+    j1 = keyed_join(pairs_ds, sig, ["id_a"], [id_col],
+                    num_groups=num_partitions)
+    j2 = keyed_join(
+        j1.map_batches(lambda t: t.rename_columns(
+            [{"sh_set": "_sh_a"}.get(c, c) for c in t.column_names]),
+            batch_format="pyarrow", batch_size=None),
+        sig, ["id_b"], [id_col], num_groups=num_partitions)
+    if j2.count() == 0:
+        # a map_batches over no blocks would drop the schema
+        import ray.data as rd
+        return rd.from_arrow(pa.table({
             "id_a": pa.array([], type=pa.int64()),
             "id_b": pa.array([], type=pa.int64()),
             "jaccard": pa.array([], type=pa.float64())}))
-
-    pairs_ds = pairs_ds.materialize()
-    n_pairs = pairs_ds.count()
-    sig = sig.materialize()
-    n_sig = sig.count()
-    if n_pairs == 0 or n_sig == 0:     # an empty operand can't join (see
-        return _empty_result()          # _join_operand) — and the answer
-    pairs_ds = _join_operand(pairs_ds, num_partitions, n_pairs)  # is known
-    sig = _join_operand(sig, num_partitions, n_sig)
-    j1 = pairs_ds.join(sig, "inner", num_partitions,
-                       on=("id_a",), right_on=(id_col,)) \
-        .map_batches(lambda t: t.rename_columns(
-            [{"sh_set": "_sh_a"}.get(c, c) for c in t.column_names]),
-            batch_format="pyarrow", batch_size=None)
-    # chained join: j1 is itself a join output, whose partitions can be
-    # empty — squash before it becomes the next join's left side
-    j1 = j1.materialize()
-    n_j1 = j1.count()
-    if n_j1 == 0:                       # pair ids absent from docs_ds
-        return _empty_result()
-    j1 = _join_operand(j1, num_partitions, n_j1)
-    j2 = j1.join(sig, "inner", num_partitions,
-                 on=("id_b",), right_on=(id_col,))
 
     def jac(t: pa.Table) -> pa.Table:
         vals = _batch_jaccard_from_blobs(t["_sh_a"].to_pylist(),
@@ -897,14 +798,15 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
                         max_iters: int = 25):
     """DISTRIBUTED connected components over a candidate-pair Dataset
     (id_a, id_b) by min-label propagation: every node repeatedly adopts the
-    minimum label among itself and its neighbors (one hash join + one
-    keyed min aggregate per round; rounds = component diameter, shallow for
-    near-dup clusters). Returns a Dataset (node, label) covering every node
-    that appears in a pair, label = min node id of its component.
+    minimum label among itself and its neighbors (two inner joins and one
+    keyed min aggregate per round, all run at call time; rounds =
+    component diameter, shallow for near-dup clusters). Returns a Dataset
+    (node, label) covering every node that appears in a pair, label = min
+    node id of its component.
 
     This is the scale path for :func:`connected_components` when the
     verified pair list outgrows the driver; for small pair lists the
-    driver union-find is cheaper (no shuffles)."""
+    driver union-find is cheaper (no exchanges)."""
     import pyarrow.compute as _pc
 
     def _both(t: pa.Table) -> pa.Table:
@@ -913,37 +815,27 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
         return pa.table({"src": pa.concat_arrays([a, b]),
                          "dst": pa.concat_arrays([b, a])})
 
-    # every join operand goes through _norm = _join_operand: empty blocks
-    # (possible in filter/join outputs) race the hash-shuffle
-    # schema broadcast (see _join_operand). All operands here are
-    # nonempty by construction: pairs_ds is (callers gate on the verified
-    # pair count), edges doubles it, labels covers every edge src, and
-    # nbr/merged are inner joins on total key overlap.
-    def _norm(d):
-        return _join_operand(d, num_partitions)
-
-    edges = _norm(pairs_ds.map_batches(_both, batch_format="pyarrow",
-                                       batch_size=None))
+    # materialized once: every round joins it
+    edges = pairs_ds.map_batches(_both, batch_format="pyarrow",
+                                 batch_size=None).materialize()
 
     def _init(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["src"],
                          "label": _pc.min_element_wise(t["src"],
                                                        t["min_dst"])})
 
-    labels = _norm(keyed_aggregate(edges, ["src"],
-                                   {"min_dst": ("dst", "min")},
-                                   num_partitions)
-                   .map_batches(_init, batch_format="pyarrow",
-                                batch_size=None))
+    labels = keyed_aggregate(edges, ["src"], {"min_dst": ("dst", "min")},
+                             num_partitions) \
+        .map_batches(_init, batch_format="pyarrow", batch_size=None)
 
     changed: "int | None" = None       # None ⇒ zero rounds ran
     for _ in range(max_iters):
-        nbr = _norm(keyed_aggregate(
-            edges.join(labels, "inner", num_partitions,
-                       on=("dst",), right_on=("node",)),
-            ["src"], {"min_label": ("label", "min")}, num_partitions))
-        merged = nbr.join(labels, "inner", num_partitions,
-                          on=("src",), right_on=("node",))
+        nbr = keyed_aggregate(
+            keyed_join(edges, labels, ["dst"], ["node"],
+                       num_groups=num_partitions),
+            ["src"], {"min_label": ("label", "min")}, num_partitions)
+        merged = keyed_join(nbr, labels, ["src"], ["node"],
+                            num_groups=num_partitions)
 
         def _step(t: pa.Table) -> pa.Table:
             new = _pc.min_element_wise(t["min_label"], t["label"])
@@ -961,7 +853,7 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
             lambda t: pa.table({"c": pa.array(
                 [t["_changed"][0].as_py() if len(t) else 0], type=pa.int64())}),
             batch_format="pyarrow", batch_size=None).take_all())
-        labels = _norm(stepped.drop_columns(["_changed"]))
+        labels = stepped.drop_columns(["_changed"])
         if not changed:
             break
     else:
@@ -979,8 +871,9 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
 
 
 _CC_DRIVER_MAX_PAIRS = 1_000_000   # verified-pair count above which the
-# driver union-find (one to_pandas of the pair list + a Python loop) loses
-# to the min-label-propagation groupby; ~16 MB of int64 pair ids at the cut.
+# driver union-find (one to_pandas of the pair list + a Python loop) gives
+# way to minlabel_components' joins and aggregates on the keyed exchange;
+# ~16 MB of int64 pair ids at the cut.
 
 
 def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
@@ -990,20 +883,22 @@ def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
                   skip_counter=None):
     """Full near-dup pipeline: LSH candidates → distributed Jaccard verify
     (join-attached shingle sets, see :func:`verified_jaccard_pairs`) →
-    keep min-id per component. Returns (deduped_dataset, dropped_ids).
+    keep min-id per component, all run at call time. Returns
+    (deduped_dataset, dropped_ids).
 
     ``cc='driver'``: union-find over the VERIFIED pair list on the driver
     (sparse-duplicate assumption); ``dropped_ids`` is a sorted Python list
-    and the survivor filter is a broadcast set. ``cc='distributed'``:
-    :func:`minlabel_components` + a hash-join survivor filter — nothing
-    pair-shaped ever reaches the driver; ``dropped_ids`` is a Dataset of
-    (node, label). ``cc='auto'`` (default): picks by the verified pair
-    count — driver below ``_CC_DRIVER_MAX_PAIRS`` (1M pairs ≈ 16 MB of
-    ids), distributed above."""
+    and the survivor filter a lazy broadcast-set filter.
+    ``cc='distributed'``: :func:`minlabel_components` + an eager ``left
+    anti`` join survivor filter — nothing pair-shaped ever reaches the
+    driver; ``dropped_ids`` is a Dataset of (node, label). ``cc='auto'``
+    (default): picks by the verified pair count — driver below
+    ``_CC_DRIVER_MAX_PAIRS`` (1M pairs ≈ 16 MB of ids), distributed
+    above."""
     import ray
 
     # materialize the PAIR LIST (small by construction) so the empty case is
-    # detectable and the join doesn't recompute the LSH pipeline
+    # detectable and the verify doesn't recompute the LSH pipeline
     cand = minhash_candidate_pairs(ds, col, id_col, k, num_perm, bands,
                                    concurrency,
                                    skip_counter=skip_counter).materialize()
@@ -1026,24 +921,9 @@ def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
         dropped = labels.map_batches(
             lambda t: t.filter(pc.not_equal(t["node"], t["label"])),
             batch_format="pyarrow", batch_size=None).materialize()
-        # anti-join survivor filter: flag dropped ids, left-join, keep
-        # nulls. flagged is nonempty (verified pairs ⇒ ≥1 non-root node)
-        # and goes through _join_operand. The big text-bearing left side
-        # must ALSO be empty-block-free (ds can be a filter-chain output
-        # whose blocks are empty) — the join hash-partitions the corpus
-        # into num_partitions anyway, so the _join_operand squash is the
-        # same data movement one stage earlier, sized by the caller's
-        # num_partitions.
-        flagged = _join_operand(dropped.map_batches(
-            lambda t: pa.table({"node": t["node"],
-                                "_drop": pa.array([True] * len(t))}),
-            batch_format="pyarrow", batch_size=None), num_partitions)
-        joined = _join_operand(ds, num_partitions).join(
-            flagged, "left_outer", num_partitions,
-            on=(id_col,), right_on=("node",))
-        kept = joined.map_batches(
-            lambda t: t.filter(pc.is_null(t["_drop"])).drop_columns(["_drop"]),
-            batch_format="pyarrow", batch_size=None)
+        kept = keyed_join(ds, dropped.select_columns(["node"]), [id_col],
+                          ["node"], how="left anti",
+                          num_groups=num_partitions)
         return kept, dropped
 
     if n_verified == 0:

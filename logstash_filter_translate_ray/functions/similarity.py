@@ -127,20 +127,40 @@ def _vector_blocks(ds, id_col: str, vec_col: str, target_rows: int,
     cap keeps its (usually better load-balanced) granularity unless it
     has more than max(ceil(N / target_rows), max_blocks) blocks; a
     measured forced re-split 64→49 blocks at 200k vectors cost 1.4× wall
-    time on 32 CPUs (uneven last wave)."""
+    time on 32 CPUs (uneven last wave). The re-split cuts the rows into
+    ceil(N / target_rows) even ranges, one task per range."""
+    import ray
+
+    from ..rayutil import _concat
+
     sub = ds.select_columns([id_col, vec_col]).materialize()
-    n_total = sub.count()
+    blocks = [bl for b in sub.iter_internal_ref_bundles() for bl in b.blocks]
+    sizes = np.array([m.num_rows for _, m in blocks], dtype=np.int64)
+    n_total = int(sizes.sum())
     if n_total == 0:
         return []
     desired = -(-n_total // target_rows)
-    sizes = [m.num_rows for b in sub.iter_internal_ref_bundles()
-             for m in b.metadata]
-    if (len(sizes) > max(desired, max_blocks)
-            or any(s is None or s == 0 or s > target_rows for s in sizes)):
-        # repartition the MATERIALIZED handle: repartitioning the lazy
-        # dataset would re-execute the whole read/select a second time
-        sub = sub.repartition(desired).materialize()
-    return sub.to_arrow_refs()
+    if (len(sizes) <= max(desired, max_blocks)
+            and ((sizes > 0) & (sizes <= target_rows)).all()):
+        return sub.to_arrow_refs()
+
+    @ray.remote
+    def row_range(offset: int, n: int, *parts) -> pa.Table:
+        from ray.data.block import BlockAccessor
+        return _concat([BlockAccessor.for_block(p).to_arrow()
+                        for p in parts]).slice(offset, n)
+
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    bounds = np.arange(desired + 1) * n_total // desired
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        hit = [i for i in range(np.searchsorted(ends, lo, side="right"),
+                                np.searchsorted(starts, hi))
+               if sizes[i]]
+        out.append(row_range.remote(int(lo - starts[hit[0]]), int(hi - lo),
+                                    *[blocks[i][0] for i in hit]))
+    return out
 
 
 def brute_force_topk(ds, query: np.ndarray, k: int = 10,

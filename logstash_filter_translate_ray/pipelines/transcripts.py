@@ -161,8 +161,9 @@ def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
                  ) -> dict[str, Any]:
     """Run the DAG once (non-resumable form). Returns the low-cardinality
     aggregates as small pandas frames; ``conv_turn_counts`` (one row PER
-    CONVERSATION — whole-input cardinality) stays a lazy Dataset so the
-    driver never materializes it — callers sample, aggregate, or sink it.
+    CONVERSATION — whole-input cardinality) is computed at call time on
+    the keyed exchange and returned as a materialized Dataset that never
+    reaches the driver as a frame — callers sample, aggregate, or sink it.
     When ``out_dir`` is given the routed rows are written as
     hive-partitioned parquet first and the aggregates are then computed
     over the written files (single source of truth)."""

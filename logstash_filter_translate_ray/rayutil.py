@@ -1,14 +1,11 @@
 """Small shared Ray Data helpers, and the engine's one keyed exchange.
 
-``keyed_groups`` is the only keyed group in the package, and
-``keyed_aggregate`` (an Arrow hash aggregate per group) the only grouped
-aggregate; no operator calls Ray's own ``Dataset.groupby``/``sort``/
-``unique``. Every operator that needs "all rows of a key in one place"
-(exact dedup, LSH/shingle candidate pairs, pair dedupe, the IVF kNN cells
-and merge, the window operators, the quantile fallback, the distributed
-grouped counts and top-k, the connected-components rounds, the seen-hash
-set, the vocabulary count) passes its key columns and a per-group
-function or aggregate spec; this module owns the rest:
+``keyed_groups`` (a function per group), ``keyed_aggregate`` (an Arrow
+hash aggregate per group) and ``keyed_join`` (an Arrow hash join per
+bucket) are the package's only keyed operators: it runs no Ray
+``groupby``/``sort``/``unique``/``join``/``repartition``, so no Ray
+AllToAll operator. Callers pass key columns and a group function,
+aggregate spec or join type; this module owns the rest:
 
 - **Grouping.** Rows whose key tuples are equal reach the same ``fn``
   call, nulls counting as equal (SQL ``GROUP BY``). The key hashes into
@@ -24,17 +21,16 @@ function or aggregate spec; this module owns the rest:
   :func:`_group_of`'s multiply-shift maps the value to a bucket.
 - **Exchange.** The bucket id is known per row, so there is no sampling,
   range partitioning or sort shuffle, and no null key ever reaches a
-  comparator. Split: one task per non-empty
-  input block, submitted as the block streams out of ``ds``, stably
-  sorts it by bucket and returns one zero-copy slice per bucket plus the
-  bucket row counts. Reduce: one task per non-empty bucket concatenates
-  that bucket's slices, sorts them and calls ``fn``. The result wraps the
-  reduce outputs that have rows, known from each reduce's row count, so
-  no table is fetched into the calling process: at most ``num_groups``
-  non-empty blocks.
-- **Eager.** ``keyed_groups`` and ``keyed_aggregate`` run ``ds`` when
-  called and return a materialized Dataset, like ``materialize()``, not a
-  lazy plan.
+  comparator. Split: one task per non-empty input block, submitted as
+  the block streams out of ``ds``, stably sorts it by bucket and returns
+  one zero-copy slice per bucket plus the bucket row counts. Reduce: one
+  task per non-empty bucket concatenates that bucket's slices, sorts
+  them and calls ``fn`` (a join: splits both sides, and runs Arrow's
+  ``Table.join`` per bucket). The result wraps the reduce outputs that
+  have rows, known from each reduce's row count, so no table is fetched
+  into the calling process: at most ``num_groups`` non-empty blocks.
+- **Eager.** All three run their inputs when called and return a
+  materialized Dataset, like ``materialize()``, not a lazy plan.
 - **What ``fn`` sees.** ``fn(table, starts)`` gets one bucket's rows
   sorted by ``(*keys, *order_by)`` plus the key-segment start offsets.
   Segments come from null-aware Arrow adjacency on the raw values (never
@@ -205,14 +201,62 @@ def _split_block(block, keys: List[str], num_groups: int):
     return (*[t.slice(e - c, c) for e, c in zip(ends, counts)], counts)
 
 
-@ray.remote(num_returns=2)
-def _reduce_bucket(fn, keys: List[str], sort_keys, *parts):
-    """One bucket: its non-empty slices from every split, concatenated
-    (Ray Data's schema-unifying concat), sorted by ``(*keys, *order_by)``
-    and handed to ``fn``; returns ``fn``'s table and its row count."""
+def _concat(parts: Sequence[pa.Table]) -> pa.Table:
+    """``pa.concat_tables`` when the schemas are equal up to metadata,
+    else Ray Data's unifying ``concat`` (which fails to hash a schema with
+    pandas metadata, logs a warning and takes its slow path)."""
+    if all(p.schema.equals(parts[0].schema, check_metadata=False)
+           for p in parts[1:]):
+        return pa.concat_tables(parts)
     from ray.data._internal.arrow_ops.transform_pyarrow import concat
 
-    t = concat(list(parts))
+    return concat(list(parts))
+
+
+def _split_all(ds, keys: List[str], num_groups: int):
+    """One ``_split_block`` per non-empty block of ``ds`` → (slice refs,
+    blocks × ``num_groups`` row counts, input arrow schema or None)."""
+    in_schema = _arrow_schema(ds.schema(fetch_if_missing=False))
+    splits = []
+    for bundle in ds.iter_internal_ref_bundles():
+        if in_schema is None:
+            in_schema = _arrow_schema(bundle.schema)
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                splits.append(_split_block.options(
+                    num_returns=num_groups + 1).remote(ref, keys, num_groups))
+    counts = np.array(ray.get([s[-1] for s in splits]),
+                      dtype=np.int64).reshape(len(splits), num_groups)
+    return splits, counts, in_schema
+
+
+def _bucket_parts(splits, counts, g: int) -> list:
+    return [s[g] for s, c in zip(splits, counts) if c[g]]
+
+
+def _wrap(outs, anchor: Callable[[], Optional[pa.Schema]]):
+    """A Dataset of the ``(table, rows)`` task outputs that have rows; when
+    none has, one zero-row block of ``anchor()`` (None: no block)."""
+    import ray.data as rd
+
+    rows = ray.get([n for _, n in outs])
+    tables = [t for (t, _), n in zip(outs, rows) if n]
+    if not tables:
+        try:
+            schema = anchor()
+        except Exception:              # e.g. a keyed column the input lacks
+            schema = None
+        if schema is not None:
+            tables = [ray.put(schema.empty_table())]
+    return rd.from_arrow_refs(tables)
+
+
+@ray.remote(num_returns=2)
+def _reduce_bucket(fn, keys: List[str], sort_keys, *parts):
+    """One bucket: its non-empty slices from every split, concatenated,
+    sorted by ``(*keys, *order_by)`` and handed to ``fn``; returns
+    ``fn``'s table and its row count."""
+    t = _concat(parts)
     t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
     out = fn(t, _segment_starts(t, keys))
     return out, out.num_rows
@@ -229,37 +273,66 @@ def keyed_groups(ds, keys: Sequence[str],
     ``fn``, used only when every group is empty: a literal ``pa.Schema``
     (None: no anchor), or ``schema_of(input_schema)`` derived from the
     schema ``ds``'s blocks carry."""
-    import ray.data as rd
-
     keys = list(keys)
     sort_keys = [(c, "ascending") for c in [*keys, *order_by]]
-    in_schema = _arrow_schema(ds.schema(fetch_if_missing=False))
-    splits = []
-    for bundle in ds.iter_internal_ref_bundles():
-        if in_schema is None:
-            in_schema = _arrow_schema(bundle.schema)
-        for ref, meta in bundle.blocks:
-            if meta.num_rows != 0:
-                splits.append(_split_block.options(
-                    num_returns=num_groups + 1).remote(ref, keys, num_groups))
-    counts = np.array(ray.get([s[-1] for s in splits]),
-                      dtype=np.int64).reshape(len(splits), num_groups)
+    splits, counts, in_schema = _split_all(ds, keys, num_groups)
     fn_ref = ray.put(fn)
     outs = [_reduce_bucket.remote(fn_ref, keys, sort_keys,
-                                  *[s[g] for s, c in zip(splits, counts)
-                                    if c[g]])
+                                  *_bucket_parts(splits, counts, g))
             for g in np.flatnonzero(counts.sum(axis=0))]
-    rows = ray.get([n for _, n in outs])
-    tables = [t for (t, _), n in zip(outs, rows) if n]
-    if not tables:
-        if callable(schema):
-            try:
-                schema = schema(in_schema) if in_schema is not None else None
-            except Exception:          # e.g. a keyed column the input lacks
-                schema = None
-        if schema is not None:
-            tables = [ray.put(schema.empty_table())]
-    return rd.from_arrow_refs(tables)
+    return _wrap(outs, lambda: in_schema and schema(in_schema)
+                 if callable(schema) else schema)
+
+
+_JOIN_TYPES = ("inner", "left semi", "left anti")
+
+
+def _join_tables(left: pa.Table, right: pa.Table, left_on, right_on,
+                 how: str) -> pa.Table:
+    # the call Ray Data's own join makes per partition: same columns
+    return left.join(right, keys=left_on, right_keys=right_on,
+                     join_type=how)
+
+
+@ray.remote(num_returns=2)
+def _join_bucket(how: str, left_on, right_on, n_left: int, *parts):
+    """One bucket: ``n_left`` left slices, then the right ones (none: an
+    anti join keeps the left rows as they are)."""
+    left = _concat(parts[:n_left])
+    if n_left < len(parts):
+        left = _join_tables(left, _concat(parts[n_left:]), left_on,
+                            right_on, how)
+    return left, left.num_rows
+
+
+def keyed_join(left, right, left_on: Sequence[str],
+               right_on: Optional[Sequence[str]] = None, how: str = "inner",
+               num_groups: Optional[int] = None):
+    """``left`` joined to ``right`` on ``left_on`` = ``right_on`` (default
+    ``left_on``), ``how`` one of ``"inner"``, ``"left semi"``, ``"left
+    anti"``: Arrow's hash join per bucket that has the rows ``how`` needs.
+    SQL semantics: a null key never matches (``left anti`` keeps it);
+    uint64 keys join natively. Eager; ≤ ``num_groups`` (default
+    :data:`DEFAULT_GROUPS`) non-empty blocks. The empty result is anchored
+    by the same join over the input schemas' empty tables."""
+    if how not in _JOIN_TYPES:
+        raise ValueError(f"keyed_join: how must be one of {_JOIN_TYPES}, "
+                         f"got {how!r}")
+    left_on = list(left_on)
+    right_on = list(right_on or left_on)
+    g = num_groups or DEFAULT_GROUPS
+    lsplits, lcounts, lschema = _split_all(left, left_on, g)
+    rsplits, rcounts, rschema = _split_all(right, right_on, g)
+    rrows, outs = rcounts.sum(axis=0), []
+    for b in np.flatnonzero(lcounts.sum(axis=0)):
+        if rrows[b] or how == "left anti":
+            lparts = _bucket_parts(lsplits, lcounts, b)
+            outs.append(_join_bucket.remote(
+                how, left_on, right_on, len(lparts), *lparts,
+                *_bucket_parts(rsplits, rcounts, b)))
+    return _wrap(outs, lambda: _join_tables(
+        lschema.empty_table(), rschema.empty_table(), left_on, right_on,
+        how).schema)
 
 
 def _hash_aggregate(t: pa.Table, keys: List[str], aggs: dict) -> pa.Table:

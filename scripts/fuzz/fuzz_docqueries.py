@@ -36,7 +36,8 @@ from fuzz_common import compare_result
 QUERIES = ["token_count", "langid", "quality_scores", "fingerprint",
            "dedup_exact", "curation_pipeline", "winnow",
            "repetition_scores", "vocab_topk", "jaccard_pairs", "simhash",
-           "minhash_pairs", "hash_sample", "split_counts", "weighted_mix"]
+           "minhash_pairs", "hash_sample", "split_counts", "weighted_mix",
+           "incremental_dedup"]
 # full run is ~15 min; FUZZ_SLICE="i/n" checks the i-th of n query shards
 # against the SAME derandomized tables (full coverage in n short runs)
 _slice = os.environ.get("FUZZ_SLICE")

@@ -74,12 +74,12 @@ def main() -> int:
     # (every block restores from disk) and check the counts are exactly
     # 64 × the single-copy oracle.
     #
-    # Deliberately NOT a distributed all-to-all here: Ray 2.49's streaming
+    # Deliberately NOT a Ray AllToAll operator here: Ray 2.49's streaming
     # executor cannot ADMIT an AllToAllOperator whose input exceeds the
     # store budget (the scheduling loop spins forever at 100 MB — measured
-    # 35+ min stuck); spilling works for map/materialize paths, which is
-    # what a right-sized 100 TB job relies on (shuffles get stores sized
-    # for their partials; see SURVEY Round-5 delta).
+    # 35+ min stuck). The engine runs none: its keyed exchange (groups,
+    # aggregates, joins) is plain tasks whose outputs spill like the
+    # materialize below (see docs/SCALE.md).
     import ray.data as rd
     from logstash_filter_translate_ray.stages.aggregate import (
         grouped_counts)

@@ -906,14 +906,14 @@ def test_bucket_candidate_pairs_skip_counter(ray_session):
     assert len(out2) == 45
 
 
-def test_join_operand_empty_first_block(ray_session):
-    """Ray 2.49's hash-join schema broadcast rides only the FIRST block of
-    each operand and is silently swallowed when that block is empty —
-    partitions with no rows from that side then finalize zero-column and
-    pa.Table.join raises ArrowInvalid (the intermittent minhash-pipeline
-    CI flake). _join_operand squashes operands to nonempty blocks; the
-    raw shape must fail-or-match and the guarded one must always work."""
+def test_join_empty_first_block(ray_session):
+    """An operand whose FIRST block is empty once lost Ray 2.49's
+    hash-join schema broadcast (zero-column partitions, ArrowInvalid at
+    finalize — an intermittent minhash-pipeline CI flake). The joins now
+    run on the keyed exchange, whose output is at most ``num_groups``
+    non-empty blocks whatever the input layout."""
     import ray.data as rd
+    from logstash_filter_translate_ray.rayutil import keyed_join
     empty = pa.table({"id_a": pa.array([], type=pa.int64()),
                       "id_b": pa.array([], type=pa.int64())})
     pairs = pa.table({"id_a": pa.array([0, 1], type=pa.int64()),
@@ -933,8 +933,10 @@ def test_join_operand_empty_first_block(ray_session):
     assert out2_ds.count() == 0
     assert out2_ds.schema().names == ["id_a", "id_b", "jaccard"]
 
-    # _join_operand invariant: no empty blocks, ≤ num_partitions blocks
-    jo = dedup._join_operand(pairs_ds, 8)
+    # output invariant: no empty blocks, ≤ num_groups blocks
+    jo = keyed_join(pairs_ds, rd.from_arrow(docs), ["id_a"], ["doc_id"],
+                    num_groups=8)
     sizes = [b.num_rows for b in jo.iter_batches(batch_format="pyarrow",
                                                  batch_size=None)]
     assert sum(sizes) == 2 and all(s > 0 for s in sizes)
+    assert len(sizes) <= 8

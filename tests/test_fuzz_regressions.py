@@ -2,9 +2,9 @@
 documents corpora vs the registered oracle_sql): zero-word docs pair at
 J(∅,∅)=1 in jaccard/minhash (oracle [''] singleton, not NULL 0/0);
 winnow's fp8 renders an EMPTY fingerprint list as NULL like DuckDB's
-array_to_string([]); hash_sample keeps its projected column list when the
-sample is empty; vocab_topk returns a typed 0-row table on an all-null
-corpus."""
+array_to_string([]); hash_sample and incremental_dedup keep their
+projected column list when the result is empty; vocab_topk returns a
+typed 0-row table on an all-null corpus."""
 
 import os
 import shutil
@@ -90,6 +90,9 @@ def _compare(sf_dir: str, names) -> None:
     ([None, "\x0bword", "a\xa0a a", "a a a", "a\x0ba a"],
      ["vocab_topk", "simhash", "repetition_scores", "jaccard_pairs",
       "minhash_pairs"]),
+    # doc '' is in its own seen set (doc_id < 250) → every row dropped →
+    # the empty Dataset must keep ['doc_id']
+    ([""], ["incremental_dedup"]),
 ])
 def test_fuzz_falsifiers_pinned(ray_session, texts, queries):
     d = _mk_sfdir(texts)

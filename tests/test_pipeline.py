@@ -897,3 +897,25 @@ def test_spec_post_filters_keep_schema_on_empty(ray_session, tmp_path):
     agg = build_from_spec(spec)
     sch2 = agg.schema()
     assert sch2 is not None and sch2.names == ["user_id", "n"]
+
+
+# --------------------------------------------------------------------------
+# Multi-node-shaped smoke: a tiny object store + 1 MB blocks force the
+# streaming executor through backpressure; outputs stay oracle-exact
+# (minhash_pairs runs both verify joins). Subprocess: it needs its own
+# (small) Ray session.
+# --------------------------------------------------------------------------
+
+def test_spill_pressure_smoke(sf_dir):
+    import json
+    import subprocess
+    import sys
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(repo, "scripts", "spill_smoke.py"),
+         sf_dir],
+        capture_output=True, text=True, timeout=600, cwd=repo)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["ok"] is True
+    assert all(q["match"] for q in out["queries"].values()), out

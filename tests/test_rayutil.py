@@ -1,16 +1,18 @@
-"""The keyed exchange (``rayutil.keyed_groups``/``keyed_aggregate``) and
-its consumers.
+"""The keyed exchange (``rayutil.keyed_groups``/``keyed_aggregate``/
+``keyed_join``) and its consumers.
 
 Every operator that groups by key goes through one helper, so one
 adversarial input per consumer pins the whole contract: null keys, int64
 keys 2^53 and 2^53+1 (equal once promoted to float64), and one hot key.
 Each consumer's sorted output must not depend on the group count or on how
 the input is split into blocks, and an input filtered to zero rows must
-keep the output schema. The exchange itself (split task per block, reduce
+keep the output schema, with Ray's own join/repartition/groupby/sort/
+unique patched to raise. The exchange itself (split task per block, reduce
 task per bucket) is pinned directly: one group, mostly-empty buckets,
 schema-less empty upstream blocks, all-empty inputs and a reduce worker
-that dies once."""
+that dies once; so is the join's SQL contract."""
 
+import logging
 import os
 
 import numpy as np
@@ -112,9 +114,15 @@ def _run(op: str, ds, groups, monkeypatch):
     from logstash_filter_translate_ray.functions import (dedup, similarity,
                                                          text)
     from logstash_filter_translate_ray.stages import aggregate, window
+    import ray.data as rd
     g = _groups_kw("num_groups", groups)
     # the group count of every consumer that takes none
     monkeypatch.setattr(rayutil, "DEFAULT_GROUPS", groups or _DEFAULT_GROUPS)
+    # every keyed operator runs on the package's own exchange
+    for name in ("join", "repartition", "groupby", "sort", "unique"):
+        def banned(*a, _name=name, **kw):
+            raise AssertionError(f"Dataset.{_name} called")
+        monkeypatch.setattr(rd.Dataset, name, banned)
     if op == "exact_dedup":
         return dedup.exact_dedup(ds, **g)
     if op == "bucket_candidate_pairs":
@@ -141,6 +149,16 @@ def _run(op: str, ds, groups, monkeypatch):
         return aggregate.grouped_counts(ds, ["user_id"], driver_merge=False)
     if op == "grouped_topk":
         return aggregate.grouped_topk(ds, ["user_id"], k=3)
+    if op == "minhash_dedup":
+        return dedup.minhash_dedup(ds, cc="distributed", concurrency=1,
+                                   num_partitions=groups or 4)[0]
+    if op == "incremental_dedup":
+        # no broadcast: both the semi and the anti join run
+        monkeypatch.setattr(dedup, "_BROADCAST_MAX_SEEN", 0)
+        return dedup.incremental_dedup(ds, ds.filter(expr="doc_id < 104"),
+                                       num_partitions=groups or 4)
+    if op == "knn_join":                  # the re-split into 16-row blocks
+        return similarity.knn_join(ds, k=3, target_block_rows=16)
     if op == "grouped_quantiles":
         return aggregate.grouped_quantiles(ds, key="user_id", qs=(0.5, 0.9),
                                            driver_partial_rows_max=0)
@@ -157,6 +175,7 @@ CASES = {
     "event_paths": _events, "grouped_quantiles": _events,
     "exact_dedup_ids": _docs, "vocab_topk": _docs,
     "grouped_counts": _events, "grouped_topk": _events,
+    "minhash_dedup": _docs, "incremental_dedup": _docs, "knn_join": _vectors,
 }
 
 
@@ -345,3 +364,77 @@ def test_keyed_groups_exactly_once_under_task_retry(ray_session, tmp_path):
     retried = _groups(rd.from_arrow(blocks), _KV_SCHEMA, 4, fn=die_once)
     assert os.path.exists(marker)               # the fault did fire
     assert _rows(retried) == clean
+
+
+# --------------------------------------------------------------------------
+# keyed_join: Arrow's hash join per bucket, SQL semantics
+# --------------------------------------------------------------------------
+
+BIG = 2**63 + 5                       # a uint64 key above int64's range
+
+
+def _join_sides():
+    left = pa.table({"k": pa.array([1, 2, None, BIG, BIG + 1, 2],
+                                   type=pa.uint64()),
+                     "v": pa.array(np.arange(6), type=pa.int64())})
+    right = pa.table({"kk": pa.array([2, None, BIG, 9], type=pa.uint64()),
+                      "w": pa.array(["a", "b", "c", "d"])})
+    return left, right
+
+
+def _join(left, right, how, num_groups=4):
+    import ray.data as rd
+    return rayutil.keyed_join(
+        rd.from_arrow([left.slice(0, 2), left.slice(2)]),
+        rd.from_arrow(right), ["k"], ["kk"], how=how,
+        num_groups=num_groups)
+
+
+@pytest.mark.parametrize("how,want", [
+    ("inner", [(2, 1, "a"), (2, 5, "a"), (BIG, 3, "c")]),
+    ("left semi", [(2, 1), (2, 5), (BIG, 3)]),
+    ("left anti", [(1, 0), (None, 2), (BIG + 1, 4)]),
+])
+def test_keyed_join_sql_semantics(ray_session, how, want):
+    """A null key never matches (so the anti join keeps it), and uint64
+    keys ≥ 2^63 join exactly; one group gives the same rows."""
+    left, right = _join_sides()
+    for num_groups in (4, 1, None):
+        out = _join(left, right, how, num_groups)
+        got = sorted((tuple(r.values()) for r in out.take_all()),
+                     key=repr)
+        assert got == sorted(want, key=repr), (how, num_groups)
+        assert out.num_blocks() <= (num_groups or rayutil.DEFAULT_GROUPS)
+
+
+@pytest.mark.parametrize("how", ["inner", "left semi", "left anti"])
+def test_keyed_join_empty_side_anchors_schema(ray_session, how):
+    """With either side filtered to zero rows the result keeps the schema
+    of Arrow's own join over the two empty tables."""
+    left, right = _join_sides()
+    want = left.schema.empty_table().join(
+        right.schema.empty_table(), keys=["k"], right_keys=["kk"],
+        join_type=how).schema
+    for l, r in ((left.slice(0, 0), right), (left, right.slice(0, 0))):
+        out = _join(l, r, how)
+        if how == "left anti" and len(l):
+            assert out.count() == len(l)          # nothing to subtract
+        else:
+            assert out.take_all() == []
+        assert out.schema().base_schema == want
+
+
+def test_concat_pandas_metadata_no_schema_hash(caplog):
+    """Slices of a table carrying pandas schema metadata concatenate
+    without Ray's schema-unify path, whose schema hash fails on it."""
+    t = pa.Table.from_pandas(pd.DataFrame({"a": [1, 2, 3]}))
+    assert b"pandas" in t.schema.metadata
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(caplog.handler)
+    try:
+        with caplog.at_level(logging.WARNING):
+            out = rayutil._concat([t.slice(0, 1), t.slice(1)])
+    finally:
+        logger.removeHandler(caplog.handler)
+    assert out.equals(t)
+    assert "Failed to hash" not in caplog.text
