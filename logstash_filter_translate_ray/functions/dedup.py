@@ -199,9 +199,10 @@ def _min_id_rows(ds, col: str, id_col: str, keep, num_groups: int):
     content hash (``num_groups`` vectorized group calls, not one per
     distinct content), ordered by id: each key segment's first row
     survives — no per-group pandas frames or aggregates. Only the hash
-    and the kept columns ride the exchange. The schema of ``ds`` (≤ 1
-    upstream block to fetch) anchors the empty case: a fully filtered
-    corpus must still come back with its column list."""
+    and the kept columns ride the exchange. An empty result is anchored
+    with the schema of ``ds`` (≤ 1 upstream block to fetch, paid only
+    then): a fully filtered corpus must still come back with its column
+    list."""
     def hashed(t: pa.Table) -> pa.Table:
         t = add_content_hash(t, col)[0]
         return t if keep is None else t.select([*_CONTENT_KEYS, *keep])
@@ -209,12 +210,16 @@ def _min_id_rows(ds, col: str, id_col: str, keep, num_groups: int):
     def first_rows(t: pa.Table, starts) -> pa.Table:
         return t.take(pa.array(starts)).drop_columns(_CONTENT_KEYS)
 
-    schema = input_arrow_schema(ds)
-    if schema is not None and keep is not None:
-        schema = pa.schema([schema.field(c) for c in keep])
-    return keyed_groups(
+    out = keyed_groups(
         ds.map_batches(hashed, batch_format="pyarrow", batch_size=None),
-        _CONTENT_KEYS, first_rows, schema, num_groups, order_by=[id_col])
+        _CONTENT_KEYS, first_rows, None, num_groups, order_by=[id_col])
+    schema = None if out.count() else input_arrow_schema(ds)
+    if schema is None:
+        return out
+    import ray.data as rd
+
+    empty = schema.empty_table()
+    return rd.from_arrow(empty if keep is None else empty.select(keep))
 
 
 def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
@@ -247,8 +252,10 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
     keep only the rows of ``ds_new`` whose content does not appear in
     ``ds_seen``, by 128-bit content hash. The seen side is reduced to
     DISTINCT hashes at call time; the new side is then a lazy broadcast
-    probe, or past ``_BROADCAST_MAX_SEEN`` an eager semi join of slim
-    (id, hash) rows — the text rides an exchange only in the worst case.
+    probe, or past ``_BROADCAST_MAX_SEEN`` an eager semi join of slim hash
+    rows — the text rides an exchange only in the worst case. Rows are
+    told apart by content, never by ``id_col`` (kept for signature
+    compatibility): ids may be null or repeated.
 
     NULL content never matches (SQL equality semantics: ``s.text = d.text``
     is never true when either side is NULL, so the oracle keeps every
@@ -256,26 +263,19 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
     from the droppable new side."""
     import ray
 
-    def hashes(t: pa.Table, keep) -> pa.Table:
+    def hashes(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[col]))
-        return add_content_hash(t, col)[0].select([*keep, *_CONTENT_KEYS])
+        return add_content_hash(t, col)[0].select(_CONTENT_KEYS)
 
-    flagged = keyed_aggregate(
-        ds_seen.map_batches(lambda t: hashes(t, []), batch_format="pyarrow",
-                            batch_size=None),
-        _CONTENT_KEYS, {}, num_partitions)
-    n_seen = flagged.count()
-    if n_seen == 0:
-        return ds_new
-    if n_seen <= _BROADCAST_MAX_SEEN:
-        # broadcast semi-join: the distinct seen-hash set rides the object
-        # store once (16 bytes/hash, sorted by (h1, h2)) and each batch
-        # probes EXACT 128-bit membership with two searchsorted passes —
-        # no exchange for the new side. Measured at sf0.1: 3.7 s (a
-        # shuffle join) → sub-second.
+    def without(drop) -> "ray.data.Dataset":
+        # broadcast anti-join: the distinct hash set ``drop`` rides the
+        # object store once (16 bytes/hash, sorted by (h1, h2)) and each
+        # batch probes EXACT 128-bit membership with two searchsorted
+        # passes — no exchange for the new side. Measured at sf0.1: 3.7 s
+        # (a shuffle join) → sub-second.
         parts = [(b["content_hash"].to_numpy(zero_copy_only=False),
                   b["content_hash2"].to_numpy(zero_copy_only=False))
-                 for b in flagged.iter_batches(batch_format="pyarrow")]
+                 for b in drop.iter_batches(batch_format="pyarrow")]
         s1 = np.concatenate([p[0] for p in parts])
         s2 = np.concatenate([p[1] for p in parts])
         order = np.lexsort((s2, s1))
@@ -298,35 +298,53 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
 
         return ds_new.map_batches(keep, batch_format="pyarrow",
                                   batch_size=None)
-    # big-seen path: a semi join of SLIM (id, hash128) rows — the text
-    # never rides an exchange (the module's core movement claim). The
-    # dropped ids (new rows whose content is seen) are the minority in
-    # incremental ingest, so they broadcast back as an is_in filter over
-    # the untouched ds_new; if a degenerate corpus makes them outgrow the
-    # broadcast bound, an id anti join drops them instead.
+
+    flagged = keyed_aggregate(
+        ds_seen.map_batches(hashes, batch_format="pyarrow", batch_size=None),
+        _CONTENT_KEYS, {}, num_partitions)
+    n_seen = flagged.count()
+    if n_seen == 0:
+        return ds_new
+    if n_seen <= _BROADCAST_MAX_SEEN:
+        return without(flagged)
+    # big-seen path: the distinct seen hashes that occur in ds_new, from a
+    # semi join of SLIM hash rows — the text never rides an exchange (the
+    # module's core movement claim). They are the minority in incremental
+    # ingest, so they broadcast back through the same probe; if a
+    # degenerate corpus makes them outgrow the broadcast bound, a hash
+    # anti join drops them instead.
     dropped = keyed_join(
-        ds_new.map_batches(lambda t: hashes(t, [id_col]),
-                           batch_format="pyarrow", batch_size=None),
-        flagged, _CONTENT_KEYS, how="left semi", num_groups=num_partitions)
+        flagged, ds_new.map_batches(hashes, batch_format="pyarrow",
+                                    batch_size=None),
+        _CONTENT_KEYS, how="left semi", num_groups=num_partitions)
     n_drop = dropped.count()
     if n_drop == 0:
         return ds_new
     if n_drop <= _BROADCAST_MAX_SEEN:
-        drop_ref = ray.put(pa.array(np.concatenate(
-            [b[id_col].to_numpy(zero_copy_only=False)
-             for b in dropped.iter_batches(batch_format="pyarrow")])))
+        return without(dropped)
 
-        def keep_ids(t: pa.Table) -> pa.Table:
-            d = ray.get(drop_ref) if isinstance(drop_ref, ray.ObjectRef) \
-                else drop_ref
-            return t.filter(pc.invert(pc.is_in(t[id_col], value_set=d)))
+    def keyed(t: pa.Table) -> pa.Table:
+        # null text gets null keys, which a left anti join always keeps
+        t, _ = add_content_hash(t, col)
+        null = pc.is_null(t[col])
+        for k in _CONTENT_KEYS:
+            t = t.set_column(t.column_names.index(k), k, pc.if_else(
+                null, pa.scalar(None, pa.uint64()), t[k]))
+        return t
 
-        return ds_new.map_batches(keep_ids, batch_format="pyarrow",
-                                  batch_size=None)
     # worst case (most of the new corpus is already seen): the full rows
     # ride one exchange, unavoidable once neither side fits a broadcast
-    return keyed_join(ds_new, dropped.select_columns([id_col]), [id_col],
-                      how="left anti", num_groups=num_partitions)
+    out = keyed_join(ds_new.map_batches(keyed, batch_format="pyarrow",
+                                        batch_size=None),
+                     dropped, _CONTENT_KEYS, how="left anti",
+                     num_groups=num_partitions)
+    schema = None if out.count() else input_arrow_schema(out)
+    if schema is None:
+        return out.drop_columns(_CONTENT_KEYS)
+    import ray.data as rd
+
+    # a projection over the zero-row anchor block would lose its schema
+    return rd.from_arrow(schema.empty_table().drop_columns(_CONTENT_KEYS))
 
 
 class Bloom:

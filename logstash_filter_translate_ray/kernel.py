@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import copy
 import re
+from functools import cached_property
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -159,101 +160,112 @@ def _require_valid_text(entries: dict[str, Any]) -> None:
             ) from None
 
 
+def _unify_values(values: list[Any]) -> tuple[Optional[pa.Array], bool]:
+    """The Arrow array of ``values`` when they unify to one non-null type,
+    else None; and whether its ``to_pylist()`` gives ``values`` back exactly.
+
+    ``pa.array()`` alone cannot decide unification: its coercion is
+    insertion-order-dependent and can corrupt values (``[0.0, False]`` →
+    double ``[0.0, 0.0]``; ``['x', b'y']`` → binary; >int64 ints raise
+    OverflowError). So the array is round-tripped and compared with
+    category-exact equality; any drift takes the stringify path
+    (``_materialize_values``). All-``str`` values skip the round trip.
+    """
+    if values and all(type(v) is str for v in values):
+        return pa.array(values, type=pa.string()), True
+    try:
+        arr = pa.array(values)
+    except (pa.ArrowInvalid, pa.ArrowTypeError, pa.ArrowNotImplementedError,
+            OverflowError):
+        return None, False
+    if pa.types.is_null(arr.type):
+        return None, False
+    back = arr.to_pylist()
+    if not _roundtrip_exact(values, back):
+        return None, False
+    return arr, back == values
+
+
 class DictSnapshot:
-    """Immutable ordered dictionary + lazily compiled lookup structures.
+    """Immutable ordered dictionary, built once as two Arrow arrays, plus
+    lazily compiled lookup structures.
 
     Mirrors the compile-once-per-reload discipline of the reference
     (fetch_strategy/file.rb:36-39: "compiling a regex map of 100,000 keys
     takes 0.5 seconds" — done at reload, never per event). Insertion order
     is preserved (S5/S6 depend on it); duplicate keys keep their first
     position and last value (Ruby Hash semantics).
+
+    ``key_array`` and ``value_array`` (None when the values don't unify)
+    are built once, here. Pickling ships only them, the version and, when
+    the value array cannot give it back exactly, the values list: under
+    protocol 5 (``ray.put``) the arrays travel as out-of-band buffers that
+    a worker maps zero-copy from the object store. ``map``, ``keys``,
+    ``values`` and the compiled structures are rebuilt on first use.
     """
 
     def __init__(self, items: "dict | Iterable[tuple[Any, Any]]", version: int = 0):
-        if isinstance(items, dict):
-            items = items.items()
-        self.map: dict[str, Any] = {}
-        for k, v in items:
-            self.map[ruby_to_s(k)] = v
-        _require_valid_text(self.map)
-        self.keys: list[str] = list(self.map.keys())
-        self.values: list[Any] = list(self.map.values())
+        if not (isinstance(items, dict) and all(type(k) is str for k in items)):
+            coerced: dict[str, Any] = {}
+            for k, v in (items.items() if isinstance(items, dict) else items):
+                coerced[ruby_to_s(k)] = v
+            items = coerced
+        _require_valid_text(items)
         self.version = version
-        # lazy caches
-        self._key_arr: Optional[pa.Array] = None
-        self._value_arr: Optional[pa.Array] = None
-        self._value_arr_tried = False
-        self._regex_rows: Optional[list[tuple[str, "re.Pattern", bool]]] = None
-        self._union_re: Optional["re.Pattern"] = None
-        self._values_str: Optional[list[str]] = None
-        self._union_seq_safe: Optional[bool] = None
-        self._regex_groups: Optional[list] = None
+        self.key_array: pa.Array = pa.array(list(items), type=pa.string())
+        values = list(items.values())
+        self.value_array, exact = _unify_values(values)
+        # the values list itself, when value_array cannot give it back
+        self._py_values: Optional[list[Any]] = None if exact else values
+
+    def __getstate__(self) -> dict:
+        return {"version": self.version, "key_array": self.key_array,
+                "value_array": self.value_array,
+                "_py_values": self._py_values}
 
     def __len__(self) -> int:
-        return len(self.map)
+        return len(self.key_array)
 
-    @property
-    def key_array(self) -> pa.Array:
-        if self._key_arr is None:
-            self._key_arr = pa.array(self.keys, type=pa.string())
-        return self._key_arr
+    # The lazy views and caches below are cached_property values: they live
+    # in the instance dict once built, and __getstate__ never ships them.
 
-    @property
-    def value_array(self) -> Optional[pa.Array]:
-        """Arrow array of values when they unify to one non-null type, else None.
+    @cached_property
+    def keys(self) -> list[str]:
+        return self.key_array.to_pylist()
 
-        ``pa.array()`` alone cannot decide unification: its Python→Arrow
-        coercion is insertion-order-dependent and silently value-corrupting
-        for some mixes (``[0.0, False]`` → double ``[0.0, 0.0]`` while the
-        reversed order raises; ``['x', b'y']`` → binary; the same one level
-        down inside lists and structs), and >int64 ints raise OverflowError
-        rather than an Arrow error. The built array is round-tripped back to
-        Python and compared with category-exact equality — any drift falls
-        back to the stringify (non-unify) path, which ``_materialize_values``
-        already handles for every value shape. An all-``str`` dictionary
-        (category checked per value, not inferred) is a string array
-        outright and skips the round trip.
-        """
-        if not self._value_arr_tried:
-            self._value_arr_tried = True
-            if self.values and all(type(v) is str for v in self.values):
-                self._value_arr = pa.array(self.values, type=pa.string())
-                return self._value_arr
-            try:
-                arr = pa.array(self.values)
-                if not pa.types.is_null(arr.type) and _roundtrip_exact(
-                        list(self.values), arr.to_pylist()):
-                    self._value_arr = arr
-            except (pa.ArrowInvalid, pa.ArrowTypeError,
-                    pa.ArrowNotImplementedError, OverflowError):
-                self._value_arr = None
-        return self._value_arr
+    @cached_property
+    def values(self) -> list[Any]:
+        if self._py_values is not None:
+            return self._py_values
+        return self.value_array.to_pylist()
 
-    @property
+    @cached_property
+    def map(self) -> dict[str, Any]:
+        return dict(zip(self.keys, self.values))
+
+    @cached_property
     def regex_rows(self) -> list[tuple[str, "re.Pattern", bool]]:
         """[(pattern, compiled, arrow_ok)] in insertion order
         (memory.rb:20-23). ``pattern`` is the key run through the
         Ruby→Python dialect shim (regex_dialect.py): Ruby-only constructs
         either translate faithfully or raise a ConfigurationError naming
         the key — never silently compile to different semantics."""
-        if self._regex_rows is None:
-            from .regex_dialect import compile_ruby_regex, ruby_regex_to_python
-            rows = []
-            probe = pa.array([""])  # non-empty: RE2 compiles lazily, an empty probe validates nothing
-            for k in self.keys:
-                compiled = compile_ruby_regex(k)
-                # (?m: …) gives RE2 the same Ruby line-anchor semantics the
-                # Python side gets via re.MULTILINE (RE2 classes are
-                # already ASCII, matching re.ASCII on the Python side)
-                pat = "(?m:" + ruby_regex_to_python(k) + ")"
-                try:
-                    pc.match_substring_regex(probe, pattern=pat)
-                    arrow_ok = True
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                    arrow_ok = False
-                rows.append((pat, compiled, arrow_ok))
-            self._regex_rows = rows
-        return self._regex_rows
+        from .regex_dialect import compile_ruby_regex, ruby_regex_to_python
+        rows = []
+        probe = pa.array([""])  # non-empty: RE2 compiles lazily, an empty probe validates nothing
+        for k in self.keys:
+            compiled = compile_ruby_regex(k)
+            # (?m: …) gives RE2 the same Ruby line-anchor semantics the
+            # Python side gets via re.MULTILINE (RE2 classes are
+            # already ASCII, matching re.ASCII on the Python side)
+            pat = "(?m:" + ruby_regex_to_python(k) + ")"
+            try:
+                pc.match_substring_regex(probe, pattern=pat)
+                arrow_ok = True
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+                arrow_ok = False
+            rows.append((pat, compiled, arrow_ok))
+        return rows
 
     REGEX_GROUP_SIZE = 32      # patterns OR-ed per alternation group
     # Dict size at which the two-level (grouped-alternation) path takes
@@ -262,7 +274,7 @@ class DictSnapshot:
     # extra alternation pass at K≥16. 16 is the balanced crossover.
     REGEX_GROUPED_MIN = 16
 
-    @property
+    @cached_property
     def regex_groups(self) -> list[tuple[int, int, Optional[str]]]:
         """Two-level structure for large regex dictionaries:
         ``[(start, end, group_pattern | None)]`` — consecutive arrow-safe
@@ -275,50 +287,46 @@ class DictSnapshot:
         (fetch_strategy/file.rb:36-38): compile once per snapshot, amortize
         across batches.
         """
-        if self._regex_groups is None:
-            rows = self.regex_rows
-            groups: list[tuple[int, int, Optional[str]]] = []
-            i = 0
-            probe = pa.array([""])  # non-empty: RE2 compiles lazily, an empty probe validates nothing
-            while i < len(rows):
-                if not rows[i][2]:               # python-only → singleton
-                    groups.append((i, i + 1, None))
-                    i += 1
-                    continue
-                j = i
-                while j < len(rows) and rows[j][2] \
-                        and j - i < self.REGEX_GROUP_SIZE:
-                    j += 1
-                pattern = "|".join(f"(?:{rows[k][0]})" for k in range(i, j))
-                try:
-                    pc.match_substring_regex(probe, pattern=pattern)
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                    pattern = None               # composite rejected → singles
-                if pattern is None:
-                    for k in range(i, j):
-                        groups.append((k, k + 1, rows[k][0]))
-                else:
-                    groups.append((i, j, pattern))
-                i = j
-            self._regex_groups = groups
-        return self._regex_groups
+        rows = self.regex_rows
+        groups: list[tuple[int, int, Optional[str]]] = []
+        i = 0
+        probe = pa.array([""])  # non-empty: RE2 compiles lazily, an empty probe validates nothing
+        while i < len(rows):
+            if not rows[i][2]:               # python-only → singleton
+                groups.append((i, i + 1, None))
+                i += 1
+                continue
+            j = i
+            while j < len(rows) and rows[j][2] \
+                    and j - i < self.REGEX_GROUP_SIZE:
+                j += 1
+            pattern = "|".join(f"(?:{rows[k][0]})" for k in range(i, j))
+            try:
+                pc.match_substring_regex(probe, pattern=pattern)
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+                pattern = None               # composite rejected → singles
+            if pattern is None:
+                for k in range(i, j):
+                    groups.append((k, k + 1, rows[k][0]))
+            else:
+                groups.append((i, j, pattern))
+            i = j
+        return groups
 
-    @property
+    @cached_property
     def union_re(self) -> Optional["re.Pattern"]:
         """Regexp.union(keys) equivalent: literal-escaped alternation in
         insertion order (memory.rb:38). None for an empty dictionary
         (Ruby's Regexp.union() never matches)."""
-        if self._union_re is None and self.keys:
-            self._union_re = re.compile("|".join(re.escape(k) for k in self.keys))
-        return self._union_re
+        if not self.keys:
+            return None
+        return re.compile("|".join(re.escape(k) for k in self.keys))
 
-    @property
+    @cached_property
     def values_str(self) -> list[str]:
-        if self._values_str is None:
-            self._values_str = [ruby_to_s(v) for v in self.values]
-        return self._values_str
+        return [ruby_to_s(v) for v in self.values]
 
-    @property
+    @cached_property
     def union_sequential_safe(self) -> bool:
         """True when per-key sequential literal replacement is provably
         equivalent to the single-pass alternation gsub (O8) — the condition
@@ -336,11 +344,6 @@ class DictSnapshot:
         Conservative (sufficient, not necessary); ineligible dictionaries
         fall back to the compiled single-pass ``re.sub``.
         """
-        if self._union_seq_safe is None:
-            self._union_seq_safe = self._check_union_sequential_safe()
-        return self._union_seq_safe
-
-    def _check_union_sequential_safe(self) -> bool:
         keys = self.keys
         if len(keys) > 64:          # O(K²·L) check — cap it
             return False

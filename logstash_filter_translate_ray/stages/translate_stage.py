@@ -2,10 +2,12 @@
 
 One physical flavor for every dictionary: stateless tasks over a
 broadcast :class:`DictSnapshot` (broadcast join, never a shuffle;
-SURVEY §2.3 "Joins / lookups"). Each worker process deserializes a
-snapshot once and keeps it, with its compiled lookup structures, in a
-bounded LRU shared by every translate and route stage
-(:func:`_worker_snapshot`).
+SURVEY §2.3 "Joins / lookups"). A snapshot is two Arrow arrays (keys
+and unified values) that ship as pickle-5 out-of-band buffers, so a
+worker process maps them from the object store without a copy. It does
+so once per snapshot and keeps the snapshot, with the lookup structures
+it compiles lazily, in a bounded LRU shared by every translate and route
+stage (:func:`_worker_snapshot`).
 
 - Inline dictionary: the snapshot is ``ray.put`` once, at build time.
 - File-backed dictionary: the named :class:`DictionaryService` owns the
@@ -109,9 +111,9 @@ SnapshotSource = Union[DictSnapshot, ray.ObjectRef, ActorHandle]
 
 
 def _worker_snapshot(source: SnapshotSource) -> DictSnapshot:
-    """The snapshot behind ``source``, deserialized once per worker
-    process: its lazily built lookup structures (key and value arrays,
-    regex groups, the union regex) then survive from block to block.
+    """The snapshot behind ``source``, loaded once per worker process:
+    its lazily built lookup structures (regex groups, the union regex,
+    Python views of the dictionary) then survive from block to block.
     A service handle costs one ``snapshot_ref`` RPC per call, which
     yields the current version's ref. A raw snapshot passes straight
     through."""

@@ -719,6 +719,40 @@ def test_incremental_dedup_join_path_matches_broadcast(ray_session):
     assert a == b == [11, 13]
 
 
+@pytest.mark.parametrize("bound", [10, 1, 0])
+def test_incremental_dedup_matches_not_exists(ray_session, monkeypatch,
+                                              bound):
+    """Every path tells dropped rows apart by content, never by id: a
+    null id, or an id shared by a seen and an unseen text, must not
+    change which rows survive. With 2 distinct seen texts and 1 of them
+    in the new side, the bound picks the broadcast probe (10), the
+    dropped-hash broadcast (1) or the hash anti join (0); each must
+    equal SQL ``NOT EXISTS``."""
+    import duckdb
+    import ray.data as rd
+    new_t = pa.table({"doc_id": pa.array([None, 1, 2, 1, None, 3],
+                                         type=pa.int64()),
+                      "text": ["a", "a", "b", "b", None, "a"]})
+    seen_t = pa.table({"doc_id": [7, 8, 9], "text": ["a", "z", None]})
+    want = duckdb.sql(
+        "SELECT * FROM new_t d WHERE NOT EXISTS "
+        "(SELECT 1 FROM seen_t s WHERE s.text = d.text)").arrow()
+    monkeypatch.setattr(dedup, "_BROADCAST_MAX_SEEN", bound)
+    got = dedup.incremental_dedup(rd.from_arrow(new_t),
+                                  rd.from_arrow(seen_t))
+    assert got.schema().names == ["doc_id", "text"]
+    rows = sorted(((r["doc_id"], r["text"]) for r in got.take_all()),
+                  key=repr)
+    assert rows == sorted(zip(want["doc_id"].to_pylist(),
+                              want["text"].to_pylist()), key=repr)
+    assert rows == [(1, "b"), (2, "b"), (None, None)]
+    # every row already seen: an empty result that keeps its columns
+    none_left = dedup.incremental_dedup(rd.from_arrow(seen_t.slice(0, 2)),
+                                        rd.from_arrow(seen_t))
+    assert none_left.count() == 0
+    assert none_left.schema().names == ["doc_id", "text"]
+
+
 def test_repetition_scores():
     t = pa.table({"doc_id": [1, 2, 3],
                   "text": ["a a a b",               # 2/4 words duplicated

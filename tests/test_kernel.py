@@ -909,3 +909,150 @@ def test_value_array_all_str_skips_round_trip(monkeypatch):
     assert with_null.to_pylist() == ["x", None]
     assert DictSnapshot({"a": "x", "b": 1}).value_array is None
     assert checked == [["x", b"y"], ["x", None]]   # int fails in pa.array
+
+
+def test_value_array_rejects_silent_arrow_coercions():
+    """pa.array()'s Python→Arrow coercion is insertion-order-dependent and
+    silently value-corrupting for some mixes ([0.0, False] → double
+    [0.0, 0.0], while the reversed order raises) — found by the fuzz_hard
+    differential. Such dictionaries must take the stringify (non-unify)
+    path, and >int64 values must not crash the probe (OverflowError)."""
+    from logstash_filter_translate_ray import DictSnapshot
+
+    # value-corrupting mixes → non-unify
+    assert DictSnapshot({"0": 0.0, "1": False}).value_array is None
+    assert DictSnapshot({"a": [0.0], "b": [False]}).value_array is None
+    assert DictSnapshot({"a": {"x": 0.0}, "b": {"x": False}}).value_array is None
+    assert DictSnapshot({"a": "x", "b": b"y"}).value_array is None
+    # >int64 int raised OverflowError (uncaught) pre-fix
+    assert DictSnapshot({"a": 2 ** 70, "b": 1}).value_array is None
+    # int promoted to float is a category drift too: {'a': 1, 'b': 2.5}
+    # with a fallback would render 1 as '1.0' through the unified double
+    # column — mixed numeric dicts stringify per-value instead
+    assert DictSnapshot({"a": 1, "b": 2.5}).value_array is None
+    assert DictSnapshot({"a": [1], "b": [2.5]}).value_array is None
+    # homogeneous / value-preserving dictionaries still unify (fast path)
+    assert DictSnapshot({"a": 1, "b": 2}).value_array is not None
+    assert DictSnapshot({"a": 1.0, "b": 2.5}).value_array is not None
+    assert DictSnapshot({"a": 1, "b": None}).value_array is not None
+    assert DictSnapshot({"a": [1, 2], "b": [3]}).value_array is not None
+    assert DictSnapshot({"a": True, "b": False}).value_array is not None
+
+
+# --------------------------------------------------------------------------
+# Arrow-native snapshot: what pickling ships and what a worker rebuilds
+# --------------------------------------------------------------------------
+
+def _pickle5(obj):
+    """Pickle protocol 5 with out-of-band buffers, as ``ray.put`` ships an
+    object: (loaded copy, in-band byte count)."""
+    import pickle
+    bufs = []
+    blob = pickle.dumps(obj, protocol=5, buffer_callback=bufs.append)
+    return pickle.loads(blob, buffers=bufs), len(blob)
+
+
+def _same(a, b):
+    """Category-exact equality: the same Python type at every level, dict
+    keys in the same order, NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b or (a != a and b != b)
+
+
+def _same_arrow(a, b):
+    """Arrow arrays or tables of one type with category-exact values
+    (``equals`` would tell NaN apart from NaN)."""
+    return (a.type if hasattr(a, "type") else a.schema) == \
+        (b.type if hasattr(b, "type") else b.schema) \
+        and _same(a.to_pylist(), b.to_pylist())
+
+
+_LAZY_VIEWS = {"map", "keys", "values"}
+
+
+def test_snapshot_pickles_as_out_of_band_arrays():
+    """The 100k-key all-str snapshot ships as two Arrow arrays, out of
+    band: a few hundred bytes in-band, and no Python copy of the
+    dictionary rides along (nor any cache the sender had built)."""
+    from logstash_filter_translate_ray.pipelines.transcripts import \
+        make_conv_segment_dict
+    snap = DictSnapshot(make_conv_segment_dict(100_000))
+    assert not _LAZY_VIEWS & vars(snap).keys()
+    snap.map, snap.union_re, snap.values_str    # built on the sender
+    loaded, inband = _pickle5(snap)
+    assert inband <= 4096, inband
+    assert set(vars(loaded)) == {"version", "key_array", "value_array",
+                                 "_py_values"}
+    assert loaded._py_values is None
+    assert loaded.key_array.equals(snap.key_array)
+    assert loaded.value_array.equals(snap.value_array)
+    assert len(loaded) == 100_000
+    assert loaded.map["conv-00000008"] == "pro"
+    assert _LAZY_VIEWS <= vars(loaded).keys()
+
+
+_STRUCTS = {"a": {"x": 1}, "b": {"y": "s"}}   # unify with null fields
+
+
+@pytest.mark.parametrize("items", [
+    {"a": "x", "b": "", "c": "é"},
+    {"a": 1, "b": -2, "c": None},
+    {"a": 1.5, "b": float("nan"), "c": 0.0},
+    {"a": True, "b": False},
+    {"a": [1, 2], "b": [], "c": None},
+    _STRUCTS,
+    "dict.yml",
+    {"a": 1, "b": "x", "c": [1], "d": 2 ** 70},      # no unified type
+    {"a": b"\xff", "b": b"y"},
+    [(1, "int"), ("1", "str"), (True, "bool"), ("true", "str true"),
+     (1.0, "float"), (None, "nil"), ("", "empty")],   # keys collide
+], ids=["str", "int", "float", "bool", "list", "struct", "dict.yml",
+        "non_unifying", "bytes", "colliding_keys"])
+def test_snapshot_round_trip_is_category_exact(items):
+    """A loaded snapshot rebuilds the sender's keys, values and map
+    exactly, and every strategy translates the same through it."""
+    if items == "dict.yml":
+        import os
+
+        from logstash_filter_translate_ray.dictionary import load_yaml_items
+        items = list(load_yaml_items(os.path.join(
+            os.path.dirname(__file__), "fixtures", "dict.yml")))
+    snap = DictSnapshot(items)
+    loaded, _ = _pickle5(snap)
+    assert not _LAZY_VIEWS & vars(loaded).keys()
+    for view in ["map", "keys", "values"]:
+        assert _same(getattr(loaded, view), getattr(snap, view)), view
+    if snap.value_array is None:
+        assert loaded.value_array is None
+    else:
+        assert _same_arrow(loaded.value_array, snap.value_array)
+    # the values list ships only when the arrays may not give it back
+    # (NaN != NaN counts as may not; struct unification adds null fields)
+    assert (loaded._py_values is None) == (
+        snap.value_array is not None
+        and snap.value_array.to_pylist() == snap.values)
+    assert items is not _STRUCTS or loaded._py_values is not None
+    keys = snap.keys + ["miss", "x1.0y"]
+    tbl = pa.table({"s": keys, "l": [[k, "miss"] for k in keys]})
+    for kw in [dict(), dict(fallback="fb"), dict(regex=True),
+               dict(exact=False), dict(iterate_on="l", source="l")]:
+        cfg = TranslateConfig(**{"source": "s", "target": "t",
+                                 "dictionary": {}, **kw})
+        assert _same_arrow(translate_table(tbl, cfg, loaded),
+                           translate_table(tbl, cfg, snap)), kw
+
+
+def test_snapshot_keys_collide_after_coercion():
+    """Keys coerce with Ruby ``to_s``: colliding keys keep their first
+    position and last value, and True/1/1.0/None stay distinct."""
+    snap = DictSnapshot([(1, "a"), (True, "b"), (1.0, "c"), (None, "d"),
+                         ("1", "e"), ("", "f")])
+    loaded, _ = _pickle5(snap)
+    for s in (snap, loaded):
+        assert s.keys == ["1", "true", "1.0", ""]
+        assert s.map == {"1": "e", "true": "b", "1.0": "c", "": "f"}

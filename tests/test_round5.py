@@ -3,7 +3,8 @@ round-5 VERDICT tasks (missing_file_ok) as they land. The IVF kNN join
 tests live in tests/test_similarity.py and its spec clause, post-filter
 schema and spill-pressure smoke tests in tests/test_pipeline.py; the
 missing_file_ok translate_dataset test lives in
-tests/test_translate_stage.py; the window-segment null-key and
+tests/test_translate_stage.py; the value_array coercion test in
+tests/test_kernel.py; the window-segment null-key and
 grouped-partial top-k tests live in tests/test_null_keys.py."""
 
 import os
@@ -117,34 +118,6 @@ def test_scalar_coercion_thread_safety():
     assert _coerce_plain_scalar("1e3") == "1e3"
     # YAML 1.1 floats need a SIGNED exponent — '1.5e3' stays a string
     assert _coerce_plain_scalar("1.5e+3") == 1500.0
-
-
-def test_value_array_rejects_silent_arrow_coercions():
-    """pa.array()'s Python→Arrow coercion is insertion-order-dependent and
-    silently value-corrupting for some mixes ([0.0, False] → double
-    [0.0, 0.0], while the reversed order raises) — found by the fuzz_hard
-    differential. Such dictionaries must take the stringify (non-unify)
-    path, and >int64 values must not crash the probe (OverflowError)."""
-    from logstash_filter_translate_ray import DictSnapshot
-
-    # value-corrupting mixes → non-unify
-    assert DictSnapshot({"0": 0.0, "1": False}).value_array is None
-    assert DictSnapshot({"a": [0.0], "b": [False]}).value_array is None
-    assert DictSnapshot({"a": {"x": 0.0}, "b": {"x": False}}).value_array is None
-    assert DictSnapshot({"a": "x", "b": b"y"}).value_array is None
-    # >int64 int raised OverflowError (uncaught) pre-fix
-    assert DictSnapshot({"a": 2 ** 70, "b": 1}).value_array is None
-    # int promoted to float is a category drift too: {'a': 1, 'b': 2.5}
-    # with a fallback would render 1 as '1.0' through the unified double
-    # column — mixed numeric dicts stringify per-value instead
-    assert DictSnapshot({"a": 1, "b": 2.5}).value_array is None
-    assert DictSnapshot({"a": [1], "b": [2.5]}).value_array is None
-    # homogeneous / value-preserving dictionaries still unify (fast path)
-    assert DictSnapshot({"a": 1, "b": 2}).value_array is not None
-    assert DictSnapshot({"a": 1.0, "b": 2.5}).value_array is not None
-    assert DictSnapshot({"a": 1, "b": None}).value_array is not None
-    assert DictSnapshot({"a": [1, 2], "b": [3]}).value_array is not None
-    assert DictSnapshot({"a": True, "b": False}).value_array is not None
 
 
 def test_translate_bool_float_dict_values_exact():
