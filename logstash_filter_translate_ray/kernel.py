@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import copy
 import re
-from functools import cached_property
-from typing import Any, Iterable, Optional
+from functools import cached_property, partial
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -493,7 +493,8 @@ def _row_array_of_maps(event: dict, cfg: TranslateConfig, snap: DictSnapshot) ->
 
 def _as_array(col: "pa.ChunkedArray | pa.Array") -> pa.Array:
     if isinstance(col, pa.ChunkedArray):
-        return col.combine_chunks()
+        # combine_chunks copies even a single chunk
+        return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     return col
 
 
@@ -501,24 +502,55 @@ def _is_list(t: pa.DataType) -> bool:
     return pa.types.is_list(t) or pa.types.is_large_list(t)
 
 
-def lookup_exact(src: pa.Array, snap: DictSnapshot) -> tuple[np.ndarray, Optional[pa.Array], Optional[np.ndarray]]:
-    """Exact hash lookup over a string array.
+_DISTINCT_SAMPLE = 1024    # leading rows _per_distinct's repeat gate counts
 
-    Returns (matched_mask[np.bool_], values | None, match_index | None):
-    ``values`` is an Arrow array aligned with ``src`` when the dictionary
-    values unify (vector path); otherwise ``match_index`` (int64, -1 = miss)
-    lets the caller materialize Python values for matched rows only.
-    """
-    if len(snap) == 0:
-        return np.zeros(len(src), dtype=bool), None, np.full(len(src), -1)
-    idx = pc.index_in(src, value_set=snap.key_array)
-    matched = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-    varr = snap.value_array
-    if varr is not None:
-        return matched, pc.take(varr, idx), None
-    idx_np = idx.to_numpy(zero_copy_only=False)
-    idx_np = np.where(matched, idx_np, -1).astype(np.int64)
-    return matched, None, idx_np
+
+def _per_distinct(col: "pa.ChunkedArray | pa.Array", fn: Callable,
+                  rows_fn: Optional[Callable] = None) -> "pa.Array":
+    """``fn(col)`` computed once per distinct value: the column is
+    dictionary-encoded once, ``fn`` (array → aligned array, depending on
+    each value alone) runs on the distinct non-null values, and the
+    indices gather the result back, so null rows come back null. Every
+    value function of the translate chain (lookups, parse extracts,
+    string casts) goes through here. Encoding pays only when values
+    repeat (a flagship block's 32,000 rows hold 141 conv_ids, 7 status
+    codes, 5 tools): when more than half of the first
+    ``_DISTINCT_SAMPLE`` rows are distinct (near-unique text), ``rows_fn``
+    (default ``fn``) runs on the column as it is."""
+    col = _as_array(col)
+    head = col.slice(0, _DISTINCT_SAMPLE)
+    if 2 * pc.count_distinct(head).as_py() > len(head):
+        return (rows_fn or fn)(col)
+    enc = col.dictionary_encode()
+    return pc.take(fn(enc.dictionary), enc.indices)
+
+
+def _probe_keys(values: pa.Array, keys: pa.Array) -> pa.Array:
+    """Position of each DISTINCT value among ``keys`` (null = miss),
+    hashing the values and probing the keys: the hash table is built on
+    the smaller side, and since both sides are unique the key-to-value
+    positions invert exactly."""
+    slot = pc.fill_null(pc.index_in(keys, value_set=values), -1) \
+        .to_numpy(zero_copy_only=False)
+    hit = slot >= 0
+    pos = np.full(len(values), -1, dtype=np.int64)
+    pos[slot[hit]] = np.flatnonzero(hit)
+    return pa.array(pos, mask=pos < 0)
+
+
+def lookup_exact(src: pa.Array, snap: DictSnapshot) -> pa.Array:
+    """Exact hash lookup: each ``src`` value's position among the
+    dictionary keys (null = miss), with one hash table built on the
+    smaller side. A dictionary no larger than the block (tool, word,
+    route: 4-5 keys) is hashed and the rows probe it; for a larger one
+    (conv100k: a 100k-key build per block) the block's distinct values
+    are hashed and the keys probe them, unless the block's values do
+    not repeat."""
+    keys = snap.key_array
+    direct = partial(pc.index_in, value_set=keys)
+    if len(keys) <= len(src):
+        return direct(src)
+    return _per_distinct(src, lambda v: _probe_keys(v, keys), direct)
 
 
 def _match_np(src: pa.Array, pattern: str) -> np.ndarray:
@@ -531,12 +563,12 @@ def _match_np(src: pa.Array, pattern: str) -> np.ndarray:
 
 
 def lookup_exact_regex(src: pa.Array, snap: DictSnapshot,
-                       candidates: Optional[np.ndarray] = None
-                       ) -> tuple[np.ndarray, Optional[pa.Array], Optional[np.ndarray]]:
-    """Ordered first-match-wins regex lookup (S5). Vectorized per pattern:
-    one ``pc.match_substring_regex`` pass per dictionary key over the
-    not-yet-matched rows; Python ``re`` fallback for RE2-incompatible
-    patterns (lookaround/backrefs)."""
+                       candidates: Optional[np.ndarray] = None) -> pa.Array:
+    """Ordered first-match-wins regex lookup (S5): the position of the
+    first dictionary key that matches each row (null = miss). Vectorized
+    per pattern: one ``pc.match_substring_regex`` pass per dictionary key
+    over the not-yet-matched rows; Python ``re`` fallback for
+    RE2-incompatible patterns (lookaround/backrefs)."""
     n = len(src)
     match_idx = np.full(n, -1, dtype=np.int64)
     valid = pc.is_valid(src).to_numpy(zero_copy_only=False)
@@ -600,28 +632,21 @@ def lookup_exact_regex(src: pa.Array, snap: DictSnapshot,
                      for s in sub_np), dtype=bool, count=len(sub_np))
             match_idx[live[m_sub]] = j
             live = live[~m_sub]
-    matched = match_idx >= 0
-    varr = snap.value_array
-    if varr is not None:
-        take_idx = pa.array(np.where(matched, match_idx, 0), type=pa.int64())
-        vals = pc.take(varr, take_idx)
-        vals = pc.if_else(pa.array(matched), vals, pa.nulls(n, varr.type))
-        return matched, vals, None
-    return matched, None, match_idx
+    return pa.array(match_idx, mask=match_idx < 0)
 
 
 def lookup_regex_union(src: pa.Array, snap: DictSnapshot,
-                       candidates: Optional[np.ndarray] = None
-                       ) -> tuple[np.ndarray, pa.Array, None]:
-    """gsub-every-occurrence substitution (S6). Inherently per-string
-    (callable replacement), but the pattern is compiled once per snapshot
-    and the loop runs only over candidate rows; misses short-circuit via a
+                       candidates: Optional[np.ndarray] = None) -> pa.Array:
+    """gsub-every-occurrence substitution (S6): the substituted string of
+    each row that changed (null = miss). Inherently per-string (callable
+    replacement), but the pattern is compiled once per snapshot and the
+    loop runs only over candidate rows; misses short-circuit via a
     vectorized containment pre-filter when the union is a plain alternation."""
     n = len(src)
     pat = snap.union_re
     matched = np.zeros(n, dtype=bool)
     if pat is None or n == 0:
-        return matched, pa.nulls(n, pa.string()), None
+        return pa.nulls(n, pa.string())
     if snap.union_sequential_safe:
         # fully vectorized path: per-key leftmost-nonoverlapping literal
         # replacement, provably equivalent (see union_sequential_safe).
@@ -651,7 +676,7 @@ def lookup_regex_union(src: pa.Array, snap: DictSnapshot,
             pos = np.zeros(n, dtype=np.int64)
             pos[idxs_np] = np.arange(len(idxs_np))
             take_idx = pa.array(pos, type=pa.int64(), mask=~matched)
-            return matched, _as_array(pc.take(sub, take_idx)), None
+            return _as_array(pc.take(sub, take_idx))
         out = src
         for k, v in zip(snap.keys, snap.values_str):
             out = pc.replace_substring(out, pattern=k, replacement=v)
@@ -661,7 +686,7 @@ def lookup_regex_union(src: pa.Array, snap: DictSnapshot,
         if candidates is not None:
             matched &= candidates
         out = pc.if_else(pa.array(matched), out, pa.nulls(n, pa.string()))
-        return matched, _as_array(out), None
+        return _as_array(out)
     valid = pc.is_valid(src).to_numpy(zero_copy_only=False)
     todo = valid if candidates is None else (valid & candidates)
     # vectorized pre-filter: keys are literal-escaped, so the alternation is
@@ -680,42 +705,57 @@ def lookup_regex_union(src: pa.Array, snap: DictSnapshot,
         if r != s:
             out[i] = r
             matched[i] = True
-    return matched, pa.array(out, type=pa.string()), None
+    return pa.array(out, type=pa.string())
 
 
 def _lookup(strategy: str, src: pa.Array, snap: DictSnapshot,
-            candidates: Optional[np.ndarray] = None):
+            candidates: Optional[np.ndarray] = None
+            ) -> tuple[np.ndarray, Optional[pa.Array], Optional[np.ndarray]]:
+    """One strategy's fetch over a string array → (matched, values |
+    None, match index | None): ``values`` aligned with ``src`` when the
+    dictionary values unify, else the int64 index (-1 = miss) for
+    _materialize_values. A fetch depends on the value alone, so the regex
+    strategies run once per distinct value of a repeating block and exact
+    hashes the smaller side (:func:`lookup_exact`). ``candidates`` (the
+    inclusion mask) only prunes the row path: callers mask ``matched``."""
     if strategy == "exact":
-        matched, vals, idx = lookup_exact(src, snap)
-        if candidates is not None:
-            matched &= candidates
-        return matched, vals, idx
-    if strategy == "exact_regex":
-        return lookup_exact_regex(src, snap, candidates)
-    return lookup_regex_union(src, snap, candidates)
+        pos = lookup_exact(src, snap)
+    else:   # key positions, or regex_union's substituted strings
+        fetch = lookup_exact_regex if strategy == "exact_regex" \
+            else lookup_regex_union
+        pos = _per_distinct(src, partial(fetch, snap=snap),
+                            partial(fetch, snap=snap, candidates=candidates))
+    matched = pc.is_valid(pos).to_numpy(zero_copy_only=False)
+    if strategy == "regex_union":
+        return matched, pos, None
+    if snap.value_array is not None:
+        return matched, pc.take(snap.value_array, pos), None
+    return matched, None, pc.fill_null(pos, -1).to_numpy(zero_copy_only=False)
 
 
 def _materialize_values(matched: np.ndarray, idx: np.ndarray,
                         snap: DictSnapshot) -> pa.Array:
     """String-unify path for dictionaries whose values DON'T unify to one
     Arrow type (``value_array is None``): matched values stringify
-    Logstash-style and the column is string. This is dataset-invariant —
-    decided by the dictionary alone, never by which rows share a block —
-    extending the documented fallback-unify deviation (SURVEY §8): a
-    single-typed Arrow column cannot hold heterogeneous Ruby objects, and
-    the pre-r4 typed writes drifted across blocks (int64 from an all-int
-    block, string from a mixed one → ArrowInvalid at concat) or raised a
-    block-composition-DEPENDENT ConfigurationError."""
-    n = len(matched)
-    out = np.full(n, None, dtype=object)
-    vals = snap.values
+    Logstash-style and the column is string — each dictionary entry the
+    block uses renders once, then the strings are taken per row. This is
+    dataset-invariant — decided by the dictionary alone, never by which
+    rows share a block — extending the documented fallback-unify
+    deviation (SURVEY §8): a single-typed Arrow column cannot hold
+    heterogeneous Ruby objects, and the pre-r4 typed writes drifted
+    across blocks (int64 from an all-int block, string from a mixed one
+    → ArrowInvalid at concat) or raised a block-composition-DEPENDENT
+    ConfigurationError."""
     from .sprintf import _to_s
-    for i in np.nonzero(matched)[0]:
-        v = vals[idx[i]]
-        # null dict value stays null — parity with the vector unify
-        # branch, where cast keeps the slot null instead of ""
-        out[i] = None if v is None else _to_s(v)
-    return pa.array(out.tolist(), type=pa.string())
+    used, at = np.unique(idx[matched], return_inverse=True)
+    vals = snap.values
+    # null dict value stays null — parity with the vector unify branch,
+    # where cast keeps the slot null instead of ""
+    strs = pa.array([None if vals[i] is None else _to_s(vals[i])
+                     for i in used], type=pa.string())
+    take = np.zeros(len(matched), dtype=np.int64)
+    take[matched] = at
+    return pc.take(strs, pa.array(take, mask=~matched))
 
 
 # --------------------------------------------------------------------------

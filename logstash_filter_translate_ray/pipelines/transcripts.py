@@ -146,14 +146,23 @@ def build_enriched_dataset(ds: "rd.Dataset",
 
 def read_transcripts(path: "str | list[str]",
                      override_num_blocks: Optional[int] = None) -> "rd.Dataset":
-    """Column-pruned transcript read. ``override_num_blocks`` pins the block
-    count — fewer, larger blocks (~250k rows) cut per-task scheduling gaps
-    substantially vs Ray's adaptive splitting (measured 5.2s vs 7.9s for a
-    16M-row pass at 16 CPUs)."""
+    """Column-pruned transcript read, one batch per file.
+    ``override_num_blocks`` pins the block count — fewer, larger blocks
+    (~250k rows) cut per-task scheduling gaps substantially vs Ray's
+    adaptive splitting (measured 5.2s vs 7.9s for a 16M-row pass at 16
+    CPUs).
+
+    ``batch_size=None`` hands each file to the chain whole (up to Arrow's
+    128k-row scanner batch): Ray's parquet reader otherwise cuts a file
+    into ~10k-row batches, and every stage pays its per-block fixed costs
+    (one regex pass per key, one dictionary hash, one chunk combine per
+    column) once per batch instead of once per file (4 times for a
+    32k-row file)."""
     kw = {}
     if override_num_blocks is not None:
         kw["override_num_blocks"] = override_num_blocks
-    return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS, **kw)
+    return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS, batch_size=None,
+                           **kw)
 
 
 def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,

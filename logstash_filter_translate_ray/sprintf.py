@@ -169,19 +169,15 @@ def _cast_to_string(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray | pa.Arr
         # stays large_string reads as "still different" from string and
         # the merge falls back to null-wiping unwritten values
         return pc.cast(col, pa.string())
+    from .kernel import _as_array, _per_distinct
     if pa.types.is_floating(col.type):
-        # Ruby Float#to_s keeps a trailing .0; Arrow cast drops it — go via
-        # numpy. NULL vs NaN must come from the Arrow VALIDITY (review r3:
-        # to_numpy renders nulls as NaN too, and conflating them turned a
-        # genuine NaN value into the absent-field path) — a valid NaN cell
-        # stringifies like the row oracle's _to_s (str(nan) == 'nan').
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
-        vals = col.to_numpy(zero_copy_only=False)
-        out = [_to_s(float(v)) if ok else None
-               for v, ok in zip(vals, valid)]
-        return pa.array(out, type=pa.string())
+        # Ruby Float#to_s keeps a trailing .0; Arrow cast drops it — render
+        # each distinct value through _to_s. NULL vs NaN comes from the
+        # Arrow VALIDITY (review r3: conflating them turned a genuine NaN
+        # value into the absent-field path): a valid NaN is a distinct
+        # value and stringifies like the row oracle (str(nan) == 'nan').
+        # Widening to float64 is exact (and halffloat has no hash kernel).
+        return _per_distinct(pc.cast(col, pa.float64()), _render_each)
     if pa.types.is_timestamp(col.type):
         # str(datetime) omits an all-zero microsecond field; Arrow's cast
         # prints '.000000' — strip it so row/column strings are identical
@@ -193,28 +189,20 @@ def _cast_to_string(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray | pa.Arr
         # bytes stringify as utf-8 with U+FFFD replacement (Ruby byte
         # strings pass through to_s unchanged; Arrow's binary→string cast
         # REJECTS invalid utf-8, which crashed the fallback-unify branch
-        # on a non-utf8 bytes dictionary value). Python-decode once per
-        # UNIQUE value, then scatter back.
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        try:
-            enc = col.dictionary_encode()
-            uniq = pa.array(
-                [None if v is None else _bytes_to_s(v)
-                 for v in enc.dictionary.to_pylist()], type=pa.string())
-            return pc.take(uniq, enc.indices)
-        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-            return pa.array(
-                [None if v is None else _bytes_to_s(v)
-                 for v in col.to_pylist()], type=pa.string())
+        # on a non-utf8 bytes dictionary value), once per distinct value
+        return _per_distinct(col, _render_each)
     if pa.types.is_list(col.type) or pa.types.is_large_list(col.type) \
             or pa.types.is_struct(col.type) or pa.types.is_map(col.type):
         # containers render through the ROW rule (_to_s: arrays join ',',
         # hashes compact JSON) — pc.cast(list→string) raises, and the two
-        # sprintf implementations must agree. Python per row, but only for
-        # templates that interpolate a container column (rare).
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        return pa.array([None if v is None else _to_s(v)
-                         for v in col.to_pylist()], type=pa.string())
+        # sprintf implementations must agree. Python per row (nested types
+        # cannot be dictionary-encoded), but only for templates that
+        # interpolate a container column (rare).
+        return _render_each(_as_array(col))
     return pc.cast(col, pa.string())
+
+
+def _render_each(arr: pa.Array) -> pa.Array:
+    """_to_s of every value of ``arr``; null slots stay null."""
+    return pa.array([None if v is None else _to_s(v) for v in arr.to_pylist()],
+                    type=pa.string())

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..kernel import _per_distinct
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,18 @@ def _safe_cast(vals, ty):
         return pa.array(out, type=target)
 
 
+def _extract(rule: ExtractRule, named: Optional[str],
+             pyre: Optional["re.Pattern"], col: pa.Array) -> pa.Array:
+    """``rule``'s capture from every value of ``col`` (null on no
+    match): RE2 when the plan compiled it (``named``), else Python re."""
+    if named is not None:
+        vals = pc.struct_field(pc.extract_regex(col, pattern=named), rule.out)
+    else:
+        vals = pa.array([m.group(1) if s is not None and (m := pyre.search(s))
+                         else None for s in col.to_pylist()], type=pa.string())
+    return _safe_cast(vals, rule.cast) if rule.cast else vals
+
+
 def parse_batch(tbl: pa.Table, plan) -> pa.Table:
     for rule, named, pyre in plan:
         if isinstance(rule, GrokRule):
@@ -136,23 +150,10 @@ def parse_batch(tbl: pa.Table, plan) -> pa.Table:
                                  pa.nulls(len(tbl),
                                           rule.cast or pa.string()))
             continue
-        col = tbl[rule.source]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if named is not None:
-            ext = pc.extract_regex(col, pattern=named)
-            vals = pc.struct_field(ext, rule.out)
-        else:
-            src = col.to_numpy(zero_copy_only=False)
-            out = np.full(len(tbl), None, dtype=object)
-            for i, s in enumerate(src):
-                if s is not None:
-                    m = pyre.search(s)
-                    if m:
-                        out[i] = m.group(1)
-            vals = pa.array(out, type=pa.string())
-        if rule.cast:
-            vals = _safe_cast(vals, rule.cast)
+        # one extract per distinct value of a repeating column (tool);
+        # near-unique text fails the helper's gate and runs per row
+        vals = _per_distinct(tbl[rule.source],
+                             partial(_extract, rule, named, pyre))
         tbl = _set_or_append(tbl, rule.out, vals)
     return tbl
 
@@ -165,10 +166,9 @@ def _apply_grok(tbl: pa.Table, rule: "GrokRule") -> pa.Table:
             tbl = _set_or_append(tbl, g, pa.nulls(len(tbl),
                                                   casts.get(g, pa.string())))
         return tbl
-    col = tbl[rule.source]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    ext = pc.extract_regex(col, pattern=rule.pattern)   # one RE2 pass
+    # one RE2 pass (per distinct value of a repeating column)
+    ext = _per_distinct(tbl[rule.source],
+                        partial(pc.extract_regex, pattern=rule.pattern))
     for g in group_names:
         vals = pc.struct_field(ext, g)
         if g in casts:

@@ -4,6 +4,7 @@ row-oriented oracle (translate_row), plus a differential property test."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
@@ -24,12 +25,7 @@ def run_both(cfg, rows, dictionary=None):
         m = translate_row(ev, cfg, snap)
         oracle_rows.append(ev)
         oracle_matched.append(m)
-    # kernel — build a table with unified columns
-    cols = []
-    for r in rows:
-        cols.extend(k for k in r if k not in cols)
-    tbl = pa.table({c: pa.array([r.get(c) for r in rows]) for c in cols})
-    out = translate_table(tbl, cfg, snap)
+    out = translate_table(_rows_table(rows), cfg, snap)
     out_rows = out.to_pylist()
     k_matched = [r.pop("translate_matched") for r in out_rows]
     assert k_matched == oracle_matched, (k_matched, oracle_matched)
@@ -45,6 +41,14 @@ def run_both(cfg, rows, dictionary=None):
         for key, val in orr.items():
             assert _agree(kr.get(key), val, unify), (key, kr, orr)
     return out_rows
+
+
+def _rows_table(rows):
+    """The rows as a table with one column per key (missing keys null)."""
+    cols = []
+    for r in rows:
+        cols.extend(k for k in r if k not in cols)
+    return pa.table({c: pa.array([r.get(c) for r in rows]) for c in cols})
 
 
 def _agree(kv, val, unify):
@@ -414,10 +418,10 @@ def test_exact_regex_grouped_perf_sanity():
     snap = DictSnapshot(d)
     src = pa.array([f"pat{(i * 7) % 5000:05d}" for i in range(5000)] +
                    ["no-match"] * 45000)
-    from logstash_filter_translate_ray.kernel import lookup_exact_regex
-    lookup_exact_regex(src, snap)          # compile + warm
+    from logstash_filter_translate_ray.kernel import _lookup
+    _lookup("exact_regex", src, snap)          # compile + warm
     t0 = time.perf_counter()
-    matched, vals, idx = lookup_exact_regex(src, snap)
+    matched, vals, idx = _lookup("exact_regex", src, snap)
     dt = time.perf_counter() - t0
     assert matched.sum() == 5000
     # grouped path: ~156 alternation passes over 50k rows; the naive path
@@ -1056,3 +1060,421 @@ def test_snapshot_keys_collide_after_coercion():
     for s in (snap, loaded):
         assert s.keys == ["1", "true", "1.0", ""]
         assert s.map == {"1": "e", "true": "b", "1.0": "c", "": "f"}
+
+
+# --------------------------------------------------------------------------
+# Per-distinct value functions: a repeating block runs each lookup once per
+# distinct value (kernel._per_distinct) and must equal both the row oracle
+# and the per-row path over the same rows
+# --------------------------------------------------------------------------
+
+def _rows_path(col, fn, rows_fn=None):
+    """_per_distinct with its gate always failing: every value function
+    runs over the rows as they are (the path a non-repeating block takes)."""
+    from logstash_filter_translate_ray import kernel
+    return (rows_fn or fn)(kernel._as_array(col))
+
+
+def _check_per_distinct(cfg, rows, monkeypatch, distinct=True):
+    """``rows`` repeat their values. The kernel must take the distinct
+    path (a value function sees fewer values than its column holds) iff
+    ``distinct``, agree with translate_row (run_both), and give the same
+    table as the same rows through the per-row path."""
+    from logstash_filter_translate_ray import kernel
+    monkeypatch.undo()               # the real helper, not an earlier patch
+    real = kernel._per_distinct
+    shrunk = []
+
+    def spy(col, fn, rows_fn=None):
+        def rec(values):
+            shrunk.append(len(values) < len(col))
+            return fn(values)
+        return real(col, rec, rows_fn)
+
+    monkeypatch.setattr(kernel, "_per_distinct", spy)
+    out = run_both(cfg, rows)
+    assert any(shrunk) == distinct, shrunk
+    snap = DictSnapshot(cfg.dictionary)
+    tbl = _rows_table(rows)
+    whole = translate_table(tbl, cfg, snap)
+    monkeypatch.setattr(kernel, "_per_distinct", _rows_path)
+    per_row = translate_table(tbl, cfg, snap)
+    assert whole.schema == per_row.schema
+    assert whole.to_pylist() == per_row.to_pylist()
+    return out
+
+
+def _repeat(values, n=96):
+    return [values[i % len(values)] for i in range(n)]
+
+
+def test_per_distinct_exact_small_and_100k(monkeypatch):
+    """A 4-key dictionary hashes its keys and the rows probe them; a
+    100k-key one hashes the block's distinct values and the keys probe
+    those (the reverse probe), null rows and misses included."""
+    small = {"search": "Web Search", "code": "Code", "calc": "Calc",
+             "browser": "Browser"}
+    cfg = TranslateConfig(source="s", target="t", dictionary=small,
+                          fallback="no tool", override=True)
+    rows = [{"s": v} for v in _repeat(["search", "code", None, "zz"])]
+    out = _check_per_distinct(cfg, rows, monkeypatch, distinct=False)
+    assert [r.get("t") for r in out[:4]] == ["Web Search", "Code", None,
+                                             "no tool"]
+    big = {f"conv-{i:08d}": ("pro", "free", "edu")[i % 3]
+           for i in range(100_000)}
+    cfg = TranslateConfig(source="s", target="t", dictionary=big,
+                          fallback="anon", override=True)
+    vals = ["conv-00000007", "conv-00099999", None, "conv-x",
+            "conv-00000000"]
+    out = _check_per_distinct(cfg, [{"s": v} for v in _repeat(vals)],
+                              monkeypatch)
+    assert [r.get("t") for r in out[:5]] == ["free", "pro", None, "anon",
+                                             "pro"]
+
+
+def test_per_distinct_exact_regex_re2_and_lookaround(monkeypatch):
+    """Ordered first-match-wins over the distinct values, with RE2 keys
+    and a lookbehind key that only Python ``re`` can run."""
+    d = {"^2[0-9][0-9]$": "OK", "(?<=x)5": "after-x", "^4..": "Client",
+         "5": "five"}
+    snap = DictSnapshot(d)
+    assert [ok for _, _, ok in snap.regex_rows] == [True, False, True, True]
+    cfg = TranslateConfig(source="s", target="t", regex=True, dictionary=d,
+                          fallback="unknown %{s}", override=True)
+    vals = ["200", "x5", "404", "5", None, "999", "2000"]
+    out = _check_per_distinct(cfg, [{"s": v} for v in _repeat(vals)],
+                              monkeypatch)
+    assert [r.get("t") for r in out[:7]] == [
+        "OK", "after-x", "Client", "five", None, "unknown 999", "unknown 2000"]
+
+
+def test_per_distinct_regex_union(monkeypatch):
+    """gsub over a low-cardinality column runs once per distinct value,
+    for the vectorized (sequential-safe) and the re.sub dictionaries."""
+    for d in ({"a": "[A]", "bc": "[BC]"}, {"ab": "1", "b": "2"}):
+        cfg = TranslateConfig(source="s", target="t", exact=False,
+                              dictionary=d)
+        vals = ["abc", "xbcx", "zz", None, "ab"]
+        _check_per_distinct(cfg, [{"s": v} for v in _repeat(vals)],
+                            monkeypatch)
+
+
+def test_per_distinct_override_false_and_nil_is_present(monkeypatch):
+    """The inclusion mask (an existing target blocks the write) and
+    nil_is_present's "" lookup apply after the gather, as on the row path.
+    More keys than rows: exact takes the reverse probe, exact_regex its
+    grouped-alternation path and regex_union the re.sub path."""
+    d = {"": "EMPTY", "a": "A", "b": "B",
+         **{f"pad{i}": "P" for i in range(200)}}
+    for strategy in (dict(), dict(regex=True), dict(exact=False)):
+        for nil_p in (False, True):
+            # under nil_is_present every row's top-level target is
+            # present, so only override lets it write
+            cfg = TranslateConfig(source="s", target="t", dictionary=d,
+                                  nil_is_present=nil_p, override=nil_p,
+                                  **strategy)
+            rows = [{"s": s, "t": t} for s, t in
+                    _repeat([("a", None), ("a", "keep"), (None, None),
+                             ("b", None), ("zz", "keep"), (None, "keep")])]
+            _check_per_distinct(cfg, rows, monkeypatch)
+
+
+def test_per_distinct_iterate_shapes(monkeypatch):
+    """The list shapes look up the flattened elements once per distinct
+    element; nil elements look up "", null lists stay untouched."""
+    d = {"a": "A", "": "EMPTY", "b": False,
+         **{f"pad{i}": "P" for i in range(500)}}
+    cfg = TranslateConfig(source="l", iterate_on="l", target="out",
+                          dictionary=d, fallback="fb")
+    rows = [{"l": v} for v in _repeat([["a", "zz"], None, ["b", None],
+                                       ["a", "a", "b"]])]
+    _check_per_distinct(cfg, rows, monkeypatch)
+    cfg = TranslateConfig(source="k", iterate_on="m", target="t",
+                          dictionary=d)
+    rows = [{"m": v} for v in _repeat([[{"k": "a"}, {"k": "zz"}], None,
+                                       [{"k": "b"}, {"k": None}]])]
+    _check_per_distinct(cfg, rows, monkeypatch)
+
+
+def test_per_distinct_gate_keeps_unique_columns_on_row_path():
+    """A column whose leading rows are mostly distinct never encodes:
+    the value function sees the whole column."""
+    from logstash_filter_translate_ray import kernel
+    seen = []
+
+    def upper(v):
+        seen.append(len(v))
+        return pc.utf8_upper(v)
+
+    kernel._per_distinct(pa.array([f"v{i}" for i in range(3000)]), upper)
+    out = kernel._per_distinct(pa.array(["a", None, "a", "b"] * 8), upper)
+    assert seen == [3000, 2]
+    assert out.to_pylist() == ["A", None, "A", "B"] * 8
+
+
+def test_materialize_values_per_distinct_entry_32k():
+    """A dictionary whose values don't unify (int / str / list / None)
+    renders each used entry once; a 32k-row block equals translate_row
+    row by row."""
+    import random
+    from logstash_filter_translate_ray.sprintf import _to_s
+    d = {"i": 7, "s": "str", "l": [1, "x", None], "n": None, "f": 2.0,
+         "m": {"k": "v"}}
+    snap = DictSnapshot(d)
+    assert snap.value_array is None
+    rnd = random.Random(3)
+    keys = [rnd.choice(list(d) + ["miss", None]) for _ in range(32_000)]
+    for fallback in (None, "fb"):
+        cfg = TranslateConfig(source="s", target="t", dictionary=d,
+                              fallback=fallback)
+        out = translate_table(pa.table({"s": pa.array(keys, pa.string())}),
+                              cfg, snap)
+        for k, got in zip(keys, out["t"].to_pylist()):
+            ev = {"s": k}
+            translate_row(ev, cfg, snap)
+            want = ev.get("t")
+            assert got == (None if want is None else _to_s(want)), (k, got)
+
+
+def test_float_cast_per_distinct_keeps_nan_and_null():
+    """Floats render once per distinct value: NaN stays a value ('nan'),
+    null stays null, -0.0 and 0.0 stay apart, halffloat widens exactly."""
+    from logstash_filter_translate_ray.sprintf import _cast_to_string
+    vals = [0.0, -0.0, float("nan"), None, 1.0, 2.5] * 100
+    for t in (pa.float64(), pa.float32()):
+        got = _cast_to_string(pa.array(vals, type=t)).to_pylist()
+        assert got == ["0.0", "-0.0", "nan", None, "1.0", "2.5"] * 100
+    half = pa.array(np.array([1 / 3, 1.0] * 8, dtype=np.float16))
+    assert _cast_to_string(half).to_pylist()[:2] == [
+        str(float(np.float16(1 / 3))), "1.0"]
+
+
+# --------------------------------------------------------------------------
+# Kernel regressions from the round-4/5 reviews and fuzz sweeps
+# --------------------------------------------------------------------------
+
+def test_kernel_fast_path_schema_matches_hit_blocks():
+    """An all-excluded block must come out with the SAME schema as a block
+    with hits: nested targets materialize the struct child, and an
+    existing differently-typed target unifies — else pa.concat_tables of
+    the two blocks crashes (the r4 block-invariance finding)."""
+    from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
+                                               translate_table)
+    snap = DictSnapshot({"x": "X"})
+    # (a) nested target
+    cfg = TranslateConfig(source="s", target="[meta][cls]",
+                          dictionary={"x": "X"})
+    hit = translate_table(pa.table({"s": ["x"]}), cfg, snap)
+    excl = translate_table(pa.table({"s": pa.array([None], pa.string())}),
+                           cfg, snap)
+    assert hit.schema == excl.schema
+    pa.concat_tables([hit, excl])          # must not raise
+    # (b) existing int64 target + string dict values
+    cfg2 = TranslateConfig(source="s", target="t", dictionary={"x": "X"},
+                           override=True)
+    hit2 = translate_table(pa.table({"s": ["x"],
+                                     "t": pa.array([7], pa.int64())}),
+                           cfg2, snap)
+    excl2 = translate_table(pa.table({"s": pa.array([None], pa.string()),
+                                      "t": pa.array([9], pa.int64())}),
+                            cfg2, snap)
+    assert hit2.schema == excl2.schema
+    merged = pa.concat_tables([hit2, excl2])
+    assert merged["t"].to_pylist() == ["X", "9"]   # excluded value kept
+
+
+def test_values_shape_null_scalar_and_nested_target():
+    """CoerceOther Array(nil) == [] (row-oracle parity under
+    nil_is_present) and a nested target writes the struct child, not a
+    literal '[meta][labels]' column."""
+    from logstash_filter_translate_ray import TranslateConfig
+    cfg = TranslateConfig(source="v", target="out", iterate_on="v",
+                          dictionary={"a": "A"}, nil_is_present=True)
+    out = run_both(cfg, [{"v": "a"}, {"v": None}, {"v": "zz"}])
+    assert out[0]["out"] == ["A"]
+    assert out[1]["out"] == []             # Array(nil) == [], matched False
+    cfg2 = TranslateConfig(source="v", target="[meta][labels]",
+                           iterate_on="v", dictionary={"a": "A"})
+    out2 = run_both(cfg2, [{"v": ["a", "b"]}, {"v": ["c"]}])
+    assert out2[0]["meta"]["labels"] == ["A", None]
+    assert "[meta][labels]" not in out2[0]
+
+
+def test_maps_shape_large_string_child_kept():
+    """A large_string existing target child must unify (cast), not get
+    null-wiped on unwritten elements (_cast_to_string passed large_string
+    through and the type comparison fell to the nulls branch)."""
+    from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
+                                               translate_table)
+    elems = pa.array([[{"k": "a", "t": "keepme"}, {"k": "zz", "t": "old"}]],
+                     type=pa.list_(pa.struct([("k", pa.string()),
+                                              ("t", pa.large_string())])))
+    tbl = pa.table({"evs": elems})
+    cfg = TranslateConfig(source="k", target="t", iterate_on="evs",
+                          dictionary={"a": "A"}, override=True)
+    out = translate_table(tbl, cfg, DictSnapshot(cfg.dictionary))
+    evs = out["evs"].to_pylist()[0]
+    assert evs[0]["t"] == "A"              # written
+    assert evs[1]["t"] == "old"            # KEPT, not wiped to null
+
+
+def test_heterogeneous_dict_with_fallback_unifies_to_string():
+    """The block-invariant fallback-unify rule (SURVEY §8) must also hold
+    when the dictionary's values DON'T unify to one Arrow type (value_array
+    is None → the Python materialize path): fuzz found {'0': '', '1': 0}
+    with a fallback raising ConfigurationError instead of stringifying.
+    All three shapes route through _materialize_values."""
+    from logstash_filter_translate_ray import TranslateConfig
+
+    het = {"0": "", "1": 0, "2": True, "3": 2.0}
+    # scalar shape — the original falsifying example plus typed extras
+    cfg = TranslateConfig(source="s", target="t", dictionary=het,
+                          fallback="fb")
+    out = run_both(cfg, [{"s": v} for v in
+                         [None, "1", "0", "2", "3", "miss"]])
+    assert [r.get("t") for r in out] == [None, "0", "", "true", "2.0", "fb"]
+
+    # iterate_values shape
+    cfg = TranslateConfig(source="foo", iterate_on="foo", target="baz",
+                          dictionary=het, fallback="fb")
+    out = run_both(cfg, [{"foo": ["1", "miss", "3"]}, {"foo": None}])
+    assert out[0]["baz"] == ["0", "fb", "2.0"]
+
+    # iterate_maps shape
+    cfg = TranslateConfig(source="[src]", iterate_on="maps", target="[dst]",
+                          dictionary=het, fallback="fb")
+    out = run_both(cfg, [{"maps": [{"src": "1"}, {"src": "miss"}]}])
+    assert [m["dst"] for m in out[0]["maps"]] == ["0", "fb"]
+
+    # no fallback: heterogeneous dicts ALSO stringify (dataset-invariant —
+    # the pre-r4 typed writes drifted across blocks: int64 from an all-int
+    # block vs string from a mixed one, or a block-composition-dependent
+    # ConfigurationError when one batch mixed)
+    cfg = TranslateConfig(source="s", target="t", dictionary=het)
+    out = run_both(cfg, [{"s": "1"}, {"s": "0"}, {"s": "miss"}])
+    assert [r.get("t") for r in out] == ["0", "", None]
+
+
+def test_block_invariance_regressions_r4_fuzz():
+    """Deterministic repros of the r4 block-composition fuzz finds: each
+    slice pair must concat with identical schema to the whole-table run."""
+    import pyarrow as pa
+    from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
+                                               translate_table)
+
+    def check(tbl, cfg):
+        snap = DictSnapshot(cfg.dictionary)
+        whole = translate_table(tbl, cfg, snap)
+        cat = pa.concat_tables(
+            [translate_table(tbl.slice(i, 1), cfg, snap)
+             for i in range(len(tbl))])
+        assert cat.schema.equals(whole.schema), (cat.schema, whole.schema)
+        assert cat.to_pylist() == whole.to_pylist()
+        return whole
+
+    # empty dict, no fallback: all-miss block typed string like the
+    # all-excluded fast path (was null-typed)
+    t = pa.table({"s": pa.array([None, ""], type=pa.string())})
+    check(t, TranslateConfig(source="s", target="t", dictionary={}))
+
+    # maps shape: all-excluded block must still add the dst child
+    maps = pa.table({"maps": pa.array(
+        [None, [{"src": "a"}]],
+        type=pa.list_(pa.struct([("src", pa.string())])))})
+    out = check(maps, TranslateConfig(source="[src]", iterate_on="maps",
+                                      target="[dst]", dictionary={"a": "A"}))
+    assert out["maps"][1][0]["dst"].as_py() == "A"
+
+    # regex_union with a non-string-valued dict: gsub writes strings, the
+    # fast path must type string too (was bool)
+    t = pa.table({"s": pa.array([None, "0"], type=pa.string())})
+    check(t, TranslateConfig(source="s", target="t",
+                             dictionary={"0": False}, exact=False))
+
+    # values shape, boolean dict, zero-element block: truthy &= empty
+    # float64 crashed on the nil_is_present CoerceArray [] path
+    t = pa.table({"foo": pa.array([None, ["0"]],
+                                  type=pa.list_(pa.string()))})
+    check(t, TranslateConfig(source="foo", iterate_on="foo", target="baz",
+                             dictionary={"0": False}, nil_is_present=True))
+
+
+def test_translate_bool_float_dict_values_exact():
+    """The fuzz_hard falsifying example: dict {'0': 0.0, '1': False} with
+    a fallback returned '0.0' for key '1' (False coerced to 0.0 inside the
+    unified value array). Both kernel and row oracle must agree on the
+    stringified values."""
+    from logstash_filter_translate_ray import TranslateConfig
+
+    cfg = TranslateConfig(source="s", target="t",
+                          dictionary={"0": 0.0, "1": False}, fallback="fb")
+    out = run_both(cfg, [{"s": "1"}, {"s": "0"}, {"s": "zz"}])
+    assert [r["t"] for r in out] == ["false", "0.0", "fb"]
+    # huge-int dict value: stringify path, no crash
+    cfg2 = TranslateConfig(source="s", target="t",
+                           dictionary={"a": 2 ** 70, "b": 1})
+    out2 = run_both(cfg2, [{"s": "a"}, {"s": "b"}])
+    assert [r["t"] for r in out2] == [str(2 ** 70), "1"]
+
+
+def test_translate_bytes_dict_values():
+    """Bytes dictionary values (found by the widened fuzz_hard): the
+    fallback-unify branch crashed on non-utf8 bytes (Arrow's binary→string
+    cast rejects invalid utf-8), and ruby_to_s rendered the Python repr
+    (b'...') instead of the decoded text. Canonical rule everywhere:
+    utf-8 with U+FFFD replacement."""
+    from logstash_filter_translate_ray import TranslateConfig
+
+    cfg = TranslateConfig(source="s", target="t",
+                          dictionary={"0": b"\x00bin"}, fallback="fb")
+    out = run_both(cfg, [{"s": "0"}, {"s": "x"}])
+    assert [r["t"] for r in out] == ["\x00bin", "fb"]
+    # invalid utf-8: no crash, replacement chars
+    cfg2 = TranslateConfig(source="s", target="t",
+                           dictionary={"a": b"\xff\xfe"}, fallback="fb")
+    out2 = run_both(cfg2, [{"s": "a"}, {"s": "zz"}])
+    assert [r["t"] for r in out2] == ["��", "fb"]
+    # homogeneous bytes, no fallback: binary column preserved raw
+    cfg3 = TranslateConfig(source="s", target="t",
+                           dictionary={"a": b"hi"})
+    assert run_both(cfg3, [{"s": "a"}])[0]["t"] == b"hi"
+    # bytes+str mix: non-unify stringify path, decoded consistently
+    cfg4 = TranslateConfig(source="s", target="t",
+                           dictionary={"a": b"hi", "b": "yo"})
+    out4 = run_both(cfg4, [{"s": "a"}, {"s": "b"}])
+    assert [r["t"] for r in out4] == ["hi", "yo"]
+
+
+def test_mixed_numeric_dict_renders_per_value():
+    """Review finding: {'a': 1, 'b': 2.5} with a fallback rendered 1 as
+    '1.0' (int promoted to double by the unified value array, then cast).
+    Mixed int/float dictionaries are heterogeneous Ruby objects — they
+    stringify per-value ('1', '2.5') on every path."""
+    from logstash_filter_translate_ray import TranslateConfig
+
+    cfg = TranslateConfig(source="s", target="t",
+                          dictionary={"a": 1, "b": 2.5}, fallback="fb")
+    out = run_both(cfg, [{"s": "a"}, {"s": "b"}, {"s": "zz"}])
+    assert [r["t"] for r in out] == ["1", "2.5", "fb"]
+    # pure-float dicts keep Ruby float rendering
+    cfg2 = TranslateConfig(source="s", target="t",
+                           dictionary={"a": 1.0}, fallback="fb")
+    assert run_both(cfg2, [{"s": "a"}])[0]["t"] == "1.0"
+
+
+def test_merge_into_existing_binary_target():
+    """Review finding: writing string values into a PRE-EXISTING binary
+    target column crashed on invalid utf-8 (plain pc.cast in the merge
+    unify branch) — both sides now go through _cast_to_string."""
+    from logstash_filter_translate_ray import (DictSnapshot,
+                                               TranslateConfig,
+                                               translate_table)
+
+    tbl = pa.table({"s": pa.array(["a", "x"]),
+                    "t": pa.array([b"\xff\xfe", b"ok"], type=pa.binary())})
+    cfg = TranslateConfig(source="s", target="t",
+                          dictionary={"a": "hit"}, override=True)
+    out = translate_table(tbl, cfg, DictSnapshot(cfg.dictionary))
+    rows = out.to_pylist()
+    assert rows[0]["t"] == "hit"
+    assert rows[1]["t"] == "ok"   # unwritten binary decoded, not crashed

@@ -104,6 +104,46 @@ def test_routed_rows_equal_oracle(ray_session, transcripts_path):
         assert got_vals == want_vals, f"column {col} differs"
 
 
+def test_enriched_rows_independent_of_block_layout(ray_session):
+    """The translate chain gives byte-identical rows whether the same
+    transcripts arrive as one block, as one block per file
+    (read_transcripts) or as Ray's 10k-row read batches: per-block
+    choices (the per-distinct gate, the smaller-side hash, chunk
+    handling) must never show in the output."""
+    import ray
+    import ray.data as rd
+    from logstash_filter_translate_ray.pipelines.transcripts import (
+        TRANSCRIPT_COLUMNS)
+    path = transcripts_parquet_path(30_000, seed=7, n_files=2,
+                                    cache_dir="/tmp/lftr_test_transcripts")
+    layouts = {
+        "one_block": rd.from_arrow(pq.read_table(path,
+                                                 columns=TRANSCRIPT_COLUMNS)),
+        # one read task per file, as the flagship pins it (Ray would
+        # otherwise split a read task's output to fill the cluster)
+        "whole_files": read_transcripts(path, override_num_blocks=2),
+        "10k_batches": rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS,
+                                       batch_size=10_000,
+                                       override_num_blocks=2),
+    }
+    got, batches = {}, {}
+    for name, ds in layouts.items():
+        # the batches a whole-block map_batches stage (parse) is handed
+        batches[name] = sorted(r["n"] for r in ds.map_batches(
+            lambda t: pa.table({"n": [len(t)]}), batch_format="pyarrow",
+            batch_size=None).take_all())
+        refs = build_enriched_dataset(ds).to_arrow_refs()
+        got[name] = pa.concat_tables(ray.get(refs)).sort_by(
+            [("conv_id", "ascending"), ("turn_idx", "ascending")])
+    assert batches == {"one_block": [30_000],
+                       "whole_files": [15_000, 15_000],
+                       "10k_batches": [5_000, 5_000, 10_000, 10_000]}
+    want = got["one_block"].combine_chunks()
+    assert len(want) == 30_000
+    for name in ("whole_files", "10k_batches"):
+        assert got[name].combine_chunks().equals(want), name
+
+
 def test_text_equality_invariant(ray_session, transcripts_path):
     # input_hint per-row invariant: per-turn text equality under stable
     # (conv_id, turn_idx) ordering

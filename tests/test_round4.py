@@ -5,7 +5,8 @@ knn_join, exact/LSH near-dup and IVF centroid tests live in
 tests/test_similarity.py; the grouped_quantiles null/distributed guards
 and the window null-key tests live in tests/test_null_keys.py; the
 hot-cap skip-counter and join-operand tests live in
-tests/test_functions.py."""
+tests/test_functions.py; the five kernel schema / value-unify tests
+live in tests/test_kernel.py. 16 tests remain here."""
 
 import numpy as np
 import pandas as pd
@@ -140,72 +141,6 @@ def test_streaming_yaml_octal_matches_one_shot():
     assert stream["c"] == "09"
     assert stream["f"] == -15
     assert _coerce_plain_scalar("00") == 0
-
-
-def test_kernel_fast_path_schema_matches_hit_blocks():
-    """An all-excluded block must come out with the SAME schema as a block
-    with hits: nested targets materialize the struct child, and an
-    existing differently-typed target unifies — else pa.concat_tables of
-    the two blocks crashes (the r4 block-invariance finding)."""
-    from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
-                                               translate_table)
-    snap = DictSnapshot({"x": "X"})
-    # (a) nested target
-    cfg = TranslateConfig(source="s", target="[meta][cls]",
-                          dictionary={"x": "X"})
-    hit = translate_table(pa.table({"s": ["x"]}), cfg, snap)
-    excl = translate_table(pa.table({"s": pa.array([None], pa.string())}),
-                           cfg, snap)
-    assert hit.schema == excl.schema
-    pa.concat_tables([hit, excl])          # must not raise
-    # (b) existing int64 target + string dict values
-    cfg2 = TranslateConfig(source="s", target="t", dictionary={"x": "X"},
-                           override=True)
-    hit2 = translate_table(pa.table({"s": ["x"],
-                                     "t": pa.array([7], pa.int64())}),
-                           cfg2, snap)
-    excl2 = translate_table(pa.table({"s": pa.array([None], pa.string()),
-                                      "t": pa.array([9], pa.int64())}),
-                            cfg2, snap)
-    assert hit2.schema == excl2.schema
-    merged = pa.concat_tables([hit2, excl2])
-    assert merged["t"].to_pylist() == ["X", "9"]   # excluded value kept
-
-
-def test_values_shape_null_scalar_and_nested_target():
-    """CoerceOther Array(nil) == [] (row-oracle parity under
-    nil_is_present) and a nested target writes the struct child, not a
-    literal '[meta][labels]' column."""
-    from logstash_filter_translate_ray import TranslateConfig
-    from tests.test_kernel import run_both
-    cfg = TranslateConfig(source="v", target="out", iterate_on="v",
-                          dictionary={"a": "A"}, nil_is_present=True)
-    out = run_both(cfg, [{"v": "a"}, {"v": None}, {"v": "zz"}])
-    assert out[0]["out"] == ["A"]
-    assert out[1]["out"] == []             # Array(nil) == [], matched False
-    cfg2 = TranslateConfig(source="v", target="[meta][labels]",
-                           iterate_on="v", dictionary={"a": "A"})
-    out2 = run_both(cfg2, [{"v": ["a", "b"]}, {"v": ["c"]}])
-    assert out2[0]["meta"]["labels"] == ["A", None]
-    assert "[meta][labels]" not in out2[0]
-
-
-def test_maps_shape_large_string_child_kept():
-    """A large_string existing target child must unify (cast), not get
-    null-wiped on unwritten elements (_cast_to_string passed large_string
-    through and the type comparison fell to the nulls branch)."""
-    from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
-                                               translate_table)
-    elems = pa.array([[{"k": "a", "t": "keepme"}, {"k": "zz", "t": "old"}]],
-                     type=pa.list_(pa.struct([("k", pa.string()),
-                                              ("t", pa.large_string())])))
-    tbl = pa.table({"evs": elems})
-    cfg = TranslateConfig(source="k", target="t", iterate_on="evs",
-                          dictionary={"a": "A"}, override=True)
-    out = translate_table(tbl, cfg, DictSnapshot(cfg.dictionary))
-    evs = out["evs"].to_pylist()[0]
-    assert evs[0]["t"] == "A"              # written
-    assert evs[1]["t"] == "old"            # KEPT, not wiped to null
 
 
 def test_run_spec_aggregate_sink_and_json_format(ray_session, tmp_path):
@@ -431,44 +366,6 @@ def test_zscore_outliers_null_key_rows_dropped_like_oracle(ray_session):
                                rtol=1e-12)
 
 
-def test_heterogeneous_dict_with_fallback_unifies_to_string():
-    """The block-invariant fallback-unify rule (SURVEY §8) must also hold
-    when the dictionary's values DON'T unify to one Arrow type (value_array
-    is None → the Python materialize path): fuzz found {'0': '', '1': 0}
-    with a fallback raising ConfigurationError instead of stringifying.
-    All three shapes route through _materialize_values."""
-    from logstash_filter_translate_ray import TranslateConfig
-    from tests.test_kernel import run_both
-
-    het = {"0": "", "1": 0, "2": True, "3": 2.0}
-    # scalar shape — the original falsifying example plus typed extras
-    cfg = TranslateConfig(source="s", target="t", dictionary=het,
-                          fallback="fb")
-    out = run_both(cfg, [{"s": v} for v in
-                         [None, "1", "0", "2", "3", "miss"]])
-    assert [r.get("t") for r in out] == [None, "0", "", "true", "2.0", "fb"]
-
-    # iterate_values shape
-    cfg = TranslateConfig(source="foo", iterate_on="foo", target="baz",
-                          dictionary=het, fallback="fb")
-    out = run_both(cfg, [{"foo": ["1", "miss", "3"]}, {"foo": None}])
-    assert out[0]["baz"] == ["0", "fb", "2.0"]
-
-    # iterate_maps shape
-    cfg = TranslateConfig(source="[src]", iterate_on="maps", target="[dst]",
-                          dictionary=het, fallback="fb")
-    out = run_both(cfg, [{"maps": [{"src": "1"}, {"src": "miss"}]}])
-    assert [m["dst"] for m in out[0]["maps"]] == ["0", "fb"]
-
-    # no fallback: heterogeneous dicts ALSO stringify (dataset-invariant —
-    # the pre-r4 typed writes drifted across blocks: int64 from an all-int
-    # block vs string from a mixed one, or a block-composition-dependent
-    # ConfigurationError when one batch mixed)
-    cfg = TranslateConfig(source="s", target="t", dictionary=het)
-    out = run_both(cfg, [{"s": "1"}, {"s": "0"}, {"s": "miss"}])
-    assert [r.get("t") for r in out] == ["0", "", None]
-
-
 def test_sprintf_container_null_members_absent_both_paths():
     """null ⇔ absent applies INSIDE containers too: a struct child that was
     never written materializes as a None member in to_pylist, and both
@@ -489,49 +386,3 @@ def test_sprintf_container_null_members_absent_both_paths():
     assert sprintf_row("%{d}", {"d": {"a": {"b": None, "c": 1},
                                       "l": ["p", None, "q"]}}) \
         == '{"a":{"c":1},"l":["p",null,"q"]}'
-
-
-def test_block_invariance_regressions_r4_fuzz():
-    """Deterministic repros of the r4 block-composition fuzz finds: each
-    slice pair must concat with identical schema to the whole-table run."""
-    import pyarrow as pa
-    from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
-                                               translate_table)
-
-    def check(tbl, cfg):
-        snap = DictSnapshot(cfg.dictionary)
-        whole = translate_table(tbl, cfg, snap)
-        cat = pa.concat_tables(
-            [translate_table(tbl.slice(i, 1), cfg, snap)
-             for i in range(len(tbl))])
-        assert cat.schema.equals(whole.schema), (cat.schema, whole.schema)
-        assert cat.to_pylist() == whole.to_pylist()
-        return whole
-
-    # empty dict, no fallback: all-miss block typed string like the
-    # all-excluded fast path (was null-typed)
-    t = pa.table({"s": pa.array([None, ""], type=pa.string())})
-    check(t, TranslateConfig(source="s", target="t", dictionary={}))
-
-    # maps shape: all-excluded block must still add the dst child
-    maps = pa.table({"maps": pa.array(
-        [None, [{"src": "a"}]],
-        type=pa.list_(pa.struct([("src", pa.string())])))})
-    out = check(maps, TranslateConfig(source="[src]", iterate_on="maps",
-                                      target="[dst]", dictionary={"a": "A"}))
-    assert out["maps"][1][0]["dst"].as_py() == "A"
-
-    # regex_union with a non-string-valued dict: gsub writes strings, the
-    # fast path must type string too (was bool)
-    t = pa.table({"s": pa.array([None, "0"], type=pa.string())})
-    check(t, TranslateConfig(source="s", target="t",
-                             dictionary={"0": False}, exact=False))
-
-    # values shape, boolean dict, zero-element block: truthy &= empty
-    # float64 crashed on the nil_is_present CoerceArray [] path
-    t = pa.table({"foo": pa.array([None, ["0"]],
-                                  type=pa.list_(pa.string()))})
-    check(t, TranslateConfig(source="foo", iterate_on="foo", target="baz",
-                             dictionary={"0": False}, nil_is_present=True))
-
-

@@ -5,7 +5,9 @@ schema and spill-pressure smoke tests in tests/test_pipeline.py; the
 missing_file_ok translate_dataset test lives in
 tests/test_translate_stage.py; the value_array coercion test in
 tests/test_kernel.py; the window-segment null-key and
-grouped-partial top-k tests live in tests/test_null_keys.py."""
+grouped-partial top-k tests live in tests/test_null_keys.py; the four
+dictionary-value rendering tests (bool/float, bytes, mixed numeric,
+binary merge) in tests/test_kernel.py. 3 tests remain here."""
 
 import os
 
@@ -118,96 +120,3 @@ def test_scalar_coercion_thread_safety():
     assert _coerce_plain_scalar("1e3") == "1e3"
     # YAML 1.1 floats need a SIGNED exponent — '1.5e3' stays a string
     assert _coerce_plain_scalar("1.5e+3") == 1500.0
-
-
-def test_translate_bool_float_dict_values_exact():
-    """The fuzz_hard falsifying example: dict {'0': 0.0, '1': False} with
-    a fallback returned '0.0' for key '1' (False coerced to 0.0 inside the
-    unified value array). Both kernel and row oracle must agree on the
-    stringified values."""
-    import sys
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
-    from test_kernel import run_both
-
-    from logstash_filter_translate_ray import TranslateConfig
-
-    cfg = TranslateConfig(source="s", target="t",
-                          dictionary={"0": 0.0, "1": False}, fallback="fb")
-    out = run_both(cfg, [{"s": "1"}, {"s": "0"}, {"s": "zz"}])
-    assert [r["t"] for r in out] == ["false", "0.0", "fb"]
-    # huge-int dict value: stringify path, no crash
-    cfg2 = TranslateConfig(source="s", target="t",
-                           dictionary={"a": 2 ** 70, "b": 1})
-    out2 = run_both(cfg2, [{"s": "a"}, {"s": "b"}])
-    assert [r["t"] for r in out2] == [str(2 ** 70), "1"]
-
-
-def test_translate_bytes_dict_values():
-    """Bytes dictionary values (found by the widened fuzz_hard): the
-    fallback-unify branch crashed on non-utf8 bytes (Arrow's binary→string
-    cast rejects invalid utf-8), and ruby_to_s rendered the Python repr
-    (b'...') instead of the decoded text. Canonical rule everywhere:
-    utf-8 with U+FFFD replacement."""
-    import sys
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
-    from test_kernel import run_both
-
-    from logstash_filter_translate_ray import TranslateConfig
-
-    cfg = TranslateConfig(source="s", target="t",
-                          dictionary={"0": b"\x00bin"}, fallback="fb")
-    out = run_both(cfg, [{"s": "0"}, {"s": "x"}])
-    assert [r["t"] for r in out] == ["\x00bin", "fb"]
-    # invalid utf-8: no crash, replacement chars
-    cfg2 = TranslateConfig(source="s", target="t",
-                           dictionary={"a": b"\xff\xfe"}, fallback="fb")
-    out2 = run_both(cfg2, [{"s": "a"}, {"s": "zz"}])
-    assert [r["t"] for r in out2] == ["��", "fb"]
-    # homogeneous bytes, no fallback: binary column preserved raw
-    cfg3 = TranslateConfig(source="s", target="t",
-                           dictionary={"a": b"hi"})
-    assert run_both(cfg3, [{"s": "a"}])[0]["t"] == b"hi"
-    # bytes+str mix: non-unify stringify path, decoded consistently
-    cfg4 = TranslateConfig(source="s", target="t",
-                           dictionary={"a": b"hi", "b": "yo"})
-    out4 = run_both(cfg4, [{"s": "a"}, {"s": "b"}])
-    assert [r["t"] for r in out4] == ["hi", "yo"]
-
-
-def test_mixed_numeric_dict_renders_per_value():
-    """Review finding: {'a': 1, 'b': 2.5} with a fallback rendered 1 as
-    '1.0' (int promoted to double by the unified value array, then cast).
-    Mixed int/float dictionaries are heterogeneous Ruby objects — they
-    stringify per-value ('1', '2.5') on every path."""
-    import sys
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
-    from test_kernel import run_both
-
-    from logstash_filter_translate_ray import TranslateConfig
-
-    cfg = TranslateConfig(source="s", target="t",
-                          dictionary={"a": 1, "b": 2.5}, fallback="fb")
-    out = run_both(cfg, [{"s": "a"}, {"s": "b"}, {"s": "zz"}])
-    assert [r["t"] for r in out] == ["1", "2.5", "fb"]
-    # pure-float dicts keep Ruby float rendering
-    cfg2 = TranslateConfig(source="s", target="t",
-                           dictionary={"a": 1.0}, fallback="fb")
-    assert run_both(cfg2, [{"s": "a"}])[0]["t"] == "1.0"
-
-
-def test_merge_into_existing_binary_target():
-    """Review finding: writing string values into a PRE-EXISTING binary
-    target column crashed on invalid utf-8 (plain pc.cast in the merge
-    unify branch) — both sides now go through _cast_to_string."""
-    from logstash_filter_translate_ray import (DictSnapshot,
-                                               TranslateConfig,
-                                               translate_table)
-
-    tbl = pa.table({"s": pa.array(["a", "x"]),
-                    "t": pa.array([b"\xff\xfe", b"ok"], type=pa.binary())})
-    cfg = TranslateConfig(source="s", target="t",
-                          dictionary={"a": "hit"}, override=True)
-    out = translate_table(tbl, cfg, DictSnapshot(cfg.dictionary))
-    rows = out.to_pylist()
-    assert rows[0]["t"] == "hit"
-    assert rows[1]["t"] == "ok"   # unwritten binary decoded, not crashed
