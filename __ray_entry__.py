@@ -155,11 +155,11 @@ def q_translate_iterate_values(sf_dir: str):
     """O4: iterate_on == source over a list column (tokens), '|'-joined for
     a hash-stable comparison."""
     import pyarrow.compute as pc
-    from logstash_filter_translate_ray import TranslateConfig, DictSnapshot, translate_table
+    from logstash_filter_translate_ray import TranslateConfig, as_snapshot, translate_table
     cfg = TranslateConfig(source="tokens", iterate_on="tokens",
                           target="tags", dictionary=dict(TOKEN_DICT),
                           fallback="?")
-    snap = DictSnapshot(cfg.dictionary)
+    snap = as_snapshot(cfg.dictionary)
 
     def fn(t: pa.Table) -> pa.Table:
         toks = pc.split_pattern(t["text"], pattern=" ")
@@ -348,11 +348,11 @@ def q_translate_iterate_maps(sf_dir: str):
     """O5: iterate_on ≠ source over list<struct> — translate the ``bar``
     child of each element into a ``baz`` child; output '|'-joined."""
     import pyarrow.compute as pc
-    from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
+    from logstash_filter_translate_ray import (TranslateConfig, as_snapshot,
                                                translate_table)
     cfg = TranslateConfig(iterate_on="items", source="bar", target="baz",
                           dictionary=dict(EVENT_LABELS), fallback="?")
-    snap = DictSnapshot(cfg.dictionary)
+    snap = as_snapshot(cfg.dictionary)
 
     def fn(t: pa.Table) -> pa.Table:
         et = t["event_type"]

@@ -17,13 +17,15 @@ Layout
 
 from .errors import ConfigurationError, DictionaryFileError
 from .config import TranslateConfig
-from .kernel import DictSnapshot, translate_table, translate_row, ruby_to_s
+from .kernel import (DictSnapshot, as_snapshot, translate_table, translate_row,
+                     ruby_to_s)
 
 __all__ = [
     "ConfigurationError",
     "DictionaryFileError",
     "TranslateConfig",
     "DictSnapshot",
+    "as_snapshot",
     "translate_table",
     "translate_row",
     "ruby_to_s",

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from .kernel import DictSnapshot
 
 YAML_CODE_POINT_LIMIT_DEFAULT = 134_217_728  # translate.rb:197
 
@@ -38,7 +41,9 @@ class TranslateConfig:
     target: Optional[str] = None
     destination: Optional[str] = None      # deprecated alias of target
     override: Optional[bool] = None        # tri-state: None = unset (translate.rb:66,237-242)
-    dictionary: dict[str, Any] = dc_field(default_factory=dict)
+    # a dict, or a prebuilt immutable kernel.DictSnapshot (a dictionary
+    # built once per process and shared by every DAG build)
+    dictionary: "dict[str, Any] | DictSnapshot" = dc_field(default_factory=dict)
     dictionary_path: Optional[str] = None
     exact: bool = True
     regex: bool = False

@@ -32,7 +32,7 @@ import time
 from typing import Any, Iterator, Optional
 
 from .errors import ConfigurationError, DictionaryFileError
-from .kernel import DictSnapshot
+from .kernel import DictSnapshot, as_snapshot
 from .config import is_yaml_path, YAML_CODE_POINT_LIMIT_DEFAULT
 
 SHORT_REFRESH_MAX = 300  # dictionary/file.rb:37
@@ -231,8 +231,8 @@ def _build_value(ev: Any, ev_iter: Iterator, plain_coerce: bool) -> Any:
 class MemoryDictionary:
     """Inline-config dictionary; never refreshes (dictionary/memory.rb)."""
 
-    def __init__(self, mapping: dict[str, Any]):
-        self._snapshot = DictSnapshot(mapping, version=0)
+    def __init__(self, mapping: "dict[str, Any] | DictSnapshot"):
+        self._snapshot = as_snapshot(mapping)
 
     @property
     def snapshot(self) -> DictSnapshot:

@@ -327,6 +327,12 @@ class DictSnapshot:
         return [ruby_to_s(v) for v in self.values]
 
     @cached_property
+    def truthy(self) -> np.ndarray:
+        """Ruby truthiness of each value (nil and false are falsy)."""
+        return np.array([v is not None and v is not False
+                         for v in self.values], dtype=bool)
+
+    @cached_property
     def union_sequential_safe(self) -> bool:
         """True when per-key sequential literal replacement is provably
         equivalent to the single-pass alternation gsub (O8) — the condition
@@ -400,6 +406,12 @@ class DictSnapshot:
         if strategy == "exact_regex":
             return self.fetch_exact_regex(source)
         return self.fetch_regex_union(source)
+
+
+def as_snapshot(d: "dict | DictSnapshot") -> DictSnapshot:
+    """``d`` itself when it is already a snapshot (a dictionary built once
+    and shared), else a new snapshot of ``d``."""
+    return d if isinstance(d, DictSnapshot) else DictSnapshot(d)
 
 
 # --------------------------------------------------------------------------
@@ -1109,8 +1121,7 @@ def _truthy_hits(matched: np.ndarray, vals: Optional[pa.Array],
     if vals is None:
         out = np.zeros(len(matched), dtype=bool)
         hits = np.nonzero(matched)[0]
-        out[hits] = [snap.values[i] is not None and snap.values[i] is not False
-                     for i in idx[hits]]
+        out[hits] = snap.truthy[idx[hits]]
         return out
     truthy = pc.fill_null(vals, False) if pa.types.is_boolean(vals.type) \
         else pc.is_valid(vals)

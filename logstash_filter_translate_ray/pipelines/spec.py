@@ -71,7 +71,7 @@ Optional post-route clauses (applied in this order):
 
 With ``post_filters`` + ``select`` the whole curation flagship (quality →
 keep → langid → keep → exact dedup → tokens) is a spec with no Python —
-see tests/test_round5.py::test_spec_curation_flagship.
+see tests/test_pipeline.py::test_spec_curation_flagship.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def _probe_step(probe, kind: str, opts) -> "pa.Table | None":
             cfg = TranslateConfig(**o)
             if cfg.dictionary_path:      # file-backed: skip (service-owned)
                 return None
-            from ..kernel import DictSnapshot, translate_table
-            return translate_table(probe, cfg, DictSnapshot(cfg.dictionary),
+            from ..kernel import as_snapshot, translate_table
+            return translate_table(probe, cfg, as_snapshot(cfg.dictionary),
                                    matched_col=matched_col)
         if kind in ("grok", "extract"):
             from ..stages.parse import _compile_plan, parse_batch

@@ -15,7 +15,7 @@ import pyarrow as pa
 import ray
 
 from ..config import TranslateConfig
-from ..kernel import DictSnapshot
+from ..kernel import as_snapshot
 
 # null route keys land here in the JSON sink — the same directory name
 # write_parquet's hive partitioning uses for a null partition value
@@ -34,7 +34,7 @@ def route_dataset(ds: "ray.data.Dataset", routes: dict[str, str], *,
     cfg = TranslateConfig(source=key, target=route_col,
                           dictionary=dict(routes), fallback=default_route,
                           override=True, regex=regex)
-    snap_ref = ray.put(DictSnapshot(cfg.dictionary))
+    snap_ref = ray.put(as_snapshot(cfg.dictionary))
     # slim-cfg rule (CLAUDE.md): the snapshot is the broadcast; the closure
     # must not ALSO pickle the full route table per task
     slim_cfg = TranslateConfig(source=key, target=route_col, dictionary={},

@@ -32,7 +32,7 @@ import ray
 from ray.actor import ActorHandle
 
 from ..config import TranslateConfig
-from ..kernel import DictSnapshot, translate_table
+from ..kernel import DictSnapshot, as_snapshot, translate_table
 from ..state import get_or_create_dictionary_service
 
 
@@ -199,7 +199,7 @@ def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
         source = get_or_create_dictionary_service(name, **service_kwargs)
         ray.get(source.version.remote())
     else:
-        source = ray.put(DictSnapshot(cfg.dictionary))
+        source = ray.put(as_snapshot(cfg.dictionary))
     # Strip the dictionary from the captured config: the task closure must
     # stay tiny (a 100k-entry dict pickled into every task submission adds
     # ~0.5 s/task of scheduling overhead); tasks read the snapshot zero-copy

@@ -1,14 +1,24 @@
 """Block-composition invariance fuzz: translating a table in one piece
 must equal translating random slices and concatenating — same schema
 (types!), same values. This is the bug class behind several past fixes
-(all-excluded fast paths, fallback unify, large_string normalization)."""
+(all-excluded fast paths, fallback unify, large_string normalization).
+
+The same slices then run as the blocks of one Ray Dataset through
+``translate_dataset`` (broadcast snapshot, worker snapshot cache); on half
+of the examples its config carries the prebuilt snapshot instead of the
+dict. Owns a Ray session."""
+import dataclasses
 import sys
 sys.path.insert(0, "/root/repo")
 import pyarrow as pa
+import ray
+import ray.data as rd
 from hypothesis import given, settings, strategies as st, HealthCheck
 
 from logstash_filter_translate_ray import (DictSnapshot, TranslateConfig,
                                            translate_table)
+from logstash_filter_translate_ray.stages.translate_stage import \
+    translate_dataset
 
 NASTY = "ab01 é日%{}"
 cell = st.one_of(st.none(), st.text(alphabet=NASTY, max_size=8))
@@ -22,6 +32,13 @@ vals = st.one_of(st.none(), st.text(alphabet=NASTY, max_size=8),
                  st.lists(st.one_of(st.integers(-9, 9), st.booleans(),
                                     st.sampled_from([0.5, None])),
                           max_size=2))
+
+def start_ray():
+    ray.init(address="local", num_cpus=2, include_dashboard=False,
+             logging_level="ERROR")
+    ctx = rd.DataContext.get_current()
+    ctx.enable_progress_bars = False
+    ctx.execution_options.preserve_order = True   # blocks back in order
 
 def split_points(n):
     return st.lists(st.integers(0, n), max_size=4).map(
@@ -81,7 +98,17 @@ def fuzz(data, d, rows, shape, strategy, fallback, override, nilp, nested):
     cat = pa.concat_tables(parts)   # raises on schema drift
     assert cat.schema.equals(whole.schema), (cat.schema, whole.schema)
     assert cat.to_pylist() == whole.to_pylist()
+    ray_cfg = dataclasses.replace(cfg, dictionary=snap) \
+        if data.draw(st.booleans(), label="prebuilt") else cfg
+    ds = rd.from_arrow([tbl.slice(lo, hi - lo)
+                        for lo, hi in zip(pts, pts[1:])])
+    got = pa.concat_tables(ray.get(translate_dataset(ds, ray_cfg)
+                                   .to_arrow_refs()))
+    assert got.schema.equals(whole.schema), (got.schema, whole.schema)
+    assert got.to_pylist() == whole.to_pylist()
 
 if __name__ == "__main__":
+    start_ray()
     fuzz()
-    print("fuzz_blocks OK (400 examples)")
+    print("fuzz_blocks OK")
+    ray.shutdown()

@@ -15,6 +15,15 @@ def test_dictionary_and_path_mutually_exclusive():
                         dictionary_path=f"{FIX}/dict.yml")
 
 
+def test_snapshot_and_path_mutually_exclusive():
+    """A prebuilt snapshot counts as an inline dictionary."""
+    from logstash_filter_translate_ray import DictSnapshot
+    with pytest.raises(ConfigurationError, match="mutually exclusive"):
+        TranslateConfig(source="random field",
+                        dictionary=DictSnapshot({"a": "b"}),
+                        dictionary_path=f"{FIX}/dict.yml")
+
+
 def test_target_and_destination_both_set():
     # translate_spec.rb:488-500
     with pytest.raises(ConfigurationError, match="remove `destination"):

@@ -1003,7 +1003,7 @@ def test_snapshot_pickles_as_out_of_band_arrays():
 _STRUCTS = {"a": {"x": 1}, "b": {"y": "s"}}   # unify with null fields
 
 
-@pytest.mark.parametrize("items", [
+_KINDS = [
     {"a": "x", "b": "", "c": "é"},
     {"a": 1, "b": -2, "c": None},
     {"a": 1.5, "b": float("nan"), "c": 0.0},
@@ -1015,17 +1015,33 @@ _STRUCTS = {"a": {"x": 1}, "b": {"y": "s"}}   # unify with null fields
     {"a": b"\xff", "b": b"y"},
     [(1, "int"), ("1", "str"), (True, "bool"), ("true", "str true"),
      (1.0, "float"), (None, "nil"), ("", "empty")],   # keys collide
-], ids=["str", "int", "float", "bool", "list", "struct", "dict.yml",
-        "non_unifying", "bytes", "colliding_keys"])
-def test_snapshot_round_trip_is_category_exact(items):
-    """A loaded snapshot rebuilds the sender's keys, values and map
-    exactly, and every strategy translates the same through it."""
+]
+_KIND_IDS = ["str", "int", "float", "bool", "list", "struct", "dict.yml",
+             "non_unifying", "bytes", "colliding_keys"]
+_STRATEGIES = [dict(), dict(fallback="fb"), dict(regex=True),
+               dict(exact=False), dict(iterate_on="l", source="l")]
+
+
+def _kind_items(items):
     if items == "dict.yml":
         import os
 
         from logstash_filter_translate_ray.dictionary import load_yaml_items
         items = list(load_yaml_items(os.path.join(
             os.path.dirname(__file__), "fixtures", "dict.yml")))
+    return items
+
+
+def _kind_table(snap):
+    keys = snap.keys + ["miss", "x1.0y"]
+    return pa.table({"s": keys, "l": [[k, "miss"] for k in keys]})
+
+
+@pytest.mark.parametrize("items", _KINDS, ids=_KIND_IDS)
+def test_snapshot_round_trip_is_category_exact(items):
+    """A loaded snapshot rebuilds the sender's keys, values and map
+    exactly, and every strategy translates the same through it."""
+    items = _kind_items(items)
     snap = DictSnapshot(items)
     loaded, _ = _pickle5(snap)
     assert not _LAZY_VIEWS & vars(loaded).keys()
@@ -1041,14 +1057,57 @@ def test_snapshot_round_trip_is_category_exact(items):
         snap.value_array is not None
         and snap.value_array.to_pylist() == snap.values)
     assert items is not _STRUCTS or loaded._py_values is not None
-    keys = snap.keys + ["miss", "x1.0y"]
-    tbl = pa.table({"s": keys, "l": [[k, "miss"] for k in keys]})
-    for kw in [dict(), dict(fallback="fb"), dict(regex=True),
-               dict(exact=False), dict(iterate_on="l", source="l")]:
+    tbl = _kind_table(snap)
+    for kw in _STRATEGIES:
         cfg = TranslateConfig(**{"source": "s", "target": "t",
                                  "dictionary": {}, **kw})
         assert _same_arrow(translate_table(tbl, cfg, loaded),
                            translate_table(tbl, cfg, snap)), kw
+
+
+@pytest.mark.parametrize("items", _KINDS, ids=_KIND_IDS)
+def test_config_snapshot_translates_like_config_dict(items):
+    """A config may carry a prebuilt snapshot instead of a dict:
+    ``as_snapshot`` hands that very object to the kernel, and every
+    strategy gives the same output as the config holding the dict (for
+    key lists, the snapshot's own coerced map)."""
+    from logstash_filter_translate_ray import as_snapshot
+    items = _kind_items(items)
+    snap = DictSnapshot(items)
+    as_dict = items if isinstance(items, dict) else snap.map
+    tbl = _kind_table(snap)
+    for kw in _STRATEGIES:
+        base = {"source": "s", "target": "t", **kw}
+        by_snap = TranslateConfig(dictionary=snap, **base)
+        by_dict = TranslateConfig(dictionary=as_dict, **base)
+        assert as_snapshot(by_snap.dictionary) is snap
+        assert _same_arrow(
+            translate_table(tbl, by_snap, as_snapshot(by_snap.dictionary)),
+            translate_table(tbl, by_dict, as_snapshot(by_dict.dictionary))), kw
+
+
+def test_truthy_hits_judged_once_per_entry():
+    """The values shape's matched flag is Ruby ``target.any?`` over the
+    result slots; with nil/false/0/"" values (no unified type, so the
+    string-unify path) it reads each entry's truthiness from
+    ``DictSnapshot.truthy``. Over 32k+ elements it agrees with the row
+    oracle."""
+    d = {"nil": None, "false": False, "zero": 0, "empty": "", "x": "x"}
+    snap = DictSnapshot(d)
+    assert snap.value_array is None
+    assert snap.truthy.tolist() == [False, False, True, True, True]
+    rng = np.random.default_rng(7)
+    keys = list(d) + ["miss"]
+    rows = [{"foo": [keys[i] for i in rng.integers(0, len(keys),
+                                                   rng.integers(0, 10))]}
+            for _ in range(8_000)]
+    assert sum(len(r["foo"]) for r in rows) >= 32_000
+    cfg = TranslateConfig(iterate_on="foo", source="foo", target="baz",
+                          dictionary=d)
+    run_both(cfg, rows)
+    matched = translate_table(_rows_table(rows), cfg, snap)[
+        "translate_matched"].to_pylist()
+    assert 0 < sum(matched) < len(rows)
 
 
 def test_snapshot_keys_collide_after_coercion():
