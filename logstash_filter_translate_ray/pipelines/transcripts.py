@@ -1,18 +1,22 @@
 """The flagship parse → enrich → route → aggregate DAG over transcript
-Parquet (BASELINE.json north_star), expressed Ray-Data-first:
+Parquet (BASELINE.json north_star):
 
-  read_parquet (column-pruned)
-    → parse_dataset          (stateless map_batches, RE2 kernels)
+  read_parquet (column-pruned, one batch per file)
+    → parse                  (RE2 kernels)
     → translate tool         (exact dict, broadcast snapshot)
     → translate status       (regex-key dict, ordered first-match)
+    → translate word, conv_id segment (100k keys), text redaction
     → route by role          (dictionary-driven route column, fallback)
-    → ONE pass fan-out write (partition_cols=["route"])
+    → ONE pass fan-out write (hive route=<label> directories)
     → aggregates             (combiner-style pre-agg, then tiny shuffle)
 
-Every stage is a batch transform over zero-copy Arrow; the only shuffles
-are the final tiny aggregates over per-batch partials. The per-turn
-``text`` column is never rewritten (input_hint invariant: per-turn text
-equality under stable (conv_id, turn_idx) ordering).
+Parse, the five translates and route compose into ONE block function
+over zero-copy Arrow tables. As a Dataset it is one ``map_batches``;
+``write_routed`` of it over a :func:`read_transcripts` read runs the same
+function as plain tasks, one per input file (stages/route.py). The only
+shuffles are the final tiny aggregates over per-batch partials. The
+per-turn ``text`` column is never rewritten (input_hint invariant:
+per-turn text equality under stable (conv_id, turn_idx) ordering).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
@@ -32,9 +37,10 @@ from ..checkpoint import parquet_files, run_shards
 from ..kernel import DictSnapshot
 from ..stages.aggregate import (conv_turn_counts, grouped_counts,
                                 matched_counts, sink_counts)
-from ..stages.parse import ParseConfig, parse_dataset
-from ..stages.route import route_dataset, write_routed
-from ..stages.translate_stage import translate_dataset
+from ..stages.parse import ParseConfig, parse_block_fn
+from ..stages.route import (record_file_chain, record_file_read,
+                            route_block_fn, write_routed)
+from ..stages.translate_stage import translate_block_fn
 
 # Default dictionaries for the transcript DAG (FIXTURES.md §B): small,
 # broadcast, deterministic.
@@ -98,12 +104,22 @@ class TranscriptPipelineConfig:
     conv_dict_size: int = 100_000
 
 
+def _run_chain(fns: tuple, batch: pa.Table) -> pa.Table:
+    """The block functions ``fns`` applied in order."""
+    for fn in fns:
+        batch = fn(batch)
+    return batch
+
+
 def build_enriched_dataset(ds: "rd.Dataset",
                            cfg: Optional[TranscriptPipelineConfig] = None,
                            ) -> "rd.Dataset":
-    """parse → enrich(tool, status, word) → route. Lazy — nothing executes."""
+    """parse → enrich(tool, status, word, segment, redaction) → route, as
+    one ``map_batches`` of the composed block function. Lazy — nothing
+    executes. Over a :func:`read_transcripts` read, the result is
+    recorded as a file chain for ``write_routed``."""
     cfg = cfg or TranscriptPipelineConfig()
-    ds = parse_dataset(ds, cfg.parse, batch_size=cfg.batch_size)
+    fns = [parse_block_fn(cfg.parse)]
 
     # enrich 1: tool → tool_label (exact; a refreshing DictionaryService if
     # a path is configured, else an inline broadcast snapshot)
@@ -113,22 +129,19 @@ def build_enriched_dataset(ds: "rd.Dataset",
         dictionary_path=cfg.tool_dict_path,
         refresh_interval=cfg.refresh_interval,
         fallback=cfg.tool_fallback, override=True)
-    ds = translate_dataset(ds, tool_cfg, matched_col="tool_matched",
-                           batch_size=cfg.batch_size)
+    fns.append(translate_block_fn(tool_cfg, matched_col="tool_matched"))
 
     # enrich 2: parsed status code → class (regex keys, ordered first-match)
     status_cfg = TranslateConfig(
         source="status", target="status_class", exact=True, regex=True,
         dictionary=dict(cfg.status_regex_dict),
         fallback=cfg.status_fallback, override=True)
-    ds = translate_dataset(ds, status_cfg, matched_col="status_matched",
-                           batch_size=cfg.batch_size)
+    fns.append(translate_block_fn(status_cfg, matched_col="status_matched"))
 
     # enrich 3: parsed word → normalized sentiment token (exact, no fallback)
     word_cfg = TranslateConfig(source="word", target="word_norm",
                                dictionary=dict(cfg.word_dict), override=True)
-    ds = translate_dataset(ds, word_cfg, matched_col="word_matched",
-                           batch_size=cfg.batch_size)
+    fns.append(translate_block_fn(word_cfg, matched_col="word_matched"))
 
     # enrich 4: conv_id → account segment, 100k-key exact dict (the
     # reference's tested dictionary scale): the process-wide snapshot,
@@ -138,8 +151,7 @@ def build_enriched_dataset(ds: "rd.Dataset",
             source="conv_id", target="conv_segment",
             dictionary=conv_segment_snapshot(cfg.conv_dict_size),
             fallback="anon", override=True)
-        ds = translate_dataset(ds, seg_cfg, matched_col=None,
-                               batch_size=cfg.batch_size)
+        fns.append(translate_block_fn(seg_cfg, matched_col=None))
 
     # enrich 5: union-substitution redaction (exact=false gsub, O8) —
     # writes text_redacted, never mutates text
@@ -147,13 +159,19 @@ def build_enriched_dataset(ds: "rd.Dataset",
         redact_cfg = TranslateConfig(source="text", target="text_redacted",
                                      exact=False,
                                      dictionary=dict(cfg.redact_dict))
-        ds = translate_dataset(ds, redact_cfg, matched_col=None,
-                               batch_size=cfg.batch_size)
+        fns.append(translate_block_fn(redact_cfg, matched_col=None))
 
     # route by role (dictionary-driven, single pass)
-    ds = route_dataset(ds, cfg.routes, key="role",
-                       default_route=cfg.default_route)
-    return ds
+    fns.append(route_block_fn(cfg.routes, key="role",
+                              default_route=cfg.default_route))
+    chain = functools.partial(_run_chain, tuple(fns))
+    out = ds.map_batches(chain, batch_format="pyarrow",
+                         batch_size=cfg.batch_size)
+    # the file runner hands the chain whole files (≤128k-row batches),
+    # so only the whole-block form may take it
+    if cfg.batch_size is None:
+        record_file_chain(out, ds, chain)
+    return out
 
 
 def read_transcripts(path: "str | list[str]",
@@ -173,8 +191,9 @@ def read_transcripts(path: "str | list[str]",
     kw = {}
     if override_num_blocks is not None:
         kw["override_num_blocks"] = override_num_blocks
-    return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS, batch_size=None,
-                           **kw)
+    return record_file_read(
+        rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS, batch_size=None,
+                        **kw), TRANSCRIPT_COLUMNS)
 
 
 def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,

@@ -177,13 +177,15 @@ def _apply_grok(tbl: pa.Table, rule: "GrokRule") -> pa.Table:
     return tbl
 
 
+def parse_block_fn(cfg: Optional[ParseConfig] = None):
+    """The parse stage as a block function (``pa.Table`` → ``pa.Table``),
+    its rules compiled once, here."""
+    return partial(parse_batch, plan=_compile_plan(
+        cfg or ParseConfig.transcripts()))
+
+
 def parse_dataset(ds: "ray.data.Dataset", cfg: Optional[ParseConfig] = None,
                   batch_size: Optional[int] = None) -> "ray.data.Dataset":
-    cfg = cfg or ParseConfig.transcripts()
-    plan = _compile_plan(cfg)
-
-    def _fn(batch: pa.Table) -> pa.Table:
-        return parse_batch(batch, plan)
-
     # None ⇒ whole blocks (avoid Ray's 1024-row default micro-batching)
-    return ds.map_batches(_fn, batch_format="pyarrow", batch_size=batch_size)
+    return ds.map_batches(parse_block_fn(cfg), batch_format="pyarrow",
+                          batch_size=batch_size)

@@ -150,32 +150,13 @@ def make_translate_batch_fn(cfg: TranslateConfig, source: SnapshotSource,
     return _fn
 
 
-def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
-                      matched_col: Optional[str] = "translate_matched",
-                      service_name: Optional[str] = None,
-                      concurrency: Optional[int] = None,
-                      batch_size: Optional[int] = None,
-                      num_cpus: float = 1,
-                      error_isolation: bool = False) -> "ray.data.Dataset":
-    """Attach the translate stage to a Dataset.
-
-    - inline dictionary → stateless tasks over a broadcast snapshot;
-    - ``cfg.dictionary_path`` set → the same tasks, reading the snapshot
-      of the DictionaryService named ``service_name`` (default derived
-      from the path and refresh config) with the plugin's refresh
-      semantics.
-    - ``error_isolation=True`` adds the reference's S12 per-row rescue
-      (translate.rb:266-270): a failing row passes through untranslated,
-      flagged in a ``translate_error`` column (always present for schema
-      stability). Off by default — the vectorized kernel surfaces errors at
-      task level where Ray's retries apply, and the extra column is pure
-      overhead on clean data.
-    """
-    # batch_size=None ⇒ whole blocks per batch (Ray's 'default' is 1024-row
-    # micro-batches, which multiplies per-batch fixed costs — e.g. index_in's
-    # hash-table build over a 100k-key dictionary — by ~50×)
-    kwargs: dict[str, Any] = {"batch_format": "pyarrow", "num_cpus": num_cpus,
-                              "batch_size": batch_size}
+def translate_block_fn(cfg: TranslateConfig, *,
+                       matched_col: Optional[str] = "translate_matched",
+                       service_name: Optional[str] = None,
+                       error_isolation: bool = False):
+    """The translate stage as a block function (``pa.Table`` →
+    ``pa.Table``) over its broadcast snapshot; the arguments are
+    :func:`translate_dataset`'s."""
     if cfg.dictionary_path:
         service_kwargs = dict(
             path=cfg.dictionary_path,
@@ -209,8 +190,39 @@ def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
     # source/target, and replace() re-runs the both-set validation)
     slim_cfg = dataclasses.replace(cfg, dictionary={}, field=None,
                                    destination=None)
-    fn = make_translate_batch_fn(slim_cfg, source, matched_col,
-                                 error_isolation)
+    return make_translate_batch_fn(slim_cfg, source, matched_col,
+                                   error_isolation)
+
+
+def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
+                      matched_col: Optional[str] = "translate_matched",
+                      service_name: Optional[str] = None,
+                      concurrency: Optional[int] = None,
+                      batch_size: Optional[int] = None,
+                      num_cpus: float = 1,
+                      error_isolation: bool = False) -> "ray.data.Dataset":
+    """Attach the translate stage to a Dataset.
+
+    - inline dictionary → stateless tasks over a broadcast snapshot;
+    - ``cfg.dictionary_path`` set → the same tasks, reading the snapshot
+      of the DictionaryService named ``service_name`` (default derived
+      from the path and refresh config) with the plugin's refresh
+      semantics.
+    - ``error_isolation=True`` adds the reference's S12 per-row rescue
+      (translate.rb:266-270): a failing row passes through untranslated,
+      flagged in a ``translate_error`` column (always present for schema
+      stability). Off by default — the vectorized kernel surfaces errors at
+      task level where Ray's retries apply, and the extra column is pure
+      overhead on clean data.
+    """
+    fn = translate_block_fn(cfg, matched_col=matched_col,
+                            service_name=service_name,
+                            error_isolation=error_isolation)
+    # batch_size=None ⇒ whole blocks per batch (Ray's 'default' is 1024-row
+    # micro-batches, which multiplies per-batch fixed costs — e.g. index_in's
+    # hash-table build over a 100k-key dictionary — by ~50×)
+    kwargs: dict[str, Any] = {"batch_format": "pyarrow", "num_cpus": num_cpus,
+                              "batch_size": batch_size}
     if concurrency is not None:
         kwargs["concurrency"] = concurrency
     return ds.map_batches(fn, **kwargs)

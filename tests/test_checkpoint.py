@@ -1,7 +1,8 @@
 """CheckpointStore unit behavior (manifest round-trip, atomic rename,
 leftover-tmp cleanup and ownership) and the resumable runner's manifests:
 counts read from the committed files, pinned against DuckDB over the
-inputs, and exactly-once under a Ray task retry."""
+inputs, and exactly-once under a Ray task retry (on Ray Data and on the
+file runner)."""
 
 import json
 import os
@@ -310,6 +311,53 @@ def test_run_resumable_exactly_once_under_task_retry(ray_session, tmp_path,
                                           batch_size=None)
 
     monkeypatch.setattr(T, "build_enriched_dataset", faulty_build)
+    retried = run_resumable(str(src), str(tmp_path / "retried"), _cfg(),
+                            shard_files=2)
+    assert os.path.exists(marker)               # the fault did fire
+    assert retried == clean
+    assert _manifest_fields(str(tmp_path / "retried")) \
+        == _manifest_fields(str(tmp_path / "clean"))
+    assert _footer_route_rows(str(tmp_path / "retried")) \
+        == _footer_route_rows(str(tmp_path / "clean"))
+
+
+def test_run_resumable_exactly_once_under_runner_task_retry(
+        ray_session, tmp_path, monkeypatch):
+    """The same fault inside a file runner task: the route stage of the
+    composed chain kills its worker once; Ray retries the task, which
+    rewrites its files under the same names, and the manifests, the
+    return dict and the per-route output rows equal a no-fault run's."""
+    import ray.data as rd
+    from logstash_filter_translate_ray.pipelines import run_resumable
+    from logstash_filter_translate_ray.pipelines import transcripts as T
+    src = tmp_path / "in"
+    src.mkdir()
+    for i in range(4):
+        _write_turns(src / f"part{i}.parquet", 200 + 37 * i)
+    clean = run_resumable(str(src), str(tmp_path / "clean"), _cfg(),
+                          shard_files=2)
+
+    marker = str(tmp_path / "died_once")
+    route_block_fn = T.route_block_fn
+
+    def faulty_route_block_fn(*args, **kwargs):
+        fn = route_block_fn(*args, **kwargs)
+
+        def die_once(batch):
+            out = fn(batch)
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return out
+            os.close(fd)
+            os._exit(1)
+        return die_once
+
+    def no_ray_data_write(*args, **kwargs):
+        raise AssertionError("write went through Ray Data's parquet sink")
+
+    monkeypatch.setattr(T, "route_block_fn", faulty_route_block_fn)
+    monkeypatch.setattr(rd.Dataset, "write_parquet", no_ray_data_write)
     retried = run_resumable(str(src), str(tmp_path / "retried"), _cfg(),
                             shard_files=2)
     assert os.path.exists(marker)               # the fault did fire

@@ -21,7 +21,8 @@ from logstash_filter_translate_ray.pipelines.transcripts import (
     make_conv_segment_dict, read_transcripts)
 from logstash_filter_translate_ray.sources import (make_transcripts,
                                                    transcripts_parquet_path)
-from logstash_filter_translate_ray.stages.translate_stage import translate_dataset
+from logstash_filter_translate_ray.stages.translate_stage import (
+    translate_block_fn, translate_dataset)
 
 N_TURNS = 5_000
 
@@ -151,12 +152,12 @@ def test_conv_segment_snapshot_built_once(ray_session, monkeypatch):
     from logstash_filter_translate_ray.pipelines import transcripts as T
     seen = []
 
-    def spy(ds, cfg, **kw):
+    def spy(cfg, **kw):
         if cfg.target == "conv_segment":
             seen.append(cfg.dictionary)
-        return translate_dataset(ds, cfg, **kw)
+        return translate_block_fn(cfg, **kw)
 
-    monkeypatch.setattr(T, "translate_dataset", spy)
+    monkeypatch.setattr(T, "translate_block_fn", spy)
     ds = rd.from_items([{c: None for c in T.TRANSCRIPT_COLUMNS}])
     build_enriched_dataset(ds)
     build_enriched_dataset(ds)

@@ -6,7 +6,8 @@ tests/test_similarity.py; the grouped_quantiles null/distributed guards
 and the window null-key tests live in tests/test_null_keys.py; the
 hot-cap skip-counter and join-operand tests live in
 tests/test_functions.py; the five kernel schema / value-unify tests
-live in tests/test_kernel.py. 16 tests remain here."""
+live in tests/test_kernel.py; the JSON fan-out sink test lives in
+tests/test_route.py. 15 tests remain here."""
 
 import numpy as np
 import pandas as pd
@@ -180,32 +181,6 @@ def test_malformed_field_ref_raises():
     for bad in ("[foo]bar[baz]", "[]", "[a][]"):
         with pytest.raises(ConfigurationError):
             parse_field_ref(bad)
-
-
-def test_write_routed_json_null_routes_and_identical_blocks(
-        ray_session, tmp_path):
-    """Null-route rows must land in the hive null partition (they were
-    silently written NOWHERE: pc.equal(col, None) is an all-null mask that
-    filter drops) and two blocks with byte-identical payloads must yield
-    two files (content-hash-only names collapsed them → row loss)."""
-    import glob
-    import json
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.route import (NULL_ROUTE_DIR,
-                                                            write_routed)
-    blk = pa.table({"route": pa.array(["a", None]),
-                    "v": pa.array([1, 2], type=pa.int64())})
-    ds = rd.from_arrow([blk, blk])        # two identical blocks
-    out = str(tmp_path / "sink")
-    write_routed(ds, out, file_format="json")
-    rows = []
-    for f in glob.glob(f"{out}/route=*/*.jsonl"):
-        with open(f) as fh:
-            rows += [json.loads(l) for l in fh if l.strip()]
-    assert len(rows) == 4                  # nothing dropped
-    null_rows = [r for r in rows if r["route"] is None]
-    assert len(null_rows) == 2
-    assert len(glob.glob(f"{out}/route={NULL_ROUTE_DIR}/*.jsonl")) == 2
 
 
 def test_error_isolation_fallback_preserves_schema(monkeypatch):
