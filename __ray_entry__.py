@@ -694,7 +694,7 @@ def q_knn_join(sf_dir: str):
 
 
 def q_multimodal_real_decode(sf_dir: str):
-    """REAL image decode through the actor pool: deterministic P6 PPM
+    """REAL image decode in plain tasks: deterministic P6 PPM
     payloads (dims derived from doc_id) → ResizeStage(use_real_codecs)
     decodes the actual bytes, resizes the pixels and re-encodes. The
     output dims come from the PPM HEADER, not the metadata columns, so the
@@ -722,10 +722,11 @@ def q_multimodal_real_decode(sf_dir: str):
                          "sample_rate": pa.nulls(len(t), pa.int32())})
 
     ds = _read(sf_dir, "documents", ["doc_id"])
-    # task pool, not actor pool: the pure-numpy codecs have zero init and
-    # the 2-actor pool's spin-up alone measured 1.4 s (4× the whole decode
-    # at sf0.1; see resize_dataset pool="tasks"). 512 × ~9 KB payloads per
-    # batch; real MB-scale media would use DEFAULT_MEDIA_BATCH_SIZE.
+    # plain tasks with a pre-built ResizeStage, not an actor pool: the
+    # pure-numpy codecs have no per-worker setup, and a 2-actor pool's
+    # spin-up alone measured 1.4 s (4× the whole decode at sf0.1).
+    # 512 × ~9 KB payloads per batch; real MB-scale media would use
+    # DEFAULT_MEDIA_BATCH_SIZE.
     media = ds.map_batches(to_media, batch_format="pyarrow", batch_size=512)
     out = media.map_batches(
         ResizeStage(max_side=16, use_real_codecs=True),
@@ -830,7 +831,7 @@ def q_transcripts_pipeline(sf_dir: str):
 def q_multimodal_features(sf_dir: str):
     """Multimodal decode plumbing with payloads DERIVED from the documents
     table (payload = utf-8 bytes of text), so byte-size and md5 digest are
-    SQL-verifiable while exercising the real binary actor-pool stage."""
+    SQL-verifiable while exercising the real binary decode stage."""
     from logstash_filter_translate_ray.functions.multimodal import (
         decode_features_dataset)
     ds = _read(sf_dir, "documents", ["doc_id", "text"])

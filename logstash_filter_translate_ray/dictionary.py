@@ -379,16 +379,3 @@ class FileDictionary:
         self._version += 1
         return True
 
-
-def create_dictionary(cfg) -> "MemoryDictionary | FileDictionary":
-    """translate.rb:195-211 — backend selection from a TranslateConfig."""
-    if cfg.dictionary_path:
-        return FileDictionary(
-            cfg.dictionary_path,
-            refresh_interval=cfg.refresh_interval,
-            refresh_behaviour=cfg.refresh_behaviour,
-            yaml_code_point_limit=cfg.yaml_dictionary_code_point_limit,
-            yaml_load_strategy=cfg.yaml_load_strategy,
-            missing_file_ok=getattr(cfg, "missing_file_ok", False),
-        )
-    return MemoryDictionary(cfg.dictionary)

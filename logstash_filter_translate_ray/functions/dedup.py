@@ -151,12 +151,6 @@ def shingle_hashes_batch(texts: list, k: int = 3) -> tuple[np.ndarray, np.ndarra
     return sh, sh_ptr
 
 
-def shingle_hashes(text: str, k: int = 3) -> np.ndarray:
-    """Single-doc convenience wrapper over :func:`shingle_hashes_batch`."""
-    sh, _ = shingle_hashes_batch([text], k)
-    return sh
-
-
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
@@ -345,84 +339,6 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
 
     # a projection over the zero-row anchor block would lose its schema
     return rd.from_arrow(schema.empty_table().drop_columns(_CONTENT_KEYS))
-
-
-class Bloom:
-    """Fixed-size bloom filter over 128-bit content hashes, fully
-    vectorized: k probe positions by double hashing
-    ``pos_i = (h1 + i·h2) mod m``. No false negatives; false-positive rate
-    ≈ (1 − e^{−kn/m})^k."""
-
-    def __init__(self, n_bits: int = 1 << 24, k: int = 7,
-                 bits: Optional[np.ndarray] = None):
-        assert n_bits % 64 == 0
-        self.n_bits, self.k = n_bits, k
-        self.bits = bits if bits is not None \
-            else np.zeros(n_bits // 64, dtype=np.uint64)
-
-    def _positions(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        i = np.arange(self.k, dtype=np.uint64)[:, None]
-        return (h1[None, :] + i * h2[None, :]) % np.uint64(self.n_bits)
-
-    def add(self, h1: np.ndarray, h2: np.ndarray) -> None:
-        pos = self._positions(h1, h2).reshape(-1)
-        np.bitwise_or.at(self.bits, (pos >> np.uint64(6)).astype(np.int64),
-                         np.uint64(1) << (pos & np.uint64(63)))
-
-    def contains(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        pos = self._positions(h1, h2)          # k × n
-        word = self.bits[(pos >> np.uint64(6)).astype(np.int64)]
-        hit = (word >> (pos & np.uint64(63))) & np.uint64(1)
-        return hit.all(axis=0)
-
-    def merge(self, other: "Bloom") -> "Bloom":
-        assert self.n_bits == other.n_bits and self.k == other.k
-        self.bits |= other.bits
-        return self
-
-
-def build_seen_bloom(ds_seen, col: str = "text", n_bits: int = 1 << 24,
-                     k: int = 7) -> Bloom:
-    """Per-block partial blooms OR-merged: each block contributes one
-    ``n_bits/8``-byte blob row; the merge is a driver loop over #blocks
-    blobs (2 MiB each at the default) — swap for a tree of ``ray.remote``
-    OR tasks when #blocks × n_bits/8 outgrows the driver."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        t2, h1 = add_content_hash(t, col)
-        h2 = t2["content_hash2"].to_numpy(zero_copy_only=False)
-        b = Bloom(n_bits, k)
-        b.add(h1, h2.astype(np.uint64))
-        return pa.table({"blob": pa.array([b.bits.tobytes()],
-                                          type=pa.binary())})
-
-    out = Bloom(n_bits, k)
-    for batch in ds_seen.map_batches(partial, batch_format="pyarrow",
-                                     batch_size=None).iter_batches(
-                                         batch_format="pyarrow"):
-        for blob in batch["blob"].to_pylist():
-            out.bits |= np.frombuffer(blob, dtype=np.uint64)
-    return out
-
-
-def bloom_filter_dedup(ds_new, bloom: Bloom, col: str = "text"):
-    """Approximate cross-dataset dedup: drop rows of ``ds_new`` whose
-    content hash is (probably) in the broadcast seen-bloom. NO false
-    negatives — a surviving row is guaranteed new; false positives drop
-    ~(1−e^{−kn/m})^k of genuinely-new rows. The scale pre-filter in front
-    of :func:`incremental_dedup` when the seen set outgrows a join side:
-    the bloom is ``n_bits/8`` bytes total regardless of corpus size."""
-    import ray
-    ref = ray.put(bloom)
-
-    def keep(t: pa.Table) -> pa.Table:
-        b = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        t2, h1 = add_content_hash(t, col)
-        h2 = t2["content_hash2"].to_numpy(zero_copy_only=False)
-        mask = ~b.contains(h1, h2.astype(np.uint64))
-        return t.filter(pa.array(mask))
-
-    return ds_new.map_batches(keep, batch_format="pyarrow", batch_size=None)
 
 
 # ---------------------------------------------------------------------------
@@ -784,14 +700,6 @@ def verified_jaccard_pairs(pairs_ds, docs_ds, col: str = "text",
     return j2.map_batches(jac, batch_format="pyarrow", batch_size=None)
 
 
-def jaccard(text_a: str, text_b: str, k: int = 3) -> float:
-    sa = set(shingle_hashes(text_a, k).tolist())
-    sb = set(shingle_hashes(text_b, k).tolist())
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / max(1, len(sa | sb))
-
-
 def connected_components(pairs: Iterable[tuple]) -> dict:
     """Driver-side union-find over VERIFIED candidate PAIRS (not docs).
     Valid while the verified-duplicate pair set fits the driver (sparse
@@ -978,20 +886,6 @@ def _md5_word_hashes(texts: list) -> tuple[np.ndarray, np.ndarray]:
     return wh, ptr
 
 
-def simhash64(text: str, word_hash: str = "sip") -> int:
-    """64-bit SimHash over word tokens (hash_array-derived token hashes;
-    ``word_hash='md5'`` swaps in the SQL-mirrorable md5-lower64)."""
-    fn = _md5_word_hashes if word_hash == "md5" else _hash_words_batch
-    wh, _ = fn([text])
-    if not len(wh):
-        return 0
-    bits = ((wh[:, None] >> np.arange(64, dtype=np.uint64)) &
-            np.uint64(1)).astype(np.int64)          # T × 64
-    acc = (2 * bits - 1).sum(axis=0)
-    return int(((acc > 0).astype(np.uint64) <<
-                np.arange(64, dtype=np.uint64)).sum(dtype=np.uint64))
-
-
 def simhash_batch(tbl: pa.Table, col: str = "text",
                   out: str = "simhash", word_hash: str = "sip") -> pa.Table:
     """Batch-vectorized SimHash: ONE token-hash pass for the whole batch,
@@ -1021,10 +915,6 @@ def simhash_batch(tbl: pa.Table, col: str = "text",
 def simhash_dataset(ds, col: str = "text", word_hash: str = "sip"):
     return ds.map_batches(lambda t: simhash_batch(t, col, word_hash=word_hash),
                           batch_format="pyarrow", batch_size=None)
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin((a ^ b) & ((1 << 64) - 1)).count("1")
 
 
 _POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],

@@ -9,14 +9,14 @@ Decode support is tiered by what this environment can honestly do:
   run on the decoded arrays.
 - CODECS NEEDING EXTERNAL LIBRARIES (JPEG/MP3/H.264 …, and the palette/
   16-bit/interlaced PNG variants) raise a clearly-marked
-  ``NotImplementedError`` — while everything Ray-side (schema, actor-pool
-  signature, batch sizing, output layout) is identical and tested.
+  ``NotImplementedError`` — while everything Ray-side (schema, batch
+  sizing, output layout) is identical and tested.
 
 Design notes for 100 TB: binary payloads dominate block size, so these
-stages run with SMALL ``batch_size`` (default 64) and an actor pool whose
-``__init__`` would hold the codec/model; blocks stay Arrow end-to-end
-(binary columns do not survive pandas round-trips well — see guide
-pitfalls).
+stages run with SMALL batches (``DEFAULT_MEDIA_BATCH_SIZE`` = 64) as
+plain tasks, since the pure-numpy codecs have no per-worker setup; blocks
+stay Arrow end-to-end (binary columns do not survive pandas round-trips
+well — see guide pitfalls).
 """
 
 from __future__ import annotations
@@ -97,15 +97,6 @@ def decode_bmp(payload: bytes) -> np.ndarray:
                          offset=data_off).reshape(h, stride)[:, :w * 3]
     img = rows.reshape(h, w, 3)[:, :, ::-1]       # BGR → RGB
     return img[::-1] if bottom_up else img
-
-
-def encode_wav(samples: np.ndarray, sample_rate: int = 16000) -> bytes:
-    """int16 mono samples → 16-bit PCM WAV."""
-    body = samples.astype("<i2").tobytes()
-    hdr = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(body),
-                      b"WAVE", b"fmt ", 16, 1, 1, sample_rate,
-                      sample_rate * 2, 2, 16, b"data", len(body))
-    return hdr + body
 
 
 def decode_wav(payload: bytes) -> "tuple[np.ndarray, int]":
@@ -281,29 +272,9 @@ MEDIA_SCHEMA = pa.schema([
 DEFAULT_MEDIA_BATCH_SIZE = 64
 
 
-def make_fake_media(n: int, seed: int = 42, payload_size: int = 4096) -> pa.Table:
-    """Deterministic synthetic media table for tests/benchmarks."""
-    rng = np.random.RandomState(seed)
-    payloads = [rng.randint(0, 256, payload_size).astype(np.uint8).tobytes()
-                for _ in range(n)]
-    types = np.array(["image", "audio", "video"])[rng.randint(0, 3, n)]
-    return pa.table({
-        "media_id": pa.array(np.arange(n), type=pa.int64()),
-        "payload": pa.array(payloads, type=pa.binary()),
-        "media_type": pa.array(types.astype(object), type=pa.string()),
-        "width": pa.array(rng.randint(16, 512, n), type=pa.int32()),
-        "height": pa.array(rng.randint(16, 512, n), type=pa.int32()),
-        "sample_rate": pa.array(rng.choice([8000, 16000, 44100], n),
-                                type=pa.int32()),
-    }, schema=MEDIA_SCHEMA)
-
-
 class DecodeFeatureStage:
-    """Actor-pool decode/feature-extract stage.
-
-    ``__init__`` is where a real build would load codecs / feature models
-    (once per actor). ``__call__`` emits per-payload feature columns:
-    byte size, md5 digest, and an 8-dim feature vector —
+    """Decode/feature-extract stage. ``__call__`` emits per-payload
+    feature columns: byte size, md5 digest, and an 8-dim feature vector —
     ``use_real_codecs=True`` DECODES uncompressed payloads (PPM/BMP/WAV)
     and computes real pixel/sample statistics; the default fake decoder
     stays for arbitrary binary payloads and the SQL-checked query.
@@ -444,176 +415,11 @@ class ResizeStage:
         return tbl
 
 
-def frame_sample_plan(n_frames: int, every: int = 10) -> list[int]:
-    """Deterministic frame-sampling plan for video payloads (stub for the
-    per-frame decode, real at the planning level)."""
-    return list(range(0, n_frames, every))
-
-
-# ---------------------------------------------------------------------------
-# RAWV — a trivial uncompressed video container (the module's video
-# analogue of PPM: real pure-numpy codec work with zero external deps).
-# Layout: b"RAWV" | uint32 n_frames | uint32 width | uint32 height |
-#         n_frames × (height × width × 3) RGB bytes, little-endian.
-# ---------------------------------------------------------------------------
-
-_RAWV_MAGIC = b"RAWV"
-
-
-def encode_rawv(frames: np.ndarray) -> bytes:
-    """(n, h, w, 3) uint8 → RAWV payload."""
-    frames = np.ascontiguousarray(frames, dtype=np.uint8)
-    if frames.ndim != 4 or frames.shape[3] != 3:
-        raise ValueError("encode_rawv expects (n_frames, h, w, 3) uint8")
-    n, h, w, _ = frames.shape
-    import struct
-    return (_RAWV_MAGIC + struct.pack("<III", n, w, h)
-            + frames.tobytes())
-
-
-def rawv_info(payload: bytes) -> "tuple[int, int, int]":
-    """(n_frames, width, height) from a RAWV header."""
-    import struct
-    if payload[:4] != _RAWV_MAGIC:
-        raise ValueError("not a RAWV payload")
-    return struct.unpack("<III", payload[4:16])
-
-
-def decode_rawv_frame(payload: bytes, idx: int) -> np.ndarray:
-    """Decode ONE frame (h, w, 3) without touching the others — the
-    point of an uncompressed container: frame k is a pure offset read."""
-    n, w, h = rawv_info(payload)
-    if not 0 <= idx < n:
-        raise IndexError(f"frame {idx} out of range (n={n})")
-    sz = w * h * 3
-    off = 16 + idx * sz
-    return np.frombuffer(payload[off:off + sz],
-                         dtype=np.uint8).reshape(h, w, 3)
-
-
-def make_fake_videos(n: int, n_frames: int = 24, w: int = 32, h: int = 24,
-                     seed: int = 42) -> pa.Table:
-    """Deterministic RAWV media table (media_type='video')."""
-    rng = np.random.RandomState(seed)
-    payloads = [encode_rawv(rng.randint(0, 256, (n_frames, h, w, 3))
-                            .astype(np.uint8)) for _ in range(n)]
-    return pa.table({
-        "media_id": pa.array(np.arange(n), type=pa.int64()),
-        "payload": pa.array(payloads, type=pa.binary()),
-        "media_type": pa.array(["video"] * n, type=pa.string()),
-        "width": pa.array(np.full(n, w), type=pa.int32()),
-        "height": pa.array(np.full(n, h), type=pa.int32()),
-        "sample_rate": pa.array([None] * n, type=pa.int32()),
-    }, schema=MEDIA_SCHEMA)
-
-
-class FrameSampleStage:
-    """Actor-pool frame-sample stage: each video row fans out to one row
-    per sampled frame (``frame_sample_plan`` indices), the frame decoded
-    from the RAWV container and re-encoded as a standalone PPM image so
-    downstream image stages (DecodeFeatureStage / ResizeStage) compose.
-
-    Output schema: (media_id, frame_idx, payload[PPM], media_type='image',
-    width, height, sample_rate=null). Non-video rows pass through
-    UNSAMPLED with frame_idx = -1 (a mixed-media stream keeps flowing);
-    video payloads in a compressed container (MP4/WebM/…) raise
-    NotImplementedError — the honest gate, same policy as the image
-    codecs. Empty blocks return the output schema."""
-
-    def __init__(self, every: int = 10):
-        self.every = every
-
-    def _out(self, ids, fidx, payloads, mtypes, ws, hs, srs) -> pa.Table:
-        return pa.table({
-            "media_id": pa.array(ids, type=pa.int64()),
-            "frame_idx": pa.array(fidx, type=pa.int32()),
-            "payload": pa.array(payloads, type=pa.binary()),
-            "media_type": pa.array(mtypes, type=pa.string()),
-            "width": pa.array(ws, type=pa.int32()),
-            "height": pa.array(hs, type=pa.int32()),
-            "sample_rate": pa.array(srs, type=pa.int32()),
-        })
-
-    def __call__(self, tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            return self._out([], [], [], [], [], [], [])
-        ids = tbl["media_id"].to_pylist()
-        types = tbl["media_type"].to_pylist()
-        payloads = tbl["payload"].to_pylist()
-        ws = tbl["width"].to_pylist()
-        hs = tbl["height"].to_pylist()
-        srs = tbl["sample_rate"].to_pylist()
-        o = {k: [] for k in ("id", "fi", "pay", "ty", "w", "h", "sr")}
-        for mid, mtype, p, w, h, sr in zip(ids, types, payloads, ws, hs,
-                                           srs):
-            if mtype != "video" or p is None:
-                o["id"].append(mid); o["fi"].append(-1); o["pay"].append(p)
-                o["ty"].append(mtype); o["w"].append(w); o["h"].append(h)
-                o["sr"].append(sr)
-                continue
-            if p[:4] != _RAWV_MAGIC:
-                raise NotImplementedError(
-                    "compressed video container (MP4/WebM/…): only the "
-                    "uncompressed RAWV layout decodes for real in this "
-                    "environment")
-            n, vw, vh = rawv_info(p)
-            for k in frame_sample_plan(n, self.every):
-                o["id"].append(mid); o["fi"].append(k)
-                o["pay"].append(encode_ppm(decode_rawv_frame(p, k)))
-                o["ty"].append("image"); o["w"].append(vw)
-                o["h"].append(vh); o["sr"].append(None)
-        return self._out(o["id"], o["fi"], o["pay"], o["ty"], o["w"],
-                         o["h"], o["sr"])
-
-
-def frame_sample_dataset(ds, every: int = 10, concurrency: int = 2,
-                         batch_size: int = DEFAULT_MEDIA_BATCH_SIZE,
-                         pool: str = "tasks"):
-    """Same ``pool`` contract as :func:`decode_features_dataset` (RAWV
-    frame reads are pure offset math — zero per-worker init — so tasks
-    by default; actors when a real demuxer loads in ``__init__``)."""
-    if pool == "tasks":
-        return ds.map_batches(FrameSampleStage(every=every),
-                              batch_format="pyarrow", batch_size=batch_size)
+def decode_features_dataset(ds, use_real_codecs: bool = False):
+    """:class:`DecodeFeatureStage` over ``ds`` as plain tasks (one
+    pre-built stage instance ships with each task), in batches of
+    ``DEFAULT_MEDIA_BATCH_SIZE`` payloads. An actor pool's spin-up alone
+    measured 1.4 s on a 32-CPU box, 4× the whole 5000-payload decode."""
     return ds.map_batches(
-        FrameSampleStage, fn_constructor_kwargs=dict(every=every),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
-
-
-def decode_features_dataset(ds, concurrency: int = 2,
-                            batch_size: int = DEFAULT_MEDIA_BATCH_SIZE,
-                            use_real_codecs: bool = False,
-                            pool: str = "tasks"):
-    """``pool="tasks"`` (default) ships a pre-built stage INSTANCE per
-    task — the pure-numpy codecs have zero per-worker init, and the actor
-    pool's spin-up alone measured 1.4 s on a 32-CPU box (4× the whole
-    5000-payload decode). Flip to ``pool="actors"`` when a real codec
-    library (PIL/ffmpeg) loads in ``__init__`` — then ``concurrency``
-    sizes the pool and the library loads once per actor."""
-    if pool == "tasks":
-        return ds.map_batches(
-            DecodeFeatureStage(use_real_codecs=use_real_codecs),
-            batch_format="pyarrow", batch_size=batch_size)
-    return ds.map_batches(
-        DecodeFeatureStage,
-        fn_constructor_kwargs=dict(use_real_codecs=use_real_codecs),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
-
-
-def resize_dataset(ds, max_side: int = 256, concurrency: int = 2,
-                   batch_size: int = DEFAULT_MEDIA_BATCH_SIZE,
-                   use_real_codecs: bool = False,
-                   pool: str = "tasks"):
-    """Same ``pool`` contract as :func:`decode_features_dataset`."""
-    if pool == "tasks":
-        return ds.map_batches(
-            ResizeStage(max_side=max_side, use_real_codecs=use_real_codecs),
-            batch_format="pyarrow", batch_size=batch_size)
-    return ds.map_batches(
-        ResizeStage,
-        fn_constructor_kwargs=dict(max_side=max_side,
-                                   use_real_codecs=use_real_codecs),
-        batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+        DecodeFeatureStage(use_real_codecs=use_real_codecs),
+        batch_format="pyarrow", batch_size=DEFAULT_MEDIA_BATCH_SIZE)

@@ -80,10 +80,12 @@ import os
 from typing import Any, Optional
 
 import pyarrow as pa
+import pyarrow.csv as pacsv
 import ray.data as rd
 
 from ..config import TranslateConfig
 from ..errors import ConfigurationError
+from ..sources.readers import CSV_NULL_OPTIONS
 from ..stages.parse import ExtractRule, GrokRule, ParseConfig, parse_dataset
 from ..stages.route import route_dataset, write_routed
 from ..stages.translate_stage import translate_dataset
@@ -280,7 +282,8 @@ def build_from_spec(spec: "str | dict") -> "rd.Dataset":
         ds = rd.read_parquet(inp["path"], **kw)
         probe = _parquet_probe(inp["path"], inp.get("columns"))
     elif fmt == "csv":
-        ds = rd.read_csv(inp["path"])
+        ds = rd.read_csv(inp["path"], convert_options=pacsv.ConvertOptions(
+            **CSV_NULL_OPTIONS))
     elif fmt == "json":
         ds = rd.read_json(inp["path"])
     else:

@@ -13,8 +13,9 @@ import ray.data as rd
 
 from .transcripts import TRANSCRIPT_SCHEMA
 
-_CONVERT = pacsv.ConvertOptions(
-    column_types={f.name: f.type for f in TRANSCRIPT_SCHEMA},
+# The null rule of every CSV input (these sources and the spec DSL's
+# ``format: csv``), as pyarrow ``ConvertOptions`` keywords.
+CSV_NULL_OPTIONS = dict(
     # review r3: without this, null string cells round-trip as "" and the
     # engine's null ⇔ absent convention diverges between CSV and parquet
     # sources (a null tool became "" → dict miss → fallback written).
@@ -29,6 +30,10 @@ _CONVERT = pacsv.ConvertOptions(
     # legitimate, lookupable dict keys via the parquet/JSON sources —
     # breaking source-agnosticism (r4 review)
     null_values=[""])
+
+_CONVERT = pacsv.ConvertOptions(
+    column_types={f.name: f.type for f in TRANSCRIPT_SCHEMA},
+    **CSV_NULL_OPTIONS)
 
 
 def read_transcripts_csv(paths: "str | list[str]") -> "rd.Dataset":

@@ -199,7 +199,6 @@ def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
                       service_name: Optional[str] = None,
                       concurrency: Optional[int] = None,
                       batch_size: Optional[int] = None,
-                      num_cpus: float = 1,
                       error_isolation: bool = False) -> "ray.data.Dataset":
     """Attach the translate stage to a Dataset.
 
@@ -221,7 +220,7 @@ def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
     # batch_size=None ⇒ whole blocks per batch (Ray's 'default' is 1024-row
     # micro-batches, which multiplies per-batch fixed costs — e.g. index_in's
     # hash-table build over a 100k-key dictionary — by ~50×)
-    kwargs: dict[str, Any] = {"batch_format": "pyarrow", "num_cpus": num_cpus,
+    kwargs: dict[str, Any] = {"batch_format": "pyarrow",
                               "batch_size": batch_size}
     if concurrency is not None:
         kwargs["concurrency"] = concurrency

@@ -10,7 +10,6 @@ import pytest
 from logstash_filter_translate_ray import (DictionaryFileError, DictSnapshot,
                                            TranslateConfig, translate_row)
 from logstash_filter_translate_ray.dictionary import (FileDictionary,
-                                                      create_dictionary,
                                                       load_csv_items,
                                                       load_json_items,
                                                       load_yaml_items,
@@ -185,14 +184,6 @@ def test_streaming_scalar_coercion():
                      "q": "1", "p": 1000}
 
 
-def test_create_dictionary_dispatch():
-    cfg = TranslateConfig(source="s", dictionary={"x": "y"})
-    assert create_dictionary(cfg).snapshot.map == {"x": "y"}
-    cfg2 = TranslateConfig(source="s", dictionary_path=f"{FIX}/dict.csv",
-                           refresh_interval=-1)
-    assert create_dictionary(cfg2).snapshot.map["a"] == "100"
-
-
 def test_csv_bom_tolerant(tmp_path):
     # csv_file.rb:10 'r:bom|utf-8'
     p = tmp_path / "bom.csv"
@@ -309,8 +300,7 @@ def test_snapshot_ref_put_once_per_version(ray_session, tmp_path):
 
 def test_missing_file_ok(tmp_path):
     from logstash_filter_translate_ray.config import TranslateConfig
-    from logstash_filter_translate_ray.dictionary import (FileDictionary,
-                                                          create_dictionary)
+    from logstash_filter_translate_ray.dictionary import FileDictionary
     from logstash_filter_translate_ray.errors import DictionaryFileError
     from logstash_filter_translate_ray.kernel import translate_table
 
@@ -330,9 +320,10 @@ def test_missing_file_ok(tmp_path):
     cfg = TranslateConfig(source="status", target="translation",
                           dictionary_path=str(missing), refresh_interval=-1,
                           fallback="none", missing_file_ok=True)
-    backend = create_dictionary(cfg)
+    snap = FileDictionary(cfg.dictionary_path, refresh_interval=-1,
+                          missing_file_ok=True).snapshot
     tbl = pa.table({"status": ["a", "b"]})
-    out = translate_table(tbl, cfg, backend.snapshot)
+    out = translate_table(tbl, cfg, snap)
     assert out["translation"].to_pylist() == ["none", "none"]
 
     # the file appearing later is picked up by refresh (merge semantics)

@@ -1,5 +1,7 @@
 """Training-data ops: dedup / similarity / text analysis / multimodal."""
 
+import struct
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -46,11 +48,28 @@ def test_minhash_finds_near_duplicates(ray_session):
     assert sorted(deduped.to_pandas()["doc_id"]) == [1, 3]
 
 
+def simhash64(text: str) -> int:
+    """Scalar 64-bit SimHash over one text: the reference the banded
+    SimHash pairs are checked against."""
+    wh, _ = dedup._hash_words_batch([text])
+    if not len(wh):
+        return 0
+    bits = ((wh[:, None] >> np.arange(64, dtype=np.uint64)) &
+            np.uint64(1)).astype(np.int64)          # T × 64
+    acc = (2 * bits - 1).sum(axis=0)
+    return int(((acc > 0).astype(np.uint64) <<
+                np.arange(64, dtype=np.uint64)).sum(dtype=np.uint64))
+
+
+def hamming64(a: int, b: int) -> int:
+    return bin((a ^ b) & ((1 << 64) - 1)).count("1")
+
+
 def test_simhash_near_texts_close(ray_session):
-    a = dedup.simhash64("the quick brown fox jumps over the lazy dog")
-    b = dedup.simhash64("the quick brown fox jumps over the sleepy dog")
-    c = dedup.simhash64("entirely unrelated words about databases and planes")
-    assert dedup.hamming64(a, b) < dedup.hamming64(a, c)
+    a = simhash64("the quick brown fox jumps over the lazy dog")
+    b = simhash64("the quick brown fox jumps over the sleepy dog")
+    c = simhash64("entirely unrelated words about databases and planes")
+    assert hamming64(a, b) < hamming64(a, c)
 
 
 def test_simhash_dataset_column(docs_ds):
@@ -122,45 +141,76 @@ def test_fingerprint_deterministic(docs_ds):
     assert a["fingerprint"].nunique() == 10
 
 
+def make_fake_media(n: int, seed: int = 42,
+                    payload_size: int = 4096) -> pa.Table:
+    """Deterministic synthetic media table (random payload bytes)."""
+    rng = np.random.RandomState(seed)
+    payloads = [rng.randint(0, 256, payload_size).astype(np.uint8).tobytes()
+                for _ in range(n)]
+    types = np.array(["image", "audio", "video"])[rng.randint(0, 3, n)]
+    return pa.table({
+        "media_id": pa.array(np.arange(n), type=pa.int64()),
+        "payload": pa.array(payloads, type=pa.binary()),
+        "media_type": pa.array(types.astype(object), type=pa.string()),
+        "width": pa.array(rng.randint(16, 512, n), type=pa.int32()),
+        "height": pa.array(rng.randint(16, 512, n), type=pa.int32()),
+        "sample_rate": pa.array(rng.choice([8000, 16000, 44100], n),
+                                type=pa.int32()),
+    }, schema=multimodal.MEDIA_SCHEMA)
+
+
+def encode_wav(samples: np.ndarray, sample_rate: int = 16000) -> bytes:
+    """int16 mono samples → 16-bit PCM WAV."""
+    body = samples.astype("<i2").tobytes()
+    hdr = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(body),
+                      b"WAVE", b"fmt ", 16, 1, 1, sample_rate,
+                      sample_rate * 2, 2, 16, b"data", len(body))
+    return hdr + body
+
+
+def resized(ds, **kw) -> pd.DataFrame:
+    """``ResizeStage`` over a Dataset, as ``q_multimodal_real_decode``
+    runs it."""
+    return ds.map_batches(multimodal.ResizeStage(**kw),
+                          batch_format="pyarrow",
+                          batch_size=multimodal.DEFAULT_MEDIA_BATCH_SIZE) \
+        .to_pandas()
+
+
 def test_multimodal_decode_stage(ray_session):
     import ray.data as rd
-    media = multimodal.make_fake_media(100)
+    media = make_fake_media(100)
     ds = rd.from_arrow(media)
-    out = multimodal.decode_features_dataset(ds, concurrency=1).to_pandas()
+    out = multimodal.decode_features_dataset(ds).to_pandas()
     assert len(out) == 100
     assert (out["payload_bytes"] == 4096).all()
     assert out["features"].map(len).eq(8).all()
     # deterministic across runs
-    out2 = multimodal.decode_features_dataset(rd.from_arrow(media),
-                                              concurrency=1).to_pandas()
+    out2 = multimodal.decode_features_dataset(rd.from_arrow(media)) \
+        .to_pandas()
     assert out["payload_digest"].tolist() == out2["payload_digest"].tolist()
 
 
 def test_multimodal_resize_stage(ray_session):
     import ray.data as rd
-    ds = rd.from_arrow(multimodal.make_fake_media(20))
-    out = multimodal.resize_dataset(ds, max_side=128, concurrency=1).to_pandas()
+    out = resized(rd.from_arrow(make_fake_media(20)), max_side=128)
     assert (out[["resized_width", "resized_height"]].max(axis=1) <= 128).all()
 
 
-def test_multimodal_pool_modes_equivalent(ray_session):
-    """pool="tasks" (instance shipped per task; default — the numpy codecs
-    have zero init and the actor pool's spin-up measured 1.4 s alone) and
-    pool="actors" (class + concurrency, the heavy-codec-library shape)
-    must produce identical rows."""
-    import ray.data as rd
-    media = multimodal.make_fake_media(60)
-    key = ["media_id"]
-    for fn, cols in [
-            (multimodal.decode_features_dataset,
-             ["media_id", "payload_bytes", "payload_digest"]),
-            (lambda ds, **kw: multimodal.resize_dataset(ds, max_side=96, **kw),
-             ["media_id", "resized_width", "resized_height"])]:
-        a = fn(rd.from_arrow(media), pool="tasks").to_pandas() \
-            .sort_values(key).reset_index(drop=True)
-        b = fn(rd.from_arrow(media), pool="actors", concurrency=1) \
-            .to_pandas().sort_values(key).reset_index(drop=True)
-        assert a[cols].equals(b[cols])
+def test_resize_metadata_path_null_dims():
+    """Null/zero metadata dims must yield 0, never NaN→int32 garbage
+    (ADVICE r3 — the guard now covers the metadata-only branch too)."""
+    tbl = pa.table({
+        "media_id": pa.array([1, 2, 3], type=pa.int64()),
+        "payload": pa.array([b"x", b"y", b"z"], type=pa.binary()),
+        "media_type": pa.array(["image"] * 3),
+        "width": pa.array([None, 0, 100], type=pa.int32()),
+        "height": pa.array([50, 0, 200], type=pa.int32()),
+        "sample_rate": pa.nulls(3, pa.int32()),
+    })
+    out = multimodal.ResizeStage(max_side=64)(tbl)
+    assert out["resized_width"].to_pylist() == [0, 0, 32]
+    assert out["resized_height"].to_pylist() == [0, 0, 64]
 
 
 def test_multimodal_real_codecs_gated():
@@ -210,13 +260,6 @@ def test_csv_json_transcript_sources(ray_session, tmp_path):
     out_json = build_enriched_dataset(read_transcripts_json(json_path)).to_pandas()
     assert len(out_json) == 500
     assert sorted(out_json["conv_id"]) == sorted(out_csv["conv_id"])
-
-
-def test_frame_sample_plan():
-    from logstash_filter_translate_ray.functions.multimodal import frame_sample_plan
-    assert frame_sample_plan(100, every=10) == list(range(0, 100, 10))
-    assert frame_sample_plan(5, every=10) == [0]
-    assert frame_sample_plan(0) == []
 
 
 def test_json_fanout_sink(ray_session, tmp_path):
@@ -396,10 +439,10 @@ def test_simhash_pairs_banding_recall(ray_session):
                     "text": texts})
     got = dedup.simhash_pairs(rd.from_arrow(tbl), max_hamming=3,
                               hot_cap=None).to_pandas()
-    sims = {i: dedup.simhash64(t) for i, t in enumerate(texts)}
-    want = {(a, b): dedup.hamming64(sims[a], sims[b])
+    sims = {i: simhash64(t) for i, t in enumerate(texts)}
+    want = {(a, b): hamming64(sims[a], sims[b])
             for a, b in itertools.combinations(range(len(texts)), 2)
-            if dedup.hamming64(sims[a], sims[b]) <= 3}
+            if hamming64(sims[a], sims[b]) <= 3}
     got_map = {(a, b): h for a, b, h in
                zip(got["id_a"], got["id_b"], got["hamming"])}
     assert got_map == want
@@ -415,7 +458,7 @@ def test_shingle_hashes_arbitrary_k():
     from splitmix64; k <= 8 hashes are unchanged by the extension."""
     text = "a b c d e f g h i j k l m n o p"
     for k in (3, 8, 12, 20):    # 20 > word count → single combined shingle
-        sh = dedup.shingle_hashes(text, k=k)
+        sh, _ = dedup.shingle_hashes_batch([text], k=k)
         words = len(text.split())
         assert len(sh) == max(words - k + 1, 1)
     # pinned: extending the table must not change small-k hashes
@@ -519,7 +562,7 @@ def test_ivf_centroid_cache_invalidates_on_file_change(emb_ds, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cross-dataset (incremental) dedup: exact anti-join + bloom pre-filter
+# cross-dataset (incremental) dedup: exact content-hash anti-join
 # ---------------------------------------------------------------------------
 
 def test_incremental_dedup_exact(ray_session):
@@ -532,31 +575,6 @@ def test_incremental_dedup_exact(ray_session):
     out = dedup.incremental_dedup(new, seen).to_pandas()
     assert sorted(out["doc_id"]) == [11, 13]        # gamma, delta survive
     assert sorted(out.columns) == ["doc_id", "text"]
-
-
-def test_bloom_no_false_negatives_and_fp_rate(ray_session):
-    """Every seen doc must be flagged (no false negatives); on disjoint
-    new docs the drop rate stays near the theoretical FP bound."""
-    import ray.data as rd
-    n_seen, n_new = 2000, 2000
-    seen_t = pa.table({"doc_id": list(range(n_seen)),
-                       "text": [f"seen doc {i} xyz" for i in range(n_seen)]})
-    new_t = pa.table({"doc_id": list(range(n_new)),
-                      "text": [f"new doc {i} abc" for i in range(n_new)]})
-    bloom = dedup.build_seen_bloom(rd.from_arrow(seen_t), n_bits=1 << 18,
-                                   k=7)
-    # no false negatives: re-filtering the seen set drops EVERYTHING
-    kept_seen = dedup.bloom_filter_dedup(rd.from_arrow(seen_t),
-                                         bloom).count()
-    assert kept_seen == 0
-    # disjoint new set: drops ≈ fp rate; (1-e^{-kn/m})^k ≈ 2.6e-6 at these
-    # params — allow a generous 1% bound
-    kept_new = dedup.bloom_filter_dedup(rd.from_arrow(new_t), bloom).count()
-    assert kept_new >= n_new * 0.99
-    # survivors of the bloom are guaranteed-new: exact verify agrees
-    exact = dedup.incremental_dedup(rd.from_arrow(new_t),
-                                    rd.from_arrow(seen_t)).count()
-    assert exact == n_new
 
 
 def test_incremental_dedup_empty_edges(ray_session):
@@ -650,7 +668,7 @@ def test_ppm_bmp_wav_roundtrip():
     assert np.array_equal(multimodal.decode_bmp(multimodal.encode_bmp(img)),
                           img)
     samples = (rng.randn(1234) * 3000).astype(np.int16)
-    out, rate = multimodal.decode_wav(multimodal.encode_wav(samples, 8000))
+    out, rate = multimodal.decode_wav(encode_wav(samples, 8000))
     assert rate == 8000 and np.array_equal(out, samples)
     # comment + multi-space PPM headers parse too
     hdr = b"P6\n# a comment\n7  13\n255\n" + img.tobytes()
@@ -658,7 +676,7 @@ def test_ppm_bmp_wav_roundtrip():
 
 
 def test_real_decode_and_resize_through_ray(ray_session):
-    """Actor-pool decode + REAL pixel resize over mixed-format payloads."""
+    """REAL decode + pixel resize over mixed-format payloads."""
     import ray.data as rd
     rng = np.random.RandomState(5)
     img_big = rng.randint(0, 256, (64, 48, 3)).astype(np.uint8)
@@ -668,7 +686,7 @@ def test_real_decode_and_resize_through_ray(ray_session):
         "media_id": pa.array([1, 2, 3], type=pa.int64()),
         "payload": pa.array([multimodal.encode_ppm(img_big),
                              multimodal.encode_bmp(img_small),
-                             multimodal.encode_wav(wav, 16000)],
+                             encode_wav(wav, 16000)],
                             type=pa.binary()),
         "media_type": pa.array(["image", "image", "audio"]),
         "width": pa.array([48, 8, None], type=pa.int32()),
@@ -677,26 +695,25 @@ def test_real_decode_and_resize_through_ray(ray_session):
     })
     ds = rd.from_arrow(tbl)
     feats = multimodal.decode_features_dataset(
-        ds, concurrency=1, use_real_codecs=True).to_pandas() \
+        ds, use_real_codecs=True).to_pandas() \
         .set_index("media_id")
     # image features: channel means in [0,1]; audio: duration == 1.0 s
     f1 = feats.loc[1, "features"]
     assert 0.3 < f1[0] < 0.7 and abs(f1[0] - img_big[..., 0].mean() / 255) < 1e-3
     f3 = feats.loc[3, "features"]
     assert abs(f3[2] - 1.0) < 1e-6              # 16000 samples @ 16 kHz
-    resized = multimodal.resize_dataset(
-        ds, max_side=32, concurrency=1, use_real_codecs=True).to_pandas() \
+    out = resized(ds, max_side=32, use_real_codecs=True) \
         .set_index("media_id")
-    out_img = multimodal.decode_ppm(resized.loc[1, "payload"])
+    out_img = multimodal.decode_ppm(out.loc[1, "payload"])
     assert out_img.shape == (32, 24, 3)         # 64x48 → fit 32
-    assert (resized.loc[1, "resized_width"],
-            resized.loc[1, "resized_height"]) == (24, 32)
+    assert (out.loc[1, "resized_width"],
+            out.loc[1, "resized_height"]) == (24, 32)
     # nearest-neighbor: every output pixel exists in the source
     assert np.array_equal(out_img[0, 0],
                           img_big[0, 0])        # corner maps to corner
-    small_out = multimodal.decode_bmp(resized.loc[2, "payload"])
+    small_out = multimodal.decode_bmp(out.loc[2, "payload"])
     assert small_out.shape == (8, 8, 3)         # under max_side: unchanged
-    assert bytes(resized.loc[3, "payload"])[:4] == b"RIFF"  # passthrough
+    assert bytes(out.loc[3, "payload"])[:4] == b"RIFF"  # passthrough
 
 
 def test_incremental_dedup_join_path_matches_broadcast(ray_session):
@@ -852,72 +869,14 @@ def test_png_through_feature_and_resize_stages(ray_session):
     for c in range(3):      # gray replicates across channels
         assert abs(feats.loc[1, "features"][c] - gray_mean) < 1e-6
 
-    resized = multimodal.resize_dataset(
-        rd.from_arrow(tbl), max_side=16, use_real_codecs=True).to_pandas() \
+    out = resized(rd.from_arrow(tbl), max_side=16, use_real_codecs=True) \
         .sort_values("media_id").reset_index(drop=True)
-    out0 = multimodal.decode_png(resized.loc[0, "payload"])
+    out0 = multimodal.decode_png(out.loc[0, "payload"])
     assert out0.shape == (10, 16, 3)            # 60x40 → 16x10, still RGB
-    out2 = multimodal.decode_png(resized.loc[2, "payload"])
+    out2 = multimodal.decode_png(out.loc[2, "payload"])
     assert out2.shape == (16, 16, 4)            # RGBA preserved
-    assert (resized.loc[0, "resized_width"],
-            resized.loc[0, "resized_height"]) == (16, 10)
-
-
-def test_rawv_roundtrip_and_single_frame_read():
-    rng = np.random.RandomState(7)
-    frames = rng.randint(0, 256, (9, 12, 16, 3)).astype(np.uint8)
-    payload = multimodal.encode_rawv(frames)
-    assert multimodal.rawv_info(payload) == (9, 16, 12)
-    for k in (0, 4, 8):
-        assert np.array_equal(multimodal.decode_rawv_frame(payload, k),
-                              frames[k])
-    with pytest.raises(IndexError):
-        multimodal.decode_rawv_frame(payload, 9)
-    with pytest.raises(ValueError):
-        multimodal.rawv_info(b"NOPE" + payload[4:])
-
-
-def test_frame_sample_stage(ray_session):
-    """Video rows fan out to one PPM row per sampled frame; non-video
-    rows pass through unsampled (frame_idx -1); the sampled frames'
-    pixels round-trip exactly; compressed containers raise; composes
-    with DecodeFeatureStage downstream."""
-    import ray.data as rd
-    vids = multimodal.make_fake_videos(3, n_frames=24, w=8, h=6, seed=3)
-    audio = multimodal.make_fake_media(20, seed=5).filter(
-        pa.compute.equal(pa.compute.field("media_type"), "audio")).slice(0, 2)
-    src = pa.concat_tables([
-        vids, audio.set_column(0, "media_id",
-                               pa.array([100 + i for i in range(len(audio))],
-                                        type=pa.int64()))])
-    out = multimodal.frame_sample_dataset(
-        rd.from_arrow(src).repartition(3), every=10).to_pandas()
-    v = out[out["frame_idx"] >= 0]
-    assert sorted(v["frame_idx"].unique().tolist()) == [0, 10, 20]
-    assert len(v) == 3 * 3 and set(v["media_type"]) == {"image"}
-    # pixel-exact: sampled frame k re-decodes to the source frame k
-    p0 = vids["payload"][0].as_py()
-    row = v[(v["media_id"] == 0) & (v["frame_idx"] == 10)].iloc[0]
-    assert np.array_equal(multimodal.decode_ppm(row["payload"]),
-                          multimodal.decode_rawv_frame(p0, 10))
-    # pass-through rows keep their metadata
-    a = out[out["frame_idx"] < 0]
-    assert len(a) == len(audio) and set(a["media_type"]) == {"audio"}
-    assert a["sample_rate"].notna().all()
-    # frames compose with the image feature stage
-    feats = multimodal.decode_features_dataset(
-        rd.from_arrow(pa.Table.from_pandas(v[multimodal.MEDIA_SCHEMA.names],
-                                           preserve_index=False)),
-        use_real_codecs=True).to_pandas()
-    assert len(feats) == 9 and feats["features"].map(len).eq(9).all()
-    # honest gate for compressed containers
-    bad = vids.set_column(1, "payload",
-                          pa.array([b"\x00\x00\x00 ftypmp42" + b"x" * 64] * 3,
-                                   type=pa.binary()))
-    with pytest.raises(Exception) as ei:
-        multimodal.frame_sample_dataset(rd.from_arrow(bad)).to_pandas()
-    assert "NotImplementedError" in str(ei.value) or isinstance(
-        ei.value, NotImplementedError)
+    assert (out.loc[0, "resized_width"],
+            out.loc[0, "resized_height"]) == (16, 10)
 
 
 def test_bucket_candidate_pairs_skip_counter(ray_session):

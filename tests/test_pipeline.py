@@ -413,6 +413,32 @@ def test_declarative_spec_pipeline(ray_session, transcripts_path, tmp_path):
         build_from_spec(bad)
 
 
+def test_spec_csv_input_nulls_match_parquet(ray_session, tmp_path):
+    """A spec's ``format: csv`` input reads empty cells as the transcript
+    CSV source does (an unquoted empty cell is null, a quoted "" and a
+    literal NA are strings), so the same translate spec over a CSV and an
+    equal parquet file gives equal rows."""
+    from logstash_filter_translate_ray.pipelines.spec import build_from_spec
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text('id,tool\n1,\n2,""\n3,NA\n4,search\n')
+    pq_path = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"id": [1, 2, 3, 4],
+                             "tool": [None, "", "NA", "search"]}), pq_path)
+    translate = {"translate": {"source": "tool", "target": "tool_label",
+                               "dictionary": {"": "empty", "NA": "n/a",
+                                              "search": "Web Search"},
+                               "fallback": "none"}}
+
+    def rows(path, fmt):
+        spec = {"input": {"path": path, "format": fmt}, "filters": [translate]}
+        return build_from_spec(spec).to_pandas() \
+            .sort_values("id").reset_index(drop=True)
+
+    got = rows(str(csv_path), "csv")
+    assert got["tool"].tolist() == [None, "", "NA", "search"]
+    pd.testing.assert_frame_equal(got, rows(pq_path, "parquet"))
+
+
 def test_regex_route_dataset(ray_session):
     import ray.data as rd
     from logstash_filter_translate_ray.stages.route import route_dataset

@@ -1,5 +1,6 @@
-"""Round-4 review fixes: sampling fraction-1.0, resize metadata NaN
-guard, %{+timeformat} sprintf reject. The DictionaryService
+"""Round-4 review fixes: sampling fraction-1.0, %{+timeformat} sprintf
+reject. The resize metadata NaN guard test lives in
+tests/test_functions.py; the DictionaryService
 cross-handle consistency test lives in tests/test_dictionary.py; the
 knn_join, exact/LSH near-dup and IVF centroid tests live in
 tests/test_similarity.py; the grouped_quantiles null/distributed guards
@@ -7,7 +8,7 @@ and the window null-key tests live in tests/test_null_keys.py; the
 hot-cap skip-counter and join-operand tests live in
 tests/test_functions.py; the five kernel schema / value-unify tests
 live in tests/test_kernel.py; the JSON fan-out sink test lives in
-tests/test_route.py. 15 tests remain here."""
+tests/test_route.py. 14 tests remain here."""
 
 import numpy as np
 import pandas as pd
@@ -24,24 +25,6 @@ def test_hash_sample_fraction_one_keeps_nulls(ray_session):
     # a rate-1.0 part in weighted_mix is a true no-op
     mixed = weighted_mix([(rd.from_arrow(tbl), 1.0)])
     assert mixed.count() == 4
-
-
-def test_resize_metadata_path_null_dims(ray_session):
-    """Null/zero metadata dims must yield 0, never NaN→int32 garbage
-    (ADVICE r3 — the guard now covers the metadata-only branch too)."""
-    from logstash_filter_translate_ray.functions.multimodal import (
-        ResizeStage)
-    tbl = pa.table({
-        "media_id": pa.array([1, 2, 3], type=pa.int64()),
-        "payload": pa.array([b"x", b"y", b"z"], type=pa.binary()),
-        "media_type": pa.array(["image"] * 3),
-        "width": pa.array([None, 0, 100], type=pa.int32()),
-        "height": pa.array([50, 0, 200], type=pa.int32()),
-        "sample_rate": pa.nulls(3, pa.int32()),
-    })
-    out = ResizeStage(max_side=64)(tbl)
-    assert out["resized_width"].to_pylist() == [0, 0, 32]
-    assert out["resized_height"].to_pylist() == [0, 0, 64]
 
 
 def test_sprintf_timeformat_rejected():
