@@ -39,6 +39,21 @@ def md5_bucket_array(col, buckets: int = DEFAULT_BUCKETS) -> np.ndarray:
         dtype=np.int64, count=len(vals))
 
 
+def hash_sample_block_fn(col: str = "doc_id", fraction: float = 0.1,
+                         buckets: int = DEFAULT_BUCKETS):
+    """:func:`hash_sample` as a block function (``pa.Table`` →
+    ``pa.Table``); ``fraction ≥ 1.0`` is the identity."""
+    if fraction >= 1.0:
+        return lambda t: t
+    cut = int(round(fraction * buckets))
+
+    def fn(t: pa.Table) -> pa.Table:
+        b = md5_bucket_array(t[col], buckets)
+        return t.filter(pa.array(b < cut))
+
+    return fn
+
+
 def hash_sample(ds, col: str = "doc_id", fraction: float = 0.1,
                 buckets: int = DEFAULT_BUCKETS):
     """Deterministic ``fraction`` sample: keep rows whose id bucket falls
@@ -51,24 +66,16 @@ def hash_sample(ds, col: str = "doc_id", fraction: float = 0.1,
     ``weighted_mix`` must be a no-op; its SQL mirror is the bare SELECT)."""
     if fraction >= 1.0:
         return ds
-    cut = int(round(fraction * buckets))
-
-    def fn(t: pa.Table) -> pa.Table:
-        b = md5_bucket_array(t[col], buckets)
-        return t.filter(pa.array(b < cut))
-
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    return ds.map_batches(hash_sample_block_fn(col, fraction, buckets),
+                          batch_format="pyarrow", batch_size=None)
 
 
-def split_column(ds, col: str = "doc_id",
-                 fractions: Sequence[float] = (0.8, 0.1, 0.1),
-                 names: Sequence[str] = ("train", "val", "test"),
-                 buckets: int = DEFAULT_BUCKETS, out: str = "split"):
-    """Append a deterministic train/val/test ``split`` column: cumulative
-    bucket thresholds over the id hash, so membership is stable under
-    re-runs, repartitioning and incremental ingest (a row's split never
-    depends on which other rows are present). Rows with null ids get the
-    LAST split (they fall past every threshold)."""
+def split_block_fn(col: str = "doc_id",
+                   fractions: Sequence[float] = (0.8, 0.1, 0.1),
+                   names: Sequence[str] = ("train", "val", "test"),
+                   buckets: int = DEFAULT_BUCKETS, out: str = "split"):
+    """:func:`split_column` as a block function (``pa.Table`` →
+    ``pa.Table``); bad fractions fail here, at build time."""
     if len(fractions) != len(names) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must match names and sum to 1")
     cuts = np.cumsum(np.round(np.array(fractions) * buckets)).astype(np.int64)
@@ -80,7 +87,20 @@ def split_column(ds, col: str = "doc_id",
         idx = np.searchsorted(cuts, b, side="right")
         return t.append_column(out, pa.array(name_arr[idx], type=pa.string()))
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    return fn
+
+
+def split_column(ds, col: str = "doc_id",
+                 fractions: Sequence[float] = (0.8, 0.1, 0.1),
+                 names: Sequence[str] = ("train", "val", "test"),
+                 buckets: int = DEFAULT_BUCKETS, out: str = "split"):
+    """Append a deterministic train/val/test ``split`` column: cumulative
+    bucket thresholds over the id hash, so membership is stable under
+    re-runs, repartitioning and incremental ingest (a row's split never
+    depends on which other rows are present). Rows with null ids get the
+    LAST split (they fall past every threshold)."""
+    return ds.map_batches(split_block_fn(col, fractions, names, buckets, out),
+                          batch_format="pyarrow", batch_size=None)
 
 
 def weighted_mix(parts: Sequence[tuple], col: str = "doc_id",

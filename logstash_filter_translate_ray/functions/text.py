@@ -323,26 +323,32 @@ def winnow_batch(texts: list, k: int = 5, w: int = 4) \
     return vv, ptr
 
 
+def winnow_table(tbl: pa.Table, col: str = "text", k: int = 5, w: int = 4,
+                 out: str = "fingerprints") -> pa.Table:
+    """Append each row's winnowing fingerprints (:func:`winnow_batch`) as
+    a list column ``out``; null text gives a null list."""
+    texts = tbl[col].to_pylist()
+    vals, ptr = winnow_batch(texts, k, w)
+    offs = ptr.astype(np.int32)
+    # null text → NULL list (not []): a null at offset slot i marks
+    # list i null — winnow_batch treats None as zero fingerprints, so
+    # the offsets already skip it. "" stays a real [] (empty doc).
+    null_rows = [i for i, t in enumerate(texts) if t is None]
+    if null_rows:
+        offs_arr = pa.array(offs, type=pa.int32(),
+                            mask=np.isin(np.arange(len(offs)),
+                                         np.array(null_rows)))
+    else:
+        offs_arr = pa.array(offs, type=pa.int32())
+    lists = pa.ListArray.from_arrays(offs_arr,
+                                     pa.array(vals, type=pa.int64()))
+    return tbl.append_column(out, lists)
+
+
 def winnow_dataset(ds, col: str = "text", k: int = 5, w: int = 4,
                    out: str = "fingerprints"):
-    def _fn(tbl: pa.Table) -> pa.Table:
-        texts = tbl[col].to_pylist()
-        vals, ptr = winnow_batch(texts, k, w)
-        offs = ptr.astype(np.int32)
-        # null text → NULL list (not []): a null at offset slot i marks
-        # list i null — winnow_batch treats None as zero fingerprints, so
-        # the offsets already skip it. "" stays a real [] (empty doc).
-        null_rows = [i for i, t in enumerate(texts) if t is None]
-        if null_rows:
-            offs_arr = pa.array(offs, type=pa.int32(),
-                                mask=np.isin(np.arange(len(offs)),
-                                             np.array(null_rows)))
-        else:
-            offs_arr = pa.array(offs, type=pa.int32())
-        lists = pa.ListArray.from_arrays(offs_arr,
-                                         pa.array(vals, type=pa.int64()))
-        return tbl.append_column(out, lists)
-    return ds.map_batches(_fn, batch_format="pyarrow", batch_size=None)
+    return ds.map_batches(lambda t: winnow_table(t, col, k, w, out),
+                          batch_format="pyarrow", batch_size=None)
 
 
 # ---------------------------------------------------------------------------

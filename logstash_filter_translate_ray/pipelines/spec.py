@@ -44,11 +44,14 @@ Text-analysis filter kinds (LLM-data curation; each appends columns):
     - winnow: {col: text, k: 5, w: 4}
     - simhash: {col: text}
     - keep: {column: quality_score, op: ">=", value: 0.5}   # row filter
+    - select: {columns: [doc_id, text]}     # project
     - sample: {col: doc_id, fraction: 0.1}  # deterministic hash sample
     - split: {col: doc_id, fractions: [0.8, 0.1, 0.1]}  # adds 'split'
 
-so a full curation chain (quality → keep → langid → keep → dedup →
-tokens) is expressible as a spec with no Python.
+A text kind takes exactly its batch function's keywords (``out`` too,
+for fingerprint, langid, simhash and winnow). So a full curation chain
+(quality → keep → langid → keep → dedup → tokens) is expressible as a
+spec with no Python.
 
 Optional post-route clauses (applied in this order):
 
@@ -76,19 +79,24 @@ see tests/test_pipeline.py::test_spec_curation_flagship.
 
 from __future__ import annotations
 
+import functools
+import inspect
+import operator
 import os
-from typing import Any, Optional
+from typing import Callable, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.csv as pacsv
 import ray.data as rd
 
 from ..config import TranslateConfig
 from ..errors import ConfigurationError
+from ..rayutil import anchor_empty_schema, run_chain
 from ..sources.readers import CSV_NULL_OPTIONS
-from ..stages.parse import ExtractRule, GrokRule, ParseConfig, parse_dataset
-from ..stages.route import route_dataset, write_routed
-from ..stages.translate_stage import translate_dataset
+from ..stages.parse import ExtractRule, GrokRule, ParseConfig, parse_block_fn
+from ..stages.route import route_block_fn, write_routed
+from ..stages.translate_stage import translate_block_fn
 
 
 def load_spec(path_or_dict: "str | dict") -> dict:
@@ -103,29 +111,12 @@ def load_spec(path_or_dict: "str | dict") -> dict:
     return yaml.safe_load(text)
 
 
-def _text_stage(name: str):
-    def make(ds, **kw):
-        from ..functions import dedup as _dd
-        from ..functions import text as _tx
-        fns = {"quality": _tx.quality_dataset,
-               "repetition": _tx.repetition_dataset,
-               "langid": _tx.langid_dataset,
-               "tokens": _tx.token_count_dataset,
-               "fingerprint": _tx.fingerprint_dataset,
-               "winnow": _tx.winnow_dataset,
-               "simhash": _dd.simhash_dataset}
-        return fns[name](ds, **kw)
-    return make
+_KEEP_OPS = {">=": pc.greater_equal, ">": pc.greater, "<=": pc.less_equal,
+             "<": pc.less, "==": pc.equal, "!=": pc.not_equal,
+             "in": lambda c, v: pc.is_in(c, value_set=pa.array(list(v)))}
 
 
-_TEXT_STAGES = {k: _text_stage(k) for k in
-                ("quality", "repetition", "langid", "tokens", "fingerprint",
-                 "winnow", "simhash")}
-
-_KEEP_OPS = {">=", ">", "<=", "<", "==", "!=", "in"}
-
-
-def _keep_filter(ds, opts: "dict | None"):
+def _keep_filter(opts: "dict | None") -> Callable[[pa.Table], pa.Table]:
     """Vectorized row filter: keep rows where <column> <op> <value>."""
     if not isinstance(opts, dict):
         raise ConfigurationError(
@@ -144,107 +135,80 @@ def _keep_filter(ds, opts: "dict | None"):
         raise ConfigurationError(f"keep op 'in' needs a list value: {opts}")
 
     def fn(t):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-        c = t[col]
-        if op == "in":
-            mask = pc.is_in(c, value_set=pa.array(list(val)))
-        else:
-            mask = {">=": pc.greater_equal, ">": pc.greater,
-                    "<=": pc.less_equal, "<": pc.less,
-                    "==": pc.equal, "!=": pc.not_equal}[op](c, val)
-        return t.filter(pc.fill_null(mask, False))
+        return t.filter(pc.fill_null(_KEEP_OPS[op](t[col], val), False))
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    return fn
 
 
-def _probe_step(probe, kind: str, opts) -> "pa.Table | None":
-    """Advance the 0-row schema probe through one filter step with the
-    SAME batch kernels the Dataset stages use — so the derived output
-    schema is exact by construction. Returns None (give up the anchor)
-    for steps whose schema this can't derive statically."""
-    if probe is None:
-        return None
-    try:
-        if kind == "translate":
-            o = dict(opts)
-            matched_col = o.pop("matched_col", None)
-            cfg = TranslateConfig(**o)
-            if cfg.dictionary_path:      # file-backed: skip (service-owned)
-                return None
-            from ..kernel import as_snapshot, translate_table
-            return translate_table(probe, cfg, as_snapshot(cfg.dictionary),
-                                   matched_col=matched_col)
-        if kind in ("grok", "extract"):
-            from ..stages.parse import _compile_plan, parse_batch
-            if kind == "grok":
-                rule = GrokRule(source=opts["source"],
-                                pattern=opts["pattern"],
-                                casts=tuple((k, v) for k, v in
-                                            opts.get("casts", {}).items()))
-            else:
-                rule = ExtractRule(out=opts["out"], source=opts["source"],
-                                   pattern=opts["pattern"],
-                                   cast=opts.get("cast"))
-            return parse_batch(probe, _compile_plan(ParseConfig(
-                rules=(rule,))))
-        if kind in ("keep", "sample", "split", "select"):
-            if kind == "split":          # split adds its string column
-                out = (opts or {}).get("out", "split")
-                return probe.append_column(out, pa.array([],
-                                                         type=pa.string()))
-            if kind == "select":
-                return probe.select(list((opts or {}).get("columns", [])))
-            return probe                 # pure row filters: schema unchanged
-    except Exception:
-        return None
-    return None                          # text stages etc.: not derived
+def _step_fn(kind: str, opts) -> Callable[[pa.Table], pa.Table]:
+    """The one builder of a filter step: its block function, with its
+    options validated here, at build time."""
+    if kind == "translate":
+        o = dict(opts)
+        matched_col = o.pop("matched_col", None)
+        return translate_block_fn(TranslateConfig(**o),
+                                  matched_col=matched_col)
+    if kind == "grok":
+        rule = GrokRule(source=opts["source"], pattern=opts["pattern"],
+                        casts=tuple(opts.get("casts", {}).items()))
+        return parse_block_fn(ParseConfig(rules=(rule,)))
+    if kind == "extract":
+        rule = ExtractRule(out=opts["out"], source=opts["source"],
+                           pattern=opts["pattern"], cast=opts.get("cast"))
+        return parse_block_fn(ParseConfig(rules=(rule,)))
+    if kind == "keep":
+        return _keep_filter(opts)
+    if kind == "select":
+        cols = (opts or {}).get("columns")
+        if not cols:
+            raise ConfigurationError(
+                f"select requires a columns list, got {opts!r}")
+        return operator.methodcaller("select", list(cols))
+    from ..functions import dedup, sampling, text
+    opts = dict(opts or {})
+    if kind == "sample":
+        return sampling.hash_sample_block_fn(**opts)
+    if kind == "split":
+        return sampling.split_block_fn(**opts)
+    batch_fns = {"quality": text.quality_batch,
+                 "repetition": text.repetition_batch,
+                 "langid": text.langid_batch,
+                 "tokens": text.token_count_batch,
+                 "fingerprint": text.fingerprint_batch,
+                 "winnow": text.winnow_table,
+                 "simhash": dedup.simhash_batch}
+    if kind not in batch_fns:
+        raise ConfigurationError(f"unknown filter kind {kind!r}")
+    inspect.signature(batch_fns[kind]).bind(None, **opts)  # bad key: fail now
+    return functools.partial(batch_fns[kind], **opts)
 
 
-def _apply_filters(ds, blocks, probe=None):
-    """One row-local filter chain (shared by ``filters`` and
-    ``post_filters``). Returns (ds, probe) — the probe advances through
-    statically-derivable steps and goes None past the rest."""
+def _step_fns(blocks) -> list:
+    fns = []
     for i, blk in enumerate(blocks):
         if len(blk) != 1:
             raise ConfigurationError(
                 f"filter #{i} must have exactly one key, got {list(blk)}")
-        kind, opts = next(iter(blk.items()))
-        probe = _probe_step(probe, kind, opts)
-        if kind == "translate":
-            opts = dict(opts)
-            matched_col = opts.pop("matched_col", None)
-            cfg = TranslateConfig(**opts)
-            ds = translate_dataset(ds, cfg, matched_col=matched_col)
-        elif kind == "grok":
-            rule = GrokRule(source=opts["source"], pattern=opts["pattern"],
-                            casts=tuple((k, v) for k, v in
-                                        opts.get("casts", {}).items()))
-            ds = parse_dataset(ds, ParseConfig(rules=(rule,)))
-        elif kind == "extract":
-            rule = ExtractRule(out=opts["out"], source=opts["source"],
-                               pattern=opts["pattern"],
-                               cast=opts.get("cast"))
-            ds = parse_dataset(ds, ParseConfig(rules=(rule,)))
-        elif kind in _TEXT_STAGES:
-            ds = _TEXT_STAGES[kind](ds, **(opts or {}))
-        elif kind == "keep":
-            ds = _keep_filter(ds, opts)
-        elif kind == "select":
-            cols = (opts or {}).get("columns")
-            if not cols:
-                raise ConfigurationError(
-                    f"select requires a columns list, got {opts!r}")
-            ds = ds.select_columns(list(cols))
-        elif kind == "sample":
-            from ..functions import sampling as _sampling
-            ds = _sampling.hash_sample(ds, **(opts or {}))
-        elif kind == "split":
-            from ..functions import sampling as _sampling
-            ds = _sampling.split_column(ds, **(opts or {}))
-        else:
-            raise ConfigurationError(f"unknown filter kind {kind!r}")
-    return ds, probe
+        fns.append(_step_fn(*next(iter(blk.items()))))
+    return fns
+
+
+def _map_chain(ds, fns: list, probe: "pa.Table | None"):
+    """``fns`` composed into one ``map_batches`` over ``ds``. Returns
+    ``(ds, probe)``: the probe — a 0-row table of ``ds``'s schema, or
+    None — goes through the same composed function, and its schema is
+    anchored onto ``ds`` (Ray 2.49 drops all-empty blocks, so a chain
+    that removes every row would otherwise lose its column list). A
+    probe the chain cannot run anchors nothing."""
+    chain = functools.partial(run_chain, tuple(fns))
+    if fns:
+        ds = ds.map_batches(chain, batch_format="pyarrow", batch_size=None)
+    if probe is not None:
+        try:
+            probe = chain(probe)
+        except Exception:
+            probe = None
+    return anchor_empty_schema(ds, getattr(probe, "schema", None)), probe
 
 
 def _parquet_probe(paths, columns=None):
@@ -264,11 +228,13 @@ def _parquet_probe(paths, columns=None):
 def build_from_spec(spec: "str | dict") -> "rd.Dataset":
     """Spec → lazy Dataset (input → filters → route).
 
-    A parquet-input spec also derives its exact output schema STATICALLY
-    (a 0-row probe table run through the same batch kernels) and anchors
-    it onto the result: Ray 2.49 drops all-empty blocks, so a spec whose
-    filters remove every row would otherwise return a dataset that has
-    lost its column list (``schema()`` None, unwritable sink)."""
+    Each filter kind has one builder (:func:`_step_fn`); the filters and
+    the route are one ``map_batches`` of their composed block functions,
+    like the transcript chain. A parquet-input spec also runs that
+    function over a 0-row table of the input's schema and anchors the
+    result's schema (see :func:`_map_chain`), which also gives the post
+    clauses (dedup/window/aggregate) a schema-stable input. A leading
+    ``select`` is no read projection: ``input.columns`` prunes the read."""
     s = load_spec(spec)
     inp = s.get("input")
     if not inp or "path" not in inp:
@@ -289,23 +255,13 @@ def build_from_spec(spec: "str | dict") -> "rd.Dataset":
     else:
         raise ConfigurationError(f"unknown input format {fmt!r}")
 
-    ds, probe = _apply_filters(ds, s.get("filters", []), probe)
-
+    fns = _step_fns(s.get("filters", []))
     if "route" in s:
         r = s["route"]
-        ds = route_dataset(ds, dict(r["routes"]), key=r.get("key", "role"),
-                           default_route=r.get("default", "other"))
-        if probe is not None:
-            probe = probe.append_column(
-                "route", pa.array([], type=pa.string()))
-
-    # anchor the statically-derived schema — it also gives the post
-    # clauses (dedup/window/aggregate) a schema-stable input, so THEIR
-    # all-empty outputs can derive anchors without executing anything
-    if probe is not None:
-        from ..rayutil import anchor_empty_schema
-        ds = anchor_empty_schema(ds, probe.schema)
-
+        fns.append(route_block_fn(dict(r["routes"]), key=r.get("key", "role"),
+                                  route_col=r.get("route_col", "route"),
+                                  default_route=r.get("default", "other")))
+    ds, probe = _map_chain(ds, fns, probe)
     return _apply_post_clauses(ds, s, probe)
 
 
@@ -323,9 +279,9 @@ def _apply_post_clauses(ds, s: dict, probe=None):
 
     ``probe`` is the 0-row schema table advanced through the row-local
     steps (still valid here: every dedup kind keeps the input's columns).
-    post_filters advance it and RE-ANCHOR — without this, a keep/select
-    post step over an all-empty dataset lost the column list the
-    build_from_spec anchor had restored (found by the spec fuzz)."""
+    post_filters are a second :func:`_map_chain`, which advances it and
+    anchors again — a keep/select post step over an all-empty dataset
+    would otherwise lose the column list the first anchor restored."""
     if "dedup" in s:
         d = dict(s["dedup"])
         kind = d.pop("kind", "exact")
@@ -350,10 +306,7 @@ def _apply_post_clauses(ds, s: dict, probe=None):
     if "post_filters" in s:
         # row-local stages that must see only the dedup SURVIVORS (the
         # curation flagship's token counting runs here)
-        ds, probe = _apply_filters(ds, s["post_filters"], probe)
-        if probe is not None:
-            from ..rayutil import anchor_empty_schema
-            ds = anchor_empty_schema(ds, probe.schema)
+        ds, probe = _map_chain(ds, _step_fns(s["post_filters"]), probe)
 
     if "knn" in s:
         kn = dict(s["knn"])
@@ -420,7 +373,7 @@ def run_spec(spec: "str | dict") -> "Optional[rd.Dataset]":
     # still the result: an aggregate/window clause replaces them with a
     # reduced frame that has no route column, and write_parquet
     # partition_cols would crash on it (review r4)
-    if "route" in s and route_col in (ds.schema().names or []):
+    if "route" in s and route_col in getattr(ds.schema(), "names", ()):
         write_routed(ds, out["path"], route_col=route_col, file_format=fmt)
     elif fmt == "parquet":
         ds.write_parquet(out["path"])
@@ -494,7 +447,6 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
             rd.read_parquet(shard_parquet) if shard_parquet else None)
         if final_ds is not None:
             if not hasattr(final_ds, "write_parquet"):
-                import pandas as _pd
                 final_ds = rd.from_pandas(final_ds)
             import shutil as _shutil
             # remote URIs already rejected at entry (fail-fast check)

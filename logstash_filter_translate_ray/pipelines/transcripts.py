@@ -27,7 +27,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
@@ -35,6 +34,7 @@ import ray.data as rd
 from ..config import TranslateConfig
 from ..checkpoint import parquet_files, run_shards
 from ..kernel import DictSnapshot
+from ..rayutil import run_chain
 from ..stages.aggregate import (conv_turn_counts, grouped_counts,
                                 matched_counts, sink_counts)
 from ..stages.parse import ParseConfig, parse_block_fn
@@ -104,13 +104,6 @@ class TranscriptPipelineConfig:
     conv_dict_size: int = 100_000
 
 
-def _run_chain(fns: tuple, batch: pa.Table) -> pa.Table:
-    """The block functions ``fns`` applied in order."""
-    for fn in fns:
-        batch = fn(batch)
-    return batch
-
-
 def build_enriched_dataset(ds: "rd.Dataset",
                            cfg: Optional[TranscriptPipelineConfig] = None,
                            ) -> "rd.Dataset":
@@ -164,7 +157,7 @@ def build_enriched_dataset(ds: "rd.Dataset",
     # route by role (dictionary-driven, single pass)
     fns.append(route_block_fn(cfg.routes, key="role",
                               default_route=cfg.default_route))
-    chain = functools.partial(_run_chain, tuple(fns))
+    chain = functools.partial(run_chain, tuple(fns))
     out = ds.map_batches(chain, batch_format="pyarrow",
                          batch_size=cfg.batch_size)
     # the file runner hands the chain whole files (≤128k-row batches),

@@ -94,6 +94,14 @@ def input_arrow_schema(ds) -> Optional[pa.Schema]:
         return None
 
 
+def run_chain(fns: tuple, batch: pa.Table) -> pa.Table:
+    """The block functions ``fns`` applied in order: a pipeline's stages
+    composed into one function (``functools.partial(run_chain, fns)``)."""
+    for fn in fns:
+        batch = fn(batch)
+    return batch
+
+
 def anchor_empty_schema(out_ds, schema: Optional[pa.Schema]):
     """Union a zero-row block of ``schema`` onto ``out_ds`` (see module
     docstring). ``schema=None`` (resolution failed) is a pass-through."""

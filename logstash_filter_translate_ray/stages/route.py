@@ -21,6 +21,7 @@ import os
 import uuid
 import weakref
 from typing import Callable
+from urllib.parse import quote
 
 import pyarrow as pa
 import pyarrow.dataset as pads
@@ -192,7 +193,9 @@ def write_routed(ds: "ray.data.Dataset", out_dir: str, *,
                                      f"{route_col}={NULL_ROUTE_DIR}")
                 else:
                     part = batch.filter(pc.equal(batch[route_col], r))
-                    d = os.path.join(out_dir, f"{route_col}={r}")
+                    # percent-encoded, as Arrow's hive directories are
+                    d = os.path.join(out_dir,
+                                     f"{route_col}={quote(str(r), safe='')}")
                 rows = part.to_pylist()
                 payload = "\n".join(
                     _json.dumps(row, default=str) for row in rows) + "\n"

@@ -8,8 +8,10 @@ The same slices then run as the blocks of one Ray Dataset through
 of the examples its config carries the prebuilt snapshot instead of the
 dict. Owns a Ray session."""
 import dataclasses
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import pyarrow as pa
 import ray
 import ray.data as rd

@@ -1,8 +1,10 @@
 """Differential fuzz: typed SOURCE columns (int, float, bool) through the
 full kernel vs the row oracle — S3 key coercion (Ruby to_s) must agree,
 including integral floats ('2.0'), bools ('true'), and negative zero."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 from hypothesis import given, settings, strategies as st, HealthCheck
 
 from logstash_filter_translate_ray import TranslateConfig

@@ -3,8 +3,10 @@
 agree on per-string match decisions — the kernel mixes them (RE2 group
 prefilter + Python first-match resolve), so disagreement silently
 reorders or drops matches."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import pyarrow as pa
 import pyarrow.compute as pc
 from hypothesis import given, settings, strategies as st, HealthCheck

@@ -15,7 +15,8 @@ import os
 import sys
 import tempfile
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import csv as csvmod
 
 from hypothesis import given, settings, strategies as st, HealthCheck

@@ -1,8 +1,10 @@
 """Aggressive one-off differential fuzz: unicode alphabets (incl. astral,
 combining, RTL), regex-special characters in values, bigger dicts/rows,
 sprintf fallbacks with nested refs."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import string
 from hypothesis import given, settings, strategies as st, HealthCheck
 

@@ -1,8 +1,10 @@
 """Round 2 of the aggressive differential fuzz: regex strategies with a
 generated valid-pattern grammar, the array-of-maps shape, nested targets,
 nil_is_present, and unicode payloads."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 from hypothesis import given, settings, strategies as st, HealthCheck
 
 from logstash_filter_translate_ray import TranslateConfig

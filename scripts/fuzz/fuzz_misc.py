@@ -1,7 +1,9 @@
 """Combined long fuzz: winnow batch-vs-scalar, dialect, yaml, sprintf,
 blocks, kernel — high example counts for a background soak."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 from hypothesis import given, settings, strategies as st, HealthCheck
 
 S = settings(max_examples=800, deadline=None,

@@ -1,8 +1,10 @@
 """Differential fuzz: grouped_quantiles (driver merge and distributed
 fallback) vs DuckDB on adversarial values (negative, .005 ties, nulls,
 null keys)."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import duckdb
 import numpy as np
 import pandas as pd

@@ -8,9 +8,11 @@ hash_sample filter / split_column assignment match the SQL mirrors row for
 row. Pure-kernel (no Ray): exercises md5_bucket_array + the cut/searchsorted
 logic directly.
 """
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import duckdb
 import numpy as np
 import pyarrow as pa

@@ -15,8 +15,9 @@ import shutil
 import sys
 import tempfile
 
-sys.path.insert(0, "/root/repo")
-sys.path.insert(0, "/root/repo/scripts/fuzz")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import duckdb
 import numpy as np
 import pyarrow as pa

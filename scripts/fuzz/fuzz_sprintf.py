@@ -1,8 +1,10 @@
 """Differential fuzz: sprintf_column (vectorized) vs sprintf_row (oracle)
 over tables with int/float/string/bool/timestamp/list/struct columns,
 nested refs, unresolved refs, unicode literals."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import datetime
 import numpy as np
 import pyarrow as pa

@@ -1,7 +1,9 @@
 """Differential fuzz: window ops vs DuckDB on adversarial tables (null
 ts, null keys, duplicate (ts,id) neighborhoods, single-row keys)."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import duckdb
 import numpy as np
 import pandas as pd

@@ -1,8 +1,10 @@
 """Differential fuzz: streaming_yaml_pairs vs one-shot YAML load must
 produce identical items for any YAML document produced by yaml.safe_dump
 of scalars/lists/dicts (the loader equality the engine promises)."""
+import os
 import sys
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", ".."))
 import yaml
 from hypothesis import given, settings, strategies as st, HealthCheck
 

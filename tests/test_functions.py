@@ -262,17 +262,6 @@ def test_csv_json_transcript_sources(ray_session, tmp_path):
     assert sorted(out_json["conv_id"]) == sorted(out_csv["conv_id"])
 
 
-def test_json_fanout_sink(ray_session, tmp_path):
-    import os
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.route import write_routed
-    tbl = pa.table({"x": [1, 2, 3], "route": ["a", "a", "b"]})
-    out = str(tmp_path / "j")
-    write_routed(rd.from_arrow(tbl), out, file_format="json")
-    parts = sorted(p for p in os.listdir(out) if p.startswith("route="))
-    assert parts == ["route=a", "route=b"]
-
-
 def test_ivf_topk_contains_self_and_close_to_exact(emb_ds):
     from logstash_filter_translate_ray.functions.similarity import (
         brute_force_topk, ivf_topk)
@@ -304,6 +293,27 @@ def test_winnow_dataset_column(docs_ds):
     from logstash_filter_translate_ray.functions.text import winnow_dataset
     out = winnow_dataset(docs_ds.limit(20)).to_pandas()
     assert out["fingerprints"].map(len).gt(0).all()
+
+
+def test_langid_and_winnow_null_text(ray_session):
+    """null ⇔ absent: langid(null) = null (the SQL CASE is guarded the
+    same way) and winnow(null) = null list, not []."""
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions.text import (
+        langid_batch, winnow_dataset, winnow_fingerprints)
+    tbl = pa.table({"doc_id": pa.array([1, 2, 3], type=pa.int64()),
+                    "text": ["the cat and the hat", None, ""]})
+    out = langid_batch(tbl)
+    assert out["lang_pred"].to_pylist() == ["en", None, "und"]
+    fps = {}                    # arrow iteration: Ray's pandas conversion
+    for b in winnow_dataset(rd.from_arrow(tbl)) \
+            .iter_batches(batch_format="pyarrow"):   # trips on null lists
+        fps.update(zip(b["doc_id"].to_pylist(),
+                       b["fingerprints"].to_pylist()))
+    assert fps[1] is not None and len(fps[1]) > 0
+    assert fps[2] is None                       # null text → null list
+    assert fps[3] is not None and len(fps[3]) == 0   # "" → real []
+    assert winnow_fingerprints(None) is None    # scalar path parity
 
 
 def test_embedding_neardup_exact_is_distributed_blockwise(emb_ds):
@@ -607,6 +617,17 @@ def test_hash_sample_deterministic_and_fractional(docs_ds):
     small = set(sampling.hash_sample(docs_ds, fraction=0.05)
                 .to_pandas()["doc_id"])
     assert small <= set(a)
+
+
+def test_hash_sample_fraction_one_keeps_nulls(ray_session):
+    import ray.data as rd
+    from logstash_filter_translate_ray.functions.sampling import (
+        hash_sample, weighted_mix)
+    tbl = pa.table({"doc_id": pa.array([1, 2, None, 4], type=pa.int64())})
+    assert hash_sample(rd.from_arrow(tbl), fraction=1.0).count() == 4
+    # a rate-1.0 part in weighted_mix is a true no-op
+    mixed = weighted_mix([(rd.from_arrow(tbl), 1.0)])
+    assert mixed.count() == 4
 
 
 def test_split_column_partition_and_stability(docs_ds):

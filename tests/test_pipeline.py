@@ -25,6 +25,7 @@ from logstash_filter_translate_ray.stages.translate_stage import (
     translate_block_fn, translate_dataset)
 
 N_TURNS = 5_000
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +407,13 @@ def test_declarative_spec_pipeline(ray_session, transcripts_path, tmp_path):
                    if p.startswith("route="))
     assert len(parts) == 4
 
+    # route.route_col names both the route column and the sink's dirs
+    spec["route"] = {**spec["route"], "route_col": "sink"}
+    spec["output"] = {"path": str(tmp_path / "out_sink")}
+    run_spec(spec)
+    assert sorted(os.listdir(str(tmp_path / "out_sink"))) == [
+        p.replace("route=", "sink=") for p in parts]
+
     # config validation errors surface with plugin semantics
     bad = dict(spec)
     bad["filters"] = [{"translate": {"dictionary": {"a": "b"}}}]
@@ -592,7 +600,7 @@ def test_spec_curation_chain_matches_programmatic(ray_session, sf_dir):
     """The declarative text-analysis + keep + dedup spec reproduces the
     programmatic curation pipeline (q_curation_pipeline) row for row."""
     import sys
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     import __ray_entry__ as em
     from logstash_filter_translate_ray.pipelines.spec import build_from_spec
 
@@ -813,10 +821,9 @@ def test_spec_quantiles_aggregate_and_example_yaml(ray_session, tmp_path):
     }).to_pandas()
     assert {"event_type", "p50", "p90"} <= set(res.columns)
     # the shipped example spec parses and runs end-to-end
-    spec = load_spec("/root/repo/docs/examples/curation.yaml")
+    spec = load_spec(os.path.join(REPO, "docs", "examples", "curation.yaml"))
     spec["output"]["path"] = str(tmp_path / "curated")
     assert run_spec(spec) is None
-    import os
     assert any(f.endswith(".parquet")
                for f in os.listdir(str(tmp_path / "curated")))
 
@@ -1043,6 +1050,116 @@ def test_spec_post_filters_keep_schema_on_empty(ray_session, tmp_path):
     agg = build_from_spec(spec)
     sch2 = agg.schema()
     assert sch2 is not None and sch2.names == ["user_id", "n"]
+
+
+# one filter block per spec filter kind, over make_transcripts' columns;
+# "translate_file" reads its dictionary from a CSV file (tmp_path)
+SPEC_STEPS = {
+    "translate": {"translate": {"source": "tool", "target": "tool_label",
+                                "dictionary": {"search": "Web Search"},
+                                "fallback": "none"}},
+    "translate_file": {"translate": {"source": "tool",
+                                     "target": "tool_label",
+                                     "dictionary_path": "{dict_csv}"}},
+    "grok": {"grok": {"source": "text", "pattern": r"(?P<num>\d+)",
+                      "casts": {"num": "int64"}}},
+    "extract": {"extract": {"out": "n", "source": "text",
+                            "pattern": r"(\d+)", "cast": "int64"}},
+    "quality": {"quality": {}},
+    "repetition": {"repetition": {}},
+    "langid": {"langid": {}},
+    "tokens": {"tokens": {"col": "text"}},
+    "fingerprint": {"fingerprint": {"out": "fp"}},
+    "winnow": {"winnow": {"k": 4, "w": 3}},
+    "simhash": {"simhash": {}},
+    "keep": {"keep": {"column": "turn_idx", "op": ">=", "value": 1}},
+    "select": {"select": {"columns": ["role", "text", "turn_idx"]}},
+    "sample": {"sample": {"col": "turn_idx", "fraction": 0.5}},
+    "split": {"split": {"col": "conv_id"}},
+}
+
+
+@pytest.mark.parametrize("route", [False, True], ids=["plain", "routed"])
+@pytest.mark.parametrize("kind", list(SPEC_STEPS))
+def test_spec_step_schema_same_when_empty(ray_session, tmp_path, kind,
+                                          route):
+    """Every filter kind, with and without a route: a spec whose leading
+    keep drops every row has the same schema (names and types) as the
+    spec over the rows — the schema probe runs each step's own block
+    function, so text kinds and file-backed translates anchor too."""
+    import json
+    import pyarrow.parquet as pq
+
+    from logstash_filter_translate_ray.pipelines.spec import build_from_spec
+    from logstash_filter_translate_ray.sources import make_transcripts
+
+    path = str(tmp_path / "in.parquet")
+    pq.write_table(make_transcripts(200, seed=3), path)
+    dict_csv = tmp_path / "tools.csv"
+    dict_csv.write_text("search,Web Search\ncode,Code\n")
+    step = json.loads(json.dumps(SPEC_STEPS[kind])
+                      .replace("{dict_csv}", str(dict_csv)))
+    spec = {"input": {"path": path}, "filters": [step]}
+    if route:
+        spec["route"] = {"key": "role", "routes": {"user": "u"}}
+    drop_all = {"keep": {"column": "turn_idx", "op": "<", "value": -1}}
+    full = build_from_spec(spec)
+    empty = build_from_spec({**spec, "filters": [drop_all, step]})
+    assert empty.count() == 0 and full.count() > 0
+    want, got = full.schema(), empty.schema()
+    assert got is not None, kind
+    assert (got.names, got.types) == (want.names, want.types)
+    assert ("route" in got.names) == route
+
+
+def test_run_spec_empty_unanchored_result_writes_nothing(ray_session,
+                                                         tmp_path):
+    """A CSV input has no schema probe: a keep that drops every row, then
+    a route, leave a result with no schema. The routed sink check must
+    not crash on it (AttributeError on None.names); nothing is written."""
+    from logstash_filter_translate_ray.pipelines.spec import run_spec
+
+    src = tmp_path / "in.csv"
+    src.write_text("doc_id,role,text\n1,user,hi\n2,assistant,yo\n")
+    for fmt in ("parquet", "json"):
+        out = tmp_path / f"out_{fmt}"
+        assert run_spec({
+            "input": {"path": str(src), "format": "csv"},
+            "filters": [{"keep": {"column": "doc_id", "op": ">",
+                                  "value": 100}}],
+            "route": {"key": "role", "routes": {"user": "u"}},
+            "output": {"path": str(out), "format": fmt}}) is None
+        assert not out.exists() or not any(
+            f.is_file() for f in out.rglob("*")), fmt
+
+
+def test_run_spec_aggregate_sink_and_json_format(ray_session, tmp_path):
+    """route + aggregate: the reduced frame has no route column, so the
+    sink writes flat (previously write_parquet(partition_cols=['route'])
+    crashed); format: json without route writes JSONL."""
+    import glob
+    import pyarrow.parquet as pq
+    from logstash_filter_translate_ray.pipelines.spec import run_spec
+    src = tmp_path / "in.parquet"
+    pq.write_table(pa.table({
+        "conv_id": ["c1", "c1"], "turn_idx": [0, 1],
+        "role": ["user", "assistant"], "text": ["hi", "yo"],
+        "tool": ["", ""],
+        "ts": pa.array([1, 2], type=pa.timestamp("us"))}), str(src))
+    spec = {"input": {"path": str(src)},
+            "route": {"key": "role", "routes": {"user": "u"},
+                      "default_route": "other"},
+            "aggregate": {"group_by": ["role"]},
+            "output": {"path": str(tmp_path / "agg_out")}}
+    run_spec(spec)
+    got = pq.read_table(str(tmp_path / "agg_out")).to_pylist()
+    assert sorted(r["role"] for r in got) == ["assistant", "user"]
+    spec2 = {"input": {"path": str(src)},
+             "output": {"path": str(tmp_path / "json_out"),
+                        "format": "json"}}
+    run_spec(spec2)
+    files = glob.glob(str(tmp_path / "json_out" / "*"))
+    assert files and all(not f.endswith(".parquet") for f in files)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Round-4 review fixes: sampling fraction-1.0, %{+timeformat} sprintf
-reject. The resize metadata NaN guard test lives in
-tests/test_functions.py; the DictionaryService
+"""Round-4 review fixes: %{+timeformat} sprintf reject, Ruby regex
+flags, sprintf containers, YAML and CSV parsing, field refs, error
+isolation, parse rules, zscore null keys. The resize metadata NaN guard,
+hash_sample fraction-1.0 and langid/winnow null-text tests live in
+tests/test_functions.py; the run_spec aggregate/JSON sink test lives in
+tests/test_pipeline.py; the DictionaryService
 cross-handle consistency test lives in tests/test_dictionary.py; the
 knn_join, exact/LSH near-dup and IVF centroid tests live in
 tests/test_similarity.py; the grouped_quantiles null/distributed guards
@@ -8,23 +11,12 @@ and the window null-key tests live in tests/test_null_keys.py; the
 hot-cap skip-counter and join-operand tests live in
 tests/test_functions.py; the five kernel schema / value-unify tests
 live in tests/test_kernel.py; the JSON fan-out sink test lives in
-tests/test_route.py. 14 tests remain here."""
+tests/test_route.py. 11 tests remain here."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-
-
-def test_hash_sample_fraction_one_keeps_nulls(ray_session):
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.sampling import (
-        hash_sample, weighted_mix)
-    tbl = pa.table({"doc_id": pa.array([1, 2, None, 4], type=pa.int64())})
-    assert hash_sample(rd.from_arrow(tbl), fraction=1.0).count() == 4
-    # a rate-1.0 part in weighted_mix is a true no-op
-    mixed = weighted_mix([(rd.from_arrow(tbl), 1.0)])
-    assert mixed.count() == 4
 
 
 def test_sprintf_timeformat_rejected():
@@ -127,35 +119,6 @@ def test_streaming_yaml_octal_matches_one_shot():
     assert _coerce_plain_scalar("00") == 0
 
 
-def test_run_spec_aggregate_sink_and_json_format(ray_session, tmp_path):
-    """route + aggregate: the reduced frame has no route column, so the
-    sink writes flat (previously write_parquet(partition_cols=['route'])
-    crashed); format: json without route writes JSONL."""
-    import glob
-    import pyarrow.parquet as pq
-    from logstash_filter_translate_ray.pipelines.spec import run_spec
-    src = tmp_path / "in.parquet"
-    pq.write_table(pa.table({
-        "conv_id": ["c1", "c1"], "turn_idx": [0, 1],
-        "role": ["user", "assistant"], "text": ["hi", "yo"],
-        "tool": ["", ""],
-        "ts": pa.array([1, 2], type=pa.timestamp("us"))}), str(src))
-    spec = {"input": {"path": str(src)},
-            "route": {"key": "role", "routes": {"user": "u"},
-                      "default_route": "other"},
-            "aggregate": {"group_by": ["role"]},
-            "output": {"path": str(tmp_path / "agg_out")}}
-    run_spec(spec)
-    got = pq.read_table(str(tmp_path / "agg_out")).to_pylist()
-    assert sorted(r["role"] for r in got) == ["assistant", "user"]
-    spec2 = {"input": {"path": str(src)},
-             "output": {"path": str(tmp_path / "json_out"),
-                        "format": "json"}}
-    run_spec(spec2)
-    files = glob.glob(str(tmp_path / "json_out" / "*"))
-    assert files and all(not f.endswith(".parquet") for f in files)
-
-
 def test_malformed_field_ref_raises():
     from logstash_filter_translate_ray.errors import ConfigurationError
     from logstash_filter_translate_ray.fieldref import parse_field_ref
@@ -255,27 +218,6 @@ def test_csv_quoted_empty_vs_unquoted_null(ray_session, tmp_path):
     tools = out["tool"].tolist()
     assert pd.isna(tools[0])               # unquoted empty → null
     assert tools[1] == ""                  # quoted "" survives
-
-
-def test_langid_and_winnow_null_text(ray_session):
-    """null ⇔ absent: langid(null) = null (the SQL CASE is guarded the
-    same way) and winnow(null) = null list, not []."""
-    import ray.data as rd
-    from logstash_filter_translate_ray.functions.text import (
-        langid_batch, winnow_dataset, winnow_fingerprints)
-    tbl = pa.table({"doc_id": pa.array([1, 2, 3], type=pa.int64()),
-                    "text": ["the cat and the hat", None, ""]})
-    out = langid_batch(tbl)
-    assert out["lang_pred"].to_pylist() == ["en", None, "und"]
-    fps = {}                    # arrow iteration: Ray's pandas conversion
-    for b in winnow_dataset(rd.from_arrow(tbl)) \
-            .iter_batches(batch_format="pyarrow"):   # trips on null lists
-        fps.update(zip(b["doc_id"].to_pylist(),
-                       b["fingerprints"].to_pylist()))
-    assert fps[1] is not None and len(fps[1]) > 0
-    assert fps[2] is None                       # null text → null list
-    assert fps[3] is not None and len(fps[3]) == 0   # "" → real []
-    assert winnow_fingerprints(None) is None    # scalar path parity
 
 
 def test_zscore_outliers_null_key_rows_dropped_like_oracle(ray_session):

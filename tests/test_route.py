@@ -109,20 +109,26 @@ def test_write_routed_json_null_routes_and_identical_blocks(
     """Null-route rows must land in the hive null partition (they were
     silently written NOWHERE: pc.equal(col, None) is an all-null mask that
     filter drops) and two blocks with byte-identical payloads must yield
-    two files (content-hash-only names collapsed them → row loss)."""
+    two files (content-hash-only names collapsed them → row loss). Route
+    labels are percent-encoded into the same directories as the parquet
+    sink's."""
     import ray.data as rd
     from logstash_filter_translate_ray.stages.route import (NULL_ROUTE_DIR,
                                                             write_routed)
-    blk = pa.table({"route": pa.array(["a", None]),
-                    "v": pa.array([1, 2], type=pa.int64())})
+    labels = ["a", None, *ROUTES.values()]
+    blk = pa.table({"route": pa.array(labels),
+                    "v": pa.array(range(len(labels)), type=pa.int64())})
     ds = rd.from_arrow([blk, blk])        # two identical blocks
-    out = str(tmp_path / "sink")
+    out, parquet_out = str(tmp_path / "sink"), str(tmp_path / "parquet")
     write_routed(ds, out, file_format="json")
+    write_routed(ds, parquet_out)
+    assert sorted(os.listdir(out)) == sorted(os.listdir(parquet_out))
+    assert "route=t%2Fu" in os.listdir(out)
     rows = []
     for f in glob.glob(f"{out}/route=*/*.jsonl"):
         with open(f) as fh:
             rows += [json.loads(l) for l in fh if l.strip()]
-    assert len(rows) == 4                  # nothing dropped
+    assert len(rows) == 2 * len(labels)   # nothing dropped
     null_rows = [r for r in rows if r["route"] is None]
     assert len(null_rows) == 2
     assert len(glob.glob(f"{out}/route={NULL_ROUTE_DIR}/*.jsonl")) == 2
