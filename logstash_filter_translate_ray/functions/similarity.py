@@ -97,15 +97,14 @@ def _result(out, schema: pa.Schema, as_dataset: bool):
     import ray
     import ray.data as rd
 
-    if isinstance(out, list):
+    if not isinstance(out, list):
         if as_dataset:
-            return (rd.from_arrow_refs(out) if out
-                    else rd.from_arrow(schema.empty_table()))
-        tables = ray.get(out)         # the task results, no Dataset trip
-    elif as_dataset:
-        return out
-    else:
-        tables = out.iter_batches(batch_format="pyarrow", batch_size=None)
+            return out
+        out = out.to_arrow_refs()     # then one ray.get, no batch iterator
+    if as_dataset:
+        return (rd.from_arrow_refs(out) if out
+                else rd.from_arrow(schema.empty_table()))
+    tables = ray.get(out)             # the task results, no Dataset trip
     # an all-empty Dataset can hand back schema-less zero-row blocks
     tbl = pa.concat_tables([t for t in tables if len(t)]
                            or [schema.empty_table()])
@@ -187,23 +186,22 @@ def brute_force_topk(ds, query: np.ndarray, k: int = 10,
                              id_col: tbl[id_col].slice(0, 0),
                              "score": pa.array([], type=pa.float64())})
         qm = ray.get(q_ref)                       # zero-copy per node
-        m = _unit_rows(tbl, vec_col)
         ids = tbl[id_col].to_numpy(zero_copy_only=False)
-        scores = qm @ m.T                          # Q × B
+        # per-row (score DESC, id ASC) top-kk, as _running_topk selects:
+        # columns pre-sorted by id, the shared selection, then a sort of
+        # the kk-wide candidates (quantized there, never on Q × B)
+        o = np.argsort(ids, kind="stable")
+        ids = ids[o]
+        scores = qm @ _unit_rows(tbl, vec_col)[o].T      # Q × B
         kk = min(k, scores.shape[1])
-        # per-row (score DESC, id ASC) top-kk: one shared id pre-sort,
-        # then a stable per-row argsort over the quantized scores
-        o1 = np.argsort(ids, kind="stable")
-        ids1 = ids[o1]
-        s1 = scores[:, o1]
-        o2 = np.argsort(-np.rint(s1 * 1e12), axis=1, kind="stable")[:, :kk]
-        nq = scores.shape[0]
+        sel = _select_topk_cols(scores, kk)
+        top_s, top_i = _rowwise_sort_desc_tiebreak(
+            np.take_along_axis(scores, sel, axis=1), ids[sel], kk)
         return pa.table({
-            "query_idx": pa.array(np.repeat(np.arange(nq, dtype=np.int32),
-                                            kk)),
-            id_col: pa.array(ids1[o2].reshape(-1)),
-            "score": pa.array(np.take_along_axis(s1, o2, axis=1)
-                              .reshape(-1), type=pa.float64())})
+            "query_idx": pa.array(np.repeat(
+                np.arange(len(qm), dtype=np.int32), kk)),
+            id_col: pa.array(top_i.reshape(-1)),
+            "score": pa.array(top_s.reshape(-1), type=pa.float64())})
 
     partials = ds.map_batches(local_topk, batch_format="pyarrow",
                               batch_size=None).to_pandas()
@@ -319,22 +317,17 @@ def _select_topk_cols(s: np.ndarray, kk: int) -> np.ndarray:
     matmul), so a quantized-equal candidate with a smaller id can sit
     strictly below the raw kth score. Rounding is monotonic, so any pair
     the quantized rule ties across the raw boundary lies within 1e-12 of
-    the raw kth — the 2e-12 band detects a superset, and only those rows
-    pay the exact per-row re-selection. Rare except duplicate vectors."""
+    the raw kth. A row can need the re-selection only when more than
+    ``kk`` columns score ≥ kth − 2e-12 (one compare detects a superset),
+    and only those rows pay the exact per-row re-selection. Rare except
+    duplicate vectors; a -inf kth (the self column) always re-selects."""
     B = s.shape[1]
     if kk >= B:
         return np.broadcast_to(np.arange(B), s.shape).copy()
-    kth = np.partition(s, B - kk, axis=1)[:, B - kk]
     sel = np.argpartition(s, B - kk, axis=1)[:, B - kk:]
-    n_gt = (s > kth[:, None]).sum(axis=1)
-    with np.errstate(invalid="ignore"):     # -inf - -inf → nan: not a tie
-        # one B×B temporary, reused in place for the abs
-        d = np.subtract(s, kth[:, None])
-        np.abs(d, out=d)
-        near = d <= _TIE_BAND
-        del d
-    n_eq = (near | (s == kth[:, None])).sum(axis=1)
-    for r in np.nonzero(n_gt + n_eq > kk)[0]:
+    kth = s[np.arange(len(s)), sel[:, 0]]
+    n_near = (s >= (kth - _TIE_BAND)[:, None]).sum(axis=1)
+    for r in np.nonzero(n_near > kk)[0]:
         qs = np.round(s[r], 12)
         qkth = np.partition(qs, B - kk)[B - kk]
         gt = np.nonzero(qs > qkth)[0]
@@ -348,14 +341,25 @@ def _running_topk(q_ids: np.ndarray, q_m: np.ndarray, chunks, k: int):
     unit rows ``q_m``) against the member rows streamed in as ``chunks``,
     an iterable of ``(ids, unit_matrix)``; self-pairs are excluded. Only
     one chunk's score matrix (len(q_ids) × chunk rows × 8 B) and the
-    ≤5k-wide running state are held at a time — the fold is associative,
-    so how the members are chunked does not change the result.
+    k-wide running state (≤5k wide while a chunk folds in) are held at a
+    time — the fold is associative, so how the members are chunked does
+    not change the result.
+
+    After each chunk the state is every row's k best candidates in
+    (score DESC, id ASC) order, and the raw score of the k-th is the row's
+    FLOOR: a column scoring below floor − ``_TIE_BAND`` quantizes strictly
+    below every candidate, so it cannot enter. A later chunk hands the
+    fold only the columns at or above that band (usually none); a row
+    with more than 4k columns in the band (duplicates, zero vectors), or
+    with fewer than k real candidates so far (floor -inf, e.g. the first
+    chunk), takes the per-chunk top-k selection instead.
 
     Returns (per-query neighbor counts, neighbor ids, raw scores); the
     last two are flat, query by query, in rank order."""
     n = len(q_ids)
     run_s = np.empty((n, 0), dtype=np.float64)
     run_i = np.empty((n, 0), dtype=np.int64)
+    floor = np.full(n, -np.inf)
     for ids, m in chunks:
         if n == 0 or len(ids) == 0:
             continue
@@ -368,21 +372,36 @@ def _running_topk(q_ids: np.ndarray, q_m: np.ndarray, chunks, k: int):
         # raw scores here; _select_topk_cols band-detects quantized
         # boundary ties (identical columns do NOT score bit-identically
         # even in ONE gemm call — remainder-lane FMA order), and
-        # cross-chunk noise collapses at the fold/final sort over the
-        # k-wide candidate arrays (see _rowwise_sort_desc_tiebreak)
+        # cross-chunk noise collapses at the fold over the k-wide
+        # candidate arrays (see _rowwise_sort_desc_tiebreak)
         s = q_m @ m[o].T
         s[q_ids[:, None] == ids[None, :]] = -np.inf     # exclude self
-        sel = _select_topk_cols(s, min(k, s.shape[1]))
-        run_s = np.concatenate(
-            [run_s, np.take_along_axis(s, sel, axis=1)], axis=1)
-        run_i = np.concatenate([run_i, ids[sel]], axis=1)
-        if run_s.shape[1] > 4 * k:              # fold: width stays ≤ 5k
-            run_s, run_i = _rowwise_sort_desc_tiebreak(run_s, run_i, k)
-    # ALWAYS final-sort: per-chunk candidate sets are unordered, and a run
-    # whose total width never exceeded the fold trigger (N ≤ 4k across
-    # several chunks) must still emit ranks in (score DESC, id ASC) order
-    run_s, run_i = _rowwise_sort_desc_tiebreak(
-        run_s, run_i, min(k, run_s.shape[1]))
+        kk = min(k, s.shape[1])
+        hit = s >= (floor - _TIE_BAND)[:, None]
+        cnt = np.count_nonzero(hit, axis=1)
+        full = cnt > 4 * k              # the fold stays ≤ 5k wide
+        cnt[full] = 0
+        width = max(int(cnt.max()), kk if full.any() else 0)
+        if width == 0:                  # nothing reaches any row's floor
+            continue
+        cs = np.full((n, width), -np.inf)
+        ci = np.zeros((n, width), dtype=np.int64)
+        rows = np.flatnonzero(cnt)
+        r, c = np.nonzero(hit[rows])    # row-major: each row's run
+        r = rows[r]
+        pos = _ranks(cnt) - 1
+        cs[r, pos] = s[r, c]
+        ci[r, pos] = ids[c]
+        if full.any():
+            sf = s if full.all() else s[full]   # no copy of a whole tile
+            sel = _select_topk_cols(sf, kk)
+            cs[full, :kk] = np.take_along_axis(sf, sel, axis=1)
+            ci[full, :kk] = ids[sel]
+        run_s, run_i = _rowwise_sort_desc_tiebreak(
+            np.concatenate([run_s, cs], axis=1),
+            np.concatenate([run_i, ci], axis=1), k)
+        if run_s.shape[1] == k:
+            floor = run_s[:, k - 1]
     valid = run_s > -np.inf                     # self-only columns drop out
     return valid.sum(axis=1), run_i[valid], run_s[valid]
 
@@ -440,21 +459,23 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     """IVF-partitioned APPROXIMATE cosine k-NN join — the 100 TB path the
     exact :func:`knn_join` cannot be (its compute is inherently O(N²)).
 
-    Shape (steps 1-2 are Dataset ops, steps 3-4 keyed-group task
-    exchanges; no table is collected into the calling process):
+    Shape (the read's ``materialize`` is the call's only Ray Data
+    execution; the rest are plain tasks and keyed-group task exchanges,
+    and no table is collected into the calling process):
 
     1. Coarse centroids via :func:`build_ivf_centroids` (driver k-means on
-       a ≤``sample_n`` deterministic hash sample; broadcast via
-       ``ray.put``).
-    2. One ``map_batches`` pass routes each vector to its ``n_probe``
-       nearest cells (one matmul per batch against the broadcast
-       centroids). The row is a *member* only of its NEAREST cell and a
-       *query* in all probed cells — so a (query, neighbor) pair can meet
-       in exactly ONE cell (the neighbor's home) and the join emits no
-       duplicate pairs by construction. Shuffle volume is
-       n_probe × (id + raw float32 vector) per row.
+       a ≤``sample_n`` deterministic hash sample, one sample task per
+       materialized block; broadcast via ``ray.put``).
+    2. Each vector routes to its ``n_probe`` nearest cells (one matmul
+       per block against the broadcast centroids), inside step 3's split
+       task (``keyed_groups(pre=route)``), not as a Dataset op. The row
+       is a *member* only of its NEAREST cell and a *query* in all probed
+       cells — so a (query, neighbor) pair can meet in exactly ONE cell
+       (the neighbor's home) and the join emits no duplicate pairs by
+       construction. Shuffle volume is n_probe × (id + raw float32
+       vector) per row.
     3. Keyed-group exchange on the cell (``rayutil.keyed_groups``: one
-       split task per routed block, one reduce task per non-empty bucket
+       split task per input block, one reduce task per non-empty bucket
        of ``num_groups`` — defaults to a SIZE-BASED value so one reduce
        task holds ~200k routed rows rather than a fixed 1/64 of the
        dataset; the exchange runs at call time). Per cell, the exact
@@ -480,9 +501,9 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     """
     import ray
 
-    # materialize ONCE (mirrors knn_join): the lazy plan would otherwise
-    # re-execute the whole upstream chain three times — count(), the
-    # centroid-sample pass, and the route map_batches
+    # materialize ONCE (mirrors knn_join): count(), the centroid sample
+    # and the routing split then read its blocks with no further Ray Data
+    # execution (each one costs more than the plain tasks it would run)
     sub = ds.select_columns([id_col, vec_col]).materialize()
     n_total = sub.count()
     if n_total == 0:            # no rows to sample centroids from
@@ -573,9 +594,8 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
             [t[id_col].filter(keep), pa.array(rank).filter(keep),
              t["_nid"].filter(keep)], schema=_KNN_SCHEMA)
 
-    routed = sub.map_batches(route, batch_format="pyarrow", batch_size=None)
-    cand = keyed_groups(routed, ["_cell"], per_cell_group, cand_schema,
-                        num_groups, order_by=[id_col])
+    cand = keyed_groups(sub, ["_cell"], per_cell_group, cand_schema,
+                        num_groups, order_by=[id_col], pre=route)
     merged = keyed_groups(cand, [id_col], merge_group, _KNN_SCHEMA,
                           num_groups, order_by=["_negq", "_nid"])
     return _result(merged, _KNN_SCHEMA, as_dataset)
@@ -720,40 +740,54 @@ def _ivf_cache_sig(cache_key: str) -> tuple:
         return (cache_key,)
 
 
-def _centroid_sample(ds, sample_n: int, id_col: str, vec_col: str):
+def _sample_rows(t: pa.Table, id_col: str, buckets: int,
+                 cut: int) -> pa.Table:
+    """The rows of one block in the centroid sample: md5 bucket of the id
+    (of ``buckets``) below ``cut``."""
+    from .sampling import md5_bucket_array
+
+    return t.filter(pa.array(md5_bucket_array(t[id_col], buckets) < cut))
+
+
+def _centroid_sample(ds, sample_n: int, id_col: str) -> pa.Table:
     """Deterministic ORDER-INDEPENDENT sample for centroid training: rows
     whose md5-bucketed id falls under the sample fraction (the same
     row-local rule as ``functions.sampling``), sorted by (bucket, id) and
     trimmed to ``sample_n``. Unlike the previous ``ds.limit(sample_n)``
     (first-N rows — one stratum on source/time-ordered data), membership
     does not depend on row order, block layout or which node reads first,
-    so centroids are reproducible across repartitions and cluster sizes."""
+    so centroids are reproducible across repartitions and cluster sizes.
+
+    A materialized ``ds`` is filtered by one plain task per block (no Ray
+    Data execution); a lazy one streams through one ``map_batches``."""
+    import ray
+    from ray.data.dataset import MaterializedDataset
+
+    from ..rayutil import _concat
     from .sampling import md5_bucket_array
 
     total = ds.count()
-    if total <= sample_n:
-        df = ds.to_pandas()
-        b = md5_bucket_array(pa.array(df[id_col]))
-        return df.iloc[np.lexsort((df[id_col].to_numpy(), b))]
     # 30% overshoot: Binomial(total, frac) lands under sample_n with
     # negligible probability at sample_n ≥ a few hundred; trim after sort.
     # Bucket count scales with 1/frac so the integer cut tracks frac to
     # ≤ ~6% relative error — with a FIXED bucket count, cut clamps to ≥ 1
     # bucket and the driver pull grows as total/buckets (unbounded in N)
-    # instead of staying ≈ 1.3 × sample_n.
+    # instead of staying ≈ 1.3 × sample_n. A dataset of ≤ sample_n rows
+    # has frac 1: every row with an id is kept.
     frac = min(1.0, sample_n / total * 1.3)
     buckets = max(10_000, int(np.ceil(8.0 / frac)))
     cut = max(1, int(round(frac * buckets)))
-
-    def keep(t: pa.Table) -> pa.Table:
-        b = md5_bucket_array(t[id_col], buckets)
-        t = t.filter(pa.array(b < cut))
-        return t
-
-    df = ds.map_batches(keep, batch_format="pyarrow",
-                        batch_size=None).to_pandas()
-    b = md5_bucket_array(pa.array(df[id_col]), buckets)
-    return df.iloc[np.lexsort((df[id_col].to_numpy(), b))].head(sample_n)
+    args = (id_col, buckets, cut)
+    if isinstance(ds, MaterializedDataset):
+        task = ray.remote(_sample_rows)
+        refs = [task.remote(r, *args) for r in ds.to_arrow_refs()]
+    else:
+        refs = ds.map_batches(_sample_rows, fn_args=args,
+                              batch_format="pyarrow",
+                              batch_size=None).to_arrow_refs()
+    t = _concat([t for t in ray.get(refs) if len(t)])
+    b = md5_bucket_array(t[id_col], buckets)
+    return t.take(np.lexsort((t[id_col].to_numpy(), b))[:sample_n])
 
 
 def build_ivf_centroids(ds, n_cells: int = 16, sample_n: int = 2048,
@@ -777,7 +811,7 @@ def build_ivf_centroids(ds, n_cells: int = 16, sample_n: int = 2048,
         hit = _IVF_CENTROID_CACHE.get(ck)
         if hit is not None:
             return hit
-    sample = _centroid_sample(ds, sample_n, id_col, vec_col)
+    sample = _centroid_sample(ds, sample_n, id_col)
     m = _normalize(np.stack(sample[vec_col].to_numpy()).astype(np.float64))
     rng = np.random.RandomState(seed)
     cent = m[rng.choice(len(m), size=min(n_cells, len(m)), replace=False)]

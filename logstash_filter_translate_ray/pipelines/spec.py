@@ -367,21 +367,28 @@ def run_spec(spec: "str | dict") -> "Optional[rd.Dataset]":
         return ds
     if "path" not in out:
         raise ConfigurationError("output requires path")
+    _write_sink(ds, s, out["path"])
+    return None
+
+
+def _write_sink(ds, s: dict, path: str) -> None:
+    """Write ``ds`` to ``path`` as spec ``s``'s ``output`` clause says:
+    ``route=`` directories while the rows are routed, else flat files of
+    ``output.format``."""
     route_col = s.get("route", {}).get("route_col", "route")
-    fmt = out.get("format", "parquet")
+    fmt = s["output"].get("format", "parquet")
     # the route-partitioned sink only applies while the ROUTED ROWS are
     # still the result: an aggregate/window clause replaces them with a
     # reduced frame that has no route column, and write_parquet
-    # partition_cols would crash on it (review r4)
+    # partition_cols would crash on it
     if "route" in s and route_col in getattr(ds.schema(), "names", ()):
-        write_routed(ds, out["path"], route_col=route_col, file_format=fmt)
+        write_routed(ds, path, route_col=route_col, file_format=fmt)
     elif fmt == "parquet":
-        ds.write_parquet(out["path"])
+        ds.write_parquet(path)
     elif fmt == "json":
-        ds.write_json(out["path"])
+        ds.write_json(path)
     else:
         raise ConfigurationError(f"unsupported output format {fmt!r}")
-    return None
 
 
 def run_spec_resumable(spec: "str | dict", out_dir: str,
@@ -435,8 +442,9 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
                                      _parquet_probe(shard_parquet))
     out_info = {}
     if s.get("output", {}).get("path"):
-        # the spec's own sink: write the POST-CLAUSE result (or the routed
-        # union when there are no global clauses) — a derived artifact of
+        # the spec's own sink, as run_spec writes it: the POST-CLAUSE
+        # result (or the routed union when there are no global clauses),
+        # in route= dirs while routed — a derived artifact of
         # the checkpointed shard outputs, recomputed cheaply on resume.
         # write_parquet APPENDS uniquely-named files, so a re-submitted
         # command (the advertised resume flow) would duplicate every row in
@@ -457,7 +465,7 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
                     "directory")
             tmp = outp + ".inprogress"
             _shutil.rmtree(tmp, ignore_errors=True)
-            final_ds.write_parquet(tmp)
+            _write_sink(final_ds, s, tmp)
             # window between rmtree and replace: tmp still holds the full
             # result; a re-run regenerates — no partial/duplicated sink
             _shutil.rmtree(outp, ignore_errors=True)

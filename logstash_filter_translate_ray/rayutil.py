@@ -22,7 +22,8 @@ aggregate spec or join type; this module owns the rest:
 - **Exchange.** The bucket id is known per row, so there is no sampling,
   range partitioning or sort shuffle, and no null key ever reaches a
   comparator. Split: one task per non-empty input block, submitted as
-  the block streams out of ``ds``, stably sorts it by bucket and returns
+  the block streams out of ``ds``, applies the caller's block function
+  ``pre`` if any (``keyed_groups``), stably sorts it by bucket and returns
   one zero-copy slice per bucket plus the bucket row counts. Reduce: one
   task per non-empty bucket concatenates that bucket's slices, sorts
   them and calls ``fn`` (a join: splits both sides, and runs Arrow's
@@ -193,13 +194,17 @@ def _segment_starts(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
 
 
 @ray.remote
-def _split_block(block, keys: List[str], num_groups: int):
-    """One input block → its ``num_groups`` bucket slices (zero-copy views
-    of one stably bucket-sorted copy) plus the per-bucket row counts. A
-    zero-row block may carry no key columns, so it is returned as it is."""
+def _split_block(block, keys: List[str], num_groups: int,
+                 pre: Optional[Callable[[pa.Table], pa.Table]] = None):
+    """One input block, mapped by ``pre`` when given, → its ``num_groups``
+    bucket slices (zero-copy views of one stably bucket-sorted copy) plus
+    the per-bucket row counts. A zero-row block may carry no key columns,
+    so it is returned as it is."""
     from ray.data.block import BlockAccessor
 
     t = BlockAccessor.for_block(block).to_arrow()
+    if pre is not None:
+        t = pre(t)
     if t.num_rows == 0:
         return (*[t] * num_groups, np.zeros(num_groups, dtype=np.int64))
     group = _bucket_of(t, keys, num_groups)
@@ -221,10 +226,11 @@ def _concat(parts: Sequence[pa.Table]) -> pa.Table:
     return concat(list(parts))
 
 
-def _split_all(ds, keys: List[str], num_groups: int):
+def _split_all(ds, keys: List[str], num_groups: int, pre=None):
     """One ``_split_block`` per non-empty block of ``ds`` → (slice refs,
     blocks × ``num_groups`` row counts, input arrow schema or None)."""
     in_schema = _arrow_schema(ds.schema(fetch_if_missing=False))
+    pre_ref = None if pre is None else ray.put(pre)
     splits = []
     for bundle in ds.iter_internal_ref_bundles():
         if in_schema is None:
@@ -232,7 +238,8 @@ def _split_all(ds, keys: List[str], num_groups: int):
         for ref, meta in bundle.blocks:
             if meta.num_rows != 0:
                 splits.append(_split_block.options(
-                    num_returns=num_groups + 1).remote(ref, keys, num_groups))
+                    num_returns=num_groups + 1).remote(ref, keys, num_groups,
+                                                       pre_ref))
     counts = np.array(ray.get([s[-1] for s in splits]),
                       dtype=np.int64).reshape(len(splits), num_groups)
     return splits, counts, in_schema
@@ -274,16 +281,20 @@ def keyed_groups(ds, keys: Sequence[str],
                  fn: Callable[[pa.Table, np.ndarray], pa.Table],
                  schema: Union[Optional[pa.Schema],
                                Callable[[pa.Schema], pa.Schema]],
-                 num_groups: int, order_by: Sequence[str] = ()):
+                 num_groups: int, order_by: Sequence[str] = (),
+                 pre: Optional[Callable[[pa.Table], pa.Table]] = None):
     """``fn(table, starts)`` over every key group of ``ds`` (see the module
     docstring for the contract and the exchange). Runs ``ds`` at call time
     and returns a materialized Dataset. ``schema`` is the output schema of
     ``fn``, used only when every group is empty: a literal ``pa.Schema``
     (None: no anchor), or ``schema_of(input_schema)`` derived from the
-    schema ``ds``'s blocks carry."""
+    schema ``ds``'s blocks carry. ``pre`` is a block function each split
+    task applies to its input block before bucketing: a map fused into the
+    exchange, so a materialized ``ds`` runs no Ray Data execution (a
+    callable ``schema`` still sees ``ds``'s schema, not ``pre``'s)."""
     keys = list(keys)
     sort_keys = [(c, "ascending") for c in [*keys, *order_by]]
-    splits, counts, in_schema = _split_all(ds, keys, num_groups)
+    splits, counts, in_schema = _split_all(ds, keys, num_groups, pre)
     fn_ref = ray.put(fn)
     outs = [_reduce_bucket.remote(fn_ref, keys, sort_keys,
                                   *_bucket_parts(splits, counts, g))

@@ -4,8 +4,9 @@ ZERO vectors (engine convention: cosine 0 to everything; DuckDB's raw
 list_cosine_similarity says -1 — the oracles carry the CASE mirror),
 duplicate and negated vectors (exact score ties → id tie-break), scaled
 copies (cosine 1), and a query vector (vec_id 0) that may itself be zero.
-On the same tables: exact knn_join at two-row blocks and full-probe
-knn_join_ivf (default and two-row tiles) must equal the default knn_join.
+On the same tables, for k in 1, 3 and 7: exact knn_join at two-row
+blocks and full-probe knn_join_ivf (default and two-row tiles) must
+equal the default knn_join.
 
 Entries are dyadic rationals so float32 storage and the engine's float64
 math agree bit-for-bit on equality of tied scores. Owns a Ray session.
@@ -35,6 +36,7 @@ import __ray_entry__ as entry_mod
 from fuzz_common import compare_result
 
 QUERIES = ["ann_topk", "knn_join", "embedding_neardup"]
+KS = (1, 3, 7)        # k of the knn self-comparisons
 DIM = 8
 
 entry = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
@@ -96,20 +98,22 @@ def fuzz_emb_queries(vecs, dup_idx, zero_first):
         def read():
             return rd.read_parquet(p, columns=["vec_id", "embedding"])
 
-        exact = similarity.knn_join(read(), k=3)
-        pd.testing.assert_frame_equal(
-            similarity.knn_join(read(), k=3, target_block_rows=2), exact)
-        pd.testing.assert_frame_equal(
-            similarity.knn_join_ivf(read(), k=3, n_cells=4, n_probe=4),
-            exact)
-        tile = similarity._TILE_ROWS
-        similarity._TILE_ROWS = 2
-        try:
-            fullp = similarity.knn_join_ivf(read(), k=3, n_cells=4,
-                                            n_probe=4)
-        finally:
-            similarity._TILE_ROWS = tile
-        pd.testing.assert_frame_equal(fullp, exact)
+        # k=7 sets each row's running floor only after several tiles
+        for k in KS:
+            exact = similarity.knn_join(read(), k=k)
+            pd.testing.assert_frame_equal(
+                similarity.knn_join(read(), k=k, target_block_rows=2), exact)
+            pd.testing.assert_frame_equal(
+                similarity.knn_join_ivf(read(), k=k, n_cells=4, n_probe=4),
+                exact)
+            tile = similarity._TILE_ROWS
+            similarity._TILE_ROWS = 2
+            try:
+                fullp = similarity.knn_join_ivf(read(), k=k, n_cells=4,
+                                                n_probe=4)
+            finally:
+                similarity._TILE_ROWS = tile
+            pd.testing.assert_frame_equal(fullp, exact)
     finally:
         shutil.rmtree(d, ignore_errors=True)
 

@@ -892,6 +892,55 @@ def test_run_spec_resumable_output_and_stale_manifests(ray_session, tmp_path):
         run_spec_resumable(spec, out, shard_files=1)
 
 
+@pytest.mark.parametrize("fmt", ["parquet", "json"])
+def test_run_spec_resumable_sink_matches_run_spec(ray_session, tmp_path,
+                                                  fmt):
+    """The resumable sink honours the spec's ``route`` clause and
+    ``output.format``: one spec gives the same ``route=`` directories,
+    file kind and per-route row counts through run_spec and
+    run_spec_resumable."""
+    from logstash_filter_translate_ray.pipelines.spec import (
+        run_spec, run_spec_resumable)
+    src = tmp_path / "src"
+    src.mkdir()
+    for i in range(3):
+        pq.write_table(pa.table({
+            "doc_id": [i * 10 + j for j in range(5)],
+            "role": ["user", "assistant", "tool", "user", "assistant"],
+        }), str(src / f"p{i}.parquet"))
+
+    def spec(out):
+        return {"input": {"path": str(src)},
+                "route": {"key": "role", "routes": {"user": "u"},
+                          "default": "other"},
+                "output": {"path": out, "format": fmt}}
+
+    def sink_rows(out):
+        got = {}
+        for d in sorted(os.listdir(out)):
+            assert d.startswith("route="), d
+            n = 0
+            for f in os.listdir(os.path.join(out, d)):
+                p = os.path.join(out, d, f)
+                if fmt == "parquet":
+                    assert f.endswith(".parquet"), f
+                    n += pq.read_metadata(p).num_rows
+                else:
+                    assert f.endswith((".json", ".jsonl")), f
+                    with open(p) as fh:
+                        n += sum(1 for line in fh if line.strip())
+            got[d] = n
+        return got
+
+    plain, resumable = str(tmp_path / "plain"), str(tmp_path / "resumable")
+    assert run_spec(spec(plain)) is None
+    res = run_spec_resumable(spec(resumable), str(tmp_path / "ckpt"),
+                             shard_files=1)
+    assert res["output_path"] == resumable
+    assert sink_rows(plain) == {"route=other": 9, "route=u": 6}
+    assert sink_rows(resumable) == sink_rows(plain)
+
+
 def test_run_resumable_rejects_shrunken_input(ray_session, tmp_path):
     import os
     import pyarrow as pa

@@ -278,6 +278,27 @@ def test_keyed_groups_one_group(ray_session):
     assert out.num_blocks() == 1                  # one reduce task
 
 
+def test_keyed_groups_pre_block_fn(ray_session, monkeypatch):
+    """``pre`` maps each input block inside its split task, before the
+    bucketing: the groups are those of the mapped rows, and over a
+    materialized input the exchange runs no Ray Data execution."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+    t = _kv(60)
+
+    def pre(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.greater_equal(b["v"], 10))
+        return b.set_column(1, "v", pc.negate(b["v"]))
+
+    ds = rd.from_arrow([t.slice(0, 25), t.slice(25)]).materialize()
+    with monkeypatch.context() as mp:
+        for name in ("map_batches", "iter_batches", "to_pandas"):
+            mp.setattr(rd.Dataset, name, None)
+        out = rayutil.keyed_groups(ds, ["k"], _key_counts_fn(), _KV_SCHEMA,
+                                   4, order_by=["v"], pre=pre)
+    assert _rows(out) == _want(pre(t))
+
+
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
 def test_keyed_groups_more_groups_than_rows(ray_session, kind):
     """5 rows over 64 buckets: most buckets are empty and get no reduce

@@ -258,6 +258,11 @@ def test_ivf_centroids_order_independent(ray_session):
     c2 = similarity.build_ivf_centroids(rd.from_arrow(shuffled), n_cells=8,
                                         sample_n=128)
     assert np.allclose(c1, c2)
+    # a materialized input is sampled by plain tasks, a lazy one by a
+    # map_batches: the same rows either way
+    c3 = similarity.build_ivf_centroids(rd.from_arrow(tbl).materialize(),
+                                        n_cells=8, sample_n=128)
+    np.testing.assert_array_equal(c1, c3)
 
 
 def test_knn_join_ivf_full_probe_equals_exact(ray_session):
@@ -359,3 +364,104 @@ def test_knn_join_ivf_route_chunk_invariance(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(
         sim.knn_join_ivf(rd.from_arrow(split), k=3, n_cells=8, n_probe=3),
         whole)
+
+
+def _dyadic_rows(seed: int, n: int = 40, dim: int = 6):
+    """Dyadic vectors (exact dot products, so every chunking scores a pair
+    bit-identically) with shuffled sparse ids: a block of 12 copies of one
+    vector puts many exact ties at the k boundary, plus negations and zero
+    vectors."""
+    rng = np.random.RandomState(seed)
+    m = rng.randint(-4, 5, size=(n, dim)) / 2.0
+    m[1:13] = m[0]                          # 13 identical rows
+    m[13:16] = -m[0]                        # their negations
+    m[16:19] = 0.0                          # zero vectors: all-tie rows
+    m[19:22] = m[25]
+    order = rng.permutation(n)
+    ids = rng.choice(10 * n, size=n, replace=False).astype(np.int64)
+    return ids, m[order]
+
+
+def _topk_reference(q_ids, q_m, ids, m, k):
+    """Per query: (round(score, 12) DESC, id ASC), self excluded."""
+    s = q_m @ m.T
+    counts, nbr = [], []
+    for r in range(len(q_ids)):
+        keep = np.flatnonzero(ids != q_ids[r])
+        o = keep[np.lexsort((ids[keep], -np.round(s[r, keep], 12)))][:k]
+        counts.append(len(o))
+        nbr.extend(ids[o])
+    return np.array(counts), np.array(nbr, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_running_topk_chunk_invariance(seed, k):
+    """The fold (per-chunk selection, the running floor that screens later
+    chunks, the k-wide sort) gives identical (counts, ids, scores) for one
+    chunk, 1-3-row chunks and those chunks in reverse order, and the
+    (score DESC, id ASC) reference neighbors."""
+    ids, m = _dyadic_rows(seed)
+    rng = np.random.RandomState(100 + seed)
+    cuts = [0]
+    while cuts[-1] < len(ids):
+        cuts.append(min(len(ids), cuts[-1] + rng.randint(1, 4)))
+    small = [(ids[a:b], m[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    whole = similarity._running_topk(ids, m, [(ids, m)], k)
+    for chunks in (small, small[::-1]):
+        got = similarity._running_topk(ids, m, chunks, k)
+        for g, w in zip(got, whole):
+            np.testing.assert_array_equal(g, w)
+    counts, nbr = _topk_reference(ids, m, ids, m, k)
+    np.testing.assert_array_equal(whole[0], counts)
+    np.testing.assert_array_equal(whole[1], nbr)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_select_topk_cols_matches_reference(seed):
+    """The selected column set is the first kk columns under
+    (round(score, 12) DESC, column position), with exact ties, 1-ulp
+    noise around them and -inf (self) columns."""
+    ids, m = _dyadic_rows(seed)
+    s = m @ m.T
+    s[np.arange(len(s)), np.arange(len(s))] = -np.inf
+    rng = np.random.RandomState(seed)
+    noisy = s.copy()
+    flip = rng.rand(*s.shape) < 0.3
+    noisy[flip] = np.nextafter(noisy[flip], np.inf)
+    for mat in (s, noisy):
+        for kk in (1, 3, 7, 12, 13, 20):
+            sel = similarity._select_topk_cols(mat, kk)
+            for r in range(len(mat)):
+                want = np.lexsort((np.arange(mat.shape[1]),
+                                   -np.round(mat[r], 12)))[:kk]
+                assert sorted(sel[r]) == sorted(want), (kk, r)
+
+
+def test_knn_join_ivf_runs_no_dataset_op_after_read(ray_session,
+                                                    monkeypatch):
+    """The read's materialize is knn_join_ivf's only Ray Data execution:
+    with map_batches, iter_batches and to_pandas patched to raise it
+    still returns the reference result, through the sampled centroid
+    path and the Dataset return."""
+    import ray
+    import ray.data as rd
+    tbl, m = _rand_emb(200, dups=5)
+    want = _knn_reference(m, k=4)
+    part = similarity.knn_join_ivf(rd.from_arrow(tbl), k=4, n_cells=8,
+                                   n_probe=3, sample_n=64)
+
+    def boom(*a, **kw):
+        raise AssertionError("Ray Data execution after the read")
+
+    for name in ("map_batches", "iter_batches", "to_pandas"):
+        monkeypatch.setattr(rd.Dataset, name, boom)
+    full = similarity.knn_join_ivf(rd.from_arrow(tbl), k=4, n_cells=8,
+                                   n_probe=8, sample_n=64)
+    pd.testing.assert_frame_equal(full.astype("int64"), want.astype("int64"))
+    again = similarity.knn_join_ivf(rd.from_arrow(tbl), k=4, n_cells=8,
+                                    n_probe=3, sample_n=64)
+    pd.testing.assert_frame_equal(again, part)
+    ds_out = similarity.knn_join_ivf(rd.from_arrow(tbl), k=4, n_cells=8,
+                                     n_probe=3, sample_n=64, as_dataset=True)
+    assert sum(map(len, ray.get(ds_out.to_arrow_refs()))) == len(part)
