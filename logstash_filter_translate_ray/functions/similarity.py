@@ -758,10 +758,10 @@ def _centroid_sample(ds, sample_n: int, id_col: str) -> pa.Table:
     does not depend on row order, block layout or which node reads first,
     so centroids are reproducible across repartitions and cluster sizes.
 
-    A materialized ``ds`` is filtered by one plain task per block (no Ray
-    Data execution); a lazy one streams through one ``map_batches``."""
+    Each non-empty block of ``ds`` is filtered by one plain task as it
+    streams out of ``iter_internal_ref_bundles``: a materialized ``ds``
+    runs no Ray Data execution, a lazy one runs only its own plan."""
     import ray
-    from ray.data.dataset import MaterializedDataset
 
     from ..rayutil import _concat
     from .sampling import md5_bucket_array
@@ -777,14 +777,10 @@ def _centroid_sample(ds, sample_n: int, id_col: str) -> pa.Table:
     frac = min(1.0, sample_n / total * 1.3)
     buckets = max(10_000, int(np.ceil(8.0 / frac)))
     cut = max(1, int(round(frac * buckets)))
-    args = (id_col, buckets, cut)
-    if isinstance(ds, MaterializedDataset):
-        task = ray.remote(_sample_rows)
-        refs = [task.remote(r, *args) for r in ds.to_arrow_refs()]
-    else:
-        refs = ds.map_batches(_sample_rows, fn_args=args,
-                              batch_format="pyarrow",
-                              batch_size=None).to_arrow_refs()
+    task = ray.remote(_sample_rows)
+    refs = [task.remote(ref, id_col, buckets, cut)
+            for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
     t = _concat([t for t in ray.get(refs) if len(t)])
     b = md5_bucket_array(t[id_col], buckets)
     return t.take(np.lexsort((t[id_col].to_numpy(), b))[:sample_n])

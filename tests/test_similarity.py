@@ -258,8 +258,8 @@ def test_ivf_centroids_order_independent(ray_session):
     c2 = similarity.build_ivf_centroids(rd.from_arrow(shuffled), n_cells=8,
                                         sample_n=128)
     assert np.allclose(c1, c2)
-    # a materialized input is sampled by plain tasks, a lazy one by a
-    # map_batches: the same rows either way
+    # the per-block sample tasks pick the same rows whether the blocks
+    # come from a lazy plan or from a materialized Dataset
     c3 = similarity.build_ivf_centroids(rd.from_arrow(tbl).materialize(),
                                         n_cells=8, sample_n=128)
     np.testing.assert_array_equal(c1, c3)
