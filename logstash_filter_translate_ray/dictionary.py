@@ -1,9 +1,10 @@
-"""Dictionary backends: inline memory dict and file-backed dict with
-merge/replace refresh, mtime gating, and per-format loaders.
+"""Dictionary backend: the file-backed dict with merge/replace refresh,
+mtime gating, and per-format loaders. An inline dictionary needs no
+backend: ``translate_block_fn`` turns it into a snapshot and ``ray.put``s
+it (``Dictionary::Memory``, dictionary/memory.rb:9-31).
 
 Reimplements (from scratch, Python-native) the semantics of:
 
-- ``Dictionary::Memory``              (dictionary/memory.rb:9-31)
 - ``Dictionary::File`` base           (dictionary/file.rb:34-125): extension
   dispatch, first-load-raises vs refresh-keeps-old, merge vs replace under
   an atomic snapshot swap (replaces the reference's RW lock), mtime-gated
@@ -32,7 +33,7 @@ import time
 from typing import Any, Iterator, Optional
 
 from .errors import ConfigurationError, DictionaryFileError
-from .kernel import DictSnapshot, as_snapshot
+from .kernel import DictSnapshot
 from .config import is_yaml_path, YAML_CODE_POINT_LIMIT_DEFAULT
 
 SHORT_REFRESH_MAX = 300  # dictionary/file.rb:37
@@ -225,26 +226,8 @@ def _build_value(ev: Any, ev_iter: Iterator, plain_coerce: bool) -> Any:
 
 
 # --------------------------------------------------------------------------
-# Backends
+# File backend
 # --------------------------------------------------------------------------
-
-class MemoryDictionary:
-    """Inline-config dictionary; never refreshes (dictionary/memory.rb)."""
-
-    def __init__(self, mapping: "dict[str, Any] | DictSnapshot"):
-        self._snapshot = as_snapshot(mapping)
-
-    @property
-    def snapshot(self) -> DictSnapshot:
-        return self._snapshot
-
-    @property
-    def version(self) -> int:
-        return 0
-
-    def reload(self, force: bool = False) -> bool:
-        return False
-
 
 class FileDictionary:
     """File-backed dictionary with merge/replace refresh (dictionary/file.rb).

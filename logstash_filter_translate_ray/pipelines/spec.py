@@ -379,8 +379,8 @@ def _write_sink(ds, s: dict, path: str) -> None:
     fmt = s["output"].get("format", "parquet")
     # the route-partitioned sink only applies while the ROUTED ROWS are
     # still the result: an aggregate/window clause replaces them with a
-    # reduced frame that has no route column, and write_parquet
-    # partition_cols would crash on it
+    # reduced frame that has no route column, and the routed writer
+    # would crash on it
     if "route" in s and route_col in getattr(ds.schema(), "names", ()):
         write_routed(ds, path, route_col=route_col, file_format=fmt)
     elif fmt == "parquet":
@@ -438,8 +438,11 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
     shard_parquet = [f for m in manifests for f in parquet_files(m.output_dir)]
     result = None
     if any(k in s for k in POST_CLAUSE_KEYS) and shard_parquet:
-        result = _apply_post_clauses(rd.read_parquet(shard_parquet), s,
-                                     _parquet_probe(shard_parquet))
+        # partitioning=None: the shard=<id> directories of the
+        # checkpoint are no hive partition of the rows
+        result = _apply_post_clauses(
+            rd.read_parquet(shard_parquet, partitioning=None), s,
+            _parquet_probe(shard_parquet))
     out_info = {}
     if s.get("output", {}).get("path"):
         # the spec's own sink, as run_spec writes it: the POST-CLAUSE
@@ -452,7 +455,8 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
         # pattern as CheckpointStore.finish_shard) so the sink always holds
         # exactly one run's rows
         final_ds = result if result is not None else (
-            rd.read_parquet(shard_parquet) if shard_parquet else None)
+            rd.read_parquet(shard_parquet, partitioning=None)
+            if shard_parquet else None)
         if final_ds is not None:
             if not hasattr(final_ds, "write_parquet"):
                 final_ds = rd.from_pandas(final_ds)

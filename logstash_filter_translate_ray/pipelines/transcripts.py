@@ -11,9 +11,11 @@ Parquet (BASELINE.json north_star):
     → aggregates             (combiner-style pre-agg, then tiny shuffle)
 
 Parse, the five translates and route compose into ONE block function
-over zero-copy Arrow tables. As a Dataset it is one ``map_batches``;
-``write_routed`` of it over a :func:`read_transcripts` read runs the same
-function as plain tasks, one per input file (stages/route.py). The only
+over zero-copy Arrow tables. As a Dataset it is one ``map_batches``.
+Every routed write is plain tasks (stages/route.py): ``write_routed`` of
+the chain over a :func:`read_transcripts` read runs the same function in
+one task per input file; a Dataset derived from it is written in one
+task per block. The only
 shuffles are the final tiny aggregates over per-batch partials. The
 per-turn ``text`` column is never rewritten (input_hint invariant:
 per-turn text equality under stable (conv_id, turn_idx) ordering).

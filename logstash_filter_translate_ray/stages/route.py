@@ -6,24 +6,27 @@ Fan-out is single-pass: each block is split by route into hive
 ``route=<label>`` directories as it is written (no per-sink filter
 re-scans — N sinks cost one traversal, SURVEY §3.4).
 
-A parquet fan-out of a *file chain* — a whole-file parquet read followed
-by one block function, as the transcript pipeline builds it — runs as
-plain Ray tasks, one per input file: read, chain, write. It skips Ray
-Data's streaming executor, whose fixed costs (a 100 ms scheduling tick,
-held-back first-wave admission) outweighed the few-ms block functions
-(docs/SCALE.md, "Executor fixed costs"). Every other Dataset, and every
-JSON sink, is written through Ray Data.
+Every routed write, parquet or JSON, runs as plain Ray tasks through one
+block writer. A *file chain* — a whole-file parquet read followed by one
+block function, as the transcript pipeline builds it — gets one task per
+local input file: read, chain, write. It skips Ray Data's streaming
+executor, whose fixed costs (a 100 ms scheduling tick, held-back
+first-wave admission) outweighed the few-ms block functions
+(docs/SCALE.md, "Executor fixed costs"). Every other Dataset runs through
+Ray Data up to its blocks, then gets one write task per non-empty block.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import uuid
 import weakref
-from typing import Callable
+from typing import Callable, Optional
 from urllib.parse import quote
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
@@ -32,7 +35,7 @@ from ..config import TranslateConfig
 from ..kernel import as_snapshot
 
 # null route keys land here in the JSON sink — the same directory name
-# write_parquet's hive partitioning uses for a null partition value
+# the parquet sink's hive partitioning uses for a null partition value
 NULL_ROUTE_DIR = "__HIVE_DEFAULT_PARTITION__"
 
 # Arrow's scanner batch: the most rows a whole-file parquet read
@@ -41,7 +44,7 @@ MAX_BATCH_ROWS = 1 << 17
 
 # File chains, keyed by Dataset identity (weakly: an entry goes with its
 # Dataset). A derived Dataset (.filter, another map_batches, …) is a new
-# object, absent here, and keeps the Ray Data path.
+# object, absent here, and is written block by block.
 _file_reads: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _file_chains: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -96,42 +99,91 @@ def route_dataset(ds: "ray.data.Dataset", routes: dict[str, str], *,
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
-@ray.remote
-def _write_file_chain(fn: Callable[[pa.Table], pa.Table], path: str,
-                      columns: list[str], out_dir: str, route_col: str,
-                      name: str) -> None:
-    """Read one input file, run ``fn`` over it in batches of at most
-    ``MAX_BATCH_ROWS`` rows and write each result as Ray's parquet sink
-    does (hive directories, ``__HIVE_DEFAULT_PARTITION__`` for null,
-    percent-encoded labels). The file names depend on ``name`` and the
-    batch only, so a retried task overwrites its first attempt's files."""
-    tbl = pq.read_table(path, columns=columns)
-    for i, start in enumerate(range(0, tbl.num_rows, MAX_BATCH_ROWS)):
+def _write_routes(table: pa.Table, out_dir: str, route_col: str,
+                  file_format: str, name: str) -> None:
+    """Write ``table`` split by ``route_col`` into hive ``route=<label>``
+    directories, as Ray's parquet sink does (``__HIVE_DEFAULT_PARTITION__``
+    for null, percent-encoded labels). File names depend on ``name``
+    only, so a rewrite under the same name overwrites the first one."""
+    if file_format == "parquet":
         pads.write_dataset(
-            fn(tbl.slice(start, MAX_BATCH_ROWS)), out_dir, format="parquet",
-            partitioning=[route_col], partitioning_flavor="hive",
-            basename_template=f"{name}_{i:06}-{{i}}.parquet",
+            table, out_dir, format="parquet", partitioning=[route_col],
+            partitioning_flavor="hive",
+            basename_template=f"{name}-{{i}}.parquet",
             existing_data_behavior="overwrite_or_ignore")
+        return
+    col = table[route_col]
+    for r in pc.unique(col).to_pylist():
+        if r is None:
+            # pc.equal(col, None) is an all-null mask that filter() treats
+            # as false: null routes need an is_null mask
+            part, label = table.filter(pc.is_null(col)), NULL_ROUTE_DIR
+        else:
+            part, label = (table.filter(pc.equal(col, r)),
+                           quote(str(r), safe=""))
+        d = os.path.join(out_dir, f"{route_col}={label}")
+        os.makedirs(d, exist_ok=True)
+        path = os.path.join(d, f"{name}.jsonl")
+        with open(path + ".tmp", "w") as f:
+            f.writelines(json.dumps(row, default=str) + "\n"
+                         for row in part.to_pylist())
+        os.replace(path + ".tmp", path)
 
 
-def _run_file_chain(files: list[str], columns: list[str],
-                    fn: Callable[[pa.Table], pa.Table], out_dir: str,
-                    route_col: str) -> None:
-    """One :func:`_write_file_chain` task per file, at most two per
-    cluster CPU in flight. A task's error propagates (the rest are
-    cancelled); a dead worker's task is retried by Ray."""
-    os.makedirs(out_dir, exist_ok=True)
-    fn_ref = ray.put(fn)
+@ray.remote
+def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
+                  columns: Optional[list[str]], source, out_dir: str,
+                  route_col: str, file_format: str, name: str) -> None:
+    """Write one source through :func:`_write_routes`: with ``fn``, a
+    local input file of a file chain, read whole and ``fn`` run over it
+    in slices of at most ``MAX_BATCH_ROWS`` rows; without, one block as
+    it is."""
+    if fn is None:
+        # imported here: a file-chain worker never loads Ray Data
+        from ray.data.block import BlockAccessor
+        batches = [BlockAccessor.for_block(source).to_arrow()]
+    else:
+        tbl = pq.read_table(source, columns=columns)
+        batches = (fn(tbl.slice(start, MAX_BATCH_ROWS))
+                   for start in range(0, tbl.num_rows, MAX_BATCH_ROWS))
+    for b, batch in enumerate(batches):
+        _write_routes(batch, out_dir, route_col, file_format,
+                      f"{name}_{b:06}")
+
+
+def write_routed(ds: "ray.data.Dataset", out_dir: str, *,
+                 route_col: str = "route", file_format: str = "parquet"
+                 ) -> None:
+    """Single-pass fan-out sink: hive-partitioned output by route
+    (parquet default; JSON-lines for downstream text consumers), written
+    by plain tasks, one per input file of a file chain, else one per
+    non-empty block (module docstring). A task's error propagates (the
+    rest are cancelled); a dead worker's task is retried by Ray and
+    rewrites its files under the same names."""
+    if file_format not in ("parquet", "json"):
+        raise ValueError(f"unsupported sink format {file_format!r}")
+    read, fn = _file_chains.get(ds, (None, None))
+    files = sorted(read.input_files()) if read is not None else []
+    # input_files() drops a remote filesystem's scheme: only local
+    # files can be opened by path in the tasks
+    if files and all(os.path.isfile(f) for f in files):
+        # the sink directory exists even when every input file is empty
+        os.makedirs(out_dir, exist_ok=True)
+        fn_ref, columns, sources = ray.put(fn), _file_reads[read], files
+    else:
+        fn_ref, columns = None, None
+        sources = (ref for bundle in ds.iter_internal_ref_bundles()
+                   for ref, meta in bundle.blocks if meta.num_rows != 0)
     write_uuid = uuid.uuid4().hex
     max_in_flight = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
     pending: list = []
     try:
-        for i, f in enumerate(files):
+        for i, source in enumerate(sources):
             if len(pending) == max_in_flight:
                 done, pending = ray.wait(pending, num_returns=1)
                 ray.get(done)
-            pending.append(_write_file_chain.remote(
-                fn_ref, f, columns, out_dir, route_col,
+            pending.append(_write_source.remote(
+                fn_ref, columns, source, out_dir, route_col, file_format,
                 f"{write_uuid}_{i:06}"))
         while pending:
             done, pending = ray.wait(pending, num_returns=1)
@@ -140,78 +192,3 @@ def _run_file_chain(files: list[str], columns: list[str],
         for ref in pending:
             ray.cancel(ref)
         raise
-
-
-def write_routed(ds: "ray.data.Dataset", out_dir: str, *,
-                 route_col: str = "route", file_format: str = "parquet"
-                 ) -> None:
-    """Single-pass fan-out sink: hive-partitioned output by route
-    (parquet default; JSON-lines for downstream text consumers). A
-    parquet sink of a file chain over local files runs as plain tasks,
-    one per file (module docstring)."""
-    if file_format == "parquet":
-        read, fn = _file_chains.get(ds, (None, None))
-        files = sorted(read.input_files()) if read is not None else []
-        # input_files() drops a remote filesystem's scheme: only local
-        # files can be opened by path in the tasks
-        if files and all(os.path.isfile(f) for f in files):
-            _run_file_chain(files, _file_reads[read], fn, out_dir, route_col)
-        else:
-            ds.write_parquet(out_dir, partition_cols=[route_col])
-    elif file_format == "json":
-        # this Ray release's write_json has no partition_cols — single-pass
-        # manual fan-out: each task splits its block by route and writes one
-        # JSONL file per (block, route). File names carry (content hash,
-        # task id, per-task sequence): the content hash alone is NOT unique
-        # — two blocks with byte-identical payloads (homogeneous data after
-        # route filtering) would collapse into one file, silently dropping
-        # rows. Ray task RETRIES keep their task id and replay batches in
-        # the same order, so names are stable and the tmp+rename write
-        # stays retry-idempotent.
-        import hashlib
-        import json as _json
-
-        state = {"seq": 0}   # per-task copy (pickled fresh per task/retry)
-
-        def _write(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            try:
-                ctx = ray.get_runtime_context().get_task_id() or "driver"
-            except Exception:
-                ctx = "driver"
-            tag = hashlib.sha1(ctx.encode()).hexdigest()[:8]
-            seq = state["seq"]
-            state["seq"] += 1
-            routes = pc.unique(batch[route_col]).to_pylist()
-            for r in routes:
-                if r is None:
-                    # pc.equal(col, None) is an all-null mask that
-                    # filter() treats as false — null routes need an
-                    # is_null mask or they are silently written NOWHERE
-                    part = batch.filter(pc.is_null(batch[route_col]))
-                    d = os.path.join(out_dir,
-                                     f"{route_col}={NULL_ROUTE_DIR}")
-                else:
-                    part = batch.filter(pc.equal(batch[route_col], r))
-                    # percent-encoded, as Arrow's hive directories are
-                    d = os.path.join(out_dir,
-                                     f"{route_col}={quote(str(r), safe='')}")
-                rows = part.to_pylist()
-                payload = "\n".join(
-                    _json.dumps(row, default=str) for row in rows) + "\n"
-                os.makedirs(d, exist_ok=True)
-                # sha1 (not crc32): a 32-bit collision between blocks'
-                # payloads in one route would silently drop a block
-                name = (f"part-{hashlib.sha1(payload.encode()).hexdigest()[:16]}"
-                        f"-{tag}-{seq:04d}.jsonl")
-                tmp = os.path.join(d, name + ".tmp")
-                with open(tmp, "w") as f:
-                    f.write(payload)
-                os.replace(tmp, os.path.join(d, name))
-            return pa.table({"rows": pa.array([len(batch)],
-                                              type=pa.int64())})
-
-        ds.map_batches(_write, batch_format="pyarrow",
-                       batch_size=None).count()
-    else:
-        raise ValueError(f"unsupported sink format {file_format!r}")

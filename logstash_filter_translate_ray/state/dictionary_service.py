@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Optional
+from typing import Optional
 
 import ray
 
-from ..dictionary import FileDictionary, MemoryDictionary
+from ..dictionary import FileDictionary
 from ..kernel import DictSnapshot
 
 
@@ -51,23 +51,19 @@ class DictionaryService:
       timer keeps the old dictionary (S13) and the chain alive.
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 mapping: Optional[dict[str, Any]] = None,
+    def __init__(self, path: str,
                  refresh_interval: float = 300,
                  refresh_behaviour: str = "merge",
                  yaml_code_point_limit: Optional[int] = None,
                  yaml_load_strategy: str = "one_shot",
                  background_refresh: bool = True,
                  missing_file_ok: bool = False):
-        if path is not None:
-            self._backend: "FileDictionary | MemoryDictionary" = FileDictionary(
-                path, refresh_interval=refresh_interval,
-                refresh_behaviour=refresh_behaviour,
-                yaml_code_point_limit=yaml_code_point_limit,
-                yaml_load_strategy=yaml_load_strategy,
-                missing_file_ok=missing_file_ok)
-        else:
-            self._backend = MemoryDictionary(mapping or {})
+        self._backend = FileDictionary(
+            path, refresh_interval=refresh_interval,
+            refresh_behaviour=refresh_behaviour,
+            yaml_code_point_limit=yaml_code_point_limit,
+            yaml_load_strategy=yaml_load_strategy,
+            missing_file_ok=missing_file_ok)
         self._refresh_interval = refresh_interval
         self._last_check = time.monotonic()
         self._reload_lock = threading.Lock()
@@ -75,7 +71,7 @@ class DictionaryService:
         # first snapshot_ref call after each load
         self._ref: Optional[tuple[int, "ray.ObjectRef"]] = None
         self._timer: Optional[threading.Timer] = None
-        if background_refresh and refresh_interval > 0 and path is not None:
+        if background_refresh and refresh_interval > 0:
             self._schedule_tick()
 
     def _schedule_tick(self) -> None:

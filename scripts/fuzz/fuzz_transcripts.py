@@ -6,7 +6,10 @@ digits, unicode letters, embedded newlines), texts hitting the
 redaction/word/status enrich stages, and null ts/conv ids. Each table also
 runs through ``run_resumable``: its summed manifest ``route_counts`` and
 ``matched_counts`` must equal the same mirror (a null route is the hive
-default partition label there).
+default partition label there). And each table is written by
+``write_routed`` twice more, through the block path (parquet, a Dataset
+derived from the chain) and the JSON runner (the chain itself): the rows
+per ``route=`` directory of both must equal the mirror's route counts.
 
 The SQL mirror is the same one test_entry.py validates against the real
 synthetic transcripts; the fuzz stresses its edges. Owns a Ray session.
@@ -35,8 +38,10 @@ DataContext.get_current().enable_progress_bars = False
 
 from fuzz_common import compare_result
 from logstash_filter_translate_ray.pipelines.transcripts import (
-    ROLE_ROUTES, TOOL_DICT, run_pipeline, run_resumable)
-from logstash_filter_translate_ray.stages.route import NULL_ROUTE_DIR
+    ROLE_ROUTES, TOOL_DICT, build_enriched_dataset, read_transcripts,
+    run_pipeline, run_resumable)
+from logstash_filter_translate_ray.stages.route import (NULL_ROUTE_DIR,
+                                                        write_routed)
 
 ROLES = ["user", "assistant", "system", "tool", "User", "tool ", "",
          "日本", "assistant\n", None]
@@ -114,13 +119,48 @@ def _convs_sql(path: str) -> str:
             f"COUNT(*) AS turns FROM read_parquet('{path}') GROUP BY 1")
 
 
+def _route_counts(path: str, con) -> dict:
+    """The mirror's rows per route label (a null route under the hive
+    default partition label)."""
+    return {NULL_ROUTE_DIR if route == "(null)" else route: int(n)
+            for route, n in con.execute(
+                f"SELECT route, sum(n) FROM ({_mirror_sql(path)}) "
+                "GROUP BY 1").fetchall()}
+
+
+def _sink_counts(out_dir: str) -> dict:
+    """Rows per ``route=`` directory label of a routed parquet or JSON
+    sink."""
+    counts = {}
+    for d in os.listdir(out_dir):
+        n = 0
+        for f in os.listdir(os.path.join(out_dir, d)):
+            p = os.path.join(out_dir, d, f)
+            if f.endswith(".parquet"):
+                n += pq.read_metadata(p).num_rows
+            else:
+                with open(p) as fh:
+                    n += sum(1 for line in fh if line.strip())
+        counts[d.partition("=")[2]] = n
+    return counts
+
+
+def _check_sinks(path: str, con) -> None:
+    routes = _route_counts(path, con)
+    d = os.path.dirname(path)
+    derived = build_enriched_dataset(read_transcripts(path)).map_batches(
+        lambda t: t, batch_format="pyarrow", batch_size=None)
+    write_routed(derived, os.path.join(d, "blocks"))
+    write_routed(build_enriched_dataset(read_transcripts(path)),
+                 os.path.join(d, "json"), file_format="json")
+    for out in ("blocks", "json"):
+        got = _sink_counts(os.path.join(d, out))
+        assert got == routes, (out, got, routes)
+
+
 def _check_resumable(path: str, con) -> None:
     res = run_resumable(path, os.path.join(os.path.dirname(path), "ckpt"))
-    routes: dict = {}
-    for route, n in con.execute(
-            f"SELECT route, sum(n) FROM ({_mirror_sql(path)}) "
-            "GROUP BY 1").fetchall():
-        routes[NULL_ROUTE_DIR if route == "(null)" else route] = int(n)
+    routes = _route_counts(path, con)
     matched = {str(m): int(n) for m, n in
                con.execute(_matched_sql(path)).fetchall()}
     assert res["route_counts"] == routes, (res["route_counts"], routes)
@@ -144,6 +184,7 @@ def fuzz_transcripts(rows):
         compare_result("conv_turn_counts", res["conv_turn_counts"],
                        con.execute(_convs_sql(path)).df())
         _check_resumable(path, con)
+        _check_sinks(path, con)
     finally:
         shutil.rmtree(os.path.dirname(path), ignore_errors=True)
 

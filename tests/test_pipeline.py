@@ -897,8 +897,10 @@ def test_run_spec_resumable_sink_matches_run_spec(ray_session, tmp_path,
                                                   fmt):
     """The resumable sink honours the spec's ``route`` clause and
     ``output.format``: one spec gives the same ``route=`` directories,
-    file kind and per-route row counts through run_spec and
-    run_spec_resumable."""
+    file kind, column names and rows through run_spec and
+    run_spec_resumable (whose checkpoint's shard=<id> directories must
+    not add a ``shard`` column)."""
+    import json
     from logstash_filter_translate_ray.pipelines.spec import (
         run_spec, run_spec_resumable)
     src = tmp_path / "src"
@@ -915,21 +917,28 @@ def test_run_spec_resumable_sink_matches_run_spec(ray_session, tmp_path,
                           "default": "other"},
                 "output": {"path": out, "format": fmt}}
 
-    def sink_rows(out):
+    def sink(out):
+        """{route= directory: (its files' column names, its rows sorted
+        by doc_id)}."""
         got = {}
         for d in sorted(os.listdir(out)):
             assert d.startswith("route="), d
-            n = 0
+            cols, rows = set(), []
             for f in os.listdir(os.path.join(out, d)):
                 p = os.path.join(out, d, f)
                 if fmt == "parquet":
                     assert f.endswith(".parquet"), f
-                    n += pq.read_metadata(p).num_rows
+                    t = pq.read_table(p, partitioning=None)
+                    cols.add(tuple(t.column_names))
+                    rows += t.to_pylist()
                 else:
                     assert f.endswith((".json", ".jsonl")), f
                     with open(p) as fh:
-                        n += sum(1 for line in fh if line.strip())
-            got[d] = n
+                        part = [json.loads(line) for line in fh
+                                if line.strip()]
+                    cols |= {tuple(r) for r in part}
+                    rows += part
+            got[d] = (sorted(cols), sorted(rows, key=lambda r: r["doc_id"]))
         return got
 
     plain, resumable = str(tmp_path / "plain"), str(tmp_path / "resumable")
@@ -937,8 +946,12 @@ def test_run_spec_resumable_sink_matches_run_spec(ray_session, tmp_path,
     res = run_spec_resumable(spec(resumable), str(tmp_path / "ckpt"),
                              shard_files=1)
     assert res["output_path"] == resumable
-    assert sink_rows(plain) == {"route=other": 9, "route=u": 6}
-    assert sink_rows(resumable) == sink_rows(plain)
+    want = sink(plain)
+    cols = ("doc_id", "role") if fmt == "parquet" \
+        else ("doc_id", "role", "route")
+    assert {d: (c, len(rows)) for d, (c, rows) in want.items()} == {
+        "route=other": ([cols], 9), "route=u": ([cols], 6)}
+    assert sink(resumable) == want
 
 
 def test_run_resumable_rejects_shrunken_input(ray_session, tmp_path):

@@ -1,6 +1,7 @@
 """The routed fan-out sink (stages/route.py): the file runner, which
-writes a transcript chain as one plain Ray task per input file, against
-Ray Data's parquet sink of the same chain; and the JSON sink."""
+writes a transcript chain as one plain Ray task per input file, and the
+block path, which writes any other Dataset as one task per block, both
+against Ray Data's own parquet sink; and the JSON sink on both paths."""
 
 import glob
 import json
@@ -16,6 +17,9 @@ from logstash_filter_translate_ray.sources.transcripts import make_transcripts
 from logstash_filter_translate_ray.stages.route import MAX_BATCH_ROWS
 
 ROUTES = {"user": "user turns", "assistant": "a=b", "tool": "t/u"}
+# the route= directories of ROUTES over _write_inputs' rows
+ROUTE_DIRS = ["route=__HIVE_DEFAULT_PARTITION__", "route=a%3Db",
+              "route=other", "route=t%2Fu", "route=user%20turns"]
 
 
 def _write_inputs(src, sizes):
@@ -42,46 +46,111 @@ def _routed_tables(out_dir):
             for d in sorted(os.listdir(out_dir))}
 
 
+def _json_rows(out_dir):
+    """{route directory: its JSON rows, sorted by (conv_id, turn_idx)}."""
+    got = {}
+    for d in sorted(os.listdir(out_dir)):
+        rows = []
+        for f in glob.glob(os.path.join(out_dir, d, "*.jsonl")):
+            with open(f) as fh:
+                rows += [json.loads(line) for line in fh if line.strip()]
+        got[d] = sorted(rows, key=lambda r: (r["conv_id"] or "",
+                                             r["turn_idx"]))
+    return got
+
+
 def _no_ray_data_write(*args, **kwargs):
     raise AssertionError("write went through Ray Data's parquet sink")
+
+
+def _no_block_path(*args, **kwargs):
+    raise AssertionError("write went through the Dataset's blocks")
+
+
+def _chain_inputs(tmp_path):
+    """A transcript chain builder over inputs with a 0-row file and a
+    file over the 128k-row batch."""
+    from logstash_filter_translate_ray.pipelines import transcripts as T
+
+    src = str(tmp_path / "in")
+    _write_inputs(src, [0, 1_000, 2_000, MAX_BATCH_ROWS + 10])
+    cfg = T.TranscriptPipelineConfig(routes=dict(ROUTES))
+    return lambda: T.build_enriched_dataset(T.read_transcripts(src), cfg)
+
+
+def _derived(ds):
+    return ds.map_batches(lambda t: t, batch_format="pyarrow",
+                          batch_size=None)
 
 
 def test_file_runner_matches_ray_data_sink(ray_session, tmp_path,
                                            monkeypatch):
     """write_routed(build_enriched_dataset(read_transcripts(files))) runs
-    one plain task per file and writes what Ray Data's sink writes for
-    the same chain (reached through a derived Dataset): the same route=
-    directories (percent-encoded labels, hive's null directory), schemas
-    and rows. The input has a 0-row file and a file over the 128k-row
-    batch."""
+    one plain task per file, and write_routed of a Dataset derived from
+    it one task per block. Both write what Ray Data's parquet sink writes
+    for the derived Dataset: the same route= directories (percent-encoded
+    labels, hive's null directory), schemas with metadata, and rows."""
     import ray.data as rd
-    from logstash_filter_translate_ray.pipelines import transcripts as T
     from logstash_filter_translate_ray.stages.route import write_routed
 
-    src = str(tmp_path / "in")
-    _write_inputs(src, [0, 1_000, 2_000, MAX_BATCH_ROWS + 10])
-    cfg = T.TranscriptPipelineConfig(routes=dict(ROUTES))
-
-    def chain():
-        return T.build_enriched_dataset(T.read_transcripts(src), cfg)
-
-    runner, ray_data = str(tmp_path / "runner"), str(tmp_path / "ray_data")
+    chain = _chain_inputs(tmp_path)
+    ref = str(tmp_path / "ray_data")
+    _derived(chain()).write_parquet(ref, partition_cols=["route"])
+    runner, blocks = str(tmp_path / "runner"), str(tmp_path / "blocks")
     with monkeypatch.context() as m:
         m.setattr(rd.Dataset, "write_parquet", _no_ray_data_write)
         write_routed(chain(), runner)
-    write_routed(chain().map_batches(lambda t: t, batch_format="pyarrow",
-                                     batch_size=None), ray_data)
+        write_routed(_derived(chain()), blocks)
 
-    got, want = _routed_tables(runner), _routed_tables(ray_data)
-    assert list(want) == ["route=__HIVE_DEFAULT_PARTITION__", "route=a%3Db",
-                          "route=other", "route=t%2Fu", "route=user%20turns"]
-    assert list(got) == list(want)
+    want = _routed_tables(ref)
+    assert list(want) == ROUTE_DIRS
     assert sum(len(t) for t in want.values()) == 3_010 + MAX_BATCH_ROWS
-    for d in want:
-        assert got[d].schema.equals(want[d].schema, check_metadata=True), d
-        assert got[d].equals(want[d]), d
+    for out in (runner, blocks):
+        got = _routed_tables(out)
+        assert list(got) == list(want), out
+        for d in want:
+            assert got[d].schema.equals(want[d].schema,
+                                        check_metadata=True), (out, d)
+            assert got[d].equals(want[d]), (out, d)
     # two small files, and the big one in two batches
     assert len(glob.glob(f"{runner}/route=a%3Db/*.parquet")) == 4
+
+
+def test_json_runner_matches_block_path(ray_session, tmp_path,
+                                        monkeypatch):
+    """A JSON write_routed of the transcript chain runs on the file
+    runner (the Dataset's blocks are never asked for) and writes the same
+    route= directories and rows as the block path's JSON of a Dataset
+    derived from the chain."""
+    import ray.data as rd
+    from logstash_filter_translate_ray.stages.route import write_routed
+
+    chain = _chain_inputs(tmp_path)
+    runner, blocks = str(tmp_path / "runner"), str(tmp_path / "blocks")
+    with monkeypatch.context() as m:
+        m.setattr(rd.Dataset, "iter_internal_ref_bundles", _no_block_path)
+        write_routed(chain(), runner, file_format="json")
+    write_routed(_derived(chain()), blocks, file_format="json")
+
+    want = _json_rows(blocks)
+    assert list(want) == ROUTE_DIRS
+    assert sum(len(rows) for rows in want.values()) \
+        == 3_010 + MAX_BATCH_ROWS
+    assert _json_rows(runner) == want
+
+
+def test_file_runner_all_empty_inputs(ray_session, tmp_path):
+    """A file chain whose input files are all empty writes no file but
+    leaves the sink directory, so run_pipeline's read-back of it gives
+    empty counts."""
+    from logstash_filter_translate_ray.pipelines.transcripts import (
+        run_pipeline)
+
+    src, out = str(tmp_path / "in"), str(tmp_path / "out")
+    _write_inputs(src, [0, 0])
+    res = run_pipeline(src, out)
+    assert os.listdir(out) == []
+    assert len(res["sink_counts"]) == 0
 
 
 def test_file_runner_task_error_propagates(ray_session, tmp_path,
