@@ -10,9 +10,9 @@ store so the streaming-executed job resumes idempotently". Design
   complete shard or a removable ``.tmp``.
 - After a shard's sink commit, a JSON manifest records lineage (input
   files), metrics (row counts, per-route counts) and the output files.
-  The metrics are read from the committed files themselves (parquet
-  footers, partition directory names, one column where needed), not
-  from a second job over them.
+  Row counts are read from the parquet footers, per-pipeline counts
+  come from the shard's write step (its tasks count what they write),
+  never from a second job over the output.
 - Resume = skip shards whose manifest exists; aggregates are recomputed
   from manifests (never double-counted — the manifest is the unit of
   exactly-once accounting over at-least-once task retries).

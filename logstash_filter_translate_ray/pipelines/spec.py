@@ -88,6 +88,8 @@ from typing import Callable, Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.csv as pacsv
+import pyarrow.dataset as pads
+import pyarrow.json as pajson
 import ray.data as rd
 
 from ..config import TranslateConfig
@@ -211,16 +213,12 @@ def _map_chain(ds, fns: list, probe: "pa.Table | None"):
     return anchor_empty_schema(ds, getattr(probe, "schema", None)), probe
 
 
-def _parquet_probe(paths, columns=None):
-    """0-row schema table from parquet METADATA only (no data read), or
-    None when the schema can't be derived — the one copy of the probe
-    idiom used by both the direct and resumable spec paths."""
+def _probe(schema_of, columns=None) -> "pa.Table | None":
+    """0-row table of the input schema ``schema_of()`` (pruned to
+    ``columns``), or None when it can't be derived."""
     try:
-        import pyarrow.dataset as pads
-        probe = pads.dataset(paths).schema.empty_table()
-        if columns:
-            probe = probe.select(list(columns))
-        return probe
+        probe = schema_of().empty_table()
+        return probe.select(list(columns)) if columns else probe
     except Exception:
         return None
 
@@ -230,28 +228,34 @@ def build_from_spec(spec: "str | dict") -> "rd.Dataset":
 
     Each filter kind has one builder (:func:`_step_fn`); the filters and
     the route are one ``map_batches`` of their composed block functions,
-    like the transcript chain. A parquet-input spec also runs that
-    function over a 0-row table of the input's schema and anchors the
-    result's schema (see :func:`_map_chain`), which also gives the post
-    clauses (dedup/window/aggregate) a schema-stable input. A leading
+    like the transcript chain. That function also runs over a 0-row table
+    of the input's schema (parquet metadata; CSV/JSON: the reader's own
+    inference on the first file) and anchors the result's schema (see
+    :func:`_map_chain`), which also gives the post clauses
+    (dedup/window/aggregate) a schema-stable input. A leading
     ``select`` is no read projection: ``input.columns`` prunes the read."""
     s = load_spec(spec)
     inp = s.get("input")
     if not inp or "path" not in inp:
         raise ConfigurationError("spec requires input.path")
     fmt = inp.get("format", "parquet")
-    probe = None
     if fmt == "parquet":
         kw = {}
         if inp.get("columns"):
             kw["columns"] = list(inp["columns"])
         ds = rd.read_parquet(inp["path"], **kw)
-        probe = _parquet_probe(inp["path"], inp.get("columns"))
+        probe = _probe(lambda: pads.dataset(inp["path"]).schema,
+                       inp.get("columns"))
     elif fmt == "csv":
-        ds = rd.read_csv(inp["path"], convert_options=pacsv.ConvertOptions(
-            **CSV_NULL_OPTIONS))
+        convert = pacsv.ConvertOptions(**CSV_NULL_OPTIONS)
+        ds = rd.read_csv(inp["path"], convert_options=convert)
+        # Ray's CSV reader is this streaming reader: the schema it infers
+        # from the first block
+        probe = _probe(lambda: pacsv.open_csv(
+            ds.input_files()[0], convert_options=convert).schema)
     elif fmt == "json":
         ds = rd.read_json(inp["path"])
+        probe = _probe(lambda: pajson.read_json(ds.input_files()[0]).schema)
     else:
         raise ConfigurationError(f"unknown input format {fmt!r}")
 
@@ -442,7 +446,7 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
         # checkpoint are no hive partition of the rows
         result = _apply_post_clauses(
             rd.read_parquet(shard_parquet, partitioning=None), s,
-            _parquet_probe(shard_parquet))
+            _probe(lambda: pads.dataset(shard_parquet).schema))
     out_info = {}
     if s.get("output", {}).get("path"):
         # the spec's own sink, as run_spec writes it: the POST-CLAUSE

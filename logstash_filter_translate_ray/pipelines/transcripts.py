@@ -8,16 +8,15 @@ Parquet (BASELINE.json north_star):
     → translate word, conv_id segment (100k keys), text redaction
     → route by role          (dictionary-driven route column, fallback)
     → ONE pass fan-out write (hive route=<label> directories)
-    → aggregates             (combiner-style pre-agg, then tiny shuffle)
+    → aggregates             (the write tasks' count partials, merged)
 
 Parse, the five translates and route compose into ONE block function
 over zero-copy Arrow tables. As a Dataset it is one ``map_batches``.
 Every routed write is plain tasks (stages/route.py): ``write_routed`` of
 the chain over a :func:`read_transcripts` read runs the same function in
 one task per input file; a Dataset derived from it is written in one
-task per block. The only
-shuffles are the final tiny aggregates over per-batch partials. The
-per-turn ``text`` column is never rewritten (input_hint invariant:
+task per block; either way the tasks return the count partials.
+The per-turn ``text`` column is never rewritten (input_hint invariant:
 per-turn text equality under stable (conv_id, turn_idx) ordering).
 """
 
@@ -29,19 +28,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import pyarrow.compute as pc
-import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from ..config import TranslateConfig
-from ..checkpoint import parquet_files, run_shards
+from ..checkpoint import run_shards
 from ..kernel import DictSnapshot
-from ..rayutil import run_chain
-from ..stages.aggregate import (conv_turn_counts, grouped_counts,
-                                matched_counts, sink_counts)
+from ..rayutil import keyed_aggregate, run_chain
+from ..stages.aggregate import _partial_counts, merge_partials
 from ..stages.parse import ParseConfig, parse_block_fn
 from ..stages.route import (record_file_chain, record_file_read,
-                            route_block_fn, write_routed)
+                            NULL_ROUTE_DIR, route_block_fn, route_label,
+                            write_routed)
 from ..stages.translate_stage import translate_block_fn
 
 # Default dictionaries for the transcript DAG (FIXTURES.md §B): small,
@@ -194,65 +192,36 @@ def read_transcripts(path: "str | list[str]",
 def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
                  cfg: Optional[TranscriptPipelineConfig] = None,
                  ) -> dict[str, Any]:
-    """Run the DAG once (non-resumable form). Returns the low-cardinality
-    aggregates as small pandas frames; ``conv_turn_counts`` (one row PER
-    CONVERSATION — whole-input cardinality) is computed at call time on
-    the keyed exchange and returned as a materialized Dataset that never
-    reaches the driver as a frame — callers sample, aggregate, or sink it.
-    When ``out_dir`` is given the routed rows are written as
-    hive-partitioned parquet first and the aggregates are then computed
-    over the written files (single source of truth)."""
+    """Run the DAG in one pass, writing to ``out_dir`` if given; the
+    aggregates are the write tasks' count partials, merged. Small ones
+    are pandas frames; ``conv_turn_counts`` (one row PER CONVERSATION) is
+    a materialized Dataset from the keyed exchange, never a frame."""
     cfg = cfg or TranscriptPipelineConfig()
     if out_dir is not None and os.path.isdir(out_dir) and os.listdir(out_dir):
-        # write_parquet APPENDS uniquely-named files: rerunning into a
-        # non-empty dir would double rows and inflate every aggregate
-        # (review r3) — the resumable runner is the rerun-into-same-dir API
+        # every write names its files afresh: rerunning into a non-empty
+        # dir would double its rows (review r3) — the resumable runner is
+        # the rerun-into-same-dir API
         raise ValueError(
             f"out_dir {out_dir!r} is not empty — remove it or use "
             "run_resumable for checkpointed reruns")
-    ds = build_enriched_dataset(read_transcripts(input_path), cfg)
-    if out_dir is not None:
-        write_routed(ds, out_dir)
-        # aggregates over what was written (single source of truth)
-        ds = rd.read_parquet(out_dir)
-    # ONE execution of the (lazy) DAG for both small aggregates: the joint
-    # count's marginals are the per-sink and matched counters (review r3:
-    # two separate grouped_counts calls re-ran the whole enrich chain)
-    joint = grouped_counts(ds, ["route", "tool_label", "status_matched"],
-                           driver_merge=True)
-    routes = joint.groupby(["route", "tool_label"], as_index=False,
-                           dropna=False)["n"].sum()
-    matched = joint.groupby("status_matched", as_index=False,
-                            dropna=False)["n"].sum()
-    convs = conv_turn_counts(ds)
-    return {"sink_counts": routes, "status_matched_counts": matched,
+    routes, matched, convs = write_routed(
+        build_enriched_dataset(read_transcripts(input_path), cfg), out_dir,
+        partials=(_partial_counts(["route", "tool_label"], "n"),
+                  _partial_counts(["status_matched"], "n"),
+                  _partial_counts(["conv_id"], "turns")))
+    # the conv_id partials go from the object store into the exchange
+    convs = keyed_aggregate(rd.from_arrow_refs(convs), ["conv_id"],
+                            {"turns": ("turns", "sum")})
+    return {"sink_counts": merge_partials(ray.get(routes),
+                                          ["route", "tool_label"]),
+            "status_matched_counts": merge_partials(ray.get(matched),
+                                                    ["status_matched"]),
             "conv_turn_counts": convs}
 
 
 # ---------------------------------------------------------------------------
 # Resumable form: shard = group of input files, manifest per shard
 # ---------------------------------------------------------------------------
-
-def _routed_counts(tmp: str) -> dict[str, dict[str, int]]:
-    """Manifest counts of one written fan-out shard, from its files: each
-    file's ``route=<label>`` directory and footer give ``route_counts``
-    (the literal, still percent-encoded label; a null route is
-    ``__HIVE_DEFAULT_PARTITION__``), and one read of the ``status_matched``
-    column gives ``matched_counts``."""
-    files = parquet_files(tmp)
-    routes = Counter()
-    for f in files:
-        label = os.path.basename(os.path.dirname(f)).partition("=")[2]
-        routes[label] += pq.read_metadata(f).num_rows
-    matched = []
-    if files:
-        col = pq.read_table(files, columns=["status_matched"],
-                            partitioning=None)["status_matched"]
-        matched = pc.value_counts(col).to_pylist()
-    return {"route_counts": dict(routes),
-            "matched_counts": {str(vc["values"]): vc["counts"]
-                               for vc in matched}}
-
 
 def run_resumable(input_path: "str | list[str]", out_dir: str,
                   cfg: Optional[TranscriptPipelineConfig] = None,
@@ -264,8 +233,18 @@ def run_resumable(input_path: "str | list[str]", out_dir: str,
     cfg = cfg or TranscriptPipelineConfig()
 
     def write_shard(files: list[str], tmp: str) -> dict:
-        write_routed(build_enriched_dataset(read_transcripts(files), cfg), tmp)
-        return _routed_counts(tmp)
+        # a null route counts under its directory, hive's default
+        # partition, not under the "(null)" a literal route can have
+        routes, matched = write_routed(
+            build_enriched_dataset(read_transcripts(files), cfg), tmp,
+            partials=(_partial_counts(["route"], "n", NULL_ROUTE_DIR),
+                      _partial_counts(["status_matched"], "n")))
+        routes = merge_partials(ray.get(routes), ["route"])
+        matched = merge_partials(ray.get(matched), ["status_matched"])
+        return {"route_counts": {route_label(r): int(n) for r, n
+                                 in routes.itertuples(index=False)},
+                "matched_counts": {str(m): int(n) for m, n
+                                   in matched.itertuples(index=False)}}
 
     ran, skipped, manifests = run_shards(input_path, out_dir, shard_files,
                                          write_shard)

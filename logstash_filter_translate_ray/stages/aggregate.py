@@ -1,5 +1,5 @@
-"""Aggregate stage — per-sink counts, matched/unmatched counters, and the
-salted per-conversation aggregate for skewed conv_id distributions.
+"""Aggregate stage — per-sink counts, matched/unmatched counters, grouped
+counts, quantiles and z-scores.
 
 Scale design (SURVEY §4): a bare ``groupby(key).count()`` shuffles every
 row. All aggregates here PRE-AGGREGATE inside ``map_batches`` — each batch
@@ -38,7 +38,9 @@ NULL_LABEL = "(null)"   # null STRING group keys → label, mirroring the
                         # oracle SQL's COALESCE(key, '(null)')
 
 
-def _partial_counts(keys: Sequence[str], count_name: str):
+def _partial_counts(keys: Sequence[str], count_name: str,
+                    null_label: str = NULL_LABEL):
+    """Per-batch row counts by ``keys``; null strings become ``null_label``."""
     import pyarrow.compute as pc
 
     def _fn(batch: pa.Table) -> pa.Table:
@@ -46,10 +48,23 @@ def _partial_counts(keys: Sequence[str], count_name: str):
         for i, k in enumerate(keys):
             col = sub[k]
             if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-                sub = sub.set_column(i, k, pc.fill_null(col, NULL_LABEL))
+                sub = sub.set_column(i, k, pc.fill_null(col, null_label))
         return sub.group_by(list(keys)).aggregate([([], "count_all")]) \
             .rename_columns(list(keys) + [count_name])
     return _fn
+
+
+def merge_partials(tables, keys: Sequence[str], count_name: str = "n"):
+    """Driver merge of count partials: one pandas groupby sum."""
+    frames = [t.to_pandas() for t in tables]
+    if not frames:
+        return pd.DataFrame(columns=[*keys, count_name])
+    merged = pd.concat(frames, ignore_index=True)
+    # dropna=False: non-string keys (timestamps, ints) can be null and
+    # the NULL_LABEL fill only covers string columns — pandas' default
+    # would silently drop the whole null-keyed group (r3 review)
+    return merged.groupby(list(keys), as_index=False, sort=True,
+                          dropna=False)[count_name].sum()
 
 
 def grouped_counts(ds: "ray.data.Dataset", keys: Sequence[str],
@@ -62,16 +77,8 @@ def grouped_counts(ds: "ray.data.Dataset", keys: Sequence[str],
     partial = ds.map_batches(_partial_counts(keys, count_name),
                              batch_format="pyarrow", batch_size=None)
     if driver_merge:
-        frames = [b.to_pandas() for b in
-                  partial.iter_batches(batch_format="pyarrow")]
-        if not frames:
-            return pd.DataFrame(columns=[*keys, count_name])
-        merged = pd.concat(frames, ignore_index=True)
-        # dropna=False: non-string keys (timestamps, ints) can be null and
-        # the NULL_LABEL fill above only covers string columns — pandas'
-        # default would silently drop the whole null-keyed group (r3 review)
-        return merged.groupby(list(keys), as_index=False, sort=True,
-                              dropna=False)[count_name].sum()
+        return merge_partials(partial.iter_batches(batch_format="pyarrow"),
+                              keys, count_name)
     out = keyed_aggregate(partial, keys,
                           {count_name: (count_name, "sum")})
     if out.count():                   # materialized: block metadata only
@@ -118,15 +125,6 @@ def matched_counts(ds: "ray.data.Dataset",
                    matched_col: str = "translate_matched") -> pd.DataFrame:
     """matched/unmatched counters — the filter_matched bookkeeping (S15)."""
     return grouped_counts(ds, [matched_col], driver_merge=True)
-
-
-def conv_turn_counts(ds: "ray.data.Dataset", conv_col: str = "conv_id",
-                     driver_merge: bool = False):
-    """Turns per conversation — high-cardinality key ⇒ distributed merge of
-    the per-batch partials (skew-safe, see module docstring). The default
-    distributed merge runs ``ds`` at call time, like ``grouped_counts``."""
-    return grouped_counts(ds, [conv_col], count_name="turns",
-                          driver_merge=driver_merge)
 
 
 def _cents(col) -> "pa.Array":

@@ -99,12 +99,16 @@ def route_dataset(ds: "ray.data.Dataset", routes: dict[str, str], *,
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
+def route_label(value) -> str:
+    """The hive ``route=<label>`` label of a route value (or of null)."""
+    return NULL_ROUTE_DIR if value is None else quote(str(value), safe="")
+
+
 def _write_routes(table: pa.Table, out_dir: str, route_col: str,
                   file_format: str, name: str) -> None:
     """Write ``table`` split by ``route_col`` into hive ``route=<label>``
-    directories, as Ray's parquet sink does (``__HIVE_DEFAULT_PARTITION__``
-    for null, percent-encoded labels). File names depend on ``name``
-    only, so a rewrite under the same name overwrites the first one."""
+    directories (:func:`route_label`), as Ray's parquet sink does. File
+    names depend on ``name`` only, so a rewrite overwrites the first."""
     if file_format == "parquet":
         pads.write_dataset(
             table, out_dir, format="parquet", partitioning=[route_col],
@@ -114,14 +118,11 @@ def _write_routes(table: pa.Table, out_dir: str, route_col: str,
         return
     col = table[route_col]
     for r in pc.unique(col).to_pylist():
-        if r is None:
-            # pc.equal(col, None) is an all-null mask that filter() treats
-            # as false: null routes need an is_null mask
-            part, label = table.filter(pc.is_null(col)), NULL_ROUTE_DIR
-        else:
-            part, label = (table.filter(pc.equal(col, r)),
-                           quote(str(r), safe=""))
-        d = os.path.join(out_dir, f"{route_col}={label}")
+        # pc.equal(col, None) is an all-null mask that filter() treats as
+        # false: null routes need an is_null mask
+        part = table.filter(pc.is_null(col) if r is None
+                            else pc.equal(col, r))
+        d = os.path.join(out_dir, f"{route_col}={route_label(r)}")
         os.makedirs(d, exist_ok=True)
         path = os.path.join(d, f"{name}.jsonl")
         with open(path + ".tmp", "w") as f:
@@ -132,34 +133,44 @@ def _write_routes(table: pa.Table, out_dir: str, route_col: str,
 
 @ray.remote
 def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
-                  columns: Optional[list[str]], source, out_dir: str,
-                  route_col: str, file_format: str, name: str) -> None:
-    """Write one source through :func:`_write_routes`: with ``fn``, a
-    local input file of a file chain, read whole and ``fn`` run over it
-    in slices of at most ``MAX_BATCH_ROWS`` rows; without, one block as
-    it is."""
+                  columns: Optional[list[str]], source,
+                  out_dir: Optional[str], route_col: str, file_format: str,
+                  name: str, partials: tuple):
+    """Write one source (unless ``out_dir`` is None) and return each of
+    ``partials`` over it: with ``fn``, a file chain's local input file,
+    read whole and run through ``fn`` in ``MAX_BATCH_ROWS``-row slices (a
+    0-row file is one 0-row slice); else one block as it is."""
     if fn is None:
         # imported here: a file-chain worker never loads Ray Data
         from ray.data.block import BlockAccessor
         batches = [BlockAccessor.for_block(source).to_arrow()]
     else:
         tbl = pq.read_table(source, columns=columns)
-        batches = (fn(tbl.slice(start, MAX_BATCH_ROWS))
-                   for start in range(0, tbl.num_rows, MAX_BATCH_ROWS))
+        batches = (fn(tbl.slice(start, MAX_BATCH_ROWS)) for start
+                   in range(0, tbl.num_rows, MAX_BATCH_ROWS) or [0])
+    outs: list = [[] for _ in partials]
     for b, batch in enumerate(batches):
-        _write_routes(batch, out_dir, route_col, file_format,
-                      f"{name}_{b:06}")
+        if out_dir is not None:
+            _write_routes(batch, out_dir, route_col, file_format,
+                          f"{name}_{b:06}")
+        for out, partial in zip(outs, partials):
+            out.append(partial(batch))
+    tables = [pa.concat_tables(o, promote_options="default") for o in outs]
+    return tables[0] if len(tables) == 1 else tuple(tables) or None
 
 
-def write_routed(ds: "ray.data.Dataset", out_dir: str, *,
-                 route_col: str = "route", file_format: str = "parquet"
-                 ) -> None:
+def write_routed(ds: "ray.data.Dataset", out_dir: Optional[str], *,
+                 route_col: str = "route", file_format: str = "parquet",
+                 partials: tuple = ()) -> list[list]:
     """Single-pass fan-out sink: hive-partitioned output by route
     (parquet default; JSON-lines for downstream text consumers), written
     by plain tasks, one per input file of a file chain, else one per
     non-empty block (module docstring). A task's error propagates (the
     rest are cancelled); a dead worker's task is retried by Ray and
-    rewrites its files under the same names."""
+    rewrites its files under the same names. ``partials`` are block
+    functions each task also runs over its batches; returns, per partial,
+    one table ref per task (Ray keeps a retried task's last return only,
+    so no row counts twice). ``out_dir=None`` writes nothing."""
     if file_format not in ("parquet", "json"):
         raise ValueError(f"unsupported sink format {file_format!r}")
     read, fn = _file_chains.get(ds, (None, None))
@@ -167,8 +178,9 @@ def write_routed(ds: "ray.data.Dataset", out_dir: str, *,
     # input_files() drops a remote filesystem's scheme: only local
     # files can be opened by path in the tasks
     if files and all(os.path.isfile(f) for f in files):
-        # the sink directory exists even when every input file is empty
-        os.makedirs(out_dir, exist_ok=True)
+        if out_dir is not None:
+            # the sink directory exists even when every input is empty
+            os.makedirs(out_dir, exist_ok=True)
         fn_ref, columns, sources = ray.put(fn), _file_reads[read], files
     else:
         fn_ref, columns = None, None
@@ -176,15 +188,19 @@ def write_routed(ds: "ray.data.Dataset", out_dir: str, *,
                    for ref, meta in bundle.blocks if meta.num_rows != 0)
     write_uuid = uuid.uuid4().hex
     max_in_flight = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    task = _write_source.options(num_returns=max(1, len(partials)))
+    returns: list = []
     pending: list = []
     try:
         for i, source in enumerate(sources):
             if len(pending) == max_in_flight:
                 done, pending = ray.wait(pending, num_returns=1)
                 ray.get(done)
-            pending.append(_write_source.remote(
-                fn_ref, columns, source, out_dir, route_col, file_format,
-                f"{write_uuid}_{i:06}"))
+            refs = task.remote(fn_ref, columns, source, out_dir, route_col,
+                               file_format, f"{write_uuid}_{i:06}",
+                               partials)
+            returns.append(refs if len(partials) > 1 else [refs])
+            pending.append(returns[-1][0])
         while pending:
             done, pending = ray.wait(pending, num_returns=1)
             ray.get(done)
@@ -192,3 +208,4 @@ def write_routed(ds: "ray.data.Dataset", out_dir: str, *,
         for ref in pending:
             ray.cancel(ref)
         raise
+    return [[refs[p] for refs in returns] for p in range(len(partials))]

@@ -3,8 +3,9 @@ route → per-sink counts) vs a DuckDB reconstruction, over adversarial
 transcript tables — null / unicode / case-shifted roles, tool strings
 probing the ``^\\s*([a-z_]+)`` extraction (leading blanks, uppercase,
 digits, unicode letters, embedded newlines), texts hitting the
-redaction/word/status enrich stages, and null ts/conv ids. Each table also
-runs through ``run_resumable``: its summed manifest ``route_counts`` and
+redaction/word/status enrich stages, and null ts/conv ids. ``run_pipeline``
+runs with and without a sink (its counts are the write tasks' partials
+either way). Each table also runs through ``run_resumable``: its summed manifest ``route_counts`` and
 ``matched_counts`` must equal the same mirror (a null route is the hive
 default partition label there). And each table is written by
 ``write_routed`` twice more, through the block path (parquet, a Dataset
@@ -174,15 +175,16 @@ def _check_resumable(path: str, con) -> None:
 def fuzz_transcripts(rows):
     path = _mk_path(rows)
     try:
-        res = run_pipeline(path)
         con = duckdb.connect()
-        compare_result("sink_counts", res["sink_counts"],
-                       con.execute(_mirror_sql(path)).df())
-        compare_result("status_matched_counts",
-                       res["status_matched_counts"],
-                       con.execute(_matched_sql(path)).df())
-        compare_result("conv_turn_counts", res["conv_turn_counts"],
-                       con.execute(_convs_sql(path)).df())
+        for out_dir in (None, os.path.join(os.path.dirname(path), "sink")):
+            res = run_pipeline(path, out_dir)
+            compare_result("sink_counts", res["sink_counts"],
+                           con.execute(_mirror_sql(path)).df())
+            compare_result("status_matched_counts",
+                           res["status_matched_counts"],
+                           con.execute(_matched_sql(path)).df())
+            compare_result("conv_turn_counts", res["conv_turn_counts"],
+                           con.execute(_convs_sql(path)).df())
         _check_resumable(path, con)
         _check_sinks(path, con)
     finally:

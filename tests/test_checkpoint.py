@@ -165,10 +165,17 @@ def test_checkpoint_tmp_ownership(tmp_path):
 # (percent-encoded; a null route is hive's default partition).
 # --------------------------------------------------------------------------
 
-ROUTES = {"user": "user turns", "assistant": "a=b", "tool": "t/u"}
+# a literal "(null)" route must stay apart from the null route, which is
+# hive's default partition
+ROUTES = {"user": "user turns", "assistant": "a=b", "tool": "t/u",
+          "critic": "é", "judge": "50%", "planner": "a+b",
+          "narrator": "(null)"}
 ENCODED = {"user turns": "user%20turns", "a=b": "a%3Db", "t/u": "t%2Fu",
-           "other": "other", None: "__HIVE_DEFAULT_PARTITION__"}
-ROLES = ["user", "assistant", "tool", "system", None]
+           "é": "%C3%A9", "50%": "50%25", "a+b": "a%2Bb",
+           "(null)": "%28null%29", "other": "other",
+           None: "__HIVE_DEFAULT_PARTITION__"}
+ROLES = ["user", "assistant", "tool", "system", None, "critic", "judge",
+         "planner", "narrator"]
 # status parses as \b[1-5][0-9]{2}\b, and a parsed status counts as
 # matched whether a STATUS_REGEX_DICT key or the fallback filled it (150)
 TEXTS = ["ok 200", "the 404 page", "no status", None, "code 150", "503"]
@@ -213,9 +220,10 @@ def _cfg():
 
 
 def test_manifest_counts_pinned_to_input(ray_session, tmp_path):
-    """Null roles, route names with a space, '=' and '/', a 0-row input
-    file, and an all-matched shard: every manifest's counts equal DuckDB's
-    over that shard's input."""
+    """Null roles, route names with a space, '=', '/', '%', '+', a
+    non-ASCII letter and a literal "(null)", a 0-row input file, and an
+    all-matched shard: every manifest's counts equal DuckDB's over that
+    shard's input."""
     from logstash_filter_translate_ray.pipelines import run_resumable
     src = tmp_path / "in"
     src.mkdir()
@@ -230,6 +238,7 @@ def test_manifest_counts_pinned_to_input(ray_session, tmp_path):
     routes, matched = _expected_counts(mixed)
     assert "__HIVE_DEFAULT_PARTITION__" in routes
     assert {"user%20turns", "a%3Db", "t%2Fu", "other"} <= set(routes)
+    assert set(routes) == set(ENCODED.values())
     m = by_input[mixed]
     assert (m.rows_in, m.rows_out) == (301, 301)
     assert m.route_counts == routes

@@ -299,11 +299,9 @@ def test_grok_rule_multi_capture(ray_session):
 
 
 def test_conv_turn_counts_skew_safe(ray_session, transcripts_path):
-    """Distributed (salted-partials) conv aggregate equals a pandas oracle
-    on Zipf-skewed data with a hot conversation."""
-    from logstash_filter_translate_ray.stages.aggregate import conv_turn_counts
-    from logstash_filter_translate_ray.pipelines.transcripts import read_transcripts
-    got = conv_turn_counts(read_transcripts(transcripts_path)) \
+    """run_pipeline's distributed (salted-partials) conv aggregate equals
+    a pandas oracle on Zipf-skewed data with a hot conversation."""
+    got = run_pipeline(transcripts_path)["conv_turn_counts"] \
         .to_pandas().set_index("conv_id")["turns"].to_dict()
     want = pq.read_table(transcripts_path).to_pandas() \
         .groupby("conv_id").size().to_dict()
@@ -1176,9 +1174,10 @@ def test_spec_step_schema_same_when_empty(ray_session, tmp_path, kind,
 
 def test_run_spec_empty_unanchored_result_writes_nothing(ray_session,
                                                          tmp_path):
-    """A CSV input has no schema probe: a keep that drops every row, then
-    a route, leave a result with no schema. The routed sink check must
-    not crash on it (AttributeError on None.names); nothing is written."""
+    """A CSV input whose keep drops every row, then a route: the routed
+    sink check must not crash on the empty result (it crashed with
+    AttributeError on None.names while CSV inputs had no schema probe),
+    and the routed sink writes nothing."""
     from logstash_filter_translate_ray.pipelines.spec import run_spec
 
     src = tmp_path / "in.csv"
@@ -1193,6 +1192,37 @@ def test_run_spec_empty_unanchored_result_writes_nothing(ray_session,
             "output": {"path": str(out), "format": fmt}}) is None
         assert not out.exists() or not any(
             f.is_file() for f in out.rglob("*")), fmt
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spec_csv_json_empty_result_keeps_schema(ray_session, tmp_path, fmt):
+    """A CSV or JSON spec whose keep drops every row has the schema of the
+    same spec over rows that survive, also after a post_filters step: the
+    probe is the reader's own inference on the first file."""
+    from logstash_filter_translate_ray.pipelines.spec import build_from_spec
+
+    src = tmp_path / f"in.{fmt}"
+    if fmt == "csv":
+        src.write_text("doc_id,role,text,score\n1,user,hi,0.5\n"
+                       "2,assistant,,1.5\n")
+    else:
+        src.write_text('{"doc_id": 1, "role": "user", "text": "hi", '
+                       '"score": 0.5}\n{"doc_id": 2, "role": "assistant", '
+                       '"text": null, "score": 1.5}\n')
+
+    def schema(min_id):
+        return build_from_spec({
+            "input": {"path": str(src), "format": fmt},
+            "filters": [{"keep": {"column": "doc_id", "op": ">=",
+                                  "value": min_id}}],
+            "route": {"key": "role", "routes": {"user": "u"}},
+            "post_filters": [{"select": {
+                "columns": ["doc_id", "route", "score"]}}]}).schema()
+
+    kept, empty = schema(2), schema(100)
+    assert empty is not None
+    assert kept.names == empty.names == ["doc_id", "route", "score"]
+    assert kept.types == empty.types
 
 
 def test_run_spec_aggregate_sink_and_json_format(ray_session, tmp_path):

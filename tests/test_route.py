@@ -141,8 +141,8 @@ def test_json_runner_matches_block_path(ray_session, tmp_path,
 
 def test_file_runner_all_empty_inputs(ray_session, tmp_path):
     """A file chain whose input files are all empty writes no file but
-    leaves the sink directory, so run_pipeline's read-back of it gives
-    empty counts."""
+    leaves the sink directory, and run_pipeline over it gives empty
+    counts."""
     from logstash_filter_translate_ray.pipelines.transcripts import (
         run_pipeline)
 
@@ -151,6 +151,64 @@ def test_file_runner_all_empty_inputs(ray_session, tmp_path):
     res = run_pipeline(src, out)
     assert os.listdir(out) == []
     assert len(res["sink_counts"]) == 0
+
+
+@pytest.mark.parametrize("sink", [False, True])
+def test_run_pipeline_empty_input_conv_schema(ray_session, tmp_path, sink):
+    """Over a single 0-row input file, conv_turn_counts is empty but keeps
+    its columns: the runner runs the chain over the file's 0-row table,
+    so the conv_id partial carries the chain's schema."""
+    from logstash_filter_translate_ray.pipelines.transcripts import (
+        run_pipeline)
+
+    src = str(tmp_path / "in")
+    _write_inputs(src, [0])
+    convs = run_pipeline(src, str(tmp_path / "out") if sink else None
+                         )["conv_turn_counts"]
+    assert convs.count() == 0
+    schema = convs.schema()
+    assert schema is not None
+    assert list(zip(schema.names, schema.types)) == [
+        ("conv_id", pa.string()), ("turns", pa.int64())]
+
+
+@pytest.mark.parametrize("sink", [False, True])
+def test_run_pipeline_runs_chain_once(ray_session, tmp_path, monkeypatch,
+                                      sink):
+    """run_pipeline is one pass: the composed chain runs once per input
+    file (each under 128k rows: one batch), and the written output is
+    never read back."""
+    import ray.data as rd
+    from logstash_filter_translate_ray.pipelines import transcripts as T
+
+    src, out = str(tmp_path / "in"), str(tmp_path / "out")
+    _write_inputs(src, [0, 300, 500])
+    calls = str(tmp_path / "chain_calls")
+    route_block_fn = T.route_block_fn
+
+    def counted_route_block_fn(*args, **kwargs):
+        fn = route_block_fn(*args, **kwargs)
+
+        def counted(batch):
+            with open(calls, "a") as f:
+                f.write(f"{batch.num_rows}\n")
+            return fn(batch)
+        return counted
+
+    read_parquet, reads = rd.read_parquet, []
+
+    def recorded_read_parquet(paths, *args, **kwargs):
+        reads.append(paths)
+        return read_parquet(paths, *args, **kwargs)
+
+    monkeypatch.setattr(T, "route_block_fn", counted_route_block_fn)
+    monkeypatch.setattr(rd, "read_parquet", recorded_read_parquet)
+    res = T.run_pipeline(src, out if sink else None)
+    assert reads == [src]
+    with open(calls) as f:
+        assert sorted(int(n) for n in f) == [0, 300, 500]
+    assert int(res["sink_counts"]["n"].sum()) == 800
+    assert int(res["conv_turn_counts"].to_pandas()["turns"].sum()) == 800
 
 
 def test_file_runner_task_error_propagates(ray_session, tmp_path,
