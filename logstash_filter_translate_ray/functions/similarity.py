@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import keyed_groups
+from ..rayutil import block_meta, keyed_groups, materialized, _wrap
 
 # knn_join_ivf.route() replicates each vector n_probe-fold; it emits the
 # replicas in chunks of at most this many flat float32 list elements
@@ -91,19 +91,20 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
 
 
 def _result(out, schema: pa.Schema, as_dataset: bool):
-    """The one return path of the joins: ``out`` is a list of refs to
-    per-task result tables, or a Dataset. Returns a Dataset, or a pandas
-    frame of ``schema`` sorted by its first two columns."""
+    """The one return path of the joins: ``out`` is a list of per-task
+    ``(table, block_meta)`` ref pairs, or a Dataset. Returns a Dataset
+    (of the tables that have rows; none has: one 0-row ``schema`` block),
+    or a pandas frame of ``schema`` sorted by its first two columns."""
     import ray
-    import ray.data as rd
 
-    if not isinstance(out, list):
+    if isinstance(out, list):
         if as_dataset:
-            return out
+            return _wrap(out, lambda: schema)
+        out = [t for t, _ in out]
+    elif as_dataset:
+        return out
+    else:
         out = out.to_arrow_refs()     # then one ray.get, no batch iterator
-    if as_dataset:
-        return (rd.from_arrow_refs(out) if out
-                else rd.from_arrow(schema.empty_table()))
     tables = ray.get(out)             # the task results, no Dataset trip
     # an all-empty Dataset can hand back schema-less zero-row blocks
     tbl = pa.concat_tables([t for t in tables if len(t)]
@@ -114,12 +115,13 @@ def _result(out, schema: pa.Schema, as_dataset: bool):
 
 def _vector_blocks(ds, id_col: str, vec_col: str, target_rows: int,
                    max_blocks: int) -> list:
-    """The (id, vector) columns of ``ds`` as refs to materialized blocks
-    of 1..``target_rows`` rows each (no refs for an empty ``ds``), so a
-    block-pair task's transient score matrix stays ≤ target_rows² × 8 B
-    REGARDLESS of N — more rows means more blocks, never bigger matrices.
+    """The blocks of ``ds`` (``rayutil.materialized``: at least its id and
+    vector columns) as refs to tables of 1..``target_rows`` rows each (no
+    refs for an empty ``ds``), so a block-pair task's transient score
+    matrix stays ≤ target_rows² × 8 B REGARDLESS of N — more rows means
+    more blocks, never bigger matrices.
 
-    The bound is on block SIZE (per-block rows from the materialized
+    The bound is on block SIZE (per-block rows from the blocks'
     metadata, no block fetch): a skewed layout with a plausible block
     COUNT but one giant block must re-split, and so must an empty block
     (``_batch_matrix`` cannot infer its dim). A layout already under the
@@ -132,7 +134,7 @@ def _vector_blocks(ds, id_col: str, vec_col: str, target_rows: int,
 
     from ..rayutil import _concat
 
-    sub = ds.select_columns([id_col, vec_col]).materialize()
+    sub = materialized(ds, [id_col, vec_col])
     blocks = [bl for b in sub.iter_internal_ref_bundles() for bl in b.blocks]
     sizes = np.array([m.num_rows for _, m in blocks], dtype=np.int64)
     n_total = int(sizes.sum())
@@ -264,14 +266,15 @@ def embedding_neardup_pairs(ds, threshold: float = 0.9,
 
     refs = _vector_blocks(ds, id_col, vec_col, _TILE_ROWS, max_blocks)
 
-    @ray.remote
-    def cross(ta: pa.Table, tb: pa.Table, same: bool) -> pa.Table:
+    @ray.remote(num_returns=2)
+    def cross(ta: pa.Table, tb: pa.Table, same: bool):
         ma = _unit_rows(ta, vec_col)
         mb = ma if same else _unit_rows(tb, vec_col)
         ids_a = ta[id_col].to_numpy(zero_copy_only=False)
         ids_b = ids_a if same else tb[id_col].to_numpy(zero_copy_only=False)
-        return _pairs_from_scores(ids_a, ids_b, ma @ mb.T, threshold,
-                                  upper_only=same)
+        out = _pairs_from_scores(ids_a, ids_b, ma @ mb.T, threshold,
+                                 upper_only=same)
+        return out, block_meta(out)
 
     return _result([cross.remote(refs[i], refs[j], i == j)
                     for i in range(len(refs)) for j in range(i, len(refs))],
@@ -424,6 +427,11 @@ def knn_join(ds, k: int = 3, vec_col: str = "embedding",
     (the r3 full-width concatenation this replaces). O(N²) compute is
     inherent to exactness — at scale use :func:`knn_join_ivf`.
 
+    The input's blocks come from ``rayutil.materialized``: a local parquet
+    read is one plain read task per file, a Dataset that already is data
+    is used as it is, and only another plan runs Ray Data (one
+    ``materialize()``). After that there is no Ray Data execution.
+
     Returns a pandas frame (vec_id, nn_rank, neighbor_id) by default;
     ``as_dataset=True`` returns a Dataset built from the result-block refs
     (N×k rows never land on the driver — the streaming path at scale).
@@ -433,17 +441,18 @@ def knn_join(ds, k: int = 3, vec_col: str = "embedding",
     refs = _vector_blocks(ds, id_col, vec_col, target_block_rows,
                           max_blocks)
 
-    @ray.remote
-    def block_topk(ta: pa.Table, other_refs: list) -> pa.Table:
+    @ray.remote(num_returns=2)
+    def block_topk(ta: pa.Table, other_refs: list):
         ids_a = ta[id_col].to_numpy(zero_copy_only=False)
         others = ((tb[id_col].to_numpy(zero_copy_only=False),
                    _unit_rows(tb, vec_col))
                   for tb in map(ray.get, other_refs))  # one at a time
         counts, nbr, _ = _running_topk(ids_a, _unit_rows(ta, vec_col),
                                        others, k)
-        return pa.Table.from_arrays(
+        out = pa.Table.from_arrays(
             [np.repeat(ids_a, counts), _ranks(counts), nbr],
             schema=_KNN_SCHEMA)
+        return out, block_meta(out)
 
     # nested-list refs are NOT auto-dereferenced by Ray — each task fetches
     # other blocks lazily inside its loop, so the object store can evict
@@ -459,13 +468,14 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     """IVF-partitioned APPROXIMATE cosine k-NN join — the 100 TB path the
     exact :func:`knn_join` cannot be (its compute is inherently O(N²)).
 
-    Shape (the read's ``materialize`` is the call's only Ray Data
-    execution; the rest are plain tasks and keyed-group task exchanges,
-    and no table is collected into the calling process):
+    Shape (the input's blocks come from ``rayutil.materialized``, as in
+    :func:`knn_join`: a local parquet read runs no Ray Data execution at
+    all; the rest are plain tasks and keyed-group task exchanges, and no
+    table is collected into the calling process):
 
     1. Coarse centroids via :func:`build_ivf_centroids` (driver k-means on
        a ≤``sample_n`` deterministic hash sample, one sample task per
-       materialized block; broadcast via ``ray.put``).
+       input block; broadcast via ``ray.put``).
     2. Each vector routes to its ``n_probe`` nearest cells (one matmul
        per block against the broadcast centroids), inside step 3's split
        task (``keyed_groups(pre=route)``), not as a Dataset op. The row
@@ -501,10 +511,10 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     """
     import ray
 
-    # materialize ONCE (mirrors knn_join): count(), the centroid sample
-    # and the routing split then read its blocks with no further Ray Data
+    # the blocks once (mirrors knn_join): count(), the centroid sample and
+    # the routing split read them, and their metadata, with no Ray Data
     # execution (each one costs more than the plain tasks it would run)
-    sub = ds.select_columns([id_col, vec_col]).materialize()
+    sub = materialized(ds, [id_col, vec_col])
     n_total = sub.count()
     if n_total == 0:            # no rows to sample centroids from
         return _result([], _KNN_SCHEMA, as_dataset)

@@ -13,9 +13,10 @@ Parquet (BASELINE.json north_star):
 Parse, the five translates and route compose into ONE block function
 over zero-copy Arrow tables. As a Dataset it is one ``map_batches``.
 Every routed write is plain tasks (stages/route.py): ``write_routed`` of
-the chain over a :func:`read_transcripts` read runs the same function in
-one task per input file; a Dataset derived from it is written in one
-task per block; either way the tasks return the count partials.
+the chain over a plain local parquet read (:func:`read_transcripts`)
+runs the same function in one task per input file; a Dataset derived
+from it is written in one task per block; either way the tasks return
+the count partials.
 The per-turn ``text`` column is never rewritten (input_hint invariant:
 per-turn text equality under stable (conv_id, turn_idx) ordering).
 """
@@ -37,9 +38,8 @@ from ..kernel import DictSnapshot
 from ..rayutil import keyed_aggregate, run_chain
 from ..stages.aggregate import _partial_counts, merge_partials
 from ..stages.parse import ParseConfig, parse_block_fn
-from ..stages.route import (record_file_chain, record_file_read,
-                            NULL_ROUTE_DIR, route_block_fn, route_label,
-                            write_routed)
+from ..stages.route import (record_file_chain, NULL_ROUTE_DIR,
+                            route_block_fn, route_label, write_routed)
 from ..stages.translate_stage import translate_block_fn
 
 # Default dictionaries for the transcript DAG (FIXTURES.md §B): small,
@@ -109,8 +109,8 @@ def build_enriched_dataset(ds: "rd.Dataset",
                            ) -> "rd.Dataset":
     """parse → enrich(tool, status, word, segment, redaction) → route, as
     one ``map_batches`` of the composed block function. Lazy — nothing
-    executes. Over a :func:`read_transcripts` read, the result is
-    recorded as a file chain for ``write_routed``."""
+    executes. Over a plain local parquet read (:func:`read_transcripts`),
+    the result is recorded as a file chain for ``write_routed``."""
     cfg = cfg or TranscriptPipelineConfig()
     fns = [parse_block_fn(cfg.parse)]
 
@@ -162,8 +162,7 @@ def build_enriched_dataset(ds: "rd.Dataset",
                          batch_size=cfg.batch_size)
     # the file runner hands the chain whole files (≤128k-row batches),
     # so only the whole-block form may take it
-    if cfg.batch_size is None:
-        record_file_chain(out, ds, chain)
+    record_file_chain(out, ds, chain, whole_files=cfg.batch_size is None)
     return out
 
 
@@ -184,9 +183,8 @@ def read_transcripts(path: "str | list[str]",
     kw = {}
     if override_num_blocks is not None:
         kw["override_num_blocks"] = override_num_blocks
-    return record_file_read(
-        rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS, batch_size=None,
-                        **kw), TRANSCRIPT_COLUMNS)
+    return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS, batch_size=None,
+                           **kw)
 
 
 def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,

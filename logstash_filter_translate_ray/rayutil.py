@@ -27,11 +27,17 @@ aggregate spec or join type; this module owns the rest:
   one zero-copy slice per bucket plus the bucket row counts. Reduce: one
   task per non-empty bucket concatenates that bucket's slices, sorts
   them and calls ``fn`` (a join: splits both sides, and runs Arrow's
-  ``Table.join`` per bucket). The result wraps the reduce outputs that
-  have rows, known from each reduce's row count, so no table is fetched
-  into the calling process: at most ``num_groups`` non-empty blocks.
+  ``Table.join`` per bucket). Each reduce returns its table and its
+  :func:`block_meta` (rows, bytes, schema); the result is built from the
+  outputs that have rows by :func:`_dataset_from`, with no metadata task
+  and no table fetched into the calling process: at most ``num_groups``
+  non-empty blocks.
 - **Eager.** All three run their inputs when called and return a
-  materialized Dataset, like ``materialize()``, not a lazy plan.
+  materialized Dataset whose plan is data, like ``materialize()``'s, not
+  a lazy plan: a later exchange, ``topk_rows`` or ``to_arrow_refs``
+  reads its blocks and metadata with no Ray Data execution. An input
+  whose plan is data costs the split none either (:func:`materialized`
+  brings a local parquet read to that form with plain read tasks).
 - **What ``fn`` sees.** ``fn(table, starts)`` gets one bucket's rows
   sorted by ``(*keys, *order_by)`` plus the key-segment start offsets.
   Segments come from null-aware Arrow adjacency on the raw values (never
@@ -249,32 +255,174 @@ def _bucket_parts(splits, counts, g: int) -> list:
     return [s[g] for s, c in zip(splits, counts) if c[g]]
 
 
-def _wrap(outs, anchor: Callable[[], Optional[pa.Schema]]):
-    """A Dataset of the ``(table, rows)`` task outputs that have rows; when
-    none has, one zero-row block of ``anchor()`` (None: no block)."""
-    import ray.data as rd
+def block_meta(t: pa.Table) -> tuple:
+    """The ``(rows, bytes, schema)`` a task returns beside its table, from
+    which :func:`_dataset_from` builds a Dataset with no further task."""
+    return t.num_rows, t.nbytes, t.schema
 
-    rows = ray.get([n for _, n in outs])
-    tables = [t for (t, _), n in zip(outs, rows) if n]
-    if not tables:
+
+def _dataset_from(blocks: list):
+    """A materialized Dataset of ``blocks``, ``(table ref, block_meta)``
+    pairs. It runs no task (Ray's ``from_arrow`` of refs runs one metadata
+    task per table), and reading it back starts no executor: its plan is
+    data, like a ``materialize()`` output's. Ray 2.49 internals, used
+    here and in :func:`materialized` and :func:`plain_parquet_read` only,
+    and imported here, not at module level: every file task unpickles
+    this module, and importing Ray Data costs it ~0.4 s."""
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import (
+        InputData)
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.block import BlockMetadata
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    ctx = DataContext.get_current().copy()
+    bundles = [RefBundle([(ref, BlockMetadata(num_rows=rows,
+                                              size_bytes=nbytes,
+                                              input_files=None,
+                                              exec_stats=None))],
+                         owns_blocks=False, schema=schema)
+               for ref, (rows, nbytes, schema) in blocks]
+    op = InputData(input_data=bundles)
+    plan = ExecutionPlan(DatasetStats(metadata={}, parent=None), ctx)
+    ds = MaterializedDataset(plan, LogicalPlan(op, ctx))
+    # the output plan.execute() records for a data plan, recorded here:
+    # execute() also queries the cluster on every call (its resources,
+    # and object store stats through a new GCS client). The schema is the
+    # blocks' unified one, as Ray's from_arrow Dataset reports.
+    plan._snapshot_bundle = RefBundle(
+        [blk for b in bundles for blk in b.blocks], owns_blocks=False,
+        schema=op.infer_schema())
+    plan._snapshot_operator = op
+    plan._snapshot_stats = plan._in_stats
+    return ds
+
+
+def _bundle_blocks(bundles) -> list:
+    """The ``(ref, block_meta)`` pairs of Ray Data ``RefBundle``s."""
+    return [(ref, (meta.num_rows, meta.size_bytes, bundle.schema))
+            for bundle in bundles for ref, meta in bundle.blocks]
+
+
+def plain_parquet_read(ds) -> Optional[tuple]:
+    """``(files, columns)`` when ``ds`` is exactly a ``rd.read_parquet`` of
+    local files that Ray Data would not transform while reading: no
+    ``filter`` (or other scanner argument but ``batch_size``), ``schema``,
+    block UDF, ``include_paths`` or hive partition columns in the paths.
+    ``files`` are sorted; ``columns`` is the read's column list (None:
+    all). Else None. A task then reads a file with ``pq.read_table(file,
+    columns)`` and gets the rows Ray's read would."""
+    import os
+
+    import pyarrow.fs as pafs
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource)
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data.datasource.partitioning import (Partitioning,
+                                                  PathPartitionParser)
+
+    op = ds._logical_plan.dag
+    src = getattr(op, "_datasource", None)
+    if not isinstance(op, Read) or type(src) is not ParquetDatasource:
+        return None
+    if (src._block_udf is not None or src._read_schema is not None
+            or src._include_paths
+            or set(src._to_batches_kwargs) - {"batch_size"}
+            or not isinstance(src._filesystem, pafs.LocalFileSystem)
+            or src._partitioning not in (None, Partitioning("hive"))):
+        return None
+    files = sorted(src._pq_paths)
+    if src._partitioning is not None:
+        parse = PathPartitionParser(src._partitioning)
+        if any(parse(f) for f in files):
+            return None
+    if not all(os.path.isfile(f) for f in files):
+        return None
+    return files, src._data_columns
+
+
+@ray.remote(num_returns="streaming")
+def _read_parquet_file(path: str, columns: List[str], max_bytes: int):
+    """One local parquet file's ``columns``: its table in slices of at
+    most ``max_bytes`` (a 0-row file: none), then their metas."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=columns)
+    n = -(-t.nbytes // max_bytes) if t.num_rows else 0
+    metas = []
+    for i in range(n):
+        lo = i * t.num_rows // n
+        s = t.slice(lo, (i + 1) * t.num_rows // n - lo)
+        metas.append(block_meta(s))
+        yield s
+    yield metas
+
+
+def materialized(ds, columns: List[str]):
+    """``ds``'s blocks as a Dataset whose plan is data (reading it back
+    starts no executor), as cheaply as ``ds``'s plan allows:
+
+    - a plan that already is arrow data (``rd.from_arrow``, a
+      ``materialize()`` output) gives its blocks as they are, all their
+      columns kept: callers read ``columns`` by name;
+    - a plain local parquet read (:func:`plain_parquet_read`) that has
+      ``columns`` is one ``pq.read_table(file, columns)`` task per file.
+      A file larger than ``target_max_block_size`` comes back in slices
+      no larger, as Ray's read returns it; a 0-row file gives no block;
+    - anything else runs ``ds.select_columns(columns)`` through Ray Data
+      once, as ``materialize()`` would (so a read lacking a column raises
+      Ray's error)."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+    from ray.data.context import DataContext
+
+    op = ds._logical_plan.dag
+    schema = _arrow_schema(ds.schema(fetch_if_missing=False))
+    if (isinstance(op, SourceOperator) and op.output_data() is not None
+            and schema is not None):
+        return _dataset_from(_bundle_blocks(op.output_data()))
+    read = plain_parquet_read(ds)
+    if (read is None or schema is None
+            or not set(columns) <= set(schema.names)):
+        return _dataset_from(_bundle_blocks(
+            ds.select_columns(list(columns)).iter_internal_ref_bundles()))
+    max_bytes = DataContext.get_current().target_max_block_size
+    blocks = []
+    for gen in [_read_parquet_file.remote(f, list(columns), max_bytes)
+                for f in read[0]]:
+        *refs, metas = gen
+        blocks += zip(refs, ray.get(metas))
+    return _dataset_from(blocks)
+
+
+def _wrap(outs, anchor: Callable[[], Optional[pa.Schema]]):
+    """A Dataset of the ``(table, block_meta)`` task outputs that have
+    rows; when none has, one zero-row block of ``anchor()`` (None: no
+    block)."""
+    metas = ray.get([m for _, m in outs])
+    blocks = [(t, m) for (t, _), m in zip(outs, metas) if m[0]]
+    if not blocks:
         try:
             schema = anchor()
         except Exception:              # e.g. a keyed column the input lacks
             schema = None
         if schema is not None:
-            tables = [ray.put(schema.empty_table())]
-    return rd.from_arrow_refs(tables)
+            empty = schema.empty_table()
+            blocks = [(ray.put(empty), block_meta(empty))]
+    return _dataset_from(blocks)
 
 
 @ray.remote(num_returns=2)
 def _reduce_bucket(fn, keys: List[str], sort_keys, *parts):
     """One bucket: its non-empty slices from every split, concatenated,
     sorted by ``(*keys, *order_by)`` and handed to ``fn``; returns
-    ``fn``'s table and its row count."""
+    ``fn``'s table and its :func:`block_meta`."""
     t = _concat(parts)
     t = t.take(pc.sort_indices(t, sort_keys=sort_keys))
     out = fn(t, _segment_starts(t, keys))
-    return out, out.num_rows
+    return out, block_meta(out)
 
 
 def keyed_groups(ds, keys: Sequence[str],
@@ -321,7 +469,7 @@ def _join_bucket(how: str, left_on, right_on, n_left: int, *parts):
     if n_left < len(parts):
         left = _join_tables(left, _concat(parts[n_left:]), left_on,
                             right_on, how)
-    return left, left.num_rows
+    return left, block_meta(left)
 
 
 def keyed_join(left, right, left_on: Sequence[str],

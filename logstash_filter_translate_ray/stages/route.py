@@ -7,13 +7,14 @@ Fan-out is single-pass: each block is split by route into hive
 re-scans — N sinks cost one traversal, SURVEY §3.4).
 
 Every routed write, parquet or JSON, runs as plain Ray tasks through one
-block writer. A *file chain* — a whole-file parquet read followed by one
-block function, as the transcript pipeline builds it — gets one task per
-local input file: read, chain, write. It skips Ray Data's streaming
-executor, whose fixed costs (a 100 ms scheduling tick, held-back
-first-wave admission) outweighed the few-ms block functions
-(docs/SCALE.md, "Executor fixed costs"). Every other Dataset runs through
-Ray Data up to its blocks, then gets one write task per non-empty block.
+block writer. A *file chain* — one whole-block ``map_batches`` of a block
+function over a plain local parquet read (``rayutil.plain_parquet_read``),
+as the transcript pipeline builds it — gets one task per input file:
+read, chain, write. It skips Ray Data's streaming executor, whose fixed
+costs (a 100 ms scheduling tick, held-back first-wave admission)
+outweighed the few-ms block functions (docs/SCALE.md, "Executor fixed
+costs"). Every other Dataset runs through Ray Data up to its blocks, then
+gets one write task per non-empty block.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import ray
 
 from ..config import TranslateConfig
 from ..kernel import as_snapshot
+from ..rayutil import plain_parquet_read
 
 # null route keys land here in the JSON sink — the same directory name
 # the parquet sink's hive partitioning uses for a null partition value
@@ -42,26 +44,25 @@ NULL_ROUTE_DIR = "__HIVE_DEFAULT_PARTITION__"
 # (batch_size=None) hands a block function at once
 MAX_BATCH_ROWS = 1 << 17
 
-# File chains, keyed by Dataset identity (weakly: an entry goes with its
-# Dataset). A derived Dataset (.filter, another map_batches, …) is a new
-# object, absent here, and is written block by block.
-_file_reads: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# Chains over a plain local parquet read, keyed by Dataset identity
+# (weakly: an entry goes with its Dataset): (files, columns, fn,
+# whole_files). A derived Dataset (.filter, another map_batches, …) is a
+# new object, absent here, and is written block by block.
 _file_chains: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def record_file_read(ds: "ray.data.Dataset", columns: list[str]
-                     ) -> "ray.data.Dataset":
-    """Mark ``ds`` as a whole-file parquet read of ``columns``."""
-    _file_reads[ds] = list(columns)
-    return ds
-
-
 def record_file_chain(out: "ray.data.Dataset", read: "ray.data.Dataset",
-                      fn: Callable[[pa.Table], pa.Table]) -> None:
-    """Mark ``out`` — ``read.map_batches(fn)`` — as a file chain, if
-    ``read`` is a recorded whole-file read."""
-    if read in _file_reads:
-        _file_chains[out] = (read, fn)
+                      fn: Callable[[pa.Table], pa.Table],
+                      whole_files: bool) -> None:
+    """Mark ``out`` — ``read.map_batches(fn)`` — as a chain over ``read``,
+    if that is a plain local parquet read. ``whole_files``: ``fn`` may
+    take a file's batches of up to ``MAX_BATCH_ROWS`` rows, so
+    :func:`write_routed` runs one task per file; else it writes block by
+    block, and the record only gives the partials their columns when
+    every file is empty."""
+    plain = plain_parquet_read(read)
+    if plain is not None:
+        _file_chains[out] = (*plain, fn, whole_files)
 
 
 def route_block_fn(routes: dict[str, str], *, key: str = "role",
@@ -159,6 +160,33 @@ def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
     return tables[0] if len(tables) == 1 else tuple(tables) or None
 
 
+def _sources(ds: "ray.data.Dataset", out_dir: Optional[str]):
+    """The ``(fn, columns, source, out_dir)`` of each write task: a file
+    chain's files, else the Dataset's non-empty blocks (module
+    docstring)."""
+    files, columns, fn, whole_files = _file_chains.get(
+        ds, ([], None, None, False))
+    if whole_files:
+        if out_dir is not None:
+            # the sink directory exists even when every input is empty
+            os.makedirs(out_dir, exist_ok=True)
+        fn_ref = ray.put(fn)
+        for f in files:
+            yield fn_ref, columns, f, out_dir
+        return
+    blocks = 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                blocks += 1
+                yield None, None, ref, out_dir
+    if not blocks and fn is not None:
+        # every file of the chain is empty, and Ray Data drops empty
+        # blocks: the partials over the chain of the first file's 0-row
+        # table keep their columns, as a file task's 0-row slice does
+        yield ray.put(fn), columns, files[0], None
+
+
 def write_routed(ds: "ray.data.Dataset", out_dir: Optional[str], *,
                  route_col: str = "route", file_format: str = "parquet",
                  partials: tuple = ()) -> list[list]:
@@ -173,30 +201,18 @@ def write_routed(ds: "ray.data.Dataset", out_dir: Optional[str], *,
     so no row counts twice). ``out_dir=None`` writes nothing."""
     if file_format not in ("parquet", "json"):
         raise ValueError(f"unsupported sink format {file_format!r}")
-    read, fn = _file_chains.get(ds, (None, None))
-    files = sorted(read.input_files()) if read is not None else []
-    # input_files() drops a remote filesystem's scheme: only local
-    # files can be opened by path in the tasks
-    if files and all(os.path.isfile(f) for f in files):
-        if out_dir is not None:
-            # the sink directory exists even when every input is empty
-            os.makedirs(out_dir, exist_ok=True)
-        fn_ref, columns, sources = ray.put(fn), _file_reads[read], files
-    else:
-        fn_ref, columns = None, None
-        sources = (ref for bundle in ds.iter_internal_ref_bundles()
-                   for ref, meta in bundle.blocks if meta.num_rows != 0)
     write_uuid = uuid.uuid4().hex
     max_in_flight = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
     task = _write_source.options(num_returns=max(1, len(partials)))
     returns: list = []
     pending: list = []
     try:
-        for i, source in enumerate(sources):
+        for i, (fn_ref, columns, source, dest) in enumerate(
+                _sources(ds, out_dir)):
             if len(pending) == max_in_flight:
                 done, pending = ray.wait(pending, num_returns=1)
                 ray.get(done)
-            refs = task.remote(fn_ref, columns, source, out_dir, route_col,
+            refs = task.remote(fn_ref, columns, source, dest, route_col,
                                file_format, f"{write_uuid}_{i:06}",
                                partials)
             returns.append(refs if len(partials) > 1 else [refs])

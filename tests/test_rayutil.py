@@ -459,3 +459,61 @@ def test_concat_pandas_metadata_no_schema_hash(caplog):
         logger.removeHandler(caplog.handler)
     assert out.equals(t)
     assert "Failed to hash" not in caplog.text
+
+
+def test_dataset_from_is_data(ray_session, monkeypatch):
+    """_dataset_from pins the Ray Data internals it builds on: the Dataset
+    reports its rows, unified schema and blocks from the given metadata,
+    hands back the same refs with no executor run, and a map_batches over
+    it works — with no from_arrow metadata task anywhere."""
+    import ray
+    import ray.data as rd
+    from ray.data import read_api
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+    from ray.data._internal.util import get_table_block_metadata_schema
+
+    tables = [pa.table({"a": [1, 2, 3], "b": [None, None, None]}),
+              pa.table({"a": [4], "b": ["x"]})]
+    refs = [ray.put(t) for t in tables]
+    remote_fns, cached = [], read_api.cached_remote_fn
+    monkeypatch.setattr(read_api, "cached_remote_fn",
+                        lambda fn, **kw: remote_fns.append(fn)
+                        or cached(fn, **kw))
+    with monkeypatch.context() as m:
+        def boom(*a, **kw):
+            raise AssertionError("Ray Data execution")
+        m.setattr(StreamingExecutor, "execute", boom)
+        ds = rayutil._dataset_from(
+            [(r, rayutil.block_meta(t)) for r, t in zip(refs, tables)])
+        assert ds.count() == 4
+        assert ds.num_blocks() == 2
+        assert ds.schema().base_schema == pa.schema(
+            [("a", pa.int64()), ("b", pa.string())])
+        assert ds.to_arrow_refs() == refs
+    doubled = ds.map_batches(
+        lambda t: t.set_column(0, "a", pa.compute.multiply(t["a"], 2)),
+        batch_format="pyarrow", batch_size=None)
+    assert sorted(r["a"] for r in doubled.take_all()) == [2, 4, 6, 8]
+    assert get_table_block_metadata_schema not in remote_fns
+
+
+def test_file_task_modules_load_no_ray_data():
+    """The modules a file task unpickles import no Ray Data: its import
+    costs every fresh worker ~0.4 s, so Ray Data internals are imported
+    inside the functions that use them."""
+    import subprocess
+    import sys
+
+    mods = ["rayutil", "stages.route", "stages.parse",
+            "stages.translate_stage"]
+    code = ("import sys\n"
+            + "".join(f"import logstash_filter_translate_ray.{m}\n"
+                      for m in mods)
+            + "print(sorted(m for m in sys.modules if m == 'ray.data' or "
+            "m.startswith('ray.data.')))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, cwd=os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+    assert out.stdout.strip() == "[]"

@@ -172,6 +172,26 @@ def test_run_pipeline_empty_input_conv_schema(ray_session, tmp_path, sink):
         ("conv_id", pa.string()), ("turns", pa.int64())]
 
 
+def test_run_pipeline_empty_input_conv_schema_batched(ray_session,
+                                                     tmp_path):
+    """With a batch_size the chain runs block by block, and an all-empty
+    input leaves no block to write: the conv_id partial still carries
+    the chain's columns, from the chain run over the read's 0-row
+    table."""
+    from logstash_filter_translate_ray.pipelines.transcripts import (
+        TranscriptPipelineConfig, run_pipeline)
+
+    src = str(tmp_path / "in")
+    _write_inputs(src, [0])
+    res = run_pipeline(src, cfg=TranscriptPipelineConfig(batch_size=4096))
+    convs = res["conv_turn_counts"]
+    assert convs.count() == 0 and len(res["sink_counts"]) == 0
+    schema = convs.schema()
+    assert schema is not None
+    assert list(zip(schema.names, schema.types)) == [
+        ("conv_id", pa.string()), ("turns", pa.int64())]
+
+
 @pytest.mark.parametrize("sink", [False, True])
 def test_run_pipeline_runs_chain_once(ray_session, tmp_path, monkeypatch,
                                       sink):

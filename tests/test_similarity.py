@@ -438,12 +438,24 @@ def test_select_topk_cols_matches_reference(seed):
                 assert sorted(sel[r]) == sorted(want), (kk, r)
 
 
+def _no_executor(monkeypatch):
+    """Make any Ray Data streaming-executor run raise."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    def boom(*a, **kw):
+        raise AssertionError("Ray Data execution")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", boom)
+
+
 def test_knn_join_ivf_runs_no_dataset_op_after_read(ray_session,
                                                     monkeypatch):
-    """The read's materialize is knn_join_ivf's only Ray Data execution:
-    with map_batches, iter_batches and to_pandas patched to raise it
-    still returns the reference result, through the sampled centroid
-    path and the Dataset return."""
+    """Over a Dataset that already is data, knn_join_ivf runs no Ray Data
+    execution at all: with the streaming executor (and map_batches,
+    iter_batches and to_pandas) patched to raise it still returns the
+    reference result, through the sampled centroid path and the Dataset
+    return."""
     import ray
     import ray.data as rd
     tbl, m = _rand_emb(200, dups=5)
@@ -456,6 +468,7 @@ def test_knn_join_ivf_runs_no_dataset_op_after_read(ray_session,
 
     for name in ("map_batches", "iter_batches", "to_pandas"):
         monkeypatch.setattr(rd.Dataset, name, boom)
+    _no_executor(monkeypatch)
     full = similarity.knn_join_ivf(rd.from_arrow(tbl), k=4, n_cells=8,
                                    n_probe=8, sample_n=64)
     pd.testing.assert_frame_equal(full.astype("int64"), want.astype("int64"))
@@ -465,3 +478,119 @@ def test_knn_join_ivf_runs_no_dataset_op_after_read(ray_session,
     ds_out = similarity.knn_join_ivf(rd.from_arrow(tbl), k=4, n_cells=8,
                                      n_probe=3, sample_n=64, as_dataset=True)
     assert sum(map(len, ray.get(ds_out.to_arrow_refs()))) == len(part)
+
+
+def _write_parts(d, tbl: pa.Table, sizes) -> str:
+    """``tbl``'s rows as consecutive parquet files of ``sizes`` rows."""
+    import os
+    import pyarrow.parquet as pq
+    os.makedirs(d, exist_ok=True)
+    start = 0
+    for i, n in enumerate(sizes):
+        pq.write_table(tbl.slice(start, n), os.path.join(d, f"p{i}.parquet"))
+        start += n
+    return str(d)
+
+
+def test_knn_joins_over_local_parquet_run_no_executor(ray_session, tmp_path,
+                                                      monkeypatch):
+    """A kNN join over a plain local parquet read is plain tasks from the
+    read on: with Ray Data's streaming executor patched to raise, both
+    joins still equal the reference, as frames and as Datasets."""
+    import ray
+    import ray.data as rd
+    tbl, m = _rand_emb(200, dups=5)
+    path = _write_parts(tmp_path / "in", tbl, [70, 0, 130])
+    want = _knn_reference(m, k=4).astype("int64")
+    _no_executor(monkeypatch)
+    exact = similarity.knn_join(rd.read_parquet(path), k=4,
+                                target_block_rows=64)
+    pd.testing.assert_frame_equal(exact.astype("int64"), want)
+    ivf = similarity.knn_join_ivf(rd.read_parquet(path), k=4, n_cells=8,
+                                  n_probe=8, sample_n=64)
+    pd.testing.assert_frame_equal(ivf.astype("int64"), want)
+    for fn, kw in ((similarity.knn_join, {}),
+                   (similarity.knn_join_ivf, {"n_cells": 8, "n_probe": 8})):
+        out = fn(rd.read_parquet(path), k=4, as_dataset=True, **kw)
+        got = pa.concat_tables(ray.get(out.to_arrow_refs())).to_pandas()
+        pd.testing.assert_frame_equal(
+            got.sort_values(["vec_id", "nn_rank"]).reset_index(drop=True)
+            .astype("int64"), want)
+
+
+def _case_read(tmp_path, case: str, monkeypatch):
+    """The input Dataset of one ``test_knn_join_fallback_cases`` case."""
+    import os
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    tbl, _ = _rand_emb(120, dups=3)
+    d = tmp_path / case
+    if case == "hive_partitioned":
+        _write_parts(d / "part=a", tbl.slice(0, 50), [50])
+        _write_parts(d / "part=b", tbl.slice(50), [70])
+        return rd.read_parquet(str(d))
+    if case == "all_empty":
+        return rd.read_parquet(_write_parts(d, tbl.slice(0, 0), [0, 0]))
+    if case == "empty_file":
+        return rd.read_parquet(_write_parts(d, tbl, [40, 0, 80]))
+    if case == "over_max_block_size":
+        from ray.data.context import DataContext
+        monkeypatch.setattr(DataContext.get_current(),
+                            "target_max_block_size", 4096)
+        return rd.read_parquet(_write_parts(d, tbl, [120]))
+    path = _write_parts(d, tbl, [60, 60])
+    if case == "filter":
+        return rd.read_parquet(path, filter=pc.field("vec_id") >= 7)
+    if case == "schema":
+        return rd.read_parquet(path, schema=pq.read_schema(
+            os.path.join(path, "p0.parquet")))
+    if case == "derived_filter":
+        return rd.read_parquet(path).filter(lambda r: r["vec_id"] % 3 != 0)
+    assert case == "over_target_block_rows"
+    return rd.read_parquet(path)
+
+
+@pytest.mark.parametrize("case", [
+    "filter", "hive_partitioned", "schema", "derived_filter",
+    "over_target_block_rows", "over_max_block_size", "empty_file",
+    "all_empty"])
+def test_knn_join_fallback_cases(ray_session, tmp_path, monkeypatch, case):
+    """Over each input shape — reads Ray Data transforms (filter, hive
+    partition columns, schema), a derived Dataset, files that re-split or
+    slice, 0-row files — both joins give the frames they give over the
+    same input's materialize(); an all-empty input keeps the kNN
+    schema. Only the plain reads are read by plain tasks, and those slice
+    a file larger than target_max_block_size as Ray's read does."""
+    from logstash_filter_translate_ray import rayutil
+    plain = case in ("over_target_block_rows", "over_max_block_size",
+                     "empty_file", "all_empty")
+    ds = _case_read(tmp_path / "c", case, monkeypatch)
+    assert (rayutil.plain_parquet_read(ds) is not None) == plain
+    if case == "over_max_block_size":
+        sizes = [m.size_bytes for b in rayutil.materialized(
+            ds, ["vec_id", "embedding"]).iter_internal_ref_bundles()
+            for _, m in b.blocks]
+        assert len(sizes) > 1 and max(sizes) <= 4096
+    for fn, kw in ((similarity.knn_join, {"target_block_rows": 32}),
+                   (similarity.knn_join_ivf, {"n_cells": 6, "n_probe": 3,
+                                              "sample_n": 48})):
+        got = fn(_case_read(tmp_path / "a", case, monkeypatch), k=3, **kw)
+        want = fn(_case_read(tmp_path / "b", case, monkeypatch)
+                  .materialize(), k=3, **kw)
+        pd.testing.assert_frame_equal(got, want)
+        assert list(got.columns) == similarity._KNN_SCHEMA.names
+        assert (len(got) == 0) == (case == "all_empty")
+
+
+def test_knn_join_columns_read_lacking_vector_keeps_error(ray_session,
+                                                          tmp_path):
+    """A columns= read without the vector column fails as it did through
+    Ray Data's column projection."""
+    import ray
+    import ray.data as rd
+    tbl, _ = _rand_emb(30)
+    path = _write_parts(tmp_path / "in", tbl, [30])
+    for fn in (similarity.knn_join, similarity.knn_join_ivf):
+        with pytest.raises(ray.exceptions.UserCodeException):
+            fn(rd.read_parquet(path, columns=["vec_id"]), k=2)
