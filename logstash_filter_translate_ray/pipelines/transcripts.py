@@ -1,7 +1,7 @@
 """The flagship parse → enrich → route → aggregate DAG over transcript
 Parquet (BASELINE.json north_star):
 
-  read_parquet (column-pruned, one batch per file)
+  read_transcripts         (the engine's parquet source, column-pruned)
     → parse                  (RE2 kernels)
     → translate tool         (exact dict, broadcast snapshot)
     → translate status       (regex-key dict, ordered first-match)
@@ -12,11 +12,13 @@ Parquet (BASELINE.json north_star):
 
 Parse, the five translates and route compose into ONE block function
 over zero-copy Arrow tables. As a Dataset it is one ``map_batches``.
-Every routed write is plain tasks (stages/route.py): ``write_routed`` of
-the chain over a plain local parquet read (:func:`read_transcripts`)
-runs the same function in one task per input file; a Dataset derived
-from it is written in one task per block; either way the tasks return
-the count partials.
+:func:`read_transcripts` reads through the engine's own parquet source
+(``sources.readers.ParquetFiles``: local files and a column list), which
+builds with no Ray task. Every routed write is plain tasks
+(stages/route.py): ``write_routed`` of the chain over that read runs the
+same function in one task per input file; a Dataset derived from it is
+written in one task per block; either way the tasks return the count
+partials.
 The per-turn ``text`` column is never rewritten (input_hint invariant:
 per-turn text equality under stable (conv_id, turn_idx) ordering).
 """
@@ -35,7 +37,8 @@ import ray.data as rd
 from ..config import TranslateConfig
 from ..checkpoint import run_shards
 from ..kernel import DictSnapshot
-from ..rayutil import keyed_aggregate, run_chain
+from ..rayutil import _dataset_from, keyed_aggregate, run_chain
+from ..sources.readers import parquet_source
 from ..stages.aggregate import _partial_counts, merge_partials
 from ..stages.parse import ParseConfig, parse_block_fn
 from ..stages.route import (record_file_chain, NULL_ROUTE_DIR,
@@ -168,23 +171,29 @@ def build_enriched_dataset(ds: "rd.Dataset",
 
 def read_transcripts(path: "str | list[str]",
                      override_num_blocks: Optional[int] = None) -> "rd.Dataset":
-    """Column-pruned transcript read, one batch per file.
-    ``override_num_blocks`` pins the block count — fewer, larger blocks
-    (~250k rows) cut per-task scheduling gaps substantially vs Ray's
-    adaptive splitting (measured 5.2s vs 7.9s for a 16M-row pass at 16
-    CPUs).
+    """Column-pruned transcript read over the engine's own parquet source
+    (:class:`~..sources.readers.ParquetFiles`): one read task per file,
+    or per group of files when ``override_num_blocks`` is below the file
+    count. It builds with no task; ``write_routed`` of its chain runs one
+    plain task per file instead (stages/route.py).
 
-    ``batch_size=None`` hands each file to the chain whole (up to Arrow's
-    128k-row scanner batch): Ray's parquet reader otherwise cuts a file
-    into ~10k-row batches, and every stage pays its per-block fixed costs
+    A read task hands the chain each file whole, in slices of at most
+    ``MAX_BATCH_ROWS`` rows: every stage pays its per-block fixed costs
     (one regex pass per key, one dictionary hash, one chunk combine per
-    column) once per batch instead of once per file (4 times for a
-    32k-row file)."""
+    column) once per file, not once per small batch.
+
+    A path the source refuses (a non-local filesystem, hive ``k=v``
+    directories) is read by ``rd.read_parquet`` with the same columns,
+    whole files too (``batch_size=None``). A directory with no parquet
+    file raises ``FileNotFoundError``."""
     kw = {}
     if override_num_blocks is not None:
         kw["override_num_blocks"] = override_num_blocks
-    return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS, batch_size=None,
-                           **kw)
+    source = parquet_source(path, TRANSCRIPT_COLUMNS)
+    if source is None:
+        return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS,
+                               batch_size=None, **kw)
+    return rd.read_datasource(source, **kw)
 
 
 def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
@@ -207,14 +216,22 @@ def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
         partials=(_partial_counts(["route", "tool_label"], "n"),
                   _partial_counts(["status_matched"], "n"),
                   _partial_counts(["conv_id"], "turns")))
-    # the conv_id partials go from the object store into the exchange
-    convs = keyed_aggregate(rd.from_arrow_refs(convs), ["conv_id"],
-                            {"turns": ("turns", "sum")})
-    return {"sink_counts": merge_partials(ray.get(routes),
+    # the conv_id partials go from the object store into the exchange,
+    # a Dataset built from the metas the write tasks returned beside them
+    metas = ray.get([m for _, m in convs])
+    convs = keyed_aggregate(
+        _dataset_from([(t, m) for (t, _), m in zip(convs, metas)]),
+        ["conv_id"], {"turns": ("turns", "sum")})
+    return {"sink_counts": merge_partials(_tables(routes),
                                           ["route", "tool_label"]),
-            "status_matched_counts": merge_partials(ray.get(matched),
+            "status_matched_counts": merge_partials(_tables(matched),
                                                     ["status_matched"]),
             "conv_turn_counts": convs}
+
+
+def _tables(outs: list) -> list:
+    """The tables of ``write_routed``'s ``(table, block_meta)`` refs."""
+    return ray.get([t for t, _ in outs])
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +254,8 @@ def run_resumable(input_path: "str | list[str]", out_dir: str,
             build_enriched_dataset(read_transcripts(files), cfg), tmp,
             partials=(_partial_counts(["route"], "n", NULL_ROUTE_DIR),
                       _partial_counts(["status_matched"], "n")))
-        routes = merge_partials(ray.get(routes), ["route"])
-        matched = merge_partials(ray.get(matched), ["status_matched"])
+        routes = merge_partials(_tables(routes), ["route"])
+        matched = merge_partials(_tables(matched), ["status_matched"])
         return {"route_counts": {route_label(r): int(n) for r, n
                                  in routes.itertuples(index=False)},
                 "matched_counts": {str(m): int(n) for m, n

@@ -308,13 +308,15 @@ def _bundle_blocks(bundles) -> list:
 
 
 def plain_parquet_read(ds) -> Optional[tuple]:
-    """``(files, columns)`` when ``ds`` is exactly a ``rd.read_parquet`` of
-    local files that Ray Data would not transform while reading: no
-    ``filter`` (or other scanner argument but ``batch_size``), ``schema``,
-    block UDF, ``include_paths`` or hive partition columns in the paths.
-    ``files`` are sorted; ``columns`` is the read's column list (None:
-    all). Else None. A task then reads a file with ``pq.read_table(file,
-    columns)`` and gets the rows Ray's read would."""
+    """``(files, columns)`` when ``ds`` is exactly a read of the engine's
+    parquet source (``sources.readers.ParquetFiles``, whose fields they
+    are), or a ``rd.read_parquet`` of local files that Ray Data would not
+    transform while reading: no ``filter`` (or other scanner argument but
+    ``batch_size``), ``schema``, block UDF, ``include_paths`` or hive
+    partition columns in the paths. ``files`` are sorted; ``columns`` is
+    the read's column list (None: all). Else None. A task then reads a
+    file with ``pq.read_table(file, columns)`` and gets the rows the read
+    would."""
     import os
 
     import pyarrow.fs as pafs
@@ -324,9 +326,15 @@ def plain_parquet_read(ds) -> Optional[tuple]:
     from ray.data.datasource.partitioning import (Partitioning,
                                                   PathPartitionParser)
 
+    from .sources.readers import ParquetFiles
+
     op = ds._logical_plan.dag
     src = getattr(op, "_datasource", None)
-    if not isinstance(op, Read) or type(src) is not ParquetDatasource:
+    if not isinstance(op, Read):
+        return None
+    if type(src) is ParquetFiles:
+        return src.files, src.columns
+    if type(src) is not ParquetDatasource:
         return None
     if (src._block_udf is not None or src._read_schema is not None
             or src._include_paths

@@ -1,17 +1,112 @@
 """Source readers for the transcript schema: Parquet (primary), CSV, and
 JSON-lines — all producing the identical `TRANSCRIPT_SCHEMA` Dataset so the
 whole DAG is source-agnostic (the reference has no sources of its own;
-Logstash inputs are host-provided, SURVEY §2.3)."""
+Logstash inputs are host-provided, SURVEY §2.3).
+
+The parquet source is the engine's own, :class:`ParquetFiles`: local
+files and a column list, which the file runner (stages/route.py) reads
+as they are, one plain task per file. Its Ray Data form builds with no
+task: Ray's ``ParquetDatasource`` prefetches every footer and blocks the
+driver on two sampling tasks, which in a new Ray job also boot two
+workers before any file task is submitted (docs/SCALE.md, "Executor
+fixed costs")."""
 
 from __future__ import annotations
 
+import functools
+import os
 from typing import Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.csv as pacsv
+import pyarrow.parquet as pq
 import ray.data as rd
+from ray.data.block import BlockMetadata
+from ray.data.datasource.partitioning import (Partitioning,
+                                              PathPartitionParser)
 
+from ..stages.route import file_batches
 from .transcripts import TRANSCRIPT_SCHEMA
+
+# Ray's fallback estimate of in-memory over on-disk parquet bytes, which
+# sizes the blocks of a read without override_num_blocks
+_ENCODING_RATIO = 5
+
+
+def _paths(path) -> list[str]:
+    """A path argument of the parquet readers (one path or a list) as a
+    list of strings."""
+    if isinstance(path, (str, os.PathLike)):
+        path = [path]
+    return [os.fspath(p) for p in path]
+
+
+def _read_files(files: list[str], columns: list[str]):
+    """One read task: each file's ``columns`` in the batches a file task
+    hands its chain (a 0-row file: none, as Ray's parquet read drops it)."""
+    for f in files:
+        yield from (b for b in file_batches(f, columns) if b.num_rows)
+
+
+class ParquetFiles(rd.Datasource):
+    """Local parquet files and a column list. ``files`` are listed as
+    Ray's parquet reader lists them (``pq.ParquetDataset``: recursive,
+    ``_``/``.`` files skipped), sorted; only the first file's schema is
+    read, so ``ds.schema()`` runs no task. A read task covers one file,
+    or a contiguous group when fewer blocks than files are asked for, and
+    yields each file's ``pq.read_table(file, columns)`` in the file
+    runner's slices (``route.file_batches``)."""
+
+    def __init__(self, path: "str | list[str]", columns: list[str]):
+        paths = _paths(path)
+        listing = pq.ParquetDataset(paths[0] if len(paths) == 1 else paths,
+                                    partitioning=None)
+        self.files = sorted(listing.files)
+        if not self.files:
+            raise FileNotFoundError(f"no parquet files under {path!r}")
+        self.columns = list(columns)
+        schema = listing.schema
+        # a missing column raises Ray's KeyError, from the same call
+        self._schema = pa.schema([schema.field(c) for c in self.columns],
+                                 schema.metadata)
+        self._sizes = [os.path.getsize(f) * _ENCODING_RATIO
+                       for f in self.files]
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self._sizes)
+
+    def get_read_tasks(self, parallelism: int) -> list[rd.ReadTask]:
+        tasks = []
+        for group in np.array_split(np.arange(len(self.files)), parallelism):
+            if len(group):
+                files = [self.files[i] for i in group]
+                meta = BlockMetadata(
+                    num_rows=None, input_files=files, exec_stats=None,
+                    size_bytes=sum(self._sizes[i] for i in group))
+                tasks.append(rd.ReadTask(
+                    functools.partial(_read_files, files, self.columns),
+                    meta, schema=self._schema))
+        return tasks
+
+    def get_name(self) -> str:
+        return "ParquetFiles"
+
+
+def parquet_source(path: "str | list[str]",
+                   columns: list[str]) -> Optional[ParquetFiles]:
+    """A :class:`ParquetFiles` source of ``path``, or None where its rows
+    would differ from ``rd.read_parquet(path, columns=columns)``'s: a
+    path with a URI scheme (a non-local filesystem), or a file under a
+    hive ``k=v`` directory, whose keys Ray's reader adds as columns."""
+    if any("://" in p for p in _paths(path)):
+        return None
+    source = ParquetFiles(path, columns)
+    hive = PathPartitionParser(Partitioning("hive"))
+    if any(hive(f) for f in source.files):
+        return None
+    return source
+
 
 # The null rule of every CSV input (these sources and the spec DSL's
 # ``format: csv``), as pyarrow ``ConvertOptions`` keywords.

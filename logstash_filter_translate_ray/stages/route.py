@@ -8,13 +8,20 @@ re-scans — N sinks cost one traversal, SURVEY §3.4).
 
 Every routed write, parquet or JSON, runs as plain Ray tasks through one
 block writer. A *file chain* — one whole-block ``map_batches`` of a block
-function over a plain local parquet read (``rayutil.plain_parquet_read``),
-as the transcript pipeline builds it — gets one task per input file:
-read, chain, write. It skips Ray Data's streaming executor, whose fixed
-costs (a 100 ms scheduling tick, held-back first-wave admission)
-outweighed the few-ms block functions (docs/SCALE.md, "Executor fixed
-costs"). Every other Dataset runs through Ray Data up to its blocks, then
-gets one write task per non-empty block.
+function over a plain local parquet read (``rayutil.plain_parquet_read``:
+the engine's own source, ``sources.readers.ParquetFiles``, as
+``read_transcripts`` builds it, or an untransformed ``rd.read_parquet``)
+— gets one task per input file: read, chain, write. It skips Ray Data's
+streaming executor, whose fixed costs (a 100 ms scheduling tick,
+held-back first-wave admission) outweighed the few-ms block functions
+(docs/SCALE.md, "Executor fixed costs"); over the engine's source, Ray
+Data runs nothing at all, not even at build time. Every other Dataset
+runs through Ray Data up to its blocks, then gets one write task per
+non-empty block.
+
+Each task returns every count partial as its table and its
+``rayutil.block_meta``, so a caller builds a Dataset of them with no
+metadata task (``rayutil._dataset_from``).
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import ray
 
 from ..config import TranslateConfig
 from ..kernel import as_snapshot
-from ..rayutil import plain_parquet_read
+from ..rayutil import block_meta, plain_parquet_read
 
 # null route keys land here in the JSON sink — the same directory name
 # the parquet sink's hive partitioning uses for a null partition value
@@ -63,6 +70,15 @@ def record_file_chain(out: "ray.data.Dataset", read: "ray.data.Dataset",
     plain = plain_parquet_read(read)
     if plain is not None:
         _file_chains[out] = (*plain, fn, whole_files)
+
+
+def file_batches(path: str, columns: Optional[list[str]]) -> list[pa.Table]:
+    """A local parquet file's ``columns``, read whole, in the batches a
+    block function is handed: slices of at most ``MAX_BATCH_ROWS`` rows
+    (a 0-row file: one 0-row slice)."""
+    tbl = pq.read_table(path, columns=columns)
+    return [tbl.slice(start, MAX_BATCH_ROWS)
+            for start in range(0, tbl.num_rows, MAX_BATCH_ROWS) or [0]]
 
 
 def route_block_fn(routes: dict[str, str], *, key: str = "role",
@@ -138,17 +154,16 @@ def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
                   out_dir: Optional[str], route_col: str, file_format: str,
                   name: str, partials: tuple):
     """Write one source (unless ``out_dir`` is None) and return each of
-    ``partials`` over it: with ``fn``, a file chain's local input file,
-    read whole and run through ``fn`` in ``MAX_BATCH_ROWS``-row slices (a
-    0-row file is one 0-row slice); else one block as it is."""
+    ``partials`` over it, as its table and its ``block_meta``: with
+    ``fn``, a file chain's local input file, read whole and run through
+    ``fn`` in ``MAX_BATCH_ROWS``-row slices (a 0-row file is one 0-row
+    slice); else one block as it is."""
     if fn is None:
         # imported here: a file-chain worker never loads Ray Data
         from ray.data.block import BlockAccessor
         batches = [BlockAccessor.for_block(source).to_arrow()]
     else:
-        tbl = pq.read_table(source, columns=columns)
-        batches = (fn(tbl.slice(start, MAX_BATCH_ROWS)) for start
-                   in range(0, tbl.num_rows, MAX_BATCH_ROWS) or [0])
+        batches = map(fn, file_batches(source, columns))
     outs: list = [[] for _ in partials]
     for b, batch in enumerate(batches):
         if out_dir is not None:
@@ -157,7 +172,7 @@ def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
         for out, partial in zip(outs, partials):
             out.append(partial(batch))
     tables = [pa.concat_tables(o, promote_options="default") for o in outs]
-    return tables[0] if len(tables) == 1 else tuple(tables) or None
+    return tuple(x for t in tables for x in (t, block_meta(t))) or None
 
 
 def _sources(ds: "ray.data.Dataset", out_dir: Optional[str]):
@@ -197,13 +212,15 @@ def write_routed(ds: "ray.data.Dataset", out_dir: Optional[str], *,
     rest are cancelled); a dead worker's task is retried by Ray and
     rewrites its files under the same names. ``partials`` are block
     functions each task also runs over its batches; returns, per partial,
-    one table ref per task (Ray keeps a retried task's last return only,
-    so no row counts twice). ``out_dir=None`` writes nothing."""
+    one ``(table, block_meta)`` ref pair per task, from which
+    ``rayutil._dataset_from`` builds a Dataset with no task (Ray keeps a
+    retried task's last return only, so no row counts twice).
+    ``out_dir=None`` writes nothing."""
     if file_format not in ("parquet", "json"):
         raise ValueError(f"unsupported sink format {file_format!r}")
     write_uuid = uuid.uuid4().hex
     max_in_flight = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
-    task = _write_source.options(num_returns=max(1, len(partials)))
+    task = _write_source.options(num_returns=max(1, 2 * len(partials)))
     returns: list = []
     pending: list = []
     try:
@@ -215,7 +232,7 @@ def write_routed(ds: "ray.data.Dataset", out_dir: Optional[str], *,
             refs = task.remote(fn_ref, columns, source, dest, route_col,
                                file_format, f"{write_uuid}_{i:06}",
                                partials)
-            returns.append(refs if len(partials) > 1 else [refs])
+            returns.append(refs if partials else [refs])
             pending.append(returns[-1][0])
         while pending:
             done, pending = ray.wait(pending, num_returns=1)
@@ -224,4 +241,5 @@ def write_routed(ds: "ray.data.Dataset", out_dir: Optional[str], *,
         for ref in pending:
             ray.cancel(ref)
         raise
-    return [[refs[p] for refs in returns] for p in range(len(partials))]
+    return [[(refs[2 * p], refs[2 * p + 1]) for refs in returns]
+            for p in range(len(partials))]

@@ -12,6 +12,13 @@ default partition label there). And each table is written by
 derived from the chain) and the JSON runner (the chain itself): the rows
 per ``route=`` directory of both must equal the mirror's route counts.
 
+A second harness, ``fuzz_read_differential``, reads generated file sets
+(0-row files, nested directories, and in some examples one file over
+``MAX_BATCH_ROWS`` rows in several row groups) through
+``read_transcripts`` (the engine's parquet source) and through
+``rd.read_parquet(..., columns=TRANSCRIPT_COLUMNS, batch_size=None)``:
+the schemas and the sorted rows must be equal.
+
 The SQL mirror is the same one test_entry.py validates against the real
 synthetic transcripts; the fuzz stresses its edges. Owns a Ray session.
 FUZZ_SLICE is not needed — one comparison per example.
@@ -39,9 +46,10 @@ DataContext.get_current().enable_progress_bars = False
 
 from fuzz_common import compare_result
 from logstash_filter_translate_ray.pipelines.transcripts import (
-    ROLE_ROUTES, TOOL_DICT, build_enriched_dataset, read_transcripts,
-    run_pipeline, run_resumable)
-from logstash_filter_translate_ray.stages.route import (NULL_ROUTE_DIR,
+    ROLE_ROUTES, TOOL_DICT, TRANSCRIPT_COLUMNS, build_enriched_dataset,
+    read_transcripts, run_pipeline, run_resumable)
+from logstash_filter_translate_ray.stages.route import (MAX_BATCH_ROWS,
+                                                        NULL_ROUTE_DIR,
                                                         write_routed)
 
 ROLES = ["user", "assistant", "system", "tool", "User", "tool ", "",
@@ -61,20 +69,25 @@ tsv = st.sampled_from(TS)
 row = st.tuples(role, tool, text, tsv)
 
 
-def _mk_path(rows) -> str:
-    d = tempfile.mkdtemp(prefix="fuzz_tr_")
+def _table(rows, start: int = 0) -> pa.Table:
+    """The transcript table of ``rows``; ``turn_idx`` counts from
+    ``start``."""
     n = len(rows)
-    tbl = pa.table({
+    return pa.table({
         "conv_id": pa.array([f"conv-{i % 3:08d}" if i % 5 else None
                              for i in range(n)], type=pa.string()),
-        "turn_idx": pa.array(np.arange(n, dtype=np.int32)),
+        "turn_idx": pa.array(np.arange(start, start + n, dtype=np.int32)),
         "role": pa.array([r[0] for r in rows], type=pa.string()),
         "text": pa.array([r[2] for r in rows], type=pa.string()),
         "tool": pa.array([r[1] for r in rows], type=pa.string()),
         "ts": pa.array([r[3] for r in rows], type=pa.timestamp("us")),
     })
+
+
+def _mk_path(rows) -> str:
+    d = tempfile.mkdtemp(prefix="fuzz_tr_")
     path = os.path.join(d, "transcripts.parquet")
-    pq.write_table(tbl, path)
+    pq.write_table(_table(rows), path)
     return path
 
 
@@ -191,6 +204,56 @@ def fuzz_transcripts(rows):
         shutil.rmtree(os.path.dirname(path), ignore_errors=True)
 
 
+def _sorted_rows(ds) -> pa.Table:
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(tables).sort_by("turn_idx").combine_chunks()
+
+
+# (rows, subdirectory) per file; turn_idx is unique across a file set
+file_spec = st.tuples(st.lists(row, max_size=12),
+                      st.sampled_from(["", "nested", "nested/deeper"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(files=st.lists(file_spec, min_size=1, max_size=6),
+       big=st.one_of(st.none(), st.tuples(st.lists(row, min_size=1,
+                                                   max_size=8),
+                                          st.integers(1, 70_000),
+                                          st.sampled_from([9_000, 50_000]))))
+def fuzz_read_differential(files, big):
+    d = tempfile.mkdtemp(prefix="fuzz_read_")
+    try:
+        start = 0
+        for i, (rows, sub) in enumerate(files):
+            os.makedirs(os.path.join(d, sub), exist_ok=True)
+            pq.write_table(_table(rows, start),
+                           os.path.join(d, sub, f"f{i}.parquet"))
+            start += len(rows)
+        if big is not None:
+            # one file over the read batch, in several row groups
+            rows, extra, row_group = big
+            n = MAX_BATCH_ROWS + extra
+            pq.write_table(_table([rows[i % len(rows)] for i in range(n)],
+                                  start),
+                           os.path.join(d, "big.parquet"),
+                           row_group_size=row_group)
+            start += n
+        open(os.path.join(d, "_SUCCESS"), "w").close()
+        ours = read_transcripts(d)
+        ref = ray.data.read_parquet(d, columns=TRANSCRIPT_COLUMNS,
+                                    batch_size=None)
+        assert ours.schema().base_schema.equals(ref.schema().base_schema,
+                                                check_metadata=True)
+        if start:
+            got, want = _sorted_rows(ours), _sorted_rows(ref)
+            assert got.num_rows == start, (got.num_rows, start)
+            assert got.equals(want)
+    finally:
+        shutil.rmtree(d, ignore_errors=True)
+
+
 if __name__ == "__main__":
     fuzz_transcripts(); print("fuzz_transcripts OK")
+    fuzz_read_differential(); print("fuzz_read_differential OK")
     ray.shutdown()

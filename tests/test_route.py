@@ -196,8 +196,9 @@ def test_run_pipeline_empty_input_conv_schema_batched(ray_session,
 def test_run_pipeline_runs_chain_once(ray_session, tmp_path, monkeypatch,
                                       sink):
     """run_pipeline is one pass: the composed chain runs once per input
-    file (each under 128k rows: one batch), and the written output is
-    never read back."""
+    file (each under 128k rows: one batch), the input is listed once, by
+    the engine's parquet source, and the written output is never read
+    back."""
     import ray.data as rd
     from logstash_filter_translate_ray.pipelines import transcripts as T
 
@@ -215,14 +216,18 @@ def test_run_pipeline_runs_chain_once(ray_session, tmp_path, monkeypatch,
             return fn(batch)
         return counted
 
-    read_parquet, reads = rd.read_parquet, []
+    parquet_source, reads = T.parquet_source, []
 
-    def recorded_read_parquet(paths, *args, **kwargs):
+    def recorded_parquet_source(paths, *args, **kwargs):
         reads.append(paths)
-        return read_parquet(paths, *args, **kwargs)
+        return parquet_source(paths, *args, **kwargs)
+
+    def no_read_parquet(*args, **kwargs):
+        raise AssertionError("rd.read_parquet was called")
 
     monkeypatch.setattr(T, "route_block_fn", counted_route_block_fn)
-    monkeypatch.setattr(rd, "read_parquet", recorded_read_parquet)
+    monkeypatch.setattr(T, "parquet_source", recorded_parquet_source)
+    monkeypatch.setattr(rd, "read_parquet", no_read_parquet)
     res = T.run_pipeline(src, out if sink else None)
     assert reads == [src]
     with open(calls) as f:
