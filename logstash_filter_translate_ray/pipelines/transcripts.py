@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import pyarrow as pa
 import ray
 import ray.data as rd
 
@@ -42,7 +43,7 @@ from ..sources.readers import parquet_source
 from ..stages.aggregate import _partial_counts, merge_partials
 from ..stages.parse import ParseConfig, parse_block_fn
 from ..stages.route import (record_file_chain, NULL_ROUTE_DIR,
-                            route_block_fn, route_label, write_routed)
+                            route_block_fn, route_labels, write_routed)
 from ..stages.translate_stage import translate_block_fn
 
 # Default dictionaries for the transcript DAG (FIXTURES.md §B): small,
@@ -256,8 +257,8 @@ def run_resumable(input_path: "str | list[str]", out_dir: str,
                       _partial_counts(["status_matched"], "n")))
         routes = merge_partials(_tables(routes), ["route"])
         matched = merge_partials(_tables(matched), ["status_matched"])
-        return {"route_counts": {route_label(r): int(n) for r, n
-                                 in routes.itertuples(index=False)},
+        labels = route_labels(pa.array(routes["route"], pa.string()))
+        return {"route_counts": dict(zip(labels, map(int, routes["n"]))),
                 "matched_counts": {str(m): int(n) for m, n
                                    in matched.itertuples(index=False)}}
 

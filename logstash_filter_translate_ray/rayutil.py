@@ -199,6 +199,33 @@ def _segment_starts(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
     return np.flatnonzero(boundary)
 
 
+def _arrow(block) -> pa.Table:
+    """A Ray Data block as a ``pa.Table``. Ray Data is imported only for
+    a block that is not one already, so a task over Arrow blocks never
+    loads it."""
+    if isinstance(block, pa.Table):
+        return block
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+def read_parquet_file(path: str, columns: Optional[List[str]]) -> pa.Table:
+    """A local parquet file's ``columns`` (None: all), read on this thread
+    through ``pq.ParquetFile``, not the dataset layer ``pq.read_table``
+    goes through: the same table, metadata included. A column the file
+    lacks raises ``pa.ArrowInvalid``, as ``pq.read_table`` does (a bare
+    ``ParquetFile.read`` would drop it)."""
+    import pyarrow.parquet as pq
+
+    with pq.ParquetFile(path) as f:
+        missing = [c for c in columns or () if c not in f.schema_arrow.names]
+        if missing:
+            raise pa.ArrowInvalid(
+                f"No match for FieldRef.Name({missing[0]}) in {path}")
+        return f.read(columns=columns)
+
+
 @ray.remote
 def _split_block(block, keys: List[str], num_groups: int,
                  pre: Optional[Callable[[pa.Table], pa.Table]] = None):
@@ -206,9 +233,7 @@ def _split_block(block, keys: List[str], num_groups: int,
     bucket slices (zero-copy views of one stably bucket-sorted copy) plus
     the per-bucket row counts. A zero-row block may carry no key columns,
     so it is returned as it is."""
-    from ray.data.block import BlockAccessor
-
-    t = BlockAccessor.for_block(block).to_arrow()
+    t = _arrow(block)
     if pre is not None:
         t = pre(t)
     if t.num_rows == 0:
@@ -315,7 +340,7 @@ def plain_parquet_read(ds) -> Optional[tuple]:
     ``batch_size``), ``schema``, block UDF, ``include_paths`` or hive
     partition columns in the paths. ``files`` are sorted; ``columns`` is
     the read's column list (None: all). Else None. A task then reads a
-    file with ``pq.read_table(file, columns)`` and gets the rows the read
+    file with :func:`read_parquet_file` and gets the rows the read
     would."""
     import os
 
@@ -356,9 +381,7 @@ def plain_parquet_read(ds) -> Optional[tuple]:
 def _read_parquet_file(path: str, columns: List[str], max_bytes: int):
     """One local parquet file's ``columns``: its table in slices of at
     most ``max_bytes`` (a 0-row file: none), then their metas."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(path, columns=columns)
+    t = read_parquet_file(path, columns)
     n = -(-t.nbytes // max_bytes) if t.num_rows else 0
     metas = []
     for i in range(n):
@@ -377,7 +400,7 @@ def materialized(ds, columns: List[str]):
       ``materialize()`` output) gives its blocks as they are, all their
       columns kept: callers read ``columns`` by name;
     - a plain local parquet read (:func:`plain_parquet_read`) that has
-      ``columns`` is one ``pq.read_table(file, columns)`` task per file.
+      ``columns`` is one :func:`read_parquet_file` task per file.
       A file larger than ``target_max_block_size`` comes back in slices
       no larger, as Ray's read returns it; a 0-row file gives no block;
     - anything else runs ``ds.select_columns(columns)`` through Ray Data

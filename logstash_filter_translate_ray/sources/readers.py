@@ -55,8 +55,8 @@ class ParquetFiles(rd.Datasource):
     ``_``/``.`` files skipped), sorted; only the first file's schema is
     read, so ``ds.schema()`` runs no task. A read task covers one file,
     or a contiguous group when fewer blocks than files are asked for, and
-    yields each file's ``pq.read_table(file, columns)`` in the file
-    runner's slices (``route.file_batches``)."""
+    yields each file's ``rayutil.read_parquet_file(file, columns)`` in
+    the file runner's slices (``route.file_batches``)."""
 
     def __init__(self, path: "str | list[str]", columns: list[str]):
         paths = _paths(path)

@@ -2,27 +2,27 @@
 
 Routing is itself a translate: a dictionary from route key (role, tool, …)
 to sink name with a fallback route — so it reuses the exact-match kernel.
-Fan-out is single-pass: each block is split by route into hive
-``route=<label>`` directories as it is written (no per-sink filter
-re-scans — N sinks cost one traversal, SURVEY §3.4).
+Fan-out is single-pass: a task sorts each batch by route once and writes
+each route's slice into its hive ``route=<label>`` directory on its own
+thread (no per-sink filter re-scans, SURVEY §3.4), by ``pq.write_table``
+or as JSON lines. No task uses ``pyarrow.dataset``: its writer encodes on
+Arrow's IO threads and left each worker ~35 MB heavier (docs/SCALE.md).
 
-Every routed write, parquet or JSON, runs as plain Ray tasks through one
-block writer. A *file chain* — one whole-block ``map_batches`` of a block
-function over a plain local parquet read (``rayutil.plain_parquet_read``:
-the engine's own source, ``sources.readers.ParquetFiles``, as
-``read_transcripts`` builds it, or an untransformed ``rd.read_parquet``)
-— gets one task per input file: read, chain, write. It skips Ray Data's
-streaming executor, whose fixed costs (a 100 ms scheduling tick,
-held-back first-wave admission) outweighed the few-ms block functions
-(docs/SCALE.md, "Executor fixed costs"); over the engine's source, Ray
-Data runs nothing at all, not even at build time. Every other Dataset
-runs through Ray Data up to its blocks, then gets one write task per
-non-empty block.
+Every routed write runs as plain Ray tasks through that one block writer.
+A *file chain* — one whole-block ``map_batches`` of a block function over
+a plain local parquet read (``rayutil.plain_parquet_read``: the engine's
+own source, ``sources.readers.ParquetFiles``, as ``read_transcripts``
+builds it, or an untransformed ``rd.read_parquet``) — gets one task per
+input file: read, chain, write. It skips Ray Data's streaming executor,
+whose fixed costs (a 100 ms scheduling tick, held-back first-wave
+admission) outweighed the few-ms block functions (docs/SCALE.md,
+"Executor fixed costs"); over the engine's source, Ray Data runs nothing
+at all, not even at build time. Every other Dataset runs through Ray
+Data up to its blocks, then gets one write task per non-empty block.
 
 Each task returns every count partial as its table and its
 ``rayutil.block_meta``, so a caller builds a Dataset of them with no
-metadata task (``rayutil._dataset_from``).
-"""
+metadata task (``rayutil._dataset_from``)."""
 
 from __future__ import annotations
 
@@ -33,18 +33,18 @@ import weakref
 from typing import Callable, Optional
 from urllib.parse import quote
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 
 from ..config import TranslateConfig
 from ..kernel import as_snapshot
-from ..rayutil import block_meta, plain_parquet_read
+from ..rayutil import (_arrow, block_meta, plain_parquet_read,
+                       read_parquet_file)
 
-# null route keys land here in the JSON sink — the same directory name
-# the parquet sink's hive partitioning uses for a null partition value
+# the label of a null route value: hive's default partition
 NULL_ROUTE_DIR = "__HIVE_DEFAULT_PARTITION__"
 
 # Arrow's scanner batch: the most rows a whole-file parquet read
@@ -76,7 +76,7 @@ def file_batches(path: str, columns: Optional[list[str]]) -> list[pa.Table]:
     """A local parquet file's ``columns``, read whole, in the batches a
     block function is handed: slices of at most ``MAX_BATCH_ROWS`` rows
     (a 0-row file: one 0-row slice)."""
-    tbl = pq.read_table(path, columns=columns)
+    tbl = read_parquet_file(path, columns)
     return [tbl.slice(start, MAX_BATCH_ROWS)
             for start in range(0, tbl.num_rows, MAX_BATCH_ROWS) or [0]]
 
@@ -116,31 +116,35 @@ def route_dataset(ds: "ray.data.Dataset", routes: dict[str, str], *,
     return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
-def route_label(value) -> str:
-    """The hive ``route=<label>`` label of a route value (or of null)."""
-    return NULL_ROUTE_DIR if value is None else quote(str(value), safe="")
+def route_labels(values: "pa.Array | pa.ChunkedArray") -> list[str]:
+    """Each route value's hive directory label, as Arrow (so Ray's sink)
+    writes it for every type: cast to string by Arrow (``true``; ``1`` for
+    1.0), null as :data:`NULL_ROUTE_DIR`, URI-escaped."""
+    return [quote(v, safe="") for v in pc.fill_null(
+        pc.cast(values, pa.string()), NULL_ROUTE_DIR).to_pylist()]
 
 
 def _write_routes(table: pa.Table, out_dir: str, route_col: str,
                   file_format: str, name: str) -> None:
-    """Write ``table`` split by ``route_col`` into hive ``route=<label>``
-    directories (:func:`route_label`), as Ray's parquet sink does. File
-    names depend on ``name`` only, so a rewrite overwrites the first."""
-    if file_format == "parquet":
-        pads.write_dataset(
-            table, out_dir, format="parquet", partitioning=[route_col],
-            partitioning_flavor="hive",
-            basename_template=f"{name}-{{i}}.parquet",
-            existing_data_behavior="overwrite_or_ignore")
-        return
-    col = table[route_col]
-    for r in pc.unique(col).to_pylist():
-        # pc.equal(col, None) is an all-null mask that filter() treats as
-        # false: null routes need an is_null mask
-        part = table.filter(pc.is_null(col) if r is None
-                            else pc.equal(col, r))
-        d = os.path.join(out_dir, f"{route_col}={route_label(r)}")
+    """Write ``table`` into one file per route label (:func:`route_labels`)
+    under ``<route_col>=<label>``, on this thread: one stable sort by
+    label, one ``take``, zero-copy slices. A parquet file is the bytes
+    Arrow's hive ``write_dataset`` writes for the slice. File names
+    depend on ``name`` only, so a rewrite overwrites the first."""
+    enc = pc.fill_null(pc.cast(table[route_col], pa.string()),
+                       NULL_ROUTE_DIR).combine_chunks().dictionary_encode()
+    ids = enc.indices.to_numpy()
+    counts = np.bincount(ids)
+    table = table.take(np.argsort(ids, kind="stable"))
+    for label, end, n in zip(route_labels(enc.dictionary), np.cumsum(counts),
+                             counts):
+        part = table.slice(end - n, n)
+        d = os.path.join(out_dir, f"{route_col}={label}")
         os.makedirs(d, exist_ok=True)
+        if file_format == "parquet":
+            pq.write_table(part.drop_columns([route_col]),
+                           os.path.join(d, f"{name}-0.parquet"))
+            continue
         path = os.path.join(d, f"{name}.jsonl")
         with open(path + ".tmp", "w") as f:
             f.writelines(json.dumps(row, default=str) + "\n"
@@ -158,12 +162,8 @@ def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
     ``fn``, a file chain's local input file, read whole and run through
     ``fn`` in ``MAX_BATCH_ROWS``-row slices (a 0-row file is one 0-row
     slice); else one block as it is."""
-    if fn is None:
-        # imported here: a file-chain worker never loads Ray Data
-        from ray.data.block import BlockAccessor
-        batches = [BlockAccessor.for_block(source).to_arrow()]
-    else:
-        batches = map(fn, file_batches(source, columns))
+    batches = ([_arrow(source)] if fn is None
+               else map(fn, file_batches(source, columns)))
     outs: list = [[] for _ in partials]
     for b, batch in enumerate(batches):
         if out_dir is not None:

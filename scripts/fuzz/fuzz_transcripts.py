@@ -19,6 +19,18 @@ A second harness, ``fuzz_read_differential``, reads generated file sets
 ``rd.read_parquet(..., columns=TRANSCRIPT_COLUMNS, batch_size=None)``:
 the schemas and the sorted rows must be equal.
 
+A third harness, ``fuzz_writer_differential``, writes generated tables
+(0 rows, one route, many routes, null routes, odd labels; string, int,
+bool and float route columns) with the routed sink's block writer
+(``route._write_routes``: one sort by route, ``pq.write_table`` per
+route) and with Arrow's hive ``pyarrow.dataset.write_dataset``, which it
+replaced: the directory names and each file's bytes must be equal. A
+table in several chunks must give the same rows, in order, with the same
+schema and metadata (``write_dataset`` writes a row group per chunk, the
+block writer one per file). A route spelled ``__HIVE_DEFAULT_PARTITION__``
+next to a null route is left out: ``write_dataset`` writes two files into
+that directory, the block writer one.
+
 The SQL mirror is the same one test_entry.py validates against the real
 synthetic transcripts; the fuzz stresses its edges. Owns a Ray session.
 FUZZ_SLICE is not needed — one comparison per example.
@@ -35,6 +47,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -50,6 +63,7 @@ from logstash_filter_translate_ray.pipelines.transcripts import (
     read_transcripts, run_pipeline, run_resumable)
 from logstash_filter_translate_ray.stages.route import (MAX_BATCH_ROWS,
                                                         NULL_ROUTE_DIR,
+                                                        _write_routes,
                                                         write_routed)
 
 ROLES = ["user", "assistant", "system", "tool", "User", "tool ", "",
@@ -253,7 +267,67 @@ def fuzz_read_differential(files, big):
         shutil.rmtree(d, ignore_errors=True)
 
 
+LABELS = {"str": (st.sampled_from(["a", "b", "", "%", "/", "=", "é", "~",
+                                   " ", "a b", "日本", "x" * 30, "+", "?",
+                                   "a%2Fb"]), pa.string()),
+          "int": (st.integers(-2**63, 2**63 - 1), pa.int64()),
+          "bool": (st.booleans(), pa.bool_()),
+          "float": (st.floats(allow_nan=False), pa.float64())}
+
+
+def _files(out_dir: str) -> dict:
+    """{route directory/file name: path} of a routed parquet sink."""
+    if not os.path.isdir(out_dir):
+        return {}
+    return {os.path.join(d, f): os.path.join(out_dir, d, f)
+            for d in os.listdir(out_dir)
+            for f in os.listdir(os.path.join(out_dir, d))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), kind=st.sampled_from(sorted(LABELS)),
+       n=st.sampled_from([0, 1, 5, 40, 300]),
+       distinct=st.integers(1, 12), nulls=st.booleans(),
+       chunks=st.integers(1, 3))
+def fuzz_writer_differential(data, kind, n, distinct, nulls, chunks):
+    values, type_ = LABELS[kind]
+    pool = data.draw(st.lists(values, min_size=1, max_size=distinct,
+                              unique=True)) + ([None] if nulls else [])
+    rows = [data.draw(st.sampled_from(pool)) for _ in range(n)]
+    tbl = pa.table({
+        "route": pa.array(rows, type=type_),
+        "v": pa.array(range(n), type=pa.int64()),
+        "text": pa.array([data.draw(text) for _ in range(n)],
+                         type=pa.string())})
+    bounds = sorted(data.draw(st.lists(st.integers(0, n),
+                                       max_size=chunks - 1)))
+    tbl = pa.concat_tables(tbl.slice(lo, hi - lo) for lo, hi
+                           in zip([0, *bounds], [*bounds, n]))
+    d = tempfile.mkdtemp(prefix="fuzz_writer_")
+    try:
+        ours, ref = os.path.join(d, "ours"), os.path.join(d, "ref")
+        _write_routes(tbl, ours, "route", "parquet", "block")
+        pads.write_dataset(tbl, ref, format="parquet",
+                           partitioning=["route"],
+                           partitioning_flavor="hive",
+                           basename_template="block-{i}.parquet",
+                           existing_data_behavior="overwrite_or_ignore")
+        got, want = _files(ours), _files(ref)
+        assert sorted(got) == sorted(want), (sorted(got), sorted(want))
+        for name, path in want.items():
+            if tbl["route"].num_chunks <= 1:
+                with open(path, "rb") as a, open(got[name], "rb") as b:
+                    assert a.read() == b.read(), name
+            else:
+                a, b = pq.read_table(path), pq.read_table(got[name])
+                assert b.equals(a, check_metadata=True), name
+    finally:
+        shutil.rmtree(d, ignore_errors=True)
+
+
 if __name__ == "__main__":
     fuzz_transcripts(); print("fuzz_transcripts OK")
     fuzz_read_differential(); print("fuzz_read_differential OK")
+    fuzz_writer_differential(); print("fuzz_writer_differential OK")
     ray.shutdown()

@@ -517,3 +517,57 @@ def test_file_task_modules_load_no_ray_data():
         check=True, cwd=os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
     assert out.stdout.strip() == "[]"
+
+
+def _dataset_layers_after(code: str) -> list:
+    """Which of Arrow's dataset layer and Ray Data a fresh interpreter,
+    run from the repo root, has loaded after running ``code``."""
+    import subprocess
+    import sys
+
+    probe = ("\nimport sys\nprint([m for m in ('pyarrow._dataset', "
+             "'ray.data') if m in sys.modules])")
+    out = subprocess.run(
+        [sys.executable, "-c", code + probe], capture_output=True,
+        text=True, check=True, cwd=os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_file_write_task_loads_no_dataset_layer(tmp_path):
+    """A file task with a sink (``_write_source``'s function: read a
+    transcript file, run the chain, write the routed parquet files) does
+    its Arrow IO with ``pq.ParquetFile`` and ``pq.write_table``: it loads
+    neither ``pyarrow.dataset``, whose writer's IO threads cost each
+    worker ~35 MB, nor Ray Data."""
+    import pyarrow.parquet as pq
+    from logstash_filter_translate_ray.sources.transcripts import (
+        make_transcripts)
+
+    src, out = str(tmp_path / "in.parquet"), str(tmp_path / "out")
+    pq.write_table(make_transcripts(500, seed=3), src)
+    code = f"""
+from logstash_filter_translate_ray.stages.route import _write_source
+
+def chain(t):
+    return t.append_column("route", t["role"])
+
+_write_source._function(chain, ["conv_id", "role", "text"], {src!r},
+                        {out!r}, "route", "parquet", "task", ())
+"""
+    assert _dataset_layers_after(code) == "[]"
+    assert len(os.listdir(out)) > 1
+
+
+def test_split_task_over_arrow_block_loads_no_ray_data():
+    """An exchange split task (``_split_block``'s function) over an Arrow
+    block uses it as it is: no Ray Data import, no dataset layer."""
+    code = """
+import pyarrow as pa
+from logstash_filter_translate_ray.rayutil import _split_block
+
+*parts, counts = _split_block._function(
+    pa.table({"k": list(range(20))}), ["k"], 4)
+assert sum(counts) == 20 == sum(p.num_rows for p in parts)
+"""
+    assert _dataset_layers_after(code) == "[]"

@@ -1,7 +1,10 @@
 """The routed fan-out sink (stages/route.py): the file runner, which
 writes a transcript chain as one plain Ray task per input file, and the
 block path, which writes any other Dataset as one task per block, both
-against Ray Data's own parquet sink; and the JSON sink on both paths."""
+against Ray Data's own parquet sink; and the JSON sink on both paths. The
+one block writer under both is pinned file for file against Arrow's hive
+``write_dataset``, which it replaced, and its route labels against
+Arrow's for every route type, JSON sink included."""
 
 import glob
 import json
@@ -284,3 +287,97 @@ def test_write_routed_json_null_routes_and_identical_blocks(
     null_rows = [r for r in rows if r["route"] is None]
     assert len(null_rows) == 2
     assert len(glob.glob(f"{out}/route={NULL_ROUTE_DIR}/*.jsonl")) == 2
+
+
+def _arrow_dataset_write(table, out_dir, name):
+    """The reference writer: Arrow's hive-partitioned dataset writer, as
+    the routed sink called it before it wrote on the task's thread."""
+    pads.write_dataset(table, out_dir, format="parquet",
+                       partitioning=["route"], partitioning_flavor="hive",
+                       basename_template=f"{name}-{{i}}.parquet",
+                       existing_data_behavior="overwrite_or_ignore")
+
+
+def _file_bytes(out_dir):
+    """{route directory/file name: the file's bytes}."""
+    got = {}
+    for path in glob.glob(os.path.join(out_dir, "*", "*")):
+        with open(path, "rb") as f:
+            got[os.path.relpath(path, out_dir)] = f.read()
+    return got
+
+
+def _labelled_table(values, type_=None):
+    """A table routed by ``values`` (in four copies), with columns of
+    several types and schema metadata."""
+    route = pa.array(values * 4, type=type_)
+    n = len(route)
+    return pa.table({
+        "route": route,
+        "v": pa.array(range(n), type=pa.int64()),
+        "s": pa.array([None if i % 7 == 0 else f"s{i}" for i in range(n)]),
+        "f": pa.array([i / 3 for i in range(n)]),
+        "ts": pa.array([i * 1_000_003 for i in range(n)],
+                       type=pa.timestamp("us")),
+        "tags": pa.array([[f"t{i % 3}"] * (i % 3) for i in range(n)]),
+    }).replace_schema_metadata({"origin": "test"})
+
+
+@pytest.mark.parametrize("rows", [None, 0])
+def test_write_routes_bytes_match_arrow_dataset_writer(tmp_path, rows):
+    """The block writer (one sort by route, ``pq.write_table`` per route
+    on the task's thread) writes the same files, byte for byte and under
+    the same names, as Arrow's hive ``write_dataset``: several routes, a
+    null route, percent-encoded labels; a 0-row table writes nothing."""
+    from logstash_filter_translate_ray.stages.route import _write_routes
+
+    tbl = _labelled_table(["user", None, "a=b", "t/u", "user turns", "é",
+                           "user", "50%"])
+    if rows is not None:
+        tbl = tbl.slice(0, rows)
+    ours, ref = str(tmp_path / "ours"), str(tmp_path / "ref")
+    _write_routes(tbl, ours, "route", "parquet", "block")
+    _arrow_dataset_write(tbl, ref, "block")
+    want = _file_bytes(ref)
+    assert _file_bytes(ours) == want
+    assert len(want) == (0 if rows == 0 else 7)
+
+
+ROUTE_TYPES = {
+    "str": (["a", "", "%", "/", "=", "é", "~", " ", None], None),
+    "int": ([1, -3, 0, None], pa.int64()),
+    "bool": ([True, False, None], pa.bool_()),
+    "float": ([1.0, 2.5, -0.0, 1e20, None], pa.float64()),
+    "timestamp": ([1_704_164_645_000_000, 1_704_164_645_000_006, None],
+                  pa.timestamp("us")),
+    "null": ([None], pa.null()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_TYPES))
+def test_route_labels_one_rule_for_every_sink(tmp_path, kind):
+    """One label rule for every route type: the route value cast to string
+    by Arrow, URI-escaped, null as hive's default partition. The parquet
+    and JSON sinks write the directories of Arrow's hive ``write_dataset``
+    (a bool is ``true``, a float 1.0 is ``1``, a timestamp keeps its
+    microseconds), ``route_labels`` (the manifests' labels) gives them,
+    and each JSON directory holds the parquet directory's rows."""
+    from logstash_filter_translate_ray.stages.route import (_write_routes,
+                                                            route_labels)
+
+    values, type_ = ROUTE_TYPES[kind]
+    tbl = _labelled_table(values, type_)
+    parquet, js = str(tmp_path / "parquet"), str(tmp_path / "json")
+    ref = str(tmp_path / "ref")
+    _write_routes(tbl, parquet, "route", "parquet", "block")
+    _write_routes(tbl, js, "route", "json", "block")
+    _arrow_dataset_write(tbl, ref, "block")
+    dirs = sorted(os.listdir(ref))
+    assert sorted(os.listdir(parquet)) == sorted(os.listdir(js)) == dirs
+    assert sorted(f"route={label}" for label
+                  in set(route_labels(tbl["route"]))) == dirs
+    for d in dirs:
+        with open(os.path.join(js, d, "block.jsonl")) as f:
+            got = [json.loads(line)["v"] for line in f]
+        want = pq.read_table(os.path.join(parquet, d))["v"].to_pylist()
+        assert got == want, d
