@@ -78,6 +78,14 @@ def _read(sf_dir: str, table: str, columns=None):
     return rd.read_parquet(path, columns=columns, **kw)
 
 
+def _select(ds, columns):
+    """``ds`` projected to ``columns`` as a block map, so the projection
+    keeps the schema ``ds`` knows (Ray's ``select_columns`` plan does
+    not)."""
+    from logstash_filter_translate_ray.rayutil import map_blocks
+    return map_blocks(ds, lambda t: t.select(columns))
+
+
 def _transcripts_dir(sf_dir: str) -> str:
     from logstash_filter_translate_ray.sources import transcripts_parquet_path
     sf = os.path.basename(sf_dir.rstrip("/")).replace("sf", "")
@@ -171,8 +179,8 @@ def q_translate_iterate_values(sf_dir: str):
         joined = pc.binary_join(tags, "|")
         return pa.table({"doc_id": out["doc_id"], "tags_joined": joined})
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    from logstash_filter_translate_ray.rayutil import map_blocks
+    return map_blocks(_read(sf_dir, "documents", ["doc_id", "text"]), fn)
 
 
 def q_route_counts(sf_dir: str):
@@ -213,7 +221,8 @@ def q_agg_value_by_type(sf_dir: str):
     aggregate). Absorbed the former standalone ``agg_minmax`` query (r5:
     driver's 50-query cap needed a slot for ``knn_join_ivf``) — the same
     three aggregates, one exchange."""
-    from logstash_filter_translate_ray.rayutil import keyed_aggregate
+    from logstash_filter_translate_ray.rayutil import (keyed_aggregate,
+                                                       map_blocks)
     from logstash_filter_translate_ray.stages.aggregate import _cents
 
     def partial(t: pa.Table) -> pa.Table:
@@ -225,9 +234,7 @@ def q_agg_value_by_type(sf_dir: str):
                              "max_cents"])
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=None)
-    return keyed_aggregate(partials, ["event_type"],
+    return keyed_aggregate(map_blocks(ds, partial), ["event_type"],
                            {"sum_cents": ("sum_cents", "sum"),
                             "min_cents": ("min_cents", "min"),
                             "max_cents": ("max_cents", "max")})
@@ -244,8 +251,8 @@ def q_dedup_exact(sf_dir: str):
 def q_token_count(sf_dir: str):
     from logstash_filter_translate_ray.functions.text import token_count_dataset
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return token_count_dataset(ds).select_columns(
-        ["doc_id", "n_tokens_ws", "n_tokens_bpe"])
+    return _select(token_count_dataset(ds),
+                   ["doc_id", "n_tokens_ws", "n_tokens_bpe"])
 
 
 def q_ann_topk(sf_dir: str):
@@ -263,7 +270,7 @@ def q_langid(sf_dir: str):
     np.argmax)."""
     from logstash_filter_translate_ray.functions.text import langid_dataset
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return langid_dataset(ds).select_columns(["doc_id", "lang_pred"])
+    return _select(langid_dataset(ds), ["doc_id", "lang_pred"])
 
 
 def q_fingerprint(sf_dir: str):
@@ -271,7 +278,7 @@ def q_fingerprint(sf_dir: str):
     text) — exactly DuckDB's xor(md5_number_lower(...), ...)."""
     from logstash_filter_translate_ray.functions.text import fingerprint_dataset
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return fingerprint_dataset(ds).select_columns(["doc_id", "fingerprint"])
+    return _select(fingerprint_dataset(ds), ["doc_id", "fingerprint"])
 
 
 def q_simhash(sf_dir: str):
@@ -280,8 +287,8 @@ def q_simhash(sf_dir: str):
     default keeps the faster siphash batch (rows-only pytest oracle)."""
     from logstash_filter_translate_ray.functions.dedup import simhash_dataset
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return simhash_dataset(ds, word_hash="md5") \
-        .select_columns(["doc_id", "simhash"])
+    return _select(simhash_dataset(ds, word_hash="md5"),
+                   ["doc_id", "simhash"])
 
 
 def q_simhash_pairs(sf_dir: str):
@@ -384,8 +391,9 @@ def q_translate_iterate_maps(sf_dir: str):
         return pa.table({"event_id": out["event_id"],
                          "baz_joined": pa.array(joined, type=pa.string())})
 
-    ds = _read(sf_dir, "events", ["event_id", "event_type"])
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    from logstash_filter_translate_ray.rayutil import map_blocks
+    return map_blocks(_read(sf_dir, "events", ["event_id", "event_type"]),
+                      fn)
 
 
 def q_event_paths(sf_dir: str):
@@ -432,7 +440,7 @@ def q_quality_scores(sf_dir: str):
     bit-for-bit)."""
     from logstash_filter_translate_ray.functions.text import quality_dataset
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return quality_dataset(ds).select_columns(["doc_id", "quality_score"])
+    return _select(quality_dataset(ds), ["doc_id", "quality_score"])
 
 
 def q_curation_pipeline(sf_dir: str):
@@ -441,12 +449,13 @@ def q_curation_pipeline(sf_dir: str):
     filter ≥ 0.5 → language-ID → keep 'en' → exact dedup (min-id per
     distinct text among survivors) → per-doc token counts. Every stage is
     SQL-mirrorable, so the WHOLE chain is hash-checked against one DuckDB
-    oracle. Single fused map_batches for the row-local stages; the only
-    shuffle is the dedup groupby."""
+    oracle. One block map for the row-local stages; the only shuffle is
+    the dedup's keyed exchange."""
     import pyarrow.compute as pc
     from logstash_filter_translate_ray.functions.dedup import exact_dedup
     from logstash_filter_translate_ray.functions.text import (
         langid_batch, quality_batch, token_count_batch)
+    from logstash_filter_translate_ray.rayutil import map_blocks
 
     def enrich_filter(t: pa.Table) -> pa.Table:
         t = quality_batch(t)
@@ -456,25 +465,17 @@ def q_curation_pipeline(sf_dir: str):
         return t.select(["doc_id", "text", "quality_score", "lang_pred"])
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    kept = ds.map_batches(enrich_filter, batch_format="pyarrow",
-                          batch_size=None)
-    surv = exact_dedup(kept)          # full rows, min doc_id per text
-    out = surv.map_batches(
-        lambda t: token_count_batch(t).drop_columns(["text"]),
-        batch_format="pyarrow", batch_size=None)
-    # final-op schema anchor: Ray wipes block schemas when a map stage
-    # skips empty inputs, so a corpus that filters to nothing would lose
-    # its column list (rayutil.anchor_empty_schema docstring)
-    from logstash_filter_translate_ray.rayutil import anchor_empty_schema
-    return anchor_empty_schema(out, pa.schema(
-        [("doc_id", pa.int64()), ("quality_score", pa.float64()),
-         ("lang_pred", pa.string()), ("n_tokens_ws", pa.int64()),
-         ("n_tokens_bpe", pa.int64())]))
+    surv = exact_dedup(map_blocks(ds, enrich_filter))  # min doc_id per text
+    return map_blocks(
+        surv, lambda t: token_count_batch(t).drop_columns(["text"]))
 
 
 def _query_vec(sf_dir: str) -> np.ndarray:
     q = pq.read_table(os.path.join(sf_dir, "embeddings.parquet")) \
         .filter(pa.compute.equal(pa.compute.field("vec_id"), 0))
+    if not len(q):
+        raise ValueError(f"{sf_dir}: embeddings has no vec_id 0, the row "
+                         "the query vector is taken from")
     return np.asarray(q["embedding"].to_pylist()[0], dtype=np.float64)
 
 
@@ -550,6 +551,7 @@ def q_winnow(sf_dir: str):
     CSV string — SQL-mirrored: the k-gram polynomial mod 2^31-1 is
     list_reduce-expressible and window minima are list_min over slices."""
     from logstash_filter_translate_ray.functions.text import winnow_dataset
+    from logstash_filter_translate_ray.rayutil import map_blocks
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     out = winnow_dataset(ds)
 
@@ -560,7 +562,7 @@ def q_winnow(sf_dir: str):
                for v in t["fingerprints"].to_pylist()]
         return pa.table({"doc_id": t["doc_id"],
                          "fp8": pa.array(fps, type=pa.string())})
-    return out.map_batches(first8, batch_format="pyarrow", batch_size=None)
+    return map_blocks(out, first8)
 
 
 def q_distinct_types(sf_dir: str):
@@ -592,10 +594,10 @@ def q_window_quantiles(sf_dir: str):
     shuffle."""
     from logstash_filter_translate_ray.stages.aggregate import (
         grouped_quantiles)
+    from logstash_filter_translate_ray.rayutil import map_blocks
     from logstash_filter_translate_ray.stages.window import add_time_bucket
     ds = _read(sf_dir, "events", ["ts", "value"])
-    bucketed = ds.map_batches(lambda t: add_time_bucket(t, "ts", "hour"),
-                              batch_format="pyarrow", batch_size=None)
+    bucketed = map_blocks(ds, lambda t: add_time_bucket(t, "ts", "hour"))
     return grouped_quantiles(bucketed, key="bucket", val="value")
 
 
@@ -740,21 +742,16 @@ def q_repetition_scores(sf_dir: str):
     from logstash_filter_translate_ray.functions.text import (
         repetition_dataset)
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return repetition_dataset(ds).select_columns(
-        ["doc_id", "dup_word_frac", "dup_line_frac"])
+    return _select(repetition_dataset(ds),
+                   ["doc_id", "dup_word_frac", "dup_line_frac"])
 
 
 def q_hash_sample(sf_dir: str):
     """Deterministic 10% corpus sample (md5-bucket row rule — no RNG, no
     shuffle; the DuckDB mirror is the identical expression)."""
     from logstash_filter_translate_ray.functions.sampling import hash_sample
-    from logstash_filter_translate_ray.rayutil import anchor_empty_schema
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = hash_sample(ds, col="doc_id", fraction=0.1) \
-        .select_columns(["doc_id"])
-    # a corpus sampled to nothing must keep its projected column list
-    # (without the anchor, schema() walks back up to the pre-project read)
-    return anchor_empty_schema(out, pa.schema([("doc_id", pa.int64())]))
+    return _select(hash_sample(ds, col="doc_id", fraction=0.1), ["doc_id"])
 
 
 def q_split_counts(sf_dir: str):
@@ -783,14 +780,10 @@ def q_incremental_dedup(sf_dir: str):
     16-byte content-hash anti-join — the text itself never shuffles."""
     from logstash_filter_translate_ray.functions.dedup import (
         incremental_dedup)
-    from logstash_filter_translate_ray.rayutil import anchor_empty_schema
     seen = _read(sf_dir, "documents", ["doc_id", "text"]) \
         .filter(expr="doc_id < 250")
     new = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = incremental_dedup(new, seen).select_columns(["doc_id"])
-    # a corpus deduped to nothing must keep its projected column list
-    # (without the anchor, schema() walks back up to the pre-project read)
-    return anchor_empty_schema(out, pa.schema([("doc_id", pa.int64())]))
+    return _select(incremental_dedup(new, seen), ["doc_id"])
 
 
 def q_embedding_neardup(sf_dir: str):
@@ -834,6 +827,7 @@ def q_multimodal_features(sf_dir: str):
     SQL-verifiable while exercising the real binary decode stage."""
     from logstash_filter_translate_ray.functions.multimodal import (
         decode_features_dataset)
+    from logstash_filter_translate_ray.rayutil import map_blocks
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def to_media(t: pa.Table) -> pa.Table:
@@ -841,8 +835,7 @@ def q_multimodal_features(sf_dir: str):
         return pa.table({"media_id": t["doc_id"],
                          "payload": pa.array(payloads, type=pa.binary())})
 
-    media = ds.map_batches(to_media, batch_format="pyarrow", batch_size=None)
-    return decode_features_dataset(media).select_columns(
+    return decode_features_dataset(map_blocks(ds, to_media)).select_columns(
         ["media_id", "payload_bytes", "payload_digest"])
 
 

@@ -36,8 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import rayutil
-from ..rayutil import (anchor_empty_schema, input_arrow_schema,
-                       keyed_aggregate, keyed_groups, keyed_join)
+from ..rayutil import keyed_aggregate, keyed_groups, keyed_join, map_blocks
 
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)   # splitmix64 / golden-ratio odd
 # one odd 64-bit multiplier per k-gram position (order-sensitive combine)
@@ -193,10 +192,8 @@ def _min_id_rows(ds, col: str, id_col: str, keep, num_groups: int):
     content hash (``num_groups`` vectorized group calls, not one per
     distinct content), ordered by id: each key segment's first row
     survives — no per-group pandas frames or aggregates. Only the hash
-    and the kept columns ride the exchange. An empty result is anchored
-    with the schema of ``ds`` (≤ 1 upstream block to fetch, paid only
-    then): a fully filtered corpus must still come back with its column
-    list."""
+    and the kept columns ride the exchange. An empty result keeps the
+    hashed input's columns, less the hash."""
     def hashed(t: pa.Table) -> pa.Table:
         t = add_content_hash(t, col)[0]
         return t if keep is None else t.select([*_CONTENT_KEYS, *keep])
@@ -204,16 +201,10 @@ def _min_id_rows(ds, col: str, id_col: str, keep, num_groups: int):
     def first_rows(t: pa.Table, starts) -> pa.Table:
         return t.take(pa.array(starts)).drop_columns(_CONTENT_KEYS)
 
-    out = keyed_groups(
-        ds.map_batches(hashed, batch_format="pyarrow", batch_size=None),
-        _CONTENT_KEYS, first_rows, None, num_groups, order_by=[id_col])
-    schema = None if out.count() else input_arrow_schema(ds)
-    if schema is None:
-        return out
-    import ray.data as rd
-
-    empty = schema.empty_table()
-    return rd.from_arrow(empty if keep is None else empty.select(keep))
+    return keyed_groups(
+        map_blocks(ds, hashed), _CONTENT_KEYS, first_rows,
+        lambda s: s.empty_table().drop_columns(_CONTENT_KEYS).schema,
+        num_groups, order_by=[id_col])
 
 
 def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
@@ -290,11 +281,10 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
             hit &= np.asarray(pc.is_valid(t[col]))  # NULL never matches
             return t.filter(pa.array(~hit))
 
-        return ds_new.map_batches(keep, batch_format="pyarrow",
-                                  batch_size=None)
+        return map_blocks(ds_new, keep)
 
     flagged = keyed_aggregate(
-        ds_seen.map_batches(hashes, batch_format="pyarrow", batch_size=None),
+        map_blocks(ds_seen, hashes),
         _CONTENT_KEYS, {}, num_partitions)
     n_seen = flagged.count()
     if n_seen == 0:
@@ -308,8 +298,7 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
     # degenerate corpus makes them outgrow the broadcast bound, a hash
     # anti join drops them instead.
     dropped = keyed_join(
-        flagged, ds_new.map_batches(hashes, batch_format="pyarrow",
-                                    batch_size=None),
+        flagged, map_blocks(ds_new, hashes),
         _CONTENT_KEYS, how="left semi", num_groups=num_partitions)
     n_drop = dropped.count()
     if n_drop == 0:
@@ -328,17 +317,10 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
 
     # worst case (most of the new corpus is already seen): the full rows
     # ride one exchange, unavoidable once neither side fits a broadcast
-    out = keyed_join(ds_new.map_batches(keyed, batch_format="pyarrow",
-                                        batch_size=None),
+    out = keyed_join(map_blocks(ds_new, keyed),
                      dropped, _CONTENT_KEYS, how="left anti",
                      num_groups=num_partitions)
-    schema = None if out.count() else input_arrow_schema(out)
-    if schema is None:
-        return out.drop_columns(_CONTENT_KEYS)
-    import ray.data as rd
-
-    # a projection over the zero-row anchor block would lose its schema
-    return rd.from_arrow(schema.empty_table().drop_columns(_CONTENT_KEYS))
+    return map_blocks(out, lambda t: t.drop_columns(_CONTENT_KEYS))
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +580,8 @@ def minhash_candidate_pairs(ds, col: str = "text", id_col: str = "doc_id",
     # per-actor setup (model load, big dict compile) rivals actor spawn.
     stage = MinHashStage(col=col, id_col=id_col, k=k,
                          num_perm=num_perm, bands=bands)
-    banded = ds.map_batches(
-        lambda t, _s=stage: _s(t),
-        batch_format="pyarrow", batch_size=None, concurrency=concurrency)
+    banded = map_blocks(ds, lambda t, _s=stage: _s(t),
+                        concurrency=concurrency)
     pairs = bucket_candidate_pairs(banded, "bucket", id_col,
                                    hot_cap=hot_cap, num_groups=num_groups,
                                    skip_counter=skip_counter)
@@ -635,7 +616,7 @@ def shingle_set_dataset(ds, col: str = "text", id_col: str = "doc_id",
         return pa.table({id_col: t[id_col],
                          out: pa.array(blobs, type=pa.binary())})
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, fn)
 
 
 def _jaccard_from_blobs(a: bytes, b: bytes) -> float:
@@ -679,17 +660,9 @@ def verified_jaccard_pairs(pairs_ds, docs_ds, col: str = "text",
     j1 = keyed_join(pairs_ds, sig, ["id_a"], [id_col],
                     num_groups=num_partitions)
     j2 = keyed_join(
-        j1.map_batches(lambda t: t.rename_columns(
-            [{"sh_set": "_sh_a"}.get(c, c) for c in t.column_names]),
-            batch_format="pyarrow", batch_size=None),
+        map_blocks(j1, lambda t: t.rename_columns(
+            [{"sh_set": "_sh_a"}.get(c, c) for c in t.column_names])),
         sig, ["id_b"], [id_col], num_groups=num_partitions)
-    if j2.count() == 0:
-        # a map_batches over no blocks would drop the schema
-        import ray.data as rd
-        return rd.from_arrow(pa.table({
-            "id_a": pa.array([], type=pa.int64()),
-            "id_b": pa.array([], type=pa.int64()),
-            "jaccard": pa.array([], type=pa.float64())}))
 
     def jac(t: pa.Table) -> pa.Table:
         vals = _batch_jaccard_from_blobs(t["_sh_a"].to_pylist(),
@@ -697,7 +670,7 @@ def verified_jaccard_pairs(pairs_ds, docs_ds, col: str = "text",
         return pa.table({"id_a": t["id_a"], "id_b": t["id_b"],
                          "jaccard": pa.array(vals)})
 
-    return j2.map_batches(jac, batch_format="pyarrow", batch_size=None)
+    return map_blocks(j2, jac)
 
 
 def connected_components(pairs: Iterable[tuple]) -> dict:
@@ -742,17 +715,15 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
                          "dst": pa.concat_arrays([b, a])})
 
     # materialized once: every round joins it
-    edges = pairs_ds.map_batches(_both, batch_format="pyarrow",
-                                 batch_size=None).materialize()
+    edges = map_blocks(pairs_ds, _both).materialize()
 
     def _init(t: pa.Table) -> pa.Table:
         return pa.table({"node": t["src"],
                          "label": _pc.min_element_wise(t["src"],
                                                        t["min_dst"])})
 
-    labels = keyed_aggregate(edges, ["src"], {"min_dst": ("dst", "min")},
-                             num_partitions) \
-        .map_batches(_init, batch_format="pyarrow", batch_size=None)
+    labels = map_blocks(keyed_aggregate(
+        edges, ["src"], {"min_dst": ("dst", "min")}, num_partitions), _init)
 
     changed: "int | None" = None       # None ⇒ zero rounds ran
     for _ in range(max_iters):
@@ -771,14 +742,12 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
                              "_changed": pa.array([changed] * len(t),
                                                   type=pa.int64())})
 
-        stepped = merged.map_batches(_step, batch_format="pyarrow",
-                                     batch_size=None).materialize()
+        stepped = map_blocks(merged, _step).materialize()
         # one row per block, summed here: Dataset.sum runs Ray's
         # groupby(None) AllToAll aggregate for a handful of integers
-        changed = sum(r["c"] for r in stepped.map_batches(
-            lambda t: pa.table({"c": pa.array(
-                [t["_changed"][0].as_py() if len(t) else 0], type=pa.int64())}),
-            batch_format="pyarrow", batch_size=None).take_all())
+        changed = sum(r["c"] for r in map_blocks(stepped, lambda t: pa.table(
+            {"c": pa.array([t["_changed"][0].as_py() if len(t) else 0],
+                           type=pa.int64())})).take_all())
         labels = stepped.drop_columns(["_changed"])
         if not changed:
             break
@@ -832,10 +801,9 @@ def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
         return ds, ([] if cc != "distributed" else cand)
     ver_ds = verified_jaccard_pairs(cand, ds, col, id_col, k, num_partitions)
 
-    thr = ver_ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["jaccard"], threshold))
-        .select(["id_a", "id_b"]),
-        batch_format="pyarrow", batch_size=None).materialize()
+    thr = map_blocks(ver_ds, lambda t: t.filter(
+        pc.greater_equal(t["jaccard"], threshold)).select(["id_a", "id_b"])
+    ).materialize()
     n_verified = thr.count()
     if cc == "auto":
         cc = "driver" if n_verified <= _CC_DRIVER_MAX_PAIRS else "distributed"
@@ -844,9 +812,8 @@ def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
         if n_verified == 0:
             return ds, thr
         labels = minlabel_components(thr, num_partitions)
-        dropped = labels.map_batches(
-            lambda t: t.filter(pc.not_equal(t["node"], t["label"])),
-            batch_format="pyarrow", batch_size=None).materialize()
+        dropped = map_blocks(labels, lambda t: t.filter(
+            pc.not_equal(t["node"], t["label"]))).materialize()
         kept = keyed_join(ds, dropped.select_columns(["node"]), [id_col],
                           ["node"], how="left anti",
                           num_groups=num_partitions)
@@ -864,7 +831,7 @@ def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
         mask = pc.invert(pc.is_in(t[id_col], value_set=d))
         return t.filter(mask)
 
-    return ds.map_batches(keep, batch_format="pyarrow", batch_size=None), drop
+    return map_blocks(ds, keep), drop
 
 
 # ---------------------------------------------------------------------------
@@ -913,8 +880,7 @@ def simhash_batch(tbl: pa.Table, col: str = "text",
 
 
 def simhash_dataset(ds, col: str = "text", word_hash: str = "sip"):
-    return ds.map_batches(lambda t: simhash_batch(t, col, word_hash=word_hash),
-                          batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, lambda t: simhash_batch(t, col, word_hash=word_hash))
 
 
 _POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
@@ -961,8 +927,7 @@ def simhash_pairs(ds, col: str = "text", id_col: str = "doc_id",
                          "bucket": pa.array(bucket),
                          "simhash": pa.array(np.repeat(sh, bands))})
 
-    exploded = sim.map_batches(explode, batch_format="pyarrow",
-                               batch_size=None)
+    exploded = map_blocks(sim, explode)
     pairs = bucket_candidate_pairs(exploded, "bucket", id_col,
                                    hot_cap=hot_cap, num_groups=num_groups,
                                    payload_col="simhash",
@@ -971,9 +936,6 @@ def simhash_pairs(ds, col: str = "text", id_col: str = "doc_id",
                            carry_types={"pl_a": pa.uint64(),
                                         "pl_b": pa.uint64()})
 
-    out_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
-                            ("hamming", pa.int64())])
-
     def verify(t: pa.Table) -> pa.Table:
         h = hamming64_batch(t["pl_a"].to_numpy(zero_copy_only=False),
                             t["pl_b"].to_numpy(zero_copy_only=False))
@@ -981,11 +943,7 @@ def simhash_pairs(ds, col: str = "text", id_col: str = "doc_id",
                         "hamming": pa.array(h)})
         return out.filter(pa.array(h <= max_hamming))
 
-    # Ray skips the verify on empty blocks, so the pairs' anchor does not
-    # reach the output: anchor it again
-    return anchor_empty_schema(
-        pairs.map_batches(verify, batch_format="pyarrow", batch_size=None),
-        out_schema)
+    return map_blocks(pairs, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,9 +989,8 @@ def ngram_jaccard_pairs(ds, col: str = "text", id_col: str = "doc_id",
     # holds 4 scalars — actor spawn would dominate
     ex_stage = ShingleExplode(col=col, id_col=id_col, k=k,
                               sample_mod=sample_mod)
-    exploded = ds.map_batches(
-        lambda t, _s=ex_stage: _s(t),
-        batch_format="pyarrow", batch_size=None, concurrency=concurrency)
+    exploded = map_blocks(ds, lambda t, _s=ex_stage: _s(t),
+                          concurrency=concurrency)
     pairs = distinct_pairs(bucket_candidate_pairs(
         exploded, "shingle", id_col, hot_cap=hot_cap,
         num_groups=num_groups,

@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import rayutil
 from .text import md5_lower64
 
 DEFAULT_BUCKETS = 10_000
@@ -66,8 +67,8 @@ def hash_sample(ds, col: str = "doc_id", fraction: float = 0.1,
     ``weighted_mix`` must be a no-op; its SQL mirror is the bare SELECT)."""
     if fraction >= 1.0:
         return ds
-    return ds.map_batches(hash_sample_block_fn(col, fraction, buckets),
-                          batch_format="pyarrow", batch_size=None)
+    return rayutil.map_blocks(
+        ds, hash_sample_block_fn(col, fraction, buckets))
 
 
 def split_block_fn(col: str = "doc_id",
@@ -99,8 +100,8 @@ def split_column(ds, col: str = "doc_id",
     re-runs, repartitioning and incremental ingest (a row's split never
     depends on which other rows are present). Rows with null ids get the
     LAST split (they fall past every threshold)."""
-    return ds.map_batches(split_block_fn(col, fractions, names, buckets, out),
-                          batch_format="pyarrow", batch_size=None)
+    return rayutil.map_blocks(
+        ds, split_block_fn(col, fractions, names, buckets, out))
 
 
 def weighted_mix(parts: Sequence[tuple], col: str = "doc_id",
@@ -109,12 +110,20 @@ def weighted_mix(parts: Sequence[tuple], col: str = "doc_id",
     each dataset contributes its ``rate`` hash-sample and the results are
     unioned (a streaming concat — no shuffle). The standard way to
     down-weight a huge crawl against a small high-quality corpus without a
-    random state. Mirrors a UNION ALL of the per-part sampled SELECTs."""
+    random state. Mirrors a UNION ALL of the per-part sampled SELECTs.
+    Ray's union plan knows no schema; the parts' common one, when they
+    all know it, is recorded on it."""
     if not parts:
         raise ValueError("weighted_mix needs at least one (dataset, rate)")
     sampled = [hash_sample(ds, col=col, fraction=rate, buckets=buckets)
                for ds, rate in parts]
-    out = sampled[0]
-    for nxt in sampled[1:]:
-        out = out.union(nxt)
+    if len(sampled) == 1:
+        return sampled[0]
+    schemas = [rayutil._arrow_schema(s.schema(fetch_if_missing=False))
+               for s in sampled]
+    out = sampled[0].union(*sampled[1:])
+    if schemas[0] is not None and all(
+            s is not None and s.equals(schemas[0], check_metadata=False)
+            for s in schemas):
+        rayutil._record_schema(out, schemas[0])
     return out

@@ -21,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import block_meta, keyed_groups, materialized, _wrap
+from ..rayutil import block_meta, keyed_groups, map_blocks, materialized, _wrap
 
 # knn_join_ivf.route() replicates each vector n_probe-fold; it emits the
 # replicas in chunks of at most this many flat float32 list elements
@@ -205,8 +205,7 @@ def brute_force_topk(ds, query: np.ndarray, k: int = 10,
             id_col: pa.array(top_i.reshape(-1)),
             "score": pa.array(top_s.reshape(-1), type=pa.float64())})
 
-    partials = ds.map_batches(local_topk, batch_format="pyarrow",
-                              batch_size=None).to_pandas()
+    partials = map_blocks(ds, local_topk).to_pandas()
     # quantize the merge ordering too: identical vectors in different
     # blocks can score 1 ulp apart (shape-dependent gemm summation)
     partials["_q"] = np.rint(partials["score"].to_numpy() * 1e12)
@@ -700,8 +699,7 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
     # so per-worker rebuilds are identical and cost ~µs (dim × L·r floats);
     # actor spawn would dominate (see the dedup minhash measurement)
     ex = _BandedExplode(vec_col, id_col, n_tables, planes_per_table, seed)
-    exploded = ds.map_batches(lambda t, _s=ex: _s(t),
-                              batch_format="pyarrow", batch_size=None)
+    exploded = map_blocks(ds, lambda t, _s=ex: _s(t))
     pairs = keyed_groups(exploded, ["bucket"], per_group, _PAIR_SCHEMA,
                          num_groups, order_by=[id_col])
     # a pair found by several tables scores IDENTICALLY in each (same
@@ -866,8 +864,7 @@ def ivf_topk(ds, query: np.ndarray, k: int = 10, n_cells: int = 16,
         mask = pa.array(np.isin(assign, list(cells)))
         return tbl.filter(mask)
 
-    cand = ds.map_batches(keep_probed, batch_format="pyarrow",
-                          batch_size=None)
+    cand = map_blocks(ds, keep_probed)
     return brute_force_topk(cand, q, k, vec_col, id_col)
 
 
@@ -884,16 +881,14 @@ def lsh_topk(ds, query: np.ndarray, k: int = 10, dim: Optional[int] = None,
     # task pool: the stage holds a dim × n_planes float32 plane matrix
     # (~KBs) — closure-capture beats actor spawn (see minhash note)
     stage = LshIndexStage(dim, n_planes, seed, vec_col)
-    bucketed = ds.map_batches(
-        lambda t, _s=stage: _s(t),
-        batch_format="pyarrow", batch_size=None, concurrency=concurrency)
+    bucketed = map_blocks(ds, lambda t, _s=stage: _s(t),
+                          concurrency=concurrency)
     q_sig = int(stage.signature(_normalize(q))[0])
     probes = {q_sig}
     if probe_hamming1:
         probes |= {q_sig ^ (1 << b) for b in range(n_planes)}
 
     probe_arr = pa.array(sorted(probes), type=pa.int64())
-    cand = bucketed.map_batches(
-        lambda t: t.filter(pc.is_in(t["lsh_bucket"], value_set=probe_arr)),
-        batch_format="pyarrow", batch_size=None)
+    cand = map_blocks(bucketed, lambda t: t.filter(
+        pc.is_in(t["lsh_bucket"], value_set=probe_arr)))
     return brute_force_topk(cand, q, k, vec_col, id_col)

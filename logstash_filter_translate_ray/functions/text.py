@@ -13,7 +13,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import keyed_aggregate, topk_rows
+from ..rayutil import keyed_aggregate, map_blocks, topk_rows
 
 # ---------------------------------------------------------------------------
 # token counting
@@ -46,8 +46,7 @@ def token_count_batch(tbl: pa.Table, col: str = "text") -> pa.Table:
 
 
 def token_count_dataset(ds, col: str = "text"):
-    return ds.map_batches(lambda t: token_count_batch(t, col),
-                          batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, lambda t: token_count_batch(t, col))
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +91,7 @@ def quality_batch(tbl: pa.Table, col: str = "text") -> pa.Table:
 
 
 def quality_dataset(ds, col: str = "text"):
-    return ds.map_batches(lambda t: quality_batch(t, col),
-                          batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, lambda t: quality_batch(t, col))
 
 
 def _dup_frac_from_codes(codes: np.ndarray, doc_of: np.ndarray,
@@ -155,8 +153,7 @@ def repetition_batch(tbl: pa.Table, col: str = "text") -> pa.Table:
 
 
 def repetition_dataset(ds, col: str = "text"):
-    return ds.map_batches(lambda t: repetition_batch(t, col),
-                          batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, lambda t: repetition_batch(t, col))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +190,7 @@ def langid_batch(tbl: pa.Table, col: str = "text",
 
 
 def langid_dataset(ds, col: str = "text"):
-    return ds.map_batches(lambda t: langid_batch(t, col),
-                          batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, lambda t: langid_batch(t, col))
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +343,7 @@ def winnow_table(tbl: pa.Table, col: str = "text", k: int = 5, w: int = 4,
 
 def winnow_dataset(ds, col: str = "text", k: int = 5, w: int = 4,
                    out: str = "fingerprints"):
-    return ds.map_batches(lambda t: winnow_table(t, col, k, w, out),
-                          batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, lambda t: winnow_table(t, col, k, w, out))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +388,7 @@ def fingerprint_batch(tbl: pa.Table, col: str = "text",
 
 
 def fingerprint_dataset(ds, col: str = "text"):
-    return ds.map_batches(lambda t: fingerprint_batch(t, col),
-                          batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, lambda t: fingerprint_batch(t, col))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +426,7 @@ def vocab_topk(ds, col: str = "text", k: int = 20):
                          "n": pa.array(counts, type=pa.int64())})
 
     counts = keyed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        map_blocks(ds, partial),
         ["word"], {"n": ("n", "sum")})
     top = topk_rows(counts, [("n", "descending"), ("word", "ascending")], k)
     return rd.from_arrow(_VOCAB_SCHEMA.empty_table() if top is None else top)

@@ -88,13 +88,12 @@ from typing import Callable, Optional
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.csv as pacsv
-import pyarrow.dataset as pads
 import pyarrow.json as pajson
 import ray.data as rd
 
 from ..config import TranslateConfig
 from ..errors import ConfigurationError
-from ..rayutil import anchor_empty_schema, run_chain
+from ..rayutil import _record_schema, map_blocks, run_chain
 from ..sources.readers import CSV_NULL_OPTIONS
 from ..stages.parse import ExtractRule, GrokRule, ParseConfig, parse_block_fn
 from ..stages.route import route_block_fn, write_routed
@@ -195,45 +194,31 @@ def _step_fns(blocks) -> list:
     return fns
 
 
-def _map_chain(ds, fns: list, probe: "pa.Table | None"):
-    """``fns`` composed into one ``map_batches`` over ``ds``. Returns
-    ``(ds, probe)``: the probe — a 0-row table of ``ds``'s schema, or
-    None — goes through the same composed function, and its schema is
-    anchored onto ``ds`` (Ray 2.49 drops all-empty blocks, so a chain
-    that removes every row would otherwise lose its column list). A
-    probe the chain cannot run anchors nothing."""
-    chain = functools.partial(run_chain, tuple(fns))
-    if fns:
-        ds = ds.map_batches(chain, batch_format="pyarrow", batch_size=None)
-    if probe is not None:
-        try:
-            probe = chain(probe)
-        except Exception:
-            probe = None
-    return anchor_empty_schema(ds, getattr(probe, "schema", None)), probe
+def _chain(ds, fns: list):
+    """``fns`` composed into one block map over ``ds`` (none: ``ds``)."""
+    return map_blocks(ds, functools.partial(run_chain, tuple(fns))) \
+        if fns else ds
 
 
-def _probe(schema_of, columns=None) -> "pa.Table | None":
-    """0-row table of the input schema ``schema_of()`` (pruned to
-    ``columns``), or None when it can't be derived."""
+def _read_text(ds, schema_of):
+    """A CSV or JSON read ``ds`` with the schema ``schema_of()`` recorded
+    (Ray's plan of such a read does not know it); nothing is recorded
+    when it cannot be inferred."""
     try:
-        probe = schema_of().empty_table()
-        return probe.select(list(columns)) if columns else probe
+        return _record_schema(ds, schema_of())
     except Exception:
-        return None
+        return ds
 
 
 def build_from_spec(spec: "str | dict") -> "rd.Dataset":
     """Spec → lazy Dataset (input → filters → route).
 
     Each filter kind has one builder (:func:`_step_fn`); the filters and
-    the route are one ``map_batches`` of their composed block functions,
-    like the transcript chain. That function also runs over a 0-row table
-    of the input's schema (parquet metadata; CSV/JSON: the reader's own
-    inference on the first file) and anchors the result's schema (see
-    :func:`_map_chain`), which also gives the post clauses
-    (dedup/window/aggregate) a schema-stable input. A leading
-    ``select`` is no read projection: ``input.columns`` prunes the read."""
+    the route are one ``rayutil.map_blocks`` of their composed block
+    functions, like the transcript chain, so an empty result keeps the
+    schema the chain gives the input's (parquet: the read's; CSV/JSON:
+    the reader's own inference on the first file). A leading ``select``
+    is no read projection: ``input.columns`` prunes the read."""
     s = load_spec(spec)
     inp = s.get("input")
     if not inp or "path" not in inp:
@@ -244,18 +229,17 @@ def build_from_spec(spec: "str | dict") -> "rd.Dataset":
         if inp.get("columns"):
             kw["columns"] = list(inp["columns"])
         ds = rd.read_parquet(inp["path"], **kw)
-        probe = _probe(lambda: pads.dataset(inp["path"]).schema,
-                       inp.get("columns"))
     elif fmt == "csv":
         convert = pacsv.ConvertOptions(**CSV_NULL_OPTIONS)
         ds = rd.read_csv(inp["path"], convert_options=convert)
         # Ray's CSV reader is this streaming reader: the schema it infers
         # from the first block
-        probe = _probe(lambda: pacsv.open_csv(
+        ds = _read_text(ds, lambda: pacsv.open_csv(
             ds.input_files()[0], convert_options=convert).schema)
     elif fmt == "json":
         ds = rd.read_json(inp["path"])
-        probe = _probe(lambda: pajson.read_json(ds.input_files()[0]).schema)
+        ds = _read_text(
+            ds, lambda: pajson.read_json(ds.input_files()[0]).schema)
     else:
         raise ConfigurationError(f"unknown input format {fmt!r}")
 
@@ -265,8 +249,7 @@ def build_from_spec(spec: "str | dict") -> "rd.Dataset":
         fns.append(route_block_fn(dict(r["routes"]), key=r.get("key", "role"),
                                   route_col=r.get("route_col", "route"),
                                   default_route=r.get("default", "other")))
-    ds, probe = _map_chain(ds, fns, probe)
-    return _apply_post_clauses(ds, s, probe)
+    return _apply_post_clauses(_chain(ds, fns), s)
 
 
 # every clause _apply_post_clauses handles; run_spec_resumable keys its
@@ -276,16 +259,10 @@ def build_from_spec(spec: "str | dict") -> "rd.Dataset":
 POST_CLAUSE_KEYS = ("dedup", "post_filters", "knn", "window", "aggregate")
 
 
-def _apply_post_clauses(ds, s: dict, probe=None):
+def _apply_post_clauses(ds, s: dict):
     """The GLOBAL (cross-shard) clauses: dedup → post_filters → knn →
     window → aggregate. Split out so :func:`run_spec_resumable` can run
-    them over the completed shard outputs rather than per shard.
-
-    ``probe`` is the 0-row schema table advanced through the row-local
-    steps (still valid here: every dedup kind keeps the input's columns).
-    post_filters are a second :func:`_map_chain`, which advances it and
-    anchors again — a keep/select post step over an all-empty dataset
-    would otherwise lose the column list the first anchor restored."""
+    them over the completed shard outputs rather than per shard."""
     if "dedup" in s:
         d = dict(s["dedup"])
         kind = d.pop("kind", "exact")
@@ -310,7 +287,7 @@ def _apply_post_clauses(ds, s: dict, probe=None):
     if "post_filters" in s:
         # row-local stages that must see only the dedup SURVIVORS (the
         # curation flagship's token counting runs here)
-        ds, probe = _map_chain(ds, _step_fns(s["post_filters"]), probe)
+        ds = _chain(ds, _step_fns(s["post_filters"]))
 
     if "knn" in s:
         kn = dict(s["knn"])
@@ -445,8 +422,7 @@ def run_spec_resumable(spec: "str | dict", out_dir: str,
         # partitioning=None: the shard=<id> directories of the
         # checkpoint are no hive partition of the rows
         result = _apply_post_clauses(
-            rd.read_parquet(shard_parquet, partitioning=None), s,
-            _probe(lambda: pads.dataset(shard_parquet).schema))
+            rd.read_parquet(shard_parquet, partitioning=None), s)
     out_info = {}
     if s.get("output", {}).get("path"):
         # the spec's own sink, as run_spec writes it: the POST-CLAUSE

@@ -44,25 +44,28 @@ aggregate spec or join type; this module owns the rest:
   ``to_numpy``, which would merge distinct int64 keys ≥ 2^53 once nulls
   promote the column to float64). ``fn`` is never called with an empty
   table.
-- **Schema anchor.** When every group is empty (a fully filtered input,
+- **Empty result.** When every group is empty (a fully filtered input,
   or ``fn`` emitting no rows) the result is one zero-row block of the
-  declared output schema, so the sink keeps its column list
-  (``to_pandas()`` would otherwise return a 0-column frame and
-  ``write_parquet`` an empty directory). A callable schema is derived
-  from the input schema ``ds.schema()`` resolves, read off the
-  exchange's own stream, so it runs no extra upstream block.
-  ``schema=None`` anchors nothing. A ``map_batches`` over an all-empty
-  input emits blocks with no schema at all, so a caller whose exchange
-  input is such a map output anchors from the pre-map input instead
-  (:func:`anchor_from_input`).
+  declared output schema. A callable schema is derived from the input
+  schema ``ds.schema()`` knows without running it (see the schema rule
+  below), else from the first block of the exchange's own stream that
+  carries one. ``schema=None`` gives no block.
 
-The anchor schema must EXACTLY match the non-empty output's types: a
-later concatenation would otherwise silently promote (an int64 column
-unified with a float64 anchor comes back float64, changing the values an
-oracle comparison hashes). Callers derive it from the input schema or
-from the literal types their group fn emits — never from a guess. The
-same holds for :func:`anchor_empty_schema`, which other operators union
-onto a lazy output.
+**Schema rule.** Ray Data takes a Dataset's schema from its blocks, and a
+``map_batches`` over no rows emits none: its ``schema()`` runs a
+``limit(1)`` and still finds nothing. Every whole-block map of the package
+therefore goes through :func:`map_blocks`, which records the map's schema
+as ``fn`` applied to a zero-row table of the input's schema, where the
+input's plan knows it (a read, a data plan, a filter of either, an
+earlier ``map_blocks``).
+``schema()`` then answers with no execution, over empty input too, and the
+next ``map_blocks`` or exchange derives its own schema from it. Only the
+schema is recorded: a fully empty result still has no blocks, so its
+``to_pandas()`` has no columns and ``write_parquet`` writes no file. A
+recorded schema must EXACTLY match the non-empty output's types, or a
+later concatenation silently promotes (an int64 column unified with a
+float64 one comes back float64, changing the values an oracle comparison
+hashes): derive it by running the block function, never by hand.
 """
 
 from __future__ import annotations
@@ -90,17 +93,6 @@ def _arrow_schema(sch) -> Optional[pa.Schema]:
     return base if isinstance(base, pa.Schema) and len(base) else None
 
 
-def input_arrow_schema(ds) -> Optional[pa.Schema]:
-    """The dataset's arrow schema, executing at most ONE upstream block
-    (``fetch_if_missing=True``); None when it cannot be resolved. Call this
-    on pre-shuffle datasets only — on a groupby/sort output the first block
-    costs the whole exchange."""
-    try:
-        return _arrow_schema(ds.schema(fetch_if_missing=True))
-    except Exception:
-        return None
-
-
 def run_chain(fns: tuple, batch: pa.Table) -> pa.Table:
     """The block functions ``fns`` applied in order: a pipeline's stages
     composed into one function (``functools.partial(run_chain, fns)``)."""
@@ -109,28 +101,50 @@ def run_chain(fns: tuple, batch: pa.Table) -> pa.Table:
     return batch
 
 
-def anchor_empty_schema(out_ds, schema: Optional[pa.Schema]):
-    """Union a zero-row block of ``schema`` onto ``out_ds`` (see module
-    docstring). ``schema=None`` (resolution failed) is a pass-through."""
-    if schema is None:
-        return out_ds
-    import ray.data as rd
-
-    return out_ds.union(rd.from_arrow(schema.empty_table()))
+def _record_schema(ds, schema: pa.Schema):
+    """Record ``schema`` as ``ds``'s, in the slot Ray 2.49 fills after its
+    own ``limit(1)`` schema fetch (``Dataset.schema``); returns ``ds``."""
+    ds._plan.cache_schema(schema)
+    return ds
 
 
-def anchor_from_input(out_ds, in_ds, schema_of):
-    """Anchor ``out_ds``'s schema derived from ``in_ds``'s (pre-shuffle)
-    schema: ``schema_of(input_schema) -> output pa.Schema``. Any failure
-    in resolution or derivation (e.g. a keyed column missing from the
-    input) degrades to a pass-through — the anchor is a best-effort guard
-    for the all-blocks-empty case, never a correctness gate."""
-    in_sch = input_arrow_schema(in_ds)
-    try:
-        anchor = schema_of(in_sch) if in_sch is not None else None
-    except Exception:
-        anchor = None
-    return anchor_empty_schema(out_ds, anchor)
+def _plan_schema(ds) -> Optional[pa.Schema]:
+    """The arrow schema ``ds``'s plan knows, found with no execution:
+    ``schema(fetch_if_missing=False)``'s (a read, a recorded map), else,
+    through any filters (a filter keeps its input's columns), a read's or
+    a data plan's first block schema (Ray's own skips 0-row blocks). Ray
+    2.49 logical operators, imported here as in :func:`_dataset_from`."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+    from ray.data._internal.logical.operators.map_operator import Filter
+
+    schema = _arrow_schema(ds.schema(fetch_if_missing=False))
+    op = ds._logical_plan.dag
+    while schema is None and isinstance(op, Filter):
+        op = op.input_dependencies[0]
+        schema = _arrow_schema(op.infer_schema())
+    if schema is None and isinstance(op, SourceOperator) \
+            and op.output_data() is not None:
+        schema = next((s for s in map(_arrow_schema, (
+            b.schema for b in op.output_data())) if s is not None), None)
+    return schema
+
+
+def map_blocks(ds, fn: Callable[[pa.Table], pa.Table],
+               concurrency: Optional[int] = None):
+    """``fn`` over every whole block of ``ds``, as an Arrow table, with the
+    result's schema recorded as ``fn`` over a zero-row table of ``ds``'s
+    schema (see the module docstring's schema rule). Nothing is recorded
+    when ``ds``'s plan does not know its schema, or when ``fn`` cannot run
+    on zero rows. ``concurrency`` is ``map_batches``'."""
+    out = ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
+                         concurrency=concurrency)
+    schema = _plan_schema(ds)
+    if schema is not None:
+        try:
+            _record_schema(out, fn(schema.empty_table()).schema)
+        except Exception:
+            pass
+    return out
 
 
 def zero_token(t: pa.DataType) -> pa.Scalar:

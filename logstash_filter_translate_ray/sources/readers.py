@@ -26,6 +26,7 @@ from ray.data.block import BlockMetadata
 from ray.data.datasource.partitioning import (Partitioning,
                                               PathPartitionParser)
 
+from ..rayutil import map_blocks
 from ..stages.route import file_batches
 from .transcripts import TRANSCRIPT_SCHEMA
 
@@ -135,13 +136,13 @@ def read_transcripts_csv(paths: "str | list[str]") -> "rd.Dataset":
     """CSV transcript source with the fixed schema enforced at parse time
     (timestamps as ISO8601 strings in the ``ts`` column)."""
     ds = rd.read_csv(paths, convert_options=_CONVERT)
-    return ds.map_batches(_conform, batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, _conform)
 
 
 def read_transcripts_json(paths: "str | list[str]") -> "rd.Dataset":
     """JSON-lines transcript source; fields coerced to the fixed schema."""
     ds = rd.read_json(paths)
-    return ds.map_batches(_conform, batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, _conform)
 
 
 def _conform(tbl: pa.Table) -> pa.Table:

@@ -31,8 +31,7 @@ import pyarrow as pa
 import ray
 
 from .. import rayutil
-from ..rayutil import (anchor_from_input, keyed_aggregate, keyed_groups,
-                       topk_rows)
+from ..rayutil import keyed_aggregate, keyed_groups, topk_rows
 
 NULL_LABEL = "(null)"   # null STRING group keys → label, mirroring the
                         # oracle SQL's COALESCE(key, '(null)')
@@ -74,21 +73,11 @@ def grouped_counts(ds: "ray.data.Dataset", keys: Sequence[str],
     trade-off). Returns pandas (driver merge) or a Dataset (distributed).
     The distributed merge runs ``ds`` at call time (the keyed exchange is
     eager) and returns a materialized Dataset."""
-    partial = ds.map_batches(_partial_counts(keys, count_name),
-                             batch_format="pyarrow", batch_size=None)
+    partial = rayutil.map_blocks(ds, _partial_counts(keys, count_name))
     if driver_merge:
         return merge_partials(partial.iter_batches(batch_format="pyarrow"),
                               keys, count_name)
-    out = keyed_aggregate(partial, keys,
-                          {count_name: (count_name, "sum")})
-    if out.count():                   # materialized: block metadata only
-        return out
-    # schema anchor from the PRE-map input: the partials of an all-empty
-    # input are schema-less blocks, so the exchange cannot derive one
-    return anchor_from_input(
-        out, ds, lambda s: pa.schema(
-            [(k, s.field(k).type) for k in keys]
-            + [(count_name, pa.int64())]))
+    return keyed_aggregate(partial, keys, {count_name: (count_name, "sum")})
 
 
 def grouped_topk(ds: "ray.data.Dataset", keys: Sequence[str], k: int = 10,
@@ -191,8 +180,7 @@ def grouped_quantiles(ds, key: str = "event_type", val: str = "value",
     # partials are Σ-distinct-cents-per-block rows — the heavy reduction
     # happens inside map_batches; materialize them ONCE so the size check
     # and the chosen merge don't re-execute the scan
-    parts_ds = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=None).materialize()
+    parts_ds = rayutil.map_blocks(ds, partial).materialize()
     if parts_ds.count() == 0:
         # all-empty input: to_pandas of an empty dataset loses the column
         # list (Ray 2.49) and the histogram merge would KeyError on it
@@ -274,8 +262,9 @@ def zscore_outliers(ds, key: str = "event_type", val: str = "value",
             [("c", "count"), ("c", "sum"), ("c2", "sum")]) \
             .rename_columns([key, "cnt", "s1", "s2"])
 
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=None).to_pandas()
+    parts = rayutil.map_blocks(ds, partial).to_pandas()
+    if parts.columns.empty:           # no block at all (0-row input)
+        parts = pd.DataFrame(columns=[key, "cnt", "s1", "s2"])
     stats = parts.groupby(key, as_index=False)[["cnt", "s1", "s2"]].sum()
     mean = stats["s1"].astype("float64") / stats["cnt"]
     var = stats["s2"].astype("float64") / stats["cnt"] - mean * mean
@@ -314,12 +303,4 @@ def zscore_outliers(ds, key: str = "event_type", val: str = "value",
                         "z": pa.array(z)})
         return out.filter(pa.array(keep & np.isfinite(z)))
 
-    # schema anchor: when EVERY block filters to zero outliers Ray drops
-    # the empty blocks and the result loses its column list (r4 fuzz) —
-    # union a typed zero-row block so downstream keeps the column list
-    out_ds = ds.map_batches(flag, batch_format="pyarrow", batch_size=None)
-    return anchor_from_input(
-        out_ds, ds,
-        lambda s: pa.schema([(id_col, s.field(id_col).type),
-                             (key, s.field(key).type),
-                             ("z", pa.float64())]))
+    return rayutil.map_blocks(ds, flag)

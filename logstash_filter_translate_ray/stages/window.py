@@ -17,12 +17,14 @@ row-local function of ts, so it composes with the combiner aggregate.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import keyed_groups
+from ..rayutil import keyed_groups, map_blocks
 from .aggregate import grouped_counts
 
 
@@ -35,11 +37,10 @@ def add_time_bucket(tbl: pa.Table, ts_col: str = "ts",
 
 def tumbling_counts(ds, keys=("event_type",), ts_col: str = "ts",
                     unit: str = "hour", driver_merge: bool = False):
-    """Tumbling-window counts per key — bucket in map_batches (no per-key
+    """Tumbling-window counts per key — a row-local bucket (no per-key
     shuffle), then the combiner-style grouped count."""
-    def _fn(t: pa.Table) -> pa.Table:
-        return add_time_bucket(t, ts_col, unit)
-    bucketed = ds.map_batches(_fn, batch_format="pyarrow", batch_size=None)
+    bucketed = map_blocks(ds, functools.partial(
+        add_time_bucket, ts_col=ts_col, unit=unit))
     return grouped_counts(bucketed, ["bucket", *keys],
                           driver_merge=driver_merge)
 

@@ -54,7 +54,7 @@ def _compare(sf_dir: str, names) -> None:
             if len(want) == 0:
                 # Ray drops ALL columns of a fully-empty dataset at
                 # to_pandas/write time; the engine contract on empties is
-                # Dataset.schema() — rayutil.anchor_empty_schema docstring
+                # Dataset.schema() — the rayutil docstring's schema rule
                 sch = got.schema()
                 assert sch is not None, f"{name}: empty result lost schema"
                 assert sorted(sch.names) == sorted(want.columns), \

@@ -514,3 +514,49 @@ def test_grouped_topk_large_int_keys_with_nulls(ray_session):
     out4 = grouped_topk(split, ["user_id"], k=4)
     assert out4["n"].tolist() == [2, 2, 1, 1]
     assert pd.isna(out4["user_id"].iloc[3])
+
+
+def test_zscore_outliers_null_key_rows_dropped_like_oracle(ray_session):
+    """A null group key must behave like the oracle's inner ``JOIN st USING
+    (key)``: its rows are excluded from the output (no stats row exists for
+    them). Before the r4 fix the null index_in result went through a
+    NaN→int64 cast — platform-UB that indexed the stats arrays with
+    garbage (IndexError or a fabricated z)."""
+    import duckdb
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+    from logstash_filter_translate_ray.stages.aggregate import zscore_outliers
+
+    rng = np.random.default_rng(7)
+    n = 400
+    keys = np.array(["a", "b", "c", None], dtype=object)[
+        rng.integers(0, 4, size=n)]
+    vals = np.round(rng.normal(10, 3, size=n), 2)
+    tbl = pa.table({"event_id": pa.array(np.arange(n)),
+                    "event_type": pa.array(keys),
+                    "value": pa.array(vals)})
+    got = zscore_outliers(rd.from_arrow(tbl), key="event_type", val="value",
+                          threshold=2.0).to_pandas()
+    assert got["event_type"].notna().all()
+
+    con = duckdb.connect()
+    con.register("events", tbl)
+    want = con.execute(
+        "WITH c AS (SELECT event_id, event_type, "
+        "CAST(round(value * 100) AS BIGINT) AS cents FROM events), "
+        "s AS (SELECT event_type, COUNT(cents) AS cnt, SUM(cents) AS s1, "
+        "SUM(cents * cents) AS s2 FROM c GROUP BY event_type), "
+        "st AS (SELECT event_type, CAST(s1 AS DOUBLE)/cnt AS mean, "
+        "sqrt(CAST(s2 AS DOUBLE)/cnt - (CAST(s1 AS DOUBLE)/cnt) * "
+        "(CAST(s1 AS DOUBLE)/cnt)) AS std FROM s) "
+        "SELECT c.event_id, c.event_type, "
+        "(CAST(c.cents AS DOUBLE) - st.mean)/st.std AS z "
+        "FROM c JOIN st USING (event_type) "
+        "WHERE isfinite((CAST(c.cents AS DOUBLE) - st.mean)/st.std) "
+        "AND abs((CAST(c.cents AS DOUBLE) - st.mean)/st.std) > 2.0").df()
+    g = got.sort_values("event_id").reset_index(drop=True)
+    w = want.sort_values("event_id").reset_index(drop=True)
+    assert list(g["event_id"]) == list(w["event_id"])
+    np.testing.assert_allclose(g["z"].to_numpy(), w["z"].to_numpy(),
+                               rtol=1e-12)

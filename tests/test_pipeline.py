@@ -1274,3 +1274,19 @@ def test_spill_pressure_smoke(sf_dir):
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["ok"] is True
     assert all(q["match"] for q in out["queries"].values()), out
+
+
+def test_csv_quoted_empty_vs_unquoted_null(ray_session, tmp_path):
+    """Postgres-style CSV null split: unquoted empty cell → null (absent),
+    quoted \"\" → the empty string (a legal, lookupable tool value)."""
+    from logstash_filter_translate_ray.sources.readers import (
+        read_transcripts_csv)
+    p = tmp_path / "t.csv"
+    p.write_text(
+        "conv_id,turn_idx,role,text,tool,ts\n"
+        'c1,0,user,hello,,2024-01-01T00:00:00\n'
+        'c1,1,assistant,hi,"",2024-01-01T00:00:01\n')
+    out = read_transcripts_csv(str(p)).to_pandas().sort_values("turn_idx")
+    tools = out["tool"].tolist()
+    assert pd.isna(tools[0])               # unquoted empty → null
+    assert tools[1] == ""                  # quoted "" survives

@@ -498,6 +498,49 @@ def test_dataset_from_is_data(ray_session, monkeypatch):
     assert get_table_block_metadata_schema not in remote_fns
 
 
+def test_map_blocks_schema_is_recorded(ray_session, monkeypatch, tmp_path):
+    """map_blocks records its schema in the slot Ray's ``schema()`` reads
+    first (``ExecutionPlan.cache_schema``): a chain over either parquet
+    read, or over a filter of a read or of a 0-row data plan, built and
+    asked for its schema, runs no Ray Data execution, and neither does a
+    routed spec's route check before its write."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from logstash_filter_translate_ray.pipelines import spec
+    from logstash_filter_translate_ray.sources.readers import ParquetFiles
+
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"a": [1, 2], "role": ["user", "bot"]}), path)
+    routed = {"input": {"path": path},
+              "filters": [{"keep": {"column": "a", "op": ">", "value": 0}}],
+              "route": {"key": "role", "routes": {"user": "u"}},
+              "output": {"path": str(tmp_path / "out")}}
+    writes = []
+    monkeypatch.setattr(spec, "write_routed",
+                        lambda ds, out, **kw: writes.append(out))
+    with monkeypatch.context() as m:
+        def boom(*a, **kw):
+            raise AssertionError("Ray Data execution")
+        m.setattr(StreamingExecutor, "execute", boom)
+        empty = pa.table({"a": pa.array([], pa.int64())})
+        for read in (rd.read_datasource(ParquetFiles(path, ["a"])),
+                     rd.read_parquet(path, columns=["a"]),
+                     rd.read_parquet(path, columns=["a"]).filter(
+                         expr="a > 5"),
+                     rd.from_arrow(empty).filter(expr="a > 5")):
+            ds = rayutil.map_blocks(read, lambda t: t.append_column(
+                "b", pa.compute.multiply(t["a"], 2)))
+            ds = rayutil.map_blocks(ds, lambda t: t.select(["b"]))
+            assert ds.schema().base_schema == pa.schema([("b", pa.int64())])
+        ds = spec.build_from_spec(routed)
+        assert "route" in ds.schema().names
+        spec._write_sink(ds, routed, routed["output"]["path"])
+    assert writes == [routed["output"]["path"]]
+
+
 def test_file_task_modules_load_no_ray_data():
     """The modules a file task unpickles import no Ray Data: its import
     costs every fresh worker ~0.4 s, so Ray Data internals are imported

@@ -1,6 +1,6 @@
 """Round-4 review fixes: %{+timeformat} sprintf reject, Ruby regex
 flags, sprintf containers, YAML and CSV parsing, field refs, error
-isolation, parse rules, zscore null keys. The resize metadata NaN guard,
+isolation, parse rules. The resize metadata NaN guard,
 hash_sample fraction-1.0 and langid/winnow null-text tests live in
 tests/test_functions.py; the run_spec aggregate/JSON sink test lives in
 tests/test_pipeline.py; the DictionaryService
@@ -11,7 +11,9 @@ and the window null-key tests live in tests/test_null_keys.py; the
 hot-cap skip-counter and join-operand tests live in
 tests/test_functions.py; the five kernel schema / value-unify tests
 live in tests/test_kernel.py; the JSON fan-out sink test lives in
-tests/test_route.py. 11 tests remain here."""
+tests/test_route.py; the zscore null-key test lives in
+tests/test_null_keys.py and the CSV null-split test in
+tests/test_pipeline.py. 9 tests remain here."""
 
 import numpy as np
 import pandas as pd
@@ -202,68 +204,6 @@ def test_parse_rule_validation_and_casts(ray_session):
         ExtractRule(out="w", source="s", pattern=r"(\w+)"),)))
     out = parse_batch(parse_batch(pa.table({"s": ["hi"]}), plan), plan)
     assert out.column_names.count("w") == 1
-
-
-def test_csv_quoted_empty_vs_unquoted_null(ray_session, tmp_path):
-    """Postgres-style CSV null split: unquoted empty cell → null (absent),
-    quoted \"\" → the empty string (a legal, lookupable tool value)."""
-    from logstash_filter_translate_ray.sources.readers import (
-        read_transcripts_csv)
-    p = tmp_path / "t.csv"
-    p.write_text(
-        "conv_id,turn_idx,role,text,tool,ts\n"
-        'c1,0,user,hello,,2024-01-01T00:00:00\n'
-        'c1,1,assistant,hi,"",2024-01-01T00:00:01\n')
-    out = read_transcripts_csv(str(p)).to_pandas().sort_values("turn_idx")
-    tools = out["tool"].tolist()
-    assert pd.isna(tools[0])               # unquoted empty → null
-    assert tools[1] == ""                  # quoted "" survives
-
-
-def test_zscore_outliers_null_key_rows_dropped_like_oracle(ray_session):
-    """A null group key must behave like the oracle's inner ``JOIN st USING
-    (key)``: its rows are excluded from the output (no stats row exists for
-    them). Before the r4 fix the null index_in result went through a
-    NaN→int64 cast — platform-UB that indexed the stats arrays with
-    garbage (IndexError or a fabricated z)."""
-    import duckdb
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-    from logstash_filter_translate_ray.stages.aggregate import zscore_outliers
-
-    rng = np.random.default_rng(7)
-    n = 400
-    keys = np.array(["a", "b", "c", None], dtype=object)[
-        rng.integers(0, 4, size=n)]
-    vals = np.round(rng.normal(10, 3, size=n), 2)
-    tbl = pa.table({"event_id": pa.array(np.arange(n)),
-                    "event_type": pa.array(keys),
-                    "value": pa.array(vals)})
-    got = zscore_outliers(rd.from_arrow(tbl), key="event_type", val="value",
-                          threshold=2.0).to_pandas()
-    assert got["event_type"].notna().all()
-
-    con = duckdb.connect()
-    con.register("events", tbl)
-    want = con.execute(
-        "WITH c AS (SELECT event_id, event_type, "
-        "CAST(round(value * 100) AS BIGINT) AS cents FROM events), "
-        "s AS (SELECT event_type, COUNT(cents) AS cnt, SUM(cents) AS s1, "
-        "SUM(cents * cents) AS s2 FROM c GROUP BY event_type), "
-        "st AS (SELECT event_type, CAST(s1 AS DOUBLE)/cnt AS mean, "
-        "sqrt(CAST(s2 AS DOUBLE)/cnt - (CAST(s1 AS DOUBLE)/cnt) * "
-        "(CAST(s1 AS DOUBLE)/cnt)) AS std FROM s) "
-        "SELECT c.event_id, c.event_type, "
-        "(CAST(c.cents AS DOUBLE) - st.mean)/st.std AS z "
-        "FROM c JOIN st USING (event_type) "
-        "WHERE isfinite((CAST(c.cents AS DOUBLE) - st.mean)/st.std) "
-        "AND abs((CAST(c.cents AS DOUBLE) - st.mean)/st.std) > 2.0").df()
-    g = got.sort_values("event_id").reset_index(drop=True)
-    w = want.sort_values("event_id").reset_index(drop=True)
-    assert list(g["event_id"]) == list(w["event_id"])
-    np.testing.assert_allclose(g["z"].to_numpy(), w["z"].to_numpy(),
-                               rtol=1e-12)
 
 
 def test_sprintf_container_null_members_absent_both_paths():
