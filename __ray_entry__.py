@@ -121,8 +121,8 @@ def q_translate_exact(sf_dir: str):
                           dictionary=dict(EVENT_LABELS), fallback="unknown",
                           override=True)
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
-    return translate_dataset(ds, cfg, matched_col=None) \
-        .select_columns(["event_id", "event_type", "label"])
+    return _select(translate_dataset(ds, cfg, matched_col=None),
+                   ["event_id", "event_type", "label"])
 
 
 def q_translate_exact_nofallback(sf_dir: str):
@@ -132,8 +132,8 @@ def q_translate_exact_nofallback(sf_dir: str):
     cfg = TranslateConfig(source="event_type", target="label",
                           dictionary=dict(EVENT_LABELS), override=True)
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
-    return translate_dataset(ds, cfg, matched_col=None) \
-        .select_columns(["event_id", "event_type", "label"])
+    return _select(translate_dataset(ds, cfg, matched_col=None),
+                   ["event_id", "event_type", "label"])
 
 
 def q_translate_regex(sf_dir: str):
@@ -144,8 +144,8 @@ def q_translate_regex(sf_dir: str):
                           dictionary=dict(EVENT_REGEX), fallback="none",
                           override=True)
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
-    return translate_dataset(ds, cfg, matched_col=None) \
-        .select_columns(["event_id", "event_type", "label"])
+    return _select(translate_dataset(ds, cfg, matched_col=None),
+                   ["event_id", "event_type", "label"])
 
 
 def q_translate_union(sf_dir: str):
@@ -155,8 +155,8 @@ def q_translate_union(sf_dir: str):
     cfg = TranslateConfig(source="text", target="translated", exact=False,
                           dictionary=dict(UNION_DICT))
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return translate_dataset(ds, cfg, matched_col=None) \
-        .select_columns(["doc_id", "translated"])
+    return _select(translate_dataset(ds, cfg, matched_col=None),
+                   ["doc_id", "translated"])
 
 
 def q_translate_iterate_values(sf_dir: str):
@@ -212,7 +212,7 @@ def q_parse_extract(sf_dir: str):
         ExtractRule(out="k_value", source="props", pattern=r"(\d+)",
                     cast="int64"),))
     ds = _read(sf_dir, "events", ["event_id", "props"])
-    return parse_dataset(ds, cfg).select_columns(["event_id", "k_value"])
+    return _select(parse_dataset(ds, cfg), ["event_id", "k_value"])
 
 
 def q_agg_value_by_type(sf_dir: str):
@@ -347,8 +347,9 @@ def q_translate_file_dict(sf_dir: str):
                           dictionary_path=path, refresh_interval=-1,
                           fallback="unknown", override=True)
     ds = _read(sf_dir, "events", ["event_id", "event_type"])
-    return translate_dataset(ds, cfg, matched_col=None, concurrency=2) \
-        .select_columns(["event_id", "event_type", "label"])
+    return _select(translate_dataset(ds, cfg, matched_col=None,
+                                     concurrency=2),
+                   ["event_id", "event_type", "label"])
 
 
 def q_translate_iterate_maps(sf_dir: str):

@@ -14,11 +14,9 @@ Parse, the five translates and route compose into ONE block function
 over zero-copy Arrow tables. As a Dataset it is one ``map_batches``.
 :func:`read_transcripts` reads through the engine's own parquet source
 (``sources.readers.ParquetFiles``: local files and a column list), which
-builds with no Ray task. Every routed write is plain tasks
-(stages/route.py): ``write_routed`` of the chain over that read runs the
-same function in one task per input file; a Dataset derived from it is
-written in one task per block; either way the tasks return the count
-partials.
+builds with no Ray task. The chain over it is a file chain
+(``rayutil.file_chain``), which ``write_routed`` runs in one plain task
+per input file; the tasks return the count partials (stages/route.py).
 The per-turn ``text`` column is never rewritten (input_hint invariant:
 per-turn text equality under stable (conv_id, turn_idx) ordering).
 """
@@ -42,8 +40,8 @@ from ..rayutil import _dataset_from, keyed_aggregate, run_chain
 from ..sources.readers import parquet_source
 from ..stages.aggregate import _partial_counts, merge_partials
 from ..stages.parse import ParseConfig, parse_block_fn
-from ..stages.route import (record_file_chain, NULL_ROUTE_DIR,
-                            route_block_fn, route_labels, write_routed)
+from ..stages.route import (NULL_ROUTE_DIR, route_block_fn, route_labels,
+                            write_routed)
 from ..stages.translate_stage import translate_block_fn
 
 # Default dictionaries for the transcript DAG (FIXTURES.md §B): small,
@@ -99,7 +97,9 @@ class TranscriptPipelineConfig:
     default_route: str = "other"
     tool_dict_path: Optional[str] = None      # file-backed + refresh variant
     refresh_interval: float = 300
-    batch_size: Optional[int] = None           # None → Ray Data default sizing
+    # None → whole blocks (on the file runner, MAX_BATCH_ROWS-row slices
+    # of each file); a number bounds the rows each batch has
+    batch_size: Optional[int] = None
     parse: ParseConfig = field(default_factory=ParseConfig.transcripts)
     # heavy enrich stages (on by default; the bench + oracle cover them):
     # 100k-key conv_id → segment broadcast lookup, and union-substitution
@@ -113,8 +113,8 @@ def build_enriched_dataset(ds: "rd.Dataset",
                            ) -> "rd.Dataset":
     """parse → enrich(tool, status, word, segment, redaction) → route, as
     one ``map_batches`` of the composed block function. Lazy — nothing
-    executes. Over a plain local parquet read (:func:`read_transcripts`),
-    the result is recorded as a file chain for ``write_routed``."""
+    executes. Its schema is not recorded: ``write_routed`` runs it on the
+    file runner, which needs none, and the flagship builds it per pass."""
     cfg = cfg or TranscriptPipelineConfig()
     fns = [parse_block_fn(cfg.parse)]
 
@@ -161,13 +161,8 @@ def build_enriched_dataset(ds: "rd.Dataset",
     # route by role (dictionary-driven, single pass)
     fns.append(route_block_fn(cfg.routes, key="role",
                               default_route=cfg.default_route))
-    chain = functools.partial(run_chain, tuple(fns))
-    out = ds.map_batches(chain, batch_format="pyarrow",
-                         batch_size=cfg.batch_size)
-    # the file runner hands the chain whole files (≤128k-row batches),
-    # so only the whole-block form may take it
-    record_file_chain(out, ds, chain, whole_files=cfg.batch_size is None)
-    return out
+    return ds.map_batches(functools.partial(run_chain, tuple(fns)),
+                          batch_format="pyarrow", batch_size=cfg.batch_size)
 
 
 def read_transcripts(path: "str | list[str]",
@@ -175,13 +170,11 @@ def read_transcripts(path: "str | list[str]",
     """Column-pruned transcript read over the engine's own parquet source
     (:class:`~..sources.readers.ParquetFiles`): one read task per file,
     or per group of files when ``override_num_blocks`` is below the file
-    count. It builds with no task; ``write_routed`` of its chain runs one
-    plain task per file instead (stages/route.py).
-
-    A read task hands the chain each file whole, in slices of at most
-    ``MAX_BATCH_ROWS`` rows: every stage pays its per-block fixed costs
-    (one regex pass per key, one dictionary hash, one chunk combine per
-    column) once per file, not once per small batch.
+    count. It builds with no task. A read task, like the file runner's
+    (stages/route.py), hands the chain each file whole, in slices of at
+    most ``MAX_BATCH_ROWS`` rows: every stage pays its per-block fixed
+    costs (one regex pass per key, one dictionary hash, one chunk combine
+    per column) once per file, not once per small batch.
 
     A path the source refuses (a non-local filesystem, hive ``k=v``
     directories) is read by ``rd.read_parquet`` with the same columns,

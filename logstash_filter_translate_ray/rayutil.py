@@ -130,13 +130,14 @@ def _plan_schema(ds) -> Optional[pa.Schema]:
 
 
 def map_blocks(ds, fn: Callable[[pa.Table], pa.Table],
-               concurrency: Optional[int] = None):
+               concurrency: Optional[int] = None,
+               batch_size: Optional[int] = None):
     """``fn`` over every whole block of ``ds``, as an Arrow table, with the
     result's schema recorded as ``fn`` over a zero-row table of ``ds``'s
     schema (see the module docstring's schema rule). Nothing is recorded
     when ``ds``'s plan does not know its schema, or when ``fn`` cannot run
-    on zero rows. ``concurrency`` is ``map_batches``'."""
-    out = ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
+    on zero rows. ``concurrency``, ``batch_size``: ``map_batches``'."""
+    out = ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size,
                          concurrency=concurrency)
     schema = _plan_schema(ds)
     if schema is not None:
@@ -214,14 +215,15 @@ def _segment_starts(t: pa.Table, keys: Sequence[str]) -> np.ndarray:
 
 
 def _arrow(block) -> pa.Table:
-    """A Ray Data block as a ``pa.Table``. Ray Data is imported only for
-    a block that is not one already, so a task over Arrow blocks never
-    loads it."""
+    """A Ray Data block, or a ``map_batches`` function's output (a frame, a
+    dict of arrays), as the ``pa.Table`` Ray Data makes of it; Ray Data is
+    imported only for a non-table, so a task over Arrow never loads it."""
     if isinstance(block, pa.Table):
         return block
     from ray.data.block import BlockAccessor
 
-    return BlockAccessor.for_block(block).to_arrow()
+    return BlockAccessor.for_block(
+        BlockAccessor.batch_to_block(block)).to_arrow()
 
 
 def read_parquet_file(path: str, columns: Optional[List[str]]) -> pa.Table:
@@ -304,10 +306,10 @@ def _dataset_from(blocks: list):
     """A materialized Dataset of ``blocks``, ``(table ref, block_meta)``
     pairs. It runs no task (Ray's ``from_arrow`` of refs runs one metadata
     task per table), and reading it back starts no executor: its plan is
-    data, like a ``materialize()`` output's. Ray 2.49 internals, used
-    here and in :func:`materialized` and :func:`plain_parquet_read` only,
-    and imported here, not at module level: every file task unpickles
-    this module, and importing Ray Data costs it ~0.4 s."""
+    data, like a ``materialize()`` output's. Ray 2.49 internals, used in
+    this module's few Ray-internal helpers only, and imported in the
+    function: every file task unpickles this module, and importing Ray
+    Data costs it ~0.4 s."""
     from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.input_data_operator import (
@@ -346,16 +348,14 @@ def _bundle_blocks(bundles) -> list:
             for bundle in bundles for ref, meta in bundle.blocks]
 
 
-def plain_parquet_read(ds) -> Optional[tuple]:
-    """``(files, columns)`` when ``ds`` is exactly a read of the engine's
-    parquet source (``sources.readers.ParquetFiles``, whose fields they
-    are), or a ``rd.read_parquet`` of local files that Ray Data would not
-    transform while reading: no ``filter`` (or other scanner argument but
-    ``batch_size``), ``schema``, block UDF, ``include_paths`` or hive
-    partition columns in the paths. ``files`` are sorted; ``columns`` is
-    the read's column list (None: all). Else None. A task then reads a
-    file with :func:`read_parquet_file` and gets the rows the read
-    would."""
+def plain_parquet_read(op) -> Optional[tuple]:
+    """``(files, columns)`` (sorted; None: all columns) when the logical
+    operator ``op`` reads the engine's parquet source
+    (``sources.readers.ParquetFiles``) or is a ``rd.read_parquet`` of
+    local files Ray Data would not transform: no ``filter`` (or scanner
+    argument but ``batch_size``), ``schema``, block UDF, ``include_paths``
+    or hive partition columns. Else None. :func:`read_parquet_file` of
+    each file then gives the rows the read would."""
     import os
 
     import pyarrow.fs as pafs
@@ -367,7 +367,6 @@ def plain_parquet_read(ds) -> Optional[tuple]:
 
     from .sources.readers import ParquetFiles
 
-    op = ds._logical_plan.dag
     src = getattr(op, "_datasource", None)
     if not isinstance(op, Read):
         return None
@@ -389,6 +388,42 @@ def plain_parquet_read(ds) -> Optional[tuple]:
     if not all(os.path.isfile(f) for f in files):
         return None
     return files, src._data_columns
+
+
+def _in_batches(fn, size: Optional[int], table: pa.Table) -> pa.Table:
+    """``fn``'s outputs over ``table`` in slices of at most ``size`` rows
+    (None: one slice), each made a table (:func:`_arrow`), concatenated."""
+    step = size or max(1, table.num_rows)
+    return _concat([_arrow(fn(table.slice(start, step)))
+                    for start in range(0, table.num_rows, step) or [0]])
+
+
+def file_chain(ds) -> Optional[tuple]:
+    """``(files, columns, fn)`` when ``ds``'s plan is zero or more Arrow
+    ``map_batches`` of a plain function (no class, generator,
+    ``concurrency``, remote or function args) over a
+    :func:`plain_parquet_read`, ``fn`` composing them, each in batches of
+    at most its ``batch_size`` (:func:`_in_batches`). Else None."""
+    import functools
+    import inspect
+
+    from ray.data._internal.compute import TaskPoolStrategy
+    from ray.data._internal.logical.operators.map_operator import MapBatches
+
+    op, fns = ds._logical_plan.dag, []
+    while type(op) is MapBatches:
+        if (op._batch_format != "pyarrow" or op._compute != TaskPoolStrategy()
+                or any((op._fn_args, op._fn_kwargs, op._fn_constructor_args,
+                        op._fn_constructor_kwargs, op._ray_remote_args,
+                        op._ray_remote_args_fn))
+                or inspect.isclass(op._fn)
+                or inspect.isgeneratorfunction(op._fn)):
+            return None
+        # the plan runs from its last map
+        fns.insert(0, functools.partial(_in_batches, op._fn, op._batch_size))
+        op = op.input_dependencies[0]
+    read = plain_parquet_read(op)
+    return read and (*read, functools.partial(run_chain, tuple(fns)))
 
 
 @ray.remote(num_returns="streaming")
@@ -428,7 +463,7 @@ def materialized(ds, columns: List[str]):
     if (isinstance(op, SourceOperator) and op.output_data() is not None
             and schema is not None):
         return _dataset_from(_bundle_blocks(op.output_data()))
-    read = plain_parquet_read(ds)
+    read = plain_parquet_read(op)
     if (read is None or schema is None
             or not set(columns) <= set(schema.names)):
         return _dataset_from(_bundle_blocks(

@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..kernel import _per_distinct
+from ..rayutil import map_blocks
 
 
 @dataclass(frozen=True)
@@ -187,5 +188,4 @@ def parse_block_fn(cfg: Optional[ParseConfig] = None):
 def parse_dataset(ds: "ray.data.Dataset", cfg: Optional[ParseConfig] = None,
                   batch_size: Optional[int] = None) -> "ray.data.Dataset":
     # None ⇒ whole blocks (avoid Ray's 1024-row default micro-batching)
-    return ds.map_batches(parse_block_fn(cfg), batch_format="pyarrow",
-                          batch_size=batch_size)
+    return map_blocks(ds, parse_block_fn(cfg), batch_size=batch_size)

@@ -9,16 +9,17 @@ or as JSON lines. No task uses ``pyarrow.dataset``: its writer encodes on
 Arrow's IO threads and left each worker ~35 MB heavier (docs/SCALE.md).
 
 Every routed write runs as plain Ray tasks through that one block writer.
-A *file chain* — one whole-block ``map_batches`` of a block function over
-a plain local parquet read (``rayutil.plain_parquet_read``: the engine's
-own source, ``sources.readers.ParquetFiles``, as ``read_transcripts``
-builds it, or an untransformed ``rd.read_parquet``) — gets one task per
-input file: read, chain, write. It skips Ray Data's streaming executor,
-whose fixed costs (a 100 ms scheduling tick, held-back first-wave
-admission) outweighed the few-ms block functions (docs/SCALE.md,
-"Executor fixed costs"); over the engine's source, Ray Data runs nothing
-at all, not even at build time. Every other Dataset runs through Ray
-Data up to its blocks, then gets one write task per non-empty block.
+A *file chain*, a plan ``rayutil.file_chain`` reads from the Dataset
+alone (plain Arrow ``map_batches`` over a plain local parquet read: the
+transcript chain, a parquet spec's filters and route, the stage
+wrappers), gets one task per input file: read, run the maps' functions
+in ``MAX_BATCH_ROWS``-row slices (a map's own ``batch_size``, if any,
+bounds its slices further), write. That skips Ray Data's streaming
+executor, whose fixed costs (a 100 ms scheduling tick, held-back
+first-wave admission) outweighed the few-ms block functions
+(docs/SCALE.md, "Executor fixed costs"); over the engine's source, Ray
+Data runs nothing at all. Every other Dataset runs through Ray Data up
+to its blocks, then gets one write task per non-empty block.
 
 Each task returns every count partial as its table and its
 ``rayutil.block_meta``, so a caller builds a Dataset of them with no
@@ -29,7 +30,6 @@ from __future__ import annotations
 import json
 import os
 import uuid
-import weakref
 from typing import Callable, Optional
 from urllib.parse import quote
 
@@ -41,7 +41,7 @@ import ray
 
 from ..config import TranslateConfig
 from ..kernel import as_snapshot
-from ..rayutil import (_arrow, block_meta, plain_parquet_read,
+from ..rayutil import (_arrow, block_meta, file_chain, map_blocks,
                        read_parquet_file)
 
 # the label of a null route value: hive's default partition
@@ -50,26 +50,6 @@ NULL_ROUTE_DIR = "__HIVE_DEFAULT_PARTITION__"
 # Arrow's scanner batch: the most rows a whole-file parquet read
 # (batch_size=None) hands a block function at once
 MAX_BATCH_ROWS = 1 << 17
-
-# Chains over a plain local parquet read, keyed by Dataset identity
-# (weakly: an entry goes with its Dataset): (files, columns, fn,
-# whole_files). A derived Dataset (.filter, another map_batches, …) is a
-# new object, absent here, and is written block by block.
-_file_chains: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def record_file_chain(out: "ray.data.Dataset", read: "ray.data.Dataset",
-                      fn: Callable[[pa.Table], pa.Table],
-                      whole_files: bool) -> None:
-    """Mark ``out`` — ``read.map_batches(fn)`` — as a chain over ``read``,
-    if that is a plain local parquet read. ``whole_files``: ``fn`` may
-    take a file's batches of up to ``MAX_BATCH_ROWS`` rows, so
-    :func:`write_routed` runs one task per file; else it writes block by
-    block, and the record only gives the partials their columns when
-    every file is empty."""
-    plain = plain_parquet_read(read)
-    if plain is not None:
-        _file_chains[out] = (*plain, fn, whole_files)
 
 
 def file_batches(path: str, columns: Optional[list[str]]) -> list[pa.Table]:
@@ -88,10 +68,7 @@ def route_block_fn(routes: dict[str, str], *, key: str = "role",
     the arguments are :func:`route_dataset`'s."""
     from .translate_stage import make_translate_batch_fn
 
-    cfg = TranslateConfig(source=key, target=route_col,
-                          dictionary=dict(routes), fallback=default_route,
-                          override=True, regex=regex)
-    snap_ref = ray.put(as_snapshot(cfg.dictionary))
+    snap_ref = ray.put(as_snapshot(dict(routes)))
     # slim-cfg rule (CLAUDE.md): the snapshot is the broadcast; the closure
     # must not ALSO pickle the full route table per task
     slim_cfg = TranslateConfig(source=key, target=route_col, dictionary={},
@@ -111,9 +88,9 @@ def route_dataset(ds: "ray.data.Dataset", routes: dict[str, str], *,
     """Add a ``route`` column from a route-key dictionary (broadcast).
     ``regex=True`` routes by ordered regex patterns over the key column
     (first match wins — the exact_regex strategy)."""
-    fn = route_block_fn(routes, key=key, route_col=route_col,
-                        default_route=default_route, regex=regex)
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None)
+    return map_blocks(ds, route_block_fn(
+        routes, key=key, route_col=route_col, default_route=default_route,
+        regex=regex))
 
 
 def route_labels(values: "pa.Array | pa.ChunkedArray") -> list[str]:
@@ -159,9 +136,8 @@ def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
                   name: str, partials: tuple):
     """Write one source (unless ``out_dir`` is None) and return each of
     ``partials`` over it, as its table and its ``block_meta``: with
-    ``fn``, a file chain's local input file, read whole and run through
-    ``fn`` in ``MAX_BATCH_ROWS``-row slices (a 0-row file is one 0-row
-    slice); else one block as it is."""
+    ``fn``, a file chain's input file through ``fn`` (:func:`file_batches`:
+    a 0-row file is one 0-row slice); else one block as it is."""
     batches = ([_arrow(source)] if fn is None
                else map(fn, file_batches(source, columns)))
     outs: list = [[] for _ in partials]
@@ -177,29 +153,19 @@ def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
 
 def _sources(ds: "ray.data.Dataset", out_dir: Optional[str]):
     """The ``(fn, columns, source, out_dir)`` of each write task: a file
-    chain's files, else the Dataset's non-empty blocks (module
-    docstring)."""
-    files, columns, fn, whole_files = _file_chains.get(
-        ds, ([], None, None, False))
-    if whole_files:
-        if out_dir is not None:
-            # the sink directory exists even when every input is empty
-            os.makedirs(out_dir, exist_ok=True)
-        fn_ref = ray.put(fn)
-        for f in files:
-            yield fn_ref, columns, f, out_dir
-        return
-    blocks = 0
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows != 0:
-                blocks += 1
-                yield None, None, ref, out_dir
-    if not blocks and fn is not None:
-        # every file of the chain is empty, and Ray Data drops empty
-        # blocks: the partials over the chain of the first file's 0-row
-        # table keep their columns, as a file task's 0-row slice does
-        yield ray.put(fn), columns, files[0], None
+    chain's files (``rayutil.file_chain``), else the Dataset's non-empty
+    blocks (module docstring)."""
+    chain = file_chain(ds)
+    if chain is None:
+        return ((None, None, ref, out_dir)
+                for bundle in ds.iter_internal_ref_bundles()
+                for ref, meta in bundle.blocks if meta.num_rows != 0)
+    files, columns, fn = chain
+    if out_dir is not None:
+        # the sink directory exists even when every input is empty
+        os.makedirs(out_dir, exist_ok=True)
+    fn_ref = ray.put(fn)
+    return ((fn_ref, columns, f, out_dir) for f in files)
 
 
 def write_routed(ds: "ray.data.Dataset", out_dir: Optional[str], *,

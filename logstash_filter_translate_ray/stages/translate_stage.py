@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 import pyarrow as pa
 import ray
@@ -33,6 +33,7 @@ from ray.actor import ActorHandle
 
 from ..config import TranslateConfig
 from ..kernel import DictSnapshot, as_snapshot, translate_table
+from ..rayutil import map_blocks
 from ..state import get_or_create_dictionary_service
 
 
@@ -220,8 +221,4 @@ def translate_dataset(ds: "ray.data.Dataset", cfg: TranslateConfig, *,
     # batch_size=None ⇒ whole blocks per batch (Ray's 'default' is 1024-row
     # micro-batches, which multiplies per-batch fixed costs — e.g. index_in's
     # hash-table build over a 100k-key dictionary — by ~50×)
-    kwargs: dict[str, Any] = {"batch_format": "pyarrow",
-                              "batch_size": batch_size}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    return ds.map_batches(fn, **kwargs)
+    return map_blocks(ds, fn, concurrency, batch_size)

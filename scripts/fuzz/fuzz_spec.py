@@ -169,6 +169,61 @@ def fuzz_spec(rows, names, use_route, agg, use_post):
         shutil.rmtree(os.path.dirname(path), ignore_errors=True)
 
 
+def _route_rows(out_dir) -> dict:
+    """{route directory: its rows sorted by event_id} of a routed sink."""
+    import pyarrow.dataset as pads
+
+    return {d: pads.dataset(os.path.join(out_dir, d), format="parquet")
+            .to_table().sort_by("event_id").combine_chunks()
+            for d in sorted(os.listdir(out_dir))}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(files=st.lists(st.lists(row, max_size=10), min_size=1, max_size=5),
+       names=step_names)
+def fuzz_spec_routed_sink(files, names):
+    """``run_spec``'s routed parquet sink, which writes a parquet-input
+    spec on the file runner (one task per input file), vs the block path
+    over the same spec's ``materialize()``: the same ``route=``
+    directories (a null event_type routes to hive's null directory) with
+    the same rows, over file sets with 0-row files."""
+    from logstash_filter_translate_ray.pipelines.spec import run_spec
+    from logstash_filter_translate_ray.rayutil import file_chain
+    from logstash_filter_translate_ray.stages.route import write_routed
+
+    path = _mk_path([r for rows in files for r in rows])
+    d = os.path.dirname(path)
+    tbl = pq.read_table(path)
+    os.remove(path)
+    src = os.path.join(d, "in")
+    os.makedirs(src)
+    start = 0
+    for i, rows in enumerate(files):
+        pq.write_table(tbl.slice(start, len(rows)),
+                       os.path.join(src, f"f{i}.parquet"))
+        start += len(rows)
+    spec = {"input": {"path": src},
+            "filters": [STEPS[n][0] for n in names],
+            "route": {"routes": dict(ROUTES), "key": "event_type",
+                      "default": "ops"}}
+    try:
+        assert file_chain(build_from_spec(spec)) is not None
+        run_spec({**spec, "output": {"path": os.path.join(d, "runner")}})
+        write_routed(build_from_spec(spec).materialize(),
+                     os.path.join(d, "blocks"))
+        runner = os.path.join(d, "runner")
+        blocks = os.path.join(d, "blocks")
+        want = _route_rows(blocks) if os.path.isdir(blocks) else {}
+        got = _route_rows(runner)
+        assert list(got) == list(want), (list(got), list(want))
+        for route, rows in want.items():
+            assert got[route].equals(rows), route
+    finally:
+        shutil.rmtree(d, ignore_errors=True)
+
+
 if __name__ == "__main__":
     fuzz_spec(); print("fuzz_spec OK")
+    fuzz_spec_routed_sink(); print("fuzz_spec_routed_sink OK")
     ray.shutdown()

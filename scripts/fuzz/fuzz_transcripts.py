@@ -176,9 +176,9 @@ def _sink_counts(out_dir: str) -> dict:
 def _check_sinks(path: str, con) -> None:
     routes = _route_counts(path, con)
     d = os.path.dirname(path)
-    derived = build_enriched_dataset(read_transcripts(path)).map_batches(
-        lambda t: t, batch_format="pyarrow", batch_size=None)
-    write_routed(derived, os.path.join(d, "blocks"))
+    # materialize(): a plan write_routed runs block by block
+    blocks = build_enriched_dataset(read_transcripts(path)).materialize()
+    write_routed(blocks, os.path.join(d, "blocks"))
     write_routed(build_enriched_dataset(read_transcripts(path)),
                  os.path.join(d, "json"), file_format="json")
     for out in ("blocks", "json"):

@@ -294,7 +294,10 @@ def test_run_resumable_exactly_once_under_task_retry(ray_session, tmp_path,
                                                      monkeypatch):
     """One block's worker dies mid-stage on its first attempt; Ray retries
     the fused task, and the manifests, the return dict and the per-route
-    output rows equal those of a no-fault run."""
+    output rows equal those of a no-fault run. The dying map names its
+    ``num_cpus`` (the default, so Ray Data still fuses it with the read),
+    which keeps the plan off the file runner: this is the block path."""
+    from logstash_filter_translate_ray import rayutil
     from logstash_filter_translate_ray.pipelines import run_resumable
     from logstash_filter_translate_ray.pipelines import transcripts as T
     src = tmp_path / "in"
@@ -317,8 +320,10 @@ def test_run_resumable_exactly_once_under_task_retry(ray_session, tmp_path,
 
     def faulty_build(ds, cfg=None):
         return build(ds, cfg).map_batches(die_once, batch_format="pyarrow",
-                                          batch_size=None)
+                                          batch_size=None, num_cpus=1)
 
+    assert rayutil.file_chain(faulty_build(
+        T.read_transcripts(str(src)), _cfg())) is None
     monkeypatch.setattr(T, "build_enriched_dataset", faulty_build)
     retried = run_resumable(str(src), str(tmp_path / "retried"), _cfg(),
                             shard_files=2)

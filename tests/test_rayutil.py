@@ -541,6 +541,245 @@ def test_map_blocks_schema_is_recorded(ray_session, monkeypatch, tmp_path):
     assert writes == [routed["output"]["path"]]
 
 
+ROUTES = {"user": "u", "assistant": "a", "tool": "t"}
+
+
+def _chain_input(src) -> str:
+    """Transcript files of 0, 300 and 500 rows; every 7th role is null (a
+    null route)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from logstash_filter_translate_ray.sources.transcripts import (
+        make_transcripts)
+
+    tbl = make_transcripts(800, seed=5)
+    tbl = tbl.set_column(
+        tbl.column_names.index("role"), "role",
+        pc.if_else(pa.array([i % 7 == 0 for i in range(len(tbl))]),
+                   pa.scalar(None, pa.string()), tbl["role"]))
+    os.makedirs(src)
+    for i, (start, n) in enumerate([(0, 0), (0, 300), (300, 500)]):
+        pq.write_table(tbl.slice(start, n), os.path.join(src, f"p{i}.parquet"))
+    return str(src)
+
+
+def _routed(out_dir) -> dict:
+    """{route directory: (its schema, its rows sorted by conv_id and
+    turn_idx)} of a routed parquet sink."""
+    import pyarrow.dataset as pads
+
+    got = {}
+    for d in sorted(os.listdir(out_dir)):
+        t = pads.dataset(os.path.join(out_dir, d), format="parquet") \
+            .to_table()
+        got[d] = (t.schema, t.sort_by([("conv_id", "ascending"),
+                                       ("turn_idx", "ascending")]))
+    return got
+
+
+def _assert_same_sink(got: dict, want: dict) -> None:
+    assert list(got) == list(want) and want
+    for d, (schema, rows) in want.items():
+        assert got[d][0].equals(schema, check_metadata=True), d
+        assert got[d][1].equals(rows), d
+
+
+def _routed_spec(src: str) -> dict:
+    return {"input": {"path": src},
+            "filters": [
+                {"translate": {"source": "tool", "target": "tool_label",
+                               "dictionary": {"search": "Web Search"},
+                               "fallback": "none"}},
+                {"keep": {"column": "turn_idx", "op": ">=", "value": 1}}],
+            "route": {"key": "role", "routes": dict(ROUTES)}}
+
+
+def _stages(read):
+    from logstash_filter_translate_ray.config import TranslateConfig
+    from logstash_filter_translate_ray.stages import (
+        ParseConfig, parse_dataset, route_dataset, translate_dataset)
+
+    ds = parse_dataset(read, ParseConfig.transcripts())
+    ds = translate_dataset(ds, TranslateConfig(
+        source="tool", target="tool_label",
+        dictionary={"search": "Web Search"}, fallback="none"))
+    return route_dataset(ds, ROUTES)
+
+
+def _chain_builders():
+    """{name: (route column, builder of the Dataset from an input dir and
+    a read kind)} of the plans the file runner takes."""
+    import ray.data as rd
+
+    from logstash_filter_translate_ray.pipelines import spec
+    from logstash_filter_translate_ray.pipelines import transcripts as T
+    from logstash_filter_translate_ray.stages import route_dataset
+
+    def read(src, kind):
+        return T.read_transcripts(src) if kind == "source" else \
+            rd.read_parquet(src, columns=T.TRANSCRIPT_COLUMNS)
+
+    return {
+        "enriched": ("route", lambda src, kind: T.build_enriched_dataset(
+            read(src, kind), T.TranscriptPipelineConfig(routes=ROUTES))),
+        "stages": ("route", lambda src, kind: _stages(read(src, kind))),
+        "bare_read": ("role", read),
+        "spec": ("route", lambda src, kind: spec.build_from_spec(
+            _routed_spec(src))),
+        # a map whose function returns a dict of arrays, which Ray Data
+        # makes a table before the next map
+        "dict_batches": ("route", lambda src, kind: route_dataset(
+            read(src, kind).map_batches(
+                lambda t: {c: t[c].to_numpy(zero_copy_only=False)
+                           for c in t.column_names},
+                batch_format="pyarrow"), ROUTES)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["source", "read_parquet"])
+@pytest.mark.parametrize("chain", ["enriched", "stages", "bare_read",
+                                   "spec", "dict_batches"])
+def test_file_chains_run_no_ray_data(ray_session, monkeypatch, tmp_path,
+                                     chain, kind):
+    """``rayutil.file_chain`` reads the runner's files and function from
+    the plan alone: the transcript chain, the stage wrappers, a bare read,
+    a map returning a dict of arrays and a routed parquet-input spec
+    (``build_from_spec`` and ``run_spec``) are written by ``write_routed``
+    with no Ray Data execution, into the same directories, schemas and
+    rows as their ``materialize()`` forms take through the block path. A
+    spec reads with ``rd.read_parquet`` whatever the kind."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from logstash_filter_translate_ray.pipelines import spec
+    from logstash_filter_translate_ray.stages.route import write_routed
+
+    src = _chain_input(tmp_path / "in")
+    route_col, build = _chain_builders()[chain]
+    write_routed(build(src, kind).materialize(), str(tmp_path / "blocks"),
+                 route_col=route_col)
+    want = _routed(tmp_path / "blocks")
+    with monkeypatch.context() as m:
+        def boom(*a, **kw):
+            raise AssertionError("Ray Data execution")
+        m.setattr(StreamingExecutor, "execute", boom)
+        ds = build(src, kind)
+        assert rayutil.file_chain(ds) is not None
+        write_routed(ds, str(tmp_path / "runner"), route_col=route_col)
+        if chain == "spec":
+            spec.run_spec({**_routed_spec(src),
+                           "output": {"path": str(tmp_path / "run_spec")}})
+    _assert_same_sink(_routed(tmp_path / "runner"), want)
+    if chain == "spec":
+        _assert_same_sink(_routed(tmp_path / "run_spec"), want)
+
+
+def _refused(src, case):
+    """A routed chain over ``src`` with one thing the file runner must
+    refuse. Its functions are local, so workers unpickle them by value
+    (a worker cannot import a test module)."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from logstash_filter_translate_ray.stages import route_dataset
+
+    class Identity:
+        def __call__(self, t):
+            return t
+
+    kw = {"batch_format": "pyarrow"}
+    if case == "hive_input":
+        return route_dataset(rd.read_parquet(src), ROUTES)
+    if case == "filter_read":
+        return route_dataset(rd.read_parquet(
+            src, filter=pc.field("turn_idx") >= 2), ROUTES)
+    read = rd.read_parquet(src)
+    if case == "callable_class":
+        ds = read.map_batches(Identity, concurrency=1, **kw)
+    elif case == "concurrency":
+        ds = read.map_batches(lambda t: t, concurrency=2, **kw)
+    elif case == "num_cpus":
+        ds = read.map_batches(lambda t: t, num_cpus=0.5, **kw)
+    elif case == "fn_kwargs":
+        ds = read.map_batches(lambda t, k: t, fn_kwargs={"k": 1}, **kw)
+    elif case == "pandas":
+        ds = read.map_batches(lambda df: df, batch_format="pandas")
+    elif case == "filter_between":
+        ds = read.map_batches(lambda t: t, **kw).filter(expr="turn_idx >= 2")
+    else:
+        assert case == "select_between"
+        ds = read.map_batches(lambda t: t, **kw).select_columns(
+            ["conv_id", "turn_idx", "role", "text"])
+    return route_dataset(ds, ROUTES)
+
+
+@pytest.mark.parametrize("case", [
+    "callable_class", "concurrency", "num_cpus", "fn_kwargs", "pandas",
+    "filter_between", "select_between", "hive_input", "filter_read"])
+def test_file_chain_refusals_take_block_path(ray_session, tmp_path, case):
+    """A plan with anything the file runner cannot run as it is (an actor
+    UDF, a task limit, remote args, function arguments, a non-Arrow batch
+    format, a filter or projection between the maps, hive partition
+    columns or a filtered read) is no file chain, and ``write_routed``
+    writes it block by block into the same directories, schemas and rows
+    as its ``materialize()`` form."""
+    import shutil
+
+    from logstash_filter_translate_ray.stages.route import write_routed
+
+    src = _chain_input(tmp_path / "in")
+    if case == "hive_input":
+        for i, name in enumerate(sorted(os.listdir(src))):
+            os.makedirs(os.path.join(src, f"part={i % 2}"), exist_ok=True)
+            shutil.move(os.path.join(src, name),
+                        os.path.join(src, f"part={i % 2}", name))
+    ds = _refused(src, case)
+    assert rayutil.file_chain(ds) is None
+    write_routed(ds, str(tmp_path / "blocks"))
+    write_routed(_refused(src, case).materialize(), str(tmp_path / "ref"))
+    want = _routed(tmp_path / "ref")
+    _assert_same_sink(_routed(tmp_path / "blocks"), want)
+
+
+def test_file_chain_map_batch_size_bounds_its_batches(ray_session,
+                                                      monkeypatch, tmp_path):
+    """On the file runner a map given a ``batch_size`` is handed slices
+    of at most that many rows, never a whole file, and the rows are the
+    block path's but for the batch sizes the map saw."""
+    import pyarrow.compute as pc
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from logstash_filter_translate_ray.pipelines import transcripts as T
+    from logstash_filter_translate_ray.stages import route_dataset
+    from logstash_filter_translate_ray.stages.route import write_routed
+
+    src = _chain_input(tmp_path / "in")       # files of 0, 300, 500 rows
+
+    def build():
+        return route_dataset(T.read_transcripts(src).map_batches(
+            lambda t: t.append_column(
+                "n", pa.array([t.num_rows] * t.num_rows, pa.int64())),
+            batch_format="pyarrow", batch_size=128), ROUTES)
+
+    write_routed(build().materialize(), str(tmp_path / "blocks"))
+    with monkeypatch.context() as m:
+        def boom(*a, **kw):
+            raise AssertionError("Ray Data execution")
+        m.setattr(StreamingExecutor, "execute", boom)
+        write_routed(build(), str(tmp_path / "runner"))
+    got, want = _routed(tmp_path / "runner"), _routed(tmp_path / "blocks")
+    sizes = set()
+    for d in want:
+        sizes |= set(got[d][1]["n"].to_pylist())
+        assert pc.max(want[d][1]["n"]).as_py() <= 128
+        assert got[d][1].drop_columns(["n"]).equals(
+            want[d][1].drop_columns(["n"])), d
+    assert list(got) == list(want)
+    assert sizes == {128, 300 - 256, 500 - 384}
+
+
 def test_file_task_modules_load_no_ray_data():
     """The modules a file task unpickles import no Ray Data: its import
     costs every fresh worker ~0.4 s, so Ray Data internals are imported

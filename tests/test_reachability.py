@@ -26,7 +26,7 @@ ALLOWED = {
     "read_transcripts_json": "the JSON half of the transcript sources; "
                              "keeping it is a coverage decision",
     "_conform": "the schema conform step of the CSV/JSON sources",
-    "make_skip_counter": "goes with the run report (ROADMAP item 1)",
+    "make_skip_counter": "goes with the run report (ROADMAP item 2)",
 }
 
 

@@ -82,8 +82,9 @@ def _chain_inputs(tmp_path):
 
 
 def _derived(ds):
-    return ds.map_batches(lambda t: t, batch_format="pyarrow",
-                          batch_size=None)
+    """``ds`` as a plan the file runner refuses (its blocks as data), so
+    ``write_routed`` takes the block path."""
+    return ds.materialize()
 
 
 def test_file_runner_matches_ray_data_sink(ray_session, tmp_path,
@@ -177,10 +178,9 @@ def test_run_pipeline_empty_input_conv_schema(ray_session, tmp_path, sink):
 
 def test_run_pipeline_empty_input_conv_schema_batched(ray_session,
                                                      tmp_path):
-    """With a batch_size the chain runs block by block, and an all-empty
-    input leaves no block to write: the conv_id partial still carries
-    the chain's columns, from the chain run over the read's 0-row
-    table."""
+    """With a batch_size the chain is still a file chain: the runner runs
+    it over the 0-row file's one 0-row slice, so the conv_id partial
+    carries the chain's columns."""
     from logstash_filter_translate_ray.pipelines.transcripts import (
         TranscriptPipelineConfig, run_pipeline)
 

@@ -566,7 +566,8 @@ def test_knn_join_fallback_cases(ray_session, tmp_path, monkeypatch, case):
     plain = case in ("over_target_block_rows", "over_max_block_size",
                      "empty_file", "all_empty")
     ds = _case_read(tmp_path / "c", case, monkeypatch)
-    assert (rayutil.plain_parquet_read(ds) is not None) == plain
+    read = rayutil.plain_parquet_read(ds._logical_plan.dag)
+    assert (read is not None) == plain
     if case == "over_max_block_size":
         sizes = [m.size_bytes for b in rayutil.materialized(
             ds, ["vec_id", "embedding"]).iter_internal_ref_bundles()

@@ -69,9 +69,10 @@ def test_files_listed_like_ray_read(ray_session, tmp_path):
         (tmp_path / "in" / name).write_text("")
     files = ParquetFiles(src, T.TRANSCRIPT_COLUMNS).files
     assert len(files) == 4 and files == sorted(files)
-    assert files == rayutil.plain_parquet_read(_ray_read(src))[0]
+    plain = rayutil.plain_parquet_read
+    assert files == plain(_ray_read(src)._logical_plan.dag)[0]
     read = T.read_transcripts(src)
-    assert rayutil.plain_parquet_read(read) == (files, T.TRANSCRIPT_COLUMNS)
+    assert plain(read._logical_plan.dag) == (files, T.TRANSCRIPT_COLUMNS)
 
 
 def test_rows_and_schema_equal_ray_read(ray_session, tmp_path):

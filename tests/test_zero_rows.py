@@ -24,14 +24,8 @@ from logstash_filter_translate_ray import rayutil
 
 # Dataset results whose stage is not a block map of the package: Ray Data
 # takes their schema from their blocks, and over 0-row input there are
-# none. The benchmarked stage wrappers (``translate_dataset``,
-# ``parse_dataset``) and the media maps' fixed-size batches stay
-# ``map_batches`` calls.
-UNTYPED_WHEN_EMPTY = {
-    "translate_exact", "translate_exact_nofallback", "translate_regex",
-    "translate_union", "translate_file_dict", "parse_extract",
-    "multimodal_features", "multimodal_real_decode",
-}
+# none. The media maps' fixed-size batches stay ``map_batches`` calls.
+UNTYPED_WHEN_EMPTY = {"multimodal_features", "multimodal_real_decode"}
 
 # queries whose input cannot be empty, with the words their error says so in
 NEEDS_ROWS = {
@@ -50,11 +44,11 @@ def _import_package():
 
 def _checked(real):
     """``map_blocks`` whose blocks must carry the schema it recorded."""
-    def map_blocks(ds, fn, concurrency=None):
+    def map_blocks(ds, fn, concurrency=None, batch_size=None):
         recorded = rayutil._arrow_schema(
             real(ds, fn).schema(fetch_if_missing=False))
         if recorded is None:
-            return real(ds, fn, concurrency)
+            return real(ds, fn, concurrency, batch_size)
 
         def checked(t):
             out = fn(t)
@@ -63,7 +57,7 @@ def _checked(real):
                     f"block schema {out.schema} != recorded {recorded}")
             return out
 
-        return real(ds, checked, concurrency)
+        return real(ds, checked, concurrency, batch_size)
     return map_blocks
 
 
