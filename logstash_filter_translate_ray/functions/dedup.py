@@ -13,8 +13,8 @@ modmul + ``minimum.reduceat`` per block — no per-doc Python hashing). The
 shuffles are
 
 1. a keyed-group shuffle (``rayutil.keyed_groups``) on the band key — a
-   bounded number of vectorized group calls (``num_groups``), not one
-   scheduling unit per LSH bucket;
+   bounded number of vectorized group calls (sized from the input's
+   bytes), not one scheduling unit per LSH bucket;
 2. a second keyed-group shuffle on (id_a, id_b) that dedupes the pairs;
 3. two inner joins on the same exchange (``rayutil.keyed_join``) that
    attach each candidate doc's shingle-set blob to its pairs, so the
@@ -35,7 +35,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .. import rayutil
 from ..rayutil import keyed_aggregate, keyed_groups, keyed_join, map_blocks
 
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)   # splitmix64 / golden-ratio odd
@@ -186,11 +185,11 @@ def add_content_hash(tbl: pa.Table, col: str = "text",
 _CONTENT_KEYS = ["content_hash", "content_hash2"]
 
 
-def _min_id_rows(ds, col: str, id_col: str, keep, num_groups: int):
+def _min_id_rows(ds, col: str, id_col: str, keep):
     """The min-id row per distinct content of ``ds``, with the columns
     ``keep`` (None: every input column). One keyed group on the 128-bit
-    content hash (``num_groups`` vectorized group calls, not one per
-    distinct content), ordered by id: each key segment's first row
+    content hash (a bounded number of vectorized group calls, not one
+    per distinct content), ordered by id: each key segment's first row
     survives — no per-group pandas frames or aggregates. Only the hash
     and the kept columns ride the exchange. An empty result keeps the
     hashed input's columns, less the hash."""
@@ -204,22 +203,21 @@ def _min_id_rows(ds, col: str, id_col: str, keep, num_groups: int):
     return keyed_groups(
         map_blocks(ds, hashed), _CONTENT_KEYS, first_rows,
         lambda s: s.empty_table().drop_columns(_CONTENT_KEYS).schema,
-        num_groups, order_by=[id_col])
+        order_by=[id_col])
 
 
-def exact_dedup(ds, col: str = "text", id_col: str = "doc_id",
-                num_groups: int = 64):
+def exact_dedup(ds, col: str = "text", id_col: str = "doc_id"):
     """Keep the min-id row per distinct content, as FULL rows (see
     :func:`_min_id_rows`); for id-only consumers see
     :func:`exact_dedup_ids`. Runs ``ds`` at call time."""
-    return _min_id_rows(ds, col, id_col, None, num_groups)
+    return _min_id_rows(ds, col, id_col, None)
 
 
 def exact_dedup_ids(ds, col: str = "text", id_col: str = "doc_id"):
     """Surviving ids only: the min id per 128-bit content hash, with only
     the hash and the id riding the keyed exchange (the 10^8-group shape).
     Runs ``ds`` at call time."""
-    return _min_id_rows(ds, col, id_col, [id_col], rayutil.DEFAULT_GROUPS)
+    return _min_id_rows(ds, col, id_col, [id_col])
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +230,7 @@ _BROADCAST_MAX_SEEN = 2_000_000   # distinct seen hashes (~32 MB) below
 
 
 def incremental_dedup(ds_new, ds_seen, col: str = "text",
-                      id_col: str = "doc_id", num_partitions: int = 4):
+                      id_col: str = "doc_id"):
     """EXACT cross-dataset dedup — the shape of incremental corpus ingest:
     keep only the rows of ``ds_new`` whose content does not appear in
     ``ds_seen``, by 128-bit content hash. The seen side is reduced to
@@ -283,9 +281,7 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
 
         return map_blocks(ds_new, keep)
 
-    flagged = keyed_aggregate(
-        map_blocks(ds_seen, hashes),
-        _CONTENT_KEYS, {}, num_partitions)
+    flagged = keyed_aggregate(map_blocks(ds_seen, hashes), _CONTENT_KEYS, {})
     n_seen = flagged.count()
     if n_seen == 0:
         return ds_new
@@ -297,9 +293,8 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
     # ingest, so they broadcast back through the same probe; if a
     # degenerate corpus makes them outgrow the broadcast bound, a hash
     # anti join drops them instead.
-    dropped = keyed_join(
-        flagged, map_blocks(ds_new, hashes),
-        _CONTENT_KEYS, how="left semi", num_groups=num_partitions)
+    dropped = keyed_join(flagged, map_blocks(ds_new, hashes),
+                         _CONTENT_KEYS, how="left semi")
     n_drop = dropped.count()
     if n_drop == 0:
         return ds_new
@@ -318,8 +313,7 @@ def incremental_dedup(ds_new, ds_seen, col: str = "text",
     # worst case (most of the new corpus is already seen): the full rows
     # ride one exchange, unavoidable once neither side fits a broadcast
     out = keyed_join(map_blocks(ds_new, keyed),
-                     dropped, _CONTENT_KEYS, how="left anti",
-                     num_groups=num_partitions)
+                     dropped, _CONTENT_KEYS, how="left anti")
     return map_blocks(out, lambda t: t.drop_columns(_CONTENT_KEYS))
 
 
@@ -469,11 +463,10 @@ def _report_skips(where: str, hot_cap, skipped_buckets: int,
 
 def bucket_candidate_pairs(bucketed_ds, bucket_col: str, id_col: str,
                            hot_cap: Optional[int] = 200,
-                           num_groups: int = 64,
                            payload_col: Optional[str] = None,
                            skip_counter=None):
     """(id_a < id_b) pairs sharing a ``bucket_col`` value. ONE keyed-group
-    shuffle (``num_groups`` vectorized group calls total); inside a group,
+    shuffle (a bounded number of vectorized group calls); inside a group,
     buckets are key segments and pairs come from
     ``np.triu_indices`` — no per-bucket scheduling, no Python pair loops.
     ``hot_cap`` skips degenerate hot buckets (> cap members): a documented
@@ -535,17 +528,18 @@ def bucket_candidate_pairs(bucketed_ds, bucket_col: str, id_col: str,
                          "id_b": pa.array(b, type=pa.int64()), **cols})
 
     return keyed_groups(bucketed_ds, [bucket_col], per_group, schema,
-                        num_groups, order_by=[id_col])
+                        order_by=[id_col])
 
 
-def distinct_pairs(pairs_ds, num_groups: int = 64, carry: tuple = (),
+def distinct_pairs(pairs_ds, carry: tuple = (),
                    carry_types: "Optional[dict]" = None):
     """Distributed pair dedupe: ONE keyed-group shuffle on (id_a, id_b),
     keeping each pair segment's first row. (Ray's native multi-key count
     aggregate measured ~30× slower on a 2M-row/124k-group pair list than
     this shape — per-group accumulator overhead.) ``carry`` columns keep
-    the first surviving row's value (callers use it when the value is
-    identical across a pair's duplicates, e.g. a deterministic score);
+    the smallest ``carry`` tuple among a pair's rows, whatever the block
+    layout or bucket count (callers carry a value equal, or equal up to
+    float rounding, across a pair's duplicates, e.g. a score);
     ``carry_types`` declares their arrow types so the empty-input schema
     anchor stays exact (a wrong anchor type would silently promote the
     non-empty result at concat)."""
@@ -562,14 +556,14 @@ def distinct_pairs(pairs_ds, num_groups: int = 64, carry: tuple = (),
         def schema(s):      # undeclared carry types: read from the input
             return pa.schema([s.field(c) for c in cols])
     return keyed_groups(pairs_ds, ["id_a", "id_b"], first_rows, schema,
-                        num_groups)
+                        order_by=carry)
 
 
 def minhash_candidate_pairs(ds, col: str = "text", id_col: str = "doc_id",
                             k: int = 3, num_perm: int = 64, bands: int = 16,
                             concurrency: int = 4,
                             hot_cap: Optional[int] = 200,
-                            num_groups: int = 64, skip_counter=None):
+                            skip_counter=None):
     """Banded-LSH candidate pairs: (id_a, id_b) with id_a < id_b that share
     at least one band bucket (distinct — band-level duplicates removed by a
     native hash aggregate)."""
@@ -582,8 +576,7 @@ def minhash_candidate_pairs(ds, col: str = "text", id_col: str = "doc_id",
                          num_perm=num_perm, bands=bands)
     banded = map_blocks(ds, lambda t, _s=stage: _s(t),
                         concurrency=concurrency)
-    pairs = bucket_candidate_pairs(banded, "bucket", id_col,
-                                   hot_cap=hot_cap, num_groups=num_groups,
+    pairs = bucket_candidate_pairs(banded, "bucket", id_col, hot_cap=hot_cap,
                                    skip_counter=skip_counter)
     return distinct_pairs(pairs)
 
@@ -649,20 +642,18 @@ def _batch_jaccard_from_blobs(a_blobs: list, b_blobs: list) -> np.ndarray:
 
 
 def verified_jaccard_pairs(pairs_ds, docs_ds, col: str = "text",
-                           id_col: str = "doc_id", k: int = 3,
-                           num_partitions: int = 4):
+                           id_col: str = "doc_id", k: int = 3):
     """Attach both docs' shingle sets to every candidate pair via two
     inner joins (run at call time), then compute EXACT Jaccard in a lazy
     map_batches — the driver never sees a text. Returns a Dataset
     (id_a, id_b, jaccard)."""
     # materialized once: both joins read it
     sig = shingle_set_dataset(docs_ds, col, id_col, k).materialize()
-    j1 = keyed_join(pairs_ds, sig, ["id_a"], [id_col],
-                    num_groups=num_partitions)
+    j1 = keyed_join(pairs_ds, sig, ["id_a"], [id_col])
     j2 = keyed_join(
         map_blocks(j1, lambda t: t.rename_columns(
             [{"sh_set": "_sh_a"}.get(c, c) for c in t.column_names])),
-        sig, ["id_b"], [id_col], num_groups=num_partitions)
+        sig, ["id_b"], [id_col])
 
     def jac(t: pa.Table) -> pa.Table:
         vals = _batch_jaccard_from_blobs(t["_sh_a"].to_pylist(),
@@ -693,8 +684,7 @@ def connected_components(pairs: Iterable[tuple]) -> dict:
     return {x: find(x) for x in list(parent)}
 
 
-def minlabel_components(pairs_ds, num_partitions: int = 4,
-                        max_iters: int = 25):
+def minlabel_components(pairs_ds, max_iters: int = 25):
     """DISTRIBUTED connected components over a candidate-pair Dataset
     (id_a, id_b) by min-label propagation: every node repeatedly adopts the
     minimum label among itself and its neighbors (two inner joins and one
@@ -723,16 +713,13 @@ def minlabel_components(pairs_ds, num_partitions: int = 4,
                                                        t["min_dst"])})
 
     labels = map_blocks(keyed_aggregate(
-        edges, ["src"], {"min_dst": ("dst", "min")}, num_partitions), _init)
+        edges, ["src"], {"min_dst": ("dst", "min")}), _init)
 
     changed: "int | None" = None       # None ⇒ zero rounds ran
     for _ in range(max_iters):
-        nbr = keyed_aggregate(
-            keyed_join(edges, labels, ["dst"], ["node"],
-                       num_groups=num_partitions),
-            ["src"], {"min_label": ("label", "min")}, num_partitions)
-        merged = keyed_join(nbr, labels, ["src"], ["node"],
-                            num_groups=num_partitions)
+        nbr = keyed_aggregate(keyed_join(edges, labels, ["dst"], ["node"]),
+                              ["src"], {"min_label": ("label", "min")})
+        merged = keyed_join(nbr, labels, ["src"], ["node"])
 
         def _step(t: pa.Table) -> pa.Table:
             new = _pc.min_element_wise(t["min_label"], t["label"])
@@ -774,8 +761,7 @@ _CC_DRIVER_MAX_PAIRS = 1_000_000   # verified-pair count above which the
 def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
                   k: int = 3, num_perm: int = 64, bands: int = 16,
                   threshold: float = 0.8, concurrency: int = 4,
-                  num_partitions: int = 4, cc: str = "auto",
-                  skip_counter=None):
+                  cc: str = "auto", skip_counter=None):
     """Full near-dup pipeline: LSH candidates → distributed Jaccard verify
     (join-attached shingle sets, see :func:`verified_jaccard_pairs`) →
     keep min-id per component, all run at call time. Returns
@@ -799,7 +785,7 @@ def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
                                    skip_counter=skip_counter).materialize()
     if cand.count() == 0:
         return ds, ([] if cc != "distributed" else cand)
-    ver_ds = verified_jaccard_pairs(cand, ds, col, id_col, k, num_partitions)
+    ver_ds = verified_jaccard_pairs(cand, ds, col, id_col, k)
 
     thr = map_blocks(ver_ds, lambda t: t.filter(
         pc.greater_equal(t["jaccard"], threshold)).select(["id_a", "id_b"])
@@ -811,12 +797,11 @@ def minhash_dedup(ds, col: str = "text", id_col: str = "doc_id",
     if cc == "distributed":
         if n_verified == 0:
             return ds, thr
-        labels = minlabel_components(thr, num_partitions)
+        labels = minlabel_components(thr)
         dropped = map_blocks(labels, lambda t: t.filter(
             pc.not_equal(t["node"], t["label"]))).materialize()
         kept = keyed_join(ds, dropped.select_columns(["node"]), [id_col],
-                          ["node"], how="left anti",
-                          num_groups=num_partitions)
+                          ["node"], how="left anti")
         return kept, dropped
 
     if n_verified == 0:
@@ -897,8 +882,7 @@ def hamming64_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def simhash_pairs(ds, col: str = "text", id_col: str = "doc_id",
                   max_hamming: int = 3, bands: int = 4,
                   word_hash: str = "sip",
-                  hot_cap: Optional[int] = 1000, num_groups: int = 64,
-                  skip_counter=None):
+                  hot_cap: Optional[int] = 1000, skip_counter=None):
     """Near-duplicate pairs by SimHash banding: the 64-bit simhash splits
     into ``bands`` equal bit-bands; by pigeonhole a pair with hamming ≤
     ``bands - 1`` differing bits shares ≥1 EXACT band, so candidate recall
@@ -929,8 +913,7 @@ def simhash_pairs(ds, col: str = "text", id_col: str = "doc_id",
 
     exploded = map_blocks(sim, explode)
     pairs = bucket_candidate_pairs(exploded, "bucket", id_col,
-                                   hot_cap=hot_cap, num_groups=num_groups,
-                                   payload_col="simhash",
+                                   hot_cap=hot_cap, payload_col="simhash",
                                    skip_counter=skip_counter)
     pairs = distinct_pairs(pairs, carry=("pl_a", "pl_b"),
                            carry_types={"pl_a": pa.uint64(),
@@ -974,9 +957,7 @@ class ShingleExplode:
 def ngram_jaccard_pairs(ds, col: str = "text", id_col: str = "doc_id",
                         k: int = 3, threshold: float = 0.5,
                         concurrency: int = 4, sample_mod: int = 1,
-                        hot_cap: Optional[int] = 200,
-                        num_groups: int = 64, num_partitions: int = 4,
-                        skip_counter=None):
+                        hot_cap: Optional[int] = 200, skip_counter=None):
     """Candidate pairs sharing ≥1 (sampled) shingle, then DISTRIBUTED exact
     Jaccard (join-attached shingle sets) — returns a pandas frame
     (id_a, id_b, jaccard ≥ threshold); only the thresholded result reaches
@@ -993,13 +974,11 @@ def ngram_jaccard_pairs(ds, col: str = "text", id_col: str = "doc_id",
                           concurrency=concurrency)
     pairs = distinct_pairs(bucket_candidate_pairs(
         exploded, "shingle", id_col, hot_cap=hot_cap,
-        num_groups=num_groups,
         skip_counter=skip_counter)).materialize()  # pair list only (small)
     if pairs.count() == 0:
         return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
                              "id_b": pd.Series([], dtype="int64"),
                              "jaccard": pd.Series([], dtype="float64")})
-    ver = verified_jaccard_pairs(pairs, ds, col, id_col, k,
-                                 num_partitions).to_pandas()
+    ver = verified_jaccard_pairs(pairs, ds, col, id_col, k).to_pandas()
     out = ver[ver["jaccard"] >= threshold]
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)

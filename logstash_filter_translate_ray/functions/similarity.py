@@ -21,7 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..rayutil import block_meta, keyed_groups, map_blocks, materialized, _wrap
+from ..rayutil import (block_meta, group_count, keyed_groups, map_blocks,
+                       materialized, _wrap)
 
 # knn_join_ivf.route() replicates each vector n_probe-fold; it emits the
 # replicas in chunks of at most this many flat float32 list elements
@@ -485,19 +486,20 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
        vector) per row.
     3. Keyed-group exchange on the cell (``rayutil.keyed_groups``: one
        split task per input block, one reduce task per non-empty bucket
-       of ``num_groups`` — defaults to a SIZE-BASED value so one reduce
-       task holds ~200k routed rows rather than a fixed 1/64 of the
-       dataset; the exchange runs at call time). Per cell, the exact
-       running top-k fold (:func:`_running_topk`, the exact join's
-       kernel) of the cell's queries against the cell's members, both in
-       tiles of ``_TILE_ROWS`` rows — the transient score matrix
+       of ``num_groups`` — by default ``rayutil.group_count`` of the
+       routed bytes, the input's × ``n_probe``; the exchange runs at call
+       time). Per cell, the exact running top-k fold
+       (:func:`_running_topk`, the exact join's kernel) of the cell's
+       queries against the cell's members, both in tiles of
+       ``_TILE_ROWS`` rows — the transient score matrix
        is bounded at ``_TILE_ROWS``² × 8 B per task, the same bound as
        :func:`knn_join`. Residual memory risk: a single cell's routed
        rows still land in one task, so one HOT cell larger than the group
        target is held whole — pick n_cells ≈ √N so expected cell size ≈
        √N, and raise n_cells if k-means leaves a mega-cell.
-    4. A second exchange, on ``vec_id``, ordered by (1e-12-quantized
-       score DESC, id ASC), reading step 3's reduce outputs directly: each
+    4. A second exchange (``num_groups``, by default sized from its own
+       input), on ``vec_id``, ordered by (1e-12-quantized score DESC, id
+       ASC), reading step 3's reduce outputs directly: each
        query's ≤ n_probe × k candidates arrive in the canonical order, and
        the first k get ranks 1..k.
 
@@ -514,21 +516,18 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     # the routing split read them, and their metadata, with no Ray Data
     # execution (each one costs more than the plain tasks it would run)
     sub = materialized(ds, [id_col, vec_col])
-    n_total = sub.count()
-    if n_total == 0:            # no rows to sample centroids from
+    if sub.count() == 0:        # no rows to sample centroids from
         return _result([], _KNN_SCHEMA, as_dataset)
     cent = build_ivf_centroids(sub, n_cells, sample_n=sample_n, seed=seed,
                                vec_col=vec_col, id_col=id_col,
                                cache_key=cache_key)
     cent_ref = ray.put(cent)
     np_eff = min(n_probe, len(cent))
-    if num_groups is None:
-        # size-based: one cell-bucket reduce task holds ~200k routed
-        # rows (≈ 200k × dim × 12 B after the float64 normalize) instead
-        # of a fixed 1/64 of N·n_probe, which grows linearly with N.
-        # Result-invariant: per_cell_group/merge_group work per cell /
-        # per query WITHIN a bucket, so bucketing only sizes tasks.
-        num_groups = max(64, -(-(n_total * np_eff) // 200_000))
+    # route() replicates each row np_eff times: size the cell exchange
+    # from the routed bytes. Result-invariant: per_cell_group/merge_group
+    # work per cell / per query WITHIN a bucket, so bucketing only sizes
+    # tasks.
+    cell_groups = num_groups or group_count(sub.size_bytes() * np_eff)
     # snapshot the module knobs into the closures (workers import fresh)
     chunk_elems, tile = _ROUTE_CHUNK_ELEMS, _TILE_ROWS
     route_schema = pa.schema([(id_col, pa.int64()), ("_cell", pa.int32()),
@@ -604,7 +603,7 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
              t["_nid"].filter(keep)], schema=_KNN_SCHEMA)
 
     cand = keyed_groups(sub, ["_cell"], per_cell_group, cand_schema,
-                        num_groups, order_by=[id_col], pre=route)
+                        cell_groups, order_by=[id_col], pre=route)
     merged = keyed_groups(cand, [id_col], merge_group, _KNN_SCHEMA,
                           num_groups, order_by=["_negq", "_nid"])
     return _result(merged, _KNN_SCHEMA, as_dataset)
@@ -656,15 +655,14 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
                                 id_col: str = "vec_id",
                                 n_tables: int = 12,
                                 planes_per_table: int = 4,
-                                seed: int = 42, num_groups: int = 64,
-                                hot_cap: int = 8192, skip_counter=None,
-                                as_dataset: bool = False):
+                                seed: int = 42, hot_cap: int = 8192,
+                                skip_counter=None, as_dataset: bool = False):
     """Approximate near-dup pairs — the 100 TB path: banded random-
     hyperplane LSH. Each vector explodes into ``n_tables`` rows
     (table, bucket, id, normalized vec); pairs are scored ONLY inside a
-    (table, bucket) segment (one matmul per segment, hash-bucketed groups =
-    ``num_groups`` vectorized group calls); a native max-aggregate dedupes
-    pairs found by several tables.
+    (table, bucket) segment (one matmul per segment, hash-bucketed groups,
+    one vectorized call per bucket); :func:`distinct_pairs` dedupes pairs
+    found by several tables.
 
     Recall for a pair at cosine c: with p = 1 - arccos(c)/π,
     P(candidate) = 1 - (1 - p^r)^L  (r = planes_per_table, L = n_tables);
@@ -701,10 +699,11 @@ def embedding_neardup_pairs_lsh(ds, threshold: float = 0.9,
     ex = _BandedExplode(vec_col, id_col, n_tables, planes_per_table, seed)
     exploded = map_blocks(ds, lambda t, _s=ex: _s(t))
     pairs = keyed_groups(exploded, ["bucket"], per_group, _PAIR_SCHEMA,
-                         num_groups, order_by=[id_col])
-    # a pair found by several tables scores IDENTICALLY in each (same
-    # normalized vectors) → first-wins bucket dedupe (vectorized; Ray's
-    # native multi-key max-agg is ~30× slower per distinct_pairs note)
+                         order_by=[id_col])
+    # a pair found by several tables scores within an ulp or two in each
+    # (dgemm rounds by matrix shape) → keep the lowest, whatever the
+    # layout (vectorized; Ray's native multi-key max-agg is ~30× slower
+    # per distinct_pairs note)
     deduped = distinct_pairs(pairs, carry=("cosine",),
                              carry_types={"cosine": pa.float64()})
     return _result(deduped, _PAIR_SCHEMA, as_dataset)

@@ -72,6 +72,10 @@ Optional post-route clauses (applied in this order):
     aggregate: {kind: quantiles, key: event_type, val: value,
                 qs: [0.5, 0.95, 0.99]}          # exact p50/p95/p99
 
+A clause's kwargs are its function's keywords. No ``dedup`` or ``window``
+function takes a group count (the keyed exchange sizes itself from its
+input's bytes): naming one fails with Python's ``TypeError``.
+
 With ``post_filters`` + ``select`` the whole curation flagship (quality →
 keep → langid → keep → exact dedup → tokens) is a spec with no Python —
 see tests/test_pipeline.py::test_spec_curation_flagship.

@@ -9,8 +9,11 @@ aggregate spec or join type; this module owns the rest:
 
 - **Grouping.** Rows whose key tuples are equal reach the same ``fn``
   call, nulls counting as equal (SQL ``GROUP BY``). The key hashes into
-  at most ``num_groups`` buckets, so the exchange makes a bounded number
-  of vectorized group calls, not one per key.
+  at most G buckets, so the exchange makes a bounded number of
+  vectorized group calls, not one per key.
+- **Bucket count.** G is :func:`group_count` of the bytes the input
+  blocks' metadata reports (a join: both sides'). No operator takes a
+  group count; ``num_groups`` is the tests' and the IVF join's override.
 - **Bucket rule.** Nulls are filled with the type's zero token BEFORE
   hashing: ``to_numpy`` promotes an int64 block WITH nulls to float64
   while a null-free block stays int64, and the two hash differently, so
@@ -21,17 +24,17 @@ aggregate spec or join type; this module owns the rest:
   :func:`_group_of`'s multiply-shift maps the value to a bucket.
 - **Exchange.** The bucket id is known per row, so there is no sampling,
   range partitioning or sort shuffle, and no null key ever reaches a
-  comparator. Split: one task per non-empty input block, submitted as
-  the block streams out of ``ds``, applies the caller's block function
-  ``pre`` if any (``keyed_groups``), stably sorts it by bucket and returns
-  one zero-copy slice per bucket plus the bucket row counts. Reduce: one
-  task per non-empty bucket concatenates that bucket's slices, sorts
+  comparator. Split: one task per non-empty input block, submitted once
+  all are known (G needs their bytes), applies the caller's block
+  function ``pre`` if any (``keyed_groups``), stably sorts it by bucket
+  and returns one zero-copy slice per bucket plus the bucket row counts.
+  Reduce: one task per non-empty bucket concatenates its slices, sorts
   them and calls ``fn`` (a join: splits both sides, and runs Arrow's
   ``Table.join`` per bucket). Each reduce returns its table and its
   :func:`block_meta` (rows, bytes, schema); the result is built from the
   outputs that have rows by :func:`_dataset_from`, with no metadata task
-  and no table fetched into the calling process: at most ``num_groups``
-  non-empty blocks.
+  and no table fetched into the calling process: at most G non-empty
+  blocks.
 - **Eager.** All three run their inputs when called and return a
   materialized Dataset whose plan is data, like ``materialize()``'s, not
   a lazy plan: a later exchange, ``topk_rows`` or ``to_arrow_refs``
@@ -81,8 +84,10 @@ import ray
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)    # splitmix64 / golden-ratio odd
 _FOLD_MIX = np.uint64(0xC2B2AE3D27D4EB4F)
 
-DEFAULT_GROUPS = 64   # group count of every keyed caller that takes none;
-                      # read at call time (tests monkeypatch it)
+# the exchange's bucket count: one group per _GROUP_BYTES of input, at
+# most _MAX_GROUPS; read at call time (tests monkeypatch them)
+_GROUP_BYTES = 8 << 20
+_MAX_GROUPS = 256
 
 
 def _arrow_schema(sch) -> Optional[pa.Schema]:
@@ -273,23 +278,34 @@ def _concat(parts: Sequence[pa.Table]) -> pa.Table:
     return concat(list(parts))
 
 
-def _split_all(ds, keys: List[str], num_groups: int, pre=None):
-    """One ``_split_block`` per non-empty block of ``ds`` → (slice refs,
-    blocks × ``num_groups`` row counts, input arrow schema or None)."""
-    in_schema = _arrow_schema(ds.schema(fetch_if_missing=False))
-    pre_ref = None if pre is None else ray.put(pre)
-    splits = []
+def group_count(nbytes: int) -> int:
+    """The exchange's bucket count G for ``nbytes`` of input: one group
+    per ``_GROUP_BYTES``, at least 1, at most ``_MAX_GROUPS``."""
+    return min(max(1, -(-nbytes // _GROUP_BYTES)), _MAX_GROUPS)
+
+
+def _input_blocks(ds) -> tuple:
+    """``ds``'s non-empty ``(ref, meta)`` blocks, their bytes and its
+    arrow schema or None, from its bundles' metadata."""
+    schema = _arrow_schema(ds.schema(fetch_if_missing=False))
+    blocks = []
     for bundle in ds.iter_internal_ref_bundles():
-        if in_schema is None:
-            in_schema = _arrow_schema(bundle.schema)
-        for ref, meta in bundle.blocks:
-            if meta.num_rows != 0:
-                splits.append(_split_block.options(
-                    num_returns=num_groups + 1).remote(ref, keys, num_groups,
-                                                       pre_ref))
+        if schema is None:
+            schema = _arrow_schema(bundle.schema)
+        blocks += [b for b in bundle.blocks if b[1].num_rows != 0]
+    return blocks, sum(meta.size_bytes for _, meta in blocks), schema
+
+
+def _split_all(blocks: list, keys: List[str], num_groups: int, pre=None):
+    """One ``_split_block`` per block → (slice refs, blocks × ``num_groups``
+    row counts); ``blocks`` is emptied, so each frees with its split."""
+    pre_ref = None if pre is None else ray.put(pre)
+    splits = [_split_block.options(num_returns=num_groups + 1).remote(
+        ref, keys, num_groups, pre_ref) for ref, _ in blocks]
+    blocks.clear()
     counts = np.array(ray.get([s[-1] for s in splits]),
                       dtype=np.int64).reshape(len(splits), num_groups)
-    return splits, counts, in_schema
+    return splits, counts
 
 
 def _bucket_parts(splits, counts, g: int) -> list:
@@ -509,7 +525,8 @@ def keyed_groups(ds, keys: Sequence[str],
                  fn: Callable[[pa.Table, np.ndarray], pa.Table],
                  schema: Union[Optional[pa.Schema],
                                Callable[[pa.Schema], pa.Schema]],
-                 num_groups: int, order_by: Sequence[str] = (),
+                 num_groups: Optional[int] = None,
+                 order_by: Sequence[str] = (),
                  pre: Optional[Callable[[pa.Table], pa.Table]] = None):
     """``fn(table, starts)`` over every key group of ``ds`` (see the module
     docstring for the contract and the exchange). Runs ``ds`` at call time
@@ -522,7 +539,9 @@ def keyed_groups(ds, keys: Sequence[str],
     callable ``schema`` still sees ``ds``'s schema, not ``pre``'s)."""
     keys = list(keys)
     sort_keys = [(c, "ascending") for c in [*keys, *order_by]]
-    splits, counts, in_schema = _split_all(ds, keys, num_groups, pre)
+    blocks, nbytes, in_schema = _input_blocks(ds)
+    splits, counts = _split_all(blocks, keys,
+                                num_groups or group_count(nbytes), pre)
     fn_ref = ray.put(fn)
     outs = [_reduce_bucket.remote(fn_ref, keys, sort_keys,
                                   *_bucket_parts(splits, counts, g))
@@ -559,17 +578,19 @@ def keyed_join(left, right, left_on: Sequence[str],
     ``left_on``), ``how`` one of ``"inner"``, ``"left semi"``, ``"left
     anti"``: Arrow's hash join per bucket that has the rows ``how`` needs.
     SQL semantics: a null key never matches (``left anti`` keeps it);
-    uint64 keys join natively. Eager; ≤ ``num_groups`` (default
-    :data:`DEFAULT_GROUPS`) non-empty blocks. The empty result is anchored
-    by the same join over the input schemas' empty tables."""
+    uint64 keys join natively. Eager; ≤ G non-empty blocks. The empty
+    result is anchored by the same join over the input schemas' empty
+    tables."""
     if how not in _JOIN_TYPES:
         raise ValueError(f"keyed_join: how must be one of {_JOIN_TYPES}, "
                          f"got {how!r}")
     left_on = list(left_on)
     right_on = list(right_on or left_on)
-    g = num_groups or DEFAULT_GROUPS
-    lsplits, lcounts, lschema = _split_all(left, left_on, g)
-    rsplits, rcounts, rschema = _split_all(right, right_on, g)
+    lblocks, lbytes, lschema = _input_blocks(left)
+    rblocks, rbytes, rschema = _input_blocks(right)
+    g = num_groups or group_count(lbytes + rbytes)
+    lsplits, lcounts = _split_all(lblocks, left_on, g)
+    rsplits, rcounts = _split_all(rblocks, right_on, g)
     rrows, outs = rcounts.sum(axis=0), []
     for b in np.flatnonzero(lcounts.sum(axis=0)):
         if rrows[b] or how == "left anti":
@@ -595,10 +616,9 @@ def keyed_aggregate(ds, keys: Sequence[str], aggs: dict,
     column to an Arrow aggregate spec, e.g. ``{"n": ("n", "sum")}``,
     ``{"n": ([], "count_all")}``, or ``{}`` for DISTINCT keys. Output
     columns are the keys, then ``aggs``' keys in order; a null key is one
-    group, as in SQL. Eager, like ``keyed_groups``. ``num_groups`` defaults
-    to :data:`DEFAULT_GROUPS`. The empty-result anchor is the same
-    aggregate over the input schema's empty table, so its types match the
-    non-empty output by construction."""
+    group, as in SQL. Eager, like ``keyed_groups``. The empty-result
+    anchor is the same aggregate over the input schema's empty table, so
+    its types match the non-empty output by construction."""
     keys = list(keys)
 
     def fn(t: pa.Table, starts) -> pa.Table:
@@ -607,7 +627,7 @@ def keyed_aggregate(ds, keys: Sequence[str], aggs: dict,
     return keyed_groups(
         ds, keys, fn,
         lambda s: _hash_aggregate(s.empty_table(), keys, aggs).schema,
-        num_groups or DEFAULT_GROUPS)
+        num_groups)
 
 
 def _sorted_head(t: pa.Table, sort_keys, k: int) -> pa.Table:
@@ -622,10 +642,10 @@ def topk_rows(ds, sort_keys, k: int) -> Optional[pa.Table]:
     """The first ``k`` rows of ``ds`` under ``sort_keys`` (Arrow
     ``(column, order)`` pairs, nulls last), with no global sort: one task
     per block keeps the block's top-``k`` and the calling process folds
-    the ≤ blocks × ``k`` survivors. Meant for the ≤ ``num_groups`` blocks
-    of a keyed exchange's output. The fold stays in Arrow: ``to_pandas``
-    would promote a nullable int64 key to float64 and collapse distinct
-    keys ≥ 2^53. None when ``ds`` has no rows."""
+    the ≤ blocks × ``k`` survivors. Meant for the ≤ G blocks of a keyed
+    exchange's output. The fold stays in Arrow: ``to_pandas`` would
+    promote a nullable int64 key to float64 and collapse distinct keys
+    ≥ 2^53. None when ``ds`` has no rows."""
     tables = [t for t in ray.get([_head_task.remote(ref, sort_keys, k)
                                   for ref in ds.to_arrow_refs()]) if len(t)]
     if not tables:

@@ -86,7 +86,7 @@ def grouped_topk(ds: "ray.data.Dataset", keys: Sequence[str], k: int = 10,
     (VERDICT r4 #5): exact distributed grouped counts (combiner partials +
     the keyed exchange), then every counts BLOCK keeps its local
     (count DESC, keys ASC, NULLS LAST) top-k and the driver folds the
-    ≤ num_groups × k partial rows (``rayutil.topk_rows``). The global
+    ≤ buckets × k partial rows (``rayutil.topk_rows``). The global
     answer is exact because a group's total count lives in exactly one
     block after the exchange. Runs ``ds`` at call time."""
     counts = grouped_counts(ds, keys, count_name=count_name,
@@ -215,7 +215,7 @@ def grouped_quantiles(ds, key: str = "event_type", val: str = "value",
             parts_ds, [key], per_key,
             lambda s: pa.schema([(key, s.field(key).type)]
                                 + [(p, pa.int64()) for p in names]),
-            rayutil.DEFAULT_GROUPS, order_by=["cents"])
+            order_by=["cents"])
     parts = parts_ds.to_pandas()
     # dropna=False: a null group KEY must survive the merge like the
     # quantile_disc oracle's NULL group; null CENTS rows keep all-null

@@ -64,15 +64,14 @@ def _key_boundary(n: int, starts) -> np.ndarray:
 
 
 def prev_event_gap(ds, key: str = "user_id", ts_col: str = "ts",
-                   id_col: str = "event_id", out: str = "gap_us",
-                   num_buckets: int = 256):
+                   id_col: str = "event_id", out: str = "gap_us"):
     """Per-key previous-event gap (as-of/self-lag): for each row, µs since
     the key's previous event ordered by (ts, id); null for the first.
 
-    Scale shape: ONE keyed-group shuffle (``num_buckets`` group calls
-    total), then a segmented np.diff inside each bucket — per-group call
-    cost is O(num_buckets), not O(distinct keys). A hot key's rows still
-    meet in one bucket (inherent: a gap needs its neighbor)."""
+    Scale shape: ONE keyed-group shuffle (one group call per bucket),
+    then a segmented np.diff inside each bucket — per-group call cost is
+    O(buckets), not O(distinct keys). A hot key's rows still meet in one
+    bucket (inherent: a gap needs its neighbor)."""
 
     def per_bucket(t: pa.Table, starts) -> pa.Table:
         ts_us = _ts_to_epoch_us(t[ts_col])
@@ -87,13 +86,12 @@ def prev_event_gap(ds, key: str = "user_id", ts_col: str = "ts",
     return keyed_groups(ds, [key], per_bucket,
                         lambda s: pa.schema([(id_col, s.field(id_col).type),
                                              (out, pa.float64())]),
-                        num_buckets, order_by=[ts_col, id_col])
+                        order_by=[ts_col, id_col])
 
 
 def session_counts(ds, key: str = "user_id", ts_col: str = "ts",
                    id_col: str = "event_id",
-                   gap: "pd.Timedelta | str" = "30min",
-                   num_buckets: int = 256):
+                   gap: "pd.Timedelta | str" = "30min"):
     """Inactivity-gap sessionization: a new session starts when the gap to
     the key's previous event exceeds ``gap``; returns sessions per key.
     Same bucketed-segmented shape as prev_event_gap (no per-key frames)."""
@@ -122,13 +120,12 @@ def session_counts(ds, key: str = "user_id", ts_col: str = "ts",
     return keyed_groups(ds, [key], per_bucket,
                         lambda s: pa.schema([(key, s.field(key).type),
                                              ("n_sessions", pa.int64())]),
-                        num_buckets, order_by=[ts_col, id_col])
+                        order_by=[ts_col, id_col])
 
 
 def event_paths(ds, key: str = "user_id", ts_col: str = "ts",
                 id_col: str = "event_id", val_col: str = "event_type",
-                sep: str = ">", out: str = "path",
-                num_buckets: int = 256):
+                sep: str = ">", out: str = "path"):
     """Per-key ordered value-sequence reconstruction (the conversation-
     assembly shape: one row per key with its values joined in (ts, id)
     order). Same bucketed-segmented plan as prev_event_gap; the join is
@@ -160,4 +157,4 @@ def event_paths(ds, key: str = "user_id", ts_col: str = "ts",
     return keyed_groups(ds, [key], per_bucket,
                         lambda s: pa.schema([(key, s.field(key).type),
                                              (out, pa.string())]),
-                        num_buckets, order_by=[ts_col, id_col])
+                        order_by=[ts_col, id_col])

@@ -241,8 +241,7 @@ def main() -> None:
     cc = "distributed" if "--distributed-cc" in sys.argv else "auto"
     t0 = time.perf_counter()
     kept, dropped = minhash_dedup(read(), threshold=0.7, num_perm=64,
-                                  bands=16, concurrency=8,
-                                  num_partitions=8, cc=cc)
+                                  bands=16, concurrency=8, cc=cc)
     n_kept = kept.count()
     n_dropped = (len(dropped) if isinstance(dropped, list)
                  else dropped.count())

@@ -924,8 +924,8 @@ def test_join_empty_first_block(ray_session):
     """An operand whose FIRST block is empty once lost Ray 2.49's
     hash-join schema broadcast (zero-column partitions, ArrowInvalid at
     finalize — an intermittent minhash-pipeline CI flake). The joins now
-    run on the keyed exchange, whose output is at most ``num_groups``
-    non-empty blocks whatever the input layout."""
+    run on the keyed exchange, whose output is at most G non-empty blocks
+    (its bucket count) whatever the input layout."""
     import ray.data as rd
     from logstash_filter_translate_ray.rayutil import keyed_join
     empty = pa.table({"id_a": pa.array([], type=pa.int64()),
@@ -936,8 +936,8 @@ def test_join_empty_first_block(ray_session):
                      "text": pa.array(["aaa bbb ccc ddd"] * 4)})
     # pairs dataset whose FIRST block is empty — the trigger shape
     pairs_ds = rd.from_arrow([empty, pairs])
-    out = dedup.verified_jaccard_pairs(pairs_ds, rd.from_arrow(docs),
-                                       num_partitions=8).to_pandas()
+    out = dedup.verified_jaccard_pairs(pairs_ds,
+                                       rd.from_arrow(docs)).to_pandas()
     assert sorted(zip(out["id_a"], out["id_b"])) == [(0, 2), (1, 3)]
     assert (out["jaccard"] == 1.0).all()      # identical texts
 

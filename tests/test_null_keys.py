@@ -287,7 +287,7 @@ def test_window_segments_large_int_keys_with_nulls(ray_session):
         "ts": pa.array([100, 200, 300, 400, 500, 600],
                        type=pa.timestamp("us")),
     })
-    out = prev_event_gap(rd.from_arrow(tbl), num_buckets=1).to_pandas() \
+    out = prev_event_gap(rd.from_arrow(tbl)).to_pandas() \
         .set_index("event_id")["gap_us"]
     # k1 and k2 are DISTINCT keys: each key's first event has a null gap
     assert pd.isna(out[1]) and out[2] == 100.0
@@ -305,7 +305,7 @@ def test_window_segments_null_type_key(ray_session):
         "event_id": pa.array([1, 2, 3], type=pa.int64()),
         "ts": pa.array([10, 20, 40], type=pa.timestamp("us")),
     })
-    out = prev_event_gap(rd.from_arrow(tbl), num_buckets=1).to_pandas() \
+    out = prev_event_gap(rd.from_arrow(tbl)).to_pandas() \
         .set_index("event_id")["gap_us"]
     assert pd.isna(out[1]) and out[2] == 10.0 and out[3] == 20.0
 

@@ -419,6 +419,23 @@ def test_declarative_spec_pipeline(ray_session, transcripts_path, tmp_path):
         build_from_spec(bad)
 
 
+@pytest.mark.parametrize("clause,knob", [
+    ({"dedup": {"kind": "exact", "num_groups": 8}}, "num_groups"),
+    ({"dedup": {"kind": "minhash", "num_partitions": 8}}, "num_partitions"),
+    ({"window": {"kind": "gap", "num_buckets": 1}}, "num_buckets"),
+])
+def test_spec_group_count_kwargs_raise(ray_session, tmp_path, clause, knob):
+    """No dedup or window function takes a group count any more (the
+    keyed exchange sizes itself), so a spec naming one fails loudly with
+    Python's TypeError naming the argument."""
+    from logstash_filter_translate_ray.pipelines.spec import build_from_spec
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([1, 2], type=pa.int64()),
+                             "text": ["a b c", "a b c"]}), path)
+    with pytest.raises(TypeError, match=knob):
+        build_from_spec({"input": {"path": path}, **clause})
+
+
 def test_spec_csv_input_nulls_match_parquet(ray_session, tmp_path):
     """A spec's ``format: csv`` input reads empty cells as the transcript
     CSV source does (an unquoted empty cell is null, a quoted "" and a

@@ -24,7 +24,8 @@ from logstash_filter_translate_ray import rayutil
 
 K1, K2 = 2**53, 2**53 + 1          # distinct int64, equal as float64
 HOT = 30
-_DEFAULT_GROUPS = rayutil.DEFAULT_GROUPS
+_GROUP_BYTES, _SPLIT_ALL = rayutil._GROUP_BYTES, rayutil._split_all
+MANY = 64                          # group bytes that give test inputs G > 1
 
 
 def test_single_int_key_keeps_group_assignment():
@@ -106,41 +107,44 @@ def _vectors() -> pa.Table:
         "embedding": pa.array(list(m), type=pa.list_(pa.float32()))})
 
 
-def _groups_kw(name: str, groups):
-    return {} if groups is None else {name: groups}
-
-
-def _run(op: str, ds, groups, monkeypatch):
+def _run(op: str, ds, group_bytes, monkeypatch, seen=None):
+    """``op`` over ``ds`` with the exchange sized at ``group_bytes`` per
+    group (None: the real rule, one group at these sizes); each G the
+    exchange splits by is appended to ``seen``."""
     from logstash_filter_translate_ray.functions import (dedup, similarity,
                                                          text)
     from logstash_filter_translate_ray.stages import aggregate, window
     import ray.data as rd
-    g = _groups_kw("num_groups", groups)
-    # the group count of every consumer that takes none
-    monkeypatch.setattr(rayutil, "DEFAULT_GROUPS", groups or _DEFAULT_GROUPS)
+    monkeypatch.setattr(rayutil, "_GROUP_BYTES", group_bytes or _GROUP_BYTES)
+
+    def recorded(blocks, keys, num_groups, pre=None):
+        if seen is not None:
+            seen.append(num_groups)
+        return _SPLIT_ALL(blocks, keys, num_groups, pre)
+
+    monkeypatch.setattr(rayutil, "_split_all", recorded)
     # every keyed operator runs on the package's own exchange
     for name in ("join", "repartition", "groupby", "sort", "unique"):
         def banned(*a, _name=name, **kw):
             raise AssertionError(f"Dataset.{_name} called")
         monkeypatch.setattr(rd.Dataset, name, banned)
     if op == "exact_dedup":
-        return dedup.exact_dedup(ds, **g)
+        return dedup.exact_dedup(ds)
     if op == "bucket_candidate_pairs":
-        return dedup.bucket_candidate_pairs(ds, "bucket", "doc_id", **g)
+        return dedup.bucket_candidate_pairs(ds, "bucket", "doc_id")
     if op == "distinct_pairs":
         return dedup.distinct_pairs(ds, carry=("score",),
-                                    carry_types={"score": pa.float64()}, **g)
+                                    carry_types={"score": pa.float64()})
     if op == "simhash_pairs":
-        return dedup.simhash_pairs(ds, **g)
+        return dedup.simhash_pairs(ds)
     if op == "ngram_jaccard_pairs":
-        return dedup.ngram_jaccard_pairs(ds, threshold=0.3, concurrency=1,
-                                         **g)
+        return dedup.ngram_jaccard_pairs(ds, threshold=0.3, concurrency=1)
     if op == "embedding_neardup_pairs_lsh":
         return similarity.embedding_neardup_pairs_lsh(
-            ds, threshold=0.5, as_dataset=True, **g)
+            ds, threshold=0.5, as_dataset=True)
     if op == "knn_join_ivf":
         return similarity.knn_join_ivf(ds, k=3, n_cells=4, n_probe=2,
-                                       as_dataset=True, **g)
+                                       as_dataset=True)
     if op == "exact_dedup_ids":
         return dedup.exact_dedup_ids(ds)
     if op == "vocab_topk":
@@ -150,20 +154,17 @@ def _run(op: str, ds, groups, monkeypatch):
     if op == "grouped_topk":
         return aggregate.grouped_topk(ds, ["user_id"], k=3)
     if op == "minhash_dedup":
-        return dedup.minhash_dedup(ds, cc="distributed", concurrency=1,
-                                   num_partitions=groups or 4)[0]
+        return dedup.minhash_dedup(ds, cc="distributed", concurrency=1)[0]
     if op == "incremental_dedup":
         # no broadcast: both the semi and the anti join run
         monkeypatch.setattr(dedup, "_BROADCAST_MAX_SEEN", 0)
-        return dedup.incremental_dedup(ds, ds.filter(expr="doc_id < 104"),
-                                       num_partitions=groups or 4)
+        return dedup.incremental_dedup(ds, ds.filter(expr="doc_id < 104"))
     if op == "knn_join":                  # the re-split into 16-row blocks
         return similarity.knn_join(ds, k=3, target_block_rows=16)
     if op == "grouped_quantiles":
         return aggregate.grouped_quantiles(ds, key="user_id", qs=(0.5, 0.9),
                                            driver_partial_rows_max=0)
-    fn = getattr(window, op)
-    return fn(ds, **_groups_kw("num_buckets", groups))
+    return getattr(window, op)(ds)
 
 
 CASES = {
@@ -205,16 +206,21 @@ def test_keyed_group_consumers_layout_invariant(ray_session, monkeypatch, op):
     # block with nulls (the layout that once scattered a key's bucket)
     blocks = [tbl.slice(0, 3), tbl.slice(3, n // 2 - 3),
               tbl.slice(n // 2)]
-    base = _run(op, rd.from_arrow(tbl), None, monkeypatch)
+    many, one = [], []
+    base = _run(op, rd.from_arrow(tbl), MANY, monkeypatch, many)
     want = _rows(base)
     assert want, op                       # the input exercises the op
-    assert _rows(_run(op, rd.from_arrow(tbl), 1, monkeypatch)) == want
-    assert _rows(_run(op, rd.from_arrow(blocks), None, monkeypatch)) == want
+    assert _rows(_run(op, rd.from_arrow(tbl), None, monkeypatch, one)) \
+        == want
+    assert _rows(_run(op, rd.from_arrow(blocks), MANY, monkeypatch)) == want
+    # the exchanges ran at many groups, then at one (knn_join runs none)
+    assert set(one) <= {1}
+    assert max(many) > 1 if op != "knn_join" else not many
     # an expression filter keeps the input schema on its empty blocks; a
     # row-UDF filter that drops every row leaves Ray with no input schema
     # at all, which only the literal-schema consumers could anchor
     no_rows = rd.from_arrow(tbl).filter(expr=f"{tbl.column_names[0]} < 0")
-    empty = _run(op, no_rows, None, monkeypatch)
+    empty = _run(op, no_rows, MANY, monkeypatch)
     assert _rows(empty) == []
     (names, types), (want_names, want_types) = _schema(empty), _schema(base)
     assert names == want_names
@@ -425,7 +431,34 @@ def test_keyed_join_sql_semantics(ray_session, how, want):
         got = sorted((tuple(r.values()) for r in out.take_all()),
                      key=repr)
         assert got == sorted(want, key=repr), (how, num_groups)
-        assert out.num_blocks() <= (num_groups or rayutil.DEFAULT_GROUPS)
+        assert out.num_blocks() <= (
+            num_groups or rayutil.group_count(left.nbytes + right.nbytes))
+
+
+def test_group_count_rule(ray_session, monkeypatch):
+    """G = clamp(ceil(bytes / _GROUP_BYTES), 1, _MAX_GROUPS), from the
+    bytes the input blocks report; a join sizes one G from both sides."""
+    import ray.data as rd
+    gb = rayutil._GROUP_BYTES
+    assert rayutil.group_count(0) == 1
+    assert rayutil.group_count(gb) == 1
+    assert rayutil.group_count(gb + 1) == 2
+    assert rayutil.group_count(10**15) == rayutil._MAX_GROUPS
+
+    left, right = _join_sides()
+    lds = rd.from_arrow([left.slice(0, 2), left.slice(2)])
+    rds = rd.from_arrow(right)
+    lbytes = rayutil._input_blocks(lds)[1]
+    rbytes = rayutil._input_blocks(rds)[1]
+    assert lbytes and rbytes
+    # each side alone fits one group; the two together need two
+    monkeypatch.setattr(rayutil, "_GROUP_BYTES", max(lbytes, rbytes))
+    seen = []
+    monkeypatch.setattr(rayutil, "_split_all", lambda blocks, keys, g:
+                        seen.append(g) or _SPLIT_ALL(blocks, keys, g))
+    out = rayutil.keyed_join(lds, rds, ["k"], ["kk"])
+    assert seen == [2, 2]
+    assert sorted(r["v"] for r in out.take_all()) == [1, 3, 5]
 
 
 @pytest.mark.parametrize("how", ["inner", "left semi", "left anti"])

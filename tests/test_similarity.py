@@ -351,8 +351,8 @@ def test_knn_join_ivf_route_chunk_invariance(ray_session, monkeypatch):
     chunked = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8,
                                n_probe=3)
     pd.testing.assert_frame_equal(chunked, whole)
-    # size-based num_groups default: small N floors at 64 and the
-    # explicit override still works
+    # the default sizes the cell exchange from the routed bytes (one
+    # group at this size); an explicit count still works
     explicit = sim.knn_join_ivf(rd.from_arrow(tbl), k=3, n_cells=8,
                                 n_probe=3, num_groups=7)
     pd.testing.assert_frame_equal(explicit, whole)
