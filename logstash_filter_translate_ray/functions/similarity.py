@@ -516,7 +516,8 @@ def knn_join_ivf(ds, k: int = 3, n_cells: int = 16, n_probe: int = 4,
     # the routing split read them, and their metadata, with no Ray Data
     # execution (each one costs more than the plain tasks it would run)
     sub = materialized(ds, [id_col, vec_col])
-    if sub.count() == 0:        # no rows to sample centroids from
+    n_total = sub.count()
+    if n_total == 0:            # no rows to sample centroids from
         return _result([], _KNN_SCHEMA, as_dataset)
     cent = build_ivf_centroids(sub, n_cells, sample_n=sample_n, seed=seed,
                                vec_col=vec_col, id_col=id_col,

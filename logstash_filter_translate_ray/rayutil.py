@@ -13,7 +13,8 @@ aggregate spec or join type; this module owns the rest:
   vectorized group calls, not one per key.
 - **Bucket count.** G is :func:`group_count` of the bytes the input
   blocks' metadata reports (a join: both sides'). No operator takes a
-  group count; ``num_groups`` is the tests' and the IVF join's override.
+  group count; ``keyed_groups``' ``num_groups`` is the override the IVF
+  join and the tests set.
 - **Bucket rule.** Nulls are filled with the type's zero token BEFORE
   hashing: ``to_numpy`` promotes an int64 block WITH nulls to float64
   while a null-free block stays int64, and the two hash differently, so
@@ -292,7 +293,9 @@ def _input_blocks(ds) -> tuple:
     for bundle in ds.iter_internal_ref_bundles():
         if schema is None:
             schema = _arrow_schema(bundle.schema)
-        blocks += [b for b in bundle.blocks if b[1].num_rows != 0]
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                blocks.append((ref, meta))
     return blocks, sum(meta.size_bytes for _, meta in blocks), schema
 
 
@@ -300,8 +303,11 @@ def _split_all(blocks: list, keys: List[str], num_groups: int, pre=None):
     """One ``_split_block`` per block → (slice refs, blocks × ``num_groups``
     row counts); ``blocks`` is emptied, so each frees with its split."""
     pre_ref = None if pre is None else ray.put(pre)
-    splits = [_split_block.options(num_returns=num_groups + 1).remote(
-        ref, keys, num_groups, pre_ref) for ref, _ in blocks]
+    splits = []
+    for ref, _ in blocks:
+        splits.append(_split_block.options(
+            num_returns=num_groups + 1).remote(ref, keys, num_groups,
+                                               pre_ref))
     blocks.clear()
     counts = np.array(ray.get([s[-1] for s in splits]),
                       dtype=np.int64).reshape(len(splits), num_groups)
@@ -572,8 +578,7 @@ def _join_bucket(how: str, left_on, right_on, n_left: int, *parts):
 
 
 def keyed_join(left, right, left_on: Sequence[str],
-               right_on: Optional[Sequence[str]] = None, how: str = "inner",
-               num_groups: Optional[int] = None):
+               right_on: Optional[Sequence[str]] = None, how: str = "inner"):
     """``left`` joined to ``right`` on ``left_on`` = ``right_on`` (default
     ``left_on``), ``how`` one of ``"inner"``, ``"left semi"``, ``"left
     anti"``: Arrow's hash join per bucket that has the rows ``how`` needs.
@@ -588,7 +593,7 @@ def keyed_join(left, right, left_on: Sequence[str],
     right_on = list(right_on or left_on)
     lblocks, lbytes, lschema = _input_blocks(left)
     rblocks, rbytes, rschema = _input_blocks(right)
-    g = num_groups or group_count(lbytes + rbytes)
+    g = group_count(lbytes + rbytes)
     lsplits, lcounts = _split_all(lblocks, left_on, g)
     rsplits, rcounts = _split_all(rblocks, right_on, g)
     rrows, outs = rcounts.sum(axis=0), []
@@ -609,8 +614,7 @@ def _hash_aggregate(t: pa.Table, keys: List[str], aggs: dict) -> pa.Table:
         .rename_columns([*keys, *aggs])
 
 
-def keyed_aggregate(ds, keys: Sequence[str], aggs: dict,
-                    num_groups: Optional[int] = None):
+def keyed_aggregate(ds, keys: Sequence[str], aggs: dict):
     """``GROUP BY keys`` over ``ds``: :func:`keyed_groups` with an Arrow
     ``Table.group_by().aggregate`` per bucket. ``aggs`` maps each output
     column to an Arrow aggregate spec, e.g. ``{"n": ("n", "sum")}``,
@@ -626,8 +630,7 @@ def keyed_aggregate(ds, keys: Sequence[str], aggs: dict,
 
     return keyed_groups(
         ds, keys, fn,
-        lambda s: _hash_aggregate(s.empty_table(), keys, aggs).schema,
-        num_groups)
+        lambda s: _hash_aggregate(s.empty_table(), keys, aggs).schema)
 
 
 def _sorted_head(t: pa.Table, sort_keys, k: int) -> pa.Table:

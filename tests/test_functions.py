@@ -920,13 +920,14 @@ def test_bucket_candidate_pairs_skip_counter(ray_session):
     assert len(out2) == 45
 
 
-def test_join_empty_first_block(ray_session):
+def test_join_empty_first_block(ray_session, monkeypatch):
     """An operand whose FIRST block is empty once lost Ray 2.49's
     hash-join schema broadcast (zero-column partitions, ArrowInvalid at
     finalize — an intermittent minhash-pipeline CI flake). The joins now
     run on the keyed exchange, whose output is at most G non-empty blocks
     (its bucket count) whatever the input layout."""
     import ray.data as rd
+    from logstash_filter_translate_ray import rayutil
     from logstash_filter_translate_ray.rayutil import keyed_join
     empty = pa.table({"id_a": pa.array([], type=pa.int64()),
                       "id_b": pa.array([], type=pa.int64())})
@@ -947,9 +948,10 @@ def test_join_empty_first_block(ray_session):
     assert out2_ds.count() == 0
     assert out2_ds.schema().names == ["id_a", "id_b", "jaccard"]
 
-    # output invariant: no empty blocks, ≤ num_groups blocks
-    jo = keyed_join(pairs_ds, rd.from_arrow(docs), ["id_a"], ["doc_id"],
-                    num_groups=8)
+    # output invariant: no empty blocks, ≤ G blocks (here G = 8)
+    monkeypatch.setattr(rayutil, "_GROUP_BYTES", 1)
+    monkeypatch.setattr(rayutil, "_MAX_GROUPS", 8)
+    jo = keyed_join(pairs_ds, rd.from_arrow(docs), ["id_a"], ["doc_id"])
     sizes = [b.num_rows for b in jo.iter_batches(batch_format="pyarrow",
                                                  batch_size=None)]
     assert sum(sizes) == 2 and all(s > 0 for s in sizes)

@@ -275,9 +275,13 @@ def test_zscore_outliers_all_null_keys_empty(ray_session):
 # keys >= 2^53 when the key column carries nulls (float64 promotion)
 # --------------------------------------------------------------------------
 
-def test_window_segments_large_int_keys_with_nulls(ray_session):
+def test_window_segments_large_int_keys_with_nulls(ray_session,
+                                                   monkeypatch):
     import ray.data as rd
+    from logstash_filter_translate_ray import rayutil
     from logstash_filter_translate_ray.stages.window import prev_event_gap
+    # one bucket: 2^53, 2^53 + 1 and null meet in one sorted run
+    monkeypatch.setattr(rayutil, "_MAX_GROUPS", 1)
 
     k1 = 9007199254740992          # 2^53
     k2 = 9007199254740993          # 2^53 + 1: equal in float64!
@@ -296,10 +300,12 @@ def test_window_segments_large_int_keys_with_nulls(ray_session):
     assert pd.isna(out[5]) and out[6] == 100.0
 
 
-def test_window_segments_null_type_key(ray_session):
+def test_window_segments_null_type_key(ray_session, monkeypatch):
     """An all-null (null-typed) key column is one segment, not a crash."""
     import ray.data as rd
+    from logstash_filter_translate_ray import rayutil
     from logstash_filter_translate_ray.stages.window import prev_event_gap
+    monkeypatch.setattr(rayutil, "_MAX_GROUPS", 1)
     tbl = pa.table({
         "user_id": pa.array([None, None, None], type=pa.null()),
         "event_id": pa.array([1, 2, 3], type=pa.int64()),

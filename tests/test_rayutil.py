@@ -24,7 +24,8 @@ from logstash_filter_translate_ray import rayutil
 
 K1, K2 = 2**53, 2**53 + 1          # distinct int64, equal as float64
 HOT = 30
-_GROUP_BYTES, _SPLIT_ALL = rayutil._GROUP_BYTES, rayutil._split_all
+_GROUP_BYTES, _MAX_GROUPS = rayutil._GROUP_BYTES, rayutil._MAX_GROUPS
+_SPLIT_ALL = rayutil._split_all
 MANY = 64                          # group bytes that give test inputs G > 1
 
 
@@ -409,12 +410,11 @@ def _join_sides():
     return left, right
 
 
-def _join(left, right, how, num_groups=4):
+def _join(left, right, how):
     import ray.data as rd
     return rayutil.keyed_join(
         rd.from_arrow([left.slice(0, 2), left.slice(2)]),
-        rd.from_arrow(right), ["k"], ["kk"], how=how,
-        num_groups=num_groups)
+        rd.from_arrow(right), ["k"], ["kk"], how=how)
 
 
 @pytest.mark.parametrize("how,want", [
@@ -422,12 +422,17 @@ def _join(left, right, how, num_groups=4):
     ("left semi", [(2, 1), (2, 5), (BIG, 3)]),
     ("left anti", [(1, 0), (None, 2), (BIG + 1, 4)]),
 ])
-def test_keyed_join_sql_semantics(ray_session, how, want):
+def test_keyed_join_sql_semantics(ray_session, monkeypatch, how, want):
     """A null key never matches (so the anti join keeps it), and uint64
     keys ≥ 2^63 join exactly; one group gives the same rows."""
     left, right = _join_sides()
     for num_groups in (4, 1, None):
-        out = _join(left, right, how, num_groups)
+        # a forced G (one group per byte, at most num_groups), or the rule
+        monkeypatch.setattr(rayutil, "_GROUP_BYTES",
+                            1 if num_groups else _GROUP_BYTES)
+        monkeypatch.setattr(rayutil, "_MAX_GROUPS",
+                            num_groups or _MAX_GROUPS)
+        out = _join(left, right, how)
         got = sorted((tuple(r.values()) for r in out.take_all()),
                      key=repr)
         assert got == sorted(want, key=repr), (how, num_groups)
