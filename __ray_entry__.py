@@ -102,11 +102,12 @@ def _transcripts_dir(sf_dir: str) -> str:
 
 def entry() -> Any:
     """Flagship transcripts DAG (parse → enrich ×3 → route) at tiny scale,
-    plus a translate over the sf0.001 events table to touch the sf data."""
+    plus a translate over the sf0.001 events table to touch the sf data.
+    The chain is a plan value; a query returns its Ray Data Dataset."""
     from logstash_filter_translate_ray.pipelines import build_enriched_dataset
     from logstash_filter_translate_ray.pipelines.transcripts import read_transcripts
     path = _transcripts_dir("/root/testdata/sf0.001")
-    return build_enriched_dataset(read_transcripts(path))
+    return build_enriched_dataset(read_transcripts(path)).dataset()
 
 
 # --------------------------------------------------------------------------

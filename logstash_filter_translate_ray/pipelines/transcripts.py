@@ -11,12 +11,12 @@ Parquet (BASELINE.json north_star):
     → aggregates             (the write tasks' count partials, merged)
 
 Parse, the five translates and route compose into ONE block function
-over zero-copy Arrow tables. As a Dataset it is one ``map_batches``.
-:func:`read_transcripts` reads through the engine's own parquet source
-(``sources.readers.ParquetFiles``: local files and a column list), which
-builds with no Ray task. The chain over it is a file chain
-(``rayutil.file_chain``), which ``write_routed`` runs in one plain task
-per input file; the tasks return the count partials (stages/route.py).
+over zero-copy Arrow tables, one step of the plan value
+:func:`read_transcripts` returns (``sources.readers.ParquetPlan``: the
+engine's parquet source, no Ray Data object). ``write_routed`` runs the
+plan in one plain task per input file, and the tasks return the count
+partials (stages/route.py), so no Dataset is built and Ray Data's stats
+actor never starts up to the aggregates.
 The per-turn ``text`` column is never rewritten (input_hint invariant:
 per-turn text equality under stable (conv_id, turn_idx) ordering).
 """
@@ -36,8 +36,8 @@ import ray.data as rd
 from ..config import TranslateConfig
 from ..checkpoint import run_shards
 from ..kernel import DictSnapshot
-from ..rayutil import _dataset_from, keyed_aggregate, run_chain
-from ..sources.readers import parquet_source
+from ..rayutil import keyed_aggregate, run_chain
+from ..sources.readers import ParquetPlan, parquet_source
 from ..stages.aggregate import _partial_counts, merge_partials
 from ..stages.parse import ParseConfig, parse_block_fn
 from ..stages.route import (NULL_ROUTE_DIR, route_block_fn, route_labels,
@@ -108,13 +108,14 @@ class TranscriptPipelineConfig:
     conv_dict_size: int = 100_000
 
 
-def build_enriched_dataset(ds: "rd.Dataset",
+def build_enriched_dataset(ds: "ParquetPlan | rd.Dataset",
                            cfg: Optional[TranscriptPipelineConfig] = None,
-                           ) -> "rd.Dataset":
+                           ) -> "ParquetPlan | rd.Dataset":
     """parse → enrich(tool, status, word, segment, redaction) → route, as
-    one ``map_batches`` of the composed block function. Lazy — nothing
-    executes. Its schema is not recorded: ``write_routed`` runs it on the
-    file runner, which needs none, and the flagship builds it per pass."""
+    one composed block function: a step added to a ``ParquetPlan`` (no
+    Ray Data object), else one ``map_batches`` of the Dataset. Lazy —
+    nothing executes. Its schema is not recorded: ``write_routed`` runs
+    the plan on the file runner, which needs none."""
     cfg = cfg or TranscriptPipelineConfig()
     fns = [parse_block_fn(cfg.parse)]
 
@@ -161,25 +162,32 @@ def build_enriched_dataset(ds: "rd.Dataset",
     # route by role (dictionary-driven, single pass)
     fns.append(route_block_fn(cfg.routes, key="role",
                               default_route=cfg.default_route))
-    return ds.map_batches(functools.partial(run_chain, tuple(fns)),
-                          batch_format="pyarrow", batch_size=cfg.batch_size)
+    chain = functools.partial(run_chain, tuple(fns))
+    if isinstance(ds, ParquetPlan):
+        return ds.then(chain, cfg.batch_size)
+    return ds.map_batches(chain, batch_format="pyarrow",
+                          batch_size=cfg.batch_size)
 
 
 def read_transcripts(path: "str | list[str]",
-                     override_num_blocks: Optional[int] = None) -> "rd.Dataset":
+                     override_num_blocks: Optional[int] = None,
+                     ) -> "ParquetPlan | rd.Dataset":
     """Column-pruned transcript read over the engine's own parquet source
-    (:class:`~..sources.readers.ParquetFiles`): one read task per file,
-    or per group of files when ``override_num_blocks`` is below the file
-    count. It builds with no task. A read task, like the file runner's
-    (stages/route.py), hands the chain each file whole, in slices of at
-    most ``MAX_BATCH_ROWS`` rows: every stage pays its per-block fixed
-    costs (one regex pass per key, one dictionary hash, one chunk combine
-    per column) once per file, not once per small batch.
+    (:class:`~..sources.readers.ParquetFiles`), as a
+    :class:`~..sources.readers.ParquetPlan` that the file runner runs as
+    it is. Its Dataset form reads one task per file, or per group of
+    files when ``override_num_blocks`` is below the file count, and
+    builds with no task. A read task, like the file
+    runner's (stages/route.py), hands the chain each file whole, in
+    slices of at most ``MAX_BATCH_ROWS`` rows: every stage pays its
+    per-block fixed costs (one regex pass per key, one dictionary hash,
+    one chunk combine per column) once per file, not once per small
+    batch.
 
     A path the source refuses (a non-local filesystem, hive ``k=v``
-    directories) is read by ``rd.read_parquet`` with the same columns,
-    whole files too (``batch_size=None``). A directory with no parquet
-    file raises ``FileNotFoundError``."""
+    directories) is a Dataset, ``rd.read_parquet`` with the same
+    columns, whole files too (``batch_size=None``). A directory with no
+    parquet file raises ``FileNotFoundError``."""
     kw = {}
     if override_num_blocks is not None:
         kw["override_num_blocks"] = override_num_blocks
@@ -187,7 +195,7 @@ def read_transcripts(path: "str | list[str]",
     if source is None:
         return rd.read_parquet(path, columns=TRANSCRIPT_COLUMNS,
                                batch_size=None, **kw)
-    return rd.read_datasource(source, **kw)
+    return ParquetPlan(source, kw)
 
 
 def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
@@ -196,7 +204,8 @@ def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
     """Run the DAG in one pass, writing to ``out_dir`` if given; the
     aggregates are the write tasks' count partials, merged. Small ones
     are pandas frames; ``conv_turn_counts`` (one row PER CONVERSATION) is
-    a materialized Dataset from the keyed exchange, never a frame."""
+    a materialized Dataset from the keyed exchange, never a frame, and
+    the one Dataset the run builds."""
     cfg = cfg or TranscriptPipelineConfig()
     if out_dir is not None and os.path.isdir(out_dir) and os.listdir(out_dir):
         # every write names its files afresh: rerunning into a non-empty
@@ -211,11 +220,10 @@ def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
                   _partial_counts(["status_matched"], "n"),
                   _partial_counts(["conv_id"], "turns")))
     # the conv_id partials go from the object store into the exchange,
-    # a Dataset built from the metas the write tasks returned beside them
+    # with the metas the write tasks returned beside them
     metas = ray.get([m for _, m in convs])
-    convs = keyed_aggregate(
-        _dataset_from([(t, m) for (t, _), m in zip(convs, metas)]),
-        ["conv_id"], {"turns": ("turns", "sum")})
+    convs = keyed_aggregate([(t, m) for (t, _), m in zip(convs, metas)],
+                            ["conv_id"], {"turns": ("turns", "sum")})
     return {"sink_counts": merge_partials(_tables(routes),
                                           ["route", "tool_label"]),
             "status_matched_counts": merge_partials(_tables(matched),

@@ -142,7 +142,14 @@ def map_blocks(ds, fn: Callable[[pa.Table], pa.Table],
     result's schema recorded as ``fn`` over a zero-row table of ``ds``'s
     schema (see the module docstring's schema rule). Nothing is recorded
     when ``ds``'s plan does not know its schema, or when ``fn`` cannot run
-    on zero rows. ``concurrency``, ``batch_size``: ``map_batches``'."""
+    on zero rows. ``concurrency``, ``batch_size``: ``map_batches``'.
+    A ``sources.readers.ParquetPlan`` (the class is imported here, on the
+    driver: no file task may import its module) is extended instead, with
+    no Ray Data object; its Dataset form builds this same map."""
+    from .sources.readers import ParquetPlan
+
+    if isinstance(ds, ParquetPlan) and concurrency is None:
+        return ds.then(fn, batch_size, record_schema=True)
     out = ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size,
                          concurrency=concurrency)
     schema = _plan_schema(ds)
@@ -287,7 +294,14 @@ def group_count(nbytes: int) -> int:
 
 def _input_blocks(ds) -> tuple:
     """``ds``'s non-empty ``(ref, meta)`` blocks, their bytes and its
-    arrow schema or None, from its bundles' metadata."""
+    arrow schema or None, from its bundles' metadata; or from ``ds``
+    itself when it is a list of ``(table ref, block_meta)`` task returns,
+    the pairs :func:`_dataset_from` takes, so no Dataset is built."""
+    if isinstance(ds, list):
+        blocks = [(ref, meta) for ref, meta in ds if meta[0]]
+        schema = next((s for s in (_arrow_schema(meta[2]) for _, meta in ds)
+                       if s is not None), None)
+        return blocks, sum(meta[1] for _, meta in blocks), schema
     schema = _arrow_schema(ds.schema(fetch_if_missing=False))
     blocks = []
     for bundle in ds.iter_internal_ref_bundles():
@@ -421,31 +435,42 @@ def _in_batches(fn, size: Optional[int], table: pa.Table) -> pa.Table:
 
 
 def file_chain(ds) -> Optional[tuple]:
-    """``(files, columns, fn)`` when ``ds``'s plan is zero or more Arrow
+    """``(files, columns, fn)`` of a ``sources.readers.ParquetPlan``, its
+    steps as they are, or of a Dataset whose plan is zero or more Arrow
     ``map_batches`` of a plain function (no class, generator,
     ``concurrency``, remote or function args) over a
-    :func:`plain_parquet_read`, ``fn`` composing them, each in batches of
-    at most its ``batch_size`` (:func:`_in_batches`). Else None."""
+    :func:`plain_parquet_read`; ``fn`` composes the maps, each in batches
+    of at most its ``batch_size`` (:func:`_in_batches`). Else None."""
     import functools
     import inspect
 
-    from ray.data._internal.compute import TaskPoolStrategy
-    from ray.data._internal.logical.operators.map_operator import MapBatches
+    from .sources.readers import ParquetPlan
 
-    op, fns = ds._logical_plan.dag, []
-    while type(op) is MapBatches:
-        if (op._batch_format != "pyarrow" or op._compute != TaskPoolStrategy()
-                or any((op._fn_args, op._fn_kwargs, op._fn_constructor_args,
-                        op._fn_constructor_kwargs, op._ray_remote_args,
-                        op._ray_remote_args_fn))
-                or inspect.isclass(op._fn)
-                or inspect.isgeneratorfunction(op._fn)):
-            return None
-        # the plan runs from its last map
-        fns.insert(0, functools.partial(_in_batches, op._fn, op._batch_size))
-        op = op.input_dependencies[0]
-    read = plain_parquet_read(op)
-    return read and (*read, functools.partial(run_chain, tuple(fns)))
+    if isinstance(ds, ParquetPlan):
+        read = ds.source.files, ds.source.columns
+        steps = [(fn, batch_size) for fn, batch_size, _ in ds.steps]
+    else:
+        from ray.data._internal.compute import TaskPoolStrategy
+        from ray.data._internal.logical.operators.map_operator import (
+            MapBatches)
+
+        op, steps = ds._logical_plan.dag, []
+        while type(op) is MapBatches:
+            if (op._batch_format != "pyarrow"
+                    or op._compute != TaskPoolStrategy()
+                    or any((op._fn_args, op._fn_kwargs,
+                            op._fn_constructor_args,
+                            op._fn_constructor_kwargs, op._ray_remote_args,
+                            op._ray_remote_args_fn))
+                    or inspect.isclass(op._fn)
+                    or inspect.isgeneratorfunction(op._fn)):
+                return None
+            # the plan runs from its last map
+            steps.insert(0, (op._fn, op._batch_size))
+            op = op.input_dependencies[0]
+        read = plain_parquet_read(op)
+    fns = tuple(functools.partial(_in_batches, *step) for step in steps)
+    return read and (*read, functools.partial(run_chain, fns))
 
 
 @ray.remote(num_returns="streaming")
@@ -536,7 +561,9 @@ def keyed_groups(ds, keys: Sequence[str],
                  pre: Optional[Callable[[pa.Table], pa.Table]] = None):
     """``fn(table, starts)`` over every key group of ``ds`` (see the module
     docstring for the contract and the exchange). Runs ``ds`` at call time
-    and returns a materialized Dataset. ``schema`` is the output schema of
+    and returns a materialized Dataset. ``ds`` is a Dataset, or a list of
+    the ``(table ref, block_meta)`` pairs tasks returned (as
+    :func:`_dataset_from` takes them). ``schema`` is the output schema of
     ``fn``, used only when every group is empty: a literal ``pa.Schema``
     (None: no anchor), or ``schema_of(input_schema)`` derived from the
     schema ``ds``'s blocks carry. ``pre`` is a block function each split

@@ -9,7 +9,14 @@ as they are, one plain task per file. Its Ray Data form builds with no
 task: Ray's ``ParquetDatasource`` prefetches every footer and blocks the
 driver on two sampling tasks, which in a new Ray job also boot two
 workers before any file task is submitted (docs/SCALE.md, "Executor
-fixed costs")."""
+fixed costs").
+
+A read of it, and the block functions mapped over that read, are a
+:class:`ParquetPlan`: a value that holds no Ray Data object. The file
+runner runs it as it is (``rayutil.file_chain``); its Dataset form is
+built only when a caller uses a Dataset attribute. Building any Ray Data
+Dataset starts Ray Data's stats actor, a ~169 MB process that lives for
+the rest of the session (docs/SCALE.md, "The stats actor")."""
 
 from __future__ import annotations
 
@@ -92,6 +99,52 @@ class ParquetFiles(rd.Datasource):
 
     def get_name(self) -> str:
         return "ParquetFiles"
+
+
+class ParquetPlan:
+    """A read of a :class:`ParquetFiles` source (``read_kw``: Ray's
+    ``read_datasource`` keywords, i.e. ``override_num_blocks``) and the
+    whole-block Arrow functions mapped over it, in order: ``steps`` of
+    ``(fn, batch_size, record_schema)``. Building or extending one
+    creates no Ray Data object; the file runner takes its files, columns
+    and functions as they are (``rayutil.file_chain``).
+
+    :meth:`dataset` is its Ray Data form, built once: the read, then each
+    step as one ``map_batches`` (with ``record_schema``, as
+    ``rayutil.map_blocks`` builds it, its schema recorded). Every other
+    attribute is the Dataset's, so a plan is used where a Dataset is."""
+
+    __slots__ = ("source", "read_kw", "steps", "_ds")
+
+    def __init__(self, source: ParquetFiles, read_kw: dict,
+                 steps: tuple = ()):
+        self.source, self.read_kw, self.steps = source, read_kw, steps
+        self._ds = None
+
+    def then(self, fn, batch_size: Optional[int] = None,
+             record_schema: bool = False) -> "ParquetPlan":
+        """This plan with ``fn`` mapped over its batches of at most
+        ``batch_size`` rows (None: whole blocks)."""
+        return ParquetPlan(self.source, self.read_kw,
+                           (*self.steps, (fn, batch_size, record_schema)))
+
+    def dataset(self) -> "rd.Dataset":
+        if self._ds is None:
+            ds = rd.read_datasource(self.source, **self.read_kw)
+            for fn, batch_size, record_schema in self.steps:
+                ds = (map_blocks(ds, fn, batch_size=batch_size)
+                      if record_schema else
+                      ds.map_batches(fn, batch_format="pyarrow",
+                                     batch_size=batch_size))
+            self._ds = ds
+        return self._ds
+
+    def __getattr__(self, name: str):
+        # dunders stay the plan's own, so pickle and copy see a plain
+        # object; a slot read before it is set must not build a Dataset
+        if name.startswith("__") or name in ParquetPlan.__slots__:
+            raise AttributeError(name)
+        return getattr(self.dataset(), name)
 
 
 def parquet_source(path: "str | list[str]",

@@ -9,21 +9,25 @@ or as JSON lines. No task uses ``pyarrow.dataset``: its writer encodes on
 Arrow's IO threads and left each worker ~35 MB heavier (docs/SCALE.md).
 
 Every routed write runs as plain Ray tasks through that one block writer.
-A *file chain*, a plan ``rayutil.file_chain`` reads from the Dataset
-alone (plain Arrow ``map_batches`` over a plain local parquet read: the
-transcript chain, a parquet spec's filters and route, the stage
-wrappers), gets one task per input file: read, run the maps' functions
-in ``MAX_BATCH_ROWS``-row slices (a map's own ``batch_size``, if any,
-bounds its slices further), write. That skips Ray Data's streaming
-executor, whose fixed costs (a 100 ms scheduling tick, held-back
-first-wave admission) outweighed the few-ms block functions
-(docs/SCALE.md, "Executor fixed costs"); over the engine's source, Ray
-Data runs nothing at all. Every other Dataset runs through Ray Data up
-to its blocks, then gets one write task per non-empty block.
+A *file chain* gets one task per input file: read, run the maps'
+functions in ``MAX_BATCH_ROWS``-row slices (a map's own ``batch_size``,
+if any, bounds its slices further), write. A file chain is the plan
+value ``sources.readers.ParquetPlan`` (the transcript chain and the stage
+wrappers over ``read_transcripts``), whose steps the runner takes as
+they are, building no Ray Data Dataset; or a Dataset whose plan
+``rayutil.file_chain`` reads alone (plain Arrow ``map_batches`` over a
+plain local parquet read: a parquet spec's filters and route). That
+skips Ray Data's streaming executor, whose fixed costs (a 100 ms
+scheduling tick, held-back first-wave admission) outweighed the few-ms
+block functions (docs/SCALE.md, "Executor fixed costs"); over a plan,
+Ray Data runs and builds nothing, so its stats actor never starts.
+Every other Dataset runs through Ray Data up to its blocks, then gets
+one write task per non-empty block.
 
 Each task returns every count partial as its table and its
-``rayutil.block_meta``, so a caller builds a Dataset of them with no
-metadata task (``rayutil._dataset_from``)."""
+``rayutil.block_meta``, so a caller hands them to the keyed exchange, or
+builds a Dataset of them, with no metadata task
+(``rayutil._dataset_from``)."""
 
 from __future__ import annotations
 
@@ -153,8 +157,9 @@ def _write_source(fn: Optional[Callable[[pa.Table], pa.Table]],
 
 def _sources(ds: "ray.data.Dataset", out_dir: Optional[str]):
     """The ``(fn, columns, source, out_dir)`` of each write task: a file
-    chain's files (``rayutil.file_chain``), else the Dataset's non-empty
-    blocks (module docstring)."""
+    chain's files (``rayutil.file_chain``: a plan, or a Dataset's plain
+    maps over a plain read), else the Dataset's non-empty blocks (module
+    docstring)."""
     chain = file_chain(ds)
     if chain is None:
         return ((None, None, ref, out_dir)

@@ -120,6 +120,50 @@ def test_file_runner_matches_ray_data_sink(ray_session, tmp_path,
     assert len(glob.glob(f"{runner}/route=a%3Db/*.parquet")) == 4
 
 
+def test_runner_path_builds_no_dataset(ray_session, tmp_path,
+                                       monkeypatch):
+    """The transcript chain is a plan value (``sources.readers
+    .ParquetPlan``): writing it through ``build_enriched_dataset`` or the
+    stage wrappers, and ``run_resumable``, build no Ray Data Dataset, the
+    first of which would start Ray Data's stats actor; ``run_pipeline``
+    builds one, its ``conv_turn_counts``. The plan's Dataset form is a
+    file chain of the plan's own files and columns."""
+    import ray.data as rd
+
+    from logstash_filter_translate_ray import TranslateConfig, rayutil
+    from logstash_filter_translate_ray.pipelines import transcripts as T
+    from logstash_filter_translate_ray.stages import (
+        parse_dataset, route_dataset, translate_dataset)
+    from logstash_filter_translate_ray.stages.route import write_routed
+
+    src = str(tmp_path / "in")
+    _write_inputs(src, [0, 1_000, 2_000])
+    cfg = T.TranscriptPipelineConfig(routes=dict(ROUTES))
+    tool = TranslateConfig(source="tool_norm", target="tool_label",
+                           dictionary=dict(T.TOOL_DICT), fallback="none")
+    built = []
+    init = rd.Dataset.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "__init__", counted)
+    write_routed(T.build_enriched_dataset(T.read_transcripts(src), cfg),
+                 str(tmp_path / "enriched"))
+    write_routed(route_dataset(translate_dataset(
+        parse_dataset(T.read_transcripts(src)), tool), ROUTES),
+        str(tmp_path / "stages"))
+    T.run_resumable(src, str(tmp_path / "resumable"), cfg)
+    assert built == []
+    T.run_pipeline(src, cfg=cfg)
+    assert len(built) == 1, built
+
+    plan = T.build_enriched_dataset(T.read_transcripts(src), cfg)
+    files, columns, _ = rayutil.file_chain(plan.dataset())
+    assert (files, columns) == (plan.source.files, plan.source.columns)
+
+
 def test_json_runner_matches_block_path(ray_session, tmp_path,
                                         monkeypatch):
     """A JSON write_routed of the transcript chain runs on the file
