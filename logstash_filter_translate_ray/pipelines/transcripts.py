@@ -36,7 +36,7 @@ import ray.data as rd
 from ..config import TranslateConfig
 from ..checkpoint import run_shards
 from ..kernel import DictSnapshot
-from ..rayutil import keyed_aggregate, run_chain
+from ..rayutil import _dataset_from, keyed_aggregate, run_chain
 from ..sources.readers import ParquetPlan, parquet_source
 from ..stages.aggregate import _partial_counts, merge_partials
 from ..stages.parse import ParseConfig, parse_block_fn
@@ -204,8 +204,9 @@ def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
     """Run the DAG in one pass, writing to ``out_dir`` if given; the
     aggregates are the write tasks' count partials, merged. Small ones
     are pandas frames; ``conv_turn_counts`` (one row PER CONVERSATION) is
-    a materialized Dataset from the keyed exchange, never a frame, and
-    the one Dataset the run builds."""
+    a materialized Dataset from the keyed exchange, never a frame. The
+    exchange, its input and this result, is the only part of the run
+    that builds a Dataset."""
     cfg = cfg or TranscriptPipelineConfig()
     if out_dir is not None and os.path.isdir(out_dir) and os.listdir(out_dir):
         # every write names its files afresh: rerunning into a non-empty
@@ -220,10 +221,11 @@ def run_pipeline(input_path: "str | list[str]", out_dir: Optional[str] = None,
                   _partial_counts(["status_matched"], "n"),
                   _partial_counts(["conv_id"], "turns")))
     # the conv_id partials go from the object store into the exchange,
-    # with the metas the write tasks returned beside them
+    # a Dataset built from the metas the write tasks returned beside them
     metas = ray.get([m for _, m in convs])
-    convs = keyed_aggregate([(t, m) for (t, _), m in zip(convs, metas)],
-                            ["conv_id"], {"turns": ("turns", "sum")})
+    convs = keyed_aggregate(
+        _dataset_from([(t, m) for (t, _), m in zip(convs, metas)]),
+        ["conv_id"], {"turns": ("turns", "sum")})
     return {"sink_counts": merge_partials(_tables(routes),
                                           ["route", "tool_label"]),
             "status_matched_counts": merge_partials(_tables(matched),

@@ -294,14 +294,7 @@ def group_count(nbytes: int) -> int:
 
 def _input_blocks(ds) -> tuple:
     """``ds``'s non-empty ``(ref, meta)`` blocks, their bytes and its
-    arrow schema or None, from its bundles' metadata; or from ``ds``
-    itself when it is a list of ``(table ref, block_meta)`` task returns,
-    the pairs :func:`_dataset_from` takes, so no Dataset is built."""
-    if isinstance(ds, list):
-        blocks = [(ref, meta) for ref, meta in ds if meta[0]]
-        schema = next((s for s in (_arrow_schema(meta[2]) for _, meta in ds)
-                       if s is not None), None)
-        return blocks, sum(meta[1] for _, meta in blocks), schema
+    arrow schema or None, from its bundles' metadata."""
     schema = _arrow_schema(ds.schema(fetch_if_missing=False))
     blocks = []
     for bundle in ds.iter_internal_ref_bundles():
@@ -561,9 +554,7 @@ def keyed_groups(ds, keys: Sequence[str],
                  pre: Optional[Callable[[pa.Table], pa.Table]] = None):
     """``fn(table, starts)`` over every key group of ``ds`` (see the module
     docstring for the contract and the exchange). Runs ``ds`` at call time
-    and returns a materialized Dataset. ``ds`` is a Dataset, or a list of
-    the ``(table ref, block_meta)`` pairs tasks returned (as
-    :func:`_dataset_from` takes them). ``schema`` is the output schema of
+    and returns a materialized Dataset. ``schema`` is the output schema of
     ``fn``, used only when every group is empty: a literal ``pa.Schema``
     (None: no anchor), or ``schema_of(input_schema)`` derived from the
     schema ``ds``'s blocks carry. ``pre`` is a block function each split

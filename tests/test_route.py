@@ -126,7 +126,8 @@ def test_runner_path_builds_no_dataset(ray_session, tmp_path,
     .ParquetPlan``): writing it through ``build_enriched_dataset`` or the
     stage wrappers, and ``run_resumable``, build no Ray Data Dataset, the
     first of which would start Ray Data's stats actor; ``run_pipeline``
-    builds one, its ``conv_turn_counts``. The plan's Dataset form is a
+    builds two, the input and the result of its ``conv_turn_counts``
+    exchange. The plan's Dataset form is a
     file chain of the plan's own files and columns."""
     import ray.data as rd
 
@@ -157,7 +158,7 @@ def test_runner_path_builds_no_dataset(ray_session, tmp_path,
     T.run_resumable(src, str(tmp_path / "resumable"), cfg)
     assert built == []
     T.run_pipeline(src, cfg=cfg)
-    assert len(built) == 1, built
+    assert built == ["MaterializedDataset"] * 2, built
 
     plan = T.build_enriched_dataset(T.read_transcripts(src), cfg)
     files, columns, _ = rayutil.file_chain(plan.dataset())
