@@ -39,37 +39,17 @@ NULL_LABEL = "(null)"   # null STRING group keys → label, mirroring the
 
 def _partial_counts(keys: Sequence[str], count_name: str,
                     null_label: str = NULL_LABEL):
-    """Per-batch row counts by ``keys``; null strings become ``null_label``,
-    a null of another type is one group. Each key is dictionary-encoded
-    (null as its own code), the codes combine into one group code per row
-    and ``np.bincount`` counts them: no ``Table.group_by``, whose Acero
-    engine loads ``pyarrow.dataset`` into every write task. Rows are in
-    group-code order; every consumer merges or sorts them."""
-    import numpy as np
+    """Per-batch row counts by ``keys``; null strings become ``null_label``."""
     import pyarrow.compute as pc
 
     def _fn(batch: pa.Table) -> pa.Table:
-        sub = batch.select(list(keys)).replace_schema_metadata()
-        codes, groups = np.zeros(sub.num_rows, dtype=np.int64), 1
+        sub = batch.select(list(keys))
         for i, k in enumerate(keys):
             col = sub[k]
             if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-                col = pc.fill_null(col, null_label)
-                sub = sub.set_column(i, k, col)
-            enc = pc.dictionary_encode(col.combine_chunks(),
-                                       null_encoding="encode")
-            codes = codes * len(enc.dictionary) + enc.indices.to_numpy()
-            groups *= len(enc.dictionary)
-            if groups > sub.num_rows:      # keep bincount's length ≤ rows
-                uniq, codes = np.unique(codes, return_inverse=True)
-                groups = len(uniq)
-        counts = np.bincount(codes, minlength=groups)
-        present = np.flatnonzero(counts)
-        # every row of a group holds its keys: take any one of them
-        row = np.empty(groups, dtype=np.int64)
-        row[codes] = np.arange(sub.num_rows)
-        return sub.take(row[present]).append_column(
-            count_name, pa.array(counts[present], pa.int64()))
+                sub = sub.set_column(i, k, pc.fill_null(col, null_label))
+        return sub.group_by(list(keys)).aggregate([([], "count_all")]) \
+            .rename_columns(list(keys) + [count_name])
     return _fn
 
 

@@ -25,9 +25,8 @@ Every other Dataset runs through Ray Data up to its blocks, then gets
 one write task per non-empty block.
 
 Each task returns every count partial as its table and its
-``rayutil.block_meta``, so a caller hands them to the keyed exchange, or
-builds a Dataset of them, with no metadata task
-(``rayutil._dataset_from``)."""
+``rayutil.block_meta``, so a caller builds a Dataset of them with no
+metadata task (``rayutil._dataset_from``)."""
 
 from __future__ import annotations
 

@@ -256,62 +256,6 @@ def test_grouped_counts_distributed_empty_keeps_schema(ray_session):
     assert len(q) == 0 and list(q.columns) == ["k", "p50"]
 
 
-def _partial_counts_input(n: int) -> pa.Table:
-    """``n`` rows of string, bool, int64, timestamp and null-typed keys,
-    about a fifth of each null, in two chunks."""
-    import datetime
-
-    rng = np.random.default_rng(11)
-
-    def col(values, typ):
-        nulls = rng.random(n) < 0.2
-        return pa.array([None if z else v for z, v in zip(nulls, values)],
-                        typ)
-
-    t0 = datetime.datetime(2024, 1, 1)
-    t = pa.table({
-        "s": col(rng.choice(["a", "b", "", "c"], n).tolist(), pa.string()),
-        "b": col((rng.random(n) < 0.5).tolist(), pa.bool_()),
-        "i": col((rng.integers(-3, 3, n) + 2**60).tolist(), pa.int64()),
-        "ts": col([t0 + datetime.timedelta(hours=int(h))
-                   for h in rng.integers(0, 5, n)], pa.timestamp("us")),
-        "none": pa.nulls(n)})
-    return pa.concat_tables([t.slice(0, n // 3), t.slice(n // 3)])
-
-
-@pytest.mark.parametrize("keys", [["s"], ["b"], ["i"], ["ts"], ["none"],
-                                  ["s", "i"], ["ts", "b"], ["i", "none"]])
-@pytest.mark.parametrize("n", [0, 1, 500])
-def test_partial_counts_match_arrow_group_by(keys, n):
-    """``_partial_counts`` (dictionary codes and ``np.bincount``) has the
-    schema of the ``Table.group_by`` it replaced and one row per distinct
-    key tuple of the input, with its row count: a null string becomes the
-    null label, a null of any other type is one group. The counts are
-    checked against the rows themselves: pyarrow 16.1's ``group_by`` over
-    a string key then a nullable int64 key splits the null group (65 rows
-    for the 35 groups of ``["s", "i"]`` at 500 rows)."""
-    from collections import Counter
-
-    import pyarrow.compute as pc
-
-    from logstash_filter_translate_ray.stages.aggregate import (
-        NULL_LABEL, _partial_counts)
-
-    t = _partial_counts_input(n)
-    got = _partial_counts(keys, "n")(t)
-    sub = t.select(keys)
-    if "s" in keys:
-        sub = sub.set_column(keys.index("s"), "s",
-                             pc.fill_null(sub["s"], NULL_LABEL))
-    want = sub.group_by(keys).aggregate([([], "count_all")]) \
-        .rename_columns([*keys, "n"])
-    assert got.schema.equals(want.schema, check_metadata=True)
-    rows = Counter(tuple(r.values()) for r in sub.to_pylist())
-    assert {tuple(r[k] for k in keys): r["n"] for r in got.to_pylist()} \
-        == rows
-    assert got.num_rows == len(rows)
-
-
 def test_zscore_outliers_all_null_keys_empty(ray_session):
     import ray.data as rd
 
